@@ -99,6 +99,18 @@ def parse_interval(text: str, n_samples: int) -> AngleInterval:
     return AngleInterval(parse_angle(parts[0]), parse_angle(parts[1]), n_samples)
 
 
+def _parse_number(text: str, name: str, kind: type = float):
+    """Parse a finite integer or real from command-line text."""
+    try:
+        value = kind(str(text).strip())
+    except ValueError:
+        want = "an integer" if kind is int else "a real number"
+        raise ValidationError(f"{name} must be {want}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {text!r}")
+    return value
+
+
 def _parse_kv(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     if not text:
@@ -135,9 +147,11 @@ def _build_curve(text: str) -> InclinationCurve:
             coeffs = [parse_angle(c) for c in kv.pop("coefficients", "1").split("+")]
             curve = polynomial_curve(coeffs)
         elif name == "series":
-            k = int(kv.pop("k", "1"))
-            order = int(kv.pop("order", "30"))
-            secondary = float(kv["secondary"]) if kv.pop("secondary", None) else None
+            k = _parse_number(kv.pop("k", "1"), "k", int)
+            order = _parse_number(kv.pop("order", "30"), "order", int)
+            secondary = kv.pop("secondary", None)
+            if secondary is not None:
+                secondary = _parse_number(secondary, "secondary")
             solution = PantographSolution(solve_series(k, n_max=order, secondary=secondary))
             curve = solution_curve(solution)
         else:
@@ -271,17 +285,21 @@ def _parse_coefficient_pairs(text: str) -> tuple[tuple[float, float], ...]:
     pairs = []
     for chunk in str(text).split(","):
         a, _, b = chunk.partition(":")
-        pairs.append((float(a), float(b) if b else 0.0))
+        pairs.append(
+            (_parse_number(a, "coefficient"), _parse_number(b, "coefficient") if b else 0.0)
+        )
     return tuple(pairs)
 
 
 def _run_skew(spec: JobSpec) -> None:
     case = spec.params.get("case", "point_by_point")
     phi0 = parse_angle(spec.params.get("phi0", "0"))
-    factor = float(spec.params.get("a", "1.2"))
+    factor = _parse_number(spec.params.get("a", "1.2"), "a")
     alpha = parse_angle(spec.params.get("alpha", "0"))
     branches = tuple(
-        int(b) for b in spec.params.get("branches", "0").split(",") if b != ""
+        _parse_number(b, "branch", int)
+        for b in spec.params.get("branches", "0").split(",")
+        if b != ""
     )
     coefficients = _parse_coefficient_pairs(spec.params.get("coefficients", "1:0"))
     family = SkewFamilySpec(
@@ -332,9 +350,9 @@ def _run_pantograph(spec: JobSpec) -> None:
     k = m - 1
     factor = similarity_factor(k)
     secondary = spec.params.get("secondary")
-    series = solve_series(
-        k, n_max=order, secondary=None if secondary is None else float(secondary)
-    )
+    if secondary is not None:
+        secondary = _parse_number(secondary, "secondary")
+    series = solve_series(k, n_max=order, secondary=secondary)
     solution = PantographSolution(series)
     print(f"m={m}")
     print(f"k={k}")
@@ -530,7 +548,7 @@ def _run_verify(spec: JobSpec) -> None:
         raise ValidationError(f"unknown suite {suite!r}; pick one of {known}")
     n = int(spec.params.get("samples", "2000"))
     seed = int(spec.params.get("seed", "0"))
-    bound = float(spec.params.get("tolerance", "1e-3"))
+    bound = _parse_number(spec.params.get("tolerance", "1e-3"), "tolerance")
     checks: list[tuple[str, float, float]] = []
     if suite in ("oracle", "all"):
         checks.append(_check_circle_focus(n))

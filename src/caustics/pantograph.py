@@ -129,17 +129,7 @@ class PantographSeries:
 
     def q_derivatives(self, theta: float, order: int) -> np.ndarray:
         """Values Q(theta), Q'(theta), ..., Q^(order)(theta), term by term."""
-        c = np.asarray(self.coefficients, dtype=float).copy()
-        e = self.powers().astype(float)
-        out = np.empty(order + 1)
-        for j in range(order + 1):
-            # Differentiation kills terms (c becomes 0 while e goes negative);
-            # skip them so theta = 0 does not manufacture 0 * inf.
-            live = c != 0.0
-            out[j] = float(np.sum(c[live] * theta ** e[live])) if live.any() else 0.0
-            c *= e
-            e -= 1.0
-        return out
+        return _q_taylor(self, np.array([float(theta)]), order + 1)[0] * _factorials(order + 1)
 
 
 def solve_series(
@@ -221,25 +211,56 @@ def _require_base_window(theta: np.ndarray) -> None:
         )
 
 
-def eval_R_base(series: PantographSeries, theta: float, jet_order: int = 1) -> np.ndarray:
-    """Derivatives R, R', ..., R^(jet_order) at one angle in the base window.
+def _factorials(length: int) -> np.ndarray:
+    """0!, 1!, ..., (length-1)! as floats."""
+    return np.cumprod(np.concatenate(([1.0], np.arange(1.0, length))))
 
-    R = Q sin(theta); derivatives come from the general product rule over
-    the term-wise derivatives of Q and the four-cycle of sine derivatives.
-    """
+
+def _q_taylor(series: PantographSeries, u: np.ndarray, length: int) -> np.ndarray:
+    """Rows Q^(j)(u) / j!, j < length: the Taylor coefficients of Q(u + h)."""
+    c = np.asarray(series.coefficients, dtype=float).copy()
+    e = series.powers().astype(float)
+    out = np.empty((len(u), length))
+    for j in range(length):
+        # Differentiation kills terms (c becomes 0 while e goes negative);
+        # skip them so u = 0 does not manufacture 0 * inf.
+        live = c != 0.0
+        out[:, j] = np.sum(c[live] * u[:, None] ** e[live], axis=1)
+        c *= e / (j + 1)
+        e -= 1.0
+    return out
+
+
+def _trig_taylor(u: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of Taylor coefficients of sin(u + h) and cos(u + h), j < length."""
+    s, c = np.sin(u), np.cos(u)
+    # sin^(j) = (s, c, -s, -c)[j % 4], and cos^(j) = sin^(j+1).
+    cycle = np.stack([s, c, -s, -c], axis=1)[:, np.arange(length + 1) % 4]
+    fact = _factorials(length)
+    return cycle[:, :length] / fact, cycle[:, 1:] / fact
+
+
+def _taylor_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of Taylor rows, truncated to the length of ``a``."""
+    length = a.shape[1]
+    out = np.zeros_like(a)
+    for i in range(length):
+        out[:, i:] += a[:, i : i + 1] * b[:, : length - i]
+    return out
+
+
+def _r_taylor(series: PantographSeries, u: np.ndarray, length: int) -> np.ndarray:
+    """Rows of Taylor coefficients of R(u + h) = Q(u + h) sin(u + h)."""
+    return _taylor_mul(_q_taylor(series, u, length), _trig_taylor(u, length)[0])
+
+
+def eval_R_base(series: PantographSeries, theta: float, jet_order: int = 1) -> np.ndarray:
+    """Derivatives R, R', ..., R^(jet_order) at one angle in the base window."""
     theta = float(theta)
     _require_base_window(np.asarray(theta))
     if jet_order < 0:
         raise ValidationError("jet_order must be non-negative")
-    q = series.q_derivatives(theta, jet_order)
-    sin_cycle = (math.sin(theta), math.cos(theta), -math.sin(theta), -math.cos(theta))
-    out = np.empty(jet_order + 1)
-    for j in range(jet_order + 1):
-        acc = 0.0
-        for i in range(j + 1):
-            acc += math.comb(j, i) * q[i] * sin_cycle[(j - i) % 4]
-        out[j] = acc
-    return out
+    return _r_taylor(series, np.array([theta]), jet_order + 1)[0] * _factorials(jet_order + 1)
 
 
 @dataclass(frozen=True)
@@ -266,69 +287,43 @@ class PantographSolution:
         return 2.0 ** (self.jet_order - 1) * (math.pi / 2 - self.guard)
 
 
-def _trig_taylor(u: float, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients of sin(u+h) and cos(u+h) in h, up to h^(length-1)."""
-    s, c = math.sin(u), math.cos(u)
-    sin_cycle = (s, c, -s, -c)
-    cos_cycle = (c, -s, -c, s)
-    fact = 1.0
-    sj = np.empty(length)
-    cj = np.empty(length)
-    for j in range(length):
-        if j:
-            fact *= j
-        sj[j] = sin_cycle[j % 4] / fact
-        cj[j] = cos_cycle[j % 4] / fact
-    return sj, cj
-
-
-def _conv_trunc(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
-    return np.convolve(a[:length], b[:length])[:length]
-
-
-def _continue_one(solution: PantographSolution, theta: float) -> tuple[float, float]:
-    if theta < 0.0:
-        raise ValidationError(f"continuation is defined for theta >= 0, got {theta:g}")
-    limit = math.pi / 2 - solution.guard
-    series = solution.series
-    if theta <= limit:
-        r = eval_R_base(series, theta, jet_order=1)
-        return float(r[0]), float(r[1])
-    depth = max(1, int(math.ceil(math.log2(theta / limit))))
-    while theta / 2.0**depth > limit:
-        depth += 1
-    if depth + 1 > solution.jet_order:
-        raise JetDepthError(
-            f"theta = {theta:g} needs doubling depth {depth}; configure "
-            f"jet_order >= {depth + 1}"
-        )
-    u = theta / 2.0**depth
-    order = depth + 1
-    ders = eval_R_base(series, u, jet_order=order)
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, order + 1))))
-    taylor = ders / fact
-    inv_4a = 1.0 / (4.0 * series.factor_a)
-    for _ in range(depth):
-        length = len(taylor) - 1
-        deriv = taylor[1:] * np.arange(1.0, len(taylor))
-        sj, cj = _trig_taylor(u, length)
-        f = (3.0 * _conv_trunc(cj, taylor, length) + _conv_trunc(sj, deriv, length)) * inv_4a
-        taylor = f / 2.0 ** np.arange(length)
-        u *= 2.0
-    return float(taylor[0]), float(taylor[1])
-
-
 def continue_R(solution: PantographSolution, theta):
     """R and R' anywhere on [0, max_theta], by jet doubling past pi/2.
 
     Accepts scalars or arrays; returns a pair (R, R') of matching shape.
+    An angle of depth d is halved d times into the series window, where R
+    gets a Taylor row of d + 2 coefficients in h; each doubling of u + h
+    consumes one.  All angles of one depth advance together.
     """
     arr = np.asarray(theta, dtype=float)
-    flat = np.atleast_1d(arr).ravel()
+    flat = arr.ravel()
+    bad = flat[~np.isfinite(flat) | (flat < 0.0)]
+    if bad.size:
+        raise ValidationError(f"continuation is defined for finite theta >= 0, got {bad[0]:g}")
+    limit = math.pi / 2 - solution.guard
+    depth = np.ceil(np.log2(np.maximum(flat / limit, 1.0))).astype(int)
+    depth += flat / 2.0**depth > limit  # the rounded ratio can land one depth short
+    if depth.size and depth.max() + 1 > solution.jet_order:
+        worst = int(np.argmax(depth))
+        raise JetDepthError(
+            f"theta = {flat[worst]:g} needs doubling depth {depth[worst]}; configure "
+            f"jet_order >= {depth[worst] + 1}"
+        )
+    inv_4a = 1.0 / (4.0 * solution.series.factor_a)
     r = np.empty_like(flat)
     rp = np.empty_like(flat)
-    for i, t in enumerate(flat):
-        r[i], rp[i] = _continue_one(solution, float(t))
+    for d in np.unique(depth):
+        rows = depth == d
+        u = flat[rows] / 2.0**d
+        taylor = _r_taylor(solution.series, u, d + 2)
+        for _ in range(d):
+            length = taylor.shape[1] - 1
+            sj, cj = _trig_taylor(u, length)
+            deriv = taylor[:, 1:] * np.arange(1.0, length + 1)
+            f = (3.0 * _taylor_mul(cj, taylor) + _taylor_mul(sj, deriv)) * inv_4a
+            taylor = f / 2.0 ** np.arange(length)
+            u = 2.0 * u
+        r[rows], rp[rows] = taylor[:, 0], taylor[:, 1]
     if arr.ndim == 0:
         return float(r[0]), float(rp[0])
     return r.reshape(arr.shape), rp.reshape(arr.shape)

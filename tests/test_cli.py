@@ -1,9 +1,11 @@
 """Command-line behaviour: parsing, exit codes, deterministic artifacts."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+import caustics
 from caustics.cli import JobSpec, main, parse_angle, parse_interval
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
@@ -196,3 +198,36 @@ def test_bad_angle_literal_is_validation_error(capsys):
     code, _, err = run_cli(capsys, "curve", "--interval", "0:pie")
     assert code == 2
     assert "error:" in err
+
+
+def test_series_curve_reads_secondary_coefficient(capsys):
+    code, out, err = run_cli(
+        capsys, "curve", "--curve", "series:k=-3,secondary=0.5",
+        "--interval", "0.5:2pi", "--samples", "129",
+    )
+    assert code == 0, err
+    assert "samples=129" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curve", "--curve", "series:k=abc"),
+        ("curve", "--curve", "series:k=-3,secondary="),
+        ("curve", "--curve", "series:order=x"),
+        ("pantograph", "--m", "-2", "--secondary", "abc"),
+        ("skew", "--a", "abc"),
+        ("verify", "--suite", "specfun", "--tolerance", "abc"),
+    ],
+)
+def test_bad_numeric_text_is_validation_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert caustics.__version__ == tomllib.load(fh)["project"]["version"]

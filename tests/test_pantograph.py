@@ -209,3 +209,48 @@ def test_parabola_validation():
         parabola_mirror(0.0)
     with pytest.raises(ValidationError):
         parabola_mirror(1.0, domain=AngleInterval(-0.5, 1.0, 33))
+
+
+def test_continuation_batch_matches_scalar_calls(m2_solution, rng):
+    limit = math.pi / 2 - m2_solution.guard
+    # One angle inside each depth 0..10, the origin, the window edge, a deep
+    # angle and random fill, shuffled into one 2-D batch.
+    one_per_depth = limit * 2.0 ** (np.arange(11) - 0.5)
+    angles = np.concatenate(
+        ([0.0, limit, 1000.0], one_per_depth, rng.uniform(0.0, 1100.0, 26))
+    )
+    batch = rng.permutation(angles).reshape(8, 5)
+    r, rp = continue_R(m2_solution, batch)
+    assert r.shape == rp.shape == batch.shape
+    for idx, t in np.ndenumerate(batch):
+        want_r, want_rp = continue_R(m2_solution, float(t))
+        assert isinstance(want_r, float) and isinstance(want_rp, float)
+        assert r[idx] == want_r and rp[idx] == want_rp, t
+
+
+def test_continuation_empty_batch(m2_solution):
+    r, rp = continue_R(m2_solution, np.empty((0, 3)))
+    assert r.shape == rp.shape == (0, 3)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, np.array([1.0, math.nan])])
+def test_continuation_rejects_non_finite_angles(cycloid_solution, theta):
+    with pytest.raises(ValidationError):
+        continue_R(cycloid_solution, theta)
+
+
+@pytest.mark.parametrize(
+    "k, secondary, theta, want_r, want_rp",
+    [
+        (1, None, 40.0, 12.982184746680492, -4.967188796770295),
+        (1, None, 1000.0, 122.73294496644044, None),
+        (2, None, 40.0, 228.59966867119493, None),
+        (-3, 0.5, 40.0, -0.01877332524879078, None),
+    ],
+)
+def test_continuation_frozen_deep_values(k, secondary, theta, want_r, want_rp):
+    solution = PantographSolution(solve_series(k, n_max=30, secondary=secondary))
+    r, rp = continue_R(solution, theta)
+    assert r == pytest.approx(want_r, rel=1e-12, abs=0.0)
+    if want_rp is not None:
+        assert rp == pytest.approx(want_rp, rel=1e-12, abs=0.0)
