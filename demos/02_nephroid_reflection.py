@@ -48,17 +48,12 @@ gap = hausdorff_distance(envelope.points, closed_pts, exclusions=cusps)
 print(f"envelope vs closed form (cusp disks removed): {gap:.2e}")
 
 # Scene: the mirror arc, a sparse fan of reflected rays, both caustics.
-mirror_pts = np.array([
-    (s.base[0], s.base[1]) for s in family.rays
-])
-fan = []
-for ray in family.rays[::40]:
-    base = np.asarray(ray.base, dtype=float)
-    fan.append(np.vstack([base, base + 1.2 * np.asarray(ray.direction)]))
+bases, directions = family.bases[::40], family.directions[::40]
+fan = list(np.stack([bases, bases + 1.2 * directions], axis=1))
 write_scene(
     os.path.join(OUT, "nephroid.svg"),
-    mirror=[mirror_pts],
-    caustic=[np.array([s.position for s in closed]), envelope.points],
+    mirror=[family.bases],
+    caustic=[closed.points, envelope.points],
     rays=fan,
     cusps=cusps,
 )

@@ -30,7 +30,8 @@ from .errors import (
 )
 from .inclination import (
     AngleInterval,
-    FrameSample,
+    ColumnRecord,
+    CurveSamples,
     InclinationCurve,
     PlanePoint,
     reconstruct,
@@ -38,17 +39,29 @@ from .inclination import (
 
 __all__ = [
     "TiltField",
-    "CoframeState",
     "CausticSample",
+    "Caustic",
     "SimilaritySpec",
-    "coframe_at",
+    "OK",
+    "CUSP",
+    "FLAT_TILT",
+    "AT_INFINITY",
+    "coframe",
     "caustic_radius",
-    "caustic_point",
     "caustic_curve",
     "similarity_residual",
 ]
 
 FLAT_TILT_GUARD = 1e-8
+
+OK, CUSP, FLAT_TILT, AT_INFINITY = 0, 1, 2, 3
+"""Per-node ``Caustic.flag`` codes: a regular node, then the three failures."""
+
+_FLAG_ERRORS = {
+    CUSP: (CuspError, "R vanishes"),
+    FLAT_TILT: (FlatCausticError, f"the tilt derivative is within {FLAT_TILT_GUARD:g} of 1"),
+    AT_INFINITY: (CausticAtInfinityError, "the focusing density vanishes"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,23 +96,16 @@ class TiltField:
         return TiltField(phi, minus_one, zero, kind="reflection")
 
     def phi(self, theta):
-        return np.asarray(self.phi_fn(np.asarray(theta, dtype=float)), dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        return np.broadcast_to(np.asarray(self.phi_fn(theta), dtype=float), theta.shape)
 
     def phi_prime(self, theta):
-        return np.asarray(self.phi_prime_fn(np.asarray(theta, dtype=float)), dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        return np.broadcast_to(np.asarray(self.phi_prime_fn(theta), dtype=float), theta.shape)
 
     def phi_second(self, theta):
-        return np.asarray(self.phi_second_fn(np.asarray(theta, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
-class CoframeState:
-    """Tilted frame and focusing density at one angle."""
-
-    theta: float
-    tau: np.ndarray
-    nu: np.ndarray
-    chi: float
+        theta = np.asarray(theta, dtype=float)
+        return np.broadcast_to(np.asarray(self.phi_second_fn(theta), dtype=float), theta.shape)
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,44 @@ class CausticSample:
     position: PlanePoint
     ray_length: float
     error: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Caustic(ColumnRecord):
+    """Caustic vertices as columns, one entry per source node.
+
+    ``caustic_theta`` is the caustic's tangent angle, ``x, y`` its
+    position, ``caustic_radius`` its turning radius and ``ray_length`` the
+    distance from the source node along the ray.  ``flag`` holds ``OK``
+    or the failure code of the node (``CUSP``, ``FLAT_TILT``,
+    ``AT_INFINITY``); flagged nodes are NaN in every float column.
+    ``source`` is the reconstructed curve the rays leave from.
+    """
+
+    caustic_theta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    caustic_radius: np.ndarray
+    ray_length: np.ndarray
+    flag: np.ndarray
+    source: CurveSamples
+
+    _columns = ("caustic_theta", "x", "y", "caustic_radius", "ray_length", "flag", "source")
+
+    def _view(self, i: int) -> CausticSample:
+        theta = float(self.source.theta[i])
+        error = None
+        if self.flag[i] != OK:
+            kind, what = _FLAG_ERRORS[int(self.flag[i])]
+            error = f"{kind.__name__}: {what} at theta = {theta}"
+        return CausticSample(
+            source_theta=theta,
+            caustic_theta=float(self.caustic_theta[i]),
+            caustic_radius=float(self.caustic_radius[i]),
+            position=PlanePoint(float(self.x[i]), float(self.y[i])),
+            ray_length=float(self.ray_length[i]),
+            error=error,
+        )
 
 
 @dataclass(frozen=True)
@@ -136,23 +180,22 @@ class SimilaritySpec:
         return self.shift_beta - math.pi / 2
 
 
-def coframe_at(curve: InclinationCurve, tilt: TiltField, theta: float) -> CoframeState:
-    """Tilted coframe and focusing density chi at a single angle."""
-    r = float(curve.radius(theta))
-    if r == 0.0:
-        raise CuspError(f"R vanishes at theta = {theta}; no curvature frame there")
-    p1 = float(tilt.phi_prime(theta))
-    if abs(1.0 - p1) < FLAT_TILT_GUARD:
-        raise FlatCausticError(
-            f"tilt derivative is {p1} at theta = {theta}; the caustic flattens"
-        )
-    phi = float(tilt.phi(theta))
-    ct, st = math.cos(theta), math.sin(theta)
-    tangent = np.array([ct, st])
-    normal = np.array([-st, ct])
-    tau = math.cos(phi) * tangent - math.sin(phi) * normal
-    nu = math.sin(phi) * tangent + math.cos(phi) * normal
-    return CoframeState(theta=float(theta), tau=tau, nu=nu, chi=(1.0 - p1) / r)
+def coframe(tilt: TiltField, theta, radius):
+    """Ray direction ``nu`` and focusing density ``chi`` of the tilted coframe.
+
+    ``nu = sin(phi) T + cos(phi) N`` with ``T = (cos theta, sin theta)`` and
+    ``N`` the tangent turned counterclockwise; ``chi = (1 - phi') / R``.
+    Broadcasts over ``theta`` and ``radius``; ``nu`` gains a trailing axis
+    of length 2.  No node is rejected: chi is infinite (or NaN) where R
+    vanishes and near zero where the tilt is flat.
+    """
+    phi = tilt.phi(theta)
+    ct, st = np.cos(theta), np.sin(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    nu = np.stack([sp * ct - cp * st, sp * st + cp * ct], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = (1.0 - tilt.phi_prime(theta)) / np.asarray(radius, dtype=float)
+    return nu, chi
 
 
 def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
@@ -174,79 +217,43 @@ def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
     return out if out.shape else float(out)
 
 
-def caustic_point(
-    sample: FrameSample,
-    tilt: TiltField,
-    radius_prime: float,
-) -> CausticSample:
-    """Caustic vertex generated by one curve sample.
-
-    ``radius_prime`` is dR/dtheta at the sample angle; the curve sample
-    itself does not carry it.
-    """
-    theta = sample.theta
-    r = sample.radius
-    if r == 0.0:
-        raise CuspError(f"R vanishes at theta = {theta}; caustic point undefined")
-    phi = float(tilt.phi(theta))
-    p1 = float(tilt.phi_prime(theta))
-    p2 = float(tilt.phi_second(theta))
-    if abs(1.0 - p1) < FLAT_TILT_GUARD:
-        raise FlatCausticError(
-            f"tilt derivative is {p1} at theta = {theta}; the caustic flattens"
-        )
-    chi = (1.0 - p1) / r
-    if chi == 0.0:
-        raise CausticAtInfinityError(f"focusing density vanishes at theta = {theta}")
-    ct, st = math.cos(theta), math.sin(theta)
-    # nu = sin(phi) T + cos(phi) N with T = (ct, st), N = (-st, ct)
-    nu = np.array([math.sin(phi) * ct - math.cos(phi) * st,
-                   math.sin(phi) * st + math.cos(phi) * ct])
-    stretch = math.cos(phi) / chi
-    pos = PlanePoint(sample.position.x + stretch * nu[0], sample.position.y + stretch * nu[1])
-    r1 = caustic_radius(r, radius_prime, phi, p1, p2)
-    return CausticSample(
-        source_theta=theta,
-        caustic_theta=theta + math.pi / 2 - phi,
-        caustic_radius=float(r1),
-        position=pos,
-        ray_length=abs(stretch),
-    )
-
-
 def caustic_curve(
     curve: InclinationCurve,
     tilt: TiltField,
     interval: AngleInterval | Sequence[float] | None = None,
     anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
     tol: float = 1e-10,
-) -> list[CausticSample]:
+) -> Caustic:
     """Caustic vertices over a whole interval.
 
     Nodes whose coframe degenerates (cusp, flat tilt, infinite caustic)
-    are not dropped: they come back with NaN fields and the failure text
-    in ``error``.
+    are not dropped: they are flagged and carry NaN in every float column.
     """
-    samples = reconstruct(curve, interval, anchor=anchor, tol=tol)
-    thetas = np.array([s.theta for s in samples])
-    rprime = np.asarray(curve.radius_prime(thetas), dtype=float)
-    out: list[CausticSample] = []
-    nan_point = PlanePoint(math.nan, math.nan)
-    for s, rp in zip(samples, rprime):
-        try:
-            out.append(caustic_point(s, tilt, float(rp)))
-        except (ArithmeticError, ValueError) as exc:
-            out.append(
-                CausticSample(
-                    source_theta=s.theta,
-                    caustic_theta=math.nan,
-                    caustic_radius=math.nan,
-                    position=nan_point,
-                    ray_length=math.nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return out
+    source = reconstruct(curve, interval, anchor=anchor, tol=tol)
+    theta, r = source.theta, source.radius
+    phi, p1 = tilt.phi(theta), tilt.phi_prime(theta)
+    nu, chi = coframe(tilt, theta, r)
+    flag = np.select(
+        [r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0],
+        [CUSP, FLAT_TILT, AT_INFINITY],
+        OK,
+    )
+    ok = flag == OK
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stretch = np.where(ok, np.cos(phi) / chi, math.nan)
+    radius1 = np.full(len(theta), math.nan)
+    radius1[ok] = caustic_radius(
+        r[ok], curve.radius_prime(theta[ok]), phi[ok], p1[ok], tilt.phi_second(theta[ok])
+    )
+    return Caustic(
+        caustic_theta=np.where(ok, theta + math.pi / 2 - phi, math.nan),
+        x=source.x + stretch * nu[:, 0],
+        y=source.y + stretch * nu[:, 1],
+        caustic_radius=radius1,
+        ray_length=np.abs(stretch),
+        flag=flag,
+        source=source,
+    )
 
 
 def similarity_residual(

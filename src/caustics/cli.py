@@ -214,7 +214,7 @@ def _out_paths(spec: JobSpec) -> dict[str, str]:
 
 
 def _interval_param(spec: JobSpec, default: AngleInterval) -> AngleInterval:
-    n = int(spec.params.get("samples", default.n_samples))
+    n = _parse_number(spec.params.get("samples", default.n_samples), "samples", int)
     if "interval" in spec.params:
         return parse_interval(spec.params["interval"], n)
     return AngleInterval(default.lo, default.hi, n)
@@ -226,10 +226,7 @@ def _cusp_positions(curve: InclinationCurve, interval: AngleInterval) -> np.ndar
         return np.empty((0, 2))
     grid = np.union1d(interval.grid(), np.asarray(cusps))
     samples = reconstruct(curve, grid)
-    thetas = np.array([s.theta for s in samples])
-    pts = np.array([s.position for s in samples])
-    idx = np.searchsorted(thetas, cusps)
-    return pts[idx]
+    return samples.points[np.searchsorted(samples.theta, cusps)]
 
 
 def _run_curve(spec: JobSpec) -> None:
@@ -240,11 +237,10 @@ def _run_curve(spec: JobSpec) -> None:
     if "csv" in outs:
         write_curve_csv(outs["csv"], samples)
     if "svg" in outs:
-        pts = np.array([s.position for s in samples])
-        write_scene(outs["svg"], mirror=[pts], cusps=_cusp_positions(curve, interval))
+        write_scene(outs["svg"], mirror=[samples.points], cusps=_cusp_positions(curve, interval))
     print(f"curve={curve.label or 'custom'}")
     print(f"samples={len(samples)}")
-    print(f"arclength={samples[-1].arclength - samples[0].arclength:.12g}")
+    print(f"arclength={samples.arclength[-1] - samples.arclength[0]:.12g}")
     for fmt, path in spec.outputs:
         print(f"wrote_{fmt}={path}")
 
@@ -260,18 +256,14 @@ def _run_caustic(spec: JobSpec) -> None:
     tilt = _build_tilt(spec.params.get("tilt", "evolute"))
     interval = _interval_param(spec, _default_window(curve))
     caus = caustic_curve(curve, tilt, interval)
-    flagged = sum(1 for s in caus if s.error is not None)
+    flagged = int(np.count_nonzero(caus.flag))
     outs = _out_paths(spec)
     if "csv" in outs:
         write_caustic_csv(outs["csv"], caus)
     if "svg" in outs:
-        mirror_samples = reconstruct(curve, interval)
-        mpts = np.array([s.position for s in mirror_samples])
-        cpts = np.array([s.position for s in caus])
-        rays = []
-        for msample, csample in zip(mirror_samples, caus):
-            if csample.error is None and np.all(np.isfinite(csample.position)):
-                rays.append(np.array([msample.position, csample.position]))
+        mpts, cpts = caus.source.points, caus.points
+        drawn = np.all(np.isfinite(cpts), axis=1)  # flagged nodes are NaN
+        rays = list(np.stack([mpts[drawn], cpts[drawn]], axis=1))
         write_scene(outs["svg"], mirror=[mpts], caustic=[cpts], rays=rays)
     print(f"curve={curve.label or 'custom'}")
     print(f"tilt={spec.params.get('tilt', 'evolute')}")
@@ -323,13 +315,10 @@ def _run_skew(spec: JobSpec) -> None:
     )
     caus = caustic_curve(curve, TiltField.skew(family.phi0), window)
     outs = _out_paths(spec)
-    samples = reconstruct(curve, window)
     if "csv" in outs:
-        write_curve_csv(outs["csv"], samples)
+        write_curve_csv(outs["csv"], caus.source)
     if "svg" in outs:
-        mpts = np.array([s.position for s in samples])
-        cpts = np.array([s.position for s in caus])
-        write_scene(outs["svg"], mirror=[mpts], caustic=[cpts])
+        write_scene(outs["svg"], mirror=[caus.source.points], caustic=[caus.points])
     print(f"case={family.case}")
     print(f"phi0={family.phi0:.12g}")
     print(f"factor_a={family.factor_a:.12g}")
@@ -345,8 +334,8 @@ def _run_skew(spec: JobSpec) -> None:
 
 
 def _run_pantograph(spec: JobSpec) -> None:
-    m = int(spec.params.get("m", "2"))
-    order = int(spec.params.get("order", "30"))
+    m = _parse_number(spec.params.get("m", "2"), "m", int)
+    order = _parse_number(spec.params.get("order", "30"), "order", int)
     k = m - 1
     factor = similarity_factor(k)
     secondary = spec.params.get("secondary")
@@ -379,11 +368,9 @@ def _run_pantograph(spec: JobSpec) -> None:
     if "svg" in outs:
         window = _interval_param(spec, AngleInterval(0.0, 2 * math.pi, 513))
         mirror_samples = reconstruct(solution_curve(solution), window)
-        mpts = np.array([s.position for s in mirror_samples])
-        groups: dict[str, object] = {"mirror": [mpts]}
+        groups: dict[str, object] = {"mirror": [mirror_samples.points]}
         if k >= 0:
-            thetas = np.array([s.theta for s in mirror_samples])
-            cpts = overlay_caustic_points(solution, thetas)
+            cpts = overlay_caustic_points(solution, mirror_samples.theta)
             groups["caustic"] = [cpts, cpts / float(factor)]
         if report is not None:
             line = np.asarray(report.collinearity_points, dtype=float)
@@ -404,60 +391,47 @@ def _check_circle_focus(n: int) -> tuple[str, float, float]:
     family = rays_from_tilt(curve, TiltField.evolute(), window)
     envelope = envelope_numeric(family)
     # Normal rays of a circle meet one radius away from any of their bases.
-    first = family.rays[0]
-    center = np.asarray(first.base, dtype=float) + np.asarray(first.direction, dtype=float)
+    center = family.bases[0] + family.directions[0]
     scatter = float(np.nanmax(np.linalg.norm(envelope.points - center, axis=1)))
     return ("circle_normals_focus_scatter", scatter, 1e-8)
 
 
-def _check_reflection_envelope(n: int, bound: float) -> tuple[str, float, float]:
-    curve = circle(1.0)
-    window = AngleInterval(0.01, math.pi - 0.01, n)
-    family = rays_from_tilt(curve, TiltField.reflection(), window)
-    envelope = envelope_numeric(family)
+def _envelope_gap(window: AngleInterval) -> float:
+    """Hausdorff distance between two caustics of the unit circle under reflection.
+
+    One is the rays' numeric envelope, the other the closed form; disks
+    around the caustic's cusps are left out."""
+    curve, tilt = circle(1.0), TiltField.reflection()
+    envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
     # Sample the closed form at the envelope's own (midpoint) parameters so
     # the two polylines cover the same arc.  Keeping the window's first node
     # in the grid pins the reconstruction to the same anchor the ray family
     # used; nudging the anchor onto the midpoint grid would translate the
     # whole caustic by half a step.
     grid = np.concatenate(([window.lo], envelope.parameters))
-    closed = caustic_curve(curve, TiltField.reflection(), grid)[1:]
-    closed_pts = np.array([s.position for s in closed])
-    radii = np.array([s.caustic_radius for s in closed])
+    closed = caustic_curve(curve, tilt, grid)[1:]
+    radii, points = closed.caustic_radius, closed.points
     flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
-    cusp_centers = 0.5 * (closed_pts[flips] + closed_pts[flips + 1])
-    dist = hausdorff_distance(envelope.points, closed_pts, exclusions=cusp_centers)
-    return ("semicircle_reflection_hausdorff", dist, bound)
+    cusp_centers = 0.5 * (points[flips] + points[flips + 1])
+    return hausdorff_distance(envelope.points, points, exclusions=cusp_centers)
 
 
 def _check_reflection_directions(n: int) -> tuple[str, float, float]:
     curve = circle(1.0)
     window = AngleInterval(0.01, math.pi - 0.01, n)
     samples = reconstruct(curve, window)
-    pts = np.array([s.position for s in samples])
-    thetas = np.array([s.theta for s in samples])
-    family = reflect_horizontal(pts, source_thetas=thetas)
+    thetas = samples.theta
+    family = reflect_horizontal(samples.points, source_thetas=thetas)
     want = np.stack([np.cos(2 * thetas), np.sin(2 * thetas)], axis=1)
-    got = family.directions()
+    got = family.directions
     interior = slice(1, -1)
     err = float(np.max(np.linalg.norm(got[interior] - want[interior], axis=1)))
     return ("reflection_matches_tilt_field", err, 1e-6)
 
 
 def _check_step_halving(n: int) -> tuple[str, float, float]:
-    curve = circle(1.0)
-
-    def distance(samples: int) -> float:
-        window = AngleInterval(0.2, 1.2, samples)
-        family = rays_from_tilt(curve, TiltField.reflection(), window)
-        envelope = envelope_numeric(family)
-        grid = np.concatenate(([window.lo], envelope.parameters))
-        closed = caustic_curve(curve, TiltField.reflection(), grid)[1:]
-        closed_pts = np.array([s.position for s in closed])
-        return hausdorff_distance(envelope.points, closed_pts, exclusions=())
-
-    coarse = distance(n // 2)
-    fine = distance(n)
+    coarse = _envelope_gap(AngleInterval(0.2, 1.2, n // 2))
+    fine = _envelope_gap(AngleInterval(0.2, 1.2, n))
     return ("step_halving_ratio", fine / coarse, 0.5)
 
 
@@ -468,49 +442,33 @@ def _check_residual_suite() -> list[tuple[str, float, float]]:
         rows.append(
             (f"pantograph_residual_{label}", mirror_equation_residual(solution), 1e-8)
         )
-    point = build_family(
-        SkewFamilySpec(case="point_by_point", phi0=0.3, factor_a=1.2)
-    )
-    rows.append(
+    pair = ((1.0, 0.5),)
+    skew_checks = (
         (
             "skew_point_residual",
-            skew_equation_residual(point, 0.3, 1.2, "point_by_point", AngleInterval(-2, 2, 201)),
-            1e-9,
-        )
-    )
-    inverse = build_family(
-        SkewFamilySpec(
-            case="inverse_position", phi0=0.3, factor_a=1.2, coefficients=((1.0, 0.5),)
-        )
-    )
-    alpha = implied_alpha(1.0, 0.5, 1.2, 0.3)
-    rows.append(
+            SkewFamilySpec(case="point_by_point", phi0=0.3, factor_a=1.2),
+            0.0,
+        ),
         (
             "skew_inverse_residual",
-            skew_equation_residual(
-                inverse, 0.3, 1.2, "inverse_position", AngleInterval(-2, 2, 201), alpha=alpha
-            ),
-            1e-9,
-        )
-    )
-    delay = SkewFamilySpec(
-        case="delay",
-        phi0=0.0,
-        factor_a=1.0,
-        alpha=math.pi / 2,
-        root_indices=(1,),
-        coefficients=((1.0, 0.5),),
-    )
-    rows.append(
+            SkewFamilySpec(case="inverse_position", phi0=0.3, factor_a=1.2, coefficients=pair),
+            implied_alpha(1.0, 0.5, 1.2, 0.3),
+        ),
         (
             "skew_delay_residual",
-            skew_equation_residual(
-                build_family(delay), 0.0, 1.0, "delay", AngleInterval(-2, 2, 201),
-                alpha=math.pi / 2,
+            SkewFamilySpec(
+                case="delay", phi0=0.0, factor_a=1.0, alpha=math.pi / 2,
+                root_indices=(1,), coefficients=pair,
             ),
-            1e-9,
-        )
+            math.pi / 2,
+        ),
     )
+    for name, family, alpha in skew_checks:
+        residual = skew_equation_residual(
+            build_family(family), family.phi0, family.factor_a, family.case,
+            AngleInterval(-2, 2, 201), alpha=alpha,
+        )
+        rows.append((name, residual, 1e-9))
     window = AngleInterval(0.3, math.pi - 0.3, 257)
     rows.append(
         ("frenet_circle_residual", frenet_residual(reconstruct(circle(1.0), window)), 1e-3)
@@ -546,13 +504,14 @@ def _run_verify(spec: JobSpec) -> None:
     known = ("oracle", "residuals", "specfun", "all")
     if suite not in known:
         raise ValidationError(f"unknown suite {suite!r}; pick one of {known}")
-    n = int(spec.params.get("samples", "2000"))
-    seed = int(spec.params.get("seed", "0"))
+    n = _parse_number(spec.params.get("samples", "2000"), "samples", int)
+    seed = _parse_number(spec.params.get("seed", "0"), "seed", int)
     bound = _parse_number(spec.params.get("tolerance", "1e-3"), "tolerance")
     checks: list[tuple[str, float, float]] = []
     if suite in ("oracle", "all"):
         checks.append(_check_circle_focus(n))
-        checks.append(_check_reflection_envelope(n, bound))
+        gap = _envelope_gap(AngleInterval(0.01, math.pi - 0.01, n))
+        checks.append(("semicircle_reflection_hausdorff", gap, bound))
         checks.append(_check_reflection_directions(max(n, 4001)))
         checks.append(_check_step_halving(max(n // 2, 500)))
     if suite in ("residuals", "all"):

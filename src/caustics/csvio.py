@@ -73,31 +73,25 @@ def read_table(path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def write_curve_csv(path: str | os.PathLike, samples) -> None:
-    """Emit reconstructed samples as ``theta,x,y,R,s`` rows."""
-    write_table(
-        path,
-        CURVE_HEADER,
-        [(s.theta, s.position.x, s.position.y, s.radius, s.arclength) for s in samples],
-    )
+    """Emit a ``CurveSamples`` record as ``theta,x,y,R,s`` rows."""
+    columns = (samples.theta, samples.x, samples.y, samples.radius, samples.arclength)
+    write_table(path, CURVE_HEADER, np.column_stack(columns).tolist())
 
 
-def write_caustic_csv(path: str | os.PathLike, samples) -> None:
-    """Emit caustic samples as ``theta,theta1,x,y,R1,ray_length`` rows."""
-    write_table(
-        path,
-        CAUSTIC_HEADER,
-        [
-            (
-                s.source_theta,
-                s.caustic_theta,
-                s.position.x,
-                s.position.y,
-                s.caustic_radius,
-                s.ray_length,
-            )
-            for s in samples
-        ],
+def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
+    """Emit a ``Caustic`` record as ``theta,theta1,x,y,R1,ray_length`` rows.
+
+    Flagged nodes keep their source angle and read NaN in every other column.
+    """
+    columns = (
+        caustic.source.theta,
+        caustic.caustic_theta,
+        caustic.x,
+        caustic.y,
+        caustic.caustic_radius,
+        caustic.ray_length,
     )
+    write_table(path, CAUSTIC_HEADER, np.column_stack(columns).tolist())
 
 
 def write_coefficient_csv(

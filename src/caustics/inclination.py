@@ -6,14 +6,14 @@ point is recovered by integrating ``R * (cos theta, sin theta)``.  R may
 change sign (the curve passes through a cusp) and the arclength, defined by
 ``ds = R dtheta``, may decrease.
 
-The module provides the curve type, reconstruction to vertex samples by
-adaptive Gauss-Legendre quadrature, cusp location, and a discrete check of
-the frame equations.
+The module provides the curve type, reconstruction to a column record of
+vertex samples by adaptive Gauss-Legendre quadrature, cusp location, and a
+discrete check of the frame equations.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "AngleInterval",
     "InclinationCurve",
     "FrameSample",
+    "CurveSamples",
     "reconstruct",
     "find_cusps",
     "classify_zeros",
@@ -141,6 +142,71 @@ class FrameSample:
     arclength: float
 
 
+class ColumnRecord:
+    """Equal-length columns, one entry per node, that index like a sequence.
+
+    An int index returns the node's view (built on demand by ``_view``), so
+    iteration yields one view per node; a slice, mask or index array
+    returns a record of the same type holding those nodes.  Subclasses name
+    their indexable fields in ``_columns``.
+    """
+
+    _columns: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._view(range(len(self))[key])
+        return replace(self, **{name: getattr(self, name)[key] for name in self._columns})
+
+    @property
+    def points(self) -> np.ndarray:
+        """Positions as an ``(n, 2)`` array."""
+        return np.column_stack([self.x, self.y])
+
+
+@dataclass(frozen=True, eq=False)
+class CurveSamples(ColumnRecord):
+    """Reconstructed vertices as columns.
+
+    ``theta`` holds the tangent angles, ``x, y`` the positions, ``radius``
+    the turning radius R and ``arclength`` the signed arclength from the
+    first node.  The tangent at a node points along
+    ``theta + frame_rotation``; the normal is the tangent turned by +90
+    degrees.
+    """
+
+    theta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    radius: np.ndarray
+    arclength: np.ndarray
+    frame_rotation: float = 0.0
+
+    _columns = ("theta", "x", "y", "radius", "arclength")
+
+    @property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit tangents and normals, each an ``(n, 2)`` array."""
+        angle = self.theta + self.frame_rotation
+        c, s = np.cos(angle), np.sin(angle)
+        return np.column_stack([c, s]), np.column_stack([-s, c])
+
+    def _view(self, i: int) -> FrameSample:
+        angle = float(self.theta[i]) + self.frame_rotation
+        c, s = math.cos(angle), math.sin(angle)
+        return FrameSample(
+            theta=float(self.theta[i]),
+            position=PlanePoint(float(self.x[i]), float(self.y[i])),
+            tangent=np.array([c, s]),
+            normal=np.array([-s, c]),
+            radius=float(self.radius[i]),
+            arclength=float(self.arclength[i]),
+        )
+
+
 def _clip_interval(curve: InclinationCurve, lo: float, hi: float) -> tuple[float, float]:
     """Apply the pole guard band; reject poles strictly inside."""
     for p in curve.poles:
@@ -164,7 +230,7 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
         lo, hi = _clip_interval(curve, interval.lo, interval.hi)
         thetas = np.linspace(lo, hi, interval.n_samples)
     else:
-        thetas = np.asarray(interval, dtype=float)
+        thetas = np.array(interval, dtype=float)
         if thetas.ndim != 1 or thetas.size < 2:
             raise ValidationError("need an AngleInterval or >= 2 increasing angles")
         if np.any(np.diff(thetas) <= 0):
@@ -188,7 +254,7 @@ def reconstruct(
     anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
     frame_rotation: float = 0.0,
     tol: float = 1e-10,
-) -> list[FrameSample]:
+) -> CurveSamples:
     """Integrate the inclination data into vertex samples.
 
     The position increment over each grid cell is
@@ -212,7 +278,7 @@ def reconstruct(
 
     Returns
     -------
-    list of FrameSample
+    CurveSamples
     """
     thetas = _resolve_grid(curve, interval)
 
@@ -232,41 +298,37 @@ def reconstruct(
     y = np.concatenate([[0.0], np.cumsum(dy)])
     s = np.concatenate([[0.0], np.cumsum(ds)])
 
-    rot = frame_rotation
-    cr, sr = math.cos(rot), math.sin(rot)
+    cr, sr = math.cos(frame_rotation), math.sin(frame_rotation)
     ax, ay = float(anchor[0]), float(anchor[1])
-    px = ax + cr * x - sr * y
-    py = ay + sr * x + cr * y
-
-    tx, ty = np.cos(thetas + rot), np.sin(thetas + rot)
-    samples = []
-    for i, th in enumerate(thetas):
-        samples.append(
-            FrameSample(
-                theta=float(th),
-                position=PlanePoint(float(px[i]), float(py[i])),
-                tangent=np.array([tx[i], ty[i]]),
-                normal=np.array([-ty[i], tx[i]]),
-                radius=float(node_r[i]),
-                arclength=float(s[i]),
-            )
-        )
-    return samples
+    return CurveSamples(
+        theta=thetas,
+        x=ax + cr * x - sr * y,
+        y=ay + sr * x + cr * y,
+        radius=node_r,
+        arclength=s,
+        frame_rotation=float(frame_rotation),
+    )
 
 
-def _bisect_zero(fn, lo: float, hi: float, tol: float) -> float:
-    flo = fn(lo)
+def _bisect_zeros(fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> np.ndarray:
+    """Bisect every sign-change bracket ``[lo, hi]`` at once, one ``fn`` call per step.
+
+    ``flo`` holds ``fn(lo)``; its sign stays the sign at the moving ``lo``.
+    A bracket stops at its midpoint once it is no wider than ``tol`` or
+    ``fn`` vanishes there.
+    """
+    lo, hi = lo.copy(), hi.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
+        live = np.flatnonzero(hi - lo > tol)
+        if live.size == 0:
+            break
+        fmid = np.asarray(fn(mid[live]), dtype=float)
+        # A zero at the midpoint collapses the bracket onto it.
+        left = (fmid == 0.0) | ((flo[live] < 0) != (fmid < 0))
+        right = (fmid == 0.0) | ~left
+        hi[live[left]] = mid[live[left]]
+        lo[live[right]] = mid[live[right]]
     return 0.5 * (lo + hi)
 
 
@@ -289,21 +351,18 @@ def classify_zeros(
         bad = thetas[~np.isfinite(r)][0]
         raise EvaluationError(f"R is not finite at theta = {bad}")
 
-    scalar = lambda t: float(curve.radius_fn(np.asarray([t]))[0])
-    cusps: list[float] = []
-    flats: list[float] = []
     sign = np.sign(r)
-    for i in range(len(thetas) - 1):
-        a, b = sign[i], sign[i + 1]
-        if a != 0 and b != 0 and a != b:
-            cusps.append(_bisect_zero(scalar, thetas[i], thetas[i + 1], refine_tol))
-    for i in range(1, len(thetas) - 1):
-        if sign[i] == 0:
-            if sign[i - 1] != 0 and sign[i - 1] == sign[i + 1]:
-                flats.append(float(thetas[i]))
-            elif sign[i - 1] != 0 and sign[i + 1] != 0:
-                cusps.append(float(thetas[i]))
-    return {"cusps": sorted(cusps), "flat_points": flats}
+    left, right = sign[:-1], sign[1:]
+    brackets = np.flatnonzero((left != 0) & (right != 0) & (left != right))
+    bisected = _bisect_zeros(
+        curve.radius_fn, thetas[brackets], thetas[brackets + 1], r[brackets], refine_tol
+    )
+    zero = np.flatnonzero(sign[1:-1] == 0) + 1
+    before, after = sign[zero - 1], sign[zero + 1]
+    flats = thetas[zero[(before != 0) & (before == after)]]
+    on_grid = thetas[zero[(before != 0) & (after != 0) & (before != after)]]
+    cusps = np.sort(np.concatenate([bisected, on_grid]))
+    return {"cusps": cusps.tolist(), "flat_points": flats.tolist()}
 
 
 def find_cusps(
@@ -315,7 +374,7 @@ def find_cusps(
     return classify_zeros(curve, interval, refine_tol)["cusps"]
 
 
-def frenet_residual(samples: Sequence[FrameSample]) -> float:
+def frenet_residual(samples: CurveSamples) -> float:
     """Largest deviation of the sampled frame from its defining equations.
 
     Uses centred differences of the tangent against arclength and compares
@@ -324,11 +383,9 @@ def frenet_residual(samples: Sequence[FrameSample]) -> float:
     """
     if len(samples) < 3:
         raise DegenerateSamplingError("frenet_residual needs at least 3 samples")
-    t = np.array([s.tangent for s in samples])
-    n = np.array([s.normal for s in samples])
-    s_arc = np.array([s.arclength for s in samples])
-    r = np.array([s.radius for s in samples])
-    ds = s_arc[2:] - s_arc[:-2]
+    t, n = samples.frame
+    r = samples.radius
+    ds = samples.arclength[2:] - samples.arclength[:-2]
     if np.any(ds == 0.0):
         raise DegenerateSamplingError("coincident arclengths; sampling is degenerate")
     if np.any(r[1:-1] == 0.0):

@@ -24,7 +24,6 @@ from .inclination import AngleInterval, InclinationCurve, PlanePoint, reconstruc
 __all__ = [
     "PARALLEL_THRESHOLD",
     "CUSP_EXCLUSION_RADIUS",
-    "Ray",
     "RayFamily",
     "rays_from_tilt",
     "reflect_horizontal",
@@ -50,47 +49,37 @@ the cusp.  Excluding a fixed small disk keeps the comparison conditioned.
 """
 
 
-@dataclass(frozen=True)
-class Ray:
-    """A light ray: a base point and a unit direction."""
-
-    base: PlanePoint
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (2,):
-            raise ValidationError("ray direction must be a 2-vector")
-        if abs(float(np.hypot(d[0], d[1])) - 1.0) > 1e-12:
-            raise ValidationError("ray direction must be a unit vector (to 1e-12)")
-        object.__setattr__(self, "direction", d)
-
-    def point_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.base) + t * self.direction
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RayFamily:
-    """An ordered one-parameter family of rays."""
+    """An ordered one-parameter family of rays, one row per ray.
 
-    rays: tuple[Ray, ...]
-    source_thetas: tuple[float, ...]
+    ``bases`` and ``directions`` are ``(n, 2)`` arrays of base points and
+    unit directions; ``source_thetas`` holds the strictly increasing
+    parameter of each ray.
+    """
+
+    bases: np.ndarray
+    directions: np.ndarray
+    source_thetas: np.ndarray
 
     def __post_init__(self):
-        if len(self.rays) != len(self.source_thetas):
+        bases = np.asarray(self.bases, dtype=float)
+        directions = np.asarray(self.directions, dtype=float)
+        thetas = np.asarray(self.source_thetas, dtype=float)
+        if bases.ndim != 2 or bases.shape[1] != 2 or directions.shape != bases.shape:
+            raise ValidationError("ray bases and directions must be (n, 2) arrays of one shape")
+        if np.any(np.abs(np.hypot(directions[:, 0], directions[:, 1]) - 1.0) > 1e-12):
+            raise ValidationError("ray directions must be unit vectors (to 1e-12)")
+        if thetas.shape != (len(bases),):
             raise ValidationError("one source angle per ray")
-        t = np.asarray(self.source_thetas, dtype=float)
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
+        if len(thetas) > 1 and not np.all(np.diff(thetas) > 0):
             raise ValidationError("source angles must increase strictly")
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "source_thetas", thetas)
 
     def __len__(self) -> int:
-        return len(self.rays)
-
-    def bases(self) -> np.ndarray:
-        return np.array([ray.base for ray in self.rays], dtype=float)
-
-    def directions(self) -> np.ndarray:
-        return np.array([ray.direction for ray in self.rays], dtype=float)
+        return len(self.bases)
 
 
 def rays_from_tilt(
@@ -105,14 +94,11 @@ def rays_from_tilt(
     nu = sin(phi) T + cos(phi) N.
     """
     samples = reconstruct(curve, interval, anchor=anchor)
-    rays = []
-    thetas = []
-    for s in samples:
-        phi = float(tilt.phi(s.theta))
-        nu = math.sin(phi) * s.tangent + math.cos(phi) * s.normal
-        rays.append(Ray(base=s.position, direction=nu / np.hypot(nu[0], nu[1])))
-        thetas.append(s.theta)
-    return RayFamily(rays=tuple(rays), source_thetas=tuple(thetas))
+    tangents, normals = samples.frame
+    phi = tilt.phi(samples.theta)[:, None]
+    nu = np.sin(phi) * tangents + np.cos(phi) * normals
+    nu /= np.hypot(nu[:, 0], nu[:, 1])[:, None]
+    return RayFamily(bases=samples.points, directions=nu, source_thetas=samples.theta)
 
 
 def reflect_horizontal(
@@ -152,10 +138,7 @@ def reflect_horizontal(
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     if source_thetas is None:
         source_thetas = np.arange(len(pts), dtype=float)
-    rays = tuple(
-        Ray(base=PlanePoint(*p), direction=d) for p, d in zip(pts, directions)
-    )
-    return RayFamily(rays=rays, source_thetas=tuple(float(t) for t in source_thetas))
+    return RayFamily(bases=pts, directions=directions, source_thetas=source_thetas)
 
 
 @dataclass(frozen=True)
@@ -182,8 +165,8 @@ def envelope_numeric(family: RayFamily) -> EnvelopePolyline:
     """
     if len(family) < 3:
         raise ValidationError("need at least 3 rays to estimate an envelope")
-    b = family.bases()
-    d = family.directions()
+    b = family.bases
+    d = family.directions
     b0, b1 = b[:-1], b[1:]
     d0, d1 = d[:-1], d[1:]
     cross = d0[:, 0] * d1[:, 1] - d0[:, 1] * d1[:, 0]
@@ -193,7 +176,7 @@ def envelope_numeric(family: RayFamily) -> EnvelopePolyline:
         pts = b0 + t[:, None] * d0
     parallel = np.abs(cross) < PARALLEL_THRESHOLD
     pts[parallel] = np.nan
-    mids = 0.5 * (np.asarray(family.source_thetas[:-1]) + np.asarray(family.source_thetas[1:]))
+    mids = 0.5 * (family.source_thetas[:-1] + family.source_thetas[1:])
     return EnvelopePolyline(
         points=pts,
         parameters=mids,
@@ -280,14 +263,9 @@ def verticality_check(points: np.ndarray) -> Verticality:
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise ValidationError("polyline must be an (n, 2) array with n >= 2")
     dy = np.diff(pts[:, 1])
-    direction = 0.0
-    for i, step in enumerate(dy):
-        if step == 0.0:
-            return Verticality(False, i)
-        if direction == 0.0:
-            direction = math.copysign(1.0, step)
-        elif math.copysign(1.0, step) != direction:
-            return Verticality(False, i)
+    broken = np.flatnonzero((dy == 0.0) | (np.sign(dy) != np.sign(dy[0])))
+    if broken.size:
+        return Verticality(False, int(broken[0]))
     return Verticality(True, None)
 
 
@@ -328,9 +306,7 @@ def occlusion_check(points: np.ndarray) -> Occlusion:
         vidx = np.arange(lo, min(lo + chunk, n))[:, None]
         adjacent = (seg_idx[None, :] == vidx) | (seg_idx[None, :] == vidx - 1)
         hit = crosses & ahead & ~adjacent
-        for row, v in zip(hit, range(lo, min(lo + chunk, n))):
-            if row.any():
-                blocked.append(v)
+        blocked.extend((lo + np.flatnonzero(hit.any(axis=1))).tolist())
     fraction = len(blocked) / n
     return Occlusion(
         has_occlusion=bool(blocked),

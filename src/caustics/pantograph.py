@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     JetDepthError,
     NumericError,
+    PoleError,
     ResonanceError,
     ValidationError,
 )
@@ -254,10 +255,21 @@ def _r_taylor(series: PantographSeries, u: np.ndarray, length: int) -> np.ndarra
     return _taylor_mul(_q_taylor(series, u, length), _trig_taylor(u, length)[0])
 
 
+def _reject_pole(series: PantographSeries, theta: np.ndarray) -> None:
+    if series.k <= -1 and np.any(theta == 0.0):
+        raise PoleError(
+            f"the k = {series.k} family has a pole of Q = R / sin(theta) at theta = 0"
+        )
+
+
 def eval_R_base(series: PantographSeries, theta: float, jet_order: int = 1) -> np.ndarray:
-    """Derivatives R, R', ..., R^(jet_order) at one angle in the base window."""
+    """Derivatives R, R', ..., R^(jet_order) at one angle in the base window.
+
+    Raises ``PoleError`` at theta = 0 for the families k <= -1.
+    """
     theta = float(theta)
     _require_base_window(np.asarray(theta))
+    _reject_pole(series, np.asarray(theta))
     if jet_order < 0:
         raise ValidationError("jet_order must be non-negative")
     return _r_taylor(series, np.array([theta]), jet_order + 1)[0] * _factorials(jet_order + 1)
@@ -291,7 +303,8 @@ def continue_R(solution: PantographSolution, theta):
     """R and R' anywhere on [0, max_theta], by jet doubling past pi/2.
 
     Accepts scalars or arrays; returns a pair (R, R') of matching shape.
-    An angle of depth d is halved d times into the series window, where R
+    Raises ``PoleError`` at theta = 0 for the families k <= -1.  An angle
+    of depth d is halved d times into the series window, where R
     gets a Taylor row of d + 2 coefficients in h; each doubling of u + h
     consumes one.  All angles of one depth advance together.
     """
@@ -300,6 +313,7 @@ def continue_R(solution: PantographSolution, theta):
     bad = flat[~np.isfinite(flat) | (flat < 0.0)]
     if bad.size:
         raise ValidationError(f"continuation is defined for finite theta >= 0, got {bad[0]:g}")
+    _reject_pole(solution.series, flat)
     limit = math.pi / 2 - solution.guard
     depth = np.ceil(np.log2(np.maximum(flat / limit, 1.0))).astype(int)
     depth += flat / 2.0**depth > limit  # the rounded ratio can land one depth short
@@ -372,9 +386,8 @@ def overlay_caustic_points(
     )
     grid = np.union1d(np.array([0.0]), 2.0 * thetas)
     samples = reconstruct(curve, grid, anchor=anchor)
-    by_theta = {s.theta: s.position for s in samples}
-    origin = np.asarray(by_theta[0.0])
-    pts = np.array([by_theta[t] for t in 2.0 * thetas])
+    pts = samples.points[np.searchsorted(samples.theta, 2.0 * thetas)]
+    origin = samples.points[np.searchsorted(samples.theta, 0.0)]
     return a * pts + (1.0 - a) * origin
 
 
@@ -504,8 +517,7 @@ def mirror_report(
     grid = np.union1d(base_grid, all_zeros)
     grid = np.union1d(grid, np.array([0.0]))
     samples = reconstruct(curve, grid, anchor=(0.0, 0.0))
-    thetas = np.array([s.theta for s in samples])
-    pts = np.array([s.position for s in samples])
+    thetas, pts = samples.theta, samples.points
 
     def at(angle: float) -> np.ndarray:
         idx = int(np.searchsorted(thetas, angle))

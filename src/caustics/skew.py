@@ -461,21 +461,16 @@ def puiseux_diagnostics(
         )
     grid = np.union1d(interval.grid(), np.asarray(cusps))
     samples = reconstruct(curve, grid, anchor=anchor)
-    thetas = np.array([s.theta for s in samples])
-    idx = np.searchsorted(thetas, cusps)
-    points = [samples[i].position for i in idx]
+    pts = samples.points[np.searchsorted(samples.theta, cusps)]
 
     expected = math.exp(c * math.pi / gamma)
     degenerate = c == 0.0 and gamma == 1.0
     if degenerate:
         center = None
-        pts = np.asarray(points)
         dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     else:
-        start = samples[0]
-        f0 = _puiseux_antiderivative(c, gamma, np.array([start.theta]))[0]
-        center = PlanePoint(start.position.x - f0[0], start.position.y - f0[1])
-        pts = np.asarray(points)
+        f0 = _puiseux_antiderivative(c, gamma, samples.theta[:1])[0]
+        center = PlanePoint(float(samples.x[0] - f0[0]), float(samples.y[0] - f0[1]))
         dists = np.linalg.norm(pts - np.array(center), axis=1)
     ratios = dists[1:] / dists[:-1]
     deviation = float(np.max(np.abs(ratios - expected))) if ratios.size else math.nan
@@ -483,7 +478,7 @@ def puiseux_diagnostics(
         c=float(c),
         gamma=float(gamma),
         cusp_thetas=tuple(float(t) for t in cusps),
-        cusp_points=tuple(points),
+        cusp_points=tuple(PlanePoint(*p) for p in pts.tolist()),
         center=center,
         distances=tuple(float(d) for d in dists),
         ratios=tuple(float(r) for r in ratios),

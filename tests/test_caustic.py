@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from caustics.caustic import (
+    FLAT_TILT,
+    OK,
+    Caustic,
     SimilaritySpec,
     TiltField,
     caustic_curve,
-    caustic_point,
     caustic_radius,
-    coframe_at,
+    coframe,
     similarity_residual,
 )
 from caustics.errors import (
-    CuspError,
     DomainError,
-    FlatCausticError,
     ValidationError,
 )
-from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, reconstruct
+from caustics.csvio import read_table, write_caustic_csv
+from caustics.inclination import AngleInterval, circle, cycloid, log_spiral
 
 
 def test_reflection_tilt_of_unit_circle_gives_three_quarter_cosine():
@@ -91,6 +92,55 @@ def test_cusp_nodes_are_flagged_not_dropped():
     assert all(s.error is None for s in samples[1:])
 
 
+def test_caustic_record_contract(tmp_path):
+    interval = AngleInterval(-2 * math.pi, 2 * math.pi, 257)
+    caus = caustic_curve(cycloid(1.0), TiltField.reflection(), interval)
+    assert len(caus) == 257
+    tail = caus[1:]
+    assert isinstance(tail, Caustic) and len(tail) == 256
+    assert np.array_equal(tail.source.theta, caus.source.theta[1:])
+
+    views = list(caus)
+    columns = {
+        "source_theta": caus.source.theta,
+        "caustic_theta": caus.caustic_theta,
+        "caustic_radius": caus.caustic_radius,
+        "ray_length": caus.ray_length,
+    }
+    for name, column in columns.items():
+        np.testing.assert_array_equal([getattr(v, name) for v in views], column)
+    np.testing.assert_array_equal([v.position for v in views], caus.points)
+
+    flagged = caus.flag != OK
+    assert flagged.any()
+    assert np.array_equal(flagged, caus.source.radius == 0.0)
+    assert [v.error is not None for v in views] == flagged.tolist()
+    assert all(views[i].error.startswith("CuspError: ") for i in np.flatnonzero(flagged))
+    table = np.column_stack([caus.source.theta, caus.caustic_theta, caus.points,
+                             caus.caustic_radius, caus.ray_length])
+    assert np.all(np.isfinite(table[~flagged]))
+
+    write_caustic_csv(tmp_path / "caustic.csv", caus)
+    _, rows = read_table(tmp_path / "caustic.csv")
+    assert np.all(np.isnan(rows[flagged, 1:]))
+    np.testing.assert_array_equal(rows[:, 0], caus.source.theta)
+
+
+@pytest.mark.parametrize(
+    "tilt",
+    [TiltField.evolute(), TiltField.reflection(), TiltField.skew(0.4)],
+    ids=["evolute", "reflection", "skew"],
+)
+def test_tiny_radius_is_the_cusp_limit(tilt):
+    # R = sin(1e-300) = 1e-300 is no cusp: the caustic point is the limit
+    # of its neighbours, on the mirror point, one ray length of at most |R| away.
+    caus = caustic_curve(cycloid(1.0), tilt, np.array([-0.5, 1e-300, 0.5]))
+    assert caus.source.radius[1] == 1e-300
+    assert caus.flag[1] == OK
+    assert (caus.x[1], caus.y[1]) == (caus.source.x[1], caus.source.y[1])
+    assert caus.ray_length[1] <= abs(caus.source.radius[1])
+
+
 def test_flat_tilt_is_an_error():
     flat = TiltField(
         phi_fn=lambda t: np.asarray(t, dtype=float),
@@ -98,23 +148,29 @@ def test_flat_tilt_is_an_error():
         phi_second_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         kind="linear",
     )
-    sample = reconstruct(circle(), AngleInterval(0.0, 1.0, 9))[3]
-    with pytest.raises(FlatCausticError):
-        caustic_point(sample, flat, 0.0)
+    caus = caustic_curve(circle(), flat, AngleInterval(0.0, 1.0, 9))
+    assert caus.flag[3] == FLAT_TILT
+    assert caus[3].error.startswith("FlatCausticError: ")
 
 
-def test_cusp_point_is_an_error():
-    sample = reconstruct(cycloid(), AngleInterval(0.0, 1.0, 9))[0]
-    with pytest.raises(CuspError):
-        caustic_point(sample, TiltField.reflection(), 1.0)
+def test_scalar_valued_tilt_broadcasts():
+    # A tilt whose callables return plain numbers acts like the stock skew tilt.
+    constant = TiltField(lambda t: 0.3, lambda t: 0.0, lambda t: 0.0)
+    interval = AngleInterval(0.0, 1.0, 9)
+    got = caustic_curve(circle(1.0), constant, interval)
+    want = caustic_curve(circle(1.0), TiltField.skew(0.3), interval)
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.caustic_radius, want.caustic_radius)
+    nu, _ = coframe(constant, np.array([0.1, 0.2]), np.ones(2))
+    assert nu.shape == (2, 2)
 
 
 def test_coframe_state_matches_reflection_identities():
-    state = coframe_at(circle(1.0), TiltField.reflection(), 0.7)
+    nu, chi = coframe(TiltField.reflection(), 0.7, circle(1.0).radius(0.7))
     # nu = (cos 2 theta, sin 2 theta) for the unit circle under reflection
-    assert abs(state.nu[0] - math.cos(1.4)) < 1e-12
-    assert abs(state.nu[1] - math.sin(1.4)) < 1e-12
-    assert abs(state.chi - 2.0) < 1e-12
+    assert abs(nu[0] - math.cos(1.4)) < 1e-12
+    assert abs(nu[1] - math.sin(1.4)) < 1e-12
+    assert abs(chi - 2.0) < 1e-12
 
 
 def test_similarity_spec_validation_and_alpha():

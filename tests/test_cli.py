@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import caustics
-from caustics.cli import JobSpec, main, parse_angle, parse_interval
+from caustics.cli import JobSpec, main, parse_angle, parse_interval, run
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
 
@@ -224,6 +224,21 @@ def test_bad_numeric_text_is_validation_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "subcommand, params",
+    [
+        ("curve", {"samples": "x"}),
+        ("pantograph", {"m": "x"}),
+        ("pantograph", {"order": "2.5"}),
+        ("verify", {"suite": "specfun", "samples": "x"}),
+        ("verify", {"suite": "specfun", "seed": "x"}),
+    ],
+)
+def test_bad_integer_job_text_is_validation_error(subcommand, params):
+    with pytest.raises(ValidationError):
+        run(JobSpec(subcommand, params))
 
 
 def test_version_matches_pyproject():

@@ -1,0 +1,29 @@
+"""Every demo script runs to completion from a fresh copy."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script", sorted((ROOT / "demos").glob("0*.py")), ids=lambda path: path.name
+)
+def test_demo_runs(script, tmp_path):
+    copy = tmp_path / script.name
+    shutil.copy(script, copy)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(copy)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

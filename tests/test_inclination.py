@@ -1,5 +1,6 @@
 """Curve reconstruction from the turning radius and its invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from caustics.inclination import (
     polynomial_curve,
     reconstruct,
 )
+from caustics.pantograph import solution_curve
+from caustics.skew import puiseux_curve
 
 
 def positions(samples):
@@ -183,3 +186,60 @@ def test_constructor_validation():
         polynomial_curve([])
     with pytest.raises(ValidationError):
         polynomial_curve([0.0, 0.0])
+
+
+def _scalar_cusps(curve, refine_tol=1e-12):
+    """Reference: one scalar bisection per sign-change bracket, plus grid zeros."""
+
+    def bisect(lo, hi):
+        flo = float(curve.radius_fn(np.array([lo]))[0])
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= refine_tol:
+                return mid
+            fmid = float(curve.radius_fn(np.array([mid]))[0])
+            if fmid == 0.0:
+                return mid
+            if (flo < 0) != (fmid < 0):
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return 0.5 * (lo + hi)
+
+    grid = curve.domain.grid()
+    sign = np.sign(curve.radius_fn(grid))
+    cusps = []
+    for i in range(len(grid) - 1):
+        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
+            cusps.append(bisect(grid[i], grid[i + 1]))
+    for i in range(1, len(grid) - 1):
+        if sign[i] == 0 and sign[i - 1] * sign[i + 1] < 0:
+            cusps.append(float(grid[i]))
+    return sorted(cusps)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [cycloid(1.0, domain=AngleInterval(-4 * math.pi, 4 * math.pi, 1025)), puiseux_curve(0.2, 3.0)],
+    ids=["cycloid", "puiseux"],
+)
+def test_batched_cusp_bisection_matches_scalar_bisection(curve):
+    got = find_cusps(curve)
+    want = _scalar_cusps(curve)
+    assert len(got) == len(want) > 0
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
+def test_cusp_bisection_evaluates_radius_once_per_step(m2_solution):
+    curve = solution_curve(m2_solution, AngleInterval(0.0, 12 * math.pi + 0.1, 9))
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return curve.radius_fn(t)
+
+    cusps = find_cusps(
+        dataclasses.replace(curve, radius_fn=counted), AngleInterval(0.0, 12 * math.pi, 513)
+    )
+    assert len(cusps) >= 8
+    assert len(calls) <= 64

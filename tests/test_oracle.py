@@ -9,7 +9,6 @@ from caustics.caustic import TiltField
 from caustics.errors import DegenerateSamplingError, ValidationError
 from caustics.inclination import AngleInterval, circle, reconstruct
 from caustics.oracle import (
-    Ray,
     RayFamily,
     envelope_numeric,
     hausdorff_distance,
@@ -28,44 +27,45 @@ def circle_points(lo, hi, n):
 
 def tangent_family(n):
     thetas = np.linspace(0.01, 2 * math.pi, n)
-    rays = tuple(
-        Ray(
-            base=np.array([math.cos(t), math.sin(t)]),
-            direction=np.array([-math.sin(t), math.cos(t)]),
-        )
-        for t in thetas
+    return RayFamily(
+        bases=np.column_stack([np.cos(thetas), np.sin(thetas)]),
+        directions=np.column_stack([-np.sin(thetas), np.cos(thetas)]),
+        source_thetas=thetas,
     )
-    return RayFamily(rays=rays, source_thetas=thetas)
 
 
 def test_ray_requires_unit_direction():
     with pytest.raises(ValidationError):
-        Ray(base=np.zeros(2), direction=np.array([1.0, 1.0]))
-    ray = Ray(base=np.array([1.0, 2.0]), direction=np.array([0.0, 1.0]))
-    assert np.allclose(ray.point_at(3.0), [1.0, 5.0])
+        RayFamily(
+            bases=np.zeros((2, 2)),
+            directions=np.array([[0.0, 1.0], [1.0, 1.0]]),
+            source_thetas=np.array([0.0, 1.0]),
+        )
+    family = RayFamily(
+        bases=np.array([[1.0, 2.0]]), directions=np.array([[0.0, 1.0]]), source_thetas=[0.0]
+    )
+    assert np.allclose(family.bases[0] + 3.0 * family.directions[0], [1.0, 5.0])
 
 
 def test_family_requires_increasing_thetas():
-    rays = tuple(
-        Ray(base=np.array([float(i), 0.0]), direction=np.array([0.0, 1.0])) for i in range(3)
-    )
+    bases = np.column_stack([np.arange(3.0), np.zeros(3)])
+    directions = np.tile([0.0, 1.0], (3, 1))
     with pytest.raises(ValidationError):
-        RayFamily(rays=rays, source_thetas=np.array([0.0, 0.5, 0.5]))
+        RayFamily(bases, directions, source_thetas=np.array([0.0, 0.5, 0.5]))
     with pytest.raises(ValidationError):
-        RayFamily(rays=rays, source_thetas=np.array([0.0, 0.5]))
+        RayFamily(bases, directions, source_thetas=np.array([0.0, 0.5]))
 
 
 def test_evolute_rays_of_circle_hit_center():
     family = rays_from_tilt(circle(1.0), TiltField.evolute(), AngleInterval(0.0, 2 * math.pi, 65))
-    for ray in family.rays:
-        hit = ray.point_at(1.0)
+    for hit in family.bases + 1.0 * family.directions:
         assert np.linalg.norm(hit - np.array([0.0, 1.0])) < 1e-9
 
 
 def test_reflection_of_semicircle_doubles_angle():
     pts, thetas = circle_points(0.01, math.pi - 0.01, 4001)
     family = reflect_horizontal(pts, thetas)
-    dirs = family.directions()
+    dirs = family.directions
     want = np.stack([np.cos(2 * thetas), np.sin(2 * thetas)], axis=1)
     err = np.linalg.norm(dirs[1:-1] - want[1:-1], axis=1)
     assert np.max(err) < 1e-6
@@ -96,15 +96,14 @@ def test_envelope_error_at_least_halves_with_step():
 
 
 def test_envelope_needs_three_rays_and_flags_parallels():
-    rays = tuple(
-        Ray(base=np.array([0.0, float(i)]), direction=np.array([1.0, 0.0])) for i in range(4)
-    )
-    family = RayFamily(rays=rays, source_thetas=np.arange(4.0))
+    bases = np.column_stack([np.zeros(4), np.arange(4.0)])
+    directions = np.tile([1.0, 0.0], (4, 1))
+    family = RayFamily(bases, directions, source_thetas=np.arange(4.0))
     envelope = envelope_numeric(family)
     assert len(envelope.gap_indices) == 3
     assert np.all(np.isnan(envelope.points))
     with pytest.raises(ValidationError):
-        envelope_numeric(RayFamily(rays=rays[:2], source_thetas=np.arange(2.0)))
+        envelope_numeric(RayFamily(bases[:2], directions[:2], source_thetas=np.arange(2.0)))
 
 
 def test_hausdorff_of_offset_segments():
@@ -133,6 +132,31 @@ def test_verticality_flags():
     assert verdict.first_violation is not None
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     assert not verticality_check(flat).is_vertical
+
+
+def _scan_verticality(points):
+    """Reference: walk the y-steps, fixing the direction at the first one."""
+    direction = 0.0
+    for i, step in enumerate(np.diff(points[:, 1])):
+        if step == 0.0:
+            return (False, i)
+        if direction == 0.0:
+            direction = math.copysign(1.0, step)
+        elif math.copysign(1.0, step) != direction:
+            return (False, i)
+    return (True, None)
+
+
+def test_verticality_matches_step_scan(rng):
+    polylines = [
+        circle_points(0.0, math.pi, 101)[0],
+        circle_points(0.0, 1.5 * math.pi, 151)[0],
+        circle_points(math.pi, 1.9 * math.pi, 64)[0],
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]),
+        np.array([[0.0, 3.0], [1.0, 2.0], [0.5, 1.0], [0.2, 1.0]]),
+    ] + [rng.normal(size=(n, 2)).cumsum(axis=0) for n in (2, 3, 9, 40)]
+    for points in polylines:
+        assert tuple(verticality_check(points)) == _scan_verticality(points)
 
 
 def test_occlusion_flags():

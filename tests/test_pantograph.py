@@ -1,6 +1,7 @@
 """Series mirrors, doubling continuation and the feasibility report."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from caustics.errors import (
     DegenerateCurveError,
     DomainError,
     JetDepthError,
+    PoleError,
     ResonanceError,
     ValidationError,
 )
@@ -254,3 +256,18 @@ def test_continuation_frozen_deep_values(k, secondary, theta, want_r, want_rp):
     assert r == pytest.approx(want_r, rel=1e-12, abs=0.0)
     if want_rp is not None:
         assert rp == pytest.approx(want_rp, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k, secondary", [(-1, None), (-3, 0.5)])
+def test_pole_at_zero_is_an_error(k, secondary):
+    solution = PantographSolution(solve_series(k, secondary=secondary))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError):
+            continue_R(solution, 0.0)
+        with pytest.raises(PoleError):
+            continue_R(solution, np.array([0.5, 0.0, 2.0]))
+        with pytest.raises(PoleError):
+            eval_R_base(solution.series, 0.0)
+        r, rp = continue_R(solution, np.array([0.5, 2.0]))
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(rp))
