@@ -27,6 +27,7 @@ from .csvio import write_caustic_csv, write_coefficient_csv, write_curve_csv
 from .errors import CausticsError, NumericError, ValidationError
 from .inclination import (
     AngleInterval,
+    CurveSamples,
     InclinationCurve,
     circle,
     cycloid,
@@ -52,6 +53,7 @@ from .pantograph import (
     solution_curve,
     solve_series,
 )
+from .quadrature import panel_integrals
 from .skew import (
     SkewFamilySpec,
     build_family,
@@ -220,13 +222,28 @@ def _interval_param(spec: JobSpec, default: AngleInterval) -> AngleInterval:
     return AngleInterval(default.lo, default.hi, n)
 
 
-def _cusp_positions(curve: InclinationCurve, interval: AngleInterval) -> np.ndarray:
-    cusps = find_cusps(curve, interval)
-    if not cusps:
+def _cusp_positions(
+    curve: InclinationCurve, interval: AngleInterval, samples: CurveSamples
+) -> np.ndarray:
+    """Curve points at the cusps inside the window.
+
+    Each cusp is placed from its left grid neighbour in ``samples`` by one
+    more integral of ``R (cos, sin)``, all cusps in one batched quadrature.
+    """
+    cusps = np.asarray(find_cusps(curve, interval))
+    if cusps.size == 0:
         return np.empty((0, 2))
-    grid = np.union1d(interval.grid(), np.asarray(cusps))
-    samples = reconstruct(curve, grid)
-    return samples.points[np.searchsorted(samples.theta, cusps)]
+    left = np.searchsorted(samples.theta, cusps, side="right") - 1
+    start = samples.theta[left]
+    width = cusps - start
+
+    def integrand(u):
+        t = start[:, None] + width[:, None] * u[None, :]
+        r = np.asarray(curve.radius_fn(t.ravel()), dtype=float).reshape(t.shape)
+        return np.concatenate([r * np.cos(t), r * np.sin(t)])
+
+    offsets = panel_integrals(integrand, [0.0, 1.0]).reshape(2, -1).T * width[:, None]
+    return samples.points[left] + offsets
 
 
 def _run_curve(spec: JobSpec) -> None:
@@ -237,7 +254,8 @@ def _run_curve(spec: JobSpec) -> None:
     if "csv" in outs:
         write_curve_csv(outs["csv"], samples)
     if "svg" in outs:
-        write_scene(outs["svg"], mirror=[samples.points], cusps=_cusp_positions(curve, interval))
+        cusps = _cusp_positions(curve, interval, samples)
+        write_scene(outs["svg"], mirror=[samples.points], cusps=cusps)
     print(f"curve={curve.label or 'custom'}")
     print(f"samples={len(samples)}")
     print(f"arclength={samples.arclength[-1] - samples.arclength[0]:.12g}")
@@ -263,7 +281,7 @@ def _run_caustic(spec: JobSpec) -> None:
     if "svg" in outs:
         mpts, cpts = caus.source.points, caus.points
         drawn = np.all(np.isfinite(cpts), axis=1)  # flagged nodes are NaN
-        rays = list(np.stack([mpts[drawn], cpts[drawn]], axis=1))
+        rays = np.stack([mpts[drawn], cpts[drawn]], axis=1)
         write_scene(outs["svg"], mirror=[mpts], caustic=[cpts], rays=rays)
     print(f"curve={curve.label or 'custom'}")
     print(f"tilt={spec.params.get('tilt', 'evolute')}")

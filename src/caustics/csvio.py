@@ -16,7 +16,6 @@ from .errors import ValidationError
 __all__ = [
     "CURVE_HEADER",
     "CAUSTIC_HEADER",
-    "format_value",
     "write_table",
     "read_table",
     "write_curve_csv",
@@ -28,26 +27,29 @@ CURVE_HEADER = ("theta", "x", "y", "R", "s")
 CAUSTIC_HEADER = ("theta", "theta1", "x", "y", "R1", "ray_length")
 
 
-def format_value(value) -> str:
-    """One cell: integers verbatim, reals with 17 significant digits."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
 def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table with LF endings and deterministic formatting."""
-    lines = [",".join(header)]
+    """Write a CSV table with LF endings and deterministic formatting.
+
+    ``rows`` is an ``(n, len(header))`` array or an iterable of rows of
+    numbers.  Every cell is written as ``"%.17g" % float(value)``, which
+    prints integers up to 2**53 in magnitude verbatim; the whole table is
+    formatted in one pass.
+    """
     width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValidationError(
-                f"row width {len(row)} does not match header width {width}"
-            )
-        lines.append(",".join(format_value(v) for v in row))
+    try:
+        table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    except ValueError:
+        raise ValidationError(f"rows must form an (n, {width}) table of numbers") from None
+    if len(table) == 0:
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValidationError(
+            f"row width {table.shape[-1]} does not match header width {width}"
+        )
+    line = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(",".join(header) + "\n")
+        fh.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_table(path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
@@ -75,7 +77,7 @@ def read_table(path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
 def write_curve_csv(path: str | os.PathLike, samples) -> None:
     """Emit a ``CurveSamples`` record as ``theta,x,y,R,s`` rows."""
     columns = (samples.theta, samples.x, samples.y, samples.radius, samples.arclength)
-    write_table(path, CURVE_HEADER, np.column_stack(columns).tolist())
+    write_table(path, CURVE_HEADER, np.column_stack(columns))
 
 
 def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
@@ -91,7 +93,7 @@ def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
         caustic.caustic_radius,
         caustic.ray_length,
     )
-    write_table(path, CAUSTIC_HEADER, np.column_stack(columns).tolist())
+    write_table(path, CAUSTIC_HEADER, np.column_stack(columns))
 
 
 def write_coefficient_csv(

@@ -200,24 +200,112 @@ def _mask_near(points: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
     return far & np.all(np.isfinite(points), axis=1)
 
 
+_PAIR_CHUNK = 1 << 18
+"""Point-segment pairs evaluated in one array pass; bounds the working memory."""
+
+_BLOCK = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+_CORNERS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def _pair_distance(p, a, v, vv) -> np.ndarray:
+    """Distance from each point to the segment ``a + t v``, ``0 <= t <= 1``, pair by pair.
+
+    ``p`` and ``a`` / ``v`` / ``vv`` broadcast against each other; ``vv``
+    is ``|v|^2`` with zero-length segments set to 1.
+    """
+    wx, wy = p[..., 0] - a[..., 0], p[..., 1] - a[..., 1]
+    t = np.clip((wx * v[..., 0] + wy * v[..., 1]) / vv, 0.0, 1.0)
+    dx = p[..., 0] - (a[..., 0] + t * v[..., 0])
+    dy = p[..., 1] - (a[..., 1] + t * v[..., 1])
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _nearest(points, a, v, vv) -> np.ndarray:
+    """Distance from each point to the nearest of all given segments, in bounded chunks."""
+    best = np.full(len(points), math.inf)
+    if len(a) == 0:
+        return best
+    step = max(1, _PAIR_CHUNK // len(a))
+    for lo in range(0, len(points), step):
+        p = points[lo : lo + step, None, :]
+        best[lo : lo + step] = _pair_distance(p, a, v, vv).min(axis=1)
+    return best
+
+
 def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
+    """Largest distance from a point to its nearest segment, by a uniform-grid bucket.
+
+    Segments are registered in the grid cells their bounding boxes touch;
+    the cell side ``h`` is twice the median segment length.  A point's
+    minimum over the segments of its 3 x 3 cell block is exact when it is
+    at most ``h`` (less a rounding margin): every other short segment lies
+    outside the block, at least ``h`` away.  Segments spanning more than
+    2 x 2 cells are checked against every point, and points the block
+    leaves uncertified against every segment.  All pairs use one distance
+    formula, so the result equals the all-pairs minimum bit for bit.
+    """
     if len(points) == 0:
         return 0.0
     if len(segments) == 0:
         return math.inf
     a = segments[:, 0]
-    v = segments[:, 1] - segments[:, 0]
-    vv = np.einsum("ij,ij->i", v, v)
+    v = segments[:, 1] - a
+    vv = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    ends = segments.reshape(-1, 2)
+    origin = ends.min(axis=0)
+    # Any positive side gives the same answer; at least 2**-20 of the extent
+    # keeps the cell keys inside int64.
+    span = float(np.max(ends.max(axis=0) - origin))
+    h = max(2.0 * float(np.median(np.sqrt(vv))), span / 2.0**20) or 1.0
     vv[vv == 0.0] = 1.0
+
+    def cell(xy):
+        return np.floor((xy - origin) / h)
+
+    first = cell(np.minimum(segments[:, 0], segments[:, 1])).astype(np.int64)
+    extent = cell(np.maximum(segments[:, 0], segments[:, 1])).astype(np.int64) - first
+    short = np.all(extent <= 1, axis=1)
+    shorts = np.flatnonzero(short)
+    first, extent = first[shorts], extent[shorts]
+    size = np.max(first + extent, axis=0, initial=-1) + 1  # cells a side holding a segment
+    # Block cells of the (clipped) points run from -3 to size + 2 on each axis.
+    stride = int(size[1]) + 6
+
+    def key(c):
+        return (c[..., 0] + 3) * stride + (c[..., 1] + 3)
+
+    registered = np.all(_CORNERS[None] <= extent[:, None, :], axis=2)
+    reg_keys = key(first[:, None, :] + _CORNERS[None])[registered]
+    order = np.argsort(reg_keys, kind="stable")
+    reg_keys = reg_keys[order]
+    reg_segs = np.repeat(shorts, registered.sum(axis=1))[order]
+
+    # Points outside the grid are clipped to a cell two away from it, whose block holds nothing.
+    home = np.clip(cell(points), -2, size + 1).astype(np.int64)
+    query = key(home[:, None, :] + _BLOCK[None])
+    start = np.searchsorted(reg_keys, query, side="left")
+    count = np.searchsorted(reg_keys, query, side="right") - start
+    per_point = count.sum(axis=1)
+    through = np.cumsum(per_point)
     best = np.full(len(points), math.inf)
-    chunk = max(1, 2_000_000 // max(1, len(segments)))
-    for lo in range(0, len(points), chunk):
-        p = points[lo : lo + chunk]
-        w = p[:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("pij,ij->pi", w, v) / vv[None, :], 0.0, 1.0)
-        closest = a[None, :, :] + t[:, :, None] * v[None, :, :]
-        dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
-        best[lo : lo + chunk] = dist.min(axis=1)
+    lo = 0
+    while lo < len(points):
+        # Expand the (point, cell) ranges of a run of points holding <= _PAIR_CHUNK pairs.
+        base = through[lo] - per_point[lo]
+        hi = max(lo + 1, int(np.searchsorted(through, base + _PAIR_CHUNK, side="right")))
+        s, c = start[lo:hi].ravel(), count[lo:hi].ravel()
+        pos = np.repeat(s - (np.cumsum(c) - c), c) + np.arange(c.sum())
+        owner = np.repeat(np.arange(lo, hi), per_point[lo:hi])
+        seg = reg_segs[pos]
+        np.minimum.at(best, owner, _pair_distance(points[owner], a[seg], v[seg], vv[seg]))
+        lo = hi
+
+    longs = np.flatnonzero(~short)
+    best = np.minimum(best, _nearest(points, a[longs], v[longs], vv[longs]))
+    # Cell indices and distances carry rounding of order eps * |coordinates|.
+    scale = max(float(np.abs(ends).max()), float(np.abs(points).max())) + h
+    uncertified = np.flatnonzero(best > h - 64.0 * np.finfo(float).eps * scale)
+    best[uncertified] = _nearest(points[uncertified], a, v, vv)
     return float(best.max())
 
 
@@ -227,12 +315,18 @@ def hausdorff_distance(
     exclusions: np.ndarray | Sequence = (),
     exclusion_radius: float = CUSP_EXCLUSION_RADIUS,
 ) -> float:
-    """Symmetric Hausdorff distance between two polylines.
+    """Symmetric Hausdorff distance between two polylines, computed exactly.
 
     NaN rows split a polyline into disconnected runs.  Points within
     ``exclusion_radius`` of any exclusion center (typically cusps, where
     consecutive-ray intersection is ill conditioned) are left out of the
     comparison, as are the segments touching them.
+
+    Each directed distance buckets the other polyline's segments in a
+    uniform grid and evaluates a point only against the segments near it;
+    points the grid cannot certify fall back to all segments.  The value
+    equals the brute-force maximum over points of the minimum over all
+    point-segment pairs, to the last bit.
     """
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)

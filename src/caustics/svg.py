@@ -26,35 +26,53 @@ _STYLE = {
 }
 
 
-def _as_polylines(data) -> list[np.ndarray]:
+def _as_group(data) -> tuple[np.ndarray, np.ndarray] | None:
+    """One group's polylines as stacked ``(m, 2)`` points and each polyline's length.
+
+    ``data`` is one ``(n, 2)`` array, an ``(n, k, 2)`` array of ``n``
+    polylines, or a sequence of ``(n, 2)`` arrays; ``None`` or no
+    polylines gives ``None``.
+    """
     if data is None:
-        return []
-    if isinstance(data, np.ndarray) and data.ndim == 2:
-        data = [data]
-    out = []
-    for poly in data:
-        arr = np.asarray(poly, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValidationError("every polyline must be an (n, 2) array")
-        out.append(arr)
-    return out
+        return None
+    if isinstance(data, np.ndarray) and data.ndim == 3:
+        polys = [data.reshape(-1, data.shape[2])]
+        lengths = np.full(len(data), data.shape[1])
+    else:
+        if isinstance(data, np.ndarray) and data.ndim == 2:
+            data = [data]
+        polys = [np.asarray(poly, dtype=float) for poly in data]
+        lengths = np.array([arr.size // 2 for arr in polys], dtype=int)
+    if any(arr.ndim != 2 or arr.shape[1] != 2 for arr in polys):
+        raise ValidationError("every polyline must be an (n, 2) array")
+    if len(lengths) == 0:
+        return None
+    return np.concatenate(polys, axis=0).astype(float, copy=False), lengths
 
 
 def _fmt(x: float) -> str:
     return format(x, ".3f")
 
 
-def _path_data(poly: np.ndarray, transform) -> str:
-    parts = []
-    pen_down = False
-    for point in poly:
-        if not np.all(np.isfinite(point)):
-            pen_down = False
-            continue
-        px, py = transform(point)
-        parts.append(f"{'L' if pen_down else 'M'}{_fmt(px)} {_fmt(py)}")
-        pen_down = True
-    return "".join(parts)
+def _path_lines(xy: np.ndarray, finite: np.ndarray, lengths: np.ndarray) -> str:
+    """``<path>`` lines, each led by a newline, for the polylines of one group.
+
+    NaN rows lift the pen; a polyline with no finite row draws nothing.
+    """
+    # The pen is down after a finite row; each polyline's first finite row moves it.
+    pen_down = np.zeros(len(xy), dtype=bool)
+    pen_down[1:] = finite[:-1]
+    owner = np.repeat(np.arange(len(lengths)), lengths)[finite]
+    first = np.ones(len(owner), dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    last = np.ones(len(owner), dtype=bool)
+    last[:-1] = first[1:]
+    cells = np.empty((len(owner), 4), dtype=object)
+    cells[:, 0] = np.where(pen_down[finite], "L", "M")
+    cells[first, 0] = '\n<path d="M'
+    cells[:, 1:3] = xy[finite]
+    cells[:, 3] = np.where(last, '"/>', "")
+    return "%s%.3f %.3f%s" * len(owner) % tuple(cells.ravel().tolist())
 
 
 def write_scene(
@@ -69,19 +87,23 @@ def write_scene(
 ) -> None:
     """Write one scene; every argument is a list of (n, 2) polylines.
 
-    ``cusps`` instead takes an (n, 2) array of points, drawn as small
-    circles.  NaN rows inside polylines lift the pen.  The viewport is
-    fitted to the finite data with a uniform scale and the y axis
-    pointing up.
+    A group may also be one (n, 2) array, or an (n, k, 2) array of n
+    polylines of k points each (a bundle of rays).  ``cusps`` instead
+    takes an (n, 2) array of points, drawn as small circles.  NaN rows
+    inside polylines lift the pen.  The viewport is fitted to the finite
+    data with a uniform scale and the y axis pointing up.  Each group's
+    text is formatted in one pass.
     """
     groups = {
-        "mirror": _as_polylines(mirror),
-        "caustic": _as_polylines(caustic),
-        "rays": _as_polylines(rays),
-        "cusps": [np.asarray(cusps, dtype=float).reshape(-1, 2)] if cusps is not None and len(cusps) else [],
-        "cuspline": _as_polylines(cuspline),
+        "mirror": _as_group(mirror),
+        "caustic": _as_group(caustic),
+        "rays": _as_group(rays),
+        "cusps": _as_group(np.asarray(cusps, dtype=float).reshape(1, -1, 2))
+        if cusps is not None and len(cusps)
+        else None,
+        "cuspline": _as_group(cuspline),
     }
-    stacks = [arr for polys in groups.values() for arr in polys]
+    stacks = [group[0] for group in groups.values() if group is not None]
     if not stacks:
         raise ValidationError("nothing to draw")
     allpts = np.concatenate(stacks, axis=0)
@@ -96,19 +118,13 @@ def write_scene(
     width = (hi[0] - lo[0] + 2 * margin) * scale
     height = (hi[1] - lo[1] + 2 * margin) * scale
 
-    def transform(p):
-        return (
-            (p[0] - lo[0] + margin) * scale,
-            (hi[1] - p[1] + margin) * scale,
-        )
-
     stroke = max(1.0, size / 640.0)
     style_args = {
         "w": _fmt(1.5 * stroke),
         "thin": _fmt(0.75 * stroke),
         "dash": f"{_fmt(6 * stroke)} {_fmt(4 * stroke)}",
     }
-    dot_radius = 0.006 * size
+    circle = '\n<circle cx="%.3f" cy="%.3f" r="' + _fmt(0.006 * size) + '"/>'
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -116,25 +132,20 @@ def write_scene(
         f'width="{_fmt(width)}" height="{_fmt(height)}">',
     ]
     for name in GROUP_ORDER:
-        polys = groups[name]
-        if not polys:
+        if groups[name] is None:
             continue
-        style = _STYLE[name].format(**style_args)
-        lines.append(f'<g id="{name}" {style}>')
+        points, lengths = groups[name]
+        finite = np.all(np.isfinite(points), axis=1)
+        # SVG y runs down: flip it, so the scene reads y-up inside the margin.
+        xy = np.column_stack(
+            [(points[:, 0] - lo[0] + margin) * scale, (hi[1] - points[:, 1] + margin) * scale]
+        )
         if name == "cusps":
-            for pts in polys:
-                for point in pts:
-                    if not np.all(np.isfinite(point)):
-                        continue
-                    cx, cy = transform(point)
-                    lines.append(
-                        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(dot_radius)}"/>'
-                    )
+            body = circle * int(finite.sum()) % tuple(xy[finite].ravel().tolist())
         else:
-            for poly in polys:
-                d = _path_data(poly, transform)
-                if d:
-                    lines.append(f'<path d="{d}"/>')
+            body = _path_lines(xy, finite, lengths)
+        style = _STYLE[name].format(**style_args)
+        lines.append(f'<g id="{name}" {style}>' + body)
         lines.append("</g>")
     lines.append("</svg>")
     with open(path, "w", encoding="ascii", newline="") as fh:

@@ -3,12 +3,16 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import caustics
+from caustics import cli
 from caustics.cli import JobSpec, main, parse_angle, parse_interval, run
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
+from caustics.inclination import AngleInterval, find_cusps, reconstruct
+from caustics.svg import write_scene
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +88,43 @@ def test_curve_csv_round_trip(tmp_path, capsys):
     again = tmp_path / "again.csv"
     write_table(str(again), header, rows)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_curve_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruct", counted)
+    code, _, err = run_cli(
+        capsys, "curve", "--curve", "cycloid", "--out-svg", str(tmp_path / "c.svg")
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def _cusps_on_refined_grid(curve, interval):
+    """Reference: reconstruct again over the grid plus the cusp angles."""
+    cusps = find_cusps(curve, interval)
+    samples = reconstruct(curve, np.union1d(interval.grid(), cusps))
+    return samples.points[np.searchsorted(samples.theta, cusps)]
+
+
+@pytest.mark.parametrize("name", ["cycloid", "puiseux"])
+def test_curve_cusps_match_refined_grid(tmp_path, capsys, name):
+    curve = cli._build_curve(name)
+    interval = cli._default_window(curve)
+    want = _cusps_on_refined_grid(curve, interval)
+    got = cli._cusp_positions(curve, interval, reconstruct(curve, interval))
+    assert len(want) > 0
+    assert np.max(np.abs(got - want)) <= 1e-12
+    path, ref = tmp_path / "c.svg", tmp_path / "ref.svg"
+    code, _, err = run_cli(capsys, "curve", "--curve", name, "--out-svg", str(path))
+    assert code == 0, err
+    write_scene(ref, mirror=[reconstruct(curve, interval).points], cusps=want)
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_caustic_run_flags_cusps(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Ray-level checks: reflection, envelopes, feasibility flags."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from caustics import oracle
 from caustics.caustic import TiltField
 from caustics.errors import DegenerateSamplingError, ValidationError
 from caustics.inclination import AngleInterval, circle, reconstruct
@@ -121,6 +123,112 @@ def test_hausdorff_with_gaps_and_exclusions():
     assert d < 1e-12
     with pytest.raises(ValidationError):
         hausdorff_distance(first, second, exclusions=np.array([[0.5, 0.5]]), exclusion_radius=10.0)
+
+
+def _brute_directed_distance(points, segments):
+    """Reference: every point against every segment, in chunks of 2e6 pairs."""
+    if len(points) == 0:
+        return 0.0
+    if len(segments) == 0:
+        return math.inf
+    a = segments[:, 0]
+    v = segments[:, 1] - segments[:, 0]
+    vv = np.einsum("ij,ij->i", v, v)
+    vv[vv == 0.0] = 1.0
+    best = np.full(len(points), math.inf)
+    chunk = max(1, 2_000_000 // max(1, len(segments)))
+    for lo in range(0, len(points), chunk):
+        p = points[lo : lo + chunk]
+        w = p[:, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("pij,ij->pi", w, v) / vv[None, :], 0.0, 1.0)
+        closest = a[None, :, :] + t[:, :, None] * v[None, :, :]
+        dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
+        best[lo : lo + chunk] = dist.min(axis=1)
+    return float(best.max())
+
+
+def _wiggle(rng, n, scale=1.0):
+    """A random smooth-ish closed loop of n points."""
+    t = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    r = 1.0 + 0.2 * np.sin(3 * t + rng.uniform(0, 6)) + 0.01 * rng.normal(size=n)
+    return scale * np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def _hausdorff_cases(rng):
+    base = _wiggle(rng, 400)
+    near = base + 1e-3 * rng.normal(size=base.shape)
+    gaps = near.copy()
+    gaps[[0, 57, 58, 200, -1]] = np.nan
+    repeated = np.repeat(base, rng.integers(1, 4, size=len(base)), axis=0)
+    long_jump = np.concatenate([base[:200], [[40.0, -25.0]], base[200:]])
+    far = np.concatenate([near, 5.0 + _wiggle(rng, 30, 0.1)])
+    lone = np.array([[0.3, 0.1], [50.0, 50.0], [-1e3, 2.0]])
+    return {
+        "nan_breaks": (gaps, base, ()),
+        "cusp_exclusions": (near, base, base[[10, 150, 151, 300]]),
+        "zero_length_segments": (near, repeated, ()),
+        "one_long_segment": (near, long_jump, ()),
+        "far_points": (far, base, ()),
+        "lone_points": (lone, base, ()),
+        "coarse_against_fine": (base[::37], _wiggle(rng, 3000), ()),
+        "identical": (base, base.copy(), ()),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "nan_breaks",
+        "cusp_exclusions",
+        "zero_length_segments",
+        "one_long_segment",
+        "far_points",
+        "lone_points",
+        "coarse_against_fine",
+        "identical",
+    ],
+)
+def test_hausdorff_equals_brute_force(case, rng, monkeypatch):
+    first, second, exclusions = _hausdorff_cases(rng)[case]
+    got = hausdorff_distance(first, second, exclusions=exclusions, exclusion_radius=0.05)
+    monkeypatch.setattr(oracle, "_directed_distance", _brute_directed_distance)
+    want = hausdorff_distance(first, second, exclusions=exclusions, exclusion_radius=0.05)
+    assert got == want
+    if case == "identical":
+        # Zero but for the end of the run, where a + (b - a) need not round to b.
+        assert got <= 4 * np.finfo(float).eps
+
+
+def test_directed_distance_is_exact_point_by_point(rng):
+    """The per-point minimum, not only the maximum, equals the all-pairs one."""
+    segments = oracle._split_segments(_wiggle(rng, 300))
+    points = np.concatenate([_wiggle(rng, 200) * 1.001, rng.uniform(-3.0, 3.0, size=(50, 2))])
+    for point in points:
+        one = point[None, :]
+        assert oracle._directed_distance(one, segments) == _brute_directed_distance(one, segments)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_hausdorff_in_small_chunks(chunk, rng, monkeypatch):
+    """Pair runs cut at any size give the same value, down to one point at a time."""
+    first, second, _ = _hausdorff_cases(rng)["far_points"]
+    want = hausdorff_distance(first, second)
+    monkeypatch.setattr(oracle, "_PAIR_CHUNK", chunk)
+    assert hausdorff_distance(first, second) == want
+
+
+def test_hausdorff_memory_is_not_quadratic():
+    """4097 x 4097 points: all-pairs matrices would take over 100 MB."""
+    t = np.linspace(0.0, 2 * math.pi, 4097)
+    first = np.column_stack([np.cos(t), np.sin(2 * t)])
+    second = first + 1e-4 * np.column_stack([np.sin(5 * t), np.cos(3 * t)])
+    tracemalloc.start()
+    try:
+        hausdorff_distance(first, second)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_verticality_flags():

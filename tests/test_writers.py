@@ -1,0 +1,214 @@
+"""CSV and SVG writers: byte-equal to one-cell-at-a-time and one-point-at-a-time references."""
+
+import math
+
+import numpy as np
+import pytest
+
+from caustics.csvio import read_table, write_coefficient_csv, write_table
+from caustics.errors import ValidationError
+from caustics.svg import GROUP_ORDER, _STYLE, write_scene
+
+# ---------------------------------------------------------------------------
+# CSV
+
+
+def _reference_cell(value) -> str:
+    """One cell as the writer formatted it cell by cell: integers verbatim, reals %.17g."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def _reference_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_reference_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+SPECIAL = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    0.0,
+    5e-324,
+    2.2250738585072009e-308,
+    -1.5e-310,
+    1.7976931348623157e308,
+    0.1,
+    1 / 3,
+    -2.5,
+    1e16,
+    123456789.0,
+]
+
+
+def test_csv_special_values_match_per_cell_reference(tmp_path, rng):
+    values = np.array(SPECIAL + list(rng.normal(size=22) * 10.0 ** rng.integers(-30, 30, 22)))
+    table = values.reshape(-1, 6)
+    header = ("a", "b", "c", "d", "e", "f")
+    path = tmp_path / "t.csv"
+    write_table(path, header, table)
+    assert path.read_bytes() == _reference_csv(header, table.tolist())
+    write_table(path, header, table.tolist())
+    assert path.read_bytes() == _reference_csv(header, table.tolist())
+    _, back = read_table(path)
+    assert np.array_equal(back, table, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(table))
+
+
+def test_coefficient_csv_writes_integer_column_verbatim(tmp_path):
+    pairs = [(0, 1.0), (2, -0.0), (7, 1e-300), (10**15 + 1, math.nan), (-(2**53), 0.25)]
+    path = tmp_path / "coeffs.csv"
+    write_coefficient_csv(path, pairs, value_label="b_n")
+    want = _reference_csv(("n", "b_n"), [(int(n), float(v)) for n, v in pairs])
+    assert path.read_bytes() == want
+    assert path.read_text().splitlines()[4].startswith("1000000000000001,")
+
+
+@pytest.mark.parametrize("rows", [[], np.empty((0, 3)), iter(())], ids=["list", "array", "iterator"])
+def test_csv_header_without_rows(tmp_path, rows):
+    path = tmp_path / "empty.csv"
+    write_table(path, ("x", "y", "z"), rows)
+    assert path.read_bytes() == b"x,y,z\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0)], [(), ()], np.zeros((2, 3)), np.zeros(4)],
+    ids=["short_row", "long_row", "empty_rows", "wide_array", "flat_array"],
+)
+def test_csv_ragged_rows_are_rejected(tmp_path, rows):
+    with pytest.raises(ValidationError):
+        write_table(tmp_path / "bad.csv", ("x", "y"), rows)
+
+
+# ---------------------------------------------------------------------------
+# SVG
+
+
+def _reference_scene(path, mirror=None, caustic=None, rays=None, cusps=None, cuspline=None,
+                     size=640.0, margin_fraction=0.05):
+    """The writer as it was: one Python step per point."""
+    fmt = lambda x: format(x, ".3f")  # noqa: E731
+
+    def as_polylines(data):
+        if data is None:
+            return []
+        if isinstance(data, np.ndarray) and data.ndim == 2:
+            data = [data]
+        return [np.asarray(poly, dtype=float) for poly in data]
+
+    groups = {
+        "mirror": as_polylines(mirror),
+        "caustic": as_polylines(caustic),
+        "rays": as_polylines(rays),
+        "cusps": [np.asarray(cusps, dtype=float).reshape(-1, 2)]
+        if cusps is not None and len(cusps) else [],
+        "cuspline": as_polylines(cuspline),
+    }
+    allpts = np.concatenate([arr for polys in groups.values() for arr in polys], axis=0)
+    finite = allpts[np.all(np.isfinite(allpts), axis=1)]
+    lo, hi = finite.min(axis=0), finite.max(axis=0)
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    margin = margin_fraction * span
+    scale = size / (span + 2 * margin)
+    width = (hi[0] - lo[0] + 2 * margin) * scale
+    height = (hi[1] - lo[1] + 2 * margin) * scale
+
+    def transform(p):
+        return ((p[0] - lo[0] + margin) * scale, (hi[1] - p[1] + margin) * scale)
+
+    stroke = max(1.0, size / 640.0)
+    style_args = {
+        "w": fmt(1.5 * stroke),
+        "thin": fmt(0.75 * stroke),
+        "dash": f"{fmt(6 * stroke)} {fmt(4 * stroke)}",
+    }
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {fmt(width)} {fmt(height)}" '
+        f'width="{fmt(width)}" height="{fmt(height)}">',
+    ]
+    for name in GROUP_ORDER:
+        polys = groups[name]
+        if not polys:
+            continue
+        lines.append(f'<g id="{name}" {_STYLE[name].format(**style_args)}>')
+        for poly in polys:
+            if name == "cusps":
+                for point in poly:
+                    if np.all(np.isfinite(point)):
+                        cx, cy = transform(point)
+                        lines.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(0.006 * size)}"/>')
+                continue
+            parts, pen_down = [], False
+            for point in poly:
+                if not np.all(np.isfinite(point)):
+                    pen_down = False
+                    continue
+                px, py = transform(point)
+                parts.append(f"{'L' if pen_down else 'M'}{fmt(px)} {fmt(py)}")
+                pen_down = True
+            if parts:
+                lines.append(f'<path d="{"".join(parts)}"/>')
+        lines.append("</g>")
+    lines.append("</svg>")
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _scene_groups(rng):
+    t = np.linspace(0.0, 2 * math.pi, 61)
+    mirror = np.column_stack([np.cos(t), np.sin(3 * t)])
+    mirror[[0, 1, 20, 21, 22, 40, -1]] = np.nan  # leading, interior (a run) and trailing NaN rows
+    caustic = 0.5 * mirror[::-1] + 0.25
+    hidden = np.full((5, 2), np.nan)  # drawn by nothing, so omitted
+    single = np.array([[0.1, -0.7]])
+    bases = rng.uniform(-1.0, 1.0, size=(40, 2))
+    tips = bases + rng.normal(scale=0.3, size=(40, 2))
+    rays = np.stack([bases, tips], axis=1)
+    rays[7, 1] = np.nan  # a ray whose tip did not resolve
+    cusps = np.array([[0.2, 0.3], [np.nan, np.nan], [-0.5, 0.9]])
+    cuspline = np.array([[-1.0, -1.0], [1.2, 1.1]])
+    return dict(
+        mirror=[mirror, hidden, single], caustic=[caustic], rays=rays, cusps=cusps, cuspline=[cuspline]
+    )
+
+
+@pytest.mark.parametrize("rays_as", ["array", "list"])
+def test_svg_matches_per_point_reference(tmp_path, rng, rays_as):
+    groups = _scene_groups(rng)
+    if rays_as == "list":
+        groups["rays"] = list(groups["rays"])
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    write_scene(got, **groups)
+    _reference_scene(want, **groups)
+    assert got.read_bytes() == want.read_bytes()
+    assert b'<path d="' in got.read_bytes() and b"<circle" in got.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        dict(mirror=np.array([[0.0, 0.0], [1.0, 2.0], [np.nan, 0.0], [3.0, -1.0]]), size=200.0),
+        dict(caustic=[np.full((3, 2), np.nan), np.array([[0.0, 0.0], [0.0, 1e-12]])]),
+        dict(rays=np.zeros((0, 2, 2)), cusps=np.array([[1.0, 1.0]])),
+        dict(mirror=[np.empty((0, 2)), np.array([[2.0, 1.0], [4.0, 1.0]])], cusps=[]),
+    ],
+    ids=["one_array", "all_nan_polyline", "no_rays", "empty_polyline"],
+)
+def test_svg_edge_cases_match_reference(tmp_path, groups):
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    write_scene(got, **groups)
+    _reference_scene(want, **groups)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_svg_rejects_bad_polylines(tmp_path):
+    with pytest.raises(ValidationError):
+        write_scene(tmp_path / "bad.svg", rays=np.zeros((3, 2, 3)))
+    with pytest.raises(ValidationError):
+        write_scene(tmp_path / "bad.svg", mirror=[np.zeros(4)])
+    with pytest.raises(ValidationError):
+        write_scene(tmp_path / "bad.svg", mirror=[])
