@@ -15,7 +15,7 @@ import numpy as np
 
 from caustics.caustic import TiltField, caustic_curve
 from caustics.inclination import AngleInterval, circle
-from caustics.oracle import envelope_numeric, hausdorff_distance, rays_from_tilt
+from caustics.oracle import envelope_gap, rays_from_tilt
 from caustics.svg import write_scene
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -36,18 +36,11 @@ print(f"caustic radius vs (3/4)cos(theta): {radius_defect:.2e}")
 # Numeric envelope: emit the reflected rays and intersect neighbours.
 # The two polylines are compared away from the caustic's cusp, where
 # consecutive rays are nearly parallel and the intersection blows up.
-family = rays_from_tilt(mirror, tilt, window)
-envelope = envelope_numeric(family)
-grid = np.concatenate(([window.lo], envelope.parameters))
-at_midpoints = caustic_curve(mirror, tilt, grid)[1:]
-closed_pts = np.array([s.position for s in at_midpoints])
-radii = np.array([s.caustic_radius for s in at_midpoints])
-flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
-cusps = 0.5 * (closed_pts[flips] + closed_pts[flips + 1])
-gap = hausdorff_distance(envelope.points, closed_pts, exclusions=cusps)
+gap, envelope, cusps = envelope_gap(mirror, tilt, window)
 print(f"envelope vs closed form (cusp disks removed): {gap:.2e}")
 
 # Scene: the mirror arc, a sparse fan of reflected rays, both caustics.
+family = rays_from_tilt(mirror, tilt, window)
 bases, directions = family.bases[::40], family.directions[::40]
 fan = list(np.stack([bases, bases + 1.2 * directions], axis=1))
 write_scene(

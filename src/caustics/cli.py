@@ -18,7 +18,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +37,8 @@ from .inclination import (
     reconstruct,
 )
 from .oracle import (
+    envelope_gap,
     envelope_numeric,
-    hausdorff_distance,
     rays_from_tilt,
     reflect_horizontal,
 )
@@ -64,9 +63,7 @@ from .skew import (
 from .specfun import lambert_w, tan_coeffs, zeta_even
 from .svg import write_scene
 
-__all__ = ["JobSpec", "parse_angle", "parse_interval", "job_from_args", "run", "main"]
-
-_SUBCOMMANDS = ("curve", "caustic", "skew", "pantograph", "verify")
+__all__ = ["parse_angle", "parse_interval", "main"]
 
 _PI_PATTERN = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?$")
 
@@ -179,47 +176,11 @@ def _build_tilt(text: str) -> TiltField:
     raise ValidationError(f"unknown tilt {text!r}; use evolute, reflection or skew:<phi>")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One resolved command-line job."""
-
-    subcommand: str
-    params: dict[str, str] = field(default_factory=dict)
-    outputs: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
-            raise ValidationError(
-                f"subcommand must be one of {_SUBCOMMANDS}, got {self.subcommand!r}"
-            )
-        for fmt, _ in self.outputs:
-            if fmt not in ("csv", "svg"):
-                raise ValidationError(f"unknown output format {fmt!r}")
-
-
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    params = {
-        key: str(value)
-        for key, value in vars(args).items()
-        if key not in ("subcommand", "out_csv", "out_svg") and value is not None
-    }
-    outputs = []
-    if getattr(args, "out_csv", None):
-        outputs.append(("csv", args.out_csv))
-    if getattr(args, "out_svg", None):
-        outputs.append(("svg", args.out_svg))
-    return JobSpec(subcommand=args.subcommand, params=params, outputs=tuple(outputs))
-
-
-def _out_paths(spec: JobSpec) -> dict[str, str]:
-    return {fmt: path for fmt, path in spec.outputs}
-
-
-def _interval_param(spec: JobSpec, default: AngleInterval) -> AngleInterval:
-    n = _parse_number(spec.params.get("samples", default.n_samples), "samples", int)
-    if "interval" in spec.params:
-        return parse_interval(spec.params["interval"], n)
-    return AngleInterval(default.lo, default.hi, n)
+def _window(args: argparse.Namespace, lo: float, hi: float) -> AngleInterval:
+    """The ``--interval`` window, or ``[lo, hi]``, at ``--samples`` nodes."""
+    if args.interval is not None:
+        return parse_interval(args.interval, args.samples)
+    return AngleInterval(lo, hi, args.samples)
 
 
 def _cusp_positions(
@@ -246,21 +207,19 @@ def _cusp_positions(
     return samples.points[left] + offsets
 
 
-def _run_curve(spec: JobSpec) -> None:
-    curve = _build_curve(spec.params.get("curve", "circle"))
-    interval = _interval_param(spec, _default_window(curve))
+def _run_curve(args: argparse.Namespace) -> None:
+    curve = _build_curve(args.curve)
+    default = _default_window(curve)
+    interval = _window(args, default.lo, default.hi)
     samples = reconstruct(curve, interval)
-    outs = _out_paths(spec)
-    if "csv" in outs:
-        write_curve_csv(outs["csv"], samples)
-    if "svg" in outs:
+    if args.out_csv:
+        write_curve_csv(args.out_csv, samples)
+    if args.out_svg:
         cusps = _cusp_positions(curve, interval, samples)
-        write_scene(outs["svg"], mirror=[samples.points], cusps=cusps)
+        write_scene(args.out_svg, mirror=[samples.points], cusps=cusps)
     print(f"curve={curve.label or 'custom'}")
     print(f"samples={len(samples)}")
     print(f"arclength={samples.arclength[-1] - samples.arclength[0]:.12g}")
-    for fmt, path in spec.outputs:
-        print(f"wrote_{fmt}={path}")
 
 
 def _default_window(curve: InclinationCurve) -> AngleInterval:
@@ -269,26 +228,24 @@ def _default_window(curve: InclinationCurve) -> AngleInterval:
     return AngleInterval(lo, hi, 257)
 
 
-def _run_caustic(spec: JobSpec) -> None:
-    curve = _build_curve(spec.params.get("curve", "circle"))
-    tilt = _build_tilt(spec.params.get("tilt", "evolute"))
-    interval = _interval_param(spec, _default_window(curve))
+def _run_caustic(args: argparse.Namespace) -> None:
+    curve = _build_curve(args.curve)
+    tilt = _build_tilt(args.tilt)
+    default = _default_window(curve)
+    interval = _window(args, default.lo, default.hi)
     caus = caustic_curve(curve, tilt, interval)
     flagged = int(np.count_nonzero(caus.flag))
-    outs = _out_paths(spec)
-    if "csv" in outs:
-        write_caustic_csv(outs["csv"], caus)
-    if "svg" in outs:
+    if args.out_csv:
+        write_caustic_csv(args.out_csv, caus)
+    if args.out_svg:
         mpts, cpts = caus.source.points, caus.points
         drawn = np.all(np.isfinite(cpts), axis=1)  # flagged nodes are NaN
         rays = np.stack([mpts[drawn], cpts[drawn]], axis=1)
-        write_scene(outs["svg"], mirror=[mpts], caustic=[cpts], rays=rays)
+        write_scene(args.out_svg, mirror=[mpts], caustic=[cpts], rays=rays)
     print(f"curve={curve.label or 'custom'}")
-    print(f"tilt={spec.params.get('tilt', 'evolute')}")
+    print(f"tilt={args.tilt}")
     print(f"points={len(caus)}")
     print(f"flagged={flagged}")
-    for fmt, path in spec.outputs:
-        print(f"wrote_{fmt}={path}")
 
 
 def _parse_coefficient_pairs(text: str) -> tuple[tuple[float, float], ...]:
@@ -301,17 +258,17 @@ def _parse_coefficient_pairs(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-def _run_skew(spec: JobSpec) -> None:
-    case = spec.params.get("case", "point_by_point")
-    phi0 = parse_angle(spec.params.get("phi0", "0"))
-    factor = _parse_number(spec.params.get("a", "1.2"), "a")
-    alpha = parse_angle(spec.params.get("alpha", "0"))
+def _run_skew(args: argparse.Namespace) -> None:
+    case = args.case
+    phi0 = parse_angle(args.phi0)
+    factor = _parse_number(args.a, "a")
+    alpha = parse_angle(args.alpha)
     branches = tuple(
         _parse_number(b, "branch", int)
-        for b in spec.params.get("branches", "0").split(",")
+        for b in args.branches.split(",")
         if b != ""
     )
-    coefficients = _parse_coefficient_pairs(spec.params.get("coefficients", "1:0"))
+    coefficients = _parse_coefficient_pairs(args.coefficients)
     family = SkewFamilySpec(
         case=case,
         phi0=phi0,
@@ -327,16 +284,15 @@ def _run_skew(spec: JobSpec) -> None:
         alpha = family.alpha
     else:
         alpha = 0.0
-    window = _interval_param(spec, AngleInterval(-math.pi, math.pi, 257))
+    window = _window(args, -math.pi, math.pi)
     residual = skew_equation_residual(
         curve, family.phi0, family.factor_a, case, window, alpha=alpha
     )
     caus = caustic_curve(curve, TiltField.skew(family.phi0), window)
-    outs = _out_paths(spec)
-    if "csv" in outs:
-        write_curve_csv(outs["csv"], caus.source)
-    if "svg" in outs:
-        write_scene(outs["svg"], mirror=[caus.source.points], caustic=[caus.points])
+    if args.out_csv:
+        write_curve_csv(args.out_csv, caus.source)
+    if args.out_svg:
+        write_scene(args.out_svg, mirror=[caus.source.points], caustic=[caus.points])
     print(f"case={family.case}")
     print(f"phi0={family.phi0:.12g}")
     print(f"factor_a={family.factor_a:.12g}")
@@ -347,21 +303,17 @@ def _run_skew(spec: JobSpec) -> None:
         + ",".join(f"{a:.12g}:{b:.12g}" for a, b in family.coefficients)
     )
     print(f"residual={residual:.6e}")
-    for fmt, path in spec.outputs:
-        print(f"wrote_{fmt}={path}")
 
 
-def _run_pantograph(spec: JobSpec) -> None:
-    m = _parse_number(spec.params.get("m", "2"), "m", int)
-    order = _parse_number(spec.params.get("order", "30"), "order", int)
-    k = m - 1
+def _run_pantograph(args: argparse.Namespace) -> None:
+    k = args.m - 1
     factor = similarity_factor(k)
-    secondary = spec.params.get("secondary")
+    secondary = args.secondary
     if secondary is not None:
         secondary = _parse_number(secondary, "secondary")
-    series = solve_series(k, n_max=order, secondary=secondary)
+    series = solve_series(k, n_max=args.order, secondary=secondary)
     solution = PantographSolution(series)
-    print(f"m={m}")
+    print(f"m={args.m}")
     print(f"k={k}")
     print(f"a={factor}")
     report = None
@@ -378,13 +330,12 @@ def _run_pantograph(spec: JobSpec) -> None:
                 print(f"{key}={value:.12g}")
             else:
                 print(f"{key}={value}")
-    outs = _out_paths(spec)
-    if "csv" in outs:
+    if args.out_csv:
         write_coefficient_csv(
-            outs["csv"], zip(series.powers(), series.coefficients), value_label="a_n"
+            args.out_csv, zip(series.powers(), series.coefficients), value_label="a_n"
         )
-    if "svg" in outs:
-        window = _interval_param(spec, AngleInterval(0.0, 2 * math.pi, 513))
+    if args.out_svg:
+        window = _window(args, 0.0, 2 * math.pi)
         mirror_samples = reconstruct(solution_curve(solution), window)
         groups: dict[str, object] = {"mirror": [mirror_samples.points]}
         if k >= 0:
@@ -394,9 +345,7 @@ def _run_pantograph(spec: JobSpec) -> None:
             line = np.asarray(report.collinearity_points, dtype=float)
             groups["cuspline"] = [line]
             groups["cusps"] = np.asarray(report.mirror_cusp_points, dtype=float)
-        write_scene(outs["svg"], **groups)
-    for fmt, path in spec.outputs:
-        print(f"wrote_{fmt}={path}")
+        write_scene(args.out_svg, **groups)
 
 
 # ---------------------------------------------------------------------------
@@ -414,26 +363,6 @@ def _check_circle_focus(n: int) -> tuple[str, float, float]:
     return ("circle_normals_focus_scatter", scatter, 1e-8)
 
 
-def _envelope_gap(window: AngleInterval) -> float:
-    """Hausdorff distance between two caustics of the unit circle under reflection.
-
-    One is the rays' numeric envelope, the other the closed form; disks
-    around the caustic's cusps are left out."""
-    curve, tilt = circle(1.0), TiltField.reflection()
-    envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
-    # Sample the closed form at the envelope's own (midpoint) parameters so
-    # the two polylines cover the same arc.  Keeping the window's first node
-    # in the grid pins the reconstruction to the same anchor the ray family
-    # used; nudging the anchor onto the midpoint grid would translate the
-    # whole caustic by half a step.
-    grid = np.concatenate(([window.lo], envelope.parameters))
-    closed = caustic_curve(curve, tilt, grid)[1:]
-    radii, points = closed.caustic_radius, closed.points
-    flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
-    cusp_centers = 0.5 * (points[flips] + points[flips + 1])
-    return hausdorff_distance(envelope.points, points, exclusions=cusp_centers)
-
-
 def _check_reflection_directions(n: int) -> tuple[str, float, float]:
     curve = circle(1.0)
     window = AngleInterval(0.01, math.pi - 0.01, n)
@@ -448,8 +377,9 @@ def _check_reflection_directions(n: int) -> tuple[str, float, float]:
 
 
 def _check_step_halving(n: int) -> tuple[str, float, float]:
-    coarse = _envelope_gap(AngleInterval(0.2, 1.2, n // 2))
-    fine = _envelope_gap(AngleInterval(0.2, 1.2, n))
+    curve, tilt = circle(1.0), TiltField.reflection()
+    coarse = envelope_gap(curve, tilt, AngleInterval(0.2, 1.2, n // 2)).distance
+    fine = envelope_gap(curve, tilt, AngleInterval(0.2, 1.2, n)).distance
     return ("step_halving_ratio", fine / coarse, 0.5)
 
 
@@ -515,27 +445,27 @@ def _check_specfun_suite(seed: int, n: int) -> list[tuple[str, float, float]]:
     return rows
 
 
-def _run_verify(spec: JobSpec) -> None:
-    suite = spec.params.get("suite", "")
+def _run_verify(args: argparse.Namespace) -> None:
+    suite = args.suite
     if not suite:
         raise ValidationError("empty suite; pick one of oracle, residuals, specfun, all")
     known = ("oracle", "residuals", "specfun", "all")
     if suite not in known:
         raise ValidationError(f"unknown suite {suite!r}; pick one of {known}")
-    n = _parse_number(spec.params.get("samples", "2000"), "samples", int)
-    seed = _parse_number(spec.params.get("seed", "0"), "seed", int)
-    bound = _parse_number(spec.params.get("tolerance", "1e-3"), "tolerance")
+    n = args.samples
+    bound = _parse_number(args.tolerance, "tolerance")
     checks: list[tuple[str, float, float]] = []
     if suite in ("oracle", "all"):
         checks.append(_check_circle_focus(n))
-        gap = _envelope_gap(AngleInterval(0.01, math.pi - 0.01, n))
+        window = AngleInterval(0.01, math.pi - 0.01, n)
+        gap = envelope_gap(circle(1.0), TiltField.reflection(), window).distance
         checks.append(("semicircle_reflection_hausdorff", gap, bound))
         checks.append(_check_reflection_directions(max(n, 4001)))
         checks.append(_check_step_halving(max(n // 2, 500)))
     if suite in ("residuals", "all"):
         checks.extend(_check_residual_suite())
     if suite in ("specfun", "all"):
-        checks.extend(_check_specfun_suite(seed, max(50, n // 10)))
+        checks.extend(_check_specfun_suite(args.seed, max(50, n // 10)))
     failures = 0
     width = max(len(name) for name, _, _ in checks)
     for name, value, limit in checks:
@@ -545,18 +475,6 @@ def _run_verify(spec: JobSpec) -> None:
     print(f"checks={len(checks)} failures={failures}")
     if failures:
         raise NumericError(f"{failures} verification check(s) failed")
-
-
-def run(spec: JobSpec) -> None:
-    """Execute one job; raises on validation or numeric failure."""
-    handler = {
-        "curve": _run_curve,
-        "caustic": _run_caustic,
-        "skew": _run_skew,
-        "pantograph": _run_pantograph,
-        "verify": _run_verify,
-    }[spec.subcommand]
-    handler(spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--interval", help="angle window lo:hi (pi literals allowed)")
     p_curve.add_argument("--samples", type=int, default=257)
     add_io(p_curve)
+    p_curve.set_defaults(run=_run_curve)
 
     p_caustic = sub.add_parser("caustic", help="caustic of a profile under a tilt field")
     p_caustic.add_argument("--curve", default="circle")
@@ -582,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_caustic.add_argument("--interval")
     p_caustic.add_argument("--samples", type=int, default=257)
     add_io(p_caustic)
+    p_caustic.set_defaults(run=_run_caustic)
 
     p_skew = sub.add_parser("skew", help="constant-tilt self-similar family")
     p_skew.add_argument(
@@ -599,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_skew.add_argument("--interval")
     p_skew.add_argument("--samples", type=int, default=257)
     add_io(p_skew)
+    p_skew.set_defaults(run=_run_skew)
 
     p_pant = sub.add_parser("pantograph", help="self-reproducing mirror for exponent m")
     p_pant.add_argument("--m", type=int, default=2, help="mirror exponent (k = m - 1)")
@@ -607,26 +528,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_pant.add_argument("--interval")
     p_pant.add_argument("--samples", type=int, default=513)
     add_io(p_pant)
+    p_pant.set_defaults(run=_run_pantograph)
 
     p_verify = sub.add_parser("verify", help="run the agreement and residual suites")
     p_verify.add_argument("--suite", default="", help="oracle | residuals | specfun | all")
     p_verify.add_argument("--samples", type=int, default=2000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", default="1e-3", help="oracle Hausdorff bound")
+    p_verify.set_defaults(run=_run_verify, out_csv=None, out_svg=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        run(job_from_args(args))
+        args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CausticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    for fmt, path in (("csv", args.out_csv), ("svg", args.out_svg)):
+        if path:
+            print(f"wrote_{fmt}={path}")
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .caustic import TiltField
+from .caustic import TiltField, caustic_curve
 from .errors import DegenerateSamplingError, ValidationError
 from .inclination import AngleInterval, InclinationCurve, PlanePoint, reconstruct
 
@@ -30,6 +30,8 @@ __all__ = [
     "EnvelopePolyline",
     "envelope_numeric",
     "hausdorff_distance",
+    "EnvelopeGap",
+    "envelope_gap",
     "Verticality",
     "verticality_check",
     "Occlusion",
@@ -236,10 +238,11 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     """Largest distance from a point to its nearest segment, by a uniform-grid bucket.
 
     Segments are registered in the grid cells their bounding boxes touch;
-    the cell side ``h`` is twice the median segment length.  A point's
-    minimum over the segments of its 3 x 3 cell block is exact when it is
-    at most ``h`` (less a rounding margin): every other short segment lies
-    outside the block, at least ``h`` away.  Segments spanning more than
+    the cell side ``h`` is twice the median nonzero segment length, so
+    repeated points do not shrink the cells.  A point's minimum over the
+    segments of its 3 x 3 cell block is exact when it is at most ``h``
+    (less a rounding margin): every other short segment lies outside the
+    block, at least ``h`` away.  Segments spanning more than
     2 x 2 cells are checked against every point, and points the block
     leaves uncertified against every segment.  All pairs use one distance
     formula, so the result equals the all-pairs minimum bit for bit.
@@ -256,7 +259,9 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     # Any positive side gives the same answer; at least 2**-20 of the extent
     # keeps the cell keys inside int64.
     span = float(np.max(ends.max(axis=0) - origin))
-    h = max(2.0 * float(np.median(np.sqrt(vv))), span / 2.0**20) or 1.0
+    lengths = np.sqrt(vv[vv > 0.0])
+    typical = float(np.median(lengths)) if len(lengths) else 0.0
+    h = max(2.0 * typical, span / 2.0**20) or 1.0
     vv[vv == 0.0] = 1.0
 
     def cell(xy):
@@ -342,6 +347,37 @@ def hausdorff_distance(
     if len(pts1) == 0 or len(pts2) == 0:
         raise ValidationError("a polyline was entirely excluded; nothing to compare")
     return max(_directed_distance(pts1, segs2), _directed_distance(pts2, segs1))
+
+
+class EnvelopeGap(NamedTuple):
+    """A closed-form caustic against the numeric envelope of its rays."""
+
+    distance: float
+    envelope: EnvelopePolyline
+    cusps: np.ndarray
+
+
+def envelope_gap(
+    curve: InclinationCurve, tilt: TiltField, window: AngleInterval
+) -> EnvelopeGap:
+    """Hausdorff distance between a caustic's closed form and its rays' envelope.
+
+    The closed form is sampled at the envelope's own (midpoint) parameters
+    so the two polylines cover the same arc.  Disks around the cusps, the
+    midpoints of closed-form nodes where the caustic radius changes sign,
+    are left out.
+    """
+    envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
+    # Keeping the window's first node in the grid pins the reconstruction to
+    # the same anchor the ray family used; nudging the anchor onto the
+    # midpoint grid would translate the whole caustic by half a step.
+    grid = np.concatenate(([window.lo], envelope.parameters))
+    closed = caustic_curve(curve, tilt, grid)[1:]
+    radii, points = closed.caustic_radius, closed.points
+    flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
+    cusps = 0.5 * (points[flips] + points[flips + 1])
+    distance = hausdorff_distance(envelope.points, points, exclusions=cusps)
+    return EnvelopeGap(distance, envelope, cusps)
 
 
 class Verticality(NamedTuple):

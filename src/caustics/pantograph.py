@@ -51,7 +51,6 @@ __all__ = [
     "PantographSolution",
     "similarity_factor",
     "solve_series",
-    "eval_Q",
     "eval_R_base",
     "continue_R",
     "solution_curve",
@@ -189,17 +188,6 @@ def solve_series(
         exact=tuple(ordered) if exact else None,
         secondary_coeff=None if secondary is None else float(secondary),
     )
-
-
-def eval_Q(series: PantographSeries, theta) -> np.ndarray | float:
-    """Evaluate the auxiliary profile inside its convergence window."""
-    theta = np.asarray(theta, dtype=float)
-    _require_base_window(theta)
-    poly = np.zeros_like(theta)
-    for c in series.coefficients[::-1]:
-        poly = poly * theta + c
-    out = poly if series.k == 0 else poly * theta**series.k
-    return out if out.shape else float(out)
 
 
 def _require_base_window(theta: np.ndarray) -> None:

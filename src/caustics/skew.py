@@ -99,10 +99,10 @@ class SkewFamilySpec:
                 raise ValidationError(
                     "delay case needs alpha != 0; alpha = 0 is the point_by_point case"
                 )
-            if self.alpha < 0.0:
-                object.__setattr__(self, "alpha", -self.alpha)
-                object.__setattr__(self, "phi0", -self.phi0)
-                object.__setattr__(self, "factor_a", -self.factor_a)
+            factor_a, alpha, phi0 = to_delay_form(self.factor_a, self.alpha, self.phi0)
+            object.__setattr__(self, "factor_a", factor_a)
+            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "phi0", phi0)
         object.__setattr__(
             self,
             "coefficients",

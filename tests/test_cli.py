@@ -8,7 +8,7 @@ import pytest
 
 import caustics
 from caustics import cli
-from caustics.cli import JobSpec, main, parse_angle, parse_interval, run
+from caustics.cli import main, parse_angle, parse_interval
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
 from caustics.inclination import AngleInterval, find_cusps, reconstruct
@@ -41,11 +41,6 @@ def test_parse_interval():
         parse_interval("0", 65)
     with pytest.raises(ValidationError):
         parse_interval("1:1", 65)
-
-
-def test_job_spec_validation():
-    with pytest.raises(ValidationError):
-        JobSpec("teleport", {}, ())
 
 
 def test_curve_run_writes_deterministic_files(tmp_path, capsys):
@@ -259,6 +254,7 @@ def test_series_curve_reads_secondary_coefficient(capsys):
         ("pantograph", "--m", "-2", "--secondary", "abc"),
         ("skew", "--a", "abc"),
         ("verify", "--suite", "specfun", "--tolerance", "abc"),
+        ("curve", "--interval="),
     ],
 )
 def test_bad_numeric_text_is_validation_error(capsys, argv):
@@ -268,18 +264,20 @@ def test_bad_numeric_text_is_validation_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "subcommand, params",
+    "argv",
     [
-        ("curve", {"samples": "x"}),
-        ("pantograph", {"m": "x"}),
-        ("pantograph", {"order": "2.5"}),
-        ("verify", {"suite": "specfun", "samples": "x"}),
-        ("verify", {"suite": "specfun", "seed": "x"}),
+        ("curve", "--samples", "x"),
+        ("pantograph", "--m", "x"),
+        ("pantograph", "--order", "2.5"),
+        ("verify", "--suite", "specfun", "--samples", "x"),
+        ("verify", "--suite", "specfun", "--seed", "x"),
     ],
 )
-def test_bad_integer_job_text_is_validation_error(subcommand, params):
-    with pytest.raises(ValidationError):
-        run(JobSpec(subcommand, params))
+def test_bad_integer_text_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_version_matches_pyproject():

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from caustics import oracle
-from caustics.caustic import TiltField
+from caustics.caustic import TiltField, caustic_curve
 from caustics.errors import DegenerateSamplingError, ValidationError
-from caustics.inclination import AngleInterval, circle, reconstruct
+from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, reconstruct
 from caustics.oracle import (
     RayFamily,
+    envelope_gap,
     envelope_numeric,
     hausdorff_distance,
     occlusion_check,
@@ -215,6 +216,56 @@ def test_hausdorff_in_small_chunks(chunk, rng, monkeypatch):
     want = hausdorff_distance(first, second)
     monkeypatch.setattr(oracle, "_PAIR_CHUNK", chunk)
     assert hausdorff_distance(first, second) == want
+
+
+def test_repeated_points_keep_segments_out_of_the_long_pass(rng, monkeypatch):
+    """Zero-length segments do not shrink the grid cells (which would make
+    ordinary segments "long", checked against every point)."""
+    points, polyline, _ = _hausdorff_cases(rng)["zero_length_segments"]
+    segments = oracle._split_segments(polyline)
+    handed = []
+    nearest = oracle._nearest
+
+    def counted(p, a, v, vv):
+        handed.append(len(a))
+        return nearest(p, a, v, vv)
+
+    monkeypatch.setattr(oracle, "_nearest", counted)
+    oracle._directed_distance(points, segments)
+    # The first call is the long pass: long segments against every point.
+    assert handed[0] <= 0.05 * len(segments), f"{handed[0]} of {len(segments)} segments"
+
+
+def _envelope_gap_steps(curve, tilt, window):
+    """Reference: rays, envelope, closed form at the envelope's midpoints
+    anchored at ``window.lo``, cusps at radius sign flips, Hausdorff."""
+    envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
+    grid = np.concatenate(([window.lo], envelope.parameters))
+    closed = caustic_curve(curve, tilt, grid)[1:]
+    radii, points = closed.caustic_radius, closed.points
+    flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
+    cusps = 0.5 * (points[flips] + points[flips + 1])
+    return hausdorff_distance(envelope.points, points, exclusions=cusps), envelope, cusps
+
+
+@pytest.mark.parametrize(
+    "curve, tilt, window, n_cusps",
+    [
+        (circle(1.0), TiltField.reflection(), AngleInterval(0.01, math.pi - 0.01, 801), 1),
+        (cycloid(1.0), TiltField.reflection(), AngleInterval(0.2, math.pi - 0.2, 801), 1),
+        (log_spiral(1.0, 0.15), TiltField.skew(0.7), AngleInterval(0.0, 3 * math.pi, 801), 0),
+    ],
+    ids=["circle_reflection", "cycloid_reflection", "log_spiral_skew"],
+)
+def test_envelope_gap_matches_reference(curve, tilt, window, n_cusps):
+    gap = envelope_gap(curve, tilt, window)
+    distance, envelope, cusps = _envelope_gap_steps(curve, tilt, window)
+    assert gap.distance == distance
+    assert np.array_equal(gap.envelope.points, envelope.points, equal_nan=True)
+    assert np.array_equal(gap.envelope.parameters, envelope.parameters)
+    assert np.array_equal(gap.cusps, cusps)
+    assert len(gap.cusps) == n_cusps
+    assert gap.distance < 1e-3
 
 
 def test_hausdorff_memory_is_not_quadratic():
