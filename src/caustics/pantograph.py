@@ -21,6 +21,7 @@ single point rather than a scaled mirror.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,6 +133,41 @@ class PantographSeries:
         return _q_taylor(self, np.array([float(theta)]), order + 1)[0] * _factorials(order + 1)
 
 
+_UNIT_SERIES: dict[int, list[Fraction]] = {}
+"""Per k, the exact unit basis u_k, u_{k+1}, ... of the coefficient recursion
+(see ``solve_series``): one row per order, up to the highest order requested."""
+_UNIT_SERIES_LOCK = threading.Lock()
+
+
+def _unit_series(k: int, n_max: int) -> list[Fraction]:
+    """u_k..u_{n_max}: the recursion seeded by a_k = 1 and, for k = -3, also
+    by a_{-2} = 1.  The cached rows are extended from the last order held."""
+    with _UNIT_SERIES_LOCK:
+        u = _UNIT_SERIES.setdefault(k, [Fraction(1)])
+        if len(u) <= n_max - k:
+            a = similarity_factor(k)
+            tau = tan_coeffs(max(1, (n_max - k) // 2 + 1)).exact
+            for n in range(k + len(u), n_max + 1):
+                den = Fraction(2) ** (n + 3) * a - n - 4
+                if den == 0 and k == -3 and n == -2:
+                    u.append(Fraction(1))
+                    continue
+                if den == 0:
+                    raise NumericError(f"unexpected zero denominator at n = {n} for k = {k}")
+                if den < 0:
+                    raise NumericError(f"denominator lost positivity at n = {n} for k = {k}")
+                terms = range(1, (n - k) // 2 + 1)
+                u.append(sum(tau[i] * (n - 2 * i) * u[n - 2 * i - k] for i in terms) / den)
+        return u[: n_max - k + 1]
+
+
+def _finite_rational(name: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}") from None
+
+
 def solve_series(
     k: int,
     n_max: int = 30,
@@ -139,50 +175,51 @@ def solve_series(
     secondary: float | None = None,
     exact: bool = False,
 ) -> PantographSeries:
-    """Run the coefficient recursion for the family with lowest power k.
+    """Coefficients a_k..a_{n_max} of the family with lowest power k.
 
-    a_n = [sum_{i>=1} tau_i (n-2i) a_{n-2i}] / (2^(n+3) a - n - 4), with
-    tau the odd tangent coefficients.  Everything is carried in exact
-    rationals; pass ``exact=True`` to keep them on the result.  The
-    denominators are checked to be strictly positive for n > k, with the
-    single exception n = k+1 of the k = -3 family, where the equation
-    degenerates to 0 = 0 and a_{-2} becomes a free second parameter
-    (``secondary``, accepted only there).
+    They solve a_n = [sum_{i>=1} tau_i (n-2i) a_{n-2i}] / (2^(n+3) a - n - 4),
+    with tau the odd tangent coefficients.  The denominators are strictly
+    positive for n > k, with the single exception n = k+1 of the k = -3
+    family, where the equation degenerates to 0 = 0 and a_{-2} becomes a
+    free second parameter (``secondary``, required there and accepted only
+    there).  The recursion links a_n only to orders of its own parity and
+    is linear in its seeds a_k = ``leading`` and a_{-2} = ``secondary``, so
+    each a_n is its seed times one exact rational u_n that depends on k
+    alone.  That unit basis is computed once per k and extended on demand;
+    the process keeps one row per order per k requested, up to the highest
+    ``n_max`` asked for.  A call within the rows already held costs
+    O(n_max) rational multiplications.  Everything is carried in exact
+    rationals; pass ``exact=True`` to keep them on the result.
+
+    Raises ``ValidationError`` for a bad k, an n_max that is not an integer
+    above k, a zero or non-finite seed, or a ``secondary`` outside k = -3,
+    and ``ResonanceError`` for k = -3 without one.
     """
     k = _check_k(k)
+    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool):
+        raise ValidationError(f"n_max must be an integer, got {n_max!r}")
     if n_max <= k:
         raise ValidationError(f"n_max must exceed k, got n_max={n_max}, k={k}")
-    if leading == 0.0:
+    lead = _finite_rational("the leading coefficient a_k", leading)
+    if lead == 0:
         raise ValidationError("the leading coefficient a_k must be nonzero")
     if secondary is not None and k != -3:
         raise ValidationError("a secondary coefficient exists only for k = -3")
-    a = similarity_factor(k)
-    tau = tan_coeffs(max(1, (n_max - k) // 2 + 1)).exact
-    coeffs: dict[int, Fraction] = {k: Fraction(leading)}
-    for n in range(k + 1, n_max + 1):
-        den = Fraction(2) ** (n + 3) * a - n - 4
-        num = Fraction(0)
-        i = 1
-        while n - 2 * i >= k:
-            num += tau[i] * (n - 2 * i) * coeffs[n - 2 * i]
-            i += 1
-        if den == 0:
-            if k == -3 and n == -2:
-                if secondary is None:
-                    raise ResonanceError(
-                        "k = -3 resonates at n = -2 (denominator 0): supply the "
-                        "free secondary coefficient a_{-2}"
-                    )
-                coeffs[n] = Fraction(secondary)
-                continue
-            raise NumericError(f"unexpected zero denominator at n = {n} for k = {k}")
-        if den < 0:
-            raise NumericError(f"denominator lost positivity at n = {n} for k = {k}")
-        coeffs[n] = num / den
-    ordered = [coeffs[n] for n in range(k, n_max + 1)]
+    if k == -3 and secondary is None:
+        raise ResonanceError(
+            "k = -3 resonates at n = -2 (denominator 0): supply the "
+            "free secondary coefficient a_{-2}"
+        )
+    # Orders of the parity of k scale with a_k; the others are 0, except
+    # for k = -3, where they scale with a_{-2}.
+    if secondary is None:
+        seeds = (lead, lead)
+    else:
+        seeds = (lead, _finite_rational("the secondary coefficient a_{-2}", secondary))
+    ordered = [seeds[j % 2] * u for j, u in enumerate(_unit_series(k, int(n_max)))]
     return PantographSeries(
         k=k,
-        factor_a=float(a),
+        factor_a=float(similarity_factor(k)),
         n_max=int(n_max),
         coefficients=np.array([float(c) for c in ordered]),
         exact=tuple(ordered) if exact else None,

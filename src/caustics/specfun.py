@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,18 +149,23 @@ def real_branch_indices(z: float) -> tuple[int, ...]:
 # tangent series
 
 
-@lru_cache(maxsize=None)
+_TAN_EXACT: list[Fraction] = []
+"""tau_0, tau_1, ...: one growing table, extended term by term."""
+_TAN_LOCK = threading.Lock()
+
+
 def _tan_exact(n_max: int) -> tuple[Fraction, ...]:
     # tan t = t * S(t^2)/C(t^2); divide the series termwise.
-    sin_part = [Fraction((-1) ** j, math.factorial(2 * j + 1)) for j in range(n_max + 1)]
-    cos_part = [Fraction((-1) ** j, math.factorial(2 * j)) for j in range(n_max + 1)]
-    out: list[Fraction] = []
-    for n in range(n_max + 1):
-        acc = sin_part[n]
-        for j in range(1, n + 1):
-            acc -= cos_part[j] * out[n - j]
-        out.append(acc)
-    return tuple(out)
+    with _TAN_LOCK:
+        out = _TAN_EXACT
+        if len(out) <= n_max:
+            cos_part = [Fraction((-1) ** j, math.factorial(2 * j)) for j in range(n_max + 1)]
+            for n in range(len(out), n_max + 1):
+                acc = Fraction((-1) ** n, math.factorial(2 * n + 1))
+                for j in range(1, n + 1):
+                    acc -= cos_part[j] * out[n - j]
+                out.append(acc)
+        return tuple(out[: n_max + 1])
 
 
 @dataclass(frozen=True)

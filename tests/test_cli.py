@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import caustics
-from caustics import cli
+from caustics import cli, pantograph, specfun
 from caustics.cli import main, parse_angle, parse_interval
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
@@ -198,6 +198,28 @@ def test_pantograph_resonance_exit_codes(capsys):
                            "--secondary", "0.25")
     assert code == 0
     assert "a=1" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pantograph", "--m", "2", "--order", "60", "--out-csv", "coeffs.csv",
+         "--out-svg", "mirror.svg"),
+        ("curve", "--curve", "series:k=-3,secondary=0.5", "--interval", "0.5:2pi",
+         "--out-csv", "series.csv"),
+    ],
+)
+def test_warm_series_tables_write_the_same_bytes(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(pantograph, "_UNIT_SERIES", {})
+    monkeypatch.setattr(specfun, "_TAN_EXACT", [])
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        runs.append((out, [p.read_bytes() for p in sorted(tmp_path.iterdir())]))
+        assert pantograph._UNIT_SERIES and specfun._TAN_EXACT
+    assert runs[0] == runs[1]
 
 
 def test_verify_specfun_suite_passes(capsys):

@@ -1,12 +1,16 @@
 """Series mirrors, doubling continuation and the feasibility report."""
 
 import math
+import re
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from caustics import pantograph, specfun
 from caustics.errors import (
     DegenerateCurveError,
     DomainError,
@@ -31,6 +35,7 @@ from caustics.pantograph import (
     solution_curve,
     solve_series,
 )
+from caustics.specfun import tan_coeffs
 
 
 def test_similarity_factor_exact_values():
@@ -85,6 +90,87 @@ def test_resonant_order_needs_secondary():
     assert series.coefficient(-2) == 0.25
     with pytest.raises(ValidationError):
         solve_series(1, n_max=8, secondary=0.25)
+
+
+def _reference_series(k, n_max, leading, secondary):
+    """The coefficient recursion run from scratch for one seed pair."""
+    a = similarity_factor(k)
+    tau = tan_coeffs(max(1, (n_max - k) // 2 + 1)).exact
+    coeffs = {k: Fraction(leading)}
+    for n in range(k + 1, n_max + 1):
+        den = Fraction(2) ** (n + 3) * a - n - 4
+        num = Fraction(0)
+        i = 1
+        while n - 2 * i >= k:
+            num += tau[i] * (n - 2 * i) * coeffs[n - 2 * i]
+            i += 1
+        if den == 0:
+            assert k == -3 and n == -2
+            coeffs[n] = Fraction(secondary)
+            continue
+        assert den > 0
+        coeffs[n] = num / den
+    return tuple(coeffs[n] for n in range(k, n_max + 1))
+
+
+@pytest.mark.parametrize("orders", [(6, 23, 41), (41, 23, 6)], ids=["ascending", "descending"])
+def test_solve_series_matches_reference_recursion(monkeypatch, orders):
+    monkeypatch.setattr(pantograph, "_UNIT_SERIES", {})
+    for n_max in orders:
+        for k in range(-3, 6):
+            if k == -3:
+                with pytest.raises(ResonanceError):
+                    solve_series(k, n_max=n_max)
+            for leading in (1, 0.1, -2.3, 1e-300):
+                for secondary in (0.25, -1.5) if k == -3 else (None,):
+                    got = solve_series(k, n_max, leading, secondary, exact=True)
+                    want = _reference_series(k, n_max, leading, secondary)
+                    assert got.exact == want, (k, n_max, leading, secondary)
+                    floats = np.array([float(c) for c in want])
+                    assert got.coefficients.tobytes() == floats.tobytes()
+
+
+def test_concurrent_callers_extend_the_basis_once(monkeypatch):
+    orders = (7, 31, 15, 40, 23, 9, 36, 12)
+    want = {n_max: _reference_series(2, n_max, 1, None) for n_max in orders}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(pantograph, "_UNIT_SERIES", {})
+            monkeypatch.setattr(specfun, "_TAN_EXACT", [])
+            results = {}
+            start = threading.Barrier(len(orders))
+
+            def work(n_max):
+                start.wait(timeout=60)
+                results[n_max] = solve_series(2, n_max, exact=True).exact
+
+            threads = [threading.Thread(target=work, args=(n,)) for n in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(k=1, leading=math.nan), "the leading coefficient a_k must be a finite number"),
+        (dict(k=1, leading=math.inf), "the leading coefficient a_k must be a finite number"),
+        (dict(k=-3, secondary=math.nan), "the secondary coefficient a_{-2} must be a finite"),
+        (dict(k=1, n_max="30"), "n_max must be an integer, got '30'"),
+        (dict(k=1, n_max=30.5), "n_max must be an integer, got 30.5"),
+        (dict(k=1, n_max=True), "n_max must be an integer, got True"),
+    ],
+)
+def test_solve_series_rejects_bad_numbers(kwargs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        solve_series(**kwargs)
 
 
 def test_base_window_jet_matches_cycloid():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from caustics import specfun
 from caustics.errors import BranchUnavailableError, ValidationError
 from caustics.specfun import (
     lambert_w,
@@ -88,6 +89,28 @@ def test_tan_coefficient_fractions():
     ]
     assert list(tc.exact[:5]) == expected
     assert tc.coefficient(3) == pytest.approx(17.0 / 315.0, abs=1e-17)
+
+
+def _reference_tan(n_max):
+    """tan t = t S(t^2) / C(t^2), divided from scratch."""
+    sin_part = [Fraction((-1) ** j, math.factorial(2 * j + 1)) for j in range(n_max + 1)]
+    cos_part = [Fraction((-1) ** j, math.factorial(2 * j)) for j in range(n_max + 1)]
+    out = []
+    for n in range(n_max + 1):
+        acc = sin_part[n]
+        for j in range(1, n + 1):
+            acc -= cos_part[j] * out[n - j]
+        out.append(acc)
+    return tuple(out)
+
+
+def test_tan_table_grows_to_the_reference_division(monkeypatch):
+    monkeypatch.setattr(specfun, "_TAN_EXACT", [])
+    for n_max in (61, 3, 40, 80):
+        tc = tan_coeffs(n_max)
+        want = _reference_tan(n_max)
+        assert tc.n_max == n_max and tc.exact == want
+        assert tc.values.tobytes() == np.array([float(c) for c in want]).tobytes()
 
 
 def test_tan_eval_matches_tan():
