@@ -15,6 +15,7 @@ files.  Exit status: 0 success, 2 validation error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -477,7 +478,9 @@ def _run_verify(args: argparse.Namespace) -> None:
         raise NumericError(f"{failures} verification check(s) failed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``caustics`` argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="caustics",
         description="Plane curves, tilted caustics, self-similar families and mirrors.",

@@ -7,8 +7,8 @@ change sign (the curve passes through a cusp) and the arclength, defined by
 ``ds = R dtheta``, may decrease.
 
 The module provides the curve type, reconstruction to a column record of
-vertex samples by adaptive Gauss-Legendre quadrature, cusp location, and a
-discrete check of the frame equations.
+vertex samples by adaptive Gauss-Kronrod (G7/K15) quadrature under a global
+error budget, cusp location, and a discrete check of the frame equations.
 """
 from __future__ import annotations
 
@@ -259,10 +259,12 @@ def reconstruct(
 
     The position increment over each grid cell is
     ``integral of R * (cos, sin)`` and the arclength increment is
-    ``integral of R``, both by adaptive composite Gauss-Legendre rules of
-    order 8 to absolute tolerance ``tol``.  The first sample sits at
-    ``anchor``.  A nonzero ``frame_rotation`` rotates the whole picture
-    (offsets and frames) about the anchor.
+    ``integral of R``, both by adaptive G7/K15 Gauss-Kronrod rules.  ``tol``
+    is an absolute error budget for each column summed over the whole grid,
+    so it covers every cumulative sample too; a cell whose error estimate is
+    down at its rounding floor ``50 eps int |R|`` is accepted there.  The
+    first sample sits at ``anchor``.  A nonzero ``frame_rotation`` rotates
+    the whole picture (offsets and frames) about the anchor.
 
     Parameters
     ----------
@@ -274,11 +276,16 @@ def reconstruct(
     frame_rotation : float
         Rigid rotation applied to the reconstruction, in radians.
     tol : float
-        Absolute quadrature tolerance.
+        Absolute quadrature error budget for the whole grid.
 
     Returns
     -------
     CurveSamples
+
+    Raises
+    ------
+    NumericError
+        If panels at rounding width miss the budget by more than ``tol``.
     """
     thetas = _resolve_grid(curve, interval)
 

@@ -1,6 +1,9 @@
 """Command-line behaviour: parsing, exit codes, deterministic artifacts."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,3 +310,81 @@ def test_version_matches_pyproject():
 
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert caustics.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+_ADDRESS_CAP = 2 << 30  # bytes of address space for a child CLI process
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_CAP, _ADDRESS_CAP))
+
+
+def run_cli_process(*argv, cap=False):
+    """Run ``python -m caustics`` in a fresh process, optionally address-capped."""
+    env = dict(os.environ, COLUMNS="80")
+    paths = [str(Path(caustics.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "caustics", *argv], capture_output=True, text=True,
+        env=env, timeout=120, preexec_fn=_cap_address_space if cap else None,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curve", "--curve", "log_spiral", "--interval", "0:12", "--samples", "1025"),
+        ("curve", "--curve", "log_spiral", "--interval", "0:12", "--samples", "65537"),
+        ("curve", "--curve", "parabola"),
+        ("pantograph", "--m", "-2", "--secondary", "0.25", "--out-svg", "m.svg"),
+    ],
+)
+def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv):
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    if argv[2] == "log_spiral":
+        argv += ["--out-csv", str(tmp_path / "spiral.csv")]
+    code, _, err = run_cli_process(*argv, cap=True)
+    assert "Traceback" not in err
+    assert code == 0 or (code == 3 and err.startswith("error:")), err
+    if argv[2] == "log_spiral":
+        _, rows = read_table(str(tmp_path / "spiral.csv"))
+        t, x, y = np.asarray(rows)[:, :3].T
+        want_x = np.exp(t) * (np.cos(t) + np.sin(t)) / 2 - 0.5
+        want_y = np.exp(t) * (np.sin(t) - np.cos(t)) / 2 + 0.5
+        scale = np.maximum(1.0, np.hypot(want_x, want_y))
+        assert np.max(np.hypot(x - want_x, y - want_y) / scale) <= 1e-9
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+@pytest.mark.parametrize("order", ["30", "60"])
+def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, monkeypatch, m, order):
+    calls = []
+    continue_R = pantograph.continue_R
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return continue_R(*args, **kwargs)
+
+    monkeypatch.setattr(pantograph, "continue_R", counted)
+    code, _, err = run_cli(
+        capsys, "pantograph", "--m", m, "--order", order, "--samples", "257",
+        "--out-svg", str(tmp_path / "mirror.svg"),
+    )
+    assert code == 0, err
+    assert len(calls) <= 80
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [("curve",), ("curve", "--samples", "x"), ("verify", "--suite", "specfun")]
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exited:
+            code = exited.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == run_cli_process(*argv)
+    assert cli.build_parser() is cli.build_parser()
