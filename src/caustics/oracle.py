@@ -399,6 +399,10 @@ def verticality_check(points: np.ndarray) -> Verticality:
     return Verticality(True, None)
 
 
+_PAIR_CHUNK = 1 << 20
+"""Candidate (segment, vertex) pairs that ``occlusion_check`` tests at a time."""
+
+
 class Occlusion(NamedTuple):
     """Self-shadowing of a mirror under rightward horizontal light."""
 
@@ -412,7 +416,11 @@ def occlusion_check(points: np.ndarray) -> Occlusion:
 
     A vertex is blocked when some non-adjacent segment of the polyline
     intersects the open ray from x = -inf to the vertex strictly before
-    reaching it.
+    reaching it.  A segment can only cross the ray of a vertex whose y lies
+    in ``[min(y0, y1), max(y0, y1))``; with the vertices sorted by y those
+    form one run, found by binary search, so the intersection test runs on
+    the candidate (segment, vertex) pairs only, in bounded chunks.
+    Segments with a NaN end cross nothing.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -422,24 +430,30 @@ def occlusion_check(points: np.ndarray) -> Occlusion:
     x0, y0 = x[:-1], y[:-1]
     x1, y1 = x[1:], y[1:]
     dy = y1 - y0
-    safe_dy = np.where(dy == 0.0, 1.0, dy)
-    blocked = []
-    chunk = max(1, 2_000_000 // max(1, n))
-    seg_idx = np.arange(n - 1)
-    for lo in range(0, n, chunk):
-        yv = y[lo : lo + chunk, None]
-        xv = x[lo : lo + chunk, None]
-        crosses = (y0[None, :] <= yv) != (y1[None, :] <= yv)
+    order = np.argsort(y, kind="stable")
+    sorted_y = y[order]
+    first = np.searchsorted(sorted_y, np.minimum(y0, y1), side="left")
+    stop = np.searchsorted(sorted_y, np.maximum(y0, y1), side="left")
+    counts = np.where(np.isnan(dy), 0, stop - first)
+    ends = np.cumsum(counts)
+    blocked = np.zeros(n, dtype=bool)
+    seg_lo = 0
+    while seg_lo < n - 1:
+        done = int(ends[seg_lo - 1]) if seg_lo else 0
+        seg_hi = max(seg_lo + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        span = counts[seg_lo:seg_hi]
+        seg = np.repeat(np.arange(seg_lo, seg_hi), span)
+        offset = np.arange(len(seg)) - np.repeat(ends[seg_lo:seg_hi] - span - done, span)
+        vert = order[first[seg] + offset]
+        yv, xv = y[vert], x[vert]
         with np.errstate(invalid="ignore"):
-            xhit = x0[None, :] + (yv - y0[None, :]) / safe_dy[None, :] * (x1 - x0)[None, :]
-        ahead = xhit < xv - 1e-9
-        vidx = np.arange(lo, min(lo + chunk, n))[:, None]
-        adjacent = (seg_idx[None, :] == vidx) | (seg_idx[None, :] == vidx - 1)
-        hit = crosses & ahead & ~adjacent
-        blocked.extend((lo + np.flatnonzero(hit.any(axis=1))).tolist())
-    fraction = len(blocked) / n
+            xhit = x0[seg] + (yv - y0[seg]) / dy[seg] * (x1 - x0)[seg]
+        hit = (xhit < xv - 1e-9) & (seg != vert) & (seg != vert - 1)
+        blocked[vert[hit]] = True
+        seg_lo = seg_hi
+    indices = np.flatnonzero(blocked)
     return Occlusion(
-        has_occlusion=bool(blocked),
-        blocked_fraction=fraction,
-        blocked_indices=tuple(blocked),
+        has_occlusion=bool(indices.size),
+        blocked_fraction=indices.size / n,
+        blocked_indices=tuple(indices.tolist()),
     )

@@ -20,6 +20,7 @@ from caustics.oracle import (
     reflect_horizontal,
     verticality_check,
 )
+from caustics.pantograph import solution_curve
 
 
 def circle_points(lo, hi, n):
@@ -328,3 +329,75 @@ def test_occlusion_flags():
     assert blocked.has_occlusion
     assert 0.0 < blocked.blocked_fraction < 1.0
     assert len(blocked.blocked_indices) > 0
+
+
+def _occlusion_loop(points):
+    """Reference: every vertex's ray against every segment, as the check was written first."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    x0, y0 = x[:-1], y[:-1]
+    x1, y1 = x[1:], y[1:]
+    dy = y1 - y0
+    safe_dy = np.where(dy == 0.0, 1.0, dy)
+    blocked = []
+    chunk = max(1, 2_000_000 // max(1, n))
+    seg_idx = np.arange(n - 1)
+    for lo in range(0, n, chunk):
+        yv = y[lo : lo + chunk, None]
+        xv = x[lo : lo + chunk, None]
+        crosses = (y0[None, :] <= yv) != (y1[None, :] <= yv)
+        with np.errstate(invalid="ignore"):
+            xhit = x0[None, :] + (yv - y0[None, :]) / safe_dy[None, :] * (x1 - x0)[None, :]
+        ahead = xhit < xv - 1e-9
+        vidx = np.arange(lo, min(lo + chunk, n))[:, None]
+        adjacent = (seg_idx[None, :] == vidx) | (seg_idx[None, :] == vidx - 1)
+        hit = crosses & ahead & ~adjacent
+        blocked.extend((lo + np.flatnonzero(hit.any(axis=1))).tolist())
+    return tuple(blocked), len(blocked) / n
+
+
+def _assert_occlusion_matches_loop(points):
+    got = occlusion_check(points)
+    indices, fraction = _occlusion_loop(points)
+    assert got.blocked_indices == indices
+    assert got.blocked_fraction == fraction
+    assert got.has_occlusion == bool(indices)
+
+
+@pytest.mark.parametrize("profile", ["cycloid_solution", "m2_solution", "m3_solution"])
+def test_occlusion_matches_loop_on_mirror_profiles(request, profile):
+    solution = request.getfixturevalue(profile)
+    curve = solution_curve(solution, AngleInterval(0.0, 4 * math.pi + 0.1, 9))
+    points = reconstruct(curve, np.linspace(0.0, 4 * math.pi, 2049)).points
+    _assert_occlusion_matches_loop(points)
+    if profile != "cycloid_solution":
+        assert occlusion_check(points).has_occlusion
+
+
+def test_occlusion_matches_loop_on_awkward_polylines(rng):
+    zigzag = np.column_stack([np.arange(12.0) % 3, np.repeat(np.arange(6.0), 2)])  # flat steps
+    ties = np.array([[3.0, 0.0], [-1.0, 1.0], [2.0, 1.0], [0.0, 0.0], [5.0, 1.0], [1.0, 0.0]])
+    holes = circle_points(0.0, 1.5 * math.pi, 61)[0]
+    holes[[0, 7, 8, 30]] = np.nan
+    half_holes = holes.copy()
+    half_holes[[12, 40], 0] = np.nan  # x missing, y kept
+    half_holes[[20], 1] = np.nan
+    polylines = [
+        zigzag,
+        ties,
+        holes,
+        half_holes,
+        np.array([[0.0, 0.0], [1.0, 0.0]]),
+        np.array([[np.nan, np.nan], [np.nan, np.nan], [0.0, 1.0]]),
+        circle_points(0.0, 1.5 * math.pi, 301)[0],
+    ]
+    for n in (2, 3, 5, 17, 64, 200):
+        walk = rng.normal(size=(n, 2)).cumsum(axis=0)
+        polylines.append(walk)
+        polylines.append(np.round(walk, 0))  # many repeated y values and horizontal segments
+        gappy = walk.copy()
+        gappy[rng.random(n) < 0.1] = np.nan
+        polylines.append(gappy)
+    for points in polylines:
+        _assert_occlusion_matches_loop(points)

@@ -1,10 +1,14 @@
 """CSV and SVG writers: byte-equal to one-cell-at-a-time and one-point-at-a-time references."""
 
 import math
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from caustics import csvio
 from caustics.csvio import read_table, write_coefficient_csv, write_table
 from caustics.errors import ValidationError
 from caustics.svg import GROUP_ORDER, _STYLE, write_scene
@@ -81,6 +85,134 @@ def test_csv_header_without_rows(tmp_path, rows):
 def test_csv_ragged_rows_are_rejected(tmp_path, rows):
     with pytest.raises(ValidationError):
         write_table(tmp_path / "bad.csv", ("x", "y"), rows)
+
+
+def _assert_matches_reference(tmp_path, table):
+    header = tuple(f"c{j}" for j in range(table.shape[1]))
+    path = tmp_path / "t.csv"
+    write_table(path, header, table)
+    assert path.read_bytes() == _reference_csv(header, table.tolist())
+
+
+def test_csv_random_bit_patterns_match_reference(tmp_path, rng):
+    bits = rng.integers(0, 2**64, size=1_000_002, dtype=np.uint64)
+    bits[:4096] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # subnormals of both signs
+    values = bits.view(np.float64)
+    values[4096 : 4096 + len(SPECIAL)] = SPECIAL
+    _assert_matches_reference(tmp_path, values.reshape(-1, 6))
+
+
+def _decimal_edge_values(rng):
+    tens = 10.0 ** np.arange(-323, 309)
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    ints = np.concatenate([np.arange(-3000, 3000), rng.integers(-(2**53), 2**53, 20_000)])
+    ints = np.concatenate([ints, [2**53, -(2**53), 2**53 - 1, 10**15 + 1, 10**16 - 1]])
+    scales = rng.normal(size=20_000) * 10.0 ** rng.integers(-25, 25, 20_000)
+    rounded = [round(float(v), int(d)) for v, d in zip(scales, rng.integers(0, 18, 20_000))]
+    # Exact ties at the 17th digit: 18 significant digits ending in 5.
+    quarters = rng.integers(10**15, 2 * 10**15, 2000) + rng.choice([0.25, 0.75], 2000)
+    eighths = rng.integers(10**14, 10**15, 2000) + rng.choice([0.125, 0.375, 0.625, 0.875], 2000)
+    below = [float(f"9.99999999999999{d}e{k}") for k in range(-320, 308) for d in (5, 7, 8, 9)]
+    values = np.concatenate(
+        [
+            tens,
+            np.nextafter(tens, 0.0),
+            np.nextafter(tens, np.inf),
+            twos,
+            np.nextafter(twos, 0.0),
+            ints.astype(float),
+            rounded,
+            quarters,
+            eighths,
+            below,
+        ]
+    )
+    return np.concatenate([values, -values])
+
+
+def test_csv_decimal_edges_match_reference(tmp_path, rng):
+    values = _decimal_edge_values(rng)
+    _assert_matches_reference(tmp_path, np.resize(values, (math.ceil(values.size / 5), 5)))
+
+
+# Doubles whose 17-digit rounding is within 2**-55 of a tie (|x| * 10**(16 - p)
+# lies that close to a half-integer), found by lattice reduction; the kernel
+# cannot certify their rounding and must hand them to ``%``.
+NEAR_TIES = [
+    8.086735352096132e-38,
+    1.6173470704192264e-37,
+    1.8649541076200962e-32,
+    8.252823116800268e-27,
+    9.774753399126217e-26,
+    1.6599880982394496e-24,
+    1.3055059111721069e-21,
+    1.3055059111721069e-20,
+    8.839990188244671e-15,
+    8.839990188244671e-14,
+    6.83280278535067e-12,
+    6.83280278535067e-11,
+    5.566121104799939e50,
+    4.120025266639389e51,
+    4.120025266639389e52,
+    5.045526603062141e53,
+    1.3052657482677088e55,
+    3.9157972448031265e55,
+    1.3052657482677088e56,
+    1.7035209261461023e61,
+    1.0221125556876614e62,
+    1.7035209261461023e62,
+    6.538311315939327e64,
+    1.3076622631878654e65,
+]
+
+
+def test_csv_near_ties_match_reference(tmp_path):
+    for x in NEAR_TIES:
+        scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
+        assert 0 < abs(scaled % 1 - Fraction(1, 2)) < Fraction(1, 2**55)
+    values = np.array(NEAR_TIES + [-x for x in NEAR_TIES])
+    _assert_matches_reference(tmp_path, values.reshape(-1, 6))
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 6])
+def test_csv_block_boundaries_match_reference(tmp_path, rng, width):
+    block = csvio._BLOCK_CELLS // width
+    size = (block + 1) * width
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size)
+    values[::97] = np.nan
+    values[5::89] = 0.0
+    table = values.reshape(-1, width)
+    for n in (0, 1, block - 1, block, block + 1):
+        _assert_matches_reference(tmp_path, table[:n])
+
+
+def test_csv_writer_raises_no_numpy_warnings(tmp_path, rng):
+    values = np.concatenate([SPECIAL, [1e-300, -1e300, 1e-320, -np.inf], rng.normal(size=60)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_table(tmp_path / "w.csv", ("a", "b", "c", "d", "e", "f"), values.reshape(-1, 6))
+
+
+def test_csv_writer_peak_memory_is_bounded(tmp_path, rng):
+    table = rng.normal(size=(65_537, 6)) * 10.0 ** rng.integers(-5, 5, (65_537, 6))
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "big.csv", ("a", "b", "c", "d", "e", "f"), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text", ["a,b\n1,2\n3\n", "a,b\n1,2,3\n", "a,b\n1,x\n", "a\n\x20\n"],
+    ids=["short_row", "long_row", "not_a_number", "blank_cell"],
+)
+def test_read_table_rejects_ragged_or_non_numeric_rows(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        read_table(path)
 
 
 # ---------------------------------------------------------------------------
