@@ -129,8 +129,16 @@ class PantographSeries:
         return self.k + np.arange(len(self.coefficients))
 
     def q_derivatives(self, theta: float, order: int) -> np.ndarray:
-        """Values Q(theta), Q'(theta), ..., Q^(order)(theta), term by term."""
-        return _q_taylor(self, np.array([float(theta)]), order + 1)[0] * _factorials(order + 1)
+        """Values Q(theta), Q'(theta), ..., Q^(order)(theta), term by term.
+
+        Raises ``PoleError`` at theta = 0 for the families k <= -1 and
+        ``ValidationError`` for a negative order.
+        """
+        if order < 0:
+            raise ValidationError("order must be non-negative")
+        u = np.array([float(theta)])
+        _reject_pole(self, u)
+        return _q_taylor(self, u, [1] * (order + 1))[:, 0] * _factorials(order + 1)
 
 
 _UNIT_SERIES: dict[int, list[Fraction]] = {}
@@ -242,42 +250,57 @@ def _factorials(length: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], np.arange(1.0, length))))
 
 
-def _q_taylor(series: PantographSeries, u: np.ndarray, length: int) -> np.ndarray:
-    """Rows Q^(j)(u) / j!, j < length: the Taylor coefficients of Q(u + h)."""
+def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
+    """Taylor coefficients Q^(j)(u) / j! of Q(u + h): row j, one column per u.
+
+    Row j is filled for the leading ``reach[j]`` angles and left 0 past
+    them; ``reach`` does not increase.
+    """
     c = np.asarray(series.coefficients, dtype=float).copy()
     e = series.powers().astype(float)
-    out = np.empty((len(u), length))
-    for j in range(length):
+    out = np.zeros((len(reach), len(u)))
+    for j, n in enumerate(reach):
         # Differentiation kills terms (c becomes 0 while e goes negative);
         # skip them so u = 0 does not manufacture 0 * inf.
         live = c != 0.0
-        out[:, j] = np.sum(c[live] * u[:, None] ** e[live], axis=1)
+        terms = u[:n, None] ** e[live]
+        terms *= c[live]
+        out[j, :n] = np.sum(terms, axis=1)
         c *= e / (j + 1)
         e -= 1.0
     return out
 
 
 def _trig_taylor(u: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of Taylor coefficients of sin(u + h) and cos(u + h), j < length."""
+    """Taylor coefficients j < length of sin(u + h) and cos(u + h): row j,
+    one column per u."""
     s, c = np.sin(u), np.cos(u)
     # sin^(j) = (s, c, -s, -c)[j % 4], and cos^(j) = sin^(j+1).
-    cycle = np.stack([s, c, -s, -c], axis=1)[:, np.arange(length + 1) % 4]
-    fact = _factorials(length)
-    return cycle[:, :length] / fact, cycle[:, 1:] / fact
+    cycle = np.stack([s, c, -s, -c])[np.arange(length + 1) % 4]
+    fact = _factorials(length)[:, None]
+    return cycle[:length] / fact, cycle[1:] / fact
 
 
-def _taylor_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of Taylor rows, truncated to the length of ``a``."""
-    length = a.shape[1]
+def _taylor_mul(a: np.ndarray, b: np.ndarray, reach=None) -> np.ndarray:
+    """Product of Taylor jets (row j, one column per angle), truncated to
+    the length of ``a``; terms are added in order of the power of ``a``.
+
+    With ``reach``, term i of ``a`` enters only the leading ``reach[i]``
+    columns, those whose jets are wanted to order i or beyond.
+    """
+    length = a.shape[0]
     out = np.zeros_like(a)
     for i in range(length):
-        out[:, i:] += a[:, i : i + 1] * b[:, : length - i]
+        n = a.shape[1] if reach is None else reach[i]
+        out[i:, :n] += a[i, :n] * b[: length - i, :n]
     return out
 
 
-def _r_taylor(series: PantographSeries, u: np.ndarray, length: int) -> np.ndarray:
-    """Rows of Taylor coefficients of R(u + h) = Q(u + h) sin(u + h)."""
-    return _taylor_mul(_q_taylor(series, u, length), _trig_taylor(u, length)[0])
+def _r_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
+    """Taylor coefficients of R(u + h) = Q(u + h) sin(u + h), row j for the
+    leading ``reach[j]`` angles."""
+    sin_rows = _trig_taylor(u, len(reach))[0]
+    return _taylor_mul(_q_taylor(series, u, reach), sin_rows, reach)
 
 
 def _reject_pole(series: PantographSeries, theta: np.ndarray) -> None:
@@ -297,7 +320,8 @@ def eval_R_base(series: PantographSeries, theta: float, jet_order: int = 1) -> n
     _reject_pole(series, np.asarray(theta))
     if jet_order < 0:
         raise ValidationError("jet_order must be non-negative")
-    return _r_taylor(series, np.array([theta]), jet_order + 1)[0] * _factorials(jet_order + 1)
+    jet = _r_taylor(series, np.array([theta]), [1] * (jet_order + 1))[:, 0]
+    return jet * _factorials(jet_order + 1)
 
 
 @dataclass(frozen=True)
@@ -324,14 +348,25 @@ class PantographSolution:
         return 2.0 ** (self.jet_order - 1) * (math.pi / 2 - self.guard)
 
 
+_BLOCK_ANGLES = 4096
+"""Angles per continuation pass: bounds the (angles, terms) table of a Q column."""
+
+
 def continue_R(solution: PantographSolution, theta):
     """R and R' anywhere on [0, max_theta], by jet doubling past pi/2.
 
     Accepts scalars or arrays; returns a pair (R, R') of matching shape.
     Raises ``PoleError`` at theta = 0 for the families k <= -1.  An angle
-    of depth d is halved d times into the series window, where R
-    gets a Taylor row of d + 2 coefficients in h; each doubling of u + h
-    consumes one.  All angles of one depth advance together.
+    of depth d is halved d times into the series window, where R gets a
+    Taylor jet of d + 2 coefficients in h; each doubling of u + h consumes
+    one.  The angles are sorted by depth, deepest first, and taken in
+    blocks of ``_BLOCK_ANGLES``.  Each block makes one pass: one Q jet and
+    one product R = Q sin, where order j is formed only for the leading
+    angles of depth at least j - 1, then one doubling step per level, from
+    the block's deepest level down to 1, on the leading angles of depth at
+    least that level.  Each angle goes through the same operations in the
+    same order as it would alone, so a batch returns exactly what separate
+    calls return.
     """
     arr = np.asarray(theta, dtype=float)
     flat = arr.ravel()
@@ -349,20 +384,27 @@ def continue_R(solution: PantographSolution, theta):
             f"jet_order >= {depth[worst] + 1}"
         )
     inv_4a = 1.0 / (4.0 * solution.series.factor_a)
+    # Depths stay below 1 100 for finite theta, so int16 keys take numpy's radix sort.
+    order = np.argsort(-depth.astype(np.int16), kind="stable")
     r = np.empty_like(flat)
     rp = np.empty_like(flat)
-    for d in np.unique(depth):
-        rows = depth == d
+    for start in range(0, flat.size, _BLOCK_ANGLES):
+        rows = order[start : start + _BLOCK_ANGLES]
+        d = depth[rows]
+        top = int(d[0])
+        # reach[j]: the leading angles of depth >= j - 1, which use Taylor order j.
+        reach = np.searchsorted(-d, 1 - np.arange(top + 2), side="right")
         u = flat[rows] / 2.0**d
-        taylor = _r_taylor(solution.series, u, d + 2)
-        for _ in range(d):
-            length = taylor.shape[1] - 1
-            sj, cj = _trig_taylor(u, length)
-            deriv = taylor[:, 1:] * np.arange(1.0, length + 1)
-            f = (3.0 * _taylor_mul(cj, taylor) + _taylor_mul(sj, deriv)) * inv_4a
-            taylor = f / 2.0 ** np.arange(length)
-            u = 2.0 * u
-        r[rows], rp[rows] = taylor[:, 0], taylor[:, 1]
+        taylor = _r_taylor(solution.series, u, reach)
+        for level in range(top, 0, -1):
+            n, length = reach[level + 1], level + 1
+            head = taylor[: length + 1, :n]
+            sj, cj = _trig_taylor(u[:n], length)
+            deriv = head[1:] * np.arange(1.0, length + 1)[:, None]
+            f = (3.0 * _taylor_mul(cj, head) + _taylor_mul(sj, deriv)) * inv_4a
+            taylor[:length, :n] = f / 2.0 ** np.arange(length)[:, None]
+            u[:n] *= 2.0
+        r[rows], rp[rows] = taylor[0], taylor[1]
     if arr.ndim == 0:
         return float(r[0]), float(rp[0])
     return r.reshape(arr.shape), rp.reshape(arr.shape)
@@ -405,6 +447,8 @@ def overlay_caustic_points(
     evaluates it from a reconstruction over the doubled angles.
     """
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.size == 0:
+        return np.empty((0, 2))
     a = solution.series.factor_a
     curve = solution_curve(
         solution, AngleInterval(0.0, max(2 * float(np.max(thetas)), 1.0), 9)
@@ -424,8 +468,8 @@ def mirror_equation_residual(
     if interval.lo < 0.0:
         raise ValidationError("the continued solution lives on theta >= 0")
     t = interval.grid()
-    r, rp = continue_R(solution, t)
-    r2, _ = continue_R(solution, 2.0 * t)
+    r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
+    r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
     a = solution.series.factor_a
     return float(np.max(np.abs(np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r)))
 
@@ -442,11 +486,11 @@ def auxiliary_equation_residual(
     if not (0.0 < interval.lo and interval.hi < math.pi / 2):
         raise ValidationError("the auxiliary equation is checked inside (0, pi/2)")
     t = interval.grid()
-    r, rp = continue_R(solution, t)
+    r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
+    r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
     st, ct = np.sin(t), np.cos(t)
     q = r / st
     qp = (rp - q * ct) / st
-    r2, _ = continue_R(solution, 2.0 * t)
     q2 = r2 / np.sin(2.0 * t)
     a = solution.series.factor_a
     return float(np.max(np.abs(np.tan(t) * qp - 8.0 * a * q2 + 4.0 * q)))
@@ -559,13 +603,12 @@ def mirror_report(
 
     rho_lo, rho_hi = 0.3, math.pi - 0.3
     rt = np.linspace(rho_lo, rho_hi, 101)
-    r_num, _ = continue_R(solution, rt + math.pi)
-    r_den, _ = continue_R(solution, rt)
+    qt = np.linspace(math.pi - 0.5, math.pi - 0.02, 25)
+    r, _ = continue_R(solution, np.concatenate([rt + math.pi, rt, qt]))
+    r_num, r_den, rq = np.split(r, [rt.size, 2 * rt.size])
     rho = np.abs(r_num / r_den)
     rho_min, rho_max = float(np.min(rho)), float(np.max(rho))
 
-    qt = np.linspace(math.pi - 0.5, math.pi - 0.02, 25)
-    rq, _ = continue_R(solution, qt)
     q_abs = np.abs(rq / np.sin(qt))
     growth = float(q_abs[-1] / q_abs[0])
 

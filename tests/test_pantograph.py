@@ -357,3 +357,122 @@ def test_pole_at_zero_is_an_error(k, secondary):
             eval_R_base(solution.series, 0.0)
         r, rp = continue_R(solution, np.array([0.5, 2.0]))
     assert np.all(np.isfinite(r)) and np.all(np.isfinite(rp))
+
+
+def test_q_derivatives_pole_and_order_are_errors():
+    pole = solve_series(-1, n_max=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleError):
+            pole.q_derivatives(0.0, 3)
+        with pytest.raises(PoleError):
+            solve_series(-3, n_max=12, secondary=0.5).q_derivatives(0.0, 0)
+        with pytest.raises(ValidationError):
+            solve_series(1, n_max=12).q_derivatives(0.5, -1)
+        assert np.all(np.isfinite(pole.q_derivatives(0.5, 3)))
+
+
+def test_overlay_of_no_angles_is_empty(cycloid_solution):
+    pts = overlay_caustic_points(cycloid_solution, np.array([]))
+    assert pts.shape == (0, 2)
+
+
+def test_residuals_equal_separate_continuations(m2_solution):
+    interval = AngleInterval(0.01, 2 * math.pi, 257)
+    t = interval.grid()
+    r, rp = continue_R(m2_solution, t)
+    r2, _ = continue_R(m2_solution, 2.0 * t)
+    a = m2_solution.series.factor_a
+    want = np.max(np.abs(np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r))
+    assert mirror_equation_residual(m2_solution, interval) == want
+
+
+# The continuation as it was first batched: one Taylor-row pass per doubling
+# depth, one row per angle.  The block pass must reproduce it bit for bit.
+
+
+def _ref_q_taylor(series, u, length):
+    c = np.asarray(series.coefficients, dtype=float).copy()
+    e = series.powers().astype(float)
+    out = np.empty((len(u), length))
+    for j in range(length):
+        live = c != 0.0
+        out[:, j] = np.sum(c[live] * u[:, None] ** e[live], axis=1)
+        c *= e / (j + 1)
+        e -= 1.0
+    return out
+
+
+def _ref_trig_taylor(u, length):
+    s, c = np.sin(u), np.cos(u)
+    cycle = np.stack([s, c, -s, -c], axis=1)[:, np.arange(length + 1) % 4]
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, length))))
+    return cycle[:, :length] / fact, cycle[:, 1:] / fact
+
+
+def _ref_taylor_mul(a, b):
+    length = a.shape[1]
+    out = np.zeros_like(a)
+    for i in range(length):
+        out[:, i:] += a[:, i : i + 1] * b[:, : length - i]
+    return out
+
+
+def _continue_by_depth(solution, theta):
+    flat = np.asarray(theta, dtype=float).ravel()
+    limit = math.pi / 2 - solution.guard
+    depth = np.ceil(np.log2(np.maximum(flat / limit, 1.0))).astype(int)
+    depth += flat / 2.0**depth > limit
+    inv_4a = 1.0 / (4.0 * solution.series.factor_a)
+    r = np.empty_like(flat)
+    rp = np.empty_like(flat)
+    for d in np.unique(depth):
+        rows = depth == d
+        u = flat[rows] / 2.0**d
+        taylor = _ref_taylor_mul(
+            _ref_q_taylor(solution.series, u, d + 2), _ref_trig_taylor(u, d + 2)[0]
+        )
+        for _ in range(d):
+            length = taylor.shape[1] - 1
+            sj, cj = _ref_trig_taylor(u, length)
+            deriv = taylor[:, 1:] * np.arange(1.0, length + 1)
+            f = (3.0 * _ref_taylor_mul(cj, taylor) + _ref_taylor_mul(sj, deriv)) * inv_4a
+            taylor = f / 2.0 ** np.arange(length)
+            u = 2.0 * u
+        r[rows], rp[rows] = taylor[:, 0], taylor[:, 1]
+    return r, rp
+
+
+def _edge_angles(solution):
+    """0 (for k >= 0), both sides of every depth boundary, and max_theta."""
+    limit = math.pi / 2 - solution.guard
+    bounds = limit * 2.0 ** np.arange(solution.jet_order)
+    near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf)])
+    near = near[near <= solution.max_theta]
+    head = [] if solution.series.k <= -1 else [0.0]
+    return np.concatenate([head, [solution.max_theta], near])
+
+
+@pytest.mark.parametrize("order", [30, 120])
+@pytest.mark.parametrize(
+    "k, secondary", [(-3, 0.5), (-2, None), (-1, None), (0, None), (1, None), (2, None), (3, None)]
+)
+def test_block_pass_matches_per_depth_reference(k, secondary, order):
+    solution = PantographSolution(solve_series(k, n_max=order, secondary=secondary))
+    rng = np.random.default_rng(1000 * (k + 3) + order)
+    # Log-uniform over every depth the solution serves, edges first.
+    edges = _edge_angles(solution)
+    fill = np.exp(rng.uniform(math.log(1e-3), math.log(solution.max_theta), 61440 - edges.size))
+    angles = np.concatenate([edges, rng.permutation(fill)])
+    limit = math.pi / 2 - solution.guard
+    batches = [angles[:n] for n in (0, 1, 12, 4095, 4096, 4097, 61440)]
+    batches.append(rng.uniform(0.5 * limit, limit, 300))  # depth 0 only
+    batches.append(rng.uniform(4.0 * limit, 8.0 * limit, 300))  # depth 3 only
+    batches.append(np.full(5000, limit))  # one angle, twice over a block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for batch in batches:
+            r, rp = continue_R(solution, batch)
+            want_r, want_rp = _continue_by_depth(solution, batch)
+            assert np.array_equal(r, want_r), batch.size
+            assert np.array_equal(rp, want_rp), batch.size
