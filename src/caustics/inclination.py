@@ -7,8 +7,9 @@ change sign (the curve passes through a cusp) and the arclength, defined by
 ``ds = R dtheta``, may decrease.
 
 The module provides the curve type, reconstruction to a column record of
-vertex samples by adaptive Gauss-Kronrod (G7/K15) quadrature under a global
-error budget, cusp location, and a discrete check of the frame equations.
+vertex samples by adaptive nested quadrature (G3/K7/Patterson-15) under a
+global error budget, cusp location, and a discrete check of the frame
+equations.
 """
 from __future__ import annotations
 
@@ -233,6 +234,8 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
         thetas = np.array(interval, dtype=float)
         if thetas.ndim != 1 or thetas.size < 2:
             raise ValidationError("need an AngleInterval or >= 2 increasing angles")
+        if not np.all(np.isfinite(thetas)):
+            raise ValidationError("sample angles must be finite")
         if np.any(np.diff(thetas) <= 0):
             raise ValidationError("sample angles must increase strictly")
         lo, hi = _clip_interval(curve, float(thetas[0]), float(thetas[-1]))
@@ -259,12 +262,14 @@ def reconstruct(
 
     The position increment over each grid cell is
     ``integral of R * (cos, sin)`` and the arclength increment is
-    ``integral of R``, both by adaptive G7/K15 Gauss-Kronrod rules.  ``tol``
-    is an absolute error budget for each column summed over the whole grid,
-    so it covers every cumulative sample too; a cell whose error estimate is
-    down at its rounding floor ``50 eps int |R|`` is accepted there.  The
-    first sample sits at ``anchor``.  A nonzero ``frame_rotation`` rotates
-    the whole picture (offsets and frames) about the anchor.
+    ``integral of R``, both by the adaptive nested G3/K7/P15 rule of
+    ``quadrature.panel_integrals``: K7 on each cell, P15 where K7 misses, and
+    P15 on halved panels after that.  ``tol`` is an absolute error budget for
+    each column summed over the whole grid, so it covers every cumulative
+    sample too; a cell whose error estimate is down at its rounding floor
+    ``50 eps int |R|`` is accepted there.  The first sample sits at
+    ``anchor``.  A nonzero ``frame_rotation`` rotates the whole picture
+    (offsets and frames) about the anchor.
 
     Parameters
     ----------
@@ -284,6 +289,9 @@ def reconstruct(
 
     Raises
     ------
+    ValidationError
+        If the angles are not finite and strictly increasing, or ``tol`` is
+        not finite and positive.
     NumericError
         If panels at rounding width miss the budget by more than ``tol``.
     """
@@ -291,7 +299,7 @@ def reconstruct(
 
     def integrand(t):
         r = np.asarray(curve.radius_fn(t), dtype=float)
-        return np.stack([r * np.cos(t), r * np.sin(t), r])
+        return np.array([r * np.cos(t), r * np.sin(t), r])
 
     pieces = panel_integrals(integrand, thetas, tol=tol)
     dx, dy, ds = pieces

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from caustics.caustic import TiltField, caustic_curve
 from caustics.errors import (
     DegenerateSamplingError,
     DomainError,
@@ -165,6 +166,14 @@ def test_reconstruct_accepts_explicit_grid():
     assert [s.theta for s in samples] == list(grid)
     with pytest.raises(ValidationError):
         reconstruct(circle(), np.array([0.0, 0.5, 0.5, 1.0]))
+
+
+def test_non_finite_grid_is_validation_error():
+    grid = [0.0, math.nan, 1.0]
+    for call in (lambda: reconstruct(circle(), grid), lambda: classify_zeros(cycloid(), grid),
+                 lambda: caustic_curve(circle(), TiltField.reflection(), grid)):
+        with pytest.raises(ValidationError, match="finite"):
+            call()
 
 
 def test_finite_difference_derivative_fallback():
