@@ -325,25 +325,64 @@ def reconstruct(
     )
 
 
-def _bisect_zeros(fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, tol: float) -> np.ndarray:
-    """Bisect every sign-change bracket ``[lo, hi]`` at once, one ``fn`` call per step.
+def _two_best(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the two columns of ``x`` with the smallest ``|fx|``, earlier columns on ties."""
+    order = np.argsort(np.abs(fx), axis=1, kind="stable")[:, :2]
+    return np.take_along_axis(x, order, axis=1), np.take_along_axis(fx, order, axis=1)
 
-    ``flo`` holds ``fn(lo)``; its sign stays the sign at the moving ``lo``.
-    A bracket stops at its midpoint once it is no wider than ``tol`` or
-    ``fn`` vanishes there.
+
+def _refine_zeros(
+    fn, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray, tol: float
+) -> np.ndarray:
+    """Shrink every sign-change bracket ``[lo, hi]`` to width ``tol`` at once.
+
+    ``flo`` and ``fhi`` hold ``fn`` at the bracket ends.  Each step makes one
+    ``fn`` call on three points per live bracket.  A bracket on its bisection
+    schedule takes the secant through its two iterates with the smallest
+    ``|fn|`` (at first its ends), clamped inside the bracket, flanked by a
+    squeeze pair ``t +- h`` with ``h = 0.45 tol``: once the secant lands
+    within ``h`` of the root, the pair closes the bracket.  A bracket behind
+    schedule, or with a non-finite secant, takes its quarter points, which
+    cut it to a quarter and so catch up in one step.  The new bracket is the
+    first sign change from ``lo``; a zero of ``fn`` collapses the bracket
+    onto it.  A bracket of width ``w0`` stops within
+    ``ceil(log2(w0 / tol)) + 2`` calls, at its midpoint, or sooner once its
+    ends are adjacent floats.
     """
     lo, hi = lo.copy(), hi.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero(hi - lo > tol)
+    slo = np.sign(flo)
+    # Secant iterates, the one with the smaller |fn| first.
+    its, fits = _two_best(np.column_stack([lo, hi]), np.column_stack([flo, fhi]))
+    h = 0.45 * tol
+    budget = np.ceil(np.log2(hi - lo) - np.log2(tol)).astype(int) + 2
+    for k in range(budget.max(initial=0)):
+        # A bracket whose ends are adjacent floats cannot shrink further.
+        live = np.flatnonzero((hi - lo > tol) & (np.nextafter(lo, hi) < hi))
         if live.size == 0:
             break
-        fmid = np.asarray(fn(mid[live]), dtype=float)
-        # A zero at the midpoint collapses the bracket onto it.
-        left = (fmid == 0.0) | ((flo[live] < 0) != (fmid < 0))
-        right = (fmid == 0.0) | ~left
-        hi[live[left]] = mid[live[left]]
-        lo[live[right]] = mid[live[right]]
+        a, b = lo[live], hi[live]
+        w = b - a
+        (q, p), (fq, fp) = its[live].T, fits[live].T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = q - fq * (q - p) / (fq - fp)
+        secant = np.isfinite(t) & (w <= np.ldexp(tol, budget[live] - k - 1))
+        t = np.clip(t[secant], a[secant] + 1.01 * h, b[secant] - 1.01 * h)
+        pts = np.column_stack([a + 0.25 * w, 0.5 * (a + b), b - 0.25 * w])
+        pts[secant] = t[:, None] + np.array([-h, 0.0, h])
+        f = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
+        # The first node, from lo, whose sign differs from lo's; hi always does.
+        nodes = np.column_stack([a, pts, b])
+        s = np.sign(f)
+        j = np.argmax(np.column_stack([s != slo[live, None], np.ones(live.size, bool)]), axis=1)
+        rows = np.arange(live.size)
+        new_lo, new_hi = nodes[rows, j], nodes[rows, j + 1]
+        # A zero of fn collapses the bracket onto that node.
+        hit = (j < 3) & (s[rows, np.minimum(j, 2)] == 0.0)
+        new_lo[hit] = new_hi[hit]
+        lo[live], hi[live] = new_lo, new_hi
+        its[live], fits[live] = _two_best(
+            np.column_stack([pts[:, 1], its[live]]), np.column_stack([f[:, 1], fits[live]])
+        )
     return 0.5 * (lo + hi)
 
 
@@ -354,10 +393,24 @@ def classify_zeros(
 ) -> dict[str, list[float]]:
     """Zeros of R strictly inside the interval, split by kind.
 
-    Returns a dict with keys ``"cusps"`` (sign changes, refined by
-    bisection to ``refine_tol``) and ``"flat_points"`` (grid nodes where R
-    touches zero without changing sign).
+    Returns a dict with keys ``"cusps"`` (sign changes, each refined to a
+    bracket no wider than ``refine_tol`` by secant steps with a squeeze pair
+    under a bisection schedule) and ``"flat_points"`` (grid nodes where R
+    touches zero without changing sign).  An interior run of zero nodes
+    whose nonzero neighbours differ in sign is one cusp, at the midpoint of
+    the run's first and last nodes; one whose neighbours agree is a run of
+    flat points.
+
+    Raises
+    ------
+    ValidationError
+        If ``refine_tol`` is not finite and positive, or the angles are not
+        finite and strictly increasing.
+    EvaluationError
+        If R is not finite at a grid node.
     """
+    if not (np.isfinite(refine_tol) and refine_tol > 0):
+        raise ValidationError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     if interval is None:
         interval = curve.domain
     thetas = _resolve_grid(curve, interval)
@@ -369,14 +422,26 @@ def classify_zeros(
     sign = np.sign(r)
     left, right = sign[:-1], sign[1:]
     brackets = np.flatnonzero((left != 0) & (right != 0) & (left != right))
-    bisected = _bisect_zeros(
-        curve.radius_fn, thetas[brackets], thetas[brackets + 1], r[brackets], refine_tol
+    refined = _refine_zeros(
+        curve.radius_fn,
+        thetas[brackets],
+        thetas[brackets + 1],
+        r[brackets],
+        r[brackets + 1],
+        refine_tol,
     )
-    zero = np.flatnonzero(sign[1:-1] == 0) + 1
-    before, after = sign[zero - 1], sign[zero + 1]
-    flats = thetas[zero[(before != 0) & (before == after)]]
-    on_grid = thetas[zero[(before != 0) & (after != 0) & (before != after)]]
-    cusps = np.sort(np.concatenate([bisected, on_grid]))
+    # Runs of zero nodes [first, last], kept where both neighbours exist.
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], sign == 0, [0]])))
+    first, last = edges[0::2], edges[1::2] - 1
+    inner = (first > 0) & (last < sign.size - 1)
+    first, last = first[inner], last[inner]
+    crossing = sign[first - 1] != sign[last + 1]
+    on_grid = 0.5 * (thetas[first[crossing]] + thetas[last[crossing]])
+    flat_run = np.zeros(sign.size + 1, dtype=int)
+    flat_run[first[~crossing]] = 1
+    flat_run[last[~crossing] + 1] = -1
+    flats = thetas[np.cumsum(flat_run[:-1]) > 0]
+    cusps = np.sort(np.concatenate([refined, on_grid]))
     return {"cusps": cusps.tolist(), "flat_points": flats.tolist()}
 
 
@@ -385,7 +450,10 @@ def find_cusps(
     interval: AngleInterval | None = None,
     refine_tol: float = 1e-12,
 ) -> list[float]:
-    """Angles strictly inside the interval where R changes sign."""
+    """Angles strictly inside the interval where R changes sign.
+
+    Each is refined to ``refine_tol`` as in :func:`classify_zeros`.
+    """
     return classify_zeros(curve, interval, refine_tol)["cusps"]
 
 

@@ -613,7 +613,7 @@ def mirror_report(
     growth = float(q_abs[-1] / q_abs[0])
 
     # Feasibility flags are judged on the evenly spaced profile samples.
-    # The union grid is unsuitable here: a bisected zero can land within
+    # The union grid is unsuitable here: a refined zero can land within
     # ~1e-12 of a plain node, and the y-step between such twins underflows
     # to exactly zero, which a strict monotonicity test must reject.
     body_idx = np.searchsorted(thetas, base_grid)

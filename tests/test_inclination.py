@@ -24,7 +24,7 @@ from caustics.inclination import (
     polynomial_curve,
     reconstruct,
 )
-from caustics.pantograph import solution_curve
+from caustics.pantograph import PantographSolution, solution_curve, solve_series
 from caustics.skew import puiseux_curve
 
 
@@ -239,16 +239,103 @@ def test_batched_cusp_bisection_matches_scalar_bisection(curve):
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
 
 
-def test_cusp_bisection_evaluates_radius_once_per_step(m2_solution):
-    curve = solution_curve(m2_solution, AngleInterval(0.0, 12 * math.pi + 0.1, 9))
+def _counted(curve):
+    """The curve with its R wrapped to record each call's size."""
     calls = []
 
     def counted(t):
         calls.append(np.size(t))
         return curve.radius_fn(t)
 
-    cusps = find_cusps(
-        dataclasses.replace(curve, radius_fn=counted), AngleInterval(0.0, 12 * math.pi, 513)
+    return dataclasses.replace(curve, radius_fn=counted), calls
+
+
+@pytest.mark.parametrize("k, n_max", [(0, 30), (0, 60), (1, 30), (1, 60), (2, 30), (2, 60)])
+def test_cusp_refinement_takes_few_radius_calls(k, n_max):
+    curve = solution_curve(
+        PantographSolution(solve_series(k, n_max=n_max)),
+        AngleInterval(0.0, 12 * math.pi + 0.1, 9),
     )
-    assert len(cusps) >= 8
-    assert len(calls) <= 64
+    counted, calls = _counted(curve)
+    cusps = find_cusps(counted, AngleInterval(0.0, 12 * math.pi, 513))
+    assert len(cusps) == 11
+    # One grid pass, then at most five secant steps that a squeeze pair closes.
+    assert len(calls) <= 6
+
+
+def _pole(x):
+    with np.errstate(divide="ignore"):
+        return 1.0 / (x - 0.3)
+
+
+# (R, grid, exact root or None): each grid holds exactly one sign change.
+HARD_ZEROS = {
+    "cube": (lambda x: (x - 0.3) ** 3, np.linspace(-1.0, 1.0, 8), 0.3),
+    "ninth_power": (lambda x: (x - 0.3) ** 9, np.linspace(-1.0, 1.0, 8), 0.3),
+    "pole": (_pole, np.linspace(-1.0, 1.0, 8), 0.3),
+    "tan": (np.tan, np.linspace(1.0, 2.0, 4), None),
+    "step": (lambda x: np.where(x < 0.3, -1.0, 1.0), np.linspace(-1.0, 1.0, 8), 0.3),
+    "cube_root": (lambda x: np.cbrt(x - 0.3), np.linspace(-1.0, 1.0, 8), 0.3),
+    "steep_exponential": (lambda x: np.exp(40.0 * (x - 0.3)) - 1.0, np.linspace(-1.0, 1.0, 8), None),
+    "flat_then_linear": (
+        lambda x: np.where(x < 0.3, -1e-9, x - 0.3 - 1e-9), np.linspace(-1.0, 1.0, 8), None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_ZEROS))
+def test_hard_zeros_stay_within_the_bisection_budget(name):
+    fn, grid, root = HARD_ZEROS[name]
+    tol = 1e-12
+    curve = InclinationCurve(
+        radius_fn=lambda t: fn(np.asarray(t, dtype=float)),
+        domain=AngleInterval(float(grid[0]), float(grid[-1]), grid.size),
+        label=name,
+    )
+    counted, calls = _counted(curve)
+    (z,) = find_cusps(counted, refine_tol=tol)
+    width = grid[1] - grid[0]
+    assert len(calls) - 1 <= math.ceil(math.log2(width / tol)) + 2
+    if root is not None:
+        assert abs(z - root) <= tol / 2
+    else:
+        assert np.sign(fn(np.array(z - 0.51 * tol))) != np.sign(fn(np.array(z + 0.51 * tol)))
+
+
+def test_puiseux_draw_refines_in_few_calls():
+    # A families-style draw: 33 brackets, all refined in four secant steps.
+    counted, calls = _counted(puiseux_curve(-0.184, 2.02))
+    cusps = find_cusps(counted, AngleInterval(-8 * math.pi, 8 * math.pi, 257))
+    assert len(cusps) == 33
+    placement = np.array(cusps) - np.round(np.array(cusps) * 2.02 / math.pi) * math.pi / 2.02
+    assert np.max(np.abs(placement)) <= 1e-12
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("refine_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_refine_tol_is_validation_error(refine_tol):
+    counted, calls = _counted(cycloid(1.0, domain=AngleInterval(0.5, 7.0, 65)))
+    with pytest.raises(ValidationError, match="refine_tol"):
+        find_cusps(counted, refine_tol=refine_tol)
+    assert calls == []
+
+
+def test_refine_tol_below_float_spacing_stops_at_adjacent_floats():
+    counted, calls = _counted(cycloid(1.0, domain=AngleInterval(0.5, 7.0, 65)))
+    cusps = find_cusps(counted, refine_tol=1e-300)
+    assert cusps == [math.pi, 2 * math.pi]
+    # The budget at 1e-300 is about a thousand calls; adjacent ends stop first.
+    assert len(calls) <= 24
+
+
+def test_sign_change_across_a_run_of_zero_nodes_is_one_cusp():
+    def radius(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t - 1.0) <= 0.1, 0.0, t - 1.0)
+
+    curve = InclinationCurve(radius_fn=radius, domain=AngleInterval(0.0, 2.0, 21), label="run")
+    grid = curve.domain.grid()
+    assert np.sign(radius(grid[8:12])).tolist() == [-1.0, 0.0, 0.0, 1.0]
+    assert classify_zeros(curve) == {"cusps": [0.5 * (grid[9] + grid[10])], "flat_points": []}
+    touching = dataclasses.replace(curve, radius_fn=lambda t: np.abs(radius(t)))
+    assert classify_zeros(touching) == {"cusps": [], "flat_points": [grid[9], grid[10]]}
