@@ -22,36 +22,32 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 
-def positions(samples):
-    return np.array([s.position for s in samples])
-
-
 # A unit circle: R identically 1, anchored so it starts at the origin
 # heading along +x.  The reconstruction must give x = sin, y = 1 - cos.
 window = AngleInterval(0.0, 2.0 * math.pi, 257)
 ring = reconstruct(circle(1.0), window)
-t = np.array([s.theta for s in ring])
-pts = positions(ring)
+t = ring.theta
+pts = ring.points
 err = np.max(np.hypot(pts[:, 0] - np.sin(t), pts[:, 1] - (1.0 - np.cos(t))))
-print(f"circle     max position error {err:.2e}   arclength {ring[-1].arclength:.12f}")
+print(f"circle     max position error {err:.2e}   arclength {ring.arclength[-1]:.12f}")
 
 # One cycloid arch: R = sin(theta) on [0, pi] traces half of
 # (sin^2(t)/2, t/2 - sin(2t)/4) and has total arc length exactly 2.
 arch = reconstruct(cycloid(1.0), AngleInterval(0.0, math.pi, 257))
-t = np.array([s.theta for s in arch])
-pts_arch = positions(arch)
+t = arch.theta
+pts_arch = arch.points
 closed = np.column_stack([np.sin(t) ** 2 / 2.0, t / 2.0 - np.sin(2.0 * t) / 4.0])
 err = np.max(np.hypot(*(pts_arch - closed).T))
-print(f"cycloid    max position error {err:.2e}   arclength {arch[-1].arclength:.12f}")
+print(f"cycloid    max position error {err:.2e}   arclength {arch.arclength[-1]:.12f}")
 
 # A logarithmic spiral: R = e^theta winds outward with its arc length
 # growing like e^theta - 1.
 coil = reconstruct(log_spiral(1.0, 1.0), AngleInterval(0.0, 2.0 * math.pi, 257))
-print(f"log spiral arclength {coil[-1].arclength:.6f} "
+print(f"log spiral arclength {coil.arclength[-1]:.6f} "
       f"(closed form {math.expm1(2.0 * math.pi):.6f})")
 
 write_scene(
     os.path.join(OUT, "curves.svg"),
-    mirror=[positions(ring), pts_arch, positions(coil)],
+    mirror=[pts, pts_arch, coil.points],
 )
 print(f"wrote {os.path.join(OUT, 'curves.svg')}")

@@ -27,10 +27,7 @@ tilt = TiltField.reflection()
 
 # Closed form: one caustic vertex per mirror sample, plus the radius law.
 closed = caustic_curve(mirror, tilt, window)
-theta = np.array([s.source_theta for s in closed])
-radius_defect = np.max(np.abs(
-    np.array([s.caustic_radius for s in closed]) - 0.75 * np.cos(theta)
-))
+radius_defect = np.max(np.abs(closed.caustic_radius - 0.75 * np.cos(closed.source.theta)))
 print(f"caustic radius vs (3/4)cos(theta): {radius_defect:.2e}")
 
 # Numeric envelope: emit the reflected rays and intersect neighbours.

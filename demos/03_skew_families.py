@@ -67,7 +67,7 @@ print(f"delay           {growth.label:<40} residual {res:.2e}")
 
 scene = {
     "mirror": [
-        np.array([s.position for s in reconstruct(curve, window)])
+        reconstruct(curve, window).points
         for curve in (spiral, ring, wave, growth)
     ]
 }

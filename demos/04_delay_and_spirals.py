@@ -40,13 +40,11 @@ print(f"(c, gamma) = (0, 1): centre {flat.center}, "
       f"chord ratios all {flat.ratios[0]:.6f}")
 
 curve = puiseux_curve(c, gamma)
-pts = np.array([s.position for s in reconstruct(curve, window)])
-chain = np.asarray(report.cusp_points, dtype=float)
-centre = np.asarray([report.center], dtype=float)
+chain = report.cusp_points
 write_scene(
     os.path.join(OUT, "puiseux.svg"),
-    mirror=[pts],
-    cusps=np.vstack([chain, centre]),
+    mirror=[reconstruct(curve, window).points],
+    cusps=np.vstack([chain, report.center]),
     cuspline=[chain],
 )
 print(f"wrote {os.path.join(OUT, 'puiseux.svg')}")

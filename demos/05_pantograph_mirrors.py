@@ -48,15 +48,13 @@ for k, name in ((0, "cycloid"), (1, "m = 2"), (2, "m = 3")):
 
     window = AngleInterval(0.0, 4.0 * math.pi, 1025)
     samples = reconstruct(solution_curve(solution), window)
-    pts = np.array([s.position for s in samples])
-    thetas = np.array([s.theta for s in samples])
-    caustic = overlay_caustic_points(solution, thetas[1:-1])
+    caustic = overlay_caustic_points(solution, samples.theta[1:-1])
     write_scene(
         os.path.join(OUT, f"mirror_k{k}.svg"),
-        mirror=[pts],
+        mirror=[samples.points],
         caustic=[caustic],
-        cusps=np.asarray(report.mirror_cusp_points, dtype=float),
-        cuspline=[np.asarray(report.collinearity_points, dtype=float)],
+        cusps=report.mirror_cusp_points,
+        cuspline=[report.collinearity_points],
     )
 
 # The angle-doubled radius identity behind the construction, checked on

@@ -33,7 +33,6 @@ from .inclination import (
     ColumnRecord,
     CurveSamples,
     InclinationCurve,
-    PlanePoint,
     reconstruct,
 )
 
@@ -115,7 +114,7 @@ class CausticSample:
     source_theta: float
     caustic_theta: float
     caustic_radius: float
-    position: PlanePoint
+    position: np.ndarray
     ray_length: float
     error: str | None = None
 
@@ -152,7 +151,7 @@ class Caustic(ColumnRecord):
             source_theta=theta,
             caustic_theta=float(self.caustic_theta[i]),
             caustic_radius=float(self.caustic_radius[i]),
-            position=PlanePoint(float(self.x[i]), float(self.y[i])),
+            position=np.array([self.x[i], self.y[i]]),
             ray_length=float(self.ray_length[i]),
             error=error,
         )
@@ -221,7 +220,7 @@ def caustic_curve(
     curve: InclinationCurve,
     tilt: TiltField,
     interval: AngleInterval | Sequence[float] | None = None,
-    anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
+    anchor: tuple[float, float] = (0.0, 0.0),
     tol: float = 1e-10,
 ) -> Caustic:
     """Caustic vertices over a whole interval.

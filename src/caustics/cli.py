@@ -343,9 +343,8 @@ def _run_pantograph(args: argparse.Namespace) -> None:
             cpts = overlay_caustic_points(solution, mirror_samples.theta)
             groups["caustic"] = [cpts, cpts / float(factor)]
         if report is not None:
-            line = np.asarray(report.collinearity_points, dtype=float)
-            groups["cuspline"] = [line]
-            groups["cusps"] = np.asarray(report.mirror_cusp_points, dtype=float)
+            groups["cuspline"] = [report.collinearity_points]
+            groups["cusps"] = report.mirror_cusp_points
         write_scene(args.out_svg, **groups)
 
 

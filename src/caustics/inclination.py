@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import (
 from .quadrature import panel_integrals
 
 __all__ = [
-    "PlanePoint",
     "AngleInterval",
     "InclinationCurve",
     "FrameSample",
@@ -44,13 +43,6 @@ __all__ = [
 ]
 
 POLE_GUARD = 1e-6
-
-
-class PlanePoint(NamedTuple):
-    """A point of the plane."""
-
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ class FrameSample:
     """One reconstructed vertex: position, frame, radius and arclength."""
 
     theta: float
-    position: PlanePoint
+    position: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     radius: float
@@ -200,7 +192,7 @@ class CurveSamples(ColumnRecord):
         c, s = math.cos(angle), math.sin(angle)
         return FrameSample(
             theta=float(self.theta[i]),
-            position=PlanePoint(float(self.x[i]), float(self.y[i])),
+            position=np.array([self.x[i], self.y[i]]),
             tangent=np.array([c, s]),
             normal=np.array([-s, c]),
             radius=float(self.radius[i]),
@@ -254,7 +246,7 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
 def reconstruct(
     curve: InclinationCurve,
     interval: AngleInterval | Sequence[float] | None = None,
-    anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
+    anchor: tuple[float, float] = (0.0, 0.0),
     frame_rotation: float = 0.0,
     tol: float = 1e-10,
 ) -> CurveSamples:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .caustic import TiltField, caustic_curve
 from .errors import DegenerateSamplingError, ValidationError
-from .inclination import AngleInterval, InclinationCurve, PlanePoint, reconstruct
+from .inclination import AngleInterval, InclinationCurve, reconstruct
 
 __all__ = [
     "PARALLEL_THRESHOLD",
@@ -88,7 +88,7 @@ def rays_from_tilt(
     curve: InclinationCurve,
     tilt: TiltField,
     interval: AngleInterval | None = None,
-    anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
+    anchor: tuple[float, float] = (0.0, 0.0),
 ) -> RayFamily:
     """Rays leaving the curve along the tilted direction field.
 
@@ -399,7 +399,7 @@ def verticality_check(points: np.ndarray) -> Verticality:
     return Verticality(True, None)
 
 
-_PAIR_CHUNK = 1 << 20
+_OCCLUSION_CHUNK = 1 << 20
 """Candidate (segment, vertex) pairs that ``occlusion_check`` tests at a time."""
 
 
@@ -440,7 +440,7 @@ def occlusion_check(points: np.ndarray) -> Occlusion:
     seg_lo = 0
     while seg_lo < n - 1:
         done = int(ends[seg_lo - 1]) if seg_lo else 0
-        seg_hi = max(seg_lo + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        seg_hi = max(seg_lo + 1, int(np.searchsorted(ends, done + _OCCLUSION_CHUNK, side="right")))
         span = counts[seg_lo:seg_hi]
         seg = np.repeat(np.arange(seg_lo, seg_hi), span)
         offset = np.arange(len(seg)) - np.repeat(ends[seg_lo:seg_hi] - span - done, span)

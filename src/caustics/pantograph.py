@@ -39,7 +39,6 @@ from .errors import (
 from .inclination import (
     AngleInterval,
     InclinationCurve,
-    PlanePoint,
     find_cusps,
     reconstruct,
 )
@@ -438,7 +437,7 @@ def solution_curve(
 def overlay_caustic_points(
     solution: PantographSolution,
     thetas: np.ndarray,
-    anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
+    anchor: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
     """Caustic points of the mirror for horizontal light, via the overlay map.
 
@@ -506,16 +505,16 @@ def _collinearity_residual(points: np.ndarray) -> float:
     return float(np.max(np.abs(centered @ normal)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MirrorReport:
-    """Diagnostics bundle for one continued mirror profile."""
+    """Diagnostics bundle for one continued mirror profile; point sets are ``(n, 2)`` arrays."""
 
     label: str
     zeros: tuple[float, ...]
     zero_deviations: tuple[float, ...]
-    mirror_cusp_points: tuple[PlanePoint, ...]
-    caustic_cusp_points: tuple[PlanePoint, ...]
-    collinearity_points: tuple[PlanePoint, ...]
+    mirror_cusp_points: np.ndarray
+    caustic_cusp_points: np.ndarray
+    collinearity_points: np.ndarray
     collinearity_residual: float
     rho_min: float
     rho_max: float
@@ -583,22 +582,16 @@ def mirror_report(
     chain = [all_zeros[i] for i in (0, 1, 3, 7)]
 
     base_grid = np.linspace(interval.lo, interval.hi, interval.n_samples)
-    grid = np.union1d(base_grid, all_zeros)
-    grid = np.union1d(grid, np.array([0.0]))
+    grid = np.union1d(base_grid, [0.0, *all_zeros])
     samples = reconstruct(curve, grid, anchor=(0.0, 0.0))
     thetas, pts = samples.theta, samples.points
 
-    def at(angle: float) -> np.ndarray:
-        idx = int(np.searchsorted(thetas, angle))
-        if idx >= len(thetas) or abs(thetas[idx] - angle) > 1e-12:
-            raise NumericError(f"angle {angle:g} missing from the reconstruction grid")
-        return pts[idx]
-
+    # Every angle below is a node of the union grid, which k >= 0 never clips.
     a = series.factor_a
-    origin = at(0.0)
-    mirror_cusps = [PlanePoint(*at(z)) for z in zeros]
-    caustic_cusps = [PlanePoint(*(a * at(z) + (1.0 - a) * origin)) for z in zeros]
-    line_pts = np.array([origin] + [a * at(z) + (1.0 - a) * origin for z in chain])
+    origin = pts[np.searchsorted(thetas, 0.0)]
+    mirror_cusps = pts[np.searchsorted(thetas, zeros)]
+    caustic_cusps = a * mirror_cusps + (1.0 - a) * origin
+    line_pts = np.vstack([origin, a * pts[np.searchsorted(thetas, chain)] + (1.0 - a) * origin])
     residual = _collinearity_residual(line_pts)
 
     rho_lo, rho_hi = 0.3, math.pi - 0.3
@@ -625,9 +618,9 @@ def mirror_report(
         label=curve.label,
         zeros=tuple(float(z) for z in zeros),
         zero_deviations=tuple(float(d) for d in deviations),
-        mirror_cusp_points=tuple(mirror_cusps),
-        caustic_cusp_points=tuple(caustic_cusps),
-        collinearity_points=tuple(PlanePoint(*p) for p in line_pts),
+        mirror_cusp_points=mirror_cusps,
+        caustic_cusp_points=caustic_cusps,
+        collinearity_points=line_pts,
         collinearity_residual=residual,
         rho_min=rho_min,
         rho_max=rho_max,
@@ -668,18 +661,14 @@ def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> 
     )
 
 
-def parabola_position(focal_scale: float, theta) -> PlanePoint | np.ndarray:
-    """Closed-form point of the parabola profile at inclination theta."""
+def parabola_position(focal_scale: float, theta) -> np.ndarray:
+    """Closed-form points of the parabola profile, shape ``theta.shape + (2,)``."""
     t = np.asarray(theta, dtype=float)
     A = float(focal_scale)
     s = np.sin(t)
-    x = -A / (2.0 * s * s)
-    y = -A * np.cos(t) / s
-    if t.shape:
-        return np.stack([x, y], axis=-1)
-    return PlanePoint(float(x), float(y))
+    return np.stack([-A / (2.0 * s * s), -A * np.cos(t) / s], axis=-1)
 
 
-def parabola_focus(focal_scale: float) -> PlanePoint:
+def parabola_focus(focal_scale: float) -> np.ndarray:
     """The caustic of the parabola profile collapses onto this point."""
-    return PlanePoint(-float(focal_scale), 0.0)
+    return np.array([-float(focal_scale), 0.0])

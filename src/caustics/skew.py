@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .errors import (
 from .inclination import (
     AngleInterval,
     InclinationCurve,
-    PlanePoint,
     find_cusps,
     log_spiral,
     reconstruct,
@@ -126,11 +125,8 @@ def point_by_point_curve(
     if amplitude == 0.0:
         raise DegenerateCurveError("zero amplitude collapses the curve to a point")
     b = (factor_a - math.sin(phi0)) / math.cos(phi0)
-    curve = log_spiral(amplitude, b, domain=domain or _WIDE)
-    return InclinationCurve(
-        radius_fn=curve.radius_fn,
-        radius_derivative_fn=curve.radius_derivative_fn,
-        domain=curve.domain,
+    return replace(
+        log_spiral(amplitude, b, domain=domain or _WIDE),
         label=f"skew_point(A={amplitude:g}, a={factor_a:g}, phi0={phi0:g})",
     )
 
@@ -422,15 +418,15 @@ def _puiseux_antiderivative(c: float, gamma: float, theta: np.ndarray) -> np.nda
     return np.stack([fx, fy], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PuiseuxReport:
-    """Cusp geometry of a cuspidal spiral."""
+    """Cusp geometry of a cuspidal spiral; ``center`` is None for c = 0, gamma = 1."""
 
     c: float
     gamma: float
     cusp_thetas: tuple[float, ...]
-    cusp_points: tuple[PlanePoint, ...]
-    center: PlanePoint | None
+    cusp_points: np.ndarray
+    center: np.ndarray | None
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
     expected_ratio: float
@@ -441,7 +437,7 @@ def puiseux_diagnostics(
     c: float,
     gamma: float,
     interval: AngleInterval,
-    anchor: PlanePoint | tuple[float, float] = (0.0, 0.0),
+    anchor: tuple[float, float] = (0.0, 0.0),
 ) -> PuiseuxReport:
     """Locate the cusps of R = exp(c theta) sin(gamma theta) and measure them.
 
@@ -470,15 +466,15 @@ def puiseux_diagnostics(
         dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     else:
         f0 = _puiseux_antiderivative(c, gamma, samples.theta[:1])[0]
-        center = PlanePoint(float(samples.x[0] - f0[0]), float(samples.y[0] - f0[1]))
-        dists = np.linalg.norm(pts - np.array(center), axis=1)
+        center = samples.points[0] - f0
+        dists = np.linalg.norm(pts - center, axis=1)
     ratios = dists[1:] / dists[:-1]
     deviation = float(np.max(np.abs(ratios - expected))) if ratios.size else math.nan
     return PuiseuxReport(
         c=float(c),
         gamma=float(gamma),
         cusp_thetas=tuple(float(t) for t in cusps),
-        cusp_points=tuple(PlanePoint(*p) for p in pts.tolist()),
+        cusp_points=pts,
         center=center,
         distances=tuple(float(d) for d in dists),
         ratios=tuple(float(r) for r in ratios),

@@ -173,7 +173,7 @@ def test_criterion_06_parabola_caustic_collapses_to_focus():
     focus = parabola_focus(scale)
     caustic = caustic_curve(mirror, TiltField.reflection(), interval, anchor=anchor)
     pts = np.array([s.position for s in caustic])
-    scatter = float(np.max(np.hypot(pts[:, 0] - focus.x, pts[:, 1] - focus.y)))
+    scatter = float(np.max(np.hypot(pts[:, 0] - focus[0], pts[:, 1] - focus[1])))
     print(f"caustic scatter about the focus: {scatter:.3e}")
     assert scatter < 1e-7
 

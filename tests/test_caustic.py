@@ -78,8 +78,8 @@ def test_cycloid_reflection_caustic_overlays_scaled_copy():
     samples = caustic_curve(cycloid(1.0), TiltField.reflection(), interval, anchor=anchor)
     for s in samples:
         t = s.source_theta
-        assert abs(s.position.x - math.sin(2 * t) ** 2 / 4) < 1e-9
-        assert abs(s.position.y - (t / 2 - math.sin(4 * t) / 8)) < 1e-9
+        assert abs(s.position[0] - math.sin(2 * t) ** 2 / 4) < 1e-9
+        assert abs(s.position[1] - (t / 2 - math.sin(4 * t) / 8)) < 1e-9
 
 
 def test_cusp_nodes_are_flagged_not_dropped():
@@ -88,7 +88,7 @@ def test_cusp_nodes_are_flagged_not_dropped():
     )
     assert len(samples) == 11
     assert samples[0].error is not None and "Cusp" in samples[0].error
-    assert math.isnan(samples[0].position.x)
+    assert math.isnan(samples[0].position[0])
     assert all(s.error is None for s in samples[1:])
 
 

@@ -283,6 +283,26 @@ def test_hausdorff_memory_is_not_quadratic():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_hausdorff_chunks_bound_memory_on_a_wide_spiral(monkeypatch):
+    """A growing spiral's long outer segments pair with every point; the
+    pairs still go through in chunks of ``_PAIR_CHUNK`` (1 << 18), not in
+    the occlusion check's larger ones."""
+    curve, tilt = log_spiral(1.0189, 0.2480), TiltField.skew(-0.1415)
+    window = AngleInterval(0.0, 9.7846, 4097)
+    envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
+    closed = caustic_curve(curve, tilt, np.concatenate(([window.lo], envelope.parameters)))
+    points = closed.points[1:]
+    tracemalloc.start()
+    try:
+        got = hausdorff_distance(envelope.points, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    monkeypatch.setattr(oracle, "_directed_distance", _brute_directed_distance)
+    assert got == hausdorff_distance(envelope.points, points)
+
+
 def test_verticality_flags():
     arc, _ = circle_points(0.0, math.pi, 101)
     assert verticality_check(arc).is_vertical

@@ -19,7 +19,7 @@ from caustics.errors import (
     ResonanceError,
     ValidationError,
 )
-from caustics.inclination import AngleInterval, reconstruct
+from caustics.inclination import AngleInterval, find_cusps, reconstruct
 from caustics.pantograph import (
     PantographSolution,
     auxiliary_equation_residual,
@@ -261,6 +261,32 @@ def test_m3_collinearity_exceeds_cycloid(m3_report, cycloid_report, m2_report):
     assert m3_report.collinearity_residual > m2_report.collinearity_residual
 
 
+@pytest.mark.parametrize("name", ["cycloid", "m2", "m3"])
+def test_report_point_sets_are_arrays(name, request):
+    solution = request.getfixturevalue(f"{name}_solution")
+    report = request.getfixturevalue(f"{name}_report")
+    mirror, caustic, line = (
+        report.mirror_cusp_points,
+        report.caustic_cusp_points,
+        report.collinearity_points,
+    )
+    for pts in (mirror, caustic, line):
+        assert isinstance(pts, np.ndarray) and pts.dtype == float
+        assert pts.ndim == 2 and pts.shape[1] == 2
+    assert len(mirror) == len(report.zeros) and len(line) == 5
+    a = solution.series.factor_a
+    assert np.array_equal(caustic, a * mirror + (1 - a) * line[0])
+    # The report reconstructs once, on its even grid merged with 0 and
+    # every sign change below far = 8pi + 4pi.
+    far = 2 * (4 * math.pi) + 4 * math.pi
+    curve = solution_curve(solution, AngleInterval(0.0, far + 0.1, 9))
+    cusps = find_cusps(curve, AngleInterval(0.0, far, 513))
+    grid = np.union1d(np.linspace(0.0, 4 * math.pi, 2049), [0.0, *cusps])
+    samples = reconstruct(curve, grid)
+    at_zeros = samples.points[np.searchsorted(samples.theta, report.zeros)]
+    assert np.array_equal(mirror, at_zeros)
+
+
 def test_report_mapping_round_trip(cycloid_report):
     mapping = cycloid_report.as_mapping()
     assert mapping["is_vertical"] is True
@@ -289,7 +315,7 @@ def test_parabola_identities():
     pts = np.array([s.position for s in samples])
     implicit = pts[:, 1] ** 2 + 2 * A * pts[:, 0] + A * A
     assert np.max(np.abs(implicit)) < 1e-8
-    assert parabola_focus(A) == (-A, 0.0)
+    assert np.array_equal(parabola_focus(A), (-A, 0.0))
 
 
 def test_parabola_validation():

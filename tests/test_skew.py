@@ -197,7 +197,8 @@ def test_puiseux_cusps_and_ratios():
     for i, z in enumerate(report.cusp_thetas):
         n = round(z * 3.0 / math.pi)
         assert abs(z - n * math.pi / 3.0) < 1e-9
-    assert report.center is not None
+    assert report.cusp_points.shape == (len(report.cusp_thetas), 2)
+    assert report.center.shape == (2,)
     assert abs(report.expected_ratio - math.exp(0.2 * math.pi / 3.0)) < 1e-15
     assert report.max_ratio_deviation < 1e-6
     ratios = np.asarray(report.ratios)
@@ -207,6 +208,7 @@ def test_puiseux_cusps_and_ratios():
 def test_puiseux_degenerate_cycloid_chords():
     report = puiseux_diagnostics(0.0, 1.0, AngleInterval(-0.1, 4 * math.pi + 0.1, 1025))
     assert report.center is None
+    assert report.cusp_points.shape == (len(report.cusp_thetas), 2)
     assert abs(report.expected_ratio - 1.0) < 1e-15
     assert report.max_ratio_deviation < 1e-9
 
