@@ -22,7 +22,7 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 
-# A unit circle: R identically 1, anchored so it starts at the origin
+# A unit circle: R identically 1, starting at the origin
 # heading along +x.  The reconstruction must give x = sin, y = 1 - cos.
 window = AngleInterval(0.0, 2.0 * math.pi, 257)
 ring = reconstruct(circle(1.0), window)

@@ -70,21 +70,19 @@ class TiltField:
     phi_fn: Callable[[np.ndarray], np.ndarray]
     phi_prime_fn: Callable[[np.ndarray], np.ndarray]
     phi_second_fn: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
-    skew_angle: float | None = None
 
     @staticmethod
     def evolute() -> "TiltField":
         """Rays along the normal: phi identically 0."""
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        return TiltField(zero, zero, zero, kind="evolute", skew_angle=0.0)
+        return TiltField(zero, zero, zero)
 
     @staticmethod
     def skew(phi0: float) -> "TiltField":
         """Rays at a constant angle phi0 to the normal."""
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
         const = lambda t: np.full_like(np.asarray(t, dtype=float), phi0)
-        return TiltField(const, zero, zero, kind="skew", skew_angle=float(phi0))
+        return TiltField(const, zero, zero)
 
     @staticmethod
     def reflection() -> "TiltField":
@@ -92,7 +90,7 @@ class TiltField:
         phi = lambda t: math.pi / 2 - np.asarray(t, dtype=float)
         minus_one = lambda t: np.full_like(np.asarray(t, dtype=float), -1.0)
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        return TiltField(phi, minus_one, zero, kind="reflection")
+        return TiltField(phi, minus_one, zero)
 
     def phi(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -173,11 +171,6 @@ class SimilaritySpec:
         if self.sign not in (-1, 1):
             raise ValidationError("similarity sign must be +1 or -1")
 
-    @property
-    def alpha(self) -> float:
-        """The delay seen by constant-tilt families: beta - pi/2."""
-        return self.shift_beta - math.pi / 2
-
 
 def coframe(tilt: TiltField, theta, radius):
     """Ray direction ``nu`` and focusing density ``chi`` of the tilted coframe.
@@ -220,15 +213,13 @@ def caustic_curve(
     curve: InclinationCurve,
     tilt: TiltField,
     interval: AngleInterval | Sequence[float] | None = None,
-    anchor: tuple[float, float] = (0.0, 0.0),
-    tol: float = 1e-10,
 ) -> Caustic:
     """Caustic vertices over a whole interval.
 
     Nodes whose coframe degenerates (cusp, flat tilt, infinite caustic)
     are not dropped: they are flagged and carry NaN in every float column.
     """
-    source = reconstruct(curve, interval, anchor=anchor, tol=tol)
+    source = reconstruct(curve, interval)
     theta, r = source.theta, source.radius
     phi, p1 = tilt.phi(theta), tilt.phi_prime(theta)
     nu, chi = coframe(tilt, theta, r)

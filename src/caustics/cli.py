@@ -332,9 +332,7 @@ def _run_pantograph(args: argparse.Namespace) -> None:
             else:
                 print(f"{key}={value}")
     if args.out_csv:
-        write_coefficient_csv(
-            args.out_csv, zip(series.powers(), series.coefficients), value_label="a_n"
-        )
+        write_coefficient_csv(args.out_csv, zip(series.powers(), series.coefficients))
     if args.out_svg:
         window = _window(args, 0.0, 2 * math.pi)
         mirror_samples = reconstruct(solution_curve(solution), window)

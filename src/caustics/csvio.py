@@ -293,8 +293,6 @@ def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
     write_table(path, CAUSTIC_HEADER, np.column_stack(columns))
 
 
-def write_coefficient_csv(
-    path: str | os.PathLike, pairs: Iterable[tuple[int, float]], value_label: str = "a_n"
-) -> None:
-    """Emit an indexed coefficient list as ``n,<label>`` rows."""
-    write_table(path, ("n", value_label), [(int(n), float(v)) for n, v in pairs])
+def write_coefficient_csv(path: str | os.PathLike, pairs: Iterable[tuple[int, float]]) -> None:
+    """Emit an indexed coefficient list under the header ``n,a_n``."""
+    write_table(path, ("n", "a_n"), [(int(n), float(v)) for n, v in pairs])

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 POLE_GUARD = 1e-6
+RECONSTRUCT_TOL = 1e-10
+"""Absolute quadrature error budget of ``reconstruct`` over a whole grid."""
+FD_STEP = 1e-5
+"""Relative step of the five-point difference that stands in for a missing R'."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class InclinationCurve:
         Angles on which the radius may be evaluated.
     radius_derivative_fn : callable, optional
         Analytic derivative ``dR/dtheta``.  When absent, a five-point
-        central difference with step ``fd_step * max(1, |theta|)`` is used.
+        central difference with step ``FD_STEP * max(1, |theta|)`` is used.
     label : str
         Display name used by reports and the command line.
     poles : tuple of float
@@ -102,7 +106,6 @@ class InclinationCurve:
     radius_derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     poles: tuple[float, ...] = ()
-    fd_step: float = 1e-5
 
     def radius(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -114,7 +117,7 @@ class InclinationCurve:
         if self.radius_derivative_fn is not None:
             out = np.asarray(self.radius_derivative_fn(theta), dtype=float)
             return out if out.shape else float(out)
-        h = self.fd_step * np.maximum(1.0, np.abs(theta))
+        h = FD_STEP * np.maximum(1.0, np.abs(theta))
         r = self.radius_fn
         out = (r(theta - 2 * h) - 8 * r(theta - h) + 8 * r(theta + h) - r(theta + 2 * h)) / (
             12 * h
@@ -166,9 +169,8 @@ class CurveSamples(ColumnRecord):
 
     ``theta`` holds the tangent angles, ``x, y`` the positions, ``radius``
     the turning radius R and ``arclength`` the signed arclength from the
-    first node.  The tangent at a node points along
-    ``theta + frame_rotation``; the normal is the tangent turned by +90
-    degrees.
+    first node.  The tangent at a node points along ``theta``; the normal
+    is the tangent turned by +90 degrees.
     """
 
     theta: np.ndarray
@@ -176,20 +178,17 @@ class CurveSamples(ColumnRecord):
     y: np.ndarray
     radius: np.ndarray
     arclength: np.ndarray
-    frame_rotation: float = 0.0
 
     _columns = ("theta", "x", "y", "radius", "arclength")
 
     @property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit tangents and normals, each an ``(n, 2)`` array."""
-        angle = self.theta + self.frame_rotation
-        c, s = np.cos(angle), np.sin(angle)
+        c, s = np.cos(self.theta), np.sin(self.theta)
         return np.column_stack([c, s]), np.column_stack([-s, c])
 
     def _view(self, i: int) -> FrameSample:
-        angle = float(self.theta[i]) + self.frame_rotation
-        c, s = math.cos(angle), math.sin(angle)
+        c, s = math.cos(self.theta[i]), math.sin(self.theta[i])
         return FrameSample(
             theta=float(self.theta[i]),
             position=np.array([self.x[i], self.y[i]]),
@@ -246,9 +245,6 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
 def reconstruct(
     curve: InclinationCurve,
     interval: AngleInterval | Sequence[float] | None = None,
-    anchor: tuple[float, float] = (0.0, 0.0),
-    frame_rotation: float = 0.0,
-    tol: float = 1e-10,
 ) -> CurveSamples:
     """Integrate the inclination data into vertex samples.
 
@@ -256,24 +252,18 @@ def reconstruct(
     ``integral of R * (cos, sin)`` and the arclength increment is
     ``integral of R``, both by the adaptive nested G3/K7/P15 rule of
     ``quadrature.panel_integrals``: K7 on each cell, P15 where K7 misses, and
-    P15 on halved panels after that.  ``tol`` is an absolute error budget for
-    each column summed over the whole grid, so it covers every cumulative
-    sample too; a cell whose error estimate is down at its rounding floor
-    ``50 eps int |R|`` is accepted there.  The first sample sits at
-    ``anchor``.  A nonzero ``frame_rotation`` rotates the whole picture
-    (offsets and frames) about the anchor.
+    P15 on halved panels after that.  ``RECONSTRUCT_TOL`` is an absolute
+    error budget for each column summed over the whole grid, so it covers
+    every cumulative sample too; a cell whose error estimate is down at its
+    rounding floor ``50 eps int |R|`` is accepted there.  R fixes the curve
+    up to translation: the first sample sits at the origin, and callers
+    that want another placement translate the ``points``.
 
     Parameters
     ----------
     curve : InclinationCurve
     interval : AngleInterval or increasing angle array, optional
         Defaults to the curve's domain.
-    anchor : pair of floats
-        Position of the first sample.
-    frame_rotation : float
-        Rigid rotation applied to the reconstruction, in radians.
-    tol : float
-        Absolute quadrature error budget for the whole grid.
 
     Returns
     -------
@@ -282,10 +272,10 @@ def reconstruct(
     Raises
     ------
     ValidationError
-        If the angles are not finite and strictly increasing, or ``tol`` is
-        not finite and positive.
+        If the angles are not finite and strictly increasing.
     NumericError
-        If panels at rounding width miss the budget by more than ``tol``.
+        If panels at rounding width miss the budget by more than
+        ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
 
@@ -293,27 +283,19 @@ def reconstruct(
         r = np.asarray(curve.radius_fn(t), dtype=float)
         return np.array([r * np.cos(t), r * np.sin(t), r])
 
-    pieces = panel_integrals(integrand, thetas, tol=tol)
-    dx, dy, ds = pieces
+    dx, dy, ds = panel_integrals(integrand, thetas, tol=RECONSTRUCT_TOL)
 
     node_r = np.asarray(curve.radius_fn(thetas), dtype=float)
     if not np.all(np.isfinite(node_r)):
         bad = thetas[~np.isfinite(node_r)][0]
         raise EvaluationError(f"R is not finite at theta = {bad}")
 
-    x = np.concatenate([[0.0], np.cumsum(dx)])
-    y = np.concatenate([[0.0], np.cumsum(dy)])
-    s = np.concatenate([[0.0], np.cumsum(ds)])
-
-    cr, sr = math.cos(frame_rotation), math.sin(frame_rotation)
-    ax, ay = float(anchor[0]), float(anchor[1])
     return CurveSamples(
         theta=thetas,
-        x=ax + cr * x - sr * y,
-        y=ay + sr * x + cr * y,
+        x=np.concatenate([[0.0], np.cumsum(dx)]),
+        y=np.concatenate([[0.0], np.cumsum(dy)]),
         radius=node_r,
-        arclength=s,
-        frame_rotation=float(frame_rotation),
+        arclength=np.concatenate([[0.0], np.cumsum(ds)]),
     )
 
 

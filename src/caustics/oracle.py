@@ -85,17 +85,14 @@ class RayFamily:
 
 
 def rays_from_tilt(
-    curve: InclinationCurve,
-    tilt: TiltField,
-    interval: AngleInterval | None = None,
-    anchor: tuple[float, float] = (0.0, 0.0),
+    curve: InclinationCurve, tilt: TiltField, interval: AngleInterval | None = None
 ) -> RayFamily:
     """Rays leaving the curve along the tilted direction field.
 
     Each reconstructed sample emits one ray from its position along
     nu = sin(phi) T + cos(phi) N.
     """
-    samples = reconstruct(curve, interval, anchor=anchor)
+    samples = reconstruct(curve, interval)
     tangents, normals = samples.frame
     phi = tilt.phi(samples.theta)[:, None]
     nu = np.sin(phi) * tangents + np.cos(phi) * normals
@@ -368,9 +365,9 @@ def envelope_gap(
     are left out.
     """
     envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
-    # Keeping the window's first node in the grid pins the reconstruction to
-    # the same anchor the ray family used; nudging the anchor onto the
-    # midpoint grid would translate the whole caustic by half a step.
+    # Keeping the window's first node in the grid starts the reconstruction
+    # at the same origin as the ray family's; starting it on the midpoint
+    # grid instead would translate the whole caustic by half a step.
     grid = np.concatenate(([window.lo], envelope.parameters))
     closed = caustic_curve(curve, tilt, grid)[1:]
     radii, points = closed.caustic_radius, closed.points

@@ -434,11 +434,7 @@ def solution_curve(
     )
 
 
-def overlay_caustic_points(
-    solution: PantographSolution,
-    thetas: np.ndarray,
-    anchor: tuple[float, float] = (0.0, 0.0),
-) -> np.ndarray:
+def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> np.ndarray:
     """Caustic points of the mirror for horizontal light, via the overlay map.
 
     The pantograph equation makes the caustic the homothety
@@ -453,7 +449,7 @@ def overlay_caustic_points(
         solution, AngleInterval(0.0, max(2 * float(np.max(thetas)), 1.0), 9)
     )
     grid = np.union1d(np.array([0.0]), 2.0 * thetas)
-    samples = reconstruct(curve, grid, anchor=anchor)
+    samples = reconstruct(curve, grid)
     pts = samples.points[np.searchsorted(samples.theta, 2.0 * thetas)]
     origin = samples.points[np.searchsorted(samples.theta, 0.0)]
     return a * pts + (1.0 - a) * origin
@@ -583,7 +579,7 @@ def mirror_report(
 
     base_grid = np.linspace(interval.lo, interval.hi, interval.n_samples)
     grid = np.union1d(base_grid, [0.0, *all_zeros])
-    samples = reconstruct(curve, grid, anchor=(0.0, 0.0))
+    samples = reconstruct(curve, grid)
     thetas, pts = samples.theta, samples.points
 
     # Every angle below is a node of the union grid, which k >= 0 never clips.
@@ -639,9 +635,10 @@ def mirror_report(
 def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> InclinationCurve:
     """The mirror whose caustic for horizontal light is a single point.
 
-    R(theta) = A / sin^3(theta) on (0, pi).  With the anchor
-    (-A/(2 sin^2 theta0), -A cot theta0) the reconstruction traces the
-    parabola y^2 + 2 A x = -A^2, whose focus sits at (-A, 0).
+    R(theta) = A / sin^3(theta) on (0, pi).  The reconstruction from a
+    first angle theta0 starts at the origin; translated by
+    ``parabola_position(A, theta0) = (-A/(2 sin^2 theta0), -A cot theta0)``
+    it traces the parabola y^2 + 2 A x = -A^2, whose focus sits at (-A, 0).
     """
     if focal_scale == 0.0:
         raise DegenerateCurveError("A = 0 collapses the parabola to a point")

@@ -433,12 +433,7 @@ class PuiseuxReport:
     max_ratio_deviation: float
 
 
-def puiseux_diagnostics(
-    c: float,
-    gamma: float,
-    interval: AngleInterval,
-    anchor: tuple[float, float] = (0.0, 0.0),
-) -> PuiseuxReport:
+def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> PuiseuxReport:
     """Locate the cusps of R = exp(c theta) sin(gamma theta) and measure them.
 
     Cusp angles come from sign changes of R; positions from quadrature
@@ -456,7 +451,7 @@ def puiseux_diagnostics(
             f"interval holds only {len(cusps)} cusps; need at least 3 for ratios"
         )
     grid = np.union1d(interval.grid(), np.asarray(cusps))
-    samples = reconstruct(curve, grid, anchor=anchor)
+    samples = reconstruct(curve, grid)
     pts = samples.points[np.searchsorted(samples.theta, cusps)]
 
     expected = math.exp(c * math.pi / gamma)
@@ -465,8 +460,9 @@ def puiseux_diagnostics(
         center = None
         dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     else:
-        f0 = _puiseux_antiderivative(c, gamma, samples.theta[:1])[0]
-        center = samples.points[0] - f0
+        # The reconstruction starts at the origin, so r = center + F puts
+        # the centre at -F(theta0).
+        center = -_puiseux_antiderivative(c, gamma, samples.theta[:1])[0]
         dists = np.linalg.norm(pts - center, axis=1)
     ratios = dists[1:] / dists[:-1]
     deviation = float(np.max(np.abs(ratios - expected))) if ratios.size else math.nan

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _BRANCH_POINT = -1.0 / math.e
+_MAX_HALLEY_STEPS = 100
 
 
 def _initial_guess(k: int, z: complex) -> complex:
@@ -63,12 +64,13 @@ def _initial_guess(k: int, z: complex) -> complex:
     return L1 - cmath.log(L1)
 
 
-def lambert_w(k: int, z: complex | float, max_iterations: int = 100):
+def lambert_w(k: int, z: complex | float):
     """Branch ``k`` of the Lambert W function.
 
-    Solves ``w * exp(w) = z`` by Halley iteration from a branch-aware
-    initial guess.  Accepts any complex ``z``; real arguments that lie on
-    the real range of the requested branch come back as plain floats.
+    Solves ``w * exp(w) = z`` by at most ``_MAX_HALLEY_STEPS`` Halley steps
+    from a branch-aware initial guess.  Accepts any complex ``z``; real
+    arguments that lie on the real range of the requested branch come back
+    as plain floats.
 
     Parameters
     ----------
@@ -77,8 +79,6 @@ def lambert_w(k: int, z: complex | float, max_iterations: int = 100):
         the second real solution for ``-1/e <= z < 0``.
     z : complex or float
         Argument.  ``z=0`` is only valid on the principal branch.
-    max_iterations : int
-        Safety cap on Halley steps.
 
     Returns
     -------
@@ -105,7 +105,7 @@ def lambert_w(k: int, z: complex | float, max_iterations: int = 100):
 
     w = _initial_guess(int(k), zc)
     best_w, best_res = w, math.inf
-    for _ in range(max_iterations):
+    for _ in range(_MAX_HALLEY_STEPS):
         e = cmath.exp(w)
         f = w * e - zc
         res = abs(f)

@@ -17,13 +17,19 @@ __all__ = ["GROUP_ORDER", "write_scene"]
 
 GROUP_ORDER = ("mirror", "caustic", "rays", "cusps", "cuspline")
 
+SIZE = 640.0
+"""Length of the viewport's longer side, in SVG user units."""
+MARGIN_FRACTION = 0.05
+"""Blank border on every side, as a fraction of the data's larger extent."""
+
 _STYLE = {
-    "mirror": 'stroke="#1f77b4" stroke-width="{w}" fill="none"',
-    "caustic": 'stroke="#d62728" stroke-width="{w}" fill="none"',
-    "rays": 'stroke="#b0b0b0" stroke-width="{thin}" fill="none"',
-    "cusps": 'stroke="#000000" stroke-width="{thin}" fill="none"',
-    "cuspline": 'stroke="#2ca02c" stroke-width="{thin}" stroke-dasharray="{dash}" fill="none"',
+    "mirror": 'stroke="#1f77b4" stroke-width="1.500" fill="none"',
+    "caustic": 'stroke="#d62728" stroke-width="1.500" fill="none"',
+    "rays": 'stroke="#b0b0b0" stroke-width="0.750" fill="none"',
+    "cusps": 'stroke="#000000" stroke-width="0.750" fill="none"',
+    "cuspline": 'stroke="#2ca02c" stroke-width="0.750" stroke-dasharray="6.000 4.000" fill="none"',
 }
+_CIRCLE = '\n<circle cx="%.3f" cy="%.3f" r="3.840"/>'
 
 
 def _as_group(data) -> tuple[np.ndarray, np.ndarray] | None:
@@ -82,8 +88,6 @@ def write_scene(
     rays: Sequence | None = None,
     cusps: Sequence | None = None,
     cuspline: Sequence | None = None,
-    size: float = 640.0,
-    margin_fraction: float = 0.05,
 ) -> None:
     """Write one scene; every argument is a list of (n, 2) polylines.
 
@@ -91,8 +95,9 @@ def write_scene(
     polylines of k points each (a bundle of rays).  ``cusps`` instead
     takes an (n, 2) array of points, drawn as small circles.  NaN rows
     inside polylines lift the pen.  The viewport is fitted to the finite
-    data with a uniform scale and the y axis pointing up.  Each group's
-    text is formatted in one pass.
+    data with a uniform scale and the y axis pointing up; its longer side
+    is ``SIZE`` and each margin ``MARGIN_FRACTION`` of the data's larger
+    extent.  Each group's text is formatted in one pass.
     """
     groups = {
         "mirror": _as_group(mirror),
@@ -113,18 +118,10 @@ def write_scene(
     lo = finite.min(axis=0)
     hi = finite.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-    margin = margin_fraction * span
-    scale = size / (span + 2 * margin)
+    margin = MARGIN_FRACTION * span
+    scale = SIZE / (span + 2 * margin)
     width = (hi[0] - lo[0] + 2 * margin) * scale
     height = (hi[1] - lo[1] + 2 * margin) * scale
-
-    stroke = max(1.0, size / 640.0)
-    style_args = {
-        "w": _fmt(1.5 * stroke),
-        "thin": _fmt(0.75 * stroke),
-        "dash": f"{_fmt(6 * stroke)} {_fmt(4 * stroke)}",
-    }
-    circle = '\n<circle cx="%.3f" cy="%.3f" r="' + _fmt(0.006 * size) + '"/>'
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -141,11 +138,10 @@ def write_scene(
             [(points[:, 0] - lo[0] + margin) * scale, (hi[1] - points[:, 1] + margin) * scale]
         )
         if name == "cusps":
-            body = circle * int(finite.sum()) % tuple(xy[finite].ravel().tolist())
+            body = _CIRCLE * int(finite.sum()) % tuple(xy[finite].ravel().tolist())
         else:
             body = _path_lines(xy, finite, lengths)
-        style = _STYLE[name].format(**style_args)
-        lines.append(f'<g id="{name}" {style}>' + body)
+        lines.append(f'<g id="{name}" {_STYLE[name]}>' + body)
         lines.append("</g>")
     lines.append("</svg>")
     with open(path, "w", encoding="ascii", newline="") as fh:

@@ -22,6 +22,7 @@ from caustics.errors import (
 )
 from caustics.csvio import read_table, write_caustic_csv
 from caustics.inclination import AngleInterval, circle, cycloid, log_spiral
+from caustics.skew import SkewFamilySpec, build_family, implied_alpha
 
 
 def test_reflection_tilt_of_unit_circle_gives_three_quarter_cosine():
@@ -70,16 +71,17 @@ def test_caustic_theta_doubles_under_reflection():
 
 
 def test_cycloid_reflection_caustic_overlays_scaled_copy():
-    # with the mirror anchored on its closed form, the caustic is the
+    # with the mirror translated onto its closed form, the caustic is the
     # half-scale mirror at the doubled angle: (sin^2(2t)/4, t/2 - sin(4t)/8)
     lo = 0.05
-    anchor = (math.sin(lo) ** 2 / 2, lo / 2 - math.sin(2 * lo) / 4)
+    offset = np.array([math.sin(lo) ** 2 / 2, lo / 2 - math.sin(2 * lo) / 4])
     interval = AngleInterval(lo, math.pi / 2, 65)
-    samples = caustic_curve(cycloid(1.0), TiltField.reflection(), interval, anchor=anchor)
+    samples = caustic_curve(cycloid(1.0), TiltField.reflection(), interval)
     for s in samples:
         t = s.source_theta
-        assert abs(s.position[0] - math.sin(2 * t) ** 2 / 4) < 1e-9
-        assert abs(s.position[1] - (t / 2 - math.sin(4 * t) / 8)) < 1e-9
+        x, y = s.position + offset
+        assert abs(x - math.sin(2 * t) ** 2 / 4) < 1e-9
+        assert abs(y - (t / 2 - math.sin(4 * t) / 8)) < 1e-9
 
 
 def test_cusp_nodes_are_flagged_not_dropped():
@@ -146,7 +148,6 @@ def test_flat_tilt_is_an_error():
         phi_fn=lambda t: np.asarray(t, dtype=float),
         phi_prime_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         phi_second_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        kind="linear",
     )
     caus = caustic_curve(circle(), flat, AngleInterval(0.0, 1.0, 9))
     assert caus.flag[3] == FLAT_TILT
@@ -173,11 +174,43 @@ def test_coframe_state_matches_reflection_identities():
     assert abs(chi - 2.0) < 1e-12
 
 
-def test_similarity_spec_validation_and_alpha():
+def test_similarity_spec_validation():
     with pytest.raises(ValidationError):
         SimilaritySpec(0.5, 0.0, sign=2)
-    spec = SimilaritySpec(0.5, 0.3)
-    assert abs(spec.alpha - (0.3 - math.pi / 2)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, sign",
+    [
+        (SkewFamilySpec("point_by_point", 0.3, 1.2), 0.0, 1),
+        (
+            SkewFamilySpec("inverse_position", 0.3, 1.2, coefficients=((1.0, 0.5),)),
+            implied_alpha(1.0, 0.5, 1.2, 0.3),
+            -1,
+        ),
+        (
+            SkewFamilySpec(
+                "delay", 0.3, 0.9, alpha=0.8, root_indices=(0, -1),
+                coefficients=((1.0, 0.0), (0.5, 0.2)),
+            ),
+            0.8,
+            1,
+        ),
+    ],
+    ids=["point_by_point", "inverse_position", "delay"],
+)
+def test_skew_families_obey_the_general_similarity_law(spec, alpha, sign):
+    # Under the constant tilt phi0 the general law's argument
+    # sign * (theta + pi/2 - phi0 - beta) is the family's theta, alpha - theta
+    # or theta - alpha exactly when beta = alpha + pi/2 - phi0.
+    curve, tilt = build_family(spec), TiltField.skew(spec.phi0)
+    window = AngleInterval(-1.0, 1.0, 201)
+    beta = alpha + math.pi / 2 - spec.phi0
+    law = SimilaritySpec(spec.factor_a, beta, sign)
+    assert similarity_residual(curve, tilt, law, window) <= 1e-12
+    # Leaving out the tilt's -phi0 breaks the law.
+    shifted = SimilaritySpec(spec.factor_a, beta + spec.phi0, sign)
+    assert similarity_residual(curve, tilt, shifted, window) > 1e-3
 
 
 def test_cycloid_reflection_similarity():

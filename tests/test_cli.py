@@ -232,6 +232,23 @@ def test_verify_specfun_suite_passes(capsys):
     assert "checks=" in out and "failures=0" in out
 
 
+def test_verify_oracle_suite_rows_are_pinned(capsys):
+    # The benchmark's verify job (`_verify_cli` in perfbench/workloads.py)
+    # fails unless this suite prints exactly four PASS lines and ends with
+    # "checks=4 failures=0".  A new oracle row belongs in a change that also
+    # updates that check.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--samples", "500")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", "circle_normals_focus_scatter"],
+        ["PASS", "semicircle_reflection_hausdorff"],
+        ["PASS", "reflection_matches_tilt_field"],
+        ["PASS", "step_halving_ratio"],
+    ]
+    assert lines[-1] == "checks=4 failures=0"
+
+
 def test_verify_requires_suite(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2

@@ -77,17 +77,15 @@ def test_log_spiral_closed_form():
     assert abs(pts[-1, 1] - 0.90933067363147861703) < 1e-12
 
 
-def test_anchor_and_frame_rotation():
-    plain = reconstruct(circle(1.0), AngleInterval(0.0, 1.0, 17))
-    moved = reconstruct(circle(1.0), AngleInterval(0.0, 1.0, 17), anchor=(2.0, -1.0))
-    delta = positions(moved) - positions(plain)
-    assert np.max(np.abs(delta - np.array([2.0, -1.0]))) < 1e-12
-
-    quarter = reconstruct(
-        circle(1.0), AngleInterval(0.0, 1.0, 17), frame_rotation=math.pi / 2
-    )
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.max(np.abs(positions(quarter) - positions(plain) @ rot.T)) < 1e-10
+def test_first_sample_is_the_origin():
+    # R fixes a curve up to translation; the reconstruction starts at the origin.
+    for curve, interval in [
+        (circle(1.0), AngleInterval(0.0, 1.0, 17)),
+        (log_spiral(2.0, 0.3), AngleInterval(1.5, 4.0, 33)),
+    ]:
+        samples = reconstruct(curve, interval)
+        assert (samples.x[0], samples.y[0]) == (0.0, 0.0)
+        assert np.array_equal(samples[0].position, [0.0, 0.0])
 
 
 def test_tangents_and_normals_are_orthonormal():

@@ -311,8 +311,8 @@ def test_parabola_identities():
     A = 1.0
     lo, hi = 0.2, math.pi - 0.2
     curve = parabola_mirror(A, domain=AngleInterval(lo, hi, 257))
-    samples = reconstruct(curve, anchor=parabola_position(A, lo))
-    pts = np.array([s.position for s in samples])
+    samples = reconstruct(curve)
+    pts = np.array([s.position for s in samples]) + parabola_position(A, lo)
     implicit = pts[:, 1] ** 2 + 2 * A * pts[:, 0] + A * A
     assert np.max(np.abs(implicit)) < 1e-8
     assert np.array_equal(parabola_focus(A), (-A, 0.0))

@@ -64,8 +64,8 @@ def test_csv_special_values_match_per_cell_reference(tmp_path, rng):
 def test_coefficient_csv_writes_integer_column_verbatim(tmp_path):
     pairs = [(0, 1.0), (2, -0.0), (7, 1e-300), (10**15 + 1, math.nan), (-(2**53), 0.25)]
     path = tmp_path / "coeffs.csv"
-    write_coefficient_csv(path, pairs, value_label="b_n")
-    want = _reference_csv(("n", "b_n"), [(int(n), float(v)) for n, v in pairs])
+    write_coefficient_csv(path, pairs)
+    want = _reference_csv(("n", "a_n"), [(int(n), float(v)) for n, v in pairs])
     assert path.read_bytes() == want
     assert path.read_text().splitlines()[4].startswith("1000000000000001,")
 
@@ -219,10 +219,10 @@ def test_read_table_rejects_ragged_or_non_numeric_rows(tmp_path, text):
 # SVG
 
 
-def _reference_scene(path, mirror=None, caustic=None, rays=None, cusps=None, cuspline=None,
-                     size=640.0, margin_fraction=0.05):
+def _reference_scene(path, mirror=None, caustic=None, rays=None, cusps=None, cuspline=None):
     """The writer as it was: one Python step per point."""
     fmt = lambda x: format(x, ".3f")  # noqa: E731
+    size, margin_fraction = 640.0, 0.05
 
     def as_polylines(data):
         if data is None:
@@ -323,7 +323,7 @@ def test_svg_matches_per_point_reference(tmp_path, rng, rays_as):
 @pytest.mark.parametrize(
     "groups",
     [
-        dict(mirror=np.array([[0.0, 0.0], [1.0, 2.0], [np.nan, 0.0], [3.0, -1.0]]), size=200.0),
+        dict(mirror=np.array([[0.0, 0.0], [1.0, 2.0], [np.nan, 0.0], [3.0, -1.0]])),
         dict(caustic=[np.full((3, 2), np.nan), np.array([[0.0, 0.0], [0.0, 1e-12]])]),
         dict(rays=np.zeros((0, 2, 2)), cusps=np.array([[1.0, 1.0]])),
         dict(mirror=[np.empty((0, 2)), np.array([[2.0, 1.0], [4.0, 1.0]])], cusps=[]),
