@@ -11,8 +11,14 @@ scale factor is forced to a = (k+4) / 2^(k+3), and the remaining
 coefficients follow from a tangent-weighted recursion.  The series
 converges on |theta| < pi/2 only; values beyond are produced by the
 doubling identity R(2u) = (3 cos(u) R(u) + sin(u) R'(u)) / (4a), applied
-to Taylor jets so that each doubling can pay for the derivative it
-consumes.
+to Taylor jets in h of R(u + h) so that each doubling can pay for the
+derivative it consumes.  Every step on a jet is a constant linear
+operator.  The jet of Q is one Horner pass over a per-series table of the
+weighted coefficients a_n C(n, j).  Since sin(u + h) = sin u cos h +
+cos u sin h, a product with a trig jet is sin u (T_c X) + cos u (T_s X),
+with T_c and T_s the fixed Toeplitz matrices of the Taylor coefficients
+of cos h and sin h; one doubling is cos u (A H) + sin u (B H), with A and
+B fixed per family and jet length.
 
 The cycloid is the member k = 0 (Q constant); k = -4 degenerates to the
 parabola, which gets its own closed form here because its caustic is a
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -99,7 +105,8 @@ class PantographSeries:
     vanish, except that the resonant family k = -3 carries a free
     ``secondary_coeff`` a_{-2} seeding the opposite parity.  ``exact``
     optionally retains the rational coefficients the floats were rounded
-    from.
+    from.  The constant jet operators of the continuation are built on
+    first use and kept on the instance.
     """
 
     k: int
@@ -108,6 +115,7 @@ class PantographSeries:
     coefficients: np.ndarray
     exact: tuple[Fraction, ...] | None = None
     secondary_coeff: float | None = None
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max <= self.k:
@@ -131,13 +139,12 @@ class PantographSeries:
         """Values Q(theta), Q'(theta), ..., Q^(order)(theta), term by term.
 
         Raises ``PoleError`` at theta = 0 for the families k <= -1 and
-        ``ValidationError`` for a negative order.
+        ``ValidationError`` for an order below 0 or above 170.
         """
-        if order < 0:
-            raise ValidationError("order must be non-negative")
+        _check_order("order", order)
         u = np.array([float(theta)])
         _reject_pole(self, u)
-        return _q_taylor(self, u, [1] * (order + 1))[:, 0] * _factorials(order + 1)
+        return _q_taylor(self, u, [1] * (order + 1))[:, 0] * _FACTORIALS[: order + 1]
 
 
 _UNIT_SERIES: dict[int, list[Fraction]] = {}
@@ -244,62 +251,157 @@ def _require_base_window(theta: np.ndarray) -> None:
         )
 
 
-def _factorials(length: int) -> np.ndarray:
-    """0!, 1!, ..., (length-1)! as floats."""
-    return np.cumprod(np.concatenate(([1.0], np.arange(1.0, length))))
+_MAX_ORDER = 170
+"""Highest derivative order returned: 171! overflows a float."""
+
+_FACTORIALS = np.cumprod(np.concatenate(([1.0], np.arange(1.0, _MAX_ORDER + 1))))
+"""0!, 1!, ..., 170! as floats."""
+
+
+def _check_order(name: str, order: int) -> None:
+    if order < 0:
+        raise ValidationError(f"{name} must be non-negative")
+    if order > _MAX_ORDER:
+        raise ValidationError(
+            f"{name} must be at most {_MAX_ORDER}, got {order}: "
+            f"{_MAX_ORDER + 1}! overflows a float"
+        )
+
+
+def _operator(series: PantographSeries, name: str, size: int, build):
+    """The constant table ``name`` of ``series`` for jets of ``size`` rows.
+
+    ``build(series, size)`` runs on first use and again only when a longer
+    jet is asked for; every table's leading block serves the shorter jets,
+    so callers slice what they need.
+    """
+    held = series._operators.get(name)
+    if held is None or held[0] < size:
+        held = series._operators[name] = (size, build(series, size))
+    return held[1]
+
+
+def _q_horner_table(series: PantographSeries, rows: int):
+    """Horner data of the Taylor rows Q^(j)(u)/j! = sum_n a_n C(n, j) u^(n-j), j < rows.
+
+    Row j is u^p[j] times a polynomial in v = u^stride, whose coefficients
+    form column j of ``coeffs`` (one row per power of v, lowest first, 0
+    past the row's top term).  p[j] is the row's lowest live exponent,
+    negative for k <= -1, and stride is 2 when all live coefficients share
+    one parity (every k except the resonant k = -3).
+    """
+    c = np.asarray(series.coefficients, dtype=float)
+    e = series.powers().astype(float)
+    odd = series.powers()[c != 0.0] % 2
+    stride = 2 if odd.min() == odd.max() else 1
+    lowest = np.zeros(rows)
+    columns = []
+    for j in range(rows):
+        live = np.flatnonzero(c)
+        if live.size:
+            lowest[j] = series.k + live[0] - j
+        columns.append(c[live[0] : live[-1] + 1 : stride] if live.size else c[:0])
+        c = c * (e / (j + 1))
+        e = e - 1.0
+    coeffs = np.zeros((max(col.size for col in columns), rows))
+    for j, col in enumerate(columns):
+        coeffs[: col.size, j] = col
+    return coeffs, lowest, stride
 
 
 def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     """Taylor coefficients Q^(j)(u) / j! of Q(u + h): row j, one column per u.
 
-    Row j is filled for the leading ``reach[j]`` angles and left 0 past
-    them; ``reach`` does not increase.
+    One Horner pass in v = u^stride serves every row at once, one
+    coefficient per row at each step; row j is then scaled by u^p[j]
+    (see ``_q_horner_table``).  Row j is filled for the leading
+    ``reach[j]`` angles and left 0 past them; ``reach`` does not increase.
+    The tables are built once per series and reused.
     """
-    c = np.asarray(series.coefficients, dtype=float).copy()
-    e = series.powers().astype(float)
-    out = np.zeros((len(reach), len(u)))
-    for j, n in enumerate(reach):
-        # Differentiation kills terms (c becomes 0 while e goes negative);
-        # skip them so u = 0 does not manufacture 0 * inf.
-        live = c != 0.0
-        terms = u[:n, None] ** e[live]
-        terms *= c[live]
-        out[j, :n] = np.sum(terms, axis=1)
-        c *= e / (j + 1)
-        e -= 1.0
+    rows = len(reach)
+    coeffs, lowest, stride = _operator(series, "q", rows, _q_horner_table)
+    coeffs = coeffs[:, :rows]
+    v = u if stride == 1 else u * u
+    # Horner for the terms above each row's lowest one.  The lowest term is
+    # added after the scaling, as d_0 u^p, which keeps near the pole the
+    # accuracy of a term-by-term sum.
+    tail = np.zeros((rows, u.size))
+    for step in coeffs[:0:-1]:
+        tail += step[:, None]
+        tail *= v
+    # u^p on each row's reach only, so that no row overflows where no angle
+    # needs it.  A power of a contiguous slice by a scalar rounds the same
+    # for every batch; numpy's broadcast or masked powers need not.
+    scale = np.zeros_like(tail)
+    for j, p in enumerate(lowest[:rows]):
+        scale[j, : reach[j]] = u[: reach[j]] ** p
+    tail *= scale
+    tail += coeffs[0, :, None] * scale
+    return tail
+
+
+def _trig_operator(series: PantographSeries, length: int) -> np.ndarray:
+    """Rows T_c[j], T_s[j] at 2j, 2j + 1 of the lower-triangular Toeplitz
+    matrices of the Taylor coefficients of cos h and sin h, the same for
+    every series.  The product of a jet X with the jet of sin(u + h) =
+    sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X)."""
+    # 1/m! as a product of 1/j, which underflows to 0 where m! would overflow.
+    inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, length))))
+    m = np.arange(length)
+    signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
+    lag = m[:, None] - m[None, :]
+    below = lag >= 0
+    lag = np.where(below, lag, 0)
+    out = np.empty((2 * length, length))
+    out[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
+    out[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
     return out
 
 
-def _trig_taylor(u: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients j < length of sin(u + h) and cos(u + h): row j,
-    one column per u."""
-    s, c = np.sin(u), np.cos(u)
-    # sin^(j) = (s, c, -s, -c)[j % 4], and cos^(j) = sin^(j+1).
-    cycle = np.stack([s, c, -s, -c])[np.arange(length + 1) % 4]
-    fact = _factorials(length)[:, None]
-    return cycle[:length] / fact, cycle[1:] / fact
-
-
-def _taylor_mul(a: np.ndarray, b: np.ndarray, reach=None) -> np.ndarray:
-    """Product of Taylor jets (row j, one column per angle), truncated to
-    the length of ``a``; terms are added in order of the power of ``a``.
-
-    With ``reach``, term i of ``a`` enters only the leading ``reach[i]``
-    columns, those whose jets are wanted to order i or beyond.
-    """
-    length = a.shape[0]
-    out = np.zeros_like(a)
-    for i in range(length):
-        n = a.shape[1] if reach is None else reach[i]
-        out[i:, :n] += a[i, :n] * b[: length - i, :n]
-    return out
+def _doubling_operator(series: PantographSeries, length: int) -> np.ndarray:
+    """Rows A[j], B[j] at 2j, 2j + 1 of the fixed L x (L+1) matrices of one
+    doubling: the jet of R(2u + 2h) / 2^j is cos u (A H) + sin u (B H) for
+    the jet H of R(u + h), with A = W (3 T_c + T_s D), B = W (T_c D - 3 T_s),
+    D the derivative of a jet and W = diag(2^-j / (4a))."""
+    trig = _trig_operator(series, length)
+    tc, ts = trig[0::2], trig[1::2]
+    scale = np.arange(1.0, length + 1)
+    out = np.zeros((2 * length, length + 1))
+    out[0::2, :-1] = 3.0 * tc
+    out[0::2, 1:] += ts * scale
+    out[1::2, :-1] = -3.0 * ts
+    out[1::2, 1:] += tc * scale
+    weight = (1.0 / (4.0 * series.factor_a)) / 2.0 ** np.arange(length)
+    return out * np.repeat(weight, 2)[:, None]
 
 
 def _r_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     """Taylor coefficients of R(u + h) = Q(u + h) sin(u + h), row j for the
     leading ``reach[j]`` angles."""
-    sin_rows = _trig_taylor(u, len(reach))[0]
-    return _taylor_mul(_q_taylor(series, u, reach), sin_rows, reach)
+    q = _q_taylor(series, u, reach)
+    length = len(reach)
+    op = _operator(series, "trig", length, _trig_operator)[: 2 * length, :length]
+    # Row j of the product reads rows i <= j of Q, at the nonzero rows 2i.. of column i.
+    acc = op[:, :1] * q[0]
+    for i in range(1, length):
+        n = reach[i]
+        acc[2 * i :, :n] += op[2 * i :, i : i + 1] * q[i, :n]
+    out = np.sin(u) * acc[0::2]
+    out += np.cos(u) * acc[1::2]
+    return out
+
+
+def _double(series: PantographSeries, head: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One doubling: from the jet of R(u + h), rows 0..L, the jet of R at 2u, rows 0..L-1."""
+    length = head.shape[0] - 1
+    op = _operator(series, "double", length, _doubling_operator)[: 2 * length, : length + 1]
+    # A and B are 0 above their first superdiagonal: column k enters rows >= k - 1.
+    acc = op[:, :1] * head[0]
+    for k in range(1, length + 1):
+        acc[2 * k - 2 :] += op[2 * k - 2 :, k : k + 1] * head[k]
+    out = np.cos(u) * acc[0::2]
+    out += np.sin(u) * acc[1::2]
+    return out
 
 
 def _reject_pole(series: PantographSeries, theta: np.ndarray) -> None:
@@ -312,15 +414,15 @@ def _reject_pole(series: PantographSeries, theta: np.ndarray) -> None:
 def eval_R_base(series: PantographSeries, theta: float, jet_order: int = 1) -> np.ndarray:
     """Derivatives R, R', ..., R^(jet_order) at one angle in the base window.
 
-    Raises ``PoleError`` at theta = 0 for the families k <= -1.
+    Raises ``PoleError`` at theta = 0 for the families k <= -1 and
+    ``ValidationError`` for a jet_order below 0 or above 170.
     """
     theta = float(theta)
     _require_base_window(np.asarray(theta))
     _reject_pole(series, np.asarray(theta))
-    if jet_order < 0:
-        raise ValidationError("jet_order must be non-negative")
+    _check_order("jet_order", jet_order)
     jet = _r_taylor(series, np.array([theta]), [1] * (jet_order + 1))[:, 0]
-    return jet * _factorials(jet_order + 1)
+    return jet * _FACTORIALS[: jet_order + 1]
 
 
 @dataclass(frozen=True)
@@ -348,7 +450,7 @@ class PantographSolution:
 
 
 _BLOCK_ANGLES = 4096
-"""Angles per continuation pass: bounds the (angles, terms) table of a Q column."""
+"""Angles per continuation pass: bounds its (jet rows, angles) tables."""
 
 
 def continue_R(solution: PantographSolution, theta):
@@ -359,13 +461,16 @@ def continue_R(solution: PantographSolution, theta):
     of depth d is halved d times into the series window, where R gets a
     Taylor jet of d + 2 coefficients in h; each doubling of u + h consumes
     one.  The angles are sorted by depth, deepest first, and taken in
-    blocks of ``_BLOCK_ANGLES``.  Each block makes one pass: one Q jet and
-    one product R = Q sin, where order j is formed only for the leading
-    angles of depth at least j - 1, then one doubling step per level, from
-    the block's deepest level down to 1, on the leading angles of depth at
-    least that level.  Each angle goes through the same operations in the
-    same order as it would alone, so a batch returns exactly what separate
-    calls return.
+    blocks of ``_BLOCK_ANGLES``.  Each block makes one pass: one Horner
+    pass for the Q jet, then R = sin u (T_c Q) + cos u (T_s Q), where order
+    j is formed only for the leading angles of depth at least j - 1, then
+    one doubling step per level, F = cos u (A H) + sin u (B H), from the
+    block's deepest level down to 1, on the leading angles of depth at
+    least that level.  The matrices are constants of the family, and each
+    product is accumulated column by column in elementwise numpy, never a
+    BLAS product.  Each angle goes through the same operations in the same
+    order as it would alone, so a batch returns exactly what separate calls
+    return.
     """
     arr = np.asarray(theta, dtype=float)
     flat = arr.ravel()
@@ -382,7 +487,6 @@ def continue_R(solution: PantographSolution, theta):
             f"theta = {flat[worst]:g} needs doubling depth {depth[worst]}; configure "
             f"jet_order >= {depth[worst] + 1}"
         )
-    inv_4a = 1.0 / (4.0 * solution.series.factor_a)
     # Depths stay below 1 100 for finite theta, so int16 keys take numpy's radix sort.
     order = np.argsort(-depth.astype(np.int16), kind="stable")
     r = np.empty_like(flat)
@@ -396,12 +500,8 @@ def continue_R(solution: PantographSolution, theta):
         u = flat[rows] / 2.0**d
         taylor = _r_taylor(solution.series, u, reach)
         for level in range(top, 0, -1):
-            n, length = reach[level + 1], level + 1
-            head = taylor[: length + 1, :n]
-            sj, cj = _trig_taylor(u[:n], length)
-            deriv = head[1:] * np.arange(1.0, length + 1)[:, None]
-            f = (3.0 * _taylor_mul(cj, head) + _taylor_mul(sj, deriv)) * inv_4a
-            taylor[:length, :n] = f / 2.0 ** np.arange(length)[:, None]
+            n = reach[level + 1]
+            taylor[: level + 1, :n] = _double(solution.series, taylor[: level + 2, :n], u[:n])
             u[:n] *= 2.0
         r[rows], rp[rows] = taylor[0], taylor[1]
     if arr.ndim == 0:

@@ -343,13 +343,20 @@ def test_criterion_11_cli_runs_are_byte_identical(tmp_path, capsys):
     for tag in ("one", "two"):
         csv = tmp_path / f"caustic-{tag}.csv"
         svg = tmp_path / f"caustic-{tag}.svg"
-        coeff = tmp_path / f"coeff-{tag}.csv"
+        # One path per pantograph file, since stdout names the files written.
+        coeff = tmp_path / "coeff.csv"
+        mirror = tmp_path / "mirror.svg"
         assert main(["caustic", "--curve", "cycloid:amplitude=1",
                      "--tilt", "reflection", "--interval", "0.01:pi",
                      "--samples", "129", "--out-csv", str(csv),
                      "--out-svg", str(svg)]) == 0
+        capsys.readouterr()
+        # The coefficient table never continues the series; the report on
+        # stdout and the mirror drawing both go through continue_R.
         assert main(["pantograph", "--m", "2", "--order", "24",
-                     "--out-csv", str(coeff)]) == 0
-        outputs.append((csv.read_bytes(), svg.read_bytes(), coeff.read_bytes()))
-    capsys.readouterr()
+                     "--out-csv", str(coeff), "--out-svg", str(mirror)]) == 0
+        report = capsys.readouterr().out
+        outputs.append((csv.read_bytes(), svg.read_bytes(), coeff.read_bytes(),
+                        mirror.read_bytes(), report))
+    assert "collinearity_residual=" in outputs[0][-1]
     assert outputs[0] == outputs[1]

@@ -4,9 +4,11 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -398,6 +400,98 @@ def test_q_derivatives_pole_and_order_are_errors():
         assert np.all(np.isfinite(pole.q_derivatives(0.5, 3)))
 
 
+def test_orders_above_170_are_errors():
+    series = solve_series(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="at most 170"):
+            series.q_derivatives(0.5, 171)
+        with pytest.raises(ValidationError, match="at most 170"):
+            eval_R_base(series, 0.5, jet_order=171)
+        q = series.q_derivatives(0.5, 170)
+        jet = eval_R_base(series, 0.5, jet_order=170)
+    assert q.shape == jet.shape == (171,)
+    assert np.all(np.isfinite(q)) and np.all(np.isfinite(jet))
+    # Q has degree n_max - k = 29 here: a_30 has the wrong parity for k = 1.
+    assert np.all(q[series.n_max - series.k + 1 :] == 0.0)
+    assert np.all(q[: series.n_max - series.k + 1 : 2] != 0.0)
+
+
+def _exact_q_rows(series, u, rows):
+    """Rows j < rows of the Q jet at the rational u in exact arithmetic, and
+    the sums of the magnitudes of their terms c_n C(n, j) u^(n-j)."""
+    values = [Fraction(0)] * rows
+    sizes = [Fraction(0)] * rows
+    for n, c in zip(series.powers().tolist(), series.coefficients.tolist()):
+        weight = Fraction(c)
+        for j in range(rows):
+            if weight:
+                term = weight * u ** (n - j)
+                values[j] += term
+                sizes[j] += abs(term)
+            weight *= Fraction(n - j, j + 1)
+    return values, sizes
+
+
+def _gamma(n):
+    unit = Fraction(1, 2**53)
+    return n * unit / (1 - n * unit)
+
+
+@pytest.mark.parametrize("order", [30, 120])
+@pytest.mark.parametrize("k, secondary", [(-3, 0.5), (-1, None), (0, None), (1, None), (2, None)])
+def test_q_jet_is_within_the_horner_bound_of_exact_arithmetic(k, secondary, order):
+    series = solve_series(k, n_max=order, secondary=secondary)
+    points = [1 / 1024, 1 / 3, 3 / 2] + ([0.0] if k >= 0 else [])
+    rows = 13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pantograph._q_taylor(series, np.array(points), [len(points)] * rows)
+    for col, point in enumerate(points):
+        values, sizes = _exact_q_rows(series, Fraction(point), rows)
+        for j in range(rows):
+            # Horner's bound gamma_2N sum |c_n u^e_n|, with N the order - k + 1
+            # terms plus j + 2 for the weights C(n, j) and the power of u.
+            bound = _gamma(2 * (order - k + j + 3)) * sizes[j]
+            assert abs(Fraction(got[j, col]) - values[j]) <= bound, (point, j)
+
+
+@pytest.mark.parametrize("k, secondary", [(-3, 0.5), (-2, None), (-1, None)])
+def test_continuation_near_the_pole_is_accurate_to_its_condition(k, secondary):
+    solution = PantographSolution(solve_series(k, n_max=30, secondary=secondary))
+    theta = np.geomspace(1e-3, 1.5, 200)
+    r, rp = continue_R(solution, theta)
+    terms = list(zip(solution.series.powers().tolist(), solution.series.coefficients.tolist()))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for t, got_r, got_rp in zip(theta.tolist(), r.tolist(), rp.tolist()):
+            x = mpmath.mpf(t)
+            q = mpmath.fsum(c * x**n for n, c in terms)
+            q_size = mpmath.fsum(abs(c * x**n) for n, c in terms)
+            dq = mpmath.fsum(n * c * x ** (n - 1) for n, c in terms)
+            sin, cos = mpmath.sin(x), mpmath.cos(x)
+            # Each bound is scaled by the condition of its sum, not by the
+            # largest value: Q's terms cancel where it changes sign, and
+            # R' = Q' sin + Q cos cancels near the pole.
+            assert abs(got_r - q * sin) <= 8 * eps * q_size * abs(sin), t
+            assert abs(got_rp - (dq * sin + q * cos)) <= 8 * eps * (abs(dq * sin) + abs(q * cos)), t
+
+
+def test_deep_jets_stay_finite_and_small():
+    solution = PantographSolution(solve_series(1), jet_order=200)
+    theta = np.geomspace(1e-3, 1e40, 1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            r, rp = continue_R(solution, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(rp))
+    assert peak < 8 * 2**20
+
+
 def test_overlay_of_no_angles_is_empty(cycloid_solution):
     pts = overlay_caustic_points(cycloid_solution, np.array([]))
     assert pts.shape == (0, 2)
@@ -413,35 +507,10 @@ def test_residuals_equal_separate_continuations(m2_solution):
     assert mirror_equation_residual(m2_solution, interval) == want
 
 
-# The continuation as it was first batched: one Taylor-row pass per doubling
-# depth, one row per angle.  The block pass must reproduce it bit for bit.
-
-
-def _ref_q_taylor(series, u, length):
-    c = np.asarray(series.coefficients, dtype=float).copy()
-    e = series.powers().astype(float)
-    out = np.empty((len(u), length))
-    for j in range(length):
-        live = c != 0.0
-        out[:, j] = np.sum(c[live] * u[:, None] ** e[live], axis=1)
-        c *= e / (j + 1)
-        e -= 1.0
-    return out
-
-
-def _ref_trig_taylor(u, length):
-    s, c = np.sin(u), np.cos(u)
-    cycle = np.stack([s, c, -s, -c], axis=1)[:, np.arange(length + 1) % 4]
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, length))))
-    return cycle[:, :length] / fact, cycle[:, 1:] / fact
-
-
-def _ref_taylor_mul(a, b):
-    length = a.shape[1]
-    out = np.zeros_like(a)
-    for i in range(length):
-        out[:, i:] += a[:, i : i + 1] * b[:, : length - i]
-    return out
+# The continuation as it was first batched: one pass per doubling depth,
+# every angle of the pass at full reach.  It shares the library's Q jet,
+# product and doubling step, so the block pass (sorting, blocks and the
+# reach of each row) must reproduce it bit for bit.
 
 
 def _continue_by_depth(solution, theta):
@@ -449,23 +518,16 @@ def _continue_by_depth(solution, theta):
     limit = math.pi / 2 - solution.guard
     depth = np.ceil(np.log2(np.maximum(flat / limit, 1.0))).astype(int)
     depth += flat / 2.0**depth > limit
-    inv_4a = 1.0 / (4.0 * solution.series.factor_a)
     r = np.empty_like(flat)
     rp = np.empty_like(flat)
     for d in np.unique(depth):
         rows = depth == d
         u = flat[rows] / 2.0**d
-        taylor = _ref_taylor_mul(
-            _ref_q_taylor(solution.series, u, d + 2), _ref_trig_taylor(u, d + 2)[0]
-        )
+        taylor = pantograph._r_taylor(solution.series, u, [u.size] * (d + 2))
         for _ in range(d):
-            length = taylor.shape[1] - 1
-            sj, cj = _ref_trig_taylor(u, length)
-            deriv = taylor[:, 1:] * np.arange(1.0, length + 1)
-            f = (3.0 * _ref_taylor_mul(cj, taylor) + _ref_taylor_mul(sj, deriv)) * inv_4a
-            taylor = f / 2.0 ** np.arange(length)
+            taylor = pantograph._double(solution.series, taylor, u)
             u = 2.0 * u
-        r[rows], rp[rows] = taylor[:, 0], taylor[:, 1]
+        r[rows], rp[rows] = taylor[0], taylor[1]
     return r, rp
 
 
