@@ -340,22 +340,32 @@ def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     return tail
 
 
-def _trig_operator(series: PantographSeries, length: int) -> np.ndarray:
+_trig_rows = np.zeros((0, 0))
+
+
+def _trig_operator(length: int) -> np.ndarray:
     """Rows T_c[j], T_s[j] at 2j, 2j + 1 of the lower-triangular Toeplitz
-    matrices of the Taylor coefficients of cos h and sin h, the same for
-    every series.  The product of a jet X with the jet of sin(u + h) =
-    sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X)."""
-    # 1/m! as a product of 1/j, which underflows to 0 where m! would overflow.
-    inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, length))))
-    m = np.arange(length)
-    signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
-    lag = m[:, None] - m[None, :]
-    below = lag >= 0
-    lag = np.where(below, lag, 0)
-    out = np.empty((2 * length, length))
-    out[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
-    out[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
-    return out
+    matrices of the Taylor coefficients of cos h and sin h, for jets of
+    ``length`` rows.  The product of a jet X with the jet of sin(u + h) =
+    sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X).
+
+    One module table serves every series; it is grown to the longest jet
+    asked for, and its leading block serves the shorter jets.
+    """
+    global _trig_rows
+    if _trig_rows.shape[1] < length:
+        # 1/m! as a product of 1/j, which underflows to 0 where m! would overflow.
+        inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, length))))
+        m = np.arange(length)
+        signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
+        lag = m[:, None] - m[None, :]
+        below = lag >= 0
+        lag = np.where(below, lag, 0)
+        rows = np.empty((2 * length, length))
+        rows[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
+        rows[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
+        _trig_rows = rows
+    return _trig_rows[: 2 * length, :length]
 
 
 def _doubling_operator(series: PantographSeries, length: int) -> np.ndarray:
@@ -363,7 +373,7 @@ def _doubling_operator(series: PantographSeries, length: int) -> np.ndarray:
     doubling: the jet of R(2u + 2h) / 2^j is cos u (A H) + sin u (B H) for
     the jet H of R(u + h), with A = W (3 T_c + T_s D), B = W (T_c D - 3 T_s),
     D the derivative of a jet and W = diag(2^-j / (4a))."""
-    trig = _trig_operator(series, length)
+    trig = _trig_operator(length)
     tc, ts = trig[0::2], trig[1::2]
     scale = np.arange(1.0, length + 1)
     out = np.zeros((2 * length, length + 1))
@@ -380,7 +390,7 @@ def _r_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     leading ``reach[j]`` angles."""
     q = _q_taylor(series, u, reach)
     length = len(reach)
-    op = _operator(series, "trig", length, _trig_operator)[: 2 * length, :length]
+    op = _trig_operator(length)
     # Row j of the product reads rows i <= j of Q, at the nonzero rows 2i.. of column i.
     acc = op[:, :1] * q[0]
     for i in range(1, length):

@@ -358,5 +358,8 @@ def test_criterion_11_cli_runs_are_byte_identical(tmp_path, capsys):
         report = capsys.readouterr().out
         outputs.append((csv.read_bytes(), svg.read_bytes(), coeff.read_bytes(),
                         mirror.read_bytes(), report))
+        # The shared paths are removed, so that each run must write its own.
+        coeff.unlink()
+        mirror.unlink()
     assert "collinearity_residual=" in outputs[0][-1]
     assert outputs[0] == outputs[1]
