@@ -38,7 +38,7 @@ spiral = build_family(SkewFamilySpec("point_by_point", phi0, a), window)
 res = skew_equation_residual(spiral, phi0, a, "point_by_point", window)
 print(f"point-by-point  {spiral.label:<40} residual {res:.2e}")
 ring = build_family(SkewFamilySpec("point_by_point", phi0, math.sin(phi0)), window)
-flatness = float(np.ptp(ring.radius(window.grid())))
+flatness = float(np.ptp(ring.jet(window.grid())[0]))
 print(f"degeneration at a = sin(phi0): constant radius (spread {flatness:.1e})")
 
 # Inverse position: harmonic radii A cos(w theta) + B sin(w theta); the

@@ -216,7 +216,8 @@ def caustic_curve(
 ) -> Caustic:
     """Caustic vertices over a whole interval.
 
-    Nodes whose coframe degenerates (cusp, flat tilt, infinite caustic)
+    R and R' are the ``source`` columns, so the curve's jet runs once on
+    the nodes.  Nodes whose coframe degenerates (cusp, flat tilt, infinite caustic)
     are not dropped: they are flagged and carry NaN in every float column.
     """
     source = reconstruct(curve, interval)
@@ -233,7 +234,7 @@ def caustic_curve(
         stretch = np.where(ok, np.cos(phi) / chi, math.nan)
     radius1 = np.full(len(theta), math.nan)
     radius1[ok] = caustic_radius(
-        r[ok], curve.radius_prime(theta[ok]), phi[ok], p1[ok], tilt.phi_second(theta[ok])
+        r[ok], source.radius_prime[ok], phi[ok], p1[ok], tilt.phi_second(theta[ok])
     )
     return Caustic(
         caustic_theta=np.where(ok, theta + math.pi / 2 - phi, math.nan),
@@ -262,8 +263,7 @@ def similarity_residual(
     if interval is None:
         interval = curve.domain
     thetas = interval.grid()
-    r = np.asarray(curve.radius(thetas), dtype=float)
-    rp = np.asarray(curve.radius_prime(thetas), dtype=float)
+    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     phi = tilt.phi(thetas)
     lhs = caustic_radius(r, rp, phi, tilt.phi_prime(thetas), tilt.phi_second(thetas))
     arg = spec.sign * (thetas + math.pi / 2 - phi - spec.shift_beta)
@@ -273,5 +273,5 @@ def similarity_residual(
             f"similarity argument {bad} leaves the curve domain; widen it "
             "or shrink the interval"
         )
-    rhs = spec.factor_a * np.asarray(curve.radius(arg), dtype=float)
+    rhs = spec.factor_a * np.asarray(curve.jet(arg)[0], dtype=float)
     return float(np.max(np.abs(lhs - rhs)))

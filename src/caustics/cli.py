@@ -201,7 +201,7 @@ def _cusp_positions(
 
     def integrand(u):
         t = start[:, None] + width[:, None] * u[None, :]
-        r = np.asarray(curve.radius_fn(t.ravel()), dtype=float).reshape(t.shape)
+        r = np.asarray(curve.jet(t.ravel())[0], dtype=float).reshape(t.shape)
         return np.concatenate([r * np.cos(t), r * np.sin(t)])
 
     offsets = panel_integrals(integrand, [0.0, 1.0]).reshape(2, -1).T * width[:, None]
@@ -335,14 +335,21 @@ def _run_pantograph(args: argparse.Namespace) -> None:
         write_coefficient_csv(args.out_csv, zip(series.powers(), series.coefficients))
     if args.out_svg:
         window = _window(args, 0.0, 2 * math.pi)
-        mirror_samples = reconstruct(solution_curve(solution), window)
-        groups: dict[str, object] = {"mirror": [mirror_samples.points]}
-        if k >= 0:
-            cpts = overlay_caustic_points(solution, mirror_samples.theta)
-            groups["caustic"] = [cpts, cpts / float(factor)]
-        if report is not None:
-            groups["cuspline"] = [report.collinearity_points]
-            groups["cusps"] = report.mirror_cusp_points
+        curve = solution_curve(solution)
+        if report is None:
+            groups = {"mirror": [reconstruct(curve, window).points]}
+        else:
+            # The overlay and the report put the mirror's theta = 0 point at
+            # the origin, so the mirror is integrated from there as well.
+            thetas = window.grid()
+            samples = reconstruct(curve, np.union1d([0.0], thetas))
+            cpts = overlay_caustic_points(solution, thetas)
+            groups = {
+                "mirror": [samples.points[np.searchsorted(samples.theta, thetas)]],
+                "caustic": [cpts, cpts / float(factor)],
+                "cuspline": [report.collinearity_points],
+                "cusps": report.mirror_cusp_points,
+            }
         write_scene(args.out_svg, **groups)
 
 

@@ -45,8 +45,6 @@ __all__ = [
 POLE_GUARD = 1e-6
 RECONSTRUCT_TOL = 1e-10
 """Absolute quadrature error budget of ``reconstruct`` over a whole grid."""
-FD_STEP = 1e-5
-"""Relative step of the five-point difference that stands in for a missing R'."""
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,13 @@ class InclinationCurve:
 
     Parameters
     ----------
-    radius_fn : callable
-        Vectorised map ``theta -> R``.  Positive R turns the tangent
-        counterclockwise ahead of the point, negative R behind it.
+    jet : callable
+        Vectorised map ``theta -> (R, R')``: the turning radius and its
+        derivative at the same angles.  Positive R turns the tangent
+        counterclockwise ahead of the point, negative R behind it.  Callers
+        that need R alone read row 0.
     domain : AngleInterval
-        Angles on which the radius may be evaluated.
-    radius_derivative_fn : callable, optional
-        Analytic derivative ``dR/dtheta``.  When absent, a five-point
-        central difference with step ``FD_STEP * max(1, |theta|)`` is used.
+        Angles on which the jet may be evaluated.
     label : str
         Display name used by reports and the command line.
     poles : tuple of float
@@ -101,29 +98,10 @@ class InclinationCurve:
         clips intervals that lean on them by ``POLE_GUARD``.
     """
 
-    radius_fn: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: AngleInterval
-    radius_derivative_fn: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
     poles: tuple[float, ...] = ()
-
-    def radius(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        out = np.asarray(self.radius_fn(theta), dtype=float)
-        return out if out.shape else float(out)
-
-    def radius_prime(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.radius_derivative_fn is not None:
-            out = np.asarray(self.radius_derivative_fn(theta), dtype=float)
-            return out if out.shape else float(out)
-        h = FD_STEP * np.maximum(1.0, np.abs(theta))
-        r = self.radius_fn
-        out = (r(theta - 2 * h) - 8 * r(theta - h) + 8 * r(theta + h) - r(theta + 2 * h)) / (
-            12 * h
-        )
-        out = np.asarray(out, dtype=float)
-        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -168,18 +146,20 @@ class CurveSamples(ColumnRecord):
     """Reconstructed vertices as columns.
 
     ``theta`` holds the tangent angles, ``x, y`` the positions, ``radius``
-    the turning radius R and ``arclength`` the signed arclength from the
-    first node.  The tangent at a node points along ``theta``; the normal
-    is the tangent turned by +90 degrees.
+    and ``radius_prime`` the turning radius R and its derivative R', and
+    ``arclength`` the signed arclength from the first node.  The tangent at
+    a node points along ``theta``; the normal is the tangent turned by +90
+    degrees.
     """
 
     theta: np.ndarray
     x: np.ndarray
     y: np.ndarray
     radius: np.ndarray
+    radius_prime: np.ndarray
     arclength: np.ndarray
 
-    _columns = ("theta", "x", "y", "radius", "arclength")
+    _columns = ("theta", "x", "y", "radius", "radius_prime", "arclength")
 
     @property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,12 +260,12 @@ def reconstruct(
     thetas = _resolve_grid(curve, interval)
 
     def integrand(t):
-        r = np.asarray(curve.radius_fn(t), dtype=float)
+        r = np.asarray(curve.jet(t)[0], dtype=float)
         return np.array([r * np.cos(t), r * np.sin(t), r])
 
     dx, dy, ds = panel_integrals(integrand, thetas, tol=RECONSTRUCT_TOL)
 
-    node_r = np.asarray(curve.radius_fn(thetas), dtype=float)
+    node_r, node_rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     if not np.all(np.isfinite(node_r)):
         bad = thetas[~np.isfinite(node_r)][0]
         raise EvaluationError(f"R is not finite at theta = {bad}")
@@ -295,6 +275,7 @@ def reconstruct(
         x=np.concatenate([[0.0], np.cumsum(dx)]),
         y=np.concatenate([[0.0], np.cumsum(dy)]),
         radius=node_r,
+        radius_prime=node_rp,
         arclength=np.concatenate([[0.0], np.cumsum(ds)]),
     )
 
@@ -388,7 +369,7 @@ def classify_zeros(
     if interval is None:
         interval = curve.domain
     thetas = _resolve_grid(curve, interval)
-    r = np.asarray(curve.radius_fn(thetas), dtype=float)
+    r = np.asarray(curve.jet(thetas)[0], dtype=float)
     if not np.all(np.isfinite(r)):
         bad = thetas[~np.isfinite(r)][0]
         raise EvaluationError(f"R is not finite at theta = {bad}")
@@ -397,7 +378,7 @@ def classify_zeros(
     left, right = sign[:-1], sign[1:]
     brackets = np.flatnonzero((left != 0) & (right != 0) & (left != right))
     refined = _refine_zeros(
-        curve.radius_fn,
+        lambda t: curve.jet(t)[0],
         thetas[brackets],
         thetas[brackets + 1],
         r[brackets],
@@ -462,24 +443,21 @@ def circle(radius: float = 1.0, domain: AngleInterval | None = None) -> Inclinat
     """Constant turning radius."""
     if radius == 0.0:
         raise ValidationError("circle needs a nonzero radius")
-    dom = domain or _DEFAULT_DOMAIN
-    return InclinationCurve(
-        radius_fn=lambda t: np.full_like(np.asarray(t, dtype=float), radius),
-        radius_derivative_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        domain=dom,
-        label=f"circle(R={radius:g})",
-    )
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        return np.full_like(t, radius), np.zeros_like(t)
+
+    return InclinationCurve(jet, domain or _DEFAULT_DOMAIN, label=f"circle(R={radius:g})")
 
 
 def cycloid(amplitude: float = 1.0, domain: AngleInterval | None = None) -> InclinationCurve:
     """R = A sin(theta): the rolling-point curve, cusps at multiples of pi."""
     if amplitude == 0.0:
         raise ValidationError("cycloid needs a nonzero amplitude")
-    dom = domain or _DEFAULT_DOMAIN
     return InclinationCurve(
-        radius_fn=lambda t: amplitude * np.sin(t),
-        radius_derivative_fn=lambda t: amplitude * np.cos(t),
-        domain=dom,
+        jet=lambda t: (amplitude * np.sin(t), amplitude * np.cos(t)),
+        domain=domain or _DEFAULT_DOMAIN,
         label=f"cycloid(A={amplitude:g})",
     )
 
@@ -492,14 +470,13 @@ def log_spiral(
     """R = A * exp(b * theta): the equiangular spiral."""
     if amplitude == 0.0:
         raise ValidationError("log_spiral needs a nonzero amplitude")
-    dom = domain or _DEFAULT_DOMAIN
+
+    def jet(t):
+        grow = np.exp(growth * np.asarray(t, dtype=float))
+        return amplitude * grow, amplitude * growth * grow
+
     return InclinationCurve(
-        radius_fn=lambda t: amplitude * np.exp(growth * np.asarray(t, dtype=float)),
-        radius_derivative_fn=lambda t: amplitude
-        * growth
-        * np.exp(growth * np.asarray(t, dtype=float)),
-        domain=dom,
-        label=f"log_spiral(A={amplitude:g}, b={growth:g})",
+        jet, domain or _DEFAULT_DOMAIN, label=f"log_spiral(A={amplitude:g}, b={growth:g})"
     )
 
 
@@ -513,10 +490,8 @@ def polynomial_curve(
         raise ValidationError("polynomial_curve needs at least one nonzero coefficient")
     poly = np.polynomial.Polynomial(coeffs)
     dpoly = poly.deriv()
-    dom = domain or _DEFAULT_DOMAIN
     return InclinationCurve(
-        radius_fn=lambda t: poly(np.asarray(t, dtype=float)),
-        radius_derivative_fn=lambda t: dpoly(np.asarray(t, dtype=float)),
-        domain=dom,
+        jet=lambda t: (poly(np.asarray(t, dtype=float)), dpoly(np.asarray(t, dtype=float))),
+        domain=domain or _DEFAULT_DOMAIN,
         label="series(" + ",".join(f"{c:g}" for c in coeffs) + ")",
     )

@@ -525,8 +525,10 @@ def solution_curve(
 ) -> InclinationCurve:
     """Wrap a continued solution as a turning-radius curve.
 
-    Families with k <= -1 have a pole of Q at theta = 0, declared so that
-    reconstruction keeps its guard band away from it.
+    The curve's jet is ``continue_R`` itself, so one continuation gives R and
+    R' at the same angles.  Families with k <= -1 have a pole of Q at
+    theta = 0, declared so that reconstruction keeps its guard band away
+    from it.
     """
     k = solution.series.k
     dom = domain or AngleInterval(0.0, 4 * math.pi, 1025)
@@ -536,8 +538,7 @@ def solution_curve(
             f"serves theta <= {solution.max_theta:g}"
         )
     return InclinationCurve(
-        radius_fn=lambda t: continue_R(solution, t)[0],
-        radius_derivative_fn=lambda t: continue_R(solution, t)[1],
+        jet=lambda t: continue_R(solution, t),
         domain=dom,
         label=f"pantograph(k={k}, a={solution.series.factor_a:g})",
         poles=(0.0,) if k <= -1 else (),
@@ -756,12 +757,14 @@ def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> 
     dom = domain or AngleInterval(0.0, math.pi, 513)
     if dom.lo < 0.0 or dom.hi > math.pi:
         raise ValidationError("the parabola profile lives on (0, pi)")
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        s = np.sin(t)
+        return A / s**3, -3.0 * A * np.cos(t) / s**4
+
     return InclinationCurve(
-        radius_fn=lambda t: A / np.sin(np.asarray(t, dtype=float)) ** 3,
-        radius_derivative_fn=lambda t: -3.0
-        * A
-        * np.cos(np.asarray(t, dtype=float))
-        / np.sin(np.asarray(t, dtype=float)) ** 4,
+        jet=jet,
         domain=dom,
         label=f"parabola(A={A:g})",
         poles=(0.0, math.pi),

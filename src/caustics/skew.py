@@ -154,30 +154,27 @@ def inverse_position_curve(
     A, B = float(amplitude_a), float(amplitude_b)
     if omega_sq > 0.0:
         w = math.sqrt(omega_sq)
-        return InclinationCurve(
-            radius_fn=lambda t: A * np.cos(w * np.asarray(t, dtype=float))
-            + B * np.sin(w * np.asarray(t, dtype=float)),
-            radius_derivative_fn=lambda t: -A * w * np.sin(w * np.asarray(t, dtype=float))
-            + B * w * np.cos(w * np.asarray(t, dtype=float)),
-            domain=dom,
-            label=f"skew_inverse(A={A:g}, B={B:g}, omega={w:g})",
-        )
+
+        def jet(t):
+            wt = w * np.asarray(t, dtype=float)
+            c, s = np.cos(wt), np.sin(wt)
+            return A * c + B * s, -A * w * s + B * w * c
+
+        return InclinationCurve(jet, dom, label=f"skew_inverse(A={A:g}, B={B:g}, omega={w:g})")
     if omega_sq == 0.0:
-        return InclinationCurve(
-            radius_fn=lambda t: A + B * np.asarray(t, dtype=float),
-            radius_derivative_fn=lambda t: np.full_like(np.asarray(t, dtype=float), B),
-            domain=dom,
-            label=f"circle_involute(A={A:g}, B={B:g})",
-        )
+        def jet(t):
+            t = np.asarray(t, dtype=float)
+            return A + B * t, np.full_like(t, B)
+
+        return InclinationCurve(jet, dom, label=f"circle_involute(A={A:g}, B={B:g})")
     w = math.sqrt(-omega_sq)
-    return InclinationCurve(
-        radius_fn=lambda t: A * np.cosh(w * np.asarray(t, dtype=float))
-        + B * np.sinh(w * np.asarray(t, dtype=float)),
-        radius_derivative_fn=lambda t: A * w * np.sinh(w * np.asarray(t, dtype=float))
-        + B * w * np.cosh(w * np.asarray(t, dtype=float)),
-        domain=dom,
-        label=f"skew_inverse_hyp(A={A:g}, B={B:g}, omega={w:g})",
-    )
+
+    def jet(t):
+        wt = w * np.asarray(t, dtype=float)
+        c, s = np.cosh(wt), np.sinh(wt)
+        return A * c + B * s, A * w * s + B * w * c
+
+    return InclinationCurve(jet, dom, label=f"skew_inverse_hyp(A={A:g}, B={B:g}, omega={w:g})")
 
 
 def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0: float) -> float:
@@ -310,22 +307,21 @@ def delay_curve(
     amp_a = np.array([ab[0] for ab in spec.coefficients])
     amp_b = np.array([ab[1] for ab in spec.coefficients])
 
-    def radius(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        grow = np.exp(xi * t)
-        return np.sum(grow * (amp_a * np.cos(eta * t) + amp_b * np.sin(eta * t)), axis=-1)
+    # R' = sum exp(xi t) (ca cos(eta t) + cb sin(eta t)).
+    ca = amp_a * xi + amp_b * eta
+    cb = amp_b * xi - amp_a * eta
 
-    def radius_prime(t):
+    def jet(t):
         t = np.asarray(t, dtype=float)[..., None]
-        grow = np.exp(xi * t)
-        ca = amp_a * xi + amp_b * eta
-        cb = amp_b * xi - amp_a * eta
-        return np.sum(grow * (ca * np.cos(eta * t) + cb * np.sin(eta * t)), axis=-1)
+        grow, c, s = np.exp(xi * t), np.cos(eta * t), np.sin(eta * t)
+        return (
+            np.sum(grow * (amp_a * c + amp_b * s), axis=-1),
+            np.sum(grow * (ca * c + cb * s), axis=-1),
+        )
 
     labels = ",".join(str(rt.branch) for rt in roots)
     return InclinationCurve(
-        radius_fn=radius,
-        radius_derivative_fn=radius_prime,
+        jet=jet,
         domain=domain or _WIDE,
         label=f"skew_delay(branches={labels}, a={spec.factor_a:g}, alpha={spec.alpha:g})",
     )
@@ -365,10 +361,9 @@ def skew_equation_residual(
         arg = thetas - alpha
     if not curve.domain.contains(arg):
         raise DomainError("shifted argument leaves the curve domain; widen the domain")
-    lhs = math.cos(phi0) * np.asarray(curve.radius_prime(thetas), dtype=float) + math.sin(
-        phi0
-    ) * np.asarray(curve.radius(thetas), dtype=float)
-    rhs = factor_a * np.asarray(curve.radius(arg), dtype=float)
+    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+    lhs = math.cos(phi0) * rp + math.sin(phi0) * r
+    rhs = factor_a * np.asarray(curve.jet(arg)[0], dtype=float)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -382,14 +377,14 @@ def puiseux_curve(
     """R = exp(c theta) sin(gamma theta): cusps every pi/gamma."""
     if gamma <= 0.0:
         raise ValidationError("gamma must be positive")
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        grow, s = np.exp(c * t), np.sin(gamma * t)
+        return grow * s, grow * (c * s + gamma * np.cos(gamma * t))
+
     return InclinationCurve(
-        radius_fn=lambda t: np.exp(c * np.asarray(t, dtype=float))
-        * np.sin(gamma * np.asarray(t, dtype=float)),
-        radius_derivative_fn=lambda t: np.exp(c * np.asarray(t, dtype=float))
-        * (
-            c * np.sin(gamma * np.asarray(t, dtype=float))
-            + gamma * np.cos(gamma * np.asarray(t, dtype=float))
-        ),
+        jet=jet,
         domain=domain or AngleInterval(-8 * math.pi, 8 * math.pi, 2049),
         label=f"puiseux(c={c:g}, gamma={gamma:g})",
     )

@@ -208,9 +208,9 @@ def test_criterion_07_skew_families(rng):
         omega_sq = (a * a - math.sin(phi0) ** 2) / math.cos(phi0) ** 2
         t = window.grid()
         h = 1e-4
-        rpp = (curve.radius_prime(t - 2 * h) - 8 * curve.radius_prime(t - h)
-               + 8 * curve.radius_prime(t + h) - curve.radius_prime(t + 2 * h)) / (12 * h)
-        ode = float(np.max(np.abs(rpp + omega_sq * curve.radius(t))))
+        rp = lambda u: curve.jet(u)[1]
+        rpp = (rp(t - 2 * h) - 8 * rp(t - h) + 8 * rp(t + h) - rp(t + 2 * h)) / (12 * h)
+        ode = float(np.max(np.abs(rpp + omega_sq * curve.jet(t)[0])))
         worst_ode = max(worst_ode, ode)
         phi0 = rng.uniform(-0.9, 0.9)
         grazing = math.copysign(math.sin(phi0), a)

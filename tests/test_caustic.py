@@ -167,7 +167,7 @@ def test_scalar_valued_tilt_broadcasts():
 
 
 def test_coframe_state_matches_reflection_identities():
-    nu, chi = coframe(TiltField.reflection(), 0.7, circle(1.0).radius(0.7))
+    nu, chi = coframe(TiltField.reflection(), 0.7, circle(1.0).jet(0.7)[0])
     # nu = (cos 2 theta, sin 2 theta) for the unit circle under reflection
     assert abs(nu[0] - math.cos(1.4)) < 1e-12
     assert abs(nu[1] - math.sin(1.4)) < 1e-12

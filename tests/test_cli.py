@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from caustics.cli import main, parse_angle, parse_interval
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
 from caustics.inclination import AngleInterval, find_cusps, reconstruct
+from caustics.pantograph import PantographSolution, mirror_report, solve_series
 from caustics.svg import write_scene
 
 
@@ -201,6 +203,53 @@ def test_pantograph_resonance_exit_codes(capsys):
                            "--secondary", "0.25")
     assert code == 0
     assert "a=1" in out
+
+
+def _svg_points(text):
+    return np.array(re.findall(r"(-?\d+\.\d+) (-?\d+\.\d+)", text), dtype=float)
+
+
+def _distance_to_polyline(points, line):
+    a, d = line[:-1], np.diff(line, axis=0)
+    u = np.clip(((points[:, None] - a) * d).sum(-1) / np.maximum((d * d).sum(-1), 1e-300), 0, 1)
+    return np.min(np.linalg.norm(a + u[..., None] * d - points[:, None], axis=-1), axis=1)
+
+
+@pytest.mark.parametrize(
+    "m, interval", [("2", "0:2pi"), ("2", "2:4pi"), ("1", "3:4"), ("3", "2:4pi")]
+)
+def test_pantograph_cusps_sit_on_the_drawn_mirror(tmp_path, capsys, m, interval):
+    path = tmp_path / "mirror.svg"
+    code, _, err = run_cli(
+        capsys, "pantograph", "--m", m, "--interval", interval, "--out-svg", str(path)
+    )
+    assert code == 0, err
+    svg = path.read_text()
+    mirror = _svg_points(re.search(r'<g id="mirror".*?</g>', svg, re.S).group(0))
+    cusps = np.array(re.findall(r'cx="(-?[\d.]+)" cy="(-?[\d.]+)"', svg), dtype=float)
+    zeros = mirror_report(PantographSolution(solve_series(int(m) - 1))).zeros
+    lo, hi = (parse_angle(end) for end in interval.split(":"))
+    inside = np.array([lo <= z <= hi for z in zeros])
+    assert len(cusps) == len(zeros) and inside.any()
+    assert np.max(_distance_to_polyline(cusps[inside], mirror)) <= 1.0
+
+
+def test_series_caustic_continues_each_node_once(capsys, monkeypatch):
+    calls = []
+    continue_R = pantograph.continue_R
+
+    def counted(solution, theta):
+        calls.append(np.size(theta))
+        return continue_R(solution, theta)
+
+    monkeypatch.setattr(pantograph, "continue_R", counted)
+    code, _, err = run_cli(
+        capsys, "caustic", "--curve", "series:k=1", "--tilt", "reflection",
+        "--interval", "0.1:3", "--samples", "257",
+    )
+    assert code == 0, err
+    # One quadrature pass, then R and R' at the 257 nodes from one call.
+    assert calls == [1792, 257]
 
 
 @pytest.mark.parametrize(

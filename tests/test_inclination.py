@@ -24,8 +24,18 @@ from caustics.inclination import (
     polynomial_curve,
     reconstruct,
 )
-from caustics.pantograph import PantographSolution, solution_curve, solve_series
-from caustics.skew import puiseux_curve
+from caustics.pantograph import (
+    PantographSolution,
+    parabola_mirror,
+    solution_curve,
+    solve_series,
+)
+from caustics.skew import (
+    SkewFamilySpec,
+    build_family,
+    inverse_position_curve,
+    puiseux_curve,
+)
 
 
 def positions(samples):
@@ -120,7 +130,7 @@ def test_classify_zeros_cycloid():
 
 def test_classify_zeros_touching_zero_is_flat():
     curve = InclinationCurve(
-        radius_fn=lambda t: np.asarray(t, dtype=float) ** 2,
+        jet=lambda t: (np.asarray(t, dtype=float) ** 2, 2.0 * np.asarray(t, dtype=float)),
         domain=AngleInterval(-1.0, 1.0, 41),
         label="touch",
     )
@@ -134,9 +144,14 @@ def test_endpoint_zeros_are_not_cusps():
     assert find_cusps(curve) == []
 
 
+def _inverse(t):
+    t = np.asarray(t, dtype=float)
+    return 1.0 / t, -1.0 / t**2
+
+
 def test_pole_guard_clips_and_blocks():
     curve = InclinationCurve(
-        radius_fn=lambda t: 1.0 / np.asarray(t, dtype=float),
+        jet=_inverse,
         domain=AngleInterval(0.0, 1.0, 33),
         label="pole",
         poles=(0.0,),
@@ -144,7 +159,7 @@ def test_pole_guard_clips_and_blocks():
     samples = reconstruct(curve)
     assert samples[0].theta >= 1e-6
     spanning = InclinationCurve(
-        radius_fn=lambda t: 1.0 / np.asarray(t, dtype=float),
+        jet=_inverse,
         domain=AngleInterval(-1.0, 1.0, 33),
         label="pole",
         poles=(0.0,),
@@ -174,14 +189,51 @@ def test_non_finite_grid_is_validation_error():
             call()
 
 
-def test_finite_difference_derivative_fallback():
-    bare = InclinationCurve(
-        radius_fn=lambda t: np.sin(np.asarray(t, dtype=float)),
-        domain=AngleInterval(0.0, math.pi, 65),
-        label="fd",
+# One curve from each construction site, with a window of interior angles.
+JET_SITES = {
+    "circle": (lambda: circle(1.5), (-3.0, 3.0)),
+    "cycloid": (lambda: cycloid(0.7), (-3.0, 3.0)),
+    "log_spiral": (lambda: log_spiral(1.2, 0.3), (-3.0, 3.0)),
+    "polynomial": (lambda: polynomial_curve([1.0, -0.5, 0.25, 0.1]), (-3.0, 3.0)),
+    "inverse_trig": (lambda: inverse_position_curve(1.0, 0.5, 1.2, 0.3), (-3.0, 3.0)),
+    "inverse_linear": (
+        lambda: inverse_position_curve(1.0, 0.5, math.sin(0.6), 0.6), (-3.0, 3.0)
+    ),
+    "inverse_hyperbolic": (lambda: inverse_position_curve(1.0, 0.5, 0.1, 0.6), (-3.0, 3.0)),
+    "delay": (
+        lambda: build_family(
+            SkewFamilySpec("delay", 0.3, 0.9, alpha=0.8, root_indices=(0, 1),
+                           coefficients=((1.0, 0.0), (0.5, 0.3)))
+        ),
+        (-3.0, 3.0),
+    ),
+    "puiseux": (lambda: puiseux_curve(0.2, 3.0), (-3.0, 3.0)),
+    "parabola": (lambda: parabola_mirror(1.0), (0.3, 2.8)),
+    "pantograph": (lambda: solution_curve(PantographSolution(solve_series(1))), (0.2, 12.0)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(JET_SITES))
+def test_jet_derivative_matches_difference_of_radius(site):
+    make, (lo, hi) = JET_SITES[site]
+    curve = make()
+    t = np.linspace(lo, hi, 41)
+    rp = curve.jet(t)[1]
+    radius = lambda u: curve.jet(u)[0]
+    h = 1e-3
+    fd = (radius(t - 2 * h) - 8 * radius(t - h) + 8 * radius(t + h) - radius(t + 2 * h)) / (
+        12 * h
     )
-    t = np.linspace(0.3, 2.8, 11)
-    assert np.max(np.abs(bare.radius_prime(t) - np.cos(t))) < 1e-9
+    assert np.max(np.abs(fd - rp)) <= 1e-7 * np.max(np.abs(rp))
+
+
+def test_curve_samples_slice_keeps_radius_prime():
+    samples = reconstruct(cycloid(2.0), AngleInterval(0.0, 3.0, 31))
+    np.testing.assert_array_equal(samples.radius_prime, 2.0 * np.cos(samples.theta))
+    part = samples[3:9]
+    np.testing.assert_array_equal(part.radius_prime, samples.radius_prime[3:9])
+    masked = samples[samples.radius > 1.0]
+    np.testing.assert_array_equal(masked.radius_prime, samples.radius_prime[samples.radius > 1.0])
 
 
 def test_constructor_validation():
@@ -199,12 +251,12 @@ def _scalar_cusps(curve, refine_tol=1e-12):
     """Reference: one scalar bisection per sign-change bracket, plus grid zeros."""
 
     def bisect(lo, hi):
-        flo = float(curve.radius_fn(np.array([lo]))[0])
+        flo = float(curve.jet(np.array([lo]))[0][0])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if hi - lo <= refine_tol:
                 return mid
-            fmid = float(curve.radius_fn(np.array([mid]))[0])
+            fmid = float(curve.jet(np.array([mid]))[0][0])
             if fmid == 0.0:
                 return mid
             if (flo < 0) != (fmid < 0):
@@ -214,7 +266,7 @@ def _scalar_cusps(curve, refine_tol=1e-12):
         return 0.5 * (lo + hi)
 
     grid = curve.domain.grid()
-    sign = np.sign(curve.radius_fn(grid))
+    sign = np.sign(curve.jet(grid)[0])
     cusps = []
     for i in range(len(grid) - 1):
         if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
@@ -238,14 +290,14 @@ def test_batched_cusp_bisection_matches_scalar_bisection(curve):
 
 
 def _counted(curve):
-    """The curve with its R wrapped to record each call's size."""
+    """The curve with its jet wrapped to record each call's size."""
     calls = []
 
     def counted(t):
         calls.append(np.size(t))
-        return curve.radius_fn(t)
+        return curve.jet(t)
 
-    return dataclasses.replace(curve, radius_fn=counted), calls
+    return dataclasses.replace(curve, jet=counted), calls
 
 
 @pytest.mark.parametrize("k, n_max", [(0, 30), (0, 60), (1, 30), (1, 60), (2, 30), (2, 60)])
@@ -263,30 +315,46 @@ def test_cusp_refinement_takes_few_radius_calls(k, n_max):
 
 def _pole(x):
     with np.errstate(divide="ignore"):
-        return 1.0 / (x - 0.3)
+        return 1.0 / (x - 0.3), -1.0 / (x - 0.3) ** 2
 
 
-# (R, grid, exact root or None): each grid holds exactly one sign change.
+def _cube_root(x):
+    with np.errstate(divide="ignore"):
+        return np.cbrt(x - 0.3), 1.0 / (3.0 * np.cbrt(x - 0.3) ** 2)
+
+
+# (jet, grid, exact root or None): each grid holds exactly one sign change.
 HARD_ZEROS = {
-    "cube": (lambda x: (x - 0.3) ** 3, np.linspace(-1.0, 1.0, 8), 0.3),
-    "ninth_power": (lambda x: (x - 0.3) ** 9, np.linspace(-1.0, 1.0, 8), 0.3),
+    "cube": (lambda x: ((x - 0.3) ** 3, 3.0 * (x - 0.3) ** 2), np.linspace(-1.0, 1.0, 8), 0.3),
+    "ninth_power": (
+        lambda x: ((x - 0.3) ** 9, 9.0 * (x - 0.3) ** 8), np.linspace(-1.0, 1.0, 8), 0.3
+    ),
     "pole": (_pole, np.linspace(-1.0, 1.0, 8), 0.3),
-    "tan": (np.tan, np.linspace(1.0, 2.0, 4), None),
-    "step": (lambda x: np.where(x < 0.3, -1.0, 1.0), np.linspace(-1.0, 1.0, 8), 0.3),
-    "cube_root": (lambda x: np.cbrt(x - 0.3), np.linspace(-1.0, 1.0, 8), 0.3),
-    "steep_exponential": (lambda x: np.exp(40.0 * (x - 0.3)) - 1.0, np.linspace(-1.0, 1.0, 8), None),
+    "tan": (lambda x: (np.tan(x), 1.0 / np.cos(x) ** 2), np.linspace(1.0, 2.0, 4), None),
+    "step": (
+        lambda x: (np.where(x < 0.3, -1.0, 1.0), np.zeros_like(x)), np.linspace(-1.0, 1.0, 8), 0.3
+    ),
+    "cube_root": (_cube_root, np.linspace(-1.0, 1.0, 8), 0.3),
+    "steep_exponential": (
+        lambda x: (np.exp(40.0 * (x - 0.3)) - 1.0, 40.0 * np.exp(40.0 * (x - 0.3))),
+        np.linspace(-1.0, 1.0, 8),
+        None,
+    ),
     "flat_then_linear": (
-        lambda x: np.where(x < 0.3, -1e-9, x - 0.3 - 1e-9), np.linspace(-1.0, 1.0, 8), None
+        lambda x: (np.where(x < 0.3, -1e-9, x - 0.3 - 1e-9), np.where(x < 0.3, 0.0, 1.0)),
+        np.linspace(-1.0, 1.0, 8),
+        None,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HARD_ZEROS))
 def test_hard_zeros_stay_within_the_bisection_budget(name):
-    fn, grid, root = HARD_ZEROS[name]
+    jet, grid, root = HARD_ZEROS[name]
+    fn = lambda x: jet(x)[0]
     tol = 1e-12
     curve = InclinationCurve(
-        radius_fn=lambda t: fn(np.asarray(t, dtype=float)),
+        jet=lambda t: jet(np.asarray(t, dtype=float)),
         domain=AngleInterval(float(grid[0]), float(grid[-1]), grid.size),
         label=name,
     )
@@ -327,13 +395,18 @@ def test_refine_tol_below_float_spacing_stops_at_adjacent_floats():
 
 
 def test_sign_change_across_a_run_of_zero_nodes_is_one_cusp():
-    def radius(t):
+    def jet(t):
         t = np.asarray(t, dtype=float)
-        return np.where(np.abs(t - 1.0) <= 0.1, 0.0, t - 1.0)
+        zero = np.abs(t - 1.0) <= 0.1
+        return np.where(zero, 0.0, t - 1.0), np.where(zero, 0.0, 1.0)
 
-    curve = InclinationCurve(radius_fn=radius, domain=AngleInterval(0.0, 2.0, 21), label="run")
+    def touching_jet(t):
+        r, rp = jet(t)
+        return np.abs(r), np.sign(r) * rp
+
+    curve = InclinationCurve(jet=jet, domain=AngleInterval(0.0, 2.0, 21), label="run")
     grid = curve.domain.grid()
-    assert np.sign(radius(grid[8:12])).tolist() == [-1.0, 0.0, 0.0, 1.0]
+    assert np.sign(jet(grid[8:12])[0]).tolist() == [-1.0, 0.0, 0.0, 1.0]
     assert classify_zeros(curve) == {"cusps": [0.5 * (grid[9] + grid[10])], "flat_points": []}
-    touching = dataclasses.replace(curve, radius_fn=lambda t: np.abs(radius(t)))
+    touching = dataclasses.replace(curve, jet=touching_jet)
     assert classify_zeros(touching) == {"cusps": [], "flat_points": [grid[9], grid[10]]}

@@ -33,7 +33,7 @@ WINDOW = AngleInterval(-math.pi, math.pi, 257)
 def second_derivative(curve, t, h=1e-4):
     # differentiate the analytic first derivative: far better conditioned
     # than a direct second-difference of the radius
-    f = curve.radius_prime
+    f = lambda u: curve.jet(u)[1]
     return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12 * h)
 
 
@@ -47,9 +47,9 @@ def test_point_by_point_circle_degeneration_is_exact():
     phi0 = 0.37
     curve = point_by_point_curve(2.0, math.sin(phi0), phi0)
     t = np.linspace(-3.0, 3.0, 11)
-    assert np.all(curve.radius(t) == 2.0)
+    assert np.all(curve.jet(t)[0] == 2.0)
     off = point_by_point_curve(2.0, math.sin(phi0) + 1e-12, phi0)
-    assert off.radius(3.0) != off.radius(-3.0)
+    assert off.jet(3.0)[0] != off.jet(-3.0)[0]
 
 
 def test_inverse_position_branches_and_ode(rng):
@@ -62,8 +62,9 @@ def test_inverse_position_branches_and_ode(rng):
         curve = inverse_position_curve(A, B, a, phi0)
         omega_sq = (a * a - math.sin(phi0) ** 2) / math.cos(phi0) ** 2
         t = np.linspace(-1.5, 1.5, 41)
-        resid = second_derivative(curve, t) + omega_sq * curve.radius(t)
-        assert np.max(np.abs(resid)) < 1e-9 * max(1.0, np.max(np.abs(curve.radius(t))))
+        r = curve.jet(t)[0]
+        resid = second_derivative(curve, t) + omega_sq * r
+        assert np.max(np.abs(resid)) < 1e-9 * max(1.0, np.max(np.abs(r)))
 
 
 def test_inverse_position_involute_triggers_exactly():
@@ -72,7 +73,7 @@ def test_inverse_position_involute_triggers_exactly():
     lin = inverse_position_curve(1.0, 0.5, a, phi0)
     assert lin.label.startswith("circle_involute")
     t = np.array([0.0, 1.0, 2.0])
-    r = lin.radius(t)
+    r = lin.jet(t)[0]
     assert r[2] - 2 * r[1] + r[0] == 0.0
     assert inverse_position_curve(1.0, 0.5, -a, phi0).label.startswith("circle_involute")
     near = inverse_position_curve(1.0, 0.5, a + 1e-9, phi0)
