@@ -67,7 +67,6 @@ from .pantograph import (
     PantographSeries,
     PantographSolution,
     continue_R,
-    eval_R_base,
     mirror_report,
     parabola_focus,
     parabola_mirror,
@@ -142,7 +141,6 @@ __all__ = [
     "PantographSeries",
     "PantographSolution",
     "continue_R",
-    "eval_R_base",
     "mirror_report",
     "parabola_focus",
     "parabola_mirror",

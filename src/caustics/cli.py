@@ -47,7 +47,6 @@ from .pantograph import (
     PantographSolution,
     mirror_equation_residual,
     mirror_report,
-    overlay_caustic_points,
     parabola_mirror,
     similarity_factor,
     solution_curve,
@@ -339,13 +338,15 @@ def _run_pantograph(args: argparse.Namespace) -> None:
         if report is None:
             groups = {"mirror": [reconstruct(curve, window).points]}
         else:
-            # The overlay and the report put the mirror's theta = 0 point at
-            # the origin, so the mirror is integrated from there as well.
+            # The report puts the mirror's theta = 0 point at the origin, so
+            # the mirror and its reflection caustic are integrated from there.
+            # theta = 0 is a cusp of the caustic (R = 0): a NaN row, not drawn.
             thetas = window.grid()
-            samples = reconstruct(curve, np.union1d([0.0], thetas))
-            cpts = overlay_caustic_points(solution, thetas)
+            caus = caustic_curve(curve, TiltField.reflection(), np.union1d([0.0], thetas))
+            nodes = np.searchsorted(caus.source.theta, thetas)
+            cpts = caus.points[nodes]
             groups = {
-                "mirror": [samples.points[np.searchsorted(samples.theta, thetas)]],
+                "mirror": [caus.source.points[nodes]],
                 "caustic": [cpts, cpts / float(factor)],
                 "cuspline": [report.collinearity_points],
                 "cusps": report.mirror_cusp_points,

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCurveError,
-    DomainError,
     JetDepthError,
     NumericError,
     PoleError,
@@ -57,12 +56,10 @@ __all__ = [
     "PantographSolution",
     "similarity_factor",
     "solve_series",
-    "eval_R_base",
     "continue_R",
     "solution_curve",
     "overlay_caustic_points",
     "mirror_equation_residual",
-    "auxiliary_equation_residual",
     "MirrorReport",
     "mirror_report",
     "parabola_mirror",
@@ -134,17 +131,6 @@ class PantographSeries:
 
     def powers(self) -> np.ndarray:
         return self.k + np.arange(len(self.coefficients))
-
-    def q_derivatives(self, theta: float, order: int) -> np.ndarray:
-        """Values Q(theta), Q'(theta), ..., Q^(order)(theta), term by term.
-
-        Raises ``PoleError`` at theta = 0 for the families k <= -1 and
-        ``ValidationError`` for an order below 0 or above 170.
-        """
-        _check_order("order", order)
-        u = np.array([float(theta)])
-        _reject_pole(self, u)
-        return _q_taylor(self, u, [1] * (order + 1))[:, 0] * _FACTORIALS[: order + 1]
 
 
 _UNIT_SERIES: dict[int, list[Fraction]] = {}
@@ -239,33 +225,6 @@ def solve_series(
         exact=tuple(ordered) if exact else None,
         secondary_coeff=None if secondary is None else float(secondary),
     )
-
-
-def _require_base_window(theta: np.ndarray) -> None:
-    limit = math.pi / 2 - BASE_GUARD
-    if np.any(np.abs(theta) > limit):
-        worst = float(np.max(np.abs(theta)))
-        raise DomainError(
-            f"|theta| = {worst:g} leaves the series window |theta| <= pi/2 - "
-            f"{BASE_GUARD:g}; use continue_R for the extension"
-        )
-
-
-_MAX_ORDER = 170
-"""Highest derivative order returned: 171! overflows a float."""
-
-_FACTORIALS = np.cumprod(np.concatenate(([1.0], np.arange(1.0, _MAX_ORDER + 1))))
-"""0!, 1!, ..., 170! as floats."""
-
-
-def _check_order(name: str, order: int) -> None:
-    if order < 0:
-        raise ValidationError(f"{name} must be non-negative")
-    if order > _MAX_ORDER:
-        raise ValidationError(
-            f"{name} must be at most {_MAX_ORDER}, got {order}: "
-            f"{_MAX_ORDER + 1}! overflows a float"
-        )
 
 
 def _operator(series: PantographSeries, name: str, size: int, build):
@@ -414,27 +373,6 @@ def _double(series: PantographSeries, head: np.ndarray, u: np.ndarray) -> np.nda
     return out
 
 
-def _reject_pole(series: PantographSeries, theta: np.ndarray) -> None:
-    if series.k <= -1 and np.any(theta == 0.0):
-        raise PoleError(
-            f"the k = {series.k} family has a pole of Q = R / sin(theta) at theta = 0"
-        )
-
-
-def eval_R_base(series: PantographSeries, theta: float, jet_order: int = 1) -> np.ndarray:
-    """Derivatives R, R', ..., R^(jet_order) at one angle in the base window.
-
-    Raises ``PoleError`` at theta = 0 for the families k <= -1 and
-    ``ValidationError`` for a jet_order below 0 or above 170.
-    """
-    theta = float(theta)
-    _require_base_window(np.asarray(theta))
-    _reject_pole(series, np.asarray(theta))
-    _check_order("jet_order", jet_order)
-    jet = _r_taylor(series, np.array([theta]), [1] * (jet_order + 1))[:, 0]
-    return jet * _FACTORIALS[: jet_order + 1]
-
-
 @dataclass(frozen=True)
 class PantographSolution:
     """A mirror profile extended beyond the series window by doubling.
@@ -487,7 +425,9 @@ def continue_R(solution: PantographSolution, theta):
     bad = flat[~np.isfinite(flat) | (flat < 0.0)]
     if bad.size:
         raise ValidationError(f"continuation is defined for finite theta >= 0, got {bad[0]:g}")
-    _reject_pole(solution.series, flat)
+    k = solution.series.k
+    if k <= -1 and np.any(flat == 0.0):
+        raise PoleError(f"the k = {k} family has a pole of Q = R / sin(theta) at theta = 0")
     limit = math.pi / 2 - solution.guard
     depth = np.ceil(np.log2(np.maximum(flat / limit, 1.0))).astype(int)
     depth += flat / 2.0**depth > limit  # the rounded ratio can land one depth short
@@ -550,7 +490,10 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
 
     The pantograph equation makes the caustic the homothety
     c(theta) = a r(2 theta) + (1 - a) r(0) of the mirror itself; this
-    evaluates it from a reconstruction over the doubled angles.
+    evaluates it from a reconstruction over the doubled angles.  It is the
+    independent reference for the reflection caustic that
+    ``caustic_curve(curve, TiltField.reflection(), ...)`` computes from the
+    mirror's own R and R' (and that ``caustics pantograph`` draws).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.size == 0:
@@ -578,28 +521,6 @@ def mirror_equation_residual(
     r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
     a = solution.series.factor_a
     return float(np.max(np.abs(np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r)))
-
-
-def auxiliary_equation_residual(
-    solution: PantographSolution, interval: AngleInterval | None = None
-) -> float:
-    """Sup-norm defect of tan(theta) Q' - 8a Q(2 theta) + 4 Q(theta).
-
-    Checked on (0, pi/2); Q beyond the window is recovered as
-    R / sin(theta) from the continuation.
-    """
-    interval = interval or AngleInterval(0.01, math.pi / 2 - 0.01, 257)
-    if not (0.0 < interval.lo and interval.hi < math.pi / 2):
-        raise ValidationError("the auxiliary equation is checked inside (0, pi/2)")
-    t = interval.grid()
-    r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
-    r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
-    st, ct = np.sin(t), np.cos(t)
-    q = r / st
-    qp = (rp - q * ct) / st
-    q2 = r2 / np.sin(2.0 * t)
-    a = solution.series.factor_a
-    return float(np.max(np.abs(np.tan(t) * qp - 8.0 * a * q2 + 4.0 * q)))
 
 
 _COLLINEARITY_THETAS = (0.0, math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi)

@@ -234,10 +234,6 @@ class CharacteristicRoot:
     def eta(self) -> float:
         return self.value.imag
 
-    @property
-    def is_real(self) -> bool:
-        return self.value.imag == 0.0
-
 
 def delay_roots(
     factor_a: float,

@@ -31,3 +31,85 @@ def test_package_exports_are_the_submodules_objects():
         assert owner.__name__.startswith("caustics."), attr
         assert getattr(owner, attr) is obj, attr
         assert attr in getattr(owner, "__all__", (attr,)), f"{owner.__name__}.__all__: {attr}"
+
+
+def test_public_names_are_pinned():
+    # Adding or removing a public name is a deliberate edit of this list,
+    # announced under "Public API changes" in the README.
+    assert sorted(caustics.__all__) == [
+        "AngleInterval",
+        "BranchUnavailableError",
+        "Caustic",
+        "CausticAtInfinityError",
+        "CausticSample",
+        "CausticsError",
+        "CharacteristicRoot",
+        "CurveSamples",
+        "CuspError",
+        "DegenerateCurveError",
+        "DegenerateSamplingError",
+        "DomainError",
+        "EnvelopeGap",
+        "EnvelopePolyline",
+        "EvaluationError",
+        "FlatCausticError",
+        "FrameSample",
+        "InclinationCurve",
+        "JetDepthError",
+        "MirrorReport",
+        "NumericError",
+        "Occlusion",
+        "PantographSeries",
+        "PantographSolution",
+        "PoleError",
+        "PuiseuxReport",
+        "RayFamily",
+        "ResonanceError",
+        "SimilaritySpec",
+        "SkewFamilySpec",
+        "TanCoefficients",
+        "TiltField",
+        "ValidationError",
+        "Verticality",
+        "__version__",
+        "build_family",
+        "caustic_curve",
+        "caustic_radius",
+        "circle",
+        "classify_zeros",
+        "coframe",
+        "continue_R",
+        "cycloid",
+        "delay_curve",
+        "delay_roots",
+        "envelope_gap",
+        "envelope_numeric",
+        "find_cusps",
+        "frenet_residual",
+        "hausdorff_distance",
+        "implied_alpha",
+        "inverse_position_curve",
+        "lambert_w",
+        "log_spiral",
+        "mirror_report",
+        "occlusion_check",
+        "parabola_focus",
+        "parabola_mirror",
+        "parabola_position",
+        "point_by_point_curve",
+        "polynomial_curve",
+        "puiseux_curve",
+        "puiseux_diagnostics",
+        "rays_from_tilt",
+        "real_branch_indices",
+        "reconstruct",
+        "reflect_horizontal",
+        "similarity_factor",
+        "similarity_residual",
+        "solution_curve",
+        "solve_series",
+        "tan_coeffs",
+        "to_delay_form",
+        "verticality_check",
+        "zeta_even",
+    ]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import caustics
-from caustics import cli, pantograph, specfun
+from caustics import caustic, cli, pantograph, specfun
 from caustics.cli import main, parse_angle, parse_interval
 from caustics.csvio import read_table, write_table
 from caustics.errors import ValidationError
@@ -422,6 +422,26 @@ def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv):
         want_y = np.exp(t) * (np.sin(t) - np.cos(t)) / 2 + 0.5
         scale = np.maximum(1.0, np.hypot(want_x, want_y))
         assert np.max(np.hypot(x - want_x, y - want_y) / scale) <= 1e-9
+
+
+def test_pantograph_svg_reconstructs_twice(tmp_path, capsys, monkeypatch):
+    # Once for the report, once for the figure: the drawn caustic is the
+    # reflection caustic of the drawn mirror, on the same samples.
+    sizes = []
+
+    def counted(*args, **kwargs):
+        samples = reconstruct(*args, **kwargs)
+        sizes.append(len(samples))
+        return samples
+
+    for module in (cli, caustic, pantograph):
+        monkeypatch.setattr(module, "reconstruct", counted)
+    code, _, err = run_cli(
+        capsys, "pantograph", "--m", "2", "--samples", "513",
+        "--out-svg", str(tmp_path / "mirror.svg"),
+    )
+    assert code == 0, err
+    assert sizes == [2060, 513]
 
 
 @pytest.mark.parametrize("m", ["1", "2", "3"])

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from caustics import pantograph, specfun
+from caustics.caustic import CUSP, OK, TiltField, caustic_curve
 from caustics.errors import (
     DegenerateCurveError,
-    DomainError,
     JetDepthError,
     PoleError,
     ResonanceError,
@@ -24,9 +24,7 @@ from caustics.errors import (
 from caustics.inclination import AngleInterval, find_cusps, reconstruct
 from caustics.pantograph import (
     PantographSolution,
-    auxiliary_equation_residual,
     continue_R,
-    eval_R_base,
     mirror_equation_residual,
     mirror_report,
     overlay_caustic_points,
@@ -178,17 +176,17 @@ def test_solve_series_rejects_bad_numbers(kwargs, message):
 def test_base_window_jet_matches_cycloid():
     series = solve_series(0, n_max=30)
     for t in np.linspace(0.0, math.pi / 2 - 1e-3, 20):
-        jet = eval_R_base(series, t, jet_order=2)
+        # Taylor row j times j! is the j-th derivative.
+        jet = pantograph._r_taylor(series, np.array([t]), [1] * 3)[:, 0] * [1.0, 1.0, 2.0]
         assert abs(jet[0] - math.sin(t)) < 1e-14
         assert abs(jet[1] - math.cos(t)) < 1e-13
         assert abs(jet[2] + math.sin(t)) < 1e-12
-    with pytest.raises(DomainError):
-        eval_R_base(series, math.pi / 2)
 
 
 def test_q_derivatives_finite_at_origin():
     series = solve_series(0, n_max=12)
-    values = series.q_derivatives(0.0, 3)
+    rows = pantograph._q_taylor(series, np.array([0.0]), [1] * 4)[:, 0]
+    values = rows * [1.0, 1.0, 2.0, 6.0]  # row j times j!
     assert np.all(np.isfinite(values))
 
 
@@ -227,7 +225,23 @@ def test_doubling_identity_links_caustic_to_overlay(m2_solution):
 def test_equation_residuals(m2_solution, m3_solution, cycloid_solution):
     for sol in (cycloid_solution, m2_solution, m3_solution):
         assert mirror_equation_residual(sol) < 1e-8
-        assert auxiliary_equation_residual(sol) < 1e-7
+
+
+@pytest.mark.parametrize("n_max, bound", [(30, 1e-9), (60, 1e-13)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_reflection_caustic_is_the_homothety(k, n_max, bound):
+    # The figure's caustic comes from the mirror's own R and R'; the paper's
+    # homothety a r(2 theta) + (1 - a) r(0) is reconstructed independently.
+    solution = PantographSolution(solve_series(k, n_max=n_max))
+    curve = solution_curve(solution)
+    windows = (AngleInterval(0.0, 2 * math.pi, 513).grid(), np.linspace(0.05, 3 * math.pi, 200))
+    for grid in windows:
+        caus = caustic_curve(curve, TiltField.reflection(), np.union1d([0.0], grid))
+        assert caus.source.theta[0] == 0.0 and caus.flag[0] == CUSP
+        assert np.all(caus.flag[1:] == OK)
+        want = overlay_caustic_points(solution, caus.source.theta[1:])
+        scale = np.max(np.linalg.norm(caus.source.points, axis=1))
+        assert np.max(np.abs(caus.points[1:] - want)) < bound * scale
 
 
 def test_overlay_points_match_closed_form(cycloid_solution):
@@ -381,35 +395,26 @@ def test_pole_at_zero_is_an_error(k, secondary):
             continue_R(solution, 0.0)
         with pytest.raises(PoleError):
             continue_R(solution, np.array([0.5, 0.0, 2.0]))
-        with pytest.raises(PoleError):
-            eval_R_base(solution.series, 0.0)
         r, rp = continue_R(solution, np.array([0.5, 2.0]))
     assert np.all(np.isfinite(r)) and np.all(np.isfinite(rp))
 
 
-def test_q_derivatives_pole_and_order_are_errors():
+def test_pole_family_q_jet_finite_off_origin():
     pole = solve_series(-1, n_max=12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PoleError):
-            pole.q_derivatives(0.0, 3)
-        with pytest.raises(PoleError):
-            solve_series(-3, n_max=12, secondary=0.5).q_derivatives(0.0, 0)
-        with pytest.raises(ValidationError):
-            solve_series(1, n_max=12).q_derivatives(0.5, -1)
-        assert np.all(np.isfinite(pole.q_derivatives(0.5, 3)))
+        rows = pantograph._q_taylor(pole, np.array([0.5]), [1] * 4)[:, 0]
+    values = rows * [1.0, 1.0, 2.0, 6.0]  # row j times j!
+    assert np.all(np.isfinite(values))
 
 
-def test_orders_above_170_are_errors():
+def test_jet_rows_past_170_stay_finite():
     series = solve_series(1)
+    u = np.array([0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="at most 170"):
-            series.q_derivatives(0.5, 171)
-        with pytest.raises(ValidationError, match="at most 170"):
-            eval_R_base(series, 0.5, jet_order=171)
-        q = series.q_derivatives(0.5, 170)
-        jet = eval_R_base(series, 0.5, jet_order=170)
+        q = pantograph._q_taylor(series, u, [1] * 171)[:, 0]
+        jet = pantograph._r_taylor(series, u, [1] * 171)[:, 0]
     assert q.shape == jet.shape == (171,)
     assert np.all(np.isfinite(q)) and np.all(np.isfinite(jet))
     # Q has degree n_max - k = 29 here: a_30 has the wrong parity for k = 1.

@@ -102,7 +102,7 @@ def test_implied_alpha_requires_oscillation():
 
 def test_delay_roots_frozen_values():
     roots = delay_roots(1.0, math.pi / 2, 0.0, indices=(0,))
-    assert roots[0].is_real
+    assert roots[0].value.imag == 0.0
     assert abs(roots[0].value.real - 0.47454099951265116) < 1e-12
 
     pair = delay_roots(1.0, math.pi / 2, 0.0, indices=(1, -1))
