@@ -18,13 +18,13 @@ import os
 
 import numpy as np
 
-from caustics.inclination import AngleInterval, reconstruct
+from caustics.caustic import TiltField, caustic_curve
+from caustics.inclination import AngleInterval
 from caustics.pantograph import (
     PantographSolution,
     continue_R,
     mirror_equation_residual,
     mirror_report,
-    overlay_caustic_points,
     similarity_factor,
     solution_curve,
     solve_series,
@@ -47,12 +47,13 @@ for k, name in ((0, "cycloid"), (1, "m = 2"), (2, "m = 3")):
           f"self-occluding: {report.has_occlusion}")
 
     window = AngleInterval(0.0, 4.0 * math.pi, 1025)
-    samples = reconstruct(solution_curve(solution), window)
-    caustic = overlay_caustic_points(solution, samples.theta[1:-1])
+    # The reflection caustic from the mirror's own R and R'; theta = 0 is
+    # its cusp (R = 0), a NaN row that the scene does not draw.
+    caustic = caustic_curve(solution_curve(solution), TiltField.reflection(), window)
     write_scene(
         os.path.join(OUT, f"mirror_k{k}.svg"),
-        mirror=[samples.points],
-        caustic=[caustic],
+        mirror=[caustic.source.points],
+        caustic=[caustic.points],
         cusps=report.mirror_cusp_points,
         cuspline=[report.collinearity_points],
     )

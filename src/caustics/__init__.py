@@ -37,7 +37,6 @@ from .errors import (
 from .inclination import (
     AngleInterval,
     CurveSamples,
-    FrameSample,
     InclinationCurve,
     circle,
     classify_zeros,
@@ -98,7 +97,6 @@ __all__ = [
     # curves
     "AngleInterval",
     "CurveSamples",
-    "FrameSample",
     "InclinationCurve",
     "circle",
     "classify_zeros",

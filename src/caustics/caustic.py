@@ -139,20 +139,21 @@ class Caustic(ColumnRecord):
 
     _columns = ("caustic_theta", "x", "y", "caustic_radius", "ray_length", "flag", "source")
 
-    def _view(self, i: int) -> CausticSample:
-        theta = float(self.source.theta[i])
-        error = None
-        if self.flag[i] != OK:
-            kind, what = _FLAG_ERRORS[int(self.flag[i])]
-            error = f"{kind.__name__}: {what} at theta = {theta}"
-        return CausticSample(
-            source_theta=theta,
-            caustic_theta=float(self.caustic_theta[i]),
-            caustic_radius=float(self.caustic_radius[i]),
-            position=np.array([self.x[i], self.y[i]]),
-            ray_length=float(self.ray_length[i]),
-            error=error,
-        )
+    def __iter__(self):
+        """One ``CausticSample`` view per node, built from the columns."""
+        for t, t1, r1, position, length, flag in zip(
+            self.source.theta.tolist(),
+            self.caustic_theta.tolist(),
+            self.caustic_radius.tolist(),
+            self.points,
+            self.ray_length.tolist(),
+            self.flag.tolist(),
+        ):
+            error = None
+            if flag != OK:
+                kind, what = _FLAG_ERRORS[flag]
+                error = f"{kind.__name__}: {what} at theta = {t}"
+            yield CausticSample(t, t1, r1, position, length, error)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .quadrature import panel_integrals
 __all__ = [
     "AngleInterval",
     "InclinationCurve",
-    "FrameSample",
     "CurveSamples",
     "reconstruct",
     "find_cusps",
@@ -104,25 +103,13 @@ class InclinationCurve:
     poles: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class FrameSample:
-    """One reconstructed vertex: position, frame, radius and arclength."""
-
-    theta: float
-    position: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    radius: float
-    arclength: float
-
-
 class ColumnRecord:
-    """Equal-length columns, one entry per node, that index like a sequence.
+    """Equal-length columns, one entry per node.
 
-    An int index returns the node's view (built on demand by ``_view``), so
-    iteration yields one view per node; a slice, mask or index array
-    returns a record of the same type holding those nodes.  Subclasses name
-    their indexable fields in ``_columns``.
+    A slice, mask or index array returns a record of the same type holding
+    those nodes; a single node is read from the columns (``rec.x[i]``), and
+    an int index raises ``TypeError``.  Subclasses name their indexable
+    fields in ``_columns``.
     """
 
     _columns: tuple[str, ...] = ()
@@ -132,7 +119,10 @@ class ColumnRecord:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return self._view(range(len(self))[key])
+            raise TypeError(
+                f"{type(self).__name__} is a record of columns; read the node "
+                f"from a column, e.g. rec.x[{key}]"
+            )
         return replace(self, **{name: getattr(self, name)[key] for name in self._columns})
 
     @property
@@ -166,17 +156,6 @@ class CurveSamples(ColumnRecord):
         """Unit tangents and normals, each an ``(n, 2)`` array."""
         c, s = np.cos(self.theta), np.sin(self.theta)
         return np.column_stack([c, s]), np.column_stack([-s, c])
-
-    def _view(self, i: int) -> FrameSample:
-        c, s = math.cos(self.theta[i]), math.sin(self.theta[i])
-        return FrameSample(
-            theta=float(self.theta[i]),
-            position=np.array([self.x[i], self.y[i]]),
-            tangent=np.array([c, s]),
-            normal=np.array([-s, c]),
-            radius=float(self.radius[i]),
-            arclength=float(self.arclength[i]),
-        )
 
 
 def _clip_interval(curve: InclinationCurve, lo: float, hi: float) -> tuple[float, float]:

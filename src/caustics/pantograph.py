@@ -459,27 +459,18 @@ def continue_R(solution: PantographSolution, theta):
     return r.reshape(arr.shape), rp.reshape(arr.shape)
 
 
-def solution_curve(
-    solution: PantographSolution,
-    domain: AngleInterval | None = None,
-) -> InclinationCurve:
+def solution_curve(solution: PantographSolution) -> InclinationCurve:
     """Wrap a continued solution as a turning-radius curve.
 
     The curve's jet is ``continue_R`` itself, so one continuation gives R and
-    R' at the same angles.  Families with k <= -1 have a pole of Q at
-    theta = 0, declared so that reconstruction keeps its guard band away
-    from it.
+    R' at the same angles, and its domain is all of ``[0, max_theta]``.
+    Families with k <= -1 have a pole of Q at theta = 0, declared so that
+    reconstruction keeps its guard band away from it.
     """
     k = solution.series.k
-    dom = domain or AngleInterval(0.0, 4 * math.pi, 1025)
-    if dom.hi > solution.max_theta:
-        raise ValidationError(
-            f"domain reaches {dom.hi:g} but jet_order {solution.jet_order} only "
-            f"serves theta <= {solution.max_theta:g}"
-        )
     return InclinationCurve(
         jet=lambda t: continue_R(solution, t),
-        domain=dom,
+        domain=AngleInterval(0.0, solution.max_theta, 1025),
         label=f"pantograph(k={k}, a={solution.series.factor_a:g})",
         poles=(0.0,) if k <= -1 else (),
     )
@@ -499,9 +490,7 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
     if thetas.size == 0:
         return np.empty((0, 2))
     a = solution.series.factor_a
-    curve = solution_curve(
-        solution, AngleInterval(0.0, max(2 * float(np.max(thetas)), 1.0), 9)
-    )
+    curve = solution_curve(solution)
     grid = np.union1d(np.array([0.0]), 2.0 * thetas)
     samples = reconstruct(curve, grid)
     pts = samples.points[np.searchsorted(samples.theta, 2.0 * thetas)]
@@ -592,7 +581,7 @@ def mirror_report(
     if interval.lo < 0.0:
         raise ValidationError("the continued solution lives on theta >= 0")
     far = max(2 * _COLLINEARITY_THETAS[-1], interval.hi) + 4 * math.pi
-    curve = solution_curve(solution, AngleInterval(0.0, far + 0.1, 9))
+    curve = solution_curve(solution)
 
     all_zeros = find_cusps(curve, AngleInterval(0.0, far, 513))
     zeros = [z for z in all_zeros if interval.contains(z)]

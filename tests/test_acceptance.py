@@ -167,12 +167,11 @@ def test_criterion_06_parabola_caustic_collapses_to_focus():
     interval = AngleInterval(0.2, math.pi - 0.2, 257)
     offset = parabola_position(scale, interval.lo)
     mirror = parabola_mirror(scale)
-    for sample in reconstruct(mirror, interval):
-        x, y = sample.position + offset
-        assert abs(y * y + 2.0 * scale * x + scale * scale) < 1e-8
+    x, y = (reconstruct(mirror, interval).points + offset).T
+    assert np.max(np.abs(y * y + 2.0 * scale * x + scale * scale)) < 1e-8
     focus = parabola_focus(scale)
     caustic = caustic_curve(mirror, TiltField.reflection(), interval)
-    pts = np.array([s.position for s in caustic]) + offset
+    pts = caustic.points + offset
     scatter = float(np.max(np.hypot(pts[:, 0] - focus[0], pts[:, 1] - focus[1])))
     print(f"caustic scatter about the focus: {scatter:.3e}")
     assert scatter < 1e-7

@@ -53,7 +53,6 @@ def test_public_names_are_pinned():
         "EnvelopePolyline",
         "EvaluationError",
         "FlatCausticError",
-        "FrameSample",
         "InclinationCurve",
         "JetDepthError",
         "MirrorReport",

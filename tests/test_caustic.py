@@ -89,9 +89,10 @@ def test_cusp_nodes_are_flagged_not_dropped():
         cycloid(1.0), TiltField.reflection(), AngleInterval(0.0, 1.0, 11)
     )
     assert len(samples) == 11
-    assert samples[0].error is not None and "Cusp" in samples[0].error
-    assert math.isnan(samples[0].position[0])
-    assert all(s.error is None for s in samples[1:])
+    views = list(samples)
+    assert views[0].error is not None and "Cusp" in views[0].error
+    assert math.isnan(samples.x[0])
+    assert all(s.error is None for s in views[1:])
 
 
 def test_caustic_record_contract(tmp_path):
@@ -101,6 +102,9 @@ def test_caustic_record_contract(tmp_path):
     tail = caus[1:]
     assert isinstance(tail, Caustic) and len(tail) == 256
     assert np.array_equal(tail.source.theta, caus.source.theta[1:])
+    for key in (0, -1, np.int64(3)):
+        with pytest.raises(TypeError, match="column"):
+            caus[key]
 
     views = list(caus)
     columns = {
@@ -151,7 +155,7 @@ def test_flat_tilt_is_an_error():
     )
     caus = caustic_curve(circle(), flat, AngleInterval(0.0, 1.0, 9))
     assert caus.flag[3] == FLAT_TILT
-    assert caus[3].error.startswith("FlatCausticError: ")
+    assert list(caus)[3].error.startswith("FlatCausticError: ")
 
 
 def test_scalar_valued_tilt_broadcasts():

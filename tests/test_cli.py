@@ -255,6 +255,22 @@ def test_series_caustic_continues_each_node_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("pantograph", "--m", "2", "--interval", "0:6pi", "--out-svg", "mirror.svg"),
+        ("curve", "--curve", "series:k=1", "--interval", "0:6pi"),
+        ("caustic", "--curve", "series:k=1", "--interval", "0:6pi", "--tilt", "reflection"),
+    ],
+    ids=["pantograph", "curve", "caustic"],
+)
+def test_series_curves_serve_past_4pi(tmp_path, capsys, monkeypatch, argv):
+    # A series curve's domain is the continuation's whole reach, [0, max_theta].
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("pantograph", "--m", "2", "--order", "60", "--out-csv", "coeffs.csv",
          "--out-svg", "mirror.svg"),
         ("curve", "--curve", "series:k=-3,secondary=0.5", "--interval", "0.5:2pi",

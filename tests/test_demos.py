@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from a fresh copy."""
+"""Every demo script runs to completion from a fresh copy, under the suite's
+warning rules (``-X dev -W error``)."""
 
 import os
 import shutil
@@ -19,7 +20,7 @@ def test_demo_runs(script, tmp_path):
     shutil.copy(script, copy)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(copy)],
+        [sys.executable, "-X", "dev", "-W", "error", str(copy)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

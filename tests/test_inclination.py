@@ -38,10 +38,6 @@ from caustics.skew import (
 )
 
 
-def positions(samples):
-    return np.array([s.position for s in samples])
-
-
 def test_interval_validation():
     with pytest.raises(ValidationError):
         AngleInterval(1.0, 1.0)
@@ -57,29 +53,24 @@ def test_interval_validation():
 
 def test_circle_reconstruction_closed_form():
     samples = reconstruct(circle(1.0), AngleInterval(0.0, 2 * math.pi, 257))
-    t = np.array([s.theta for s in samples])
-    pts = positions(samples)
+    t, pts = samples.theta, samples.points
     assert np.max(np.abs(pts[:, 0] - np.sin(t))) < 1e-10
     assert np.max(np.abs(pts[:, 1] - (1.0 - np.cos(t)))) < 1e-10
-    arcs = np.array([s.arclength for s in samples])
-    assert np.max(np.abs(arcs - t)) < 1e-10
+    assert np.max(np.abs(samples.arclength - t)) < 1e-10
 
 
 def test_cycloid_reconstruction_closed_form():
     samples = reconstruct(cycloid(1.0), AngleInterval(0.0, math.pi, 129))
-    t = np.array([s.theta for s in samples])
-    pts = positions(samples)
+    t, pts = samples.theta, samples.points
     assert np.max(np.abs(pts[:, 0] - np.sin(t) ** 2 / 2)) < 1e-12
     assert np.max(np.abs(pts[:, 1] - (t / 2 - np.sin(2 * t) / 4))) < 1e-12
-    arcs = np.array([s.arclength for s in samples])
-    assert np.max(np.abs(arcs - (1.0 - np.cos(t)))) < 1e-12
+    assert np.max(np.abs(samples.arclength - (1.0 - np.cos(t)))) < 1e-12
 
 
 def test_log_spiral_closed_form():
     # R = e^theta: x = (e^t/2)(cos t + sin t) - 1/2, y = (e^t/2)(sin t - cos t) + 1/2
     samples = reconstruct(log_spiral(1.0, 1.0), AngleInterval(0.0, 1.0, 65))
-    t = np.array([s.theta for s in samples])
-    pts = positions(samples)
+    t, pts = samples.theta, samples.points
     ex = np.exp(t) / 2
     assert np.max(np.abs(pts[:, 0] - (ex * (np.cos(t) + np.sin(t)) - 0.5))) < 1e-12
     assert np.max(np.abs(pts[:, 1] - (ex * (np.sin(t) - np.cos(t)) + 0.5))) < 1e-12
@@ -95,15 +86,16 @@ def test_first_sample_is_the_origin():
     ]:
         samples = reconstruct(curve, interval)
         assert (samples.x[0], samples.y[0]) == (0.0, 0.0)
-        assert np.array_equal(samples[0].position, [0.0, 0.0])
+        assert np.array_equal(samples.points[0], [0.0, 0.0])
 
 
 def test_tangents_and_normals_are_orthonormal():
     samples = reconstruct(cycloid(), AngleInterval(0.1, 3.0, 33))
-    for s in samples:
-        assert abs(np.dot(s.tangent, s.tangent) - 1.0) < 1e-14
-        assert abs(np.dot(s.tangent, s.normal)) < 1e-14
-        cross = s.tangent[0] * s.normal[1] - s.tangent[1] * s.normal[0]
+    tangents, normals = samples.frame
+    for tangent, normal in zip(tangents, normals):
+        assert abs(np.dot(tangent, tangent) - 1.0) < 1e-14
+        assert abs(np.dot(tangent, normal)) < 1e-14
+        cross = tangent[0] * normal[1] - tangent[1] * normal[0]
         assert abs(cross - 1.0) < 1e-14
 
 
@@ -157,7 +149,7 @@ def test_pole_guard_clips_and_blocks():
         poles=(0.0,),
     )
     samples = reconstruct(curve)
-    assert samples[0].theta >= 1e-6
+    assert samples.theta[0] >= 1e-6
     spanning = InclinationCurve(
         jet=_inverse,
         domain=AngleInterval(-1.0, 1.0, 33),
@@ -176,7 +168,7 @@ def test_reconstruct_rejects_interval_outside_domain():
 def test_reconstruct_accepts_explicit_grid():
     grid = np.array([0.0, 0.3, 1.1, 2.0])
     samples = reconstruct(circle(), grid)
-    assert [s.theta for s in samples] == list(grid)
+    assert samples.theta.tolist() == list(grid)
     with pytest.raises(ValidationError):
         reconstruct(circle(), np.array([0.0, 0.5, 0.5, 1.0]))
 
@@ -234,6 +226,9 @@ def test_curve_samples_slice_keeps_radius_prime():
     np.testing.assert_array_equal(part.radius_prime, samples.radius_prime[3:9])
     masked = samples[samples.radius > 1.0]
     np.testing.assert_array_equal(masked.radius_prime, samples.radius_prime[samples.radius > 1.0])
+    for key in (0, -1, np.int64(3)):
+        with pytest.raises(TypeError, match="column"):
+            samples[key]
 
 
 def test_constructor_validation():
@@ -302,10 +297,7 @@ def _counted(curve):
 
 @pytest.mark.parametrize("k, n_max", [(0, 30), (0, 60), (1, 30), (1, 60), (2, 30), (2, 60)])
 def test_cusp_refinement_takes_few_radius_calls(k, n_max):
-    curve = solution_curve(
-        PantographSolution(solve_series(k, n_max=n_max)),
-        AngleInterval(0.0, 12 * math.pi + 0.1, 9),
-    )
+    curve = solution_curve(PantographSolution(solve_series(k, n_max=n_max)))
     counted, calls = _counted(curve)
     cusps = find_cusps(counted, AngleInterval(0.0, 12 * math.pi, 513))
     assert len(cusps) == 11

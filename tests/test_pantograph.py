@@ -16,6 +16,7 @@ from caustics import pantograph, specfun
 from caustics.caustic import CUSP, OK, TiltField, caustic_curve
 from caustics.errors import (
     DegenerateCurveError,
+    DomainError,
     JetDepthError,
     PoleError,
     ResonanceError,
@@ -295,7 +296,7 @@ def test_report_point_sets_are_arrays(name, request):
     # The report reconstructs once, on its even grid merged with 0 and
     # every sign change below far = 8pi + 4pi.
     far = 2 * (4 * math.pi) + 4 * math.pi
-    curve = solution_curve(solution, AngleInterval(0.0, far + 0.1, 9))
+    curve = solution_curve(solution)
     cusps = find_cusps(curve, AngleInterval(0.0, far, 513))
     grid = np.union1d(np.linspace(0.0, 4 * math.pi, 2049), [0.0, *cusps])
     samples = reconstruct(curve, grid)
@@ -316,8 +317,11 @@ def test_report_rejects_singular_profiles():
 
 
 def test_solution_curve_bounds(cycloid_solution):
-    with pytest.raises(ValidationError):
-        solution_curve(cycloid_solution, AngleInterval(0.0, cycloid_solution.max_theta * 4, 9))
+    curve = solution_curve(cycloid_solution)
+    reach = cycloid_solution.max_theta
+    assert (curve.domain.lo, curve.domain.hi) == (0.0, reach)
+    with pytest.raises(DomainError):
+        reconstruct(curve, AngleInterval(0.0, 1.01 * reach, 9))
     sol = PantographSolution(solve_series(-1, n_max=12))
     curve = solution_curve(sol)
     assert curve.poles == (0.0,)
@@ -328,7 +332,7 @@ def test_parabola_identities():
     lo, hi = 0.2, math.pi - 0.2
     curve = parabola_mirror(A, domain=AngleInterval(lo, hi, 257))
     samples = reconstruct(curve)
-    pts = np.array([s.position for s in samples]) + parabola_position(A, lo)
+    pts = samples.points + parabola_position(A, lo)
     implicit = pts[:, 1] ** 2 + 2 * A * pts[:, 0] + A * A
     assert np.max(np.abs(implicit)) < 1e-8
     assert np.array_equal(parabola_focus(A), (-A, 0.0))
