@@ -237,12 +237,7 @@ def reconstruct(
         ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
-
-    def integrand(t):
-        r = np.asarray(curve.jet(t)[0], dtype=float)
-        return np.array([r * np.cos(t), r * np.sin(t), r])
-
-    dx, dy, ds = panel_integrals(integrand, thetas, tol=RECONSTRUCT_TOL)
+    x, y, s = _integrate(curve.jet, thetas)
 
     node_r, node_rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     if not np.all(np.isfinite(node_r)):
@@ -250,13 +245,20 @@ def reconstruct(
         raise EvaluationError(f"R is not finite at theta = {bad}")
 
     return CurveSamples(
-        theta=thetas,
-        x=np.concatenate([[0.0], np.cumsum(dx)]),
-        y=np.concatenate([[0.0], np.cumsum(dy)]),
-        radius=node_r,
-        radius_prime=node_rp,
-        arclength=np.concatenate([[0.0], np.cumsum(ds)]),
+        theta=thetas, x=x, y=y, radius=node_r, radius_prime=node_rp, arclength=s
     )
+
+
+def _integrate(jet, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, y and arclength at the increasing ``thetas``, from 0 at the first:
+    one ``panel_integrals`` call at ``RECONSTRUCT_TOL`` on row 0 of ``jet``."""
+
+    def integrand(t):
+        r = np.asarray(jet(t)[0], dtype=float)
+        return np.array([r * np.cos(t), r * np.sin(t), r])
+
+    cells = panel_integrals(integrand, thetas, tol=RECONSTRUCT_TOL)
+    return tuple(np.concatenate([[0.0], np.cumsum(d)]) for d in cells)
 
 
 def _two_best(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,11 @@ with T_c and T_s the fixed Toeplitz matrices of the Taylor coefficients
 of cos h and sin h; one doubling is cos u (A H) + sin u (B H), with A and
 B fixed per family and jet length.
 
+Positions past the window need no quadrature either: integrated against
+e^(i theta) from r(0) = 0, the equation gives the doubling law r(2u) =
+(r(u) + sin(u) R(u) e^(2iu) / 2) / a (the caustic a r(2u) read the other
+way), by which ``mirror_report`` climbs from positions on the window.
+
 The cycloid is the member k = 0 (Q constant); k = -4 degenerates to the
 parabola, which gets its own closed form here because its caustic is a
 single point rather than a scaled mirror.
@@ -43,7 +48,9 @@ from .errors import (
 )
 from .inclination import (
     AngleInterval,
+    CurveSamples,
     InclinationCurve,
+    _integrate,
     find_cusps,
     reconstruct,
 )
@@ -401,6 +408,14 @@ _BLOCK_ANGLES = 4096
 """Angles per continuation pass: bounds its (jet rows, angles) tables."""
 
 
+def _depth(solution: PantographSolution, theta: np.ndarray) -> np.ndarray:
+    """Halvings that bring each angle into the series window [0, pi/2 - guard]."""
+    limit = math.pi / 2 - solution.guard
+    depth = np.ceil(np.log2(np.maximum(theta / limit, 1.0))).astype(int)
+    depth += theta / 2.0**depth > limit  # the rounded ratio can land one depth short
+    return depth
+
+
 def continue_R(solution: PantographSolution, theta):
     """R and R' anywhere on [0, max_theta], by jet doubling past pi/2.
 
@@ -428,9 +443,7 @@ def continue_R(solution: PantographSolution, theta):
     k = solution.series.k
     if k <= -1 and np.any(flat == 0.0):
         raise PoleError(f"the k = {k} family has a pole of Q = R / sin(theta) at theta = 0")
-    limit = math.pi / 2 - solution.guard
-    depth = np.ceil(np.log2(np.maximum(flat / limit, 1.0))).astype(int)
-    depth += flat / 2.0**depth > limit  # the rounded ratio can land one depth short
+    depth = _depth(solution, flat)
     if depth.size and depth.max() + 1 > solution.jet_order:
         worst = int(np.argmax(depth))
         raise JetDepthError(
@@ -476,6 +489,41 @@ def solution_curve(solution: PantographSolution) -> InclinationCurve:
     )
 
 
+def _mirror_samples(solution: PantographSolution, grid) -> CurveSamples:
+    """``reconstruct(solution_curve(solution), grid)`` for k >= 0, by the doubling law.
+
+    From r(0) = s(0) = 0: r(2u) = (r(u) + sin(u) R(u) e^(2iu) / 2) / a and
+    s(2u) = (x(u) + sin(u) R(u) / 2) / a.  Each angle is halved into the
+    series window by ``continue_R``'s depth rule; the distinct base angles,
+    with 0, get one quadrature, and the law climbs their chains u, 2u, ...
+    with R from one ``continue_R`` call.  ``grid`` increases strictly within
+    [0, max_theta]; its first node is put at the origin.
+    """
+    theta = np.asarray(grid, dtype=float)
+    depth = _depth(solution, theta)
+    base = theta / 2.0**depth
+    nodes = np.union1d([0.0], base)
+    at = np.searchsorted(nodes, base)
+    # Row j holds the chain angles nodes 2^j, live up to each base's deepest angle.
+    reach = np.zeros(nodes.size, dtype=int)
+    np.maximum.at(reach, at, depth)
+    chain = nodes * 2.0 ** np.arange(depth.max() + 1)[:, None]
+    live = np.arange(chain.shape[0])[:, None] <= reach
+    r, rp, x, y, s = (np.zeros_like(chain) for _ in range(5))
+    r[live], rp[live] = continue_R(solution, chain[live])
+    x[0], y[0], s[0] = _integrate(lambda t: continue_R(solution, t), nodes)
+    a = solution.series.factor_a
+    for j, t in enumerate(chain[:-1]):
+        half = 0.5 * np.sin(t) * r[j]
+        s[j + 1] = (x[j] + half) / a
+        x[j + 1] = (x[j] + half * np.cos(2.0 * t)) / a
+        y[j + 1] = (y[j] + half * np.sin(2.0 * t)) / a
+    x, y, s, r, rp = (v[depth, at] for v in (x, y, s, r, rp))
+    return CurveSamples(
+        theta=theta, x=x - x[0], y=y - y[0], radius=r, radius_prime=rp, arclength=s - s[0]
+    )
+
+
 def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> np.ndarray:
     """Caustic points of the mirror for horizontal light, via the overlay map.
 
@@ -512,7 +560,11 @@ def mirror_equation_residual(
     return float(np.max(np.abs(np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r)))
 
 
-_COLLINEARITY_THETAS = (0.0, math.pi / 2, math.pi, 2 * math.pi, 4 * math.pi)
+_CUSP_CHAIN_SPAN = 8 * math.pi
+"""The report's cusp chain, the mirror's 1st, 2nd, 4th and 8th cusps (the
+caustic's at pi/2, pi, 2pi, 4pi), ends at 8pi on a vertical profile; the
+search for sign changes runs 4pi further, which keeps the 8th cusp of a
+profile drifting off the multiples of pi inside it."""
 
 
 def _collinearity_residual(points: np.ndarray) -> float:
@@ -570,7 +622,10 @@ def mirror_report(
     (c) the arc ratio rho(theta) = |R(theta + pi) / R(theta)| on a window
     avoiding the singular angles, (d) the growth of |Q| = |R / sin|
     toward pi as a pole indicator, and (e) verticality / occlusion flags
-    for the reconstructed profile.
+    for the reconstructed profile.  The positions come from the doubling
+    law on the series window (``_mirror_samples``); at order 30 they differ
+    from quadrature of the continued R by the truncated series' own defect,
+    about 3e-10 of max |r|.
     """
     series = solution.series
     if series.k < 0:
@@ -580,7 +635,7 @@ def mirror_report(
     interval = interval or AngleInterval(0.0, 4 * math.pi, 2049)
     if interval.lo < 0.0:
         raise ValidationError("the continued solution lives on theta >= 0")
-    far = max(2 * _COLLINEARITY_THETAS[-1], interval.hi) + 4 * math.pi
+    far = max(_CUSP_CHAIN_SPAN, interval.hi) + 4 * math.pi
     curve = solution_curve(solution)
 
     all_zeros = find_cusps(curve, AngleInterval(0.0, far, 513))
@@ -600,7 +655,7 @@ def mirror_report(
 
     base_grid = np.linspace(interval.lo, interval.hi, interval.n_samples)
     grid = np.union1d(base_grid, [0.0, *all_zeros])
-    samples = reconstruct(curve, grid)
+    samples = _mirror_samples(solution, grid)
     thetas, pts = samples.theta, samples.points
 
     # Every angle below is a node of the union grid, which k >= 0 never clips.

@@ -440,35 +440,49 @@ def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv):
         assert np.max(np.hypot(x - want_x, y - want_y) / scale) <= 1e-9
 
 
-def test_pantograph_svg_reconstructs_twice(tmp_path, capsys, monkeypatch):
-    # Once for the report, once for the figure: the drawn caustic is the
-    # reflection caustic of the drawn mirror, on the same samples.
-    sizes = []
+def test_pantograph_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
+    # The report takes its positions from the doubling law; only the figure
+    # reconstructs, so that the drawn caustic is the reflection caustic of
+    # the drawn mirror, on the same samples.
+    sizes, doubled = [], []
+    mirror_samples = pantograph._mirror_samples
 
     def counted(*args, **kwargs):
         samples = reconstruct(*args, **kwargs)
         sizes.append(len(samples))
         return samples
 
+    def counted_doubling(solution, grid):
+        doubled.append(len(grid))
+        return mirror_samples(solution, grid)
+
     for module in (cli, caustic, pantograph):
         monkeypatch.setattr(module, "reconstruct", counted)
+    monkeypatch.setattr(pantograph, "_mirror_samples", counted_doubling)
     code, _, err = run_cli(
         capsys, "pantograph", "--m", "2", "--samples", "513",
         "--out-svg", str(tmp_path / "mirror.svg"),
     )
     assert code == 0, err
-    assert sizes == [2060, 513]
+    assert sizes == [513]
+    assert doubled == [2060]
 
 
 @pytest.mark.parametrize("m", ["1", "2", "3"])
 @pytest.mark.parametrize("order", ["30", "60"])
 def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, monkeypatch, m, order):
-    calls = []
+    # Doublings are counted per angle by continue_R's depth rule.  With the
+    # report integrating only the series window a command makes about
+    # 11 500; a return to quadrature of the continued R over [0, 11.5pi]
+    # makes 41 000-49 000.
+    calls, doublings = [], []
     continue_R = pantograph.continue_R
 
-    def counted(*args, **kwargs):
+    def counted(solution, theta):
         calls.append(1)
-        return continue_R(*args, **kwargs)
+        angles = np.atleast_1d(np.asarray(theta, dtype=float))
+        doublings.append(int(pantograph._depth(solution, angles).sum()))
+        return continue_R(solution, theta)
 
     monkeypatch.setattr(pantograph, "continue_R", counted)
     code, _, err = run_cli(
@@ -477,6 +491,7 @@ def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, mon
     )
     assert code == 0, err
     assert len(calls) <= 80
+    assert sum(doublings) <= 14_000
 
 
 def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):

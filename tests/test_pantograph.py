@@ -24,7 +24,9 @@ from caustics.errors import (
 )
 from caustics.inclination import AngleInterval, find_cusps, reconstruct
 from caustics.pantograph import (
+    BASE_GUARD,
     PantographSolution,
+    _mirror_samples,
     continue_R,
     mirror_equation_residual,
     mirror_report,
@@ -293,15 +295,54 @@ def test_report_point_sets_are_arrays(name, request):
     assert len(mirror) == len(report.zeros) and len(line) == 5
     a = solution.series.factor_a
     assert np.array_equal(caustic, a * mirror + (1 - a) * line[0])
-    # The report reconstructs once, on its even grid merged with 0 and
-    # every sign change below far = 8pi + 4pi.
-    far = 2 * (4 * math.pi) + 4 * math.pi
-    curve = solution_curve(solution)
-    cusps = find_cusps(curve, AngleInterval(0.0, far, 513))
-    grid = np.union1d(np.linspace(0.0, 4 * math.pi, 2049), [0.0, *cusps])
-    samples = reconstruct(curve, grid)
+    # The report's positions come from the doubling law, once, on its grid.
+    grid = _report_grid(solution)
+    samples = _mirror_samples(solution, grid)
     at_zeros = samples.points[np.searchsorted(samples.theta, report.zeros)]
     assert np.array_equal(mirror, at_zeros)
+    # Every position the report reads agrees with the generic reconstruction
+    # within the order-30 series' own defect.
+    ref = reconstruct(solution_curve(solution), grid)
+    scale = np.max(np.linalg.norm(ref.points, axis=1))
+    assert np.max(np.linalg.norm(samples.points - ref.points, axis=1)) <= 1e-9 * scale
+
+
+def _report_grid(solution):
+    """``mirror_report``'s default grid: its even grid merged with 0 and every
+    sign change below far = 8pi + 4pi."""
+    far = 2 * (4 * math.pi) + 4 * math.pi
+    cusps = find_cusps(solution_curve(solution), AngleInterval(0.0, far, 513))
+    return np.union1d(np.linspace(0.0, 4 * math.pi, 2049), [0.0, *cusps])
+
+
+@pytest.mark.parametrize("n_max, bound", [(30, 1e-9), (60, 1e-12)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_mirror_samples_match_generic_reconstruction(k, n_max, bound):
+    # The doubling law against quadrature of the continued R, on the
+    # report's grid, on a grid whose first node (put at the origin by both)
+    # is above 0, and on the depth seams (pi/2 - guard) 2^j and their
+    # neighbouring floats, where the base angle jumps from the top of the
+    # series window to half of it.  At order 30 the gap is the truncated
+    # series' own defect in the pantograph equation.
+    solution = PantographSolution(solve_series(k, n_max=n_max))
+    seams = (math.pi / 2 - BASE_GUARD) * 2.0 ** np.arange(6)
+    grids = (
+        _report_grid(solution),
+        np.linspace(0.3, 6 * math.pi, 700),
+        np.union1d(
+            [0.0, 0.5, 13 * math.pi],
+            np.concatenate([seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)]),
+        ),
+    )
+    curve = solution_curve(solution)
+    for grid in grids:
+        got, want = _mirror_samples(solution, grid), reconstruct(curve, grid)
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.radius, want.radius)
+        assert np.array_equal(got.radius_prime, want.radius_prime)
+        for name in ("x", "y", "arclength"):
+            ref = getattr(want, name)
+            assert np.max(np.abs(getattr(got, name) - ref)) <= bound * np.max(np.abs(ref))
 
 
 def test_report_mapping_round_trip(cycloid_report):
