@@ -19,7 +19,6 @@ from .caustic import (
     similarity_residual,
 )
 from .errors import (
-    BranchUnavailableError,
     CausticAtInfinityError,
     CausticsError,
     CuspError,
@@ -88,7 +87,7 @@ from .skew import (
     puiseux_diagnostics,
     to_delay_form,
 )
-from .specfun import TanCoefficients, lambert_w, real_branch_indices, tan_coeffs, zeta_even
+from .specfun import TanCoefficients, lambert_w, tan_coeffs, zeta_even
 
 __version__ = "0.1.0"
 
@@ -131,7 +130,6 @@ __all__ = [
     # special functions
     "TanCoefficients",
     "lambert_w",
-    "real_branch_indices",
     "tan_coeffs",
     "zeta_even",
     # mirrors
@@ -160,7 +158,6 @@ __all__ = [
     "reflect_horizontal",
     "verticality_check",
     # errors
-    "BranchUnavailableError",
     "CausticAtInfinityError",
     "CausticsError",
     "CuspError",

@@ -6,7 +6,10 @@ Rays leave the curve along ``nu``; their envelope is the caustic.  The
 caustic point at parameter theta sits at ``r + (cos phi / chi) nu`` with
 focusing density ``chi = (1 - phi') / R``, its tangent angle is
 ``theta + pi/2 - phi``, and its own turning radius follows from the
-curve's R, R' and the tilt derivatives.
+curve's jet (R, R') and the tilt's jet (phi, phi', phi'').  A
+``TiltField`` is that one map ``theta -> (phi, phi', phi'')``;
+``caustic_curve`` evaluates it once and hands its arrays to the kernels
+``coframe`` and ``caustic_radius``.
 
 Three stock tilts cover the classical constructions: ``evolute`` (phi = 0,
 normal rays), ``skew`` (constant phi), and ``reflection``
@@ -25,6 +28,7 @@ from .errors import (
     CausticAtInfinityError,
     CuspError,
     DomainError,
+    EvaluationError,
     FlatCausticError,
     ValidationError,
 )
@@ -65,44 +69,43 @@ _FLAG_ERRORS = {
 
 @dataclass(frozen=True)
 class TiltField:
-    """A tilt angle phi(theta) with its first two derivatives."""
+    """A tilt angle phi(theta) as one jet: ``jet(theta) -> (phi, phi', phi'')``.
 
-    phi_fn: Callable[[np.ndarray], np.ndarray]
-    phi_prime_fn: Callable[[np.ndarray], np.ndarray]
-    phi_second_fn: Callable[[np.ndarray], np.ndarray]
+    ``jet`` is vectorised over a float array of angles; a part may be a
+    plain number, which is broadcast to theta's shape.
+    """
+
+    jet: Callable[[np.ndarray], tuple]
 
     @staticmethod
     def evolute() -> "TiltField":
         """Rays along the normal: phi identically 0."""
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        return TiltField(zero, zero, zero)
+        return TiltField(lambda t: (0.0, 0.0, 0.0))
 
     @staticmethod
     def skew(phi0: float) -> "TiltField":
         """Rays at a constant angle phi0 to the normal."""
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        const = lambda t: np.full_like(np.asarray(t, dtype=float), phi0)
-        return TiltField(const, zero, zero)
+        return TiltField(lambda t: (phi0, 0.0, 0.0))
 
     @staticmethod
     def reflection() -> "TiltField":
         """Horizontal rays reflected by the curve: phi = pi/2 - theta."""
-        phi = lambda t: math.pi / 2 - np.asarray(t, dtype=float)
-        minus_one = lambda t: np.full_like(np.asarray(t, dtype=float), -1.0)
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        return TiltField(phi, minus_one, zero)
+        return TiltField(lambda t: (math.pi / 2 - t, -1.0, 0.0))
 
-    def phi(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.broadcast_to(np.asarray(self.phi_fn(theta), dtype=float), theta.shape)
+    def __call__(self, theta):
+        """phi, phi' and phi'' at ``theta``, each broadcast to theta's shape.
 
-    def phi_prime(self, theta):
+        Raises ``EvaluationError`` at the first angle where one is not finite.
+        """
         theta = np.asarray(theta, dtype=float)
-        return np.broadcast_to(np.asarray(self.phi_prime_fn(theta), dtype=float), theta.shape)
-
-    def phi_second(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.broadcast_to(np.asarray(self.phi_second_fn(theta), dtype=float), theta.shape)
+        phi, p1, p2 = (
+            np.broadcast_to(np.asarray(part, dtype=float), theta.shape)
+            for part in self.jet(theta)
+        )
+        finite = np.isfinite(phi) & np.isfinite(p1) & np.isfinite(p2)
+        if not finite.all():
+            raise EvaluationError(f"tilt is not finite at theta = {theta[~finite][0]}")
+        return phi, p1, p2
 
 
 @dataclass(frozen=True)
@@ -173,21 +176,20 @@ class SimilaritySpec:
             raise ValidationError("similarity sign must be +1 or -1")
 
 
-def coframe(tilt: TiltField, theta, radius):
+def coframe(theta, radius, phi, phi_prime):
     """Ray direction ``nu`` and focusing density ``chi`` of the tilted coframe.
 
     ``nu = sin(phi) T + cos(phi) N`` with ``T = (cos theta, sin theta)`` and
     ``N`` the tangent turned counterclockwise; ``chi = (1 - phi') / R``.
-    Broadcasts over ``theta`` and ``radius``; ``nu`` gains a trailing axis
-    of length 2.  No node is rejected: chi is infinite (or NaN) where R
-    vanishes and near zero where the tilt is flat.
+    All arguments broadcast; ``nu`` gains a trailing axis of length 2.  No
+    node is rejected: chi is infinite (or NaN) where R vanishes and near
+    zero where the tilt is flat.
     """
-    phi = tilt.phi(theta)
     ct, st = np.cos(theta), np.sin(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     nu = np.stack([sp * ct - cp * st, sp * st + cp * ct], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        chi = (1.0 - tilt.phi_prime(theta)) / np.asarray(radius, dtype=float)
+        chi = (1.0 - np.asarray(phi_prime, dtype=float)) / np.asarray(radius, dtype=float)
     return nu, chi
 
 
@@ -223,8 +225,8 @@ def caustic_curve(
     """
     source = reconstruct(curve, interval)
     theta, r = source.theta, source.radius
-    phi, p1 = tilt.phi(theta), tilt.phi_prime(theta)
-    nu, chi = coframe(tilt, theta, r)
+    phi, p1, p2 = tilt(theta)
+    nu, chi = coframe(theta, r, phi, p1)
     flag = np.select(
         [r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0],
         [CUSP, FLAT_TILT, AT_INFINITY],
@@ -234,9 +236,7 @@ def caustic_curve(
     with np.errstate(divide="ignore", invalid="ignore"):
         stretch = np.where(ok, np.cos(phi) / chi, math.nan)
     radius1 = np.full(len(theta), math.nan)
-    radius1[ok] = caustic_radius(
-        r[ok], source.radius_prime[ok], phi[ok], p1[ok], tilt.phi_second(theta[ok])
-    )
+    radius1[ok] = caustic_radius(r[ok], source.radius_prime[ok], phi[ok], p1[ok], p2[ok])
     return Caustic(
         caustic_theta=np.where(ok, theta + math.pi / 2 - phi, math.nan),
         x=source.x + stretch * nu[:, 0],
@@ -265,8 +265,8 @@ def similarity_residual(
         interval = curve.domain
     thetas = interval.grid()
     r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
-    phi = tilt.phi(thetas)
-    lhs = caustic_radius(r, rp, phi, tilt.phi_prime(thetas), tilt.phi_second(thetas))
+    phi, p1, p2 = tilt(thetas)
+    lhs = caustic_radius(r, rp, phi, p1, p2)
     arg = spec.sign * (thetas + math.pi / 2 - phi - spec.shift_beta)
     if not curve.domain.contains(arg):
         bad = arg[(arg < curve.domain.lo) | (arg > curve.domain.hi)][0]

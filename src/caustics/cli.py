@@ -78,13 +78,14 @@ def parse_angle(text: str) -> float:
         div = float(m.group(3)) if m.group(3) else 1.0
         if div == 0.0:
             raise ValidationError(f"division by zero in angle {text!r}")
-        return sign * coef * math.pi / div
-    try:
-        value = float(s)
-    except ValueError:
-        raise ValidationError(
-            f"cannot parse angle {text!r}; use a real number or a pi literal like 2pi, pi/4"
-        ) from None
+        value = sign * coef * math.pi / div
+    else:
+        try:
+            value = float(s)
+        except ValueError:
+            raise ValidationError(
+                f"cannot parse angle {text!r}; use a real number or a pi literal like 2pi, pi/4"
+            ) from None
     if not math.isfinite(value):
         raise ValidationError(f"angle {text!r} is not finite")
     return value
@@ -458,6 +459,8 @@ def _run_verify(args: argparse.Namespace) -> None:
     known = ("oracle", "residuals", "specfun", "all")
     if suite not in known:
         raise ValidationError(f"unknown suite {suite!r}; pick one of {known}")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {args.seed}")
     n = args.samples
     bound = _parse_number(args.tolerance, "tolerance")
     checks: list[tuple[str, float, float]] = []

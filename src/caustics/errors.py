@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all caustics modules.
 
 Geometry code fails in a handful of recognisable ways (a pole inside an
-integration interval, a flattening caustic, a missing Lambert branch, ...)
+integration interval, a flattening caustic, a non-finite radius, ...)
 and callers are expected to catch these precisely, so each failure mode
 gets its own class.  Everything derives from :class:`CausticsError`.
 """
@@ -49,10 +49,6 @@ class CausticAtInfinityError(CausticsError, ArithmeticError):
 
 class PoleError(CausticsError, ValueError):
     """Evaluation exactly at a pole (for example Lambert W branches k != 0 at 0)."""
-
-
-class BranchUnavailableError(CausticsError, ValueError):
-    """A real characteristic root was requested on a branch that is not real there."""
 
 
 class ResonanceError(CausticsError, ArithmeticError):

@@ -94,7 +94,7 @@ def rays_from_tilt(
     """
     samples = reconstruct(curve, interval)
     tangents, normals = samples.frame
-    phi = tilt.phi(samples.theta)[:, None]
+    phi = tilt(samples.theta)[0][:, None]
     nu = np.sin(phi) * tangents + np.cos(phi) * normals
     nu /= np.hypot(nu[:, 0], nu[:, 1])[:, None]
     return RayFamily(bases=samples.points, directions=nu, source_thetas=samples.theta)

@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BranchUnavailableError,
     DegenerateCurveError,
     DomainError,
     NumericError,
@@ -41,7 +40,7 @@ from .inclination import (
     log_spiral,
     reconstruct,
 )
-from .specfun import lambert_w, real_branch_indices
+from .specfun import lambert_w
 
 __all__ = [
     "SkewFamilySpec",
@@ -226,21 +225,12 @@ class CharacteristicRoot:
     branch: int
     value: complex
 
-    @property
-    def xi(self) -> float:
-        return self.value.real
-
-    @property
-    def eta(self) -> float:
-        return self.value.imag
-
 
 def delay_roots(
     factor_a: float,
     alpha: float,
     phi0: float,
     indices: Sequence[int] = (0, -1),
-    require_real: bool = False,
 ) -> list[CharacteristicRoot]:
     """Exponential rates lambda with (lambda + tan phi0) e^(alpha lambda) = a / cos phi0.
 
@@ -248,10 +238,6 @@ def delay_roots(
     ``lambda_k = W_k(rhs)/alpha - tan(phi0)`` with
     ``rhs = alpha a e^(alpha tan phi0)/cos(phi0)``.  Each returned root is
     verified against the characteristic equation to 1e-10.
-
-    With ``require_real`` the real branches are enforced: asking for a
-    branch that is complex at this rhs raises ``BranchUnavailableError``
-    listing the branches that are real.
     """
     phi0 = _check_phi0(phi0)
     if alpha <= 0.0:
@@ -264,11 +250,6 @@ def delay_roots(
     for k in indices:
         w = lambert_w(int(k), rhs)
         lam = complex(w) / alpha - tphi
-        if require_real and lam.imag != 0.0:
-            available = real_branch_indices(rhs)
-            raise BranchUnavailableError(
-                f"branch {k} is not real at rhs = {rhs:.6g}; real branches: {available}"
-            )
         resid = abs((lam + tphi) * cmath.exp(alpha * lam) - factor_a / math.cos(phi0))
         if resid > 1e-10:
             raise NumericError(
@@ -298,8 +279,8 @@ def delay_curve(
         )
     if all(a == 0.0 and b == 0.0 for a, b in spec.coefficients):
         raise DegenerateCurveError("all coefficients vanish; the curve is a point")
-    xi = np.array([rt.xi for rt in roots])
-    eta = np.array([rt.eta for rt in roots])
+    xi = np.array([rt.value.real for rt in roots])
+    eta = np.array([rt.value.imag for rt in roots])
     amp_a = np.array([ab[0] for ab in spec.coefficients])
     amp_b = np.array([ab[1] for ab in spec.coefficients])
 

@@ -24,7 +24,6 @@ from .errors import NumericError, PoleError, ValidationError
 
 __all__ = [
     "lambert_w",
-    "real_branch_indices",
     "TanCoefficients",
     "tan_coeffs",
     "zeta_even",
@@ -134,15 +133,6 @@ def lambert_w(k: int, z: complex | float):
     if z_was_real and w.imag == 0.0:
         return w.real
     return w
-
-
-def real_branch_indices(z: float) -> tuple[int, ...]:
-    """Branch indices on which W is real-valued at the real argument ``z``."""
-    if z < _BRANCH_POINT:
-        return ()
-    if z < 0.0:
-        return (0, -1)
-    return (0,)
 
 
 # ---------------------------------------------------------------------------

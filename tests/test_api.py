@@ -38,7 +38,6 @@ def test_public_names_are_pinned():
     # announced under "Public API changes" in the README.
     assert sorted(caustics.__all__) == [
         "AngleInterval",
-        "BranchUnavailableError",
         "Caustic",
         "CausticAtInfinityError",
         "CausticSample",
@@ -100,7 +99,6 @@ def test_public_names_are_pinned():
         "puiseux_curve",
         "puiseux_diagnostics",
         "rays_from_tilt",
-        "real_branch_indices",
         "reconstruct",
         "reflect_horizontal",
         "similarity_factor",

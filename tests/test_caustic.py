@@ -18,19 +18,19 @@ from caustics.caustic import (
 )
 from caustics.errors import (
     DomainError,
+    EvaluationError,
     ValidationError,
 )
 from caustics.csvio import read_table, write_caustic_csv
 from caustics.inclination import AngleInterval, circle, cycloid, log_spiral
+from caustics.oracle import envelope_gap, rays_from_tilt
 from caustics.skew import SkewFamilySpec, build_family, implied_alpha
 
 
 def test_reflection_tilt_of_unit_circle_gives_three_quarter_cosine():
     t = np.linspace(0.0, math.pi, 1000)
     tilt = TiltField.reflection()
-    r1 = caustic_radius(
-        np.ones_like(t), np.zeros_like(t), tilt.phi(t), tilt.phi_prime(t), tilt.phi_second(t)
-    )
+    r1 = caustic_radius(np.ones_like(t), np.zeros_like(t), *tilt(t))
     assert np.max(np.abs(r1 - 0.75 * np.cos(t))) < 1e-12
 
 
@@ -39,7 +39,7 @@ def test_evolute_tilt_radius_is_radius_derivative():
     r = 1.0 + 0.3 * t**2
     rp = 0.6 * t
     tilt = TiltField.evolute()
-    r1 = caustic_radius(r, rp, tilt.phi(t), tilt.phi_prime(t), tilt.phi_second(t))
+    r1 = caustic_radius(r, rp, *tilt(t))
     assert np.max(np.abs(r1 - rp)) < 1e-14
 
 
@@ -49,7 +49,7 @@ def test_constant_tilt_radius_combines_radius_and_slope():
     rp = 0.4 * r
     phi0 = 0.35
     tilt = TiltField.skew(phi0)
-    r1 = caustic_radius(r, rp, tilt.phi(t), tilt.phi_prime(t), tilt.phi_second(t))
+    r1 = caustic_radius(r, rp, *tilt(t))
     assert np.max(np.abs(r1 - (math.sin(phi0) * r + math.cos(phi0) * rp))) < 1e-13
 
 
@@ -148,34 +148,85 @@ def test_tiny_radius_is_the_cusp_limit(tilt):
 
 
 def test_flat_tilt_is_an_error():
-    flat = TiltField(
-        phi_fn=lambda t: np.asarray(t, dtype=float),
-        phi_prime_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        phi_second_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
+    flat = TiltField(jet=lambda t: (t, np.ones_like(t), np.zeros_like(t)))
     caus = caustic_curve(circle(), flat, AngleInterval(0.0, 1.0, 9))
     assert caus.flag[3] == FLAT_TILT
     assert list(caus)[3].error.startswith("FlatCausticError: ")
 
 
 def test_scalar_valued_tilt_broadcasts():
-    # A tilt whose callables return plain numbers acts like the stock skew tilt.
-    constant = TiltField(lambda t: 0.3, lambda t: 0.0, lambda t: 0.0)
+    # A tilt whose jet returns plain numbers acts like the stock skew tilt.
+    constant = TiltField(lambda t: (0.3, 0.0, 0.0))
     interval = AngleInterval(0.0, 1.0, 9)
     got = caustic_curve(circle(1.0), constant, interval)
     want = caustic_curve(circle(1.0), TiltField.skew(0.3), interval)
     np.testing.assert_array_equal(got.points, want.points)
     np.testing.assert_array_equal(got.caustic_radius, want.caustic_radius)
-    nu, _ = coframe(constant, np.array([0.1, 0.2]), np.ones(2))
+    theta = np.array([0.1, 0.2])
+    phi, p1, _ = constant(theta)
+    assert phi.shape == p1.shape == (2,)
+    nu, _ = coframe(theta, np.ones(2), phi, p1)
     assert nu.shape == (2, 2)
 
 
 def test_coframe_state_matches_reflection_identities():
-    nu, chi = coframe(TiltField.reflection(), 0.7, circle(1.0).jet(0.7)[0])
+    phi, p1, _ = TiltField.reflection()(0.7)
+    nu, chi = coframe(0.7, circle(1.0).jet(0.7)[0], phi, p1)
     # nu = (cos 2 theta, sin 2 theta) for the unit circle under reflection
     assert abs(nu[0] - math.cos(1.4)) < 1e-12
     assert abs(nu[1] - math.sin(1.4)) < 1e-12
     assert abs(chi - 2.0) < 1e-12
+
+
+def test_caustic_curve_evaluates_the_tilt_jet_once():
+    stock, shapes = TiltField.reflection(), []
+
+    def counted(t):
+        shapes.append(t.shape)
+        return stock.jet(t)
+
+    interval = AngleInterval(0.1, 3.0, 57)
+    got = caustic_curve(cycloid(1.0), TiltField(counted), interval)
+    assert shapes == [(57,)]
+    want = caustic_curve(cycloid(1.0), stock, interval)
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.caustic_radius, want.caustic_radius)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_tilt_is_an_error(bad):
+    interval = AngleInterval(0.0, 1.0, 5)
+    with pytest.raises(EvaluationError, match=r"tilt is not finite at theta = 0\.0$"):
+        caustic_curve(circle(1.0), TiltField.skew(bad), interval)
+    # A bad phi' is caught too, at its first bad angle, by each reader of the jet.
+    late = TiltField(lambda t: (0.0, np.where(t > 0.5, bad, 0.0), 0.0))
+    for call in (
+        lambda: caustic_curve(circle(1.0), late, interval),
+        lambda: rays_from_tilt(circle(1.0), late, interval),
+        lambda: similarity_residual(circle(1.0), late, SimilaritySpec(1.0, 0.0), interval),
+    ):
+        with pytest.raises(EvaluationError, match=r"tilt is not finite at theta = 0\.75$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [circle(1.0), log_spiral(1.0, 0.2), cycloid(1.0)],
+    ids=["circle", "log_spiral", "cycloid"],
+)
+def test_curved_tilt_radius_uses_the_second_tilt_derivative(curve):
+    # phi = 0.3 sin(theta) has phi'' != 0, which no stock tilt has.
+    tilt = TiltField(lambda t: (0.3 * np.sin(t), 0.3 * np.cos(t), -0.3 * np.sin(t)))
+    caus = caustic_curve(curve, tilt, AngleInterval(0.3, 2.5, 20001))
+    assert np.all(caus.flag == OK)
+    # The caustic's arclength speed d s1 / d theta is R1 d theta1 / d theta.
+    velocity = np.gradient(caus.points, caus.source.theta, axis=0, edge_order=2)
+    theta1 = caus.caustic_theta
+    speed = velocity[:, 0] * np.cos(theta1) + velocity[:, 1] * np.sin(theta1)
+    want = caus.caustic_radius * (1.0 - tilt(caus.source.theta)[1])
+    assert np.max(np.abs(speed - want)) <= 1e-7 * np.max(np.abs(want))
+    gap = envelope_gap(curve, tilt, AngleInterval(0.3, 2.5, 2001)).distance
+    assert gap <= 1e-6
 
 
 def test_similarity_spec_validation():

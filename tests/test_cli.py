@@ -322,6 +322,27 @@ def test_verify_requires_suite(capsys):
     assert code == 2
 
 
+def test_negative_seed_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "specfun", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
+@pytest.mark.parametrize(
+    "phi",
+    ["nan", "inf", "-inf", "1" + "0" * 400 + "pi", "pi/0." + "0" * 320 + "1"],
+    ids=["nan", "inf", "-inf", "overflowing-multiple", "underflowing-divisor"],
+)
+def test_non_finite_tilt_is_validation_error(capsys, phi):
+    code, out, err = run_cli(
+        capsys, "caustic", "--curve", "circle", "--tilt", f"skew:{phi}", "--samples", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.rstrip().endswith("is not finite")
+
+
 def test_verify_impossible_tolerance_fails_numerically(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle", "--samples", "400",

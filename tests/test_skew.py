@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from caustics.errors import (
-    BranchUnavailableError,
     DegenerateCurveError,
     ValidationError,
 )
@@ -124,8 +123,6 @@ def test_delay_roots_residual_bound(rng):
 
 
 def test_delay_roots_branch_availability():
-    with pytest.raises(BranchUnavailableError, match="real branches"):
-        delay_roots(1.0, math.pi / 2, 0.0, indices=(1,), require_real=True)
     with pytest.raises(ValidationError):
         delay_roots(1.0, -0.5, 0.0)
 

@@ -10,10 +10,9 @@ import pytest
 import scipy.special
 
 from caustics import specfun
-from caustics.errors import BranchUnavailableError, ValidationError
+from caustics.errors import ValidationError
 from caustics.specfun import (
     lambert_w,
-    real_branch_indices,
     tan_coeffs,
     zeta_even,
 )
@@ -69,13 +68,6 @@ def test_conjugate_branch_pairing(rng):
             left = lambert_w(k, z.conjugate())
             right = lambert_w(-k, z).conjugate()
             assert abs(left - right) < 1e-12 * max(1.0, abs(right))
-
-
-def test_real_branch_listing():
-    assert real_branch_indices(2.0) == (0,)
-    assert real_branch_indices(0.0) == (0,)
-    assert real_branch_indices(-0.1) == (0, -1)
-    assert real_branch_indices(-1.0) == ()
 
 
 def test_tan_coefficient_fractions():
