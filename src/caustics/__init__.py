@@ -38,7 +38,6 @@ from .inclination import (
     CurveSamples,
     InclinationCurve,
     circle,
-    classify_zeros,
     cycloid,
     find_cusps,
     frenet_residual,
@@ -98,7 +97,6 @@ __all__ = [
     "CurveSamples",
     "InclinationCurve",
     "circle",
-    "classify_zeros",
     "cycloid",
     "find_cusps",
     "frenet_residual",

@@ -29,6 +29,7 @@ from .inclination import (
     AngleInterval,
     CurveSamples,
     InclinationCurve,
+    _cell_integrals,
     circle,
     cycloid,
     find_cusps,
@@ -52,7 +53,6 @@ from .pantograph import (
     solution_curve,
     solve_series,
 )
-from .quadrature import panel_integrals
 from .skew import (
     SkewFamilySpec,
     build_family,
@@ -190,22 +190,16 @@ def _cusp_positions(
     """Curve points at the cusps inside the window.
 
     Each cusp is placed from its left grid neighbour in ``samples`` by one
-    more integral of ``R (cos, sin)``, all cusps in one batched quadrature.
+    more cell of ``reconstruct``'s quadrature, all cusps in one call.
     """
     cusps = np.asarray(find_cusps(curve, interval))
     if cusps.size == 0:
         return np.empty((0, 2))
     left = np.searchsorted(samples.theta, cusps, side="right") - 1
-    start = samples.theta[left]
-    width = cusps - start
-
-    def integrand(u):
-        t = start[:, None] + width[:, None] * u[None, :]
-        r = np.asarray(curve.jet(t.ravel())[0], dtype=float).reshape(t.shape)
-        return np.concatenate([r * np.cos(t), r * np.sin(t)])
-
-    offsets = panel_integrals(integrand, [0.0, 1.0]).reshape(2, -1).T * width[:, None]
-    return samples.points[left] + offsets
+    ends = tuple(np.asarray(v, dtype=float) for v in curve.jet(cusps))
+    offsets = _cell_integrals(curve.jet, samples.theta[left], cusps,
+                              (samples.radius[left], samples.radius_prime[left]), ends)
+    return samples.points[left] + offsets[:2].T
 
 
 def _run_curve(args: argparse.Namespace) -> None:

@@ -7,9 +7,12 @@ change sign (the curve passes through a cusp) and the arclength, defined by
 ``ds = R dtheta``, may decrease.
 
 The module provides the curve type, reconstruction to a column record of
-vertex samples by adaptive nested quadrature (G3/K7/Patterson-15) under a
-global error budget, cusp location, and a discrete check of the frame
-equations.
+vertex samples under a global error budget, cusp location, and a discrete
+check of the frame equations.  Reconstruction evaluates the jet ``(R, R')``
+at the nodes and R at the cell midpoints.  A cell where the degree-5
+Hermite rule built from these values agrees with the cubic one to within
+its budget takes it, as every cell of a dense grid does; the others go to
+adaptive nested quadrature (G3/K7/Patterson-15), which reuses the midpoint.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .errors import (
     EvaluationError,
     ValidationError,
 )
-from .quadrature import panel_integrals
+from .quadrature import _BLOCK, adaptive_cells, node_jet_block_passes, node_jet_rule
 
 __all__ = [
     "AngleInterval",
@@ -33,7 +36,6 @@ __all__ = [
     "CurveSamples",
     "reconstruct",
     "find_cusps",
-    "classify_zeros",
     "frenet_residual",
     "circle",
     "cycloid",
@@ -193,7 +195,8 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
             thetas = thetas[(thetas >= lo) & (thetas <= hi)]
             if thetas.size < 2:
                 raise DomainError("fewer than 2 samples remain after pole clipping")
-    if not curve.domain.contains(thetas[[0, -1]], slack=1e-9):
+    # The angles increase, so the end nodes decide (``domain.contains`` with slack 1e-9).
+    if not (curve.domain.lo - 1e-9 <= thetas[0] and thetas[-1] <= curve.domain.hi + 1e-9):
         raise DomainError(
             f"[{thetas[0]}, {thetas[-1]}] leaves the curve domain "
             f"[{curve.domain.lo}, {curve.domain.hi}]"
@@ -209,14 +212,24 @@ def reconstruct(
 
     The position increment over each grid cell is
     ``integral of R * (cos, sin)`` and the arclength increment is
-    ``integral of R``, both by the adaptive nested G3/K7/P15 rule of
-    ``quadrature.panel_integrals``: K7 on each cell, P15 where K7 misses, and
-    P15 on halved panels after that.  ``RECONSTRUCT_TOL`` is an absolute
-    error budget for each column summed over the whole grid, so it covers
-    every cumulative sample too; a cell whose error estimate is down at its
-    rounding floor ``50 eps int |R|`` is accepted there.  R fixes the curve
-    up to translation: the first sample sits at the origin, and callers
-    that want another placement translate the ``points``.
+    ``integral of R``.  The jet ``(R, R')`` is evaluated once at the nodes,
+    for the ``radius`` and ``radius_prime`` columns, and R once more at the
+    cell midpoints, in one call.  From these, each cell gets the node-jet
+    rules of ``quadrature.node_jet_rule``: it takes the degree-5 Hermite rule
+    ``I5`` when ``|I5 - I3|`` fits its width share of ``RECONSTRUCT_TOL`` (or
+    its rounding floor) in every column, as on dense grids, where the rule
+    is exact far below the budget.  The R column is judged first, a block of
+    ``quadrature._BLOCK`` cells at a time, and a block where some cell
+    misses it takes the adaptive rules whole.  A cell that misses, as on
+    coarse grids, goes to the adaptive G3/K7/P15 rules of
+    ``quadrature.adaptive_cells`` with the same share, its midpoint value
+    serving as K7's centre node: K7, then P15 where K7 misses, then P15 on
+    halved panels.  So a cell costs one evaluation of the jet on the first
+    path, and seven or more on the second.  ``RECONSTRUCT_TOL`` is an
+    absolute error budget for each column summed over the whole grid, so it
+    covers every cumulative sample too.  R fixes the curve up to
+    translation: the first sample sits at the origin, and callers that want
+    another placement translate the ``points``.
 
     Parameters
     ----------
@@ -232,33 +245,97 @@ def reconstruct(
     ------
     ValidationError
         If the angles are not finite and strictly increasing.
+    EvaluationError
+        If R or R' is not finite at a node, or R inside a cell.
     NumericError
         If panels at rounding width miss the budget by more than
         ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
-    x, y, s = _integrate(curve.jet, thetas)
-
-    node_r, node_rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
-    if not np.all(np.isfinite(node_r)):
-        bad = thetas[~np.isfinite(node_r)][0]
-        raise EvaluationError(f"R is not finite at theta = {bad}")
-
+    # One jet call for the nodes and the midpoints: some jets cost most per call.
+    mid = thetas[:-1] + 0.5 * (thetas[1:] - thetas[:-1])
+    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(np.concatenate([thetas, mid])))
+    node_r, node_rp = r[:thetas.size].copy(), rp[:thetas.size].copy()
+    for name, values in (("R", node_r), ("R'", node_rp)):
+        if not np.isfinite(values).all():
+            bad = thetas[~np.isfinite(values)][0]
+            raise EvaluationError(f"{name} is not finite at theta = {bad}")
+    x, y, s = _integrate(curve.jet, thetas, node_r, node_rp, r[thetas.size:])
     return CurveSamples(
         theta=thetas, x=x, y=y, radius=node_r, radius_prime=node_rp, arclength=s
     )
 
 
-def _integrate(jet, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, y and arclength at the increasing ``thetas``, from 0 at the first:
-    one ``panel_integrals`` call at ``RECONSTRUCT_TOL`` on row 0 of ``jet``."""
+def _integrate(jet, thetas: np.ndarray, r: np.ndarray, rp: np.ndarray,
+               r_mid: np.ndarray | None = None) -> np.ndarray:
+    """Rows x, y and arclength at the increasing ``thetas``, from 0 at the first.
+
+    ``r`` and ``rp`` are ``jet`` at ``thetas``, and ``r_mid``, if given, R
+    at the cell midpoints.
+    """
+    cells = _cell_integrals(jet, thetas[:-1], thetas[1:], (r[:-1], rp[:-1]), (r[1:], rp[1:]),
+                            r_mid)
+    return np.concatenate([np.zeros((3, 1)), cells], axis=1).cumsum(axis=1)
+
+
+def _cell_integrals(jet, lo, hi, lo_jet, hi_jet, r_mid=None) -> np.ndarray:
+    """Integrals of ``R (cos, sin, 1)`` over the cells ``[lo, hi]``, shape ``(3, n)``.
+
+    ``lo_jet`` and ``hi_jet`` are ``jet`` at the cell ends, as float arrays,
+    and ``r_mid``, if given, R at the midpoints; otherwise one call finds it.
+    The cells share ``RECONSTRUCT_TOL`` by width.  The node-jet rules are
+    formed a block of cells at a time, first on the R row alone, which needs
+    no trigonometry.  A block forms its x and y rows only when every one of
+    its cells passes the R row, and a cell takes ``I5`` only when it passes
+    every row.  The other cells go to the adaptive rules in one call.
+    """
+    (ra, pa), (rb, pb) = lo_jet, hi_jet
+    h = hi - lo
+    mid = lo + 0.5 * h  # K7's centre node, bit for bit
+    rm = np.asarray(jet(mid)[0], dtype=float) if r_mid is None else r_mid
+    total = h.sum()
+    share = RECONSTRUCT_TOL / total if total > 0 else 0.0
+    out = np.empty((3, h.size))
+    fits = np.empty(h.size, dtype=bool)
+    for s in range(0, h.size, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        ra_b, rb_b, pa_b, pb_b, rm_b, hb = ra[blk], rb[blk], pa[blk], pb[blk], rm[blk], h[blk]
+        # On a coarse grid the few cells that pass would not repay the x and y rows.
+        if not node_jet_block_passes(hb, ra_b, rm_b, rb_b, pa_b, pb_b, share):
+            fits[blk] = False
+            continue
+        cos_m, sin_m = np.cos(mid[blk]), np.sin(mid[blk])
+        cos_h, sin_h = np.cos(0.5 * hb), np.sin(0.5 * hb)
+        # The ends' tangents, turned from the midpoint's by -+ h/2.
+        cc, ss, sc, cs = cos_m * cos_h, sin_m * sin_h, sin_m * cos_h, cos_m * sin_h
+        fa, da = _rows(cc + ss, sc - cs, ra_b, pa_b)
+        fb, db = _rows(cc - ss, sc + cs, rb_b, pb_b)
+        fm = np.stack([rm_b * cos_m, rm_b * sin_m, rm_b])
+        i5, fits[blk] = node_jet_rule(hb, fa, fm, fb, da, db, share)
+        if i5 is not None:
+            out[:, blk] = i5
+    if fits.all():
+        return out
 
     def integrand(t):
         r = np.asarray(jet(t)[0], dtype=float)
         return np.array([r * np.cos(t), r * np.sin(t), r])
 
-    cells = panel_integrals(integrand, thetas, tol=RECONSTRUCT_TOL)
-    return tuple(np.concatenate([[0.0], np.cumsum(d)]) for d in cells)
+    every = not fits.any()
+    miss = slice(None) if every else ~fits
+    t_mid, f_mid = mid[miss], rm[miss]
+    centre = np.array([f_mid * np.cos(t_mid), f_mid * np.sin(t_mid), f_mid])
+    h = h[miss]
+    rest = adaptive_cells(integrand, lo[miss], hi[miss], share * h, share * h.sum(), centre)
+    if every:
+        return rest
+    out[:, miss] = rest
+    return out
+
+
+def _rows(c, s, r, rp):
+    """``R (cos, sin, 1)`` and its derivative where the tangent is ``(c, s)``, each ``(3, n)``."""
+    return np.stack([r * c, r * s, r]), np.stack([rp * c - r * s, rp * s + r * c, rp])
 
 
 def _two_best(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,20 +399,19 @@ def _refine_zeros(
     return 0.5 * (lo + hi)
 
 
-def classify_zeros(
+def find_cusps(
     curve: InclinationCurve,
     interval: AngleInterval | None = None,
     refine_tol: float = 1e-12,
-) -> dict[str, list[float]]:
-    """Zeros of R strictly inside the interval, split by kind.
+) -> list[float]:
+    """Angles strictly inside the interval where R changes sign.
 
-    Returns a dict with keys ``"cusps"`` (sign changes, each refined to a
-    bracket no wider than ``refine_tol`` by secant steps with a squeeze pair
-    under a bisection schedule) and ``"flat_points"`` (grid nodes where R
-    touches zero without changing sign).  An interior run of zero nodes
-    whose nonzero neighbours differ in sign is one cusp, at the midpoint of
-    the run's first and last nodes; one whose neighbours agree is a run of
-    flat points.
+    Each sign change between grid nodes is refined to a bracket no wider
+    than ``refine_tol`` by secant steps with a squeeze pair under a
+    bisection schedule.  An interior run of zero nodes whose nonzero
+    neighbours differ in sign is one cusp, at the midpoint of the run's
+    first and last nodes; a zero that R only touches, keeping its sign, is
+    no cusp.
 
     Raises
     ------
@@ -373,24 +449,7 @@ def classify_zeros(
     first, last = first[inner], last[inner]
     crossing = sign[first - 1] != sign[last + 1]
     on_grid = 0.5 * (thetas[first[crossing]] + thetas[last[crossing]])
-    flat_run = np.zeros(sign.size + 1, dtype=int)
-    flat_run[first[~crossing]] = 1
-    flat_run[last[~crossing] + 1] = -1
-    flats = thetas[np.cumsum(flat_run[:-1]) > 0]
-    cusps = np.sort(np.concatenate([refined, on_grid]))
-    return {"cusps": cusps.tolist(), "flat_points": flats.tolist()}
-
-
-def find_cusps(
-    curve: InclinationCurve,
-    interval: AngleInterval | None = None,
-    refine_tol: float = 1e-12,
-) -> list[float]:
-    """Angles strictly inside the interval where R changes sign.
-
-    Each is refined to ``refine_tol`` as in :func:`classify_zeros`.
-    """
-    return classify_zeros(curve, interval, refine_tol)["cusps"]
+    return np.sort(np.concatenate([refined, on_grid])).tolist()
 
 
 def frenet_residual(samples: CurveSamples) -> float:

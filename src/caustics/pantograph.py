@@ -511,7 +511,7 @@ def _mirror_samples(solution: PantographSolution, grid) -> CurveSamples:
     live = np.arange(chain.shape[0])[:, None] <= reach
     r, rp, x, y, s = (np.zeros_like(chain) for _ in range(5))
     r[live], rp[live] = continue_R(solution, chain[live])
-    x[0], y[0], s[0] = _integrate(lambda t: continue_R(solution, t), nodes)
+    x[0], y[0], s[0] = _integrate(lambda t: continue_R(solution, t), nodes, r[0], rp[0])
     a = solution.series.factor_a
     for j, t in enumerate(chain[:-1]):
         half = 0.5 * np.sin(t) * r[j]

@@ -1,17 +1,33 @@
-"""Adaptive nested quadrature over a partition, with a global error budget.
+"""Quadrature over cells with a global error budget: node-jet rules first, then adaptive G3/K7/P15.
 
-One embedded family of rules, G3 in K7 in P15, serves every panel: the 3-point Gauss rule,
-its 7-point Kronrod extension and Patterson's 15-point extension of that (T. N. L. Patterson,
-*The optimum addition of points to quadrature formulae*, Math. Comp. 22, 1968), exact to
-degrees 5, 11 and 23.  Each rule is judged against the one inside it with QUADPACK's ``qk``
-estimate ``resasc min(1, (200 |fine - coarse| / resasc)^1.5)`` (Piessens et al., *QUADPACK*,
-1983).  The caller's cells first get the 7 K7 nodes; the cells K7 misses get the 8 Patterson
-nodes on top and are judged by P15.  Cells that P15 misses are halved, and every refined panel
-gets all 15 nodes in one integrand call, a block of panels per call.  A panel is accepted when
-its estimate is within its width share of ``tol`` or its rounding floor ``50 eps int |f|``;
-refinement ends once the error accepted so far plus the estimates still open fit in ``tol``.
-Panels that reach rounding width unconverged are kept, but if their errors sum to more than
-``tol``, ``NumericError`` is raised.
+Where the caller knows the integrand ``f`` and its derivative ``f'`` at both ends of a cell
+and ``f_m`` at its midpoint, two endpoint-corrected Hermite rules come for free (Davis &
+Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984):
+
+    I3 = h/2 (f_a + f_b) + h^2/12 (f'_a - f'_b)                  exact to degree 3
+    I5 = h/30 (7 f_a + 16 f_m + 7 f_b) + h^2/60 (f'_a - f'_b)    exact to degree 5
+
+``node_jet_rule`` gives ``I5`` and whether the estimate ``|I5 - I3|``, the error of the cubic
+rule, fits the cell's budget or its rounding floor in every component.  On a dense grid that
+error, ``h^5 f''''/720``, lies far below a cell's share of the budget, so ``I5`` stands at the
+cost of one evaluation per cell, at its midpoint.  On a coarse grid the estimate misses, and
+the cell goes to the adaptive rules below with its midpoint value as K7's centre node, so it
+costs what K7 alone costs.  Three samples see nothing between them: a bump narrower than
+about a tenth of the cell, between a node and the midpoint and small against ``f``, passes
+unseen, where K7's closer nodes would catch it.
+
+One embedded family of rules, G3 in K7 in P15, serves every other panel: the 3-point Gauss
+rule, its 7-point Kronrod extension and Patterson's 15-point extension of that (T. N. L.
+Patterson, *The optimum addition of points to quadrature formulae*, Math. Comp. 22, 1968),
+exact to degrees 5, 11 and 23.  Each rule is judged against the one inside it with
+QUADPACK's ``qk`` estimate ``resasc min(1, (200 |fine - coarse| / resasc)^1.5)`` (Piessens et
+al., *QUADPACK*, 1983).  The caller's cells first get the 7 K7 nodes; the cells K7 misses get
+the 8 Patterson nodes on top and are judged by P15.  Cells that P15 misses are halved, and
+every refined panel gets all 15 nodes in one integrand call, a block of panels per call.  A
+panel is accepted when its estimate is within its width share of ``tol`` or its rounding floor
+``50 eps int |f|``; refinement ends once the error accepted so far plus the estimates still
+open fit in ``tol``.  Panels that reach rounding width unconverged are kept, but if their
+errors sum to more than ``tol``, ``NumericError`` is raised.
 """
 from __future__ import annotations
 
@@ -47,53 +63,146 @@ _K7_IN_P15 = np.concatenate([_K7, np.zeros(8)])
 _FLOOR = 50 * np.finfo(float).eps  # rounding floor per unit of int |f|
 _MAX_LEVELS = 48
 _BLOCK = 4096  # panels per integrand call: bounds the size of every temporary
+_K7_OFF_CENTRE = _NODES[[0, 1, 2, 4, 5, 6]]  # the K7 nodes but its centre, node 3
 
 
-def _values(fn, lo, hi, nodes):
-    """Integrand at ``nodes`` mapped into each panel, ``(n_components, n_panels, n_nodes)``."""
+def _gap(h, fa, fm, fb, da, db):
+    """``|I5 - I3| / (8h/15)`` and ``h (f'_a - f'_b)``, per row and cell."""
+    slope = h * (da - db)
+    return np.abs(fm - 0.5 * (fa + fb) - 0.125 * slope), slope
+
+
+def _floor_gap(fa, fm, fb):
+    """The rounding floor ``50 eps int |f|``, taken by I5's weights, in units of the gap."""
+    return (_FLOOR / 16) * (7 * (np.abs(fa) + np.abs(fb)) + 16 * np.abs(fm))
+
+
+def node_jet_rule(h, fa, fm, fb, da, db, share):
+    """``I5`` over cells of width ``h``, and whether ``|I5 - I3|`` lets it stand.
+
+    ``fa``, ``fm`` and ``fb`` hold the integrand at each cell's start, midpoint and end,
+    and ``da``, ``db`` its derivative at the ends, one row per component.  A cell passes
+    when the estimate fits its budget ``share * h`` or its rounding floor in every row.
+    Returns ``(I5, passes)``, with ``I5`` None when no cell passes.
+    """
+    gap, slope = _gap(h, fa, fm, fb, da, db)
+    fits = gap <= 1.875 * share  # 8h/15 gap <= share h
+    if not fits.all():
+        fits |= gap <= _floor_gap(fa, fm, fb)
+    fits = fits.all(axis=0)
+    return (h / 30 * (7 * (fa + fb) + 16 * fm + 0.5 * slope) if fits.any() else None), fits
+
+
+def node_jet_block_passes(h, fa, fm, fb, da, db, share) -> bool:
+    """Whether every cell of a block passes ``node_jet_rule`` on the one row given.
+
+    The widest gap decides most blocks at the cost of one scalar test.
+    """
+    gap, _ = _gap(h, fa, fm, fb, da, db)
+    worst = int(gap.argmax())
+    if gap[worst] <= 1.875 * share:
+        return True
+    if gap[worst] > _floor_gap(fa[worst], fm[worst], fb[worst]):
+        return False
+    return bool(np.all((gap <= 1.875 * share) | (gap <= _floor_gap(fa, fm, fb))))
+
+
+def _values(fn, lo, hi, nodes, centre=None):
+    """Integrand at ``nodes`` mapped into each panel, ``(n_components, n_nodes, n_panels)``.
+
+    ``centre``, when given, holds the integrand at the panel midpoints, node 3 of the K7
+    ``nodes``, so ``fn`` is called only at the other six.
+    """
     half = 0.5 * (hi - lo)
-    pts = (lo + half)[:, None] + half[:, None] * nodes
+    pts = (lo + half) + half * (nodes if centre is None else _K7_OFF_CENTRE)[:, None]
     vals = np.asarray(fn(pts.ravel()))
     vals = vals.reshape(vals.shape[0], *pts.shape)
+    if centre is not None:
+        vals = np.concatenate([vals[:, :3], centre[:, None], vals[:, 3:]], axis=1)
     if not np.isfinite(vals).all():
-        bad = ~np.all(np.isfinite(vals), axis=0)
+        # The first bad node of the first bad panel.
+        pts = ((lo + half) + half * nodes[:, None]).T
+        bad = ~np.all(np.isfinite(vals), axis=0).T
         raise EvaluationError(f"integrand is not finite near theta = {pts[bad][0]}")
     return vals, half
 
 
 def _judge(vals, half, fine, coarse):
     """Integrals by ``fine``, ``qk`` errors against ``coarse`` and rounding floors."""
-    est = vals @ fine
-    dev = vals - 0.5 * est[..., None]
-    asc = np.abs(dev, out=dev) @ fine * half
-    err = np.abs(est - vals @ coarse) * half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(asc > 0, asc * np.minimum(1.0, (200 * err / asc) ** 1.5), err)
-    floor = _FLOOR * (np.abs(vals, out=dev) @ fine) * half
+    est = fine @ vals
+    dev = vals - 0.5 * est[:, None]
+    asc = (fine @ np.abs(dev, out=dev)) * half
+    err = np.abs(est - coarse @ vals) * half
+    spread = asc > 0
+    ratio = np.divide(200 * err, asc, out=np.zeros_like(err), where=spread)
+    err = np.where(spread, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
+    floor = _FLOOR * (fine @ np.abs(vals, out=dev)) * half
     return est * half, err, floor
 
 
-def _level(fn, lo, hi, budget, fresh):
-    """Integrals, errors and floors of one level, each ``(n_components, n_panels)``.
+def _level(fn, lo, hi, budget, centre=None, fresh=True):
+    """Integrals and errors of one level, ``(n_components, n_panels)``, and which panels pass.
 
     Fresh panels get K7, and P15 where K7 misses; refined panels get P15 at once.
     """
     out = []
     for s in range(0, lo.size, _BLOCK):
-        a, b = lo[s:s + _BLOCK], hi[s:s + _BLOCK]
+        a, b, share = lo[s:s + _BLOCK], hi[s:s + _BLOCK], budget[s:s + _BLOCK]
         if fresh:
-            vals, half = _values(fn, a, b, _NODES[:7])
+            vals, half = _values(fn, a, b, _NODES[:7],
+                                 None if centre is None else centre[:, s:s + _BLOCK])
             est, err, floor = _judge(vals, half, _K7, _G3)
-            miss = ~np.all(err <= np.maximum(budget[s:s + _BLOCK], floor), axis=0)
-            if miss.any():
+            ok = (err <= np.maximum(share, floor)).all(axis=0)
+            if not ok.all():
+                miss = ~ok if ok.any() else slice(None)
                 extra, _ = _values(fn, a[miss], b[miss], _NODES[7:])
-                vals = np.concatenate([vals[:, miss], extra], axis=2)
+                vals = np.concatenate([vals[:, :, miss], extra], axis=1)
                 est[:, miss], err[:, miss], floor[:, miss] = _judge(
                     vals, half[miss], _P15, _K7_IN_P15)
-            out.append((est, err, floor))
+                ok[miss] = (err[:, miss] <= np.maximum(share[miss], floor[:, miss])).all(axis=0)
         else:
-            out.append(_judge(*_values(fn, a, b, _NODES), _P15, _K7_IN_P15))
-    return out[0] if len(out) == 1 else [np.concatenate(part, axis=1) for part in zip(*out)]
+            est, err, floor = _judge(*_values(fn, a, b, _NODES), _P15, _K7_IN_P15)
+            ok = (err <= np.maximum(share, floor)).all(axis=0)
+        out.append((est, err, ok))
+    if len(out) == 1:
+        return out[0]
+    return [np.concatenate(part, axis=-1) for part in zip(*out)]
+
+
+def adaptive_cells(fn, lo, hi, budget, tol, centre=None):
+    """Integrals over the cells ``[lo, hi]`` by the adaptive G3/K7/P15 rules.
+
+    ``budget`` is each cell's share of the absolute budget ``tol``, and ``centre``, if
+    given, the integrand at the cell midpoints.  Returns ``(n_components, n_cells)``.
+    """
+    owner = np.arange(lo.size)
+    result, spent, lost, n_lost = None, 0.0, 0.0, 0
+    for level in range(_MAX_LEVELS):
+        est, err, ok = _level(fn, lo, hi, budget, centre, fresh=level == 0)
+        if level == 0 and ok.all():
+            return est
+        err = err.max(axis=0)
+        if result is None:
+            result = np.zeros((est.shape[0], lo.size))
+        if spent + err.sum() <= tol:
+            np.add.at(result, (slice(None), owner), est)
+            return result
+        stuck = ~ok & (hi - lo <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+        lost += err[stuck].sum()
+        n_lost += np.count_nonzero(stuck)
+        if lost > tol:
+            raise NumericError(f"quadrature error {lost:.3g} exceeds tol = {tol:g} "
+                               f"in {n_lost} panels at rounding width")
+        done = ok | stuck
+        np.add.at(result, (slice(None), owner[done]), est[:, done])
+        spent += err[done].sum()
+        if done.all():
+            return result
+        lo, hi, mid = lo[~done], hi[~done], 0.5 * (lo[~done] + hi[~done])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        owner = np.tile(owner[~done], 2)
+        budget = np.tile(budget[~done] / 2, 2)
+    raise NumericError(f"quadrature did not converge after {_MAX_LEVELS} refinement levels")
 
 
 def panel_integrals(
@@ -120,31 +229,4 @@ def panel_integrals(
             and math.isfinite(edges[-1])):
         raise ValidationError("edges must be finite and strictly increasing")
     lo, hi = edges[:-1], edges[1:]
-    owner = np.arange(lo.size)
-    budget = tol * (hi - lo) / float(edges[-1] - edges[0])
-    result, spent, lost, n_lost = None, 0.0, 0.0, 0
-    for level in range(_MAX_LEVELS):
-        est, err, floor = _level(fn, lo, hi, budget, fresh=level == 0)
-        ok = np.all(err <= np.maximum(budget, floor), axis=0)
-        err = err.max(axis=0)
-        if result is None:
-            result = np.zeros((est.shape[0], lo.size))
-        if ok.all() or spent + err.sum() <= tol:
-            np.add.at(result, (slice(None), owner), est)
-            return result
-        stuck = ~ok & (hi - lo <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-        lost += err[stuck].sum()
-        n_lost += np.count_nonzero(stuck)
-        if lost > tol:
-            raise NumericError(f"quadrature error {lost:.3g} exceeds tol = {tol:g} "
-                               f"in {n_lost} panels at rounding width")
-        done = ok | stuck
-        np.add.at(result, (slice(None), owner[done]), est[:, done])
-        spent += err[done].sum()
-        if done.all():
-            return result
-        lo, hi, mid = lo[~done], hi[~done], 0.5 * (lo[~done] + hi[~done])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        owner = np.tile(owner[~done], 2)
-        budget = np.tile(budget[~done] / 2, 2)
-    raise NumericError(f"quadrature did not converge after {_MAX_LEVELS} refinement levels")
+    return adaptive_cells(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol)

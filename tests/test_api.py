@@ -74,7 +74,6 @@ def test_public_names_are_pinned():
         "caustic_curve",
         "caustic_radius",
         "circle",
-        "classify_zeros",
         "coframe",
         "continue_R",
         "cycloid",

@@ -10,13 +10,13 @@ from caustics.caustic import TiltField, caustic_curve
 from caustics.errors import (
     DegenerateSamplingError,
     DomainError,
+    EvaluationError,
     ValidationError,
 )
 from caustics.inclination import (
     AngleInterval,
     InclinationCurve,
     circle,
-    classify_zeros,
     cycloid,
     find_cusps,
     frenet_residual,
@@ -110,25 +110,39 @@ def test_frenet_residual_rejects_degenerate_input():
         frenet_residual(samples[:2])
 
 
-def test_classify_zeros_cycloid():
+def test_find_cusps_cycloid():
     curve = cycloid(1.0, domain=AngleInterval(-0.5, 3 * math.pi + 0.5, 257))
-    zeros = classify_zeros(curve)
-    cusps = zeros["cusps"]
+    cusps = find_cusps(curve)
     assert len(cusps) == 4
     for got, want in zip(cusps, [0.0, math.pi, 2 * math.pi, 3 * math.pi]):
         assert abs(got - want) < 1e-9
-    assert zeros["flat_points"] == []
 
 
-def test_classify_zeros_touching_zero_is_flat():
+def test_touching_zero_is_not_a_cusp():
     curve = InclinationCurve(
         jet=lambda t: (np.asarray(t, dtype=float) ** 2, 2.0 * np.asarray(t, dtype=float)),
         domain=AngleInterval(-1.0, 1.0, 41),
         label="touch",
     )
-    zeros = classify_zeros(curve)
-    assert zeros["cusps"] == []
-    assert zeros["flat_points"] == [0.0]
+    # R touches zero at the grid node 0.0 without changing sign.
+    assert np.sign(curve.jet(curve.domain.grid())[0][19:22]).tolist() == [1.0, 0.0, 1.0]
+    assert find_cusps(curve) == []
+
+
+def test_non_finite_radius_derivative_is_an_error():
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            slope = 0.5 / np.sqrt(np.abs(t))
+        return 1.0 + np.sqrt(np.abs(t)), np.where(t < 0, -slope, slope)
+
+    curve = InclinationCurve(jet=jet, domain=AngleInterval(-1.0, 1.0, 5), label="kink")
+    slopes = jet(curve.domain.grid())[1].tolist()
+    assert slopes[1:4] == [-1 / math.sqrt(2), math.inf, 1 / math.sqrt(2)]
+    with pytest.raises(EvaluationError, match=r"R' is not finite at theta = 0\.0$"):
+        reconstruct(curve)
+    with pytest.raises(EvaluationError, match=r"R' is not finite at theta = 0\.0$"):
+        caustic_curve(curve, TiltField.skew(0.3))
 
 
 def test_endpoint_zeros_are_not_cusps():
@@ -175,7 +189,7 @@ def test_reconstruct_accepts_explicit_grid():
 
 def test_non_finite_grid_is_validation_error():
     grid = [0.0, math.nan, 1.0]
-    for call in (lambda: reconstruct(circle(), grid), lambda: classify_zeros(cycloid(), grid),
+    for call in (lambda: reconstruct(circle(), grid), lambda: find_cusps(cycloid(), grid),
                  lambda: caustic_curve(circle(), TiltField.reflection(), grid)):
         with pytest.raises(ValidationError, match="finite"):
             call()
@@ -399,6 +413,7 @@ def test_sign_change_across_a_run_of_zero_nodes_is_one_cusp():
     curve = InclinationCurve(jet=jet, domain=AngleInterval(0.0, 2.0, 21), label="run")
     grid = curve.domain.grid()
     assert np.sign(jet(grid[8:12])[0]).tolist() == [-1.0, 0.0, 0.0, 1.0]
-    assert classify_zeros(curve) == {"cusps": [0.5 * (grid[9] + grid[10])], "flat_points": []}
+    assert find_cusps(curve) == [0.5 * (grid[9] + grid[10])]
     touching = dataclasses.replace(curve, jet=touching_jet)
-    assert classify_zeros(touching) == {"cusps": [], "flat_points": [grid[9], grid[10]]}
+    assert np.sign(touching_jet(grid[8:12])[0]).tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert find_cusps(touching) == []

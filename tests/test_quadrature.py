@@ -1,5 +1,7 @@
-"""The nested G3/K7/P15 panel rule, its error budget, its argument checks and its failures."""
+"""The node-jet rules and the nested G3/K7/P15 panel rule, their error budget, argument
+checks and failures."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +11,13 @@ import pytest
 
 from caustics import inclination, quadrature
 from caustics.errors import EvaluationError, NumericError, ValidationError
-from caustics.inclination import cycloid, log_spiral, reconstruct
+from caustics.inclination import (
+    AngleInterval,
+    InclinationCurve,
+    cycloid,
+    log_spiral,
+    reconstruct,
+)
 from caustics.quadrature import panel_integrals
 
 
@@ -83,20 +91,157 @@ def _counting(fn, log):
     return counted
 
 
-def test_smooth_curve_costs_seven_evaluations_per_panel(monkeypatch):
-    sizes = []
+def _counted_cycloid(sizes):
+    """The unit cycloid, logging the size of every jet call."""
+    base = cycloid()
 
-    def traced(fn, edges, tol=1e-10):
-        return panel_integrals(_counting(fn, sizes), edges, tol)
+    def jet(t):
+        sizes.append(np.size(t))
+        return base.jet(t)
 
-    monkeypatch.setattr(inclination, "panel_integrals", traced)
+    return dataclasses.replace(base, jet=jet)
+
+
+def _logged_fallback(monkeypatch):
+    """Record each call ``reconstruct`` makes to the adaptive rules."""
+    calls = []
+
+    def logged(fn, lo, hi, *args):
+        calls.append(lo.size)
+        return quadrature.adaptive_cells(fn, lo, hi, *args)
+
+    monkeypatch.setattr(inclination, "adaptive_cells", logged)
+    return calls
+
+
+def test_dense_grid_costs_one_jet_call_at_nodes_and_midpoints(monkeypatch):
+    sizes, fallback = [], _logged_fallback(monkeypatch)
     t = np.linspace(-2 * np.pi, 2 * np.pi, 65537)
-    samples = reconstruct(cycloid(), t)
-    assert sum(sizes) == 7 * 65536 == 458752
-    assert len(sizes) == 65536 // quadrature._BLOCK == 16
+    samples = reconstruct(_counted_cycloid(sizes), t)
+    # R and R' at the nodes and the midpoints; every cell takes I5, none K7.
+    assert sizes == [65537 + 65536] == [131073]
+    assert fallback == []
     assert np.max(np.abs(samples.x - np.sin(t) ** 2 / 2)) <= 1e-10
     assert np.max(np.abs(samples.y - (t - t[0]) / 2 + np.sin(2 * t) / 4)) <= 1e-10
     assert np.max(np.abs(samples.arclength - (np.cos(t[0]) - np.cos(t)))) <= 1e-10
+
+
+@pytest.mark.parametrize("n, evaluations, p15", [(33, 513, 256), (65, 1025, 512),
+                                                 (129, 1025, None), (257, 2049, None)])
+def test_coarse_grid_costs_what_k7_alone_cost(monkeypatch, n, evaluations, p15):
+    sizes, fallback = [], _logged_fallback(monkeypatch)
+    reconstruct(_counted_cycloid(sizes), np.linspace(-2 * np.pi, 2 * np.pi, n))
+    # Every cell misses I5 and hands its midpoint to K7 as the centre node; on the
+    # coarsest grids K7 misses too, and P15 adds its 8 nodes in every cell.
+    assert sizes == [n + n - 1, 6 * (n - 1)] + ([p15] if p15 else [])
+    assert fallback == [n - 1]
+    # The evaluations and calls that K7 alone made, nodes included.
+    assert sum(sizes) == evaluations
+
+
+def test_node_jet_rule_degrees_of_exactness():
+    a, h = 0.3, 0.7
+    b = a + h
+    for d in range(8):
+        exact = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+        slopes = (d * a ** (d - 1), d * b ** (d - 1)) if d else (0.0, 0.0)
+        jet = [np.array([[v]]) for v in (a**d, (a + h / 2) ** d, b**d, *slopes)]
+        # A budget of 1 per unit width lets I5 stand on every cell.
+        i5, _ = quadrature.node_jet_rule(np.array([h]), *jet, 1.0)
+        assert (abs(i5[0, 0] - exact) <= 1e-15) == (d <= 5)
+        # |I5 - I3| is the cubic rule's error: nil to degree 3, far above 1e-10 after.
+        assert quadrature.node_jet_rule(np.array([h]), *jet, 1e-10)[1][0] == (d <= 3)
+
+
+def test_block_screen_agrees_with_the_rule_cell_by_cell(rng):
+    outcomes = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        h = rng.uniform(1e-4, 1e-2, n)
+        fa, fb, da, db = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-2, 9, size=(4, 1))
+        fm = 0.5 * (fa + fb) + 0.125 * h * (da - db)  # a gap of zero ...
+        fm = fm + rng.normal(size=n) * 10.0 ** rng.integers(-17, -7, size=n)  # ... then some
+        share = 1e-10 / float(rng.uniform(0.5, 20.0))
+        want = quadrature.node_jet_rule(h, fa[None], fm[None], fb[None], da[None], db[None],
+                                        share)[1].all()
+        got = quadrature.node_jet_block_passes(h, fa, fm, fb, da, db, share)
+        assert got == want
+        floor_only = quadrature._gap(h, fa, fm, fb, da, db)[0] > 1.875 * share
+        outcomes.add((bool(want), bool(floor_only.any())))
+    # Blocks that pass outright, pass only through rounding floors, and fail.
+    assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def test_k7_centre_from_the_caller_changes_nothing():
+    sizes = []
+    fn = _counting(lambda t: np.stack([np.cos(3 * t), np.exp(t)]), sizes)
+    lo = np.linspace(0.0, 4.0, 9)[:-1]
+    hi = lo + 0.5
+    budget = np.full(lo.size, 1e-10 / lo.size)
+    mid = lo + 0.5 * (hi - lo)
+    plain = quadrature.adaptive_cells(fn, lo, hi, budget, 1e-10)
+    called = len(sizes)
+    reused = quadrature.adaptive_cells(fn, lo, hi, budget, 1e-10, fn(mid))
+    assert np.array_equal(reused, plain)
+    # The centre costs one call of 8 here, and saves one node in each of the 8 K7 cells.
+    assert sum(sizes[called:]) == sum(sizes[:called])
+    assert sizes[called + 1] == sizes[0] - 8
+
+
+def test_reconstruct_peak_memory_on_a_dense_grid():
+    t = np.linspace(-2 * np.pi, 2 * np.pi, 65537)
+    curve = cycloid()
+    tracemalloc.start()
+    try:
+        reconstruct(curve, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 11.2 MiB is the peak of the K7-only quadrature this rule replaced.
+    assert peak <= 11.2 * 2**20
+
+
+def _bump_reference(t, amplitude, centre, width):
+    """x, y and arclength of R = 1 + amplitude exp(-((theta - centre) / width)^2) on ``t``.
+
+    The bump integrates in closed form through the error function of a complex argument:
+    int exp(-(u - c)^2 / w^2) e^(iu) du = w sqrt(pi) / 2 e^(ic - w^2 / 4) erf((u - c) / w - iw / 2).
+    """
+    scale = amplitude * width * math.sqrt(math.pi) / 2
+    turn = complex(mpmath.exp(1j * centre - width * width / 4))
+
+    # erf is +-1 to double precision 12 widths out, so the clipped angles are few.
+    ends, at = np.unique(np.clip(t, centre - 12 * width, centre + 12 * width),
+                         return_inverse=True)
+    z = np.array([complex(mpmath.erf(mpmath.mpf(u - centre) / width - 0.5j * width))
+                  for u in ends])
+    bump = scale * turn * (z - z[0])[at]
+    bump_s = scale * np.array([math.erf((u - centre) / width) for u in ends])[at]
+    return (np.sin(t) - np.sin(t[0]) + bump.real, np.cos(t[0]) - np.cos(t) + bump.imag,
+            t - t[0] + bump_s - bump_s[0])
+
+
+@pytest.mark.parametrize("offset", [0.15, 0.25, 0.35, 0.65, 0.75, 0.85])
+@pytest.mark.parametrize("divisor", [2, 5, 10, 20])
+def test_narrow_bump_meets_the_budget_or_raises(divisor, offset):
+    t = np.linspace(0.0, 1.0, 1025)
+    h = t[1] - t[0]
+    # A unit bump in R, off the nodes and off the midpoint of one cell.
+    centre, width = t[600] + offset * h, h / divisor
+
+    def jet(u):
+        u = np.asarray(u, dtype=float)
+        bump = np.exp(-(((u - centre) / width) ** 2))
+        return 1.0 + bump, -2 * (u - centre) / width**2 * bump
+
+    curve = InclinationCurve(jet=jet, domain=AngleInterval(0.0, 1.0))
+    try:
+        samples = reconstruct(curve, t)
+    except NumericError:
+        return
+    for got, want in zip((samples.x, samples.y, samples.arclength),
+                         _bump_reference(t, 1.0, centre, width)):
+        assert np.max(np.abs(got - want)) <= inclination.RECONSTRUCT_TOL
 
 
 def test_log_spiral_closed_form_on_a_fine_grid():
