@@ -9,10 +9,10 @@ change sign (the curve passes through a cusp) and the arclength, defined by
 The module provides the curve type, reconstruction to a column record of
 vertex samples under a global error budget, cusp location, and a discrete
 check of the frame equations.  Reconstruction evaluates the jet ``(R, R')``
-at the nodes and R at the cell midpoints.  A cell where the degree-5
-Hermite rule built from these values agrees with the cubic one to within
-its budget takes it, as every cell of a dense grid does; the others go to
-adaptive nested quadrature (G3/K7/Patterson-15), which reuses the midpoint.
+at the nodes and hands the integrand and its derivative there to the
+quadrature, whose node-jet rule adds three inner nodes per cell; cells where
+that rule's estimate misses go on to adaptive nested quadrature
+(G3/K7/Patterson-15), which reuses the three.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (
     EvaluationError,
     ValidationError,
 )
-from .quadrature import _BLOCK, adaptive_cells, node_jet_block_passes, node_jet_rule
+from .quadrature import cell_integrals, panel_integrals
 
 __all__ = [
     "AngleInterval",
@@ -195,8 +195,7 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
             thetas = thetas[(thetas >= lo) & (thetas <= hi)]
             if thetas.size < 2:
                 raise DomainError("fewer than 2 samples remain after pole clipping")
-    # The angles increase, so the end nodes decide (``domain.contains`` with slack 1e-9).
-    if not (curve.domain.lo - 1e-9 <= thetas[0] and thetas[-1] <= curve.domain.hi + 1e-9):
+    if not curve.domain.contains(thetas[[0, -1]], slack=1e-9):
         raise DomainError(
             f"[{thetas[0]}, {thetas[-1]}] leaves the curve domain "
             f"[{curve.domain.lo}, {curve.domain.hi}]"
@@ -213,23 +212,21 @@ def reconstruct(
     The position increment over each grid cell is
     ``integral of R * (cos, sin)`` and the arclength increment is
     ``integral of R``.  The jet ``(R, R')`` is evaluated once at the nodes,
-    for the ``radius`` and ``radius_prime`` columns, and R once more at the
-    cell midpoints, in one call.  From these, each cell gets the node-jet
-    rules of ``quadrature.node_jet_rule``: it takes the degree-5 Hermite rule
-    ``I5`` when ``|I5 - I3|`` fits its width share of ``RECONSTRUCT_TOL`` (or
-    its rounding floor) in every column, as on dense grids, where the rule
-    is exact far below the budget.  The R column is judged first, a block of
-    ``quadrature._BLOCK`` cells at a time, and a block where some cell
-    misses it takes the adaptive rules whole.  A cell that misses, as on
-    coarse grids, goes to the adaptive G3/K7/P15 rules of
-    ``quadrature.adaptive_cells`` with the same share, its midpoint value
-    serving as K7's centre node: K7, then P15 where K7 misses, then P15 on
-    halved panels.  So a cell costs one evaluation of the jet on the first
-    path, and seven or more on the second.  ``RECONSTRUCT_TOL`` is an
-    absolute error budget for each column summed over the whole grid, so it
-    covers every cumulative sample too.  R fixes the curve up to
-    translation: the first sample sits at the origin, and callers that want
-    another placement translate the ``points``.
+    for the ``radius`` and ``radius_prime`` columns, and gives the integrand
+    ``R (cos, sin, 1)`` and its derivative there.  With these, every cell
+    first tries ``quadrature``'s node-jet rule, which reads R at three inner
+    nodes: it takes the degree-7 rule when its distance from a degree-5 one
+    fits the cell's width share of ``RECONSTRUCT_TOL`` (or its rounding
+    floor) in every column, as every cell of a dense grid does.  A cell that
+    misses, as on coarse grids, goes to the adaptive G3/K7/P15 rules with
+    the same share, its three inner values serving as three of K7's nodes:
+    K7, then P15 where K7 misses, then P15 on halved panels.  So a cell
+    costs three evaluations of the jet on the first path, and seven or more
+    on the second.  ``RECONSTRUCT_TOL`` is an absolute error budget for each
+    column summed over the whole grid, so it covers every cumulative sample
+    too.  R fixes the curve up to translation: the first sample sits at the
+    origin, and callers that want another placement translate the
+    ``points``.
 
     Parameters
     ----------
@@ -252,90 +249,59 @@ def reconstruct(
         ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
-    # One jet call for the nodes and the midpoints: some jets cost most per call.
-    mid = thetas[:-1] + 0.5 * (thetas[1:] - thetas[:-1])
-    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(np.concatenate([thetas, mid])))
-    node_r, node_rp = r[:thetas.size].copy(), rp[:thetas.size].copy()
-    for name, values in (("R", node_r), ("R'", node_rp)):
+    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+    for name, values in (("R", r), ("R'", rp)):
         if not np.isfinite(values).all():
             bad = thetas[~np.isfinite(values)][0]
             raise EvaluationError(f"{name} is not finite at theta = {bad}")
-    x, y, s = _integrate(curve.jet, thetas, node_r, node_rp, r[thetas.size:])
-    return CurveSamples(
-        theta=thetas, x=x, y=y, radius=node_r, radius_prime=node_rp, arclength=s
-    )
+    x, y, s = _integrate(curve.jet, thetas, r, rp)
+    return CurveSamples(theta=thetas, x=x, y=y, radius=r, radius_prime=rp, arclength=s)
 
 
-def _integrate(jet, thetas: np.ndarray, r: np.ndarray, rp: np.ndarray,
-               r_mid: np.ndarray | None = None) -> np.ndarray:
-    """Rows x, y and arclength at the increasing ``thetas``, from 0 at the first.
-
-    ``r`` and ``rp`` are ``jet`` at ``thetas``, and ``r_mid``, if given, R
-    at the cell midpoints.
-    """
-    cells = _cell_integrals(jet, thetas[:-1], thetas[1:], (r[:-1], rp[:-1]), (r[1:], rp[1:]),
-                            r_mid)
-    return np.concatenate([np.zeros((3, 1)), cells], axis=1).cumsum(axis=1)
-
-
-def _cell_integrals(jet, lo, hi, lo_jet, hi_jet, r_mid=None) -> np.ndarray:
-    """Integrals of ``R (cos, sin, 1)`` over the cells ``[lo, hi]``, shape ``(3, n)``.
-
-    ``lo_jet`` and ``hi_jet`` are ``jet`` at the cell ends, as float arrays,
-    and ``r_mid``, if given, R at the midpoints; otherwise one call finds it.
-    The cells share ``RECONSTRUCT_TOL`` by width.  The node-jet rules are
-    formed a block of cells at a time, first on the R row alone, which needs
-    no trigonometry.  A block forms its x and y rows only when every one of
-    its cells passes the R row, and a cell takes ``I5`` only when it passes
-    every row.  The other cells go to the adaptive rules in one call.
-    """
-    (ra, pa), (rb, pb) = lo_jet, hi_jet
-    h = hi - lo
-    mid = lo + 0.5 * h  # K7's centre node, bit for bit
-    rm = np.asarray(jet(mid)[0], dtype=float) if r_mid is None else r_mid
-    total = h.sum()
-    share = RECONSTRUCT_TOL / total if total > 0 else 0.0
-    out = np.empty((3, h.size))
-    fits = np.empty(h.size, dtype=bool)
-    for s in range(0, h.size, _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        ra_b, rb_b, pa_b, pb_b, rm_b, hb = ra[blk], rb[blk], pa[blk], pb[blk], rm[blk], h[blk]
-        # On a coarse grid the few cells that pass would not repay the x and y rows.
-        if not node_jet_block_passes(hb, ra_b, rm_b, rb_b, pa_b, pb_b, share):
-            fits[blk] = False
-            continue
-        cos_m, sin_m = np.cos(mid[blk]), np.sin(mid[blk])
-        cos_h, sin_h = np.cos(0.5 * hb), np.sin(0.5 * hb)
-        # The ends' tangents, turned from the midpoint's by -+ h/2.
-        cc, ss, sc, cs = cos_m * cos_h, sin_m * sin_h, sin_m * cos_h, cos_m * sin_h
-        fa, da = _rows(cc + ss, sc - cs, ra_b, pa_b)
-        fb, db = _rows(cc - ss, sc + cs, rb_b, pb_b)
-        fm = np.stack([rm_b * cos_m, rm_b * sin_m, rm_b])
-        i5, fits[blk] = node_jet_rule(hb, fa, fm, fb, da, db, share)
-        if i5 is not None:
-            out[:, blk] = i5
-    if fits.all():
+def _integrand(jet):
+    """``theta -> R (cos, sin, 1)``, the integrand of x, y and arclength."""
+    def fn(t):
+        out = np.empty((3, t.size))
+        out[2] = jet(t)[0]
+        np.multiply(out[2], np.cos(t), out=out[0])
+        np.multiply(out[2], np.sin(t), out=out[1])
         return out
 
-    def integrand(t):
-        r = np.asarray(jet(t)[0], dtype=float)
-        return np.array([r * np.cos(t), r * np.sin(t), r])
+    return fn
 
-    every = not fits.any()
-    miss = slice(None) if every else ~fits
-    t_mid, f_mid = mid[miss], rm[miss]
-    centre = np.array([f_mid * np.cos(t_mid), f_mid * np.sin(t_mid), f_mid])
-    h = h[miss]
-    rest = adaptive_cells(integrand, lo[miss], hi[miss], share * h, share * h.sum(), centre)
-    if every:
-        return rest
-    out[:, miss] = rest
+
+def _ends(theta, r, rp):
+    """``R (cos, sin, 1)`` and its derivative at ``theta``, each ``(3, n)``."""
+    c, s = np.cos(theta), np.sin(theta)
+    f, df = np.empty((3, theta.size)), np.empty((3, theta.size))
+    f[0], f[1], f[2] = r * c, r * s, r
+    df[0], df[1], df[2] = rp * c - r * s, rp * s + r * c, rp
+    return f, df
+
+
+def _integrate(jet, thetas: np.ndarray, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
+    """Rows x, y and arclength at the increasing ``thetas``, from 0 at the first.
+
+    ``r`` and ``rp`` are ``jet`` at ``thetas``, as float arrays.
+    """
+    cells = panel_integrals(_integrand(jet), thetas, RECONSTRUCT_TOL,
+                            ends=_ends(thetas, r, rp))
+    out = np.zeros((3, thetas.size))
+    np.cumsum(cells, axis=1, out=out[:, 1:])
     return out
 
 
-def _rows(c, s, r, rp):
-    """``R (cos, sin, 1)`` and its derivative where the tangent is ``(c, s)``, each ``(3, n)``."""
-    return np.stack([r * c, r * s, r]), np.stack([rp * c - r * s, rp * s + r * c, rp])
+def _cell_integrals(jet, lo, hi, lo_jet, hi_jet) -> np.ndarray:
+    """Integrals of ``R (cos, sin, 1)`` over the cells ``[lo, hi]``, shape ``(3, n)``.
+
+    ``lo_jet`` and ``hi_jet`` are ``jet`` at the cell ends, as float arrays.
+    The cells share ``RECONSTRUCT_TOL`` by width, as a grid's cells do.
+    """
+    h = hi - lo
+    total = h.sum()
+    budget = RECONSTRUCT_TOL * h / total if total > 0 else np.zeros_like(h)
+    return cell_integrals(_integrand(jet), lo, hi, budget, RECONSTRUCT_TOL,
+                          _ends(lo, *lo_jet) + _ends(hi, *hi_jet))
 
 
 def _two_best(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

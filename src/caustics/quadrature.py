@@ -1,33 +1,36 @@
-"""Quadrature over cells with a global error budget: node-jet rules first, then adaptive G3/K7/P15.
+"""Quadrature over cells with a global error budget: a node-jet rule, then G3/K7/P15.
 
-Where the caller knows the integrand ``f`` and its derivative ``f'`` at both ends of a cell
-and ``f_m`` at its midpoint, two endpoint-corrected Hermite rules come for free (Davis &
-Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984):
+Where the caller knows the integrand ``f`` and its derivative ``f'`` at both ends of each
+cell, ``panel_integrals`` and ``cell_integrals`` take them as ``ends`` and first try an
+endpoint-corrected Hermite rule (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd
+ed., 1984).  It reads f at three inner nodes of the cell, K7's ``-b``, ``0`` and ``b`` with
+``b = 0.434...``, so that, on ``[-1, 1]``,
 
-    I3 = h/2 (f_a + f_b) + h^2/12 (f'_a - f'_b)                  exact to degree 3
-    I5 = h/30 (7 f_a + 16 f_m + 7 f_b) + h^2/60 (f'_a - f'_b)    exact to degree 5
+    I7 = w_e (f(-1) + f(1)) + w_s (f'(-1) - f'(1)) + w_b (f(-b) + f(b)) + w_0 f(0)
 
-``node_jet_rule`` gives ``I5`` and whether the estimate ``|I5 - I3|``, the error of the cubic
-rule, fits the cell's budget or its rounding floor in every component.  On a dense grid that
-error, ``h^5 f''''/720``, lies far below a cell's share of the budget, so ``I5`` stands at the
-cost of one evaluation per cell, at its midpoint.  On a coarse grid the estimate misses, and
-the cell goes to the adaptive rules below with its midpoint value as K7's centre node, so it
-costs what K7 alone costs.  Three samples see nothing between them: a bump narrower than
-about a tenth of the cell, between a node and the midpoint and small against ``f``, passes
-unseen, where K7's closer nodes would catch it.
+is exact to degree 7, and judges it by ``|I7 - I5|``, where
+``I5 = (7 f(-1) + 16 f(0) + 7 f(1)) / 15 + (f'(-1) - f'(1)) / 15`` is exact to degree 5: the
+error of the lesser rule.  On a dense grid that lies far below a cell's share of the budget,
+and the cell costs three evaluations where K7 costs seven.  The inner nodes leave no point of
+the cell further than 0.14 h from a sample, so a Gaussian bump of width h/20 shows at some
+sample with at least 3e-4 of its height; with the midpoint as the only inner node, one at a
+quarter of the cell would show with 1e-11 of it, and pass unseen.
+A cell the rule misses keeps its three values as three of K7's seven nodes, so it costs what
+K7 alone costs.
 
 One embedded family of rules, G3 in K7 in P15, serves every other panel: the 3-point Gauss
 rule, its 7-point Kronrod extension and Patterson's 15-point extension of that (T. N. L.
 Patterson, *The optimum addition of points to quadrature formulae*, Math. Comp. 22, 1968),
 exact to degrees 5, 11 and 23.  Each rule is judged against the one inside it with
 QUADPACK's ``qk`` estimate ``resasc min(1, (200 |fine - coarse| / resasc)^1.5)`` (Piessens et
-al., *QUADPACK*, 1983).  The caller's cells first get the 7 K7 nodes; the cells K7 misses get
-the 8 Patterson nodes on top and are judged by P15.  Cells that P15 misses are halved, and
-every refined panel gets all 15 nodes in one integrand call, a block of panels per call.  A
-panel is accepted when its estimate is within its width share of ``tol`` or its rounding floor
-``50 eps int |f|``; refinement ends once the error accepted so far plus the estimates still
-open fit in ``tol``.  Panels that reach rounding width unconverged are kept, but if their
-errors sum to more than ``tol``, ``NumericError`` is raised.
+al., *QUADPACK*, 1983).  The caller's cells get K7 (without ``ends``, or where the node-jet
+rule misses); the cells K7 misses get the 8 Patterson nodes on top and are judged by P15.
+Cells that P15 misses are halved, and every refined panel gets all 15 nodes in one integrand
+call, a block of panels per call.  A panel is accepted when its estimate is within its width
+share of ``tol`` or its rounding floor ``50 eps int |f|``; refinement ends once the error
+accepted so far plus the estimates still open fit in ``tol``.  Panels that reach rounding
+width unconverged are kept, but if their errors sum to more than ``tol``, ``NumericError`` is
+raised.
 """
 from __future__ import annotations
 
@@ -63,72 +66,51 @@ _K7_IN_P15 = np.concatenate([_K7, np.zeros(8)])
 _FLOOR = 50 * np.finfo(float).eps  # rounding floor per unit of int |f|
 _MAX_LEVELS = 48
 _BLOCK = 4096  # panels per integrand call: bounds the size of every temporary
-_K7_OFF_CENTRE = _NODES[[0, 1, 2, 4, 5, 6]]  # the K7 nodes but its centre, node 3
+
+# The nodes in the order they are evaluated: the three the node-jet rule reads (K7's -b, 0
+# and b), the other four of K7, then Patterson's eight.  The weights follow that order.
+_ORDER = np.array([2, 3, 4, 0, 1, 5, 6, *range(7, 15)])
+_X = _NODES[_ORDER]
+# The node-jet rule I7 on [-1, 1], exact to degree 7: the weights of the ends and of the
+# slope term h/2 (f'_a - f'_b), then of the inner nodes (-b, 0, b).  Then those of I7 - I5,
+# where I5 = (7 f_a + 16 f(0) + 7 f_b) / 15 + (f'_a - f'_b) / 15 reads no other inner node.
+_J7_END, _J7_SLOPE = 0.2570536936264498708955, 0.01971852941668646249363
+_J7 = np.array([0.6136615079674200399448, 0.2585695968122601783195, 0.6136615079674200399448])
+_J75_END, _J75_SLOPE = _J7_END - 7 / 15, _J7_SLOPE - 1 / 15
+_J75 = _J7 - [0.0, 16 / 15, 0.0]
+# Rungs: how many of the ordered nodes a rung reads, and its fine and coarse weights (None
+# for the node-jet rule).
+_RUNGS = (
+    (3, None),
+    (7, (_K7[_ORDER[:7]], _G3[_ORDER[:7]])),
+    (15, (_P15[_ORDER], _K7_IN_P15[_ORDER])),
+)
 
 
-def _gap(h, fa, fm, fb, da, db):
-    """``|I5 - I3| / (8h/15)`` and ``h (f'_a - f'_b)``, per row and cell."""
-    slope = h * (da - db)
-    return np.abs(fm - 0.5 * (fa + fb) - 0.125 * slope), slope
-
-
-def _floor_gap(fa, fm, fb):
-    """The rounding floor ``50 eps int |f|``, taken by I5's weights, in units of the gap."""
-    return (_FLOOR / 16) * (7 * (np.abs(fa) + np.abs(fb)) + 16 * np.abs(fm))
-
-
-def node_jet_rule(h, fa, fm, fb, da, db, share):
-    """``I5`` over cells of width ``h``, and whether ``|I5 - I3|`` lets it stand.
-
-    ``fa``, ``fm`` and ``fb`` hold the integrand at each cell's start, midpoint and end,
-    and ``da``, ``db`` its derivative at the ends, one row per component.  A cell passes
-    when the estimate fits its budget ``share * h`` or its rounding floor in every row.
-    Returns ``(I5, passes)``, with ``I5`` None when no cell passes.
-    """
-    gap, slope = _gap(h, fa, fm, fb, da, db)
-    fits = gap <= 1.875 * share  # 8h/15 gap <= share h
-    if not fits.all():
-        fits |= gap <= _floor_gap(fa, fm, fb)
-    fits = fits.all(axis=0)
-    return (h / 30 * (7 * (fa + fb) + 16 * fm + 0.5 * slope) if fits.any() else None), fits
-
-
-def node_jet_block_passes(h, fa, fm, fb, da, db, share) -> bool:
-    """Whether every cell of a block passes ``node_jet_rule`` on the one row given.
-
-    The widest gap decides most blocks at the cost of one scalar test.
-    """
-    gap, _ = _gap(h, fa, fm, fb, da, db)
-    worst = int(gap.argmax())
-    if gap[worst] <= 1.875 * share:
-        return True
-    if gap[worst] > _floor_gap(fa[worst], fm[worst], fb[worst]):
-        return False
-    return bool(np.all((gap <= 1.875 * share) | (gap <= _floor_gap(fa, fm, fb))))
-
-
-def _values(fn, lo, hi, nodes, centre=None):
-    """Integrand at ``nodes`` mapped into each panel, ``(n_components, n_nodes, n_panels)``.
-
-    ``centre``, when given, holds the integrand at the panel midpoints, node 3 of the K7
-    ``nodes``, so ``fn`` is called only at the other six.
-    """
+def _values(fn, lo, hi, nodes):
+    """Integrand at ``nodes`` mapped into each panel, ``(n_components, n_nodes, n_panels)``."""
     half = 0.5 * (hi - lo)
-    pts = (lo + half) + half * (nodes if centre is None else _K7_OFF_CENTRE)[:, None]
+    pts = (lo + half) + half * nodes[:, None]
     vals = np.asarray(fn(pts.ravel()))
     vals = vals.reshape(vals.shape[0], *pts.shape)
-    if centre is not None:
-        vals = np.concatenate([vals[:, :3], centre[:, None], vals[:, 3:]], axis=1)
     if not np.isfinite(vals).all():
         # The first bad node of the first bad panel.
-        pts = ((lo + half) + half * nodes[:, None]).T
         bad = ~np.all(np.isfinite(vals), axis=0).T
-        raise EvaluationError(f"integrand is not finite near theta = {pts[bad][0]}")
-    return vals, half
+        raise EvaluationError(f"integrand is not finite near theta = {pts.T[bad][0]}")
+    return vals
 
 
-def _judge(vals, half, fine, coarse):
-    """Integrals by ``fine``, ``qk`` errors against ``coarse`` and rounding floors."""
+def _passes(err, share, floor):
+    """Whether each panel's error fits its share of the budget, or else its rounding floor,
+    in every component; ``floor`` is called only when some error misses its share."""
+    ok = err <= share
+    if not ok.all():
+        ok |= err <= floor()
+    return ok.all(axis=0)
+
+
+def _judge(vals, half, share, fine, coarse):
+    """Integrals by ``fine``, ``qk`` errors against ``coarse``, and passes."""
     est = fine @ vals
     dev = vals - 0.5 * est[:, None]
     asc = (fine @ np.abs(dev, out=dev)) * half
@@ -136,52 +118,81 @@ def _judge(vals, half, fine, coarse):
     spread = asc > 0
     ratio = np.divide(200 * err, asc, out=np.zeros_like(err), where=spread)
     err = np.where(spread, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
-    floor = _FLOOR * (fine @ np.abs(vals, out=dev)) * half
-    return est * half, err, floor
+    ok = _passes(err, share, lambda: _FLOOR * (fine @ np.abs(vals, out=dev)) * half)
+    return est * half, err, ok
 
 
-def _level(fn, lo, hi, budget, centre=None, fresh=True):
-    """Integrals and errors of one level, ``(n_components, n_panels)``, and which panels pass.
+def _jet_judge(vals, half, share, fa, da, fb, db):
+    """``I7``, ``|I7 - I5|`` and passes, from the ends' jets and the inner nodes."""
+    ends, slope = fa + fb, half * (da - db)
+    est = _J7 @ vals + _J7_END * ends + _J7_SLOPE * slope
+    err = np.abs(_J75 @ vals + _J75_END * ends + _J75_SLOPE * slope) * half
 
-    Fresh panels get K7, and P15 where K7 misses; refined panels get P15 at once.
+    def floor():
+        return _FLOOR * half * (_J7 @ np.abs(vals) + _J7_END * (np.abs(fa) + np.abs(fb)))
+
+    return est * half, err, _passes(err, share, floor)
+
+
+def _climb(fn, lo, hi, share, rungs, ends):
+    """Integrals ``(n_components, n_panels)``, errors and passes of one block of panels.
+
+    The first of ``rungs`` is formed on every panel; each later one on the panels that
+    all before it missed, from the values those panels hold and the nodes it adds.
     """
-    out = []
+    half = 0.5 * (hi - lo)
+    (n, rule), *later = rungs
+    vals = _values(fn, lo, hi, _X[:n])
+    if rule is None:
+        est, err, ok = _jet_judge(vals, half, share, *ends)
+    else:
+        est, err, ok = _judge(vals, half, share, *rule)
+    err = err.max(axis=0)
+    open_ = slice(None)  # the panels the last rung judged: all, or their indices
+    for n, rule in later:
+        if ok.all():
+            break
+        if ok.any():
+            open_ = np.flatnonzero(~ok) if isinstance(open_, slice) else open_[~ok]
+            vals = vals[:, :, ~ok]
+        more = _values(fn, lo[open_], hi[open_], _X[vals.shape[1]:n])
+        vals = np.concatenate([vals, more], axis=1)
+        e, r, ok = _judge(vals, half[open_], share[open_], *rule)
+        est[:, open_], err[open_] = e, r.max(axis=0)
+    passes = np.ones(lo.size, dtype=bool)
+    passes[open_] = ok
+    return est, err, passes
+
+
+def _level(fn, lo, hi, budget, rungs, ends):
+    """``_climb`` over all panels a block at a time."""
+    if lo.size <= _BLOCK:
+        return _climb(fn, lo, hi, budget, rungs, ends)
     for s in range(0, lo.size, _BLOCK):
-        a, b, share = lo[s:s + _BLOCK], hi[s:s + _BLOCK], budget[s:s + _BLOCK]
-        if fresh:
-            vals, half = _values(fn, a, b, _NODES[:7],
-                                 None if centre is None else centre[:, s:s + _BLOCK])
-            est, err, floor = _judge(vals, half, _K7, _G3)
-            ok = (err <= np.maximum(share, floor)).all(axis=0)
-            if not ok.all():
-                miss = ~ok if ok.any() else slice(None)
-                extra, _ = _values(fn, a[miss], b[miss], _NODES[7:])
-                vals = np.concatenate([vals[:, :, miss], extra], axis=1)
-                est[:, miss], err[:, miss], floor[:, miss] = _judge(
-                    vals, half[miss], _P15, _K7_IN_P15)
-                ok[miss] = (err[:, miss] <= np.maximum(share[miss], floor[:, miss])).all(axis=0)
-        else:
-            est, err, floor = _judge(*_values(fn, a, b, _NODES), _P15, _K7_IN_P15)
-            ok = (err <= np.maximum(share, floor)).all(axis=0)
-        out.append((est, err, ok))
-    if len(out) == 1:
-        return out[0]
-    return [np.concatenate(part, axis=-1) for part in zip(*out)]
+        blk = slice(s, s + _BLOCK)
+        part = _climb(fn, lo[blk], hi[blk], budget[blk], rungs,
+                      ends and [e[:, blk] for e in ends])
+        if s == 0:
+            est = np.empty((part[0].shape[0], lo.size))
+            err, passes = np.empty(lo.size), np.empty(lo.size, dtype=bool)
+        est[:, blk], err[blk], passes[blk] = part
+    return est, err, passes
 
 
-def adaptive_cells(fn, lo, hi, budget, tol, centre=None):
-    """Integrals over the cells ``[lo, hi]`` by the adaptive G3/K7/P15 rules.
+def cell_integrals(fn, lo, hi, budget, tol, ends=None):
+    """Integrals over the cells ``[lo, hi]``, ``(n_components, n_cells)``.
 
-    ``budget`` is each cell's share of the absolute budget ``tol``, and ``centre``, if
-    given, the integrand at the cell midpoints.  Returns ``(n_components, n_cells)``.
+    ``budget`` is each cell's share of the absolute budget ``tol``.  ``ends``, if given,
+    holds ``(f_a, f'_a, f_b, f'_b)``, the integrand and its derivative at the cell ends,
+    each ``(n_components, n_cells)``; then every cell first tries the node-jet rule.
     """
     owner = np.arange(lo.size)
+    rungs = _RUNGS if ends is not None else _RUNGS[1:]
     result, spent, lost, n_lost = None, 0.0, 0.0, 0
     for level in range(_MAX_LEVELS):
-        est, err, ok = _level(fn, lo, hi, budget, centre, fresh=level == 0)
+        est, err, ok = _level(fn, lo, hi, budget, rungs, ends)
         if level == 0 and ok.all():
             return est
-        err = err.max(axis=0)
         if result is None:
             result = np.zeros((est.shape[0], lo.size))
         if spent + err.sum() <= tol:
@@ -202,6 +213,7 @@ def adaptive_cells(fn, lo, hi, budget, tol, centre=None):
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         owner = np.tile(owner[~done], 2)
         budget = np.tile(budget[~done] / 2, 2)
+        rungs, ends = _RUNGS[2:], None  # refined panels get all 15 nodes at once
     raise NumericError(f"quadrature did not converge after {_MAX_LEVELS} refinement levels")
 
 
@@ -209,15 +221,20 @@ def panel_integrals(
     fn: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
     tol: float = 1e-10,
+    *,
+    ends: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Integrate a vector-valued integrand over each cell of a partition.
 
     ``fn`` is vectorised and returns shape ``(n_components, n_points)``;
     ``edges`` are finite, strictly increasing cell boundaries (at least two);
     ``tol`` is a finite positive absolute budget, for each component over the
-    whole partition.  Returns shape ``(n_components, n_panels)``.  Raises
-    ``ValidationError`` for bad ``edges`` or ``tol``, and ``NumericError``
-    when panels at rounding width hold more than ``tol`` of estimated error.
+    whole partition.  ``ends``, if given, holds the integrand and its
+    derivative at the edges, each ``(n_components, n_edges)``, and every cell
+    first tries the node-jet rule.  Returns shape ``(n_components, n_panels)``.
+    Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and
+    ``NumericError`` when panels at rounding width hold more than ``tol`` of
+    estimated error.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
@@ -229,4 +246,9 @@ def panel_integrals(
             and math.isfinite(edges[-1])):
         raise ValidationError("edges must be finite and strictly increasing")
     lo, hi = edges[:-1], edges[1:]
-    return adaptive_cells(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol)
+    if ends is not None:
+        f, df = (np.asarray(e, dtype=float) for e in ends)
+        if f.ndim != 2 or f.shape != df.shape or f.shape[1] != edges.size:
+            raise ValidationError("ends must be two (n_components, n_edges) arrays")
+        ends = (f[:, :-1], df[:, :-1], f[:, 1:], df[:, 1:])
+    return cell_integrals(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol, ends)

@@ -345,16 +345,20 @@ def test_criterion_11_cli_runs_are_byte_identical(tmp_path, capsys):
         # One path per pantograph file, since stdout names the files written.
         coeff = tmp_path / "coeff.csv"
         mirror = tmp_path / "mirror.svg"
-        # Every cell of this coarse grid takes the adaptive rules ...
+        # Every cell of these grids takes the node-jet rule ...
         assert main(["caustic", "--curve", "cycloid:amplitude=1",
                      "--tilt", "reflection", "--interval", "0.01:pi",
                      "--samples", "129", "--out-csv", str(csv),
                      "--out-svg", str(svg)]) == 0
-        # ... and every cell of this dense one the node-jet rule.
         dense = tmp_path / f"dense-{tag}.csv"
         assert main(["caustic", "--curve", "cycloid:amplitude=1",
                      "--tilt", "reflection", "--interval=-2pi:2pi",
                      "--samples", "16385", "--out-csv", str(dense)]) == 0
+        # ... and every cell of this coarse one the adaptive rules.
+        coarse = tmp_path / f"coarse-{tag}.csv"
+        assert main(["caustic", "--curve", "cycloid:amplitude=1",
+                     "--tilt", "reflection", "--interval", "0.01:pi",
+                     "--samples", "17", "--out-csv", str(coarse)]) == 0
         capsys.readouterr()
         # The coefficient table never continues the series; the report on
         # stdout and the mirror drawing both go through continue_R.
@@ -362,7 +366,7 @@ def test_criterion_11_cli_runs_are_byte_identical(tmp_path, capsys):
                      "--out-csv", str(coeff), "--out-svg", str(mirror)]) == 0
         report = capsys.readouterr().out
         outputs.append((csv.read_bytes(), svg.read_bytes(), dense.read_bytes(),
-                        coeff.read_bytes(), mirror.read_bytes(), report))
+                        coarse.read_bytes(), coeff.read_bytes(), mirror.read_bytes(), report))
         # The shared paths are removed, so that each run must write its own.
         coeff.unlink()
         mirror.unlink()

@@ -248,9 +248,9 @@ def test_series_caustic_continues_each_node_once(capsys, monkeypatch):
         "--interval", "0.1:3", "--samples", "257",
     )
     assert code == 0, err
-    # R and R' at the 257 nodes and the 256 cell midpoints from one call, then
-    # K7's six other nodes in every cell, which this coarse grid needs.
-    assert calls == [257 + 256, 6 * 256]
+    # R and R' at the 257 nodes, then the node-jet rule's three inner nodes in
+    # every cell, then K7's four others in the one cell that misses the rule.
+    assert calls == [257, 3 * 256, 4]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The node-jet rules and the nested G3/K7/P15 panel rule, their error budget, argument
+"""The node-jet rule and the nested G3/K7/P15 panel rule, their error budget, argument
 checks and failures."""
 
 import dataclasses
@@ -102,90 +102,98 @@ def _counted_cycloid(sizes):
     return dataclasses.replace(base, jet=jet)
 
 
-def _logged_fallback(monkeypatch):
-    """Record each call ``reconstruct`` makes to the adaptive rules."""
+def _logged_quadrature(monkeypatch):
+    """Record the edges and the integrand calls of each ``panel_integrals`` call that
+    ``reconstruct`` makes, passing its arguments by position as a tracer wrapping it would."""
     calls = []
 
-    def logged(fn, lo, hi, *args):
-        calls.append(lo.size)
-        return quadrature.adaptive_cells(fn, lo, hi, *args)
+    def logged(fn, edges, tol, **kwargs):
+        sizes = []
+        calls.append((np.size(edges), sizes))
+        return panel_integrals(_counting(fn, sizes), edges, tol, **kwargs)
 
-    monkeypatch.setattr(inclination, "adaptive_cells", logged)
+    monkeypatch.setattr(inclination, "panel_integrals", logged)
     return calls
 
 
-def test_dense_grid_costs_one_jet_call_at_nodes_and_midpoints(monkeypatch):
-    sizes, fallback = [], _logged_fallback(monkeypatch)
+def test_dense_grid_costs_three_evaluations_per_cell(monkeypatch):
+    sizes, quad = [], _logged_quadrature(monkeypatch)
     t = np.linspace(-2 * np.pi, 2 * np.pi, 65537)
     samples = reconstruct(_counted_cycloid(sizes), t)
-    # R and R' at the nodes and the midpoints; every cell takes I5, none K7.
-    assert sizes == [65537 + 65536] == [131073]
-    assert fallback == []
+    # R and R' at the nodes, then the node-jet rule's three inner nodes in each cell, a
+    # block of cells per call, all inside the one quadrature call; every cell takes I7.
+    blocks = [3 * quadrature._BLOCK] * 16
+    assert sizes == [65537] + blocks
+    assert quad == [(65537, blocks)]
     assert np.max(np.abs(samples.x - np.sin(t) ** 2 / 2)) <= 1e-10
     assert np.max(np.abs(samples.y - (t - t[0]) / 2 + np.sin(2 * t) / 4)) <= 1e-10
     assert np.max(np.abs(samples.arclength - (np.cos(t[0]) - np.cos(t)))) <= 1e-10
 
 
-@pytest.mark.parametrize("n, evaluations, p15", [(33, 513, 256), (65, 1025, 512),
-                                                 (129, 1025, None), (257, 2049, None)])
-def test_coarse_grid_costs_what_k7_alone_cost(monkeypatch, n, evaluations, p15):
-    sizes, fallback = [], _logged_fallback(monkeypatch)
+@pytest.mark.parametrize("n, k7, p15, evaluations", [(33, True, 256, 513),
+                                                     (65, True, 512, 1025),
+                                                     (129, True, None, 1025),
+                                                     (257, False, None, 1025)])
+def test_coarse_grid_costs_at_most_what_k7_alone_cost(monkeypatch, n, k7, p15, evaluations):
+    sizes, quad = [], _logged_quadrature(monkeypatch)
     reconstruct(_counted_cycloid(sizes), np.linspace(-2 * np.pi, 2 * np.pi, n))
-    # Every cell misses I5 and hands its midpoint to K7 as the centre node; on the
-    # coarsest grids K7 misses too, and P15 adds its 8 nodes in every cell.
-    assert sizes == [n + n - 1, 6 * (n - 1)] + ([p15] if p15 else [])
-    assert fallback == [n - 1]
-    # The evaluations and calls that K7 alone made, nodes included.
+    # Cells that miss the node-jet rule keep its three inner nodes as three of K7's seven;
+    # on the coarsest grids K7 misses too, and P15 adds its 8 nodes in every cell.
+    calls = [3 * (n - 1)] + ([4 * (n - 1)] if k7 else []) + ([p15] if p15 else [])
+    assert sizes == [n] + calls
+    assert quad == [(n, calls)]
+    # K7 alone made 513, 1025 and 1025 evaluations on the first three grids, nodes
+    # included, and 2049 on the last, where every cell now takes I7.
     assert sum(sizes) == evaluations
 
 
 def test_node_jet_rule_degrees_of_exactness():
     a, h = 0.3, 0.7
-    b = a + h
-    for d in range(8):
-        exact = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
-        slopes = (d * a ** (d - 1), d * b ** (d - 1)) if d else (0.0, 0.0)
-        jet = [np.array([[v]]) for v in (a**d, (a + h / 2) ** d, b**d, *slopes)]
-        # A budget of 1 per unit width lets I5 stand on every cell.
-        i5, _ = quadrature.node_jet_rule(np.array([h]), *jet, 1.0)
-        assert (abs(i5[0, 0] - exact) <= 1e-15) == (d <= 5)
-        # |I5 - I3| is the cubic rule's error: nil to degree 3, far above 1e-10 after.
-        assert quadrature.node_jet_rule(np.array([h]), *jet, 1e-10)[1][0] == (d <= 3)
+    half = np.array([h / 2])
+    inner = a + h / 2 + h / 2 * quadrature._X[:3]
+    for d in range(10):
+        def jet(x):
+            return x**d, d * x ** max(d - 1, 0)
+
+        (fa, da), (fb, db) = jet(a), jet(a + h)
+        vals = np.array(jet(inner)[0])[None, :, None]
+        args = [np.array([[v]]) for v in (fa, da, fb, db)]
+        exact = ((a + h) ** (d + 1) - a ** (d + 1)) / (d + 1)
+        i7, err, _ = quadrature._jet_judge(vals, half, 1.0, *args)
+        assert (abs(i7[0, 0] - exact) <= 1e-15) == (d <= 7)
+        # |I7 - I5| is the error of I5: nil to degree 5, far above 1e-10 after.
+        passes = quadrature._jet_judge(vals, half, 1e-10, *args)[2]
+        assert passes[0] == (d <= 5)
 
 
-def test_block_screen_agrees_with_the_rule_cell_by_cell(rng):
-    outcomes = set()
-    for trial in range(400):
-        n = int(rng.integers(1, 9))
-        h = rng.uniform(1e-4, 1e-2, n)
-        fa, fb, da, db = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-2, 9, size=(4, 1))
-        fm = 0.5 * (fa + fb) + 0.125 * h * (da - db)  # a gap of zero ...
-        fm = fm + rng.normal(size=n) * 10.0 ** rng.integers(-17, -7, size=n)  # ... then some
-        share = 1e-10 / float(rng.uniform(0.5, 20.0))
-        want = quadrature.node_jet_rule(h, fa[None], fm[None], fb[None], da[None], db[None],
-                                        share)[1].all()
-        got = quadrature.node_jet_block_passes(h, fa, fm, fb, da, db, share)
-        assert got == want
-        floor_only = quadrature._gap(h, fa, fm, fb, da, db)[0] > 1.875 * share
-        outcomes.add((bool(want), bool(floor_only.any())))
-    # Blocks that pass outright, pass only through rounding floors, and fail.
-    assert outcomes == {(True, False), (True, True), (False, True)}
+def test_node_jet_values_are_reused_by_k7():
+    def fn(t):
+        return np.stack([np.cos(3 * t), np.exp(t)])
+
+    def jet(t):
+        return np.stack([-3 * np.sin(3 * t), np.exp(t)])
+
+    edges = np.linspace(0.0, 4.0, 9)
+    plain, tried = [], []
+    without = panel_integrals(_counting(fn, plain), edges)
+    with_ends = panel_integrals(_counting(fn, tried), edges, ends=(fn(edges), jet(edges)))
+    # Every cell of this coarse grid misses the node-jet rule, and K7 reads its three
+    # values: the same values in the same order, so the same bits, at the same cost.
+    assert np.array_equal(with_ends, without)
+    assert tried[:2] == [3 * 8, 4 * 8] and plain[0] == 7 * 8
+    assert sum(tried) == sum(plain)
 
 
-def test_k7_centre_from_the_caller_changes_nothing():
-    sizes = []
-    fn = _counting(lambda t: np.stack([np.cos(3 * t), np.exp(t)]), sizes)
-    lo = np.linspace(0.0, 4.0, 9)[:-1]
-    hi = lo + 0.5
-    budget = np.full(lo.size, 1e-10 / lo.size)
-    mid = lo + 0.5 * (hi - lo)
-    plain = quadrature.adaptive_cells(fn, lo, hi, budget, 1e-10)
-    called = len(sizes)
-    reused = quadrature.adaptive_cells(fn, lo, hi, budget, 1e-10, fn(mid))
-    assert np.array_equal(reused, plain)
-    # The centre costs one call of 8 here, and saves one node in each of the 8 K7 cells.
-    assert sum(sizes[called:]) == sum(sizes[:called])
-    assert sizes[called + 1] == sizes[0] - 8
+@pytest.mark.parametrize("ends", [
+    (np.ones((1, 8)), np.ones((1, 8))),
+    (np.ones((1, 9)), np.ones((2, 9))),
+    (np.ones(9), np.ones(9)),
+], ids=["too_few_edges", "shapes_differ", "one_dimensional"])
+def test_bad_ends_raise_before_any_work(ends):
+    calls = []
+    with pytest.raises(ValidationError, match="ends"):
+        panel_integrals(_counting(lambda t: t[None], calls), np.linspace(0, 1, 9), ends=ends)
+    assert calls == []
 
 
 def test_reconstruct_peak_memory_on_a_dense_grid():
@@ -221,17 +229,18 @@ def _bump_reference(t, amplitude, centre, width):
             t - t[0] + bump_s - bump_s[0])
 
 
-@pytest.mark.parametrize("offset", [0.15, 0.25, 0.35, 0.65, 0.75, 0.85])
+@pytest.mark.parametrize("amplitude", [1.0, 1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("offset", [0.1, 0.15, 0.25, 0.35, 0.4, 0.6, 0.65, 0.75, 0.85, 0.9])
 @pytest.mark.parametrize("divisor", [2, 5, 10, 20])
-def test_narrow_bump_meets_the_budget_or_raises(divisor, offset):
+def test_narrow_bump_meets_the_budget_or_raises(divisor, offset, amplitude):
     t = np.linspace(0.0, 1.0, 1025)
     h = t[1] - t[0]
-    # A unit bump in R, off the nodes and off the midpoint of one cell.
+    # A bump in R, off the nodes and off the midpoint of one cell.
     centre, width = t[600] + offset * h, h / divisor
 
     def jet(u):
         u = np.asarray(u, dtype=float)
-        bump = np.exp(-(((u - centre) / width) ** 2))
+        bump = amplitude * np.exp(-(((u - centre) / width) ** 2))
         return 1.0 + bump, -2 * (u - centre) / width**2 * bump
 
     curve = InclinationCurve(jet=jet, domain=AngleInterval(0.0, 1.0))
@@ -240,7 +249,7 @@ def test_narrow_bump_meets_the_budget_or_raises(divisor, offset):
     except NumericError:
         return
     for got, want in zip((samples.x, samples.y, samples.arclength),
-                         _bump_reference(t, 1.0, centre, width)):
+                         _bump_reference(t, amplitude, centre, width)):
         assert np.max(np.abs(got - want)) <= inclination.RECONSTRUCT_TOL
 
 
