@@ -65,9 +65,7 @@ from .pantograph import (
     PantographSolution,
     continue_R,
     mirror_report,
-    parabola_focus,
     parabola_mirror,
-    parabola_position,
     similarity_factor,
     solution_curve,
     solve_series,
@@ -136,9 +134,7 @@ __all__ = [
     "PantographSolution",
     "continue_R",
     "mirror_report",
-    "parabola_focus",
     "parabola_mirror",
-    "parabola_position",
     "similarity_factor",
     "solution_curve",
     "solve_series",

@@ -301,6 +301,7 @@ def _run_skew(args: argparse.Namespace) -> None:
 
 
 def _run_pantograph(args: argparse.Namespace) -> None:
+    window = _window(args, 0.0, 2 * math.pi)
     k = args.m - 1
     factor = similarity_factor(k)
     secondary = args.secondary
@@ -328,7 +329,6 @@ def _run_pantograph(args: argparse.Namespace) -> None:
     if args.out_csv:
         write_coefficient_csv(args.out_csv, zip(series.powers(), series.coefficients))
     if args.out_svg:
-        window = _window(args, 0.0, 2 * math.pi)
         curve = solution_curve(solution)
         if report is None:
             groups = {"mirror": [reconstruct(curve, window).points]}

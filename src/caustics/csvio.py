@@ -1,9 +1,8 @@
-"""Deterministic CSV emission and ingestion for curve and caustic tables.
+"""Deterministic CSV emission for curve and caustic tables.
 
 Every cell is written as ``"%.17g" % value`` (17 significant digits, enough
 to round-trip IEEE doubles exactly) and every line ends in LF, so identical
-data always produces byte-identical files and a read-write cycle is the
-identity.
+data always produces byte-identical files.
 
 The text comes from one numpy kernel, run on blocks of about 8 192 cells
 that are written to the file one at a time.  For a finite cell with
@@ -36,7 +35,6 @@ __all__ = [
     "CURVE_HEADER",
     "CAUSTIC_HEADER",
     "write_table",
-    "read_table",
     "write_curve_csv",
     "write_caustic_csv",
     "write_coefficient_csv",
@@ -243,32 +241,6 @@ def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[S
         fh.write((",".join(header) + "\n").encode("ascii"))
         for text in _text_blocks(table):
             fh.write(text)
-
-
-def read_table(path: str | os.PathLike) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a CSV table written by :func:`write_table`.
-
-    Returns the header and the rows as a float array (empty tables give a
-    (0, len(header)) array).  A row whose cell count differs from the
-    header's, or a cell that is not a number, raises ``ValidationError``.
-    """
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        text = fh.read()
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
-        raise ValidationError(f"{path}: empty CSV")
-    header = tuple(lines[0].split(","))
-    cells = [line.split(",") for line in lines[1:]]
-    for number, row in enumerate(cells, start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: ragged CSV (line {number} has {len(row)} cells, header {len(header)})"
-            )
-    try:
-        rows = np.array([[float(cell) for cell in row] for row in cells], dtype=float)
-    except ValueError:
-        raise ValidationError(f"{path}: a cell is not a number") from None
-    return header, rows.reshape(len(cells), len(header))
 
 
 def write_curve_csv(path: str | os.PathLike, samples) -> None:

@@ -67,10 +67,6 @@ class AngleInterval:
         if self.n_samples < 2:
             raise ValidationError("an interval carries at least 2 samples")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_samples)
 
@@ -249,7 +245,9 @@ def reconstruct(
         ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
-    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+    # A jet that overflows at a node is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     for name, values in (("R", r), ("R'", rp)):
         if not np.isfinite(values).all():
             bad = thetas[~np.isfinite(values)][0]
@@ -389,10 +387,9 @@ def find_cusps(
     """
     if not (np.isfinite(refine_tol) and refine_tol > 0):
         raise ValidationError(f"refine_tol must be finite and positive, got {refine_tol!r}")
-    if interval is None:
-        interval = curve.domain
     thetas = _resolve_grid(curve, interval)
-    r = np.asarray(curve.jet(thetas)[0], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.asarray(curve.jet(thetas)[0], dtype=float)
     if not np.all(np.isfinite(r)):
         bad = thetas[~np.isfinite(r)][0]
         raise EvaluationError(f"R is not finite at theta = {bad}")

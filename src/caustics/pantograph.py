@@ -70,8 +70,6 @@ __all__ = [
     "MirrorReport",
     "mirror_report",
     "parabola_mirror",
-    "parabola_position",
-    "parabola_focus",
 ]
 
 BASE_GUARD = 1e-3
@@ -106,11 +104,10 @@ class PantographSeries:
     """Truncated auxiliary profile Q(theta) = sum_n a_n theta^n, n = k..n_max.
 
     ``coefficients[j]`` is a_{k+j}.  Coefficients of parity opposite to k
-    vanish, except that the resonant family k = -3 carries a free
-    ``secondary_coeff`` a_{-2} seeding the opposite parity.  ``exact``
-    optionally retains the rational coefficients the floats were rounded
-    from.  The constant jet operators of the continuation are built on
-    first use and kept on the instance.
+    vanish, except that the resonant family k = -3 carries a free a_{-2}
+    seeding the opposite parity.  ``exact`` optionally retains the rational
+    coefficients the floats were rounded from.  The constant jet operators
+    of the continuation are built on first use and kept on the instance.
     """
 
     k: int
@@ -118,7 +115,6 @@ class PantographSeries:
     n_max: int
     coefficients: np.ndarray
     exact: tuple[Fraction, ...] | None = None
-    secondary_coeff: float | None = None
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -129,12 +125,6 @@ class PantographSeries:
                 f"expected {self.n_max - self.k + 1} coefficients, "
                 f"got {len(self.coefficients)}"
             )
-
-    def coefficient(self, n: int) -> float:
-        """a_n as a float (0 outside the stored range)."""
-        if n < self.k or n > self.n_max:
-            return 0.0
-        return float(self.coefficients[n - self.k])
 
     def powers(self) -> np.ndarray:
         return self.k + np.arange(len(self.coefficients))
@@ -230,7 +220,6 @@ def solve_series(
         n_max=int(n_max),
         coefficients=np.array([float(c) for c in ordered]),
         exact=tuple(ordered) if exact else None,
-        secondary_coeff=None if secondary is None else float(secondary),
     )
 
 
@@ -386,18 +375,17 @@ class PantographSolution:
 
     ``jet_order`` bounds the doubling depth: reaching an angle needs one
     Taylor order per doubling plus one for the derivative, so angles up to
-    2^(jet_order - 1) (pi/2 - guard) are available.
+    2^(jet_order - 1) (pi/2 - guard) are available, with ``guard`` the
+    class constant ``BASE_GUARD``.
     """
 
     series: PantographSeries
     jet_order: int = 12
-    guard: float = BASE_GUARD
+    guard = BASE_GUARD
 
     def __post_init__(self):
         if self.jet_order < 2:
             raise ValidationError("jet_order must be at least 2")
-        if not 0.0 < self.guard < math.pi / 4:
-            raise ValidationError("guard must lie in (0, pi/4)")
 
     @property
     def max_theta(self) -> float:
@@ -713,8 +701,8 @@ def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> 
 
     R(theta) = A / sin^3(theta) on (0, pi).  The reconstruction from a
     first angle theta0 starts at the origin; translated by
-    ``parabola_position(A, theta0) = (-A/(2 sin^2 theta0), -A cot theta0)``
-    it traces the parabola y^2 + 2 A x = -A^2, whose focus sits at (-A, 0).
+    (-A/(2 sin^2 theta0), -A cot theta0) it traces the parabola
+    y^2 + 2 A x = -A^2, whose focus (-A, 0) is its caustic.
     """
     if focal_scale == 0.0:
         raise DegenerateCurveError("A = 0 collapses the parabola to a point")
@@ -734,16 +722,3 @@ def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> 
         label=f"parabola(A={A:g})",
         poles=(0.0, math.pi),
     )
-
-
-def parabola_position(focal_scale: float, theta) -> np.ndarray:
-    """Closed-form points of the parabola profile, shape ``theta.shape + (2,)``."""
-    t = np.asarray(theta, dtype=float)
-    A = float(focal_scale)
-    s = np.sin(t)
-    return np.stack([-A / (2.0 * s * s), -A * np.cos(t) / s], axis=-1)
-
-
-def parabola_focus(focal_scale: float) -> np.ndarray:
-    """The caustic of the parabola profile collapses onto this point."""
-    return np.array([-float(focal_scale), 0.0])

@@ -176,10 +176,6 @@ class TanCoefficients:
         if any(c <= 0 for c in self.exact):
             raise NumericError("tangent coefficients must be positive")
 
-    def coefficient(self, n: int) -> float:
-        """The coefficient multiplying ``t**(2n+1)``."""
-        return float(self.values[n])
-
     def eval(self, t):
         """Evaluate the truncated series at ``t`` (scalar or array).
 

@@ -1,6 +1,8 @@
-"""Shared fixtures: the continued mirror profiles are expensive, build once."""
+"""Shared fixtures: the continued mirror profiles are expensive, build once;
+CSV tables written by the library are read back cell by cell."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,22 @@ def m2_report(m2_solution):
 @pytest.fixture(scope="session")
 def m3_report(m3_solution):
     return mirror_report(m3_solution)
+
+
+def _read_csv(path):
+    """Header and float rows of a CSV table; a ragged row fails the test."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    header = tuple(lines[0].split(","))
+    cells = [line.split(",") for line in lines[1:]]
+    for number, row in enumerate(cells, start=2):
+        assert len(row) == len(header), f"{path}: line {number} has {len(row)} cells"
+    rows = np.array([[float(cell) for cell in row] for row in cells], dtype=float)
+    return header, rows.reshape(len(cells), len(header))
+
+
+@pytest.fixture
+def read_csv():
+    return _read_csv
 
 
 @pytest.fixture

@@ -90,9 +90,7 @@ def test_public_names_are_pinned():
         "log_spiral",
         "mirror_report",
         "occlusion_check",
-        "parabola_focus",
         "parabola_mirror",
-        "parabola_position",
         "point_by_point_curve",
         "polynomial_curve",
         "puiseux_curve",
@@ -109,3 +107,102 @@ def test_public_names_are_pinned():
         "verticality_check",
         "zeta_even",
     ]
+
+
+# Each submodule's __all__, sorted; ``errors`` defines none (its exceptions
+# are listed in the package's names above).
+SUBMODULE_EXPORTS = {
+    "caustic": [
+        "AT_INFINITY",
+        "CUSP",
+        "Caustic",
+        "CausticSample",
+        "FLAT_TILT",
+        "OK",
+        "SimilaritySpec",
+        "TiltField",
+        "caustic_curve",
+        "caustic_radius",
+        "coframe",
+        "similarity_residual",
+    ],
+    "cli": ["main", "parse_angle", "parse_interval"],
+    "csvio": [
+        "CAUSTIC_HEADER",
+        "CURVE_HEADER",
+        "write_caustic_csv",
+        "write_coefficient_csv",
+        "write_curve_csv",
+        "write_table",
+    ],
+    "errors": None,
+    "inclination": [
+        "AngleInterval",
+        "CurveSamples",
+        "InclinationCurve",
+        "circle",
+        "cycloid",
+        "find_cusps",
+        "frenet_residual",
+        "log_spiral",
+        "polynomial_curve",
+        "reconstruct",
+    ],
+    "oracle": [
+        "CUSP_EXCLUSION_RADIUS",
+        "EnvelopeGap",
+        "EnvelopePolyline",
+        "Occlusion",
+        "PARALLEL_THRESHOLD",
+        "RayFamily",
+        "Verticality",
+        "envelope_gap",
+        "envelope_numeric",
+        "hausdorff_distance",
+        "occlusion_check",
+        "rays_from_tilt",
+        "reflect_horizontal",
+        "verticality_check",
+    ],
+    "pantograph": [
+        "BASE_GUARD",
+        "MirrorReport",
+        "PantographSeries",
+        "PantographSolution",
+        "continue_R",
+        "mirror_equation_residual",
+        "mirror_report",
+        "overlay_caustic_points",
+        "parabola_mirror",
+        "similarity_factor",
+        "solution_curve",
+        "solve_series",
+    ],
+    "quadrature": ["panel_integrals"],
+    "skew": [
+        "CharacteristicRoot",
+        "PuiseuxReport",
+        "SkewFamilySpec",
+        "build_family",
+        "delay_curve",
+        "delay_roots",
+        "implied_alpha",
+        "inverse_position_curve",
+        "point_by_point_curve",
+        "puiseux_curve",
+        "puiseux_diagnostics",
+        "skew_equation_residual",
+        "to_delay_form",
+    ],
+    "specfun": ["TanCoefficients", "lambert_w", "tan_coeffs", "zeta_even"],
+    "svg": ["GROUP_ORDER", "write_scene"],
+}
+
+
+def test_submodule_public_names_are_pinned():
+    # Like the package list: a submodule name is added or removed on purpose.
+    found = {}
+    for name in SUBMODULES:
+        names = getattr(importlib.import_module(f"caustics.{name}"), "__all__", None)
+        found[name] = None if names is None else sorted(names)
+    assert found == SUBMODULE_EXPORTS

@@ -21,7 +21,7 @@ from caustics.errors import (
     EvaluationError,
     ValidationError,
 )
-from caustics.csvio import read_table, write_caustic_csv
+from caustics.csvio import write_caustic_csv
 from caustics.inclination import AngleInterval, circle, cycloid, log_spiral
 from caustics.oracle import envelope_gap, rays_from_tilt
 from caustics.skew import SkewFamilySpec, build_family, implied_alpha
@@ -95,7 +95,7 @@ def test_cusp_nodes_are_flagged_not_dropped():
     assert all(s.error is None for s in views[1:])
 
 
-def test_caustic_record_contract(tmp_path):
+def test_caustic_record_contract(tmp_path, read_csv):
     interval = AngleInterval(-2 * math.pi, 2 * math.pi, 257)
     caus = caustic_curve(cycloid(1.0), TiltField.reflection(), interval)
     assert len(caus) == 257
@@ -127,7 +127,7 @@ def test_caustic_record_contract(tmp_path):
     assert np.all(np.isfinite(table[~flagged]))
 
     write_caustic_csv(tmp_path / "caustic.csv", caus)
-    _, rows = read_table(tmp_path / "caustic.csv")
+    _, rows = read_csv(tmp_path / "caustic.csv")
     assert np.all(np.isnan(rows[flagged, 1:]))
     np.testing.assert_array_equal(rows[:, 0], caus.source.theta)
 

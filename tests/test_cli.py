@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import caustics
 from caustics import caustic, cli, pantograph, specfun
 from caustics.cli import main, parse_angle, parse_interval
-from caustics.csvio import read_table, write_table
+from caustics.csvio import write_table
 from caustics.errors import ValidationError
 from caustics.inclination import AngleInterval, find_cusps, reconstruct
 from caustics.pantograph import PantographSolution, mirror_report, solve_series
@@ -76,14 +77,14 @@ def test_curve_run_writes_deterministic_files(tmp_path, capsys):
     assert svg1.startswith(b"<?xml")
 
 
-def test_curve_csv_round_trip(tmp_path, capsys):
+def test_curve_csv_round_trip(tmp_path, capsys, read_csv):
     path = tmp_path / "c.csv"
     code, _, _ = run_cli(
         capsys, "curve", "--curve", "circle:radius=1", "--interval", "0:pi",
         "--samples", "33", "--out-csv", str(path),
     )
     assert code == 0
-    header, rows = read_table(str(path))
+    header, rows = read_csv(path)
     assert header == ("theta", "x", "y", "R", "s")
     again = tmp_path / "again.csv"
     write_table(str(again), header, rows)
@@ -127,7 +128,7 @@ def test_curve_cusps_match_refined_grid(tmp_path, capsys, name):
     assert path.read_bytes() == ref.read_bytes()
 
 
-def test_caustic_run_flags_cusps(tmp_path, capsys):
+def test_caustic_run_flags_cusps(tmp_path, capsys, read_csv):
     path = tmp_path / "caustic.csv"
     code, out, _ = run_cli(
         capsys,
@@ -146,7 +147,7 @@ def test_caustic_run_flags_cusps(tmp_path, capsys):
     assert code == 0
     assert "tilt=reflection" in out
     assert "flagged=1" in out  # exact cusp node at theta = 0
-    header, _ = read_table(str(path))
+    header, _ = read_csv(path)
     assert header == ("theta", "theta1", "x", "y", "R1", "ray_length")
 
 
@@ -180,7 +181,7 @@ def test_skew_delay_normalises_advance(capsys):
     assert "factor_a=-0.9" in out
 
 
-def test_pantograph_echoes_exact_factor(tmp_path, capsys):
+def test_pantograph_echoes_exact_factor(tmp_path, capsys, read_csv):
     path = tmp_path / "coeffs.csv"
     code, out, _ = run_cli(
         capsys, "pantograph", "--m", "2", "--order", "12", "--out-csv", str(path)
@@ -189,7 +190,7 @@ def test_pantograph_echoes_exact_factor(tmp_path, capsys):
     assert "a=5/16" in out
     assert "is_vertical=false" in out
     assert "collinearity_residual=" in out
-    header, rows = read_table(str(path))
+    header, rows = read_csv(path)
     assert header == ("n", "a_n")
     assert rows[0][0] == 1.0 and rows[0][1] == 1.0
     assert abs(rows[2][1] - 1.0 / 39.0) < 1e-16
@@ -365,6 +366,35 @@ def test_bad_angle_literal_is_validation_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("svg", [False, True], ids=["no_svg", "svg"])
+def test_pantograph_bad_window_exits_2_before_any_report(tmp_path, capsys, svg):
+    argv = ["pantograph", "--m", "2", "--interval", "foo"]
+    if svg:
+        argv += ["--out-svg", str(tmp_path / "m.svg")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not (tmp_path / "m.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curve", "--curve", "log_spiral:growth=1000"),
+        ("curve", "--curve", "puiseux:c=500"),
+        ("caustic", "--curve", "log_spiral:growth=1000"),
+    ],
+)
+def test_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: R is not finite at theta = ")
+
+
 def test_series_curve_reads_secondary_coefficient(capsys):
     code, out, err = run_cli(
         capsys, "curve", "--curve", "series:k=-3,secondary=0.5",
@@ -446,7 +476,7 @@ def run_cli_process(*argv, cap=False):
         ("pantograph", "--m", "-2", "--secondary", "0.25", "--out-svg", "m.svg"),
     ],
 )
-def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv):
+def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv, read_csv):
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
     if argv[2] == "log_spiral":
         argv += ["--out-csv", str(tmp_path / "spiral.csv")]
@@ -454,7 +484,7 @@ def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv):
     assert "Traceback" not in err
     assert code == 0 or (code == 3 and err.startswith("error:")), err
     if argv[2] == "log_spiral":
-        _, rows = read_table(str(tmp_path / "spiral.csv"))
+        _, rows = read_csv(tmp_path / "spiral.csv")
         t, x, y = np.asarray(rows)[:, :3].T
         want_x = np.exp(t) * (np.cos(t) + np.sin(t)) / 2 - 0.5
         want_y = np.exp(t) * (np.sin(t) - np.cos(t)) / 2 + 0.5

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_interval_validation():
     with pytest.raises(ValidationError):
         AngleInterval(0.0, 1.0, n_samples=1)
     iv = AngleInterval(0.0, 2.0, 5)
-    assert iv.length == 2.0
+    assert iv.hi - iv.lo == 2.0
     assert iv.contains(2.0) and not iv.contains(2.1)
     assert np.allclose(iv.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
@@ -143,6 +144,16 @@ def test_non_finite_radius_derivative_is_an_error():
         reconstruct(curve)
     with pytest.raises(EvaluationError, match=r"R' is not finite at theta = 0\.0$"):
         caustic_curve(curve, TiltField.skew(0.3))
+
+
+def test_overflowing_jet_is_an_error_under_warnings_as_errors():
+    # exp(1000 theta) overflows past theta = 0.7098; the node 0.75 is the first.
+    curve = log_spiral(1.0, 1000.0, domain=AngleInterval(0.0, 1.0, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (reconstruct, find_cusps):
+            with pytest.raises(EvaluationError, match=r"R is not finite at theta = 0\.75$"):
+                fn(curve)
 
 
 def test_endpoint_zeros_are_not_cusps():

@@ -31,9 +31,7 @@ from caustics.pantograph import (
     mirror_equation_residual,
     mirror_report,
     overlay_caustic_points,
-    parabola_focus,
     parabola_mirror,
-    parabola_position,
     similarity_factor,
     solution_curve,
     solve_series,
@@ -89,8 +87,8 @@ def test_resonant_order_needs_secondary():
     with pytest.raises(ResonanceError):
         solve_series(-3, n_max=8)
     series = solve_series(-3, n_max=8, secondary=0.25, exact=True)
-    assert series.coefficient(-3) == 1.0
-    assert series.coefficient(-2) == 0.25
+    assert series.coefficients[-3 - series.k] == 1.0
+    assert series.coefficients[-2 - series.k] == 0.25
     with pytest.raises(ValidationError):
         solve_series(1, n_max=8, secondary=0.25)
 
@@ -373,10 +371,13 @@ def test_parabola_identities():
     lo, hi = 0.2, math.pi - 0.2
     curve = parabola_mirror(A, domain=AngleInterval(lo, hi, 257))
     samples = reconstruct(curve)
-    pts = samples.points + parabola_position(A, lo)
+    # The closed form of the first point: (-A/(2 sin^2 t), -A cot t) at t = lo.
+    pts = samples.points + (-A / (2.0 * math.sin(lo) ** 2), -A / math.tan(lo))
     implicit = pts[:, 1] ** 2 + 2 * A * pts[:, 0] + A * A
     assert np.max(np.abs(implicit)) < 1e-8
-    assert np.array_equal(parabola_focus(A), (-A, 0.0))
+    # Every point is as far from the focus (-A, 0) as from the directrix x = 0.
+    focal = np.hypot(pts[:, 0] + A, pts[:, 1]) - np.abs(pts[:, 0])
+    assert np.max(np.abs(focal)) < 1e-8
 
 
 def test_parabola_validation():

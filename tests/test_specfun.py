@@ -80,7 +80,7 @@ def test_tan_coefficient_fractions():
         Fraction(62, 2835),
     ]
     assert list(tc.exact[:5]) == expected
-    assert tc.coefficient(3) == pytest.approx(17.0 / 315.0, abs=1e-17)
+    assert tc.values[3] == pytest.approx(17.0 / 315.0, abs=1e-17)
 
 
 def _reference_tan(n_max):
@@ -136,7 +136,7 @@ def test_tan_coefficients_from_zeta():
     tc = tan_coeffs(16)
     for n in range(1, 15):
         via_zeta = 2.0 * (4.0**n - 1.0) * zeta_even(2 * n) / math.pi ** (2 * n)
-        direct = tc.coefficient(n - 1)
+        direct = tc.values[n - 1]
         assert abs(via_zeta - direct) < 1e-14 * max(1.0, direct)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from caustics import csvio
-from caustics.csvio import read_table, write_coefficient_csv, write_table
+from caustics.csvio import write_coefficient_csv, write_table
 from caustics.errors import ValidationError
 from caustics.svg import GROUP_ORDER, _STYLE, write_scene
 
@@ -47,7 +47,7 @@ SPECIAL = [
 ]
 
 
-def test_csv_special_values_match_per_cell_reference(tmp_path, rng):
+def test_csv_special_values_match_per_cell_reference(tmp_path, rng, read_csv):
     values = np.array(SPECIAL + list(rng.normal(size=22) * 10.0 ** rng.integers(-30, 30, 22)))
     table = values.reshape(-1, 6)
     header = ("a", "b", "c", "d", "e", "f")
@@ -56,7 +56,7 @@ def test_csv_special_values_match_per_cell_reference(tmp_path, rng):
     assert path.read_bytes() == _reference_csv(header, table.tolist())
     write_table(path, header, table.tolist())
     assert path.read_bytes() == _reference_csv(header, table.tolist())
-    _, back = read_table(path)
+    _, back = read_csv(path)
     assert np.array_equal(back, table, equal_nan=True)
     assert np.array_equal(np.signbit(back), np.signbit(table))
 
@@ -202,17 +202,6 @@ def test_csv_writer_peak_memory_is_bounded(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-@pytest.mark.parametrize(
-    "text", ["a,b\n1,2\n3\n", "a,b\n1,2,3\n", "a,b\n1,x\n", "a\n\x20\n"],
-    ids=["short_row", "long_row", "not_a_number", "blank_cell"],
-)
-def test_read_table_rejects_ragged_or_non_numeric_rows(tmp_path, text):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ValidationError):
-        read_table(path)
 
 
 # ---------------------------------------------------------------------------
