@@ -234,7 +234,7 @@ def _run_caustic(args: argparse.Namespace) -> None:
         write_caustic_csv(args.out_csv, caus)
     if args.out_svg:
         mpts, cpts = caus.source.points, caus.points
-        drawn = np.all(np.isfinite(cpts), axis=1)  # flagged nodes are NaN
+        drawn = np.isfinite(cpts[:, 0]) & np.isfinite(cpts[:, 1])  # flagged nodes are NaN
         rays = np.stack([mpts[drawn], cpts[drawn]], axis=1)
         write_scene(args.out_svg, mirror=[mpts], caustic=[cpts], rays=rays)
     print(f"curve={curve.label or 'custom'}")

@@ -185,7 +185,7 @@ def envelope_numeric(family: RayFamily) -> EnvelopePolyline:
 
 def _split_segments(points: np.ndarray) -> np.ndarray:
     """Segments between consecutive finite points (NaN rows break the chain)."""
-    finite = np.all(np.isfinite(points), axis=1)
+    finite = np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
     keep = finite[:-1] & finite[1:]
     return np.stack([points[:-1][keep], points[1:][keep]], axis=1)
 
@@ -193,10 +193,10 @@ def _split_segments(points: np.ndarray) -> np.ndarray:
 def _mask_near(points: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
     """True for points farther than ``radius`` from every center."""
     if centers.size == 0:
-        return np.all(np.isfinite(points), axis=1)
+        return np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
     d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
     far = np.all(d > radius, axis=1)
-    return far & np.all(np.isfinite(points), axis=1)
+    return far & np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
 
 
 _PAIR_CHUNK = 1 << 18

@@ -2,15 +2,20 @@
 
 Scenes are stroke-only, drawn y-up at uniform scale, and always emit
 their groups in the fixed order mirror, caustic, rays, cusps, cuspline
-so that regenerated files diff cleanly.
+so that regenerated files diff cleanly.  Coordinates are printed as
+``"%.3f"`` by the fixed-point layout of the digit kernel in
+``caustics._digits``, which spells every path command, coordinate and
+separator of a scene as byte rows and writes them a block at a time.
 """
 from __future__ import annotations
 
+import math
 import os
 from typing import Sequence
 
 import numpy as np
 
+from . import _digits
 from .errors import ValidationError
 
 __all__ = ["GROUP_ORDER", "write_scene"]
@@ -29,7 +34,15 @@ _STYLE = {
     "cusps": 'stroke="#000000" stroke-width="0.750" fill="none"',
     "cuspline": 'stroke="#2ca02c" stroke-width="0.750" stroke-dasharray="6.000 4.000" fill="none"',
 }
-_CIRCLE = '\n<circle cx="%.3f" cy="%.3f" r="3.840"/>'
+_SEPARATORS = _digits.separators(
+    b" ", b"L", b"M", b'"/>\n<path d="M', b'"/>', b'" cy="', b'" r="3.840"/>'
+)
+"""Text after a coordinate.  In a path: after x; after y when a line runs
+to the next point, or the pen moves there (a NaN row lifted it); after a
+polyline's last y, then after the group's.  In a circle: after x, after y."""
+_SPACE, _LINE, _MOVE, _NEXT_PATH, _END_PATH, _CY, _END_CIRCLE = range(7)
+_PATH_LEAD, _CIRCLE_LEAD = '\n<path d="M', '\n<circle cx="'
+"""Text before a group's first coordinate; each circle's x needs it too."""
 
 
 def _as_group(data) -> tuple[np.ndarray, np.ndarray] | None:
@@ -41,44 +54,39 @@ def _as_group(data) -> tuple[np.ndarray, np.ndarray] | None:
     """
     if data is None:
         return None
-    if isinstance(data, np.ndarray) and data.ndim == 3:
-        polys = [data.reshape(-1, data.shape[2])]
-        lengths = np.full(len(data), data.shape[1])
-    else:
-        if isinstance(data, np.ndarray) and data.ndim == 2:
-            data = [data]
-        polys = [np.asarray(poly, dtype=float) for poly in data]
-        lengths = np.array([arr.size // 2 for arr in polys], dtype=int)
+    try:
+        if isinstance(data, np.ndarray) and data.ndim == 3:
+            polys = [data.reshape(-1, data.shape[2]).astype(float, copy=False)]
+            lengths = np.full(len(data), data.shape[1])
+        else:
+            if isinstance(data, np.ndarray) and data.ndim == 2:
+                data = [data]
+            polys = [np.asarray(poly, dtype=float) for poly in data]
+            lengths = np.array([arr.size // 2 for arr in polys], dtype=int)
+    except (TypeError, ValueError):
+        raise ValidationError("every polyline must be an (n, 2) array of numbers") from None
     if any(arr.ndim != 2 or arr.shape[1] != 2 for arr in polys):
         raise ValidationError("every polyline must be an (n, 2) array")
     if len(lengths) == 0:
         return None
-    return np.concatenate(polys, axis=0).astype(float, copy=False), lengths
+    return (polys[0] if len(polys) == 1 else np.concatenate(polys, axis=0)), lengths
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".3f")
-
-
-def _path_lines(xy: np.ndarray, finite: np.ndarray, lengths: np.ndarray) -> str:
-    """``<path>`` lines, each led by a newline, for the polylines of one group.
+def _path_codes(finite: np.ndarray, lengths: np.ndarray, codes: np.ndarray) -> None:
+    """Separator codes after the x and the y of each finite point of one path group.
 
     NaN rows lift the pen; a polyline with no finite row draws nothing.
     """
     # The pen is down after a finite row; each polyline's first finite row moves it.
-    pen_down = np.zeros(len(xy), dtype=bool)
+    drawn = np.zeros(len(finite) + 1, np.intp)
+    np.cumsum(finite, out=drawn[1:])
+    ends = drawn[np.cumsum(lengths)]  # finite rows up to the end of each polyline
+    pen_down = np.zeros(len(finite), dtype=bool)
     pen_down[1:] = finite[:-1]
-    owner = np.repeat(np.arange(len(lengths)), lengths)[finite]
-    first = np.ones(len(owner), dtype=bool)
-    first[1:] = owner[1:] != owner[:-1]
-    last = np.ones(len(owner), dtype=bool)
-    last[:-1] = first[1:]
-    cells = np.empty((len(owner), 4), dtype=object)
-    cells[:, 0] = np.where(pen_down[finite], "L", "M")
-    cells[first, 0] = '\n<path d="M'
-    cells[:, 1:3] = xy[finite]
-    cells[:, 3] = np.where(last, '"/>', "")
-    return "%s%.3f %.3f%s" * len(owner) % tuple(cells.ravel().tolist())
+    codes[:, 0] = _SPACE
+    codes[:-1, 1] = np.where(pen_down[finite][1:], _LINE, _MOVE)
+    codes[ends[ends > 0] - 1, 1] = _NEXT_PATH
+    codes[-1, 1] = _END_PATH
 
 
 def write_scene(
@@ -97,53 +105,73 @@ def write_scene(
     inside polylines lift the pen.  The viewport is fitted to the finite
     data with a uniform scale and the y axis pointing up; its longer side
     is ``SIZE`` and each margin ``MARGIN_FRACTION`` of the data's larger
-    extent.  Each group's text is formatted in one pass.
+    extent, which must be finite.
     """
-    groups = {
-        "mirror": _as_group(mirror),
-        "caustic": _as_group(caustic),
-        "rays": _as_group(rays),
-        "cusps": _as_group(np.asarray(cusps, dtype=float).reshape(1, -1, 2))
-        if cusps is not None and len(cusps)
-        else None,
-        "cuspline": _as_group(cuspline),
-    }
-    stacks = [group[0] for group in groups.values() if group is not None]
-    if not stacks:
+    if cusps is not None and len(cusps):
+        try:
+            cusps = np.asarray(cusps, dtype=float).reshape(1, -1, 2)
+        except (TypeError, ValueError):
+            raise ValidationError("cusps must be an (n, 2) array of numbers") from None
+    else:
+        cusps = None
+    given = dict(mirror=mirror, caustic=caustic, rays=rays, cusps=cusps, cuspline=cuspline)
+    groups = {name: _as_group(given[name]) for name in GROUP_ORDER}
+    groups = {name: group for name, group in groups.items() if group is not None}
+    if not groups:
         raise ValidationError("nothing to draw")
-    allpts = np.concatenate(stacks, axis=0)
-    finite = allpts[np.all(np.isfinite(allpts), axis=1)]
-    if len(finite) == 0:
+    finite = {
+        name: np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
+        for name, (points, _) in groups.items()
+    }
+    counts = {name: int(np.count_nonzero(rows)) for name, rows in finite.items()}
+    # The finite points of every group, in drawing order.
+    xy = np.empty((sum(counts.values()), 2))
+    if len(xy) == 0:
         raise ValidationError("no finite points to draw")
-    lo = finite.min(axis=0)
-    hi = finite.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    at = 0
+    for name, (points, _) in groups.items():
+        np.compress(finite[name], points, axis=0, out=xy[at : at + counts[name]])
+        at += counts[name]
+    lo_x, hi_x = float(xy[:, 0].min()), float(xy[:, 0].max())
+    lo_y, hi_y = float(xy[:, 1].min()), float(xy[:, 1].max())
+    span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     margin = MARGIN_FRACTION * span
+    if not math.isfinite(span + 2 * margin):
+        raise ValidationError("the extent of the scene overflows")
     scale = SIZE / (span + 2 * margin)
-    width = (hi[0] - lo[0] + 2 * margin) * scale
-    height = (hi[1] - lo[1] + 2 * margin) * scale
+    width = format((hi_x - lo_x + 2 * margin) * scale, ".3f")
+    height = format((hi_y - lo_y + 2 * margin) * scale, ".3f")
+    # SVG y runs down: flip it, so the scene reads y-up inside the margin.
+    xy[:, 0] -= lo_x
+    xy[:, 0] += margin
+    xy[:, 0] *= scale
+    np.subtract(hi_y, xy[:, 1], out=xy[:, 1])
+    xy[:, 1] += margin
+    xy[:, 1] *= scale
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}">',
-    ]
-    for name in GROUP_ORDER:
-        if groups[name] is None:
-            continue
-        points, lengths = groups[name]
-        finite = np.all(np.isfinite(points), axis=1)
-        # SVG y runs down: flip it, so the scene reads y-up inside the margin.
-        xy = np.column_stack(
-            [(points[:, 0] - lo[0] + margin) * scale, (hi[1] - points[:, 1] + margin) * scale]
-        )
-        if name == "cusps":
-            body = _CIRCLE * int(finite.sum()) % tuple(xy[finite].ravel().tolist())
-        else:
-            body = _path_lines(xy, finite, lengths)
-        lines.append(f'<g id="{name}" {_STYLE[name]}>' + body)
-        lines.append("</g>")
-    lines.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    # Each group's separator codes, and the text written before a row of xy:
+    # group tags, and the lead of each circle.
+    codes = np.empty(xy.shape, np.int8)
+    breaks = []
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+        f'width="{width}" height="{height}">\n'
+    )
+    at = 0
+    for name, (_, lengths) in groups.items():
+        count = counts[name]
+        lead = _CIRCLE_LEAD if name == "cusps" else _PATH_LEAD
+        head += f'<g id="{name}" {_STYLE[name]}>' + (lead if count else "")
+        breaks.append((at, head.encode("ascii")))
+        part = codes[at : at + count]
+        if count and name == "cusps":
+            part[:] = (_CY, _END_CIRCLE)
+            breaks.extend((row, lead.encode("ascii")) for row in range(at + 1, at + count))
+        elif count:
+            _path_codes(finite[name], lengths, part)
+        at += count
+        head = "\n</g>\n"
+    breaks.append((at, (head + "</svg>\n").encode("ascii")))
+    with open(path, "wb") as fh:
+        _digits.write_cells(fh, xy, _digits.FIXED, codes, _SEPARATORS, breaks)

@@ -1,5 +1,6 @@
 """CSV and SVG writers: byte-equal to one-cell-at-a-time and one-point-at-a-time references."""
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caustics import csvio
+from caustics import _digits
 from caustics.csvio import write_coefficient_csv, write_table
 from caustics.errors import ValidationError
 from caustics.svg import GROUP_ORDER, _STYLE, write_scene
@@ -176,7 +177,7 @@ def test_csv_near_ties_match_reference(tmp_path):
 
 @pytest.mark.parametrize("width", [1, 2, 5, 6])
 def test_csv_block_boundaries_match_reference(tmp_path, rng, width):
-    block = csvio._BLOCK_CELLS // width
+    block = _digits.BLOCK_CELLS // width
     size = (block + 1) * width
     values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size)
     values[::97] = np.nan
@@ -202,6 +203,58 @@ def test_csv_writer_peak_memory_is_bounded(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point layout ("%.3f", the SVG coordinates)
+
+
+def _fixed_text(values) -> bytes:
+    """``values`` one to a line, through the kernel's fixed-point layout."""
+    buf = io.BytesIO()
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    _digits.write_cells(buf, column, _digits.FIXED, np.zeros(1, np.int8), _digits.separators(b"\n"))
+    return buf.getvalue()
+
+
+def _assert_fixed_matches_format(values):
+    values = np.asarray(values, dtype=float)
+    want = "".join(format(v, ".3f") + "\n" for v in values.tolist()).encode("ascii")
+    assert _fixed_text(values) == want
+
+
+def test_fixed_thousandths_and_neighbours_match_format():
+    grid = np.arange(704_001) / 1000.0
+    _assert_fixed_matches_format(np.concatenate([grid, np.nextafter(grid, 0.0), np.nextafter(grid, 1e4)]))
+
+
+def test_fixed_exact_ties_round_half_to_even():
+    # 1000 x lies exactly halfway between integers for the odd multiples of 1/16.
+    ties = np.arange(1, 704 * 16, 2) / 16.0
+    assert (ties * 1000 % 1 == 0.5).all()
+    _assert_fixed_matches_format(np.concatenate([ties, [0.0625, 2.0625, 640.4375]]))
+    assert _fixed_text([0.0625, 2.0625, 640.4375]) == b"0.062\n2.062\n640.438\n"
+
+
+def test_fixed_carries_lengthen_the_integer_part():
+    values = [0.9996, 9.9996, 99.9996, 999.9996, 9999.9994, 9999.9996, 9999.9999999]
+    _assert_fixed_matches_format(values)
+    assert _fixed_text([9.9996, 999.9996]) == b"10.000\n1000.000\n"
+
+
+def test_fixed_signs_and_non_finite_cells_match_format():
+    values = [0.0, -0.0, -0.0004, -0.0005, -0.0006, -123.4567, 1e4, 12345.6789, 1e300,
+              -1e300, 5e-324, math.nan, math.inf, -math.inf]
+    _assert_fixed_matches_format(values)
+    assert _fixed_text([-0.0, -0.0004]) == b"-0.000\n-0.000\n"
+
+
+def test_fixed_uniform_draws_match_format(rng):
+    values = rng.uniform(0.0, 704.0, 100_000)
+    _assert_fixed_matches_format(values)
+    # The kernel spells every one of them itself; ``%`` is only its fallback.
+    rows, shown = np.empty((len(values), 8), np.uint8), np.empty((len(values), 8), bool)
+    assert _digits._fill_fixed(values, rows, shown).all()
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +386,69 @@ def test_svg_rejects_bad_polylines(tmp_path):
         write_scene(tmp_path / "bad.svg", mirror=[np.zeros(4)])
     with pytest.raises(ValidationError):
         write_scene(tmp_path / "bad.svg", mirror=[])
+    with pytest.raises(ValidationError):
+        write_scene(tmp_path / "bad.svg", mirror=[[["a", "b"]]])
+    with pytest.raises(ValidationError):
+        write_scene(tmp_path / "bad.svg", mirror=[[[1.0, 2.0], [3.0]]])
+    with pytest.raises(ValidationError):
+        write_scene(tmp_path / "bad.svg", cusps=[["x", 1]])
+
+
+@pytest.mark.parametrize("corner", [-1e308, 0.0], ids=["span", "span_with_margins"])
+def test_svg_rejects_an_overflowing_extent(tmp_path, corner):
+    mirror = [np.array([[corner, 0.0], [1.7e308, 1.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            write_scene(tmp_path / "huge.svg", mirror=mirror)
+    assert not (tmp_path / "huge.svg").exists()
+
+
+def _dense_scene(n):
+    """Mirror, caustic and rays of a cycloid-like curve at ``n`` samples."""
+    t = np.linspace(-2 * math.pi, 2 * math.pi, n)
+    mirror = np.column_stack([t + np.sin(t), 1.0 - np.cos(t)])
+    caustic = np.column_stack([t - np.sin(t) / 3, (1.0 - np.cos(t)) / 3 - 1.0])
+    return mirror, caustic, np.stack([mirror, caustic], axis=1)
+
+
+def test_svg_dense_scene_matches_per_point_reference(tmp_path, rng):
+    n = 16_385
+    mirror, caustic, rays = _dense_scene(n)
+    block = _digits.BLOCK_CELLS // 2  # points a block
+    mirror[[0, block - 1, block, 5000, 5001, n - 1]] = np.nan  # pen lifts
+    caustic[block - 3 : block + 3, 1] = np.nan
+    rays[17, 1] = np.nan  # a ray whose tip did not resolve
+    cuspline = rng.uniform(-1.0, 1.0, size=(2 * block + 7, 2))  # crosses a block boundary
+    cusps = np.array([[0.0, 0.0], [np.nan, 1.0], [math.pi, 2.0], [-math.pi, 2.0]])
+    groups = dict(mirror=[mirror], caustic=[caustic, caustic[:9] + 0.5], rays=rays, cusps=cusps,
+                  cuspline=[cuspline])
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    write_scene(got, **groups)
+    _reference_scene(want, **groups)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_svg_groups_meeting_at_block_edges_match_reference(tmp_path, shift):
+    # Drawn points are formatted a block at a time across groups, so group
+    # tags and circle leads fall at, just before and just after block edges.
+    block = _digits.BLOCK_CELLS // 2
+    mirror, caustic, _ = _dense_scene(2 * block)
+    groups = dict(mirror=[mirror[: block + shift]], caustic=[caustic[: block - shift]],
+                  cusps=mirror[:3] + 0.25, cuspline=[caustic[:2]])
+    got, want = tmp_path / "got.svg", tmp_path / "want.svg"
+    write_scene(got, **groups)
+    _reference_scene(want, **groups)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_svg_writer_peak_memory_is_bounded(tmp_path):
+    mirror, caustic, rays = _dense_scene(65_537)
+    tracemalloc.start()
+    try:
+        write_scene(tmp_path / "big.svg", mirror=[mirror], caustic=[caustic], rays=rays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
