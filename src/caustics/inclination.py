@@ -64,6 +64,8 @@ class AngleInterval:
                 f"need lo < hi, got [{self.lo}, {self.hi}]; the tangent angle "
                 "increases strictly along every curve"
             )
+        if not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool):
+            raise ValidationError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 2:
             raise ValidationError("an interval carries at least 2 samples")
 

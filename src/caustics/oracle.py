@@ -251,11 +251,12 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     a = segments[:, 0]
     v = segments[:, 1] - a
     vv = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
-    ends = segments.reshape(-1, 2)
-    origin = ends.min(axis=0)
+    # Column by column: numpy reduces an (n, 2) array along axis 0 about 10x slower.
+    xs, ys = segments[..., 0], segments[..., 1]
+    origin = np.array([xs.min(), ys.min()])
     # Any positive side gives the same answer; at least 2**-20 of the extent
     # keeps the cell keys inside int64.
-    span = float(np.max(ends.max(axis=0) - origin))
+    span = float(max(xs.max() - origin[0], ys.max() - origin[1]))
     lengths = np.sqrt(vv[vv > 0.0])
     typical = float(np.median(lengths)) if len(lengths) else 0.0
     h = max(2.0 * typical, span / 2.0**20) or 1.0
@@ -305,10 +306,20 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     longs = np.flatnonzero(~short)
     best = np.minimum(best, _nearest(points, a[longs], v[longs], vv[longs]))
     # Cell indices and distances carry rounding of order eps * |coordinates|.
-    scale = max(float(np.abs(ends).max()), float(np.abs(points).max())) + h
+    scale = max(float(np.abs(segments).max()), float(np.abs(points).max())) + h
     uncertified = np.flatnonzero(best > h - 64.0 * np.finfo(float).eps * scale)
     best[uncertified] = _nearest(points[uncertified], a, v, vv)
     return float(best.max())
+
+
+def _polyline(data) -> np.ndarray:
+    try:
+        points = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("a polyline must be an (n, 2) array of numbers") from None
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValidationError(f"a polyline must be an (n, 2) array, got shape {points.shape}")
+    return points
 
 
 def hausdorff_distance(
@@ -328,10 +339,10 @@ def hausdorff_distance(
     uniform grid and evaluates a point only against the segments near it;
     points the grid cannot certify fall back to all segments.  The value
     equals the brute-force maximum over points of the minimum over all
-    point-segment pairs, to the last bit.
+    point-segment pairs, to the last bit.  Raises ``ValidationError`` unless
+    both polylines are ``(n, 2)`` arrays of numbers.
     """
-    first = np.asarray(first, dtype=float)
-    second = np.asarray(second, dtype=float)
+    first, second = _polyline(first), _polyline(second)
     centers = np.asarray(exclusions, dtype=float).reshape(-1, 2)
 
     def prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

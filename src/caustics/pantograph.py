@@ -12,13 +12,13 @@ coefficients follow from a tangent-weighted recursion.  The series
 converges on |theta| < pi/2 only; values beyond are produced by the
 doubling identity R(2u) = (3 cos(u) R(u) + sin(u) R'(u)) / (4a), applied
 to Taylor jets in h of R(u + h) so that each doubling can pay for the
-derivative it consumes.  Every step on a jet is a constant linear
-operator.  The jet of Q is one Horner pass over a per-series table of the
-weighted coefficients a_n C(n, j).  Since sin(u + h) = sin u cos h +
-cos u sin h, a product with a trig jet is sin u (T_c X) + cos u (T_s X),
-with T_c and T_s the fixed Toeplitz matrices of the Taylor coefficients
-of cos h and sin h; one doubling is cos u (A H) + sin u (B H), with A and
-B fixed per family and jet length.
+derivative it consumes.  Every step on a jet is a constant table, built
+once for jets of ``JET_ORDER + 1`` rows.  The jet of Q is one Horner pass
+over a per-series table of the weighted coefficients a_n C(n, j).  Since
+sin(u + h) = sin u cos h + cos u sin h, a product with a trig jet is
+sin u (T_c X) + cos u (T_s X), with T_c and T_s the fixed Toeplitz
+matrices of the Taylor coefficients of cos h and sin h; one doubling is
+sin u (B H) + cos u (A H), with A and B fixed per family.
 
 Positions past the window need no quadrature either: integrated against
 e^(i theta) from r(0) = 0, the equation gives the doubling law r(2u) =
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .specfun import tan_coeffs
 
 __all__ = [
     "BASE_GUARD",
+    "JET_ORDER",
     "PantographSeries",
     "PantographSolution",
     "similarity_factor",
@@ -74,6 +76,10 @@ __all__ = [
 
 BASE_GUARD = 1e-3
 """Stay this far inside the series' convergence half-width pi/2."""
+
+JET_ORDER = 12
+"""Doubling depths up to JET_ORDER - 1: one Taylor order per doubling plus
+one for the derivative, so jets of at most JET_ORDER + 1 rows."""
 
 
 def similarity_factor(k: int) -> Fraction:
@@ -106,8 +112,8 @@ class PantographSeries:
     ``coefficients[j]`` is a_{k+j}.  Coefficients of parity opposite to k
     vanish, except that the resonant family k = -3 carries a free a_{-2}
     seeding the opposite parity.  ``exact`` optionally retains the rational
-    coefficients the floats were rounded from.  The constant jet operators
-    of the continuation are built on first use and kept on the instance.
+    coefficients the floats were rounded from.  The continuation's Horner
+    and doubling tables are built on first use and kept on the instance.
     """
 
     k: int
@@ -115,7 +121,6 @@ class PantographSeries:
     n_max: int
     coefficients: np.ndarray
     exact: tuple[Fraction, ...] | None = None
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max <= self.k:
@@ -128,6 +133,14 @@ class PantographSeries:
 
     def powers(self) -> np.ndarray:
         return self.k + np.arange(len(self.coefficients))
+
+    @cached_property
+    def _horner(self):
+        return _q_horner_table(self, JET_ORDER + 1)
+
+    @cached_property
+    def _doubling(self) -> np.ndarray:
+        return _doubling_table(self, JET_ORDER + 1)
 
 
 _UNIT_SERIES: dict[int, list[Fraction]] = {}
@@ -223,19 +236,6 @@ def solve_series(
     )
 
 
-def _operator(series: PantographSeries, name: str, size: int, build):
-    """The constant table ``name`` of ``series`` for jets of ``size`` rows.
-
-    ``build(series, size)`` runs on first use and again only when a longer
-    jet is asked for; every table's leading block serves the shorter jets,
-    so callers slice what they need.
-    """
-    held = series._operators.get(name)
-    if held is None or held[0] < size:
-        held = series._operators[name] = (size, build(series, size))
-    return held[1]
-
-
 def _q_horner_table(series: PantographSeries, rows: int):
     """Horner data of the Taylor rows Q^(j)(u)/j! = sum_n a_n C(n, j) u^(n-j), j < rows.
 
@@ -270,11 +270,11 @@ def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     One Horner pass in v = u^stride serves every row at once, one
     coefficient per row at each step; row j is then scaled by u^p[j]
     (see ``_q_horner_table``).  Row j is filled for the leading
-    ``reach[j]`` angles and left 0 past them; ``reach`` does not increase.
-    The tables are built once per series and reused.
+    ``reach[j]`` angles and left 0 past them; ``reach`` does not increase
+    and has at most ``JET_ORDER + 1`` entries.
     """
     rows = len(reach)
-    coeffs, lowest, stride = _operator(series, "q", rows, _q_horner_table)
+    coeffs, lowest, stride = series._horner
     coeffs = coeffs[:, :rows]
     v = u if stride == 1 else u * u
     # Horner for the terms above each row's lowest one.  The lowest term is
@@ -295,101 +295,81 @@ def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     return tail
 
 
-_trig_rows = np.zeros((0, 0))
-
-
-def _trig_operator(length: int) -> np.ndarray:
+def _trig_table(rows: int) -> np.ndarray:
     """Rows T_c[j], T_s[j] at 2j, 2j + 1 of the lower-triangular Toeplitz
     matrices of the Taylor coefficients of cos h and sin h, for jets of
-    ``length`` rows.  The product of a jet X with the jet of sin(u + h) =
-    sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X).
-
-    One module table serves every series; it is grown to the longest jet
-    asked for, and its leading block serves the shorter jets.
-    """
-    global _trig_rows
-    if _trig_rows.shape[1] < length:
-        # 1/m! as a product of 1/j, which underflows to 0 where m! would overflow.
-        inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, length))))
-        m = np.arange(length)
-        signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
-        lag = m[:, None] - m[None, :]
-        below = lag >= 0
-        lag = np.where(below, lag, 0)
-        rows = np.empty((2 * length, length))
-        rows[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
-        rows[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
-        _trig_rows = rows
-    return _trig_rows[: 2 * length, :length]
+    ``rows`` rows.  The product of a jet X with the jet of sin(u + h) =
+    sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X)."""
+    inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, rows))))
+    m = np.arange(rows)
+    signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
+    lag = m[:, None] - m[None, :]
+    below = lag >= 0
+    lag = np.where(below, lag, 0)
+    table = np.empty((2 * rows, rows))
+    table[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
+    table[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
+    return table
 
 
-def _doubling_operator(series: PantographSeries, length: int) -> np.ndarray:
-    """Rows A[j], B[j] at 2j, 2j + 1 of the fixed L x (L+1) matrices of one
-    doubling: the jet of R(2u + 2h) / 2^j is cos u (A H) + sin u (B H) for
-    the jet H of R(u + h), with A = W (3 T_c + T_s D), B = W (T_c D - 3 T_s),
+_TRIG = _trig_table(JET_ORDER + 1)
+"""The trig table of every series; jets of L rows read its leading 2L rows."""
+
+
+def _doubling_table(series: PantographSeries, rows: int) -> np.ndarray:
+    """Rows B[j], A[j] at 2j, 2j + 1 of the fixed (L-1) x L matrices that double
+    a jet H of R(u + h) of L = ``rows`` rows: the jet of R(2u + 2h) / 2^j is
+    sin u (B H) + cos u (A H), with A = W (3 T_c + T_s D), B = W (T_c D - 3 T_s),
     D the derivative of a jet and W = diag(2^-j / (4a))."""
-    trig = _trig_operator(length)
-    tc, ts = trig[0::2], trig[1::2]
-    scale = np.arange(1.0, length + 1)
-    out = np.zeros((2 * length, length + 1))
-    out[0::2, :-1] = 3.0 * tc
-    out[0::2, 1:] += ts * scale
-    out[1::2, :-1] = -3.0 * ts
-    out[1::2, 1:] += tc * scale
+    length = rows - 1
+    tc, ts = _TRIG[0 : 2 * length : 2, :length], _TRIG[1 : 2 * length : 2, :length]
+    scale = np.arange(1.0, rows)
+    out = np.zeros((2 * length, rows))
+    out[0::2, :-1] = -3.0 * ts
+    out[0::2, 1:] += tc * scale
+    out[1::2, :-1] = 3.0 * tc
+    out[1::2, 1:] += ts * scale
     weight = (1.0 / (4.0 * series.factor_a)) / 2.0 ** np.arange(length)
     return out * np.repeat(weight, 2)[:, None]
 
 
-def _r_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
-    """Taylor coefficients of R(u + h) = Q(u + h) sin(u + h), row j for the
-    leading ``reach[j]`` angles."""
-    q = _q_taylor(series, u, reach)
-    length = len(reach)
-    op = _trig_operator(length)
-    # Row j of the product reads rows i <= j of Q, at the nonzero rows 2i.. of column i.
-    acc = op[:, :1] * q[0]
-    for i in range(1, length):
-        n = reach[i]
-        acc[2 * i :, :n] += op[2 * i :, i : i + 1] * q[i, :n]
+def _jet_product(table: np.ndarray, jet: np.ndarray, u: np.ndarray, reach, offset: int):
+    """sin u (table[0::2] jet) + cos u (table[1::2] jet), row j for the leading
+    ``reach[j]`` angles; column i of either half enters its rows >= i - offset
+    only.  Each product is accumulated column by column in elementwise numpy."""
+    acc = table[:, :1] * jet[0]
+    for i in range(1, jet.shape[0]):
+        top, n = 2 * (i - offset), reach[i]
+        acc[top:, :n] += table[top:, i : i + 1] * jet[i, :n]
     out = np.sin(u) * acc[0::2]
     out += np.cos(u) * acc[1::2]
     return out
 
 
+def _r_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
+    """Taylor coefficients of R(u + h) = Q(u + h) sin(u + h), row j for the
+    leading ``reach[j]`` angles."""
+    rows = len(reach)
+    return _jet_product(_TRIG[: 2 * rows], _q_taylor(series, u, reach), u, reach, 0)
+
+
 def _double(series: PantographSeries, head: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One doubling: from the jet of R(u + h), rows 0..L, the jet of R at 2u, rows 0..L-1."""
-    length = head.shape[0] - 1
-    op = _operator(series, "double", length, _doubling_operator)[: 2 * length, : length + 1]
-    # A and B are 0 above their first superdiagonal: column k enters rows >= k - 1.
-    acc = op[:, :1] * head[0]
-    for k in range(1, length + 1):
-        acc[2 * k - 2 :] += op[2 * k - 2 :, k : k + 1] * head[k]
-    out = np.cos(u) * acc[0::2]
-    out += np.sin(u) * acc[1::2]
-    return out
+    rows = head.shape[0]
+    return _jet_product(series._doubling[: 2 * rows - 2], head, u, [u.size] * rows, 1)
 
 
 @dataclass(frozen=True)
 class PantographSolution:
     """A mirror profile extended beyond the series window by doubling.
 
-    ``jet_order`` bounds the doubling depth: reaching an angle needs one
-    Taylor order per doubling plus one for the derivative, so angles up to
-    2^(jet_order - 1) (pi/2 - guard) are available, with ``guard`` the
-    class constant ``BASE_GUARD``.
+    It serves angles up to the class constant ``max_theta`` = 2^(JET_ORDER - 1)
+    (pi/2 - guard), with ``guard`` the class constant ``BASE_GUARD``.
     """
 
     series: PantographSeries
-    jet_order: int = 12
     guard = BASE_GUARD
-
-    def __post_init__(self):
-        if self.jet_order < 2:
-            raise ValidationError("jet_order must be at least 2")
-
-    @property
-    def max_theta(self) -> float:
-        return 2.0 ** (self.jet_order - 1) * (math.pi / 2 - self.guard)
+    max_theta = 2.0 ** (JET_ORDER - 1) * (math.pi / 2 - BASE_GUARD)
 
 
 _BLOCK_ANGLES = 4096
@@ -408,20 +388,19 @@ def continue_R(solution: PantographSolution, theta):
     """R and R' anywhere on [0, max_theta], by jet doubling past pi/2.
 
     Accepts scalars or arrays; returns a pair (R, R') of matching shape.
-    Raises ``PoleError`` at theta = 0 for the families k <= -1.  An angle
-    of depth d is halved d times into the series window, where R gets a
-    Taylor jet of d + 2 coefficients in h; each doubling of u + h consumes
-    one.  The angles are sorted by depth, deepest first, and taken in
-    blocks of ``_BLOCK_ANGLES``.  Each block makes one pass: one Horner
-    pass for the Q jet, then R = sin u (T_c Q) + cos u (T_s Q), where order
-    j is formed only for the leading angles of depth at least j - 1, then
-    one doubling step per level, F = cos u (A H) + sin u (B H), from the
-    block's deepest level down to 1, on the leading angles of depth at
-    least that level.  The matrices are constants of the family, and each
-    product is accumulated column by column in elementwise numpy, never a
-    BLAS product.  Each angle goes through the same operations in the same
-    order as it would alone, so a batch returns exactly what separate calls
-    return.
+    Raises ``PoleError`` at theta = 0 for the families k <= -1, and
+    ``JetDepthError`` past ``max_theta``.  An angle of depth d is halved d
+    times into the series window, where R gets a Taylor jet of d + 2
+    coefficients in h; each doubling of u + h consumes one.  The angles are
+    sorted by depth, deepest first, and taken in blocks of
+    ``_BLOCK_ANGLES``.  Each block makes one pass: one Horner pass for the
+    Q jet, then R = sin u (T_c Q) + cos u (T_s Q), where order j is formed
+    only for the leading angles of depth at least j - 1, then one doubling
+    step per level, F = sin u (B H) + cos u (A H), from the block's deepest
+    level down to 1, on the leading angles of depth at least that level.
+    Both products go through ``_jet_product``, never a BLAS product.  Each
+    angle goes through the same operations in the same order as it would
+    alone, so a batch returns exactly what separate calls return.
     """
     arr = np.asarray(theta, dtype=float)
     flat = arr.ravel()
@@ -432,13 +411,13 @@ def continue_R(solution: PantographSolution, theta):
     if k <= -1 and np.any(flat == 0.0):
         raise PoleError(f"the k = {k} family has a pole of Q = R / sin(theta) at theta = 0")
     depth = _depth(solution, flat)
-    if depth.size and depth.max() + 1 > solution.jet_order:
+    if depth.size and depth.max() >= JET_ORDER:
         worst = int(np.argmax(depth))
         raise JetDepthError(
-            f"theta = {flat[worst]:g} needs doubling depth {depth[worst]}; configure "
-            f"jet_order >= {depth[worst] + 1}"
+            f"theta = {flat[worst]:g} needs doubling depth {depth[worst]}; the "
+            f"continuation ends at max_theta = {solution.max_theta:g}"
         )
-    # Depths stay below 1 100 for finite theta, so int16 keys take numpy's radix sort.
+    # Depths stay below JET_ORDER, so int16 keys take numpy's radix sort.
     order = np.argsort(-depth.astype(np.int16), kind="stable")
     r = np.empty_like(flat)
     rp = np.empty_like(flat)

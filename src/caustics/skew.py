@@ -101,11 +101,15 @@ class SkewFamilySpec:
             object.__setattr__(self, "factor_a", factor_a)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(
-            self,
-            "coefficients",
-            tuple((float(a), float(b)) for a, b in self.coefficients),
-        )
+        try:
+            pairs = tuple((float(a), float(b)) for a, b in self.coefficients)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"coefficients must be (A, B) pairs of numbers, got {self.coefficients!r}"
+            ) from None
+        if not pairs:
+            raise ValidationError("coefficients must hold at least one (A, B) pair")
+        object.__setattr__(self, "coefficients", pairs)
         object.__setattr__(self, "root_indices", tuple(int(i) for i in self.root_indices))
 
 

@@ -166,6 +166,7 @@ SUBMODULE_EXPORTS = {
     ],
     "pantograph": [
         "BASE_GUARD",
+        "JET_ORDER",
         "MirrorReport",
         "PantographSeries",
         "PantographSolution",

@@ -50,6 +50,13 @@ def test_interval_validation():
     assert iv.hi - iv.lo == 2.0
     assert iv.contains(2.0) and not iv.contains(2.1)
     assert np.allclose(iv.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert AngleInterval(0.0, 1.0, np.int64(9)).grid().size == 9
+
+
+@pytest.mark.parametrize("n_samples", [2.5, float("nan"), "9", True])
+def test_interval_rejects_non_integer_sample_counts(n_samples):
+    with pytest.raises(ValidationError, match="n_samples must be an integer"):
+        AngleInterval(0.0, 1.0, n_samples)
 
 
 def test_circle_reconstruction_closed_form():

@@ -126,6 +126,17 @@ def test_hausdorff_with_gaps_and_exclusions():
         hausdorff_distance(first, second, exclusions=np.array([[0.5, 0.5]]), exclusion_radius=10.0)
 
 
+@pytest.mark.parametrize(
+    "bad", [[], np.zeros((3, 3)), [["a", "b"]]], ids=["empty", "three_columns", "strings"]
+)
+def test_hausdorff_rejects_malformed_polylines(bad):
+    good = [[0.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(ValidationError, match="polyline"):
+        hausdorff_distance(bad, good)
+    with pytest.raises(ValidationError, match="polyline"):
+        hausdorff_distance(good, bad)
+
+
 def _brute_directed_distance(points, segments):
     """Reference: every point against every segment, in chunks of 2e6 pairs."""
     if len(points) == 0:

@@ -25,6 +25,7 @@ from caustics.errors import (
 from caustics.inclination import AngleInterval, find_cusps, reconstruct
 from caustics.pantograph import (
     BASE_GUARD,
+    JET_ORDER,
     PantographSolution,
     _mirror_samples,
     continue_R,
@@ -454,20 +455,6 @@ def test_pole_family_q_jet_finite_off_origin():
     assert np.all(np.isfinite(values))
 
 
-def test_jet_rows_past_170_stay_finite():
-    series = solve_series(1)
-    u = np.array([0.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        q = pantograph._q_taylor(series, u, [1] * 171)[:, 0]
-        jet = pantograph._r_taylor(series, u, [1] * 171)[:, 0]
-    assert q.shape == jet.shape == (171,)
-    assert np.all(np.isfinite(q)) and np.all(np.isfinite(jet))
-    # Q has degree n_max - k = 29 here: a_30 has the wrong parity for k = 1.
-    assert np.all(q[series.n_max - series.k + 1 :] == 0.0)
-    assert np.all(q[: series.n_max - series.k + 1 : 2] != 0.0)
-
-
 def _exact_q_rows(series, u, rows):
     """Rows j < rows of the Q jet at the rational u in exact arithmetic, and
     the sums of the magnitudes of their terms c_n C(n, j) u^(n-j)."""
@@ -528,9 +515,15 @@ def test_continuation_near_the_pole_is_accurate_to_its_condition(k, secondary):
             assert abs(got_rp - (dq * sin + q * cos)) <= 8 * eps * (abs(dq * sin) + abs(q * cos)), t
 
 
-def test_deep_jets_stay_finite_and_small():
-    solution = PantographSolution(solve_series(1), jet_order=200)
-    theta = np.geomspace(1e-3, 1e40, 1024)
+FAMILIES = [(-3, 0.5), (-2, None), (-1, None), (0, None), (1, None), (2, None), (3, None)]
+
+
+@pytest.mark.parametrize("k, secondary", FAMILIES)
+def test_every_depth_continues_to_finite_values(k, secondary):
+    solution = PantographSolution(solve_series(k, secondary=secondary))
+    theta = np.concatenate(
+        [_edge_angles(solution), np.geomspace(1e-3, solution.max_theta, 1024)]
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tracemalloc.start()
@@ -540,7 +533,32 @@ def test_deep_jets_stay_finite_and_small():
         finally:
             tracemalloc.stop()
     assert np.all(np.isfinite(r)) and np.all(np.isfinite(rp))
-    assert peak < 8 * 2**20
+    assert peak < 2 * 2**20
+
+
+def test_jet_depth_error_names_max_theta(cycloid_solution):
+    reach = PantographSolution.max_theta
+    assert reach == 2.0 ** (JET_ORDER - 1) * (math.pi / 2 - BASE_GUARD)
+    assert cycloid_solution.max_theta == reach
+    continue_R(cycloid_solution, reach)
+    with pytest.raises(JetDepthError, match=f"depth {JET_ORDER}; .*max_theta = {reach:g}"):
+        continue_R(cycloid_solution, np.array([1.0, np.nextafter(reach, np.inf)]))
+
+
+@pytest.mark.parametrize("k, secondary", FAMILIES)
+def test_shorter_tables_are_leading_blocks_of_the_built_once_ones(k, secondary):
+    # Jets of L rows slice the tables built once for JET_ORDER + 1 rows; a
+    # table built for L rows must be exactly that slice.
+    series = solve_series(k, secondary=secondary)
+    coeffs, lowest, stride = series._horner
+    for rows in range(1, JET_ORDER + 2):
+        assert np.array_equal(pantograph._trig_table(rows), pantograph._TRIG[: 2 * rows, :rows])
+        doubling = pantograph._doubling_table(series, rows)
+        assert np.array_equal(doubling, series._doubling[: 2 * rows - 2, :rows])
+        short_coeffs, short_lowest, short_stride = pantograph._q_horner_table(series, rows)
+        assert np.array_equal(short_coeffs, coeffs[:, :rows])
+        assert np.array_equal(short_lowest, lowest[:rows])
+        assert short_stride == stride
 
 
 def test_overlay_of_no_angles_is_empty(cycloid_solution):
@@ -585,7 +603,7 @@ def _continue_by_depth(solution, theta):
 def _edge_angles(solution):
     """0 (for k >= 0), both sides of every depth boundary, and max_theta."""
     limit = math.pi / 2 - solution.guard
-    bounds = limit * 2.0 ** np.arange(solution.jet_order)
+    bounds = limit * 2.0 ** np.arange(JET_ORDER)
     near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf)])
     near = near[near <= solution.max_theta]
     head = [] if solution.series.k <= -1 else [0.0]
@@ -593,9 +611,7 @@ def _edge_angles(solution):
 
 
 @pytest.mark.parametrize("order", [30, 120])
-@pytest.mark.parametrize(
-    "k, secondary", [(-3, 0.5), (-2, None), (-1, None), (0, None), (1, None), (2, None), (3, None)]
-)
+@pytest.mark.parametrize("k, secondary", FAMILIES)
 def test_block_pass_matches_per_depth_reference(k, secondary, order):
     solution = PantographSolution(solve_series(k, n_max=order, secondary=secondary))
     rng = np.random.default_rng(1000 * (k + 3) + order)

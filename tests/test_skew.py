@@ -179,6 +179,18 @@ def test_family_spec_validation():
         SkewFamilySpec("delay", phi0=0.0, factor_a=1.0, alpha=0.0)
 
 
+@pytest.mark.parametrize("coefficients", [((1.0,),), ((1.0, "x"),), ((1.0, 0.0, 2.0),), (1.0,)])
+def test_family_spec_rejects_malformed_pairs(coefficients):
+    with pytest.raises(ValidationError, match="pairs of numbers"):
+        SkewFamilySpec("point_by_point", 0.1, 1.0, coefficients=coefficients)
+
+
+@pytest.mark.parametrize("case", ["point_by_point", "inverse_position"])
+def test_family_spec_rejects_empty_coefficients(case):
+    with pytest.raises(ValidationError, match="at least one"):
+        build_family(SkewFamilySpec(case, 0.1, 1.0, coefficients=()))
+
+
 def test_build_family_dispatch():
     point = build_family(SkewFamilySpec("point_by_point", phi0=0.3, factor_a=0.9))
     assert point.label.startswith("skew_point")
