@@ -34,10 +34,10 @@ window = AngleInterval(-math.pi, math.pi, 257)
 # Point by point: the solutions are logarithmic spirals, degenerating to
 # a circle exactly when a = sin(phi0).
 phi0, a = 0.4, 0.9
-spiral = build_family(SkewFamilySpec("point_by_point", phi0, a), window)
+spiral = build_family(SkewFamilySpec("point_by_point", phi0, a))
 res = skew_equation_residual(spiral, phi0, a, "point_by_point", window)
 print(f"point-by-point  {spiral.label:<40} residual {res:.2e}")
-ring = build_family(SkewFamilySpec("point_by_point", phi0, math.sin(phi0)), window)
+ring = build_family(SkewFamilySpec("point_by_point", phi0, math.sin(phi0)))
 flatness = float(np.ptp(ring.jet(window.grid())[0]))
 print(f"degeneration at a = sin(phi0): constant radius (spread {flatness:.1e})")
 
@@ -46,11 +46,11 @@ print(f"degeneration at a = sin(phi0): constant radius (spread {flatness:.1e})")
 # the frequency drops to zero and the curve is a circle involute.
 phi0, a, amp = 0.5, 1.1, (0.8, 0.3)
 spec = SkewFamilySpec("inverse_position", phi0, a, coefficients=(amp,))
-wave = build_family(spec, AngleInterval(-20.0, 20.0, 257))
+wave = build_family(spec)
 alpha = implied_alpha(amp[0], amp[1], a, phi0)
 res = skew_equation_residual(wave, phi0, a, "inverse_position", window, alpha=alpha)
 print(f"inverse         {wave.label:<40} residual {res:.2e} (alpha {alpha:+.6f})")
-flat = build_family(SkewFamilySpec("inverse_position", phi0, math.sin(phi0)), window)
+flat = build_family(SkewFamilySpec("inverse_position", phi0, math.sin(phi0)))
 print(f"degeneration at a = sin(phi0): {flat.label}")
 
 # Delay: exponential rates come from Lambert-W branches.  Branch 0 gives
@@ -61,7 +61,7 @@ spec = SkewFamilySpec("delay", phi0, a, alpha=alpha,
 roots = delay_roots(a, alpha, phi0, indices=(0, -1, 1))
 for root in roots:
     print(f"delay branch {root.branch:+d}: lambda = {root.value:.12g}")
-growth = delay_curve(spec, roots[:1], AngleInterval(-math.pi - alpha, math.pi, 257))
+growth = delay_curve(spec, roots[:1])
 res = skew_equation_residual(growth, phi0, a, "delay", window, alpha=alpha)
 print(f"delay           {growth.label:<40} residual {res:.2e}")
 

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     CausticAtInfinityError,
     CuspError,
-    DomainError,
     EvaluationError,
     FlatCausticError,
     ValidationError,
@@ -37,6 +36,7 @@ from .inclination import (
     ColumnRecord,
     CurveSamples,
     InclinationCurve,
+    _check_domain,
     reconstruct,
 )
 
@@ -215,7 +215,7 @@ def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
 def caustic_curve(
     curve: InclinationCurve,
     tilt: TiltField,
-    interval: AngleInterval | Sequence[float] | None = None,
+    interval: AngleInterval | Sequence[float],
 ) -> Caustic:
     """Caustic vertices over a whole interval.
 
@@ -252,7 +252,7 @@ def similarity_residual(
     curve: InclinationCurve,
     tilt: TiltField,
     spec: SimilaritySpec,
-    interval: AngleInterval | None = None,
+    interval: AngleInterval,
 ) -> float:
     """Sup-norm defect of the self-similarity law on a grid.
 
@@ -261,18 +261,11 @@ def similarity_residual(
     absolute difference.  Raises ``DomainError`` if a shifted argument
     leaves the curve's domain.
     """
-    if interval is None:
-        interval = curve.domain
     thetas = interval.grid()
     r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     phi, p1, p2 = tilt(thetas)
     lhs = caustic_radius(r, rp, phi, p1, p2)
     arg = spec.sign * (thetas + math.pi / 2 - phi - spec.shift_beta)
-    if not curve.domain.contains(arg):
-        bad = arg[(arg < curve.domain.lo) | (arg > curve.domain.hi)][0]
-        raise DomainError(
-            f"similarity argument {bad} leaves the curve domain; widen it "
-            "or shrink the interval"
-        )
+    _check_domain(curve, arg, "similarity argument")
     rhs = spec.factor_a * np.asarray(curve.jet(arg)[0], dtype=float)
     return float(np.max(np.abs(lhs - rhs)))

@@ -218,9 +218,8 @@ def _run_curve(args: argparse.Namespace) -> None:
 
 
 def _default_window(curve: InclinationCurve) -> AngleInterval:
-    lo = max(curve.domain.lo, -2 * math.pi)
-    hi = min(curve.domain.hi, 2 * math.pi)
-    return AngleInterval(lo, hi, 257)
+    lo, hi = curve.domain
+    return AngleInterval(max(lo, -2 * math.pi), min(hi, 2 * math.pi), 257)
 
 
 def _run_caustic(args: argparse.Namespace) -> None:

@@ -1,10 +1,12 @@
 """Plane curves described by their inclination: a turning radius R(theta).
 
 A curve here is a signed radius of curvature given as a function of the
-tangent angle theta.  The tangent is always ``(cos theta, sin theta)``; the
-point is recovered by integrating ``R * (cos theta, sin theta)``.  R may
-change sign (the curve passes through a cusp) and the arclength, defined by
-``ds = R dtheta``, may decrease.
+tangent angle theta on its domain, the angles where R is defined: every
+angle unless the curve stops somewhere.  The tangent is always
+``(cos theta, sin theta)``; the point is recovered by integrating
+``R * (cos theta, sin theta)``.  R may change sign (the curve passes
+through a cusp) and the arclength, defined by ``ds = R dtheta``, may
+decrease.
 
 The module provides the curve type, reconstruction to a column record of
 vertex samples under a global error budget, cusp location, and a discrete
@@ -72,10 +74,6 @@ class AngleInterval:
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_samples)
 
-    def contains(self, theta, slack: float = 1e-12) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta >= self.lo - slack) and np.all(theta <= self.hi + slack))
-
 
 @dataclass(frozen=True)
 class InclinationCurve:
@@ -88,8 +86,9 @@ class InclinationCurve:
         derivative at the same angles.  Positive R turns the tangent
         counterclockwise ahead of the point, negative R behind it.  Callers
         that need R alone read row 0.
-    domain : AngleInterval
-        Angles on which the jet may be evaluated.
+    domain : (float, float)
+        The closed range ``(lo, hi)`` of angles where R is defined; the
+        whole line unless the curve stops somewhere.
     label : str
         Display name used by reports and the command line.
     poles : tuple of float
@@ -98,7 +97,7 @@ class InclinationCurve:
     """
 
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    domain: AngleInterval
+    domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
     poles: tuple[float, ...] = ()
 
@@ -175,8 +174,6 @@ def _clip_interval(curve: InclinationCurve, lo: float, hi: float) -> tuple[float
 
 
 def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
-    if interval is None:
-        interval = curve.domain
     if isinstance(interval, AngleInterval):
         lo, hi = _clip_interval(curve, interval.lo, interval.hi)
         thetas = np.linspace(lo, hi, interval.n_samples)
@@ -193,17 +190,21 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
             thetas = thetas[(thetas >= lo) & (thetas <= hi)]
             if thetas.size < 2:
                 raise DomainError("fewer than 2 samples remain after pole clipping")
-    if not curve.domain.contains(thetas[[0, -1]], slack=1e-9):
-        raise DomainError(
-            f"[{thetas[0]}, {thetas[-1]}] leaves the curve domain "
-            f"[{curve.domain.lo}, {curve.domain.hi}]"
-        )
+    _check_domain(curve, thetas[[0, -1]], "angle")
     return thetas
+
+
+def _check_domain(curve: InclinationCurve, theta: np.ndarray, what: str) -> None:
+    """Raise ``DomainError`` naming the first of ``theta`` outside the curve's domain."""
+    lo, hi = curve.domain
+    inside = (theta >= lo) & (theta <= hi)
+    if not inside.all():
+        raise DomainError(f"{what} {theta[~inside][0]} leaves the curve domain [{lo}, {hi}]")
 
 
 def reconstruct(
     curve: InclinationCurve,
-    interval: AngleInterval | Sequence[float] | None = None,
+    interval: AngleInterval | Sequence[float],
 ) -> CurveSamples:
     """Integrate the inclination data into vertex samples.
 
@@ -229,8 +230,7 @@ def reconstruct(
     Parameters
     ----------
     curve : InclinationCurve
-    interval : AngleInterval or increasing angle array, optional
-        Defaults to the curve's domain.
+    interval : AngleInterval or increasing angle array
 
     Returns
     -------
@@ -367,7 +367,7 @@ def _refine_zeros(
 
 def find_cusps(
     curve: InclinationCurve,
-    interval: AngleInterval | None = None,
+    interval: AngleInterval | Sequence[float],
     refine_tol: float = 1e-12,
 ) -> list[float]:
     """Angles strictly inside the interval where R changes sign.
@@ -441,10 +441,8 @@ def frenet_residual(samples: CurveSamples) -> float:
 # ---------------------------------------------------------------------------
 # stock curves
 
-_DEFAULT_DOMAIN = AngleInterval(-4 * math.pi, 4 * math.pi, 1025)
 
-
-def circle(radius: float = 1.0, domain: AngleInterval | None = None) -> InclinationCurve:
+def circle(radius: float = 1.0) -> InclinationCurve:
     """Constant turning radius."""
     if radius == 0.0:
         raise ValidationError("circle needs a nonzero radius")
@@ -453,25 +451,20 @@ def circle(radius: float = 1.0, domain: AngleInterval | None = None) -> Inclinat
         t = np.asarray(t, dtype=float)
         return np.full_like(t, radius), np.zeros_like(t)
 
-    return InclinationCurve(jet, domain or _DEFAULT_DOMAIN, label=f"circle(R={radius:g})")
+    return InclinationCurve(jet, label=f"circle(R={radius:g})")
 
 
-def cycloid(amplitude: float = 1.0, domain: AngleInterval | None = None) -> InclinationCurve:
+def cycloid(amplitude: float = 1.0) -> InclinationCurve:
     """R = A sin(theta): the rolling-point curve, cusps at multiples of pi."""
     if amplitude == 0.0:
         raise ValidationError("cycloid needs a nonzero amplitude")
     return InclinationCurve(
         jet=lambda t: (amplitude * np.sin(t), amplitude * np.cos(t)),
-        domain=domain or _DEFAULT_DOMAIN,
         label=f"cycloid(A={amplitude:g})",
     )
 
 
-def log_spiral(
-    amplitude: float = 1.0,
-    growth: float = 1.0,
-    domain: AngleInterval | None = None,
-) -> InclinationCurve:
+def log_spiral(amplitude: float = 1.0, growth: float = 1.0) -> InclinationCurve:
     """R = A * exp(b * theta): the equiangular spiral."""
     if amplitude == 0.0:
         raise ValidationError("log_spiral needs a nonzero amplitude")
@@ -480,15 +473,10 @@ def log_spiral(
         grow = np.exp(growth * np.asarray(t, dtype=float))
         return amplitude * grow, amplitude * growth * grow
 
-    return InclinationCurve(
-        jet, domain or _DEFAULT_DOMAIN, label=f"log_spiral(A={amplitude:g}, b={growth:g})"
-    )
+    return InclinationCurve(jet, label=f"log_spiral(A={amplitude:g}, b={growth:g})")
 
 
-def polynomial_curve(
-    coefficients: Sequence[float],
-    domain: AngleInterval | None = None,
-) -> InclinationCurve:
+def polynomial_curve(coefficients: Sequence[float]) -> InclinationCurve:
     """R given by a polynomial in theta (ascending coefficients)."""
     coeffs = np.asarray(list(coefficients), dtype=float)
     if coeffs.size == 0 or not np.any(coeffs):
@@ -497,6 +485,5 @@ def polynomial_curve(
     dpoly = poly.deriv()
     return InclinationCurve(
         jet=lambda t: (poly(np.asarray(t, dtype=float)), dpoly(np.asarray(t, dtype=float))),
-        domain=domain or _DEFAULT_DOMAIN,
         label="series(" + ",".join(f"{c:g}" for c in coeffs) + ")",
     )

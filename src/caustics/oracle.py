@@ -85,7 +85,7 @@ class RayFamily:
 
 
 def rays_from_tilt(
-    curve: InclinationCurve, tilt: TiltField, interval: AngleInterval | None = None
+    curve: InclinationCurve, tilt: TiltField, interval: AngleInterval | Sequence[float]
 ) -> RayFamily:
     """Rays leaving the curve along the tilted direction field.
 
@@ -312,13 +312,15 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     return float(best.max())
 
 
-def _polyline(data) -> np.ndarray:
+def _polyline(data, what: str = "a polyline", allow_empty: bool = False) -> np.ndarray:
     try:
         points = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
-        raise ValidationError("a polyline must be an (n, 2) array of numbers") from None
+        raise ValidationError(f"{what} must be an (n, 2) array of numbers") from None
+    if allow_empty and points.size == 0:
+        return points.reshape(0, 2)
     if points.ndim != 2 or points.shape[1] != 2:
-        raise ValidationError(f"a polyline must be an (n, 2) array, got shape {points.shape}")
+        raise ValidationError(f"{what} must be an (n, 2) array, got shape {points.shape}")
     return points
 
 
@@ -340,10 +342,11 @@ def hausdorff_distance(
     points the grid cannot certify fall back to all segments.  The value
     equals the brute-force maximum over points of the minimum over all
     point-segment pairs, to the last bit.  Raises ``ValidationError`` unless
-    both polylines are ``(n, 2)`` arrays of numbers.
+    both polylines, and the exclusion centers if any, are ``(n, 2)`` arrays
+    of numbers.
     """
     first, second = _polyline(first), _polyline(second)
-    centers = np.asarray(exclusions, dtype=float).reshape(-1, 2)
+    centers = _polyline(exclusions, "exclusions", allow_empty=True)
 
     def prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = _mask_near(points, centers, exclusion_radius)

@@ -450,7 +450,7 @@ def solution_curve(solution: PantographSolution) -> InclinationCurve:
     k = solution.series.k
     return InclinationCurve(
         jet=lambda t: continue_R(solution, t),
-        domain=AngleInterval(0.0, solution.max_theta, 1025),
+        domain=(0.0, solution.max_theta),
         label=f"pantograph(k={k}, a={solution.series.factor_a:g})",
         poles=(0.0,) if k <= -1 else (),
     )
@@ -533,6 +533,11 @@ caustic's at pi/2, pi, 2pi, 4pi), ends at 8pi on a vertical profile; the
 search for sign changes runs 4pi further, which keeps the 8th cusp of a
 profile drifting off the multiples of pi inside it."""
 
+_REPORT_WINDOW = AngleInterval(0.0, 4 * math.pi, 2049)
+"""The window of the report's zeros and profile samples.  A zero counts
+within 1e-12 of it, the accuracy of the refined cusps, so that the
+cycloid's cusp at 4pi counts."""
+
 
 def _collinearity_residual(points: np.ndarray) -> float:
     centered = points - points.mean(axis=0)
@@ -577,36 +582,31 @@ class MirrorReport:
         }
 
 
-def mirror_report(
-    solution: PantographSolution, interval: AngleInterval | None = None
-) -> MirrorReport:
+def mirror_report(solution: PantographSolution) -> MirrorReport:
     """Measure one mirror: cusps, cusp line, arc ratios, pole, feasibility.
 
-    The bundle collects (a) zeros of R and their deviations from multiples
-    of pi, (b) mirror and caustic cusp positions plus the residual of the
-    cusp chain nearest theta = 0, pi/2, pi, 2pi, 4pi from its best-fit
-    line (zero exactly for the cycloid, whose cusps share the y-axis),
-    (c) the arc ratio rho(theta) = |R(theta + pi) / R(theta)| on a window
-    avoiding the singular angles, (d) the growth of |Q| = |R / sin|
-    toward pi as a pole indicator, and (e) verticality / occlusion flags
-    for the reconstructed profile.  The positions come from the doubling
-    law on the series window (``_mirror_samples``); at order 30 they differ
-    from quadrature of the continued R by the truncated series' own defect,
-    about 3e-10 of max |r|.
+    The bundle collects (a) zeros of R on ``[0, 4pi]`` and their
+    deviations from multiples of pi, (b) mirror and caustic cusp positions
+    plus the residual of the cusp chain nearest theta = 0, pi/2, pi, 2pi,
+    4pi from its best-fit line (zero exactly for the cycloid, whose cusps
+    share the y-axis), (c) the arc ratio rho(theta) = |R(theta + pi) /
+    R(theta)| on a window avoiding the singular angles, (d) the growth of
+    |Q| = |R / sin| toward pi as a pole indicator, and (e) verticality /
+    occlusion flags for the profile at 2049 angles of ``[0, 4pi]``.  The
+    positions come from the doubling law on the series window
+    (``_mirror_samples``); at order 30 they differ from quadrature of the
+    continued R by the truncated series' own defect, about 3e-10 of max |r|.
     """
     series = solution.series
     if series.k < 0:
         raise ValidationError(
             "the report assumes a mirror with horizontal tangent at theta = 0 (k >= 0)"
         )
-    interval = interval or AngleInterval(0.0, 4 * math.pi, 2049)
-    if interval.lo < 0.0:
-        raise ValidationError("the continued solution lives on theta >= 0")
-    far = max(_CUSP_CHAIN_SPAN, interval.hi) + 4 * math.pi
+    far = _CUSP_CHAIN_SPAN + 4 * math.pi
     curve = solution_curve(solution)
 
     all_zeros = find_cusps(curve, AngleInterval(0.0, far, 513))
-    zeros = [z for z in all_zeros if interval.contains(z)]
+    zeros = [z for z in all_zeros if z <= _REPORT_WINDOW.hi + 1e-12]
     deviations = [z - math.pi * round(z / math.pi) for z in zeros]
 
     # The cusp chain of interest doubles the arc count at each step: the
@@ -620,7 +620,7 @@ def mirror_report(
         )
     chain = [all_zeros[i] for i in (0, 1, 3, 7)]
 
-    base_grid = np.linspace(interval.lo, interval.hi, interval.n_samples)
+    base_grid = _REPORT_WINDOW.grid()
     grid = np.union1d(base_grid, [0.0, *all_zeros])
     samples = _mirror_samples(solution, grid)
     thetas, pts = samples.theta, samples.points
@@ -675,7 +675,7 @@ def mirror_report(
 # the degenerate member: parabola
 
 
-def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> InclinationCurve:
+def parabola_mirror(focal_scale: float) -> InclinationCurve:
     """The mirror whose caustic for horizontal light is a single point.
 
     R(theta) = A / sin^3(theta) on (0, pi).  The reconstruction from a
@@ -686,9 +686,6 @@ def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> 
     if focal_scale == 0.0:
         raise DegenerateCurveError("A = 0 collapses the parabola to a point")
     A = float(focal_scale)
-    dom = domain or AngleInterval(0.0, math.pi, 513)
-    if dom.lo < 0.0 or dom.hi > math.pi:
-        raise ValidationError("the parabola profile lives on (0, pi)")
 
     def jet(t):
         t = np.asarray(t, dtype=float)
@@ -697,7 +694,7 @@ def parabola_mirror(focal_scale: float, domain: AngleInterval | None = None) -> 
 
     return InclinationCurve(
         jet=jet,
-        domain=dom,
+        domain=(0.0, math.pi),
         label=f"parabola(A={A:g})",
         poles=(0.0, math.pi),
     )

@@ -30,7 +30,7 @@ call, a block of panels per call.  A panel is accepted when its estimate is with
 share of ``tol`` or its rounding floor ``50 eps int |f|``; refinement ends once the error
 accepted so far plus the estimates still open fit in ``tol``.  Panels that reach rounding
 width unconverged are kept, but if their errors sum to more than ``tol``, ``NumericError`` is
-raised.
+raised; so it is when a level leaves more than ``_MAX_PANELS`` panels open.
 """
 from __future__ import annotations
 
@@ -65,6 +65,7 @@ _K7_IN_P15 = np.concatenate([_K7, np.zeros(8)])
 
 _FLOOR = 50 * np.finfo(float).eps  # rounding floor per unit of int |f|
 _MAX_LEVELS = 48
+_MAX_PANELS = 1 << 20  # open panels a refinement level may leave: bounds the work
 _BLOCK = 4096  # panels per integrand call: bounds the size of every temporary
 
 # The nodes in the order they are evaluated: the three the node-jet rule reads (K7's -b, 0
@@ -211,6 +212,9 @@ def cell_integrals(fn, lo, hi, budget, tol, ends=None):
             return result
         lo, hi, mid = lo[~done], hi[~done], 0.5 * (lo[~done] + hi[~done])
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        if lo.size > _MAX_PANELS:
+            raise NumericError(f"quadrature needs more than {_MAX_PANELS} panels after "
+                               f"{level + 1} refinement levels; narrow the interval")
         owner = np.tile(owner[~done], 2)
         budget = np.tile(budget[~done] / 2, 2)
         rungs, ends = _RUNGS[2:], None  # refined panels get all 15 nodes at once
@@ -234,7 +238,7 @@ def panel_integrals(
     first tries the node-jet rule.  Returns shape ``(n_components, n_panels)``.
     Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and
     ``NumericError`` when panels at rounding width hold more than ``tol`` of
-    estimated error.
+    estimated error or refinement leaves more than ``_MAX_PANELS`` panels open.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")

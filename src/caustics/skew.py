@@ -29,13 +29,13 @@ import numpy as np
 
 from .errors import (
     DegenerateCurveError,
-    DomainError,
     NumericError,
     ValidationError,
 )
 from .inclination import (
     AngleInterval,
     InclinationCurve,
+    _check_domain,
     find_cusps,
     log_spiral,
     reconstruct,
@@ -59,8 +59,6 @@ __all__ = [
 ]
 
 _CASES = ("point_by_point", "inverse_position", "delay")
-
-_WIDE = AngleInterval(-4 * math.pi, 4 * math.pi, 1025)
 
 
 def _check_phi0(phi0: float) -> float:
@@ -113,12 +111,7 @@ class SkewFamilySpec:
         object.__setattr__(self, "root_indices", tuple(int(i) for i in self.root_indices))
 
 
-def point_by_point_curve(
-    amplitude: float,
-    factor_a: float,
-    phi0: float,
-    domain: AngleInterval | None = None,
-) -> InclinationCurve:
+def point_by_point_curve(amplitude: float, factor_a: float, phi0: float) -> InclinationCurve:
     """The family whose caustic reproduces the curve at equal angles.
 
     R = A exp(b theta) with b = (a - sin phi0)/cos phi0.  The circle is
@@ -129,7 +122,7 @@ def point_by_point_curve(
         raise DegenerateCurveError("zero amplitude collapses the curve to a point")
     b = (factor_a - math.sin(phi0)) / math.cos(phi0)
     return replace(
-        log_spiral(amplitude, b, domain=domain or _WIDE),
+        log_spiral(amplitude, b),
         label=f"skew_point(A={amplitude:g}, a={factor_a:g}, phi0={phi0:g})",
     )
 
@@ -139,7 +132,6 @@ def inverse_position_curve(
     amplitude_b: float,
     factor_a: float,
     phi0: float,
-    domain: AngleInterval | None = None,
 ) -> InclinationCurve:
     """The family whose caustic runs through the curve angle-reversed.
 
@@ -153,7 +145,6 @@ def inverse_position_curve(
         raise DegenerateCurveError("both amplitudes vanish; the curve is a point")
     s, c = math.sin(phi0), math.cos(phi0)
     omega_sq = (factor_a - s) * (factor_a + s) / (c * c)
-    dom = domain or _WIDE
     A, B = float(amplitude_a), float(amplitude_b)
     if omega_sq > 0.0:
         w = math.sqrt(omega_sq)
@@ -163,13 +154,13 @@ def inverse_position_curve(
             c, s = np.cos(wt), np.sin(wt)
             return A * c + B * s, -A * w * s + B * w * c
 
-        return InclinationCurve(jet, dom, label=f"skew_inverse(A={A:g}, B={B:g}, omega={w:g})")
+        return InclinationCurve(jet, label=f"skew_inverse(A={A:g}, B={B:g}, omega={w:g})")
     if omega_sq == 0.0:
         def jet(t):
             t = np.asarray(t, dtype=float)
             return A + B * t, np.full_like(t, B)
 
-        return InclinationCurve(jet, dom, label=f"circle_involute(A={A:g}, B={B:g})")
+        return InclinationCurve(jet, label=f"circle_involute(A={A:g}, B={B:g})")
     w = math.sqrt(-omega_sq)
 
     def jet(t):
@@ -177,7 +168,7 @@ def inverse_position_curve(
         c, s = np.cosh(wt), np.sinh(wt)
         return A * c + B * s, A * w * s + B * w * c
 
-    return InclinationCurve(jet, dom, label=f"skew_inverse_hyp(A={A:g}, B={B:g}, omega={w:g})")
+    return InclinationCurve(jet, label=f"skew_inverse_hyp(A={A:g}, B={B:g}, omega={w:g})")
 
 
 def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0: float) -> float:
@@ -263,11 +254,7 @@ def delay_roots(
     return roots
 
 
-def delay_curve(
-    spec: SkewFamilySpec,
-    roots: Sequence[CharacteristicRoot],
-    domain: AngleInterval | None = None,
-) -> InclinationCurve:
+def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> InclinationCurve:
     """Real exponential-sum solution of the delay similarity problem.
 
     Each root contributes ``exp(xi theta) (A cos(eta theta) + B sin(eta
@@ -303,22 +290,19 @@ def delay_curve(
     labels = ",".join(str(rt.branch) for rt in roots)
     return InclinationCurve(
         jet=jet,
-        domain=domain or _WIDE,
         label=f"skew_delay(branches={labels}, a={spec.factor_a:g}, alpha={spec.alpha:g})",
     )
 
 
-def build_family(spec: SkewFamilySpec, domain: AngleInterval | None = None) -> InclinationCurve:
+def build_family(spec: SkewFamilySpec) -> InclinationCurve:
     """Construct the curve described by a family spec."""
     if spec.case == "point_by_point":
-        return point_by_point_curve(
-            spec.coefficients[0][0], spec.factor_a, spec.phi0, domain=domain
-        )
+        return point_by_point_curve(spec.coefficients[0][0], spec.factor_a, spec.phi0)
     if spec.case == "inverse_position":
         a0, b0 = spec.coefficients[0]
-        return inverse_position_curve(a0, b0, spec.factor_a, spec.phi0, domain=domain)
+        return inverse_position_curve(a0, b0, spec.factor_a, spec.phi0)
     roots = delay_roots(spec.factor_a, spec.alpha, spec.phi0, spec.root_indices)
-    return delay_curve(spec, roots, domain=domain)
+    return delay_curve(spec, roots)
 
 
 def skew_equation_residual(
@@ -340,8 +324,7 @@ def skew_equation_residual(
         arg = alpha - thetas
     else:
         arg = thetas - alpha
-    if not curve.domain.contains(arg):
-        raise DomainError("shifted argument leaves the curve domain; widen the domain")
+    _check_domain(curve, arg, "shifted argument")
     r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     lhs = math.cos(phi0) * rp + math.sin(phi0) * r
     rhs = factor_a * np.asarray(curve.jet(arg)[0], dtype=float)
@@ -352,9 +335,7 @@ def skew_equation_residual(
 # cuspidal spirals
 
 
-def puiseux_curve(
-    c: float, gamma: float, domain: AngleInterval | None = None
-) -> InclinationCurve:
+def puiseux_curve(c: float, gamma: float) -> InclinationCurve:
     """R = exp(c theta) sin(gamma theta): cusps every pi/gamma."""
     if gamma <= 0.0:
         raise ValidationError("gamma must be positive")
@@ -364,11 +345,7 @@ def puiseux_curve(
         grow, s = np.exp(c * t), np.sin(gamma * t)
         return grow * s, grow * (c * s + gamma * np.cos(gamma * t))
 
-    return InclinationCurve(
-        jet=jet,
-        domain=domain or AngleInterval(-8 * math.pi, 8 * math.pi, 2049),
-        label=f"puiseux(c={c:g}, gamma={gamma:g})",
-    )
+    return InclinationCurve(jet, label=f"puiseux(c={c:g}, gamma={gamma:g})")
 
 
 def _puiseux_antiderivative(c: float, gamma: float, theta: np.ndarray) -> np.ndarray:

@@ -160,6 +160,16 @@ def test_skew_run_reports_residual(capsys):
     assert residual < 1e-9
 
 
+def test_skew_delay_with_a_long_shift(capsys):
+    # theta - alpha runs over [-30 - pi, pi - 30]; the exponential sums are defined there.
+    code, out, err = run_cli(
+        capsys, "skew", "--case", "delay", "--phi0", "0.3", "--a", "0.9", "--alpha", "30"
+    )
+    assert code == 0, err
+    residual = float(out.split("residual=")[1].splitlines()[0])
+    assert residual <= 1e-9
+
+
 def test_skew_delay_normalises_advance(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -490,6 +500,15 @@ def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv, 
         want_y = np.exp(t) * (np.sin(t) - np.cos(t)) / 2 + 0.5
         scale = np.maximum(1.0, np.hypot(want_x, want_y))
         assert np.max(np.hypot(x - want_x, y - want_y) / scale) <= 1e-9
+
+
+def test_too_wide_a_window_fails_cleanly_under_memory_cap():
+    # One cell of a million radians: refinement reaches the panel cap, not the address cap.
+    code, _, err = run_cli_process(
+        "curve", "--curve", "cycloid", "--interval", "0:1e6", "--samples", "2", cap=True
+    )
+    assert "Traceback" not in err
+    assert code == 3 and err.startswith("error:") and "panels" in err, err
 
 
 def test_pantograph_svg_reconstructs_once(tmp_path, capsys, monkeypatch):

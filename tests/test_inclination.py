@@ -48,7 +48,6 @@ def test_interval_validation():
         AngleInterval(0.0, 1.0, n_samples=1)
     iv = AngleInterval(0.0, 2.0, 5)
     assert iv.hi - iv.lo == 2.0
-    assert iv.contains(2.0) and not iv.contains(2.1)
     assert np.allclose(iv.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
     assert AngleInterval(0.0, 1.0, np.int64(9)).grid().size == 9
 
@@ -86,6 +85,16 @@ def test_log_spiral_closed_form():
     assert abs(pts[-1, 1] - 0.90933067363147861703) < 1e-12
 
 
+def test_entire_curves_reconstruct_past_4pi():
+    # Curves with R defined at every angle take any window.
+    samples = reconstruct(cycloid(1.0), AngleInterval(0.0, 100.0, 4097))
+    assert abs(samples.arclength[-1] - (1.0 - math.cos(100.0))) <= 1e-10
+    assert np.max(np.abs(samples.arclength - (1.0 - np.cos(samples.theta)))) <= 1e-10
+    ring = reconstruct(circle(2.0), AngleInterval(-20.0, 20.0, 4097))
+    centre = ring.points[0] + 2.0 * ring.frame[1][0]
+    assert np.max(np.abs(np.hypot(*(ring.points - centre).T) - 2.0)) <= 1e-10
+
+
 def test_first_sample_is_the_origin():
     # R fixes a curve up to translation; the reconstruction starts at the origin.
     for curve, interval in [
@@ -119,8 +128,7 @@ def test_frenet_residual_rejects_degenerate_input():
 
 
 def test_find_cusps_cycloid():
-    curve = cycloid(1.0, domain=AngleInterval(-0.5, 3 * math.pi + 0.5, 257))
-    cusps = find_cusps(curve)
+    cusps = find_cusps(cycloid(1.0), AngleInterval(-0.5, 3 * math.pi + 0.5, 257))
     assert len(cusps) == 4
     for got, want in zip(cusps, [0.0, math.pi, 2 * math.pi, 3 * math.pi]):
         assert abs(got - want) < 1e-9
@@ -129,12 +137,12 @@ def test_find_cusps_cycloid():
 def test_touching_zero_is_not_a_cusp():
     curve = InclinationCurve(
         jet=lambda t: (np.asarray(t, dtype=float) ** 2, 2.0 * np.asarray(t, dtype=float)),
-        domain=AngleInterval(-1.0, 1.0, 41),
         label="touch",
     )
+    window = AngleInterval(-1.0, 1.0, 41)
     # R touches zero at the grid node 0.0 without changing sign.
-    assert np.sign(curve.jet(curve.domain.grid())[0][19:22]).tolist() == [1.0, 0.0, 1.0]
-    assert find_cusps(curve) == []
+    assert np.sign(curve.jet(window.grid())[0][19:22]).tolist() == [1.0, 0.0, 1.0]
+    assert find_cusps(curve, window) == []
 
 
 def test_non_finite_radius_derivative_is_an_error():
@@ -144,28 +152,28 @@ def test_non_finite_radius_derivative_is_an_error():
             slope = 0.5 / np.sqrt(np.abs(t))
         return 1.0 + np.sqrt(np.abs(t)), np.where(t < 0, -slope, slope)
 
-    curve = InclinationCurve(jet=jet, domain=AngleInterval(-1.0, 1.0, 5), label="kink")
-    slopes = jet(curve.domain.grid())[1].tolist()
+    curve = InclinationCurve(jet=jet, label="kink")
+    window = AngleInterval(-1.0, 1.0, 5)
+    slopes = jet(window.grid())[1].tolist()
     assert slopes[1:4] == [-1 / math.sqrt(2), math.inf, 1 / math.sqrt(2)]
     with pytest.raises(EvaluationError, match=r"R' is not finite at theta = 0\.0$"):
-        reconstruct(curve)
+        reconstruct(curve, window)
     with pytest.raises(EvaluationError, match=r"R' is not finite at theta = 0\.0$"):
-        caustic_curve(curve, TiltField.skew(0.3))
+        caustic_curve(curve, TiltField.skew(0.3), window)
 
 
 def test_overflowing_jet_is_an_error_under_warnings_as_errors():
     # exp(1000 theta) overflows past theta = 0.7098; the node 0.75 is the first.
-    curve = log_spiral(1.0, 1000.0, domain=AngleInterval(0.0, 1.0, 5))
+    curve = log_spiral(1.0, 1000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (reconstruct, find_cusps):
             with pytest.raises(EvaluationError, match=r"R is not finite at theta = 0\.75$"):
-                fn(curve)
+                fn(curve, AngleInterval(0.0, 1.0, 5))
 
 
 def test_endpoint_zeros_are_not_cusps():
-    curve = cycloid(1.0, domain=AngleInterval(0.0, math.pi, 65))
-    assert find_cusps(curve) == []
+    assert find_cusps(cycloid(1.0), AngleInterval(0.0, math.pi, 65)) == []
 
 
 def _inverse(t):
@@ -174,27 +182,17 @@ def _inverse(t):
 
 
 def test_pole_guard_clips_and_blocks():
-    curve = InclinationCurve(
-        jet=_inverse,
-        domain=AngleInterval(0.0, 1.0, 33),
-        label="pole",
-        poles=(0.0,),
-    )
-    samples = reconstruct(curve)
+    curve = InclinationCurve(jet=_inverse, label="pole", poles=(0.0,))
+    samples = reconstruct(curve, AngleInterval(0.0, 1.0, 33))
     assert samples.theta[0] >= 1e-6
-    spanning = InclinationCurve(
-        jet=_inverse,
-        domain=AngleInterval(-1.0, 1.0, 33),
-        label="pole",
-        poles=(0.0,),
-    )
     with pytest.raises(DomainError, match="pole at theta = 0"):
-        reconstruct(spanning)
+        reconstruct(curve, AngleInterval(-1.0, 1.0, 33))
 
 
 def test_reconstruct_rejects_interval_outside_domain():
-    with pytest.raises(DomainError):
-        reconstruct(cycloid(), AngleInterval(0.0, 100.0, 17))
+    arc = dataclasses.replace(cycloid(), domain=(0.0, 10.0))
+    with pytest.raises(DomainError, match=r"100\.0 leaves the curve domain \[0\.0, 10\.0\]"):
+        reconstruct(arc, AngleInterval(0.0, 100.0, 17))
 
 
 def test_reconstruct_accepts_explicit_grid():
@@ -274,7 +272,7 @@ def test_constructor_validation():
         polynomial_curve([0.0, 0.0])
 
 
-def _scalar_cusps(curve, refine_tol=1e-12):
+def _scalar_cusps(curve, interval, refine_tol=1e-12):
     """Reference: one scalar bisection per sign-change bracket, plus grid zeros."""
 
     def bisect(lo, hi):
@@ -292,7 +290,7 @@ def _scalar_cusps(curve, refine_tol=1e-12):
                 lo, flo = mid, fmid
         return 0.5 * (lo + hi)
 
-    grid = curve.domain.grid()
+    grid = interval.grid()
     sign = np.sign(curve.jet(grid)[0])
     cusps = []
     for i in range(len(grid) - 1):
@@ -305,13 +303,16 @@ def _scalar_cusps(curve, refine_tol=1e-12):
 
 
 @pytest.mark.parametrize(
-    "curve",
-    [cycloid(1.0, domain=AngleInterval(-4 * math.pi, 4 * math.pi, 1025)), puiseux_curve(0.2, 3.0)],
+    "curve, interval",
+    [
+        (cycloid(1.0), AngleInterval(-4 * math.pi, 4 * math.pi, 1025)),
+        (puiseux_curve(0.2, 3.0), AngleInterval(-8 * math.pi, 8 * math.pi, 2049)),
+    ],
     ids=["cycloid", "puiseux"],
 )
-def test_batched_cusp_bisection_matches_scalar_bisection(curve):
-    got = find_cusps(curve)
-    want = _scalar_cusps(curve)
+def test_batched_cusp_bisection_matches_scalar_bisection(curve, interval):
+    got = find_cusps(curve, interval)
+    want = _scalar_cusps(curve, interval)
     assert len(got) == len(want) > 0
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
 
@@ -377,13 +378,9 @@ def test_hard_zeros_stay_within_the_bisection_budget(name):
     jet, grid, root = HARD_ZEROS[name]
     fn = lambda x: jet(x)[0]
     tol = 1e-12
-    curve = InclinationCurve(
-        jet=lambda t: jet(np.asarray(t, dtype=float)),
-        domain=AngleInterval(float(grid[0]), float(grid[-1]), grid.size),
-        label=name,
-    )
+    curve = InclinationCurve(jet=lambda t: jet(np.asarray(t, dtype=float)), label=name)
     counted, calls = _counted(curve)
-    (z,) = find_cusps(counted, refine_tol=tol)
+    (z,) = find_cusps(counted, grid, refine_tol=tol)
     width = grid[1] - grid[0]
     assert len(calls) - 1 <= math.ceil(math.log2(width / tol)) + 2
     if root is not None:
@@ -404,15 +401,15 @@ def test_puiseux_draw_refines_in_few_calls():
 
 @pytest.mark.parametrize("refine_tol", [math.nan, math.inf, 0.0, -1.0])
 def test_bad_refine_tol_is_validation_error(refine_tol):
-    counted, calls = _counted(cycloid(1.0, domain=AngleInterval(0.5, 7.0, 65)))
+    counted, calls = _counted(cycloid(1.0))
     with pytest.raises(ValidationError, match="refine_tol"):
-        find_cusps(counted, refine_tol=refine_tol)
+        find_cusps(counted, AngleInterval(0.5, 7.0, 65), refine_tol=refine_tol)
     assert calls == []
 
 
 def test_refine_tol_below_float_spacing_stops_at_adjacent_floats():
-    counted, calls = _counted(cycloid(1.0, domain=AngleInterval(0.5, 7.0, 65)))
-    cusps = find_cusps(counted, refine_tol=1e-300)
+    counted, calls = _counted(cycloid(1.0))
+    cusps = find_cusps(counted, AngleInterval(0.5, 7.0, 65), refine_tol=1e-300)
     assert cusps == [math.pi, 2 * math.pi]
     # The budget at 1e-300 is about a thousand calls; adjacent ends stop first.
     assert len(calls) <= 24
@@ -428,10 +425,11 @@ def test_sign_change_across_a_run_of_zero_nodes_is_one_cusp():
         r, rp = jet(t)
         return np.abs(r), np.sign(r) * rp
 
-    curve = InclinationCurve(jet=jet, domain=AngleInterval(0.0, 2.0, 21), label="run")
-    grid = curve.domain.grid()
+    curve = InclinationCurve(jet=jet, label="run")
+    window = AngleInterval(0.0, 2.0, 21)
+    grid = window.grid()
     assert np.sign(jet(grid[8:12])[0]).tolist() == [-1.0, 0.0, 0.0, 1.0]
-    assert find_cusps(curve) == [0.5 * (grid[9] + grid[10])]
+    assert find_cusps(curve, window) == [0.5 * (grid[9] + grid[10])]
     touching = dataclasses.replace(curve, jet=touching_jet)
     assert np.sign(touching_jet(grid[8:12])[0]).tolist() == [1.0, 0.0, 0.0, 1.0]
-    assert find_cusps(touching) == []
+    assert find_cusps(touching, window) == []

@@ -137,6 +137,15 @@ def test_hausdorff_rejects_malformed_polylines(bad):
         hausdorff_distance(good, bad)
 
 
+@pytest.mark.parametrize(
+    "bad", [[1.0, 2.0, 3.0], [["a", "b"]]], ids=["odd_length", "strings"]
+)
+def test_hausdorff_rejects_malformed_exclusions(bad):
+    good = [[0.0, 0.0], [1.0, 1.0]]
+    with pytest.raises(ValidationError, match="exclusions"):
+        hausdorff_distance(good, good, exclusions=bad)
+
+
 def _brute_directed_distance(points, segments):
     """Reference: every point against every segment, in chunks of 2e6 pairs."""
     if len(points) == 0:

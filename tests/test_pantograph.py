@@ -359,7 +359,7 @@ def test_report_rejects_singular_profiles():
 def test_solution_curve_bounds(cycloid_solution):
     curve = solution_curve(cycloid_solution)
     reach = cycloid_solution.max_theta
-    assert (curve.domain.lo, curve.domain.hi) == (0.0, reach)
+    assert curve.domain == (0.0, reach)
     with pytest.raises(DomainError):
         reconstruct(curve, AngleInterval(0.0, 1.01 * reach, 9))
     sol = PantographSolution(solve_series(-1, n_max=12))
@@ -370,8 +370,7 @@ def test_solution_curve_bounds(cycloid_solution):
 def test_parabola_identities():
     A = 1.0
     lo, hi = 0.2, math.pi - 0.2
-    curve = parabola_mirror(A, domain=AngleInterval(lo, hi, 257))
-    samples = reconstruct(curve)
+    samples = reconstruct(parabola_mirror(A), AngleInterval(lo, hi, 257))
     # The closed form of the first point: (-A/(2 sin^2 t), -A cot t) at t = lo.
     pts = samples.points + (-A / (2.0 * math.sin(lo) ** 2), -A / math.tan(lo))
     implicit = pts[:, 1] ** 2 + 2 * A * pts[:, 0] + A * A
@@ -381,11 +380,25 @@ def test_parabola_identities():
     assert np.max(np.abs(focal)) < 1e-8
 
 
+def test_real_domains_still_bound_the_grid(cycloid_solution):
+    # A series curve lives on [0, max_theta] and the parabola on (0, pi): a
+    # series grid may end on either bound, and grids just past them raise.
+    series = solution_curve(cycloid_solution)
+    reach = cycloid_solution.max_theta
+    assert find_cusps(series, [0.0, 1.0]) == []
+    find_cusps(series, [reach - 1.0, reach])
+    for grid in ([-1e-9, 1.0], [1.0, math.nextafter(reach, math.inf)]):
+        with pytest.raises(DomainError, match="leaves the curve domain"):
+            find_cusps(series, grid)
+    parabola = parabola_mirror(1.0)
+    for grid in ([-0.5, -1e-3], [math.pi + 1e-3, 4.0]):
+        with pytest.raises(DomainError, match=r"leaves the curve domain \[0\.0, 3\.14159"):
+            reconstruct(parabola, grid)
+
+
 def test_parabola_validation():
     with pytest.raises(DegenerateCurveError):
         parabola_mirror(0.0)
-    with pytest.raises(ValidationError):
-        parabola_mirror(1.0, domain=AngleInterval(-0.5, 1.0, 33))
 
 
 def test_continuation_batch_matches_scalar_calls(m2_solution, rng):

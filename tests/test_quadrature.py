@@ -12,7 +12,6 @@ import pytest
 from caustics import inclination, quadrature
 from caustics.errors import EvaluationError, NumericError, ValidationError
 from caustics.inclination import (
-    AngleInterval,
     InclinationCurve,
     cycloid,
     log_spiral,
@@ -243,7 +242,7 @@ def test_narrow_bump_meets_the_budget_or_raises(divisor, offset, amplitude):
         bump = amplitude * np.exp(-(((u - centre) / width) ** 2))
         return 1.0 + bump, -2 * (u - centre) / width**2 * bump
 
-    curve = InclinationCurve(jet=jet, domain=AngleInterval(0.0, 1.0))
+    curve = InclinationCurve(jet=jet, domain=(0.0, 1.0))
     try:
         samples = reconstruct(curve, t)
     except NumericError:
@@ -316,6 +315,16 @@ def test_step_in_integrand_stops_on_global_budget():
     exact = np.sin(edges[1:]) + 1e-9 * np.clip(edges[1:] - step, 0.0, None)
     assert len(calls) <= 12
     assert np.max(np.abs(np.cumsum(pieces) - exact)) <= 1e-10
+
+
+def test_refinement_past_the_panel_cap_raises_before_evaluating(monkeypatch):
+    # sin over a million radians misses the budget at every width the cap allows.
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+    sizes = []
+    with pytest.raises(NumericError, match="more than 64 panels"):
+        panel_integrals(_counting(lambda t: np.sin(t)[None], sizes), [0.0, 1e6])
+    assert sizes[:2] == [7, 8]
+    assert sizes[2:] == [15 * 2**k for k in range(1, 7)]
 
 
 def test_non_finite_integrand_is_evaluation_error():
