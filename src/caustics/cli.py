@@ -15,6 +15,7 @@ files.  Exit status: 0 success, 2 validation error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import re
@@ -314,17 +315,17 @@ def _run_pantograph(args: argparse.Namespace) -> None:
     report = None
     if k >= 0:
         report = mirror_report(solution)
-        for key, value in report.as_mapping().items():
-            if key == "label":
+        # Every scalar field, in declaration order: not the label or point arrays.
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if field.name == "label" or isinstance(value, np.ndarray):
                 continue
-            if isinstance(value, list):
-                print(f"{key}=" + ",".join(f"{v:.12g}" for v in value))
+            if isinstance(value, tuple):
+                print(f"{field.name}=" + ",".join(f"{v:.12g}" for v in value))
             elif isinstance(value, bool):
-                print(f"{key}={str(value).lower()}")
-            elif isinstance(value, float):
-                print(f"{key}={value:.12g}")
+                print(f"{field.name}={str(value).lower()}")
             else:
-                print(f"{key}={value}")
+                print(f"{field.name}={value:.12g}")
     if args.out_csv:
         write_coefficient_csv(args.out_csv, zip(series.powers(), series.coefficients))
     if args.out_svg:

@@ -6,6 +6,22 @@ and callers are expected to catch these precisely, so each failure mode
 gets its own class.  Everything derives from :class:`CausticsError`.
 """
 
+__all__ = [
+    "CausticsError",
+    "ValidationError",
+    "DomainError",
+    "EvaluationError",
+    "NumericError",
+    "DegenerateSamplingError",
+    "DegenerateCurveError",
+    "CuspError",
+    "FlatCausticError",
+    "CausticAtInfinityError",
+    "PoleError",
+    "ResonanceError",
+    "JetDepthError",
+]
+
 
 class CausticsError(Exception):
     """Base class for every error raised by this package."""

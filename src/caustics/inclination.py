@@ -19,6 +19,7 @@ that rule's estimate misses go on to adaptive nested quadrature
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -48,15 +49,17 @@ __all__ = [
 POLE_GUARD = 1e-6
 RECONSTRUCT_TOL = 1e-10
 """Absolute quadrature error budget of ``reconstruct`` over a whole grid."""
+_CUSP_TOL = 1e-12
+"""Width to which ``find_cusps`` refines each sign-change bracket."""
 
 
 @dataclass(frozen=True)
 class AngleInterval:
-    """A tangent-angle window ``[lo, hi]`` with a default sampling density."""
+    """A tangent-angle window ``[lo, hi]`` sampled at ``n_samples`` equispaced angles."""
 
     lo: float
     hi: float
-    n_samples: int = 257
+    n_samples: int
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -88,7 +91,8 @@ class InclinationCurve:
         that need R alone read row 0.
     domain : (float, float)
         The closed range ``(lo, hi)`` of angles where R is defined; the
-        whole line unless the curve stops somewhere.
+        whole line unless the curve stops somewhere.  Stored as two floats
+        with ``lo < hi``; the ends may be infinite, not NaN.
     label : str
         Display name used by reports and the command line.
     poles : tuple of float
@@ -100,6 +104,15 @@ class InclinationCurve:
     domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
     poles: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        try:
+            lo, hi = self.domain
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and lo < hi):
+            raise ValidationError(f"domain must be two numbers lo < hi, got {self.domain!r}")
+        object.__setattr__(self, "domain", (float(lo), float(hi)))
 
 
 class ColumnRecord:
@@ -368,12 +381,11 @@ def _refine_zeros(
 def find_cusps(
     curve: InclinationCurve,
     interval: AngleInterval | Sequence[float],
-    refine_tol: float = 1e-12,
 ) -> list[float]:
     """Angles strictly inside the interval where R changes sign.
 
     Each sign change between grid nodes is refined to a bracket no wider
-    than ``refine_tol`` by secant steps with a squeeze pair under a
+    than ``_CUSP_TOL`` by secant steps with a squeeze pair under a
     bisection schedule.  An interior run of zero nodes whose nonzero
     neighbours differ in sign is one cusp, at the midpoint of the run's
     first and last nodes; a zero that R only touches, keeping its sign, is
@@ -382,13 +394,10 @@ def find_cusps(
     Raises
     ------
     ValidationError
-        If ``refine_tol`` is not finite and positive, or the angles are not
-        finite and strictly increasing.
+        If the angles are not finite and strictly increasing.
     EvaluationError
         If R is not finite at a grid node.
     """
-    if not (np.isfinite(refine_tol) and refine_tol > 0):
-        raise ValidationError(f"refine_tol must be finite and positive, got {refine_tol!r}")
     thetas = _resolve_grid(curve, interval)
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.asarray(curve.jet(thetas)[0], dtype=float)
@@ -405,7 +414,7 @@ def find_cusps(
         thetas[brackets + 1],
         r[brackets],
         r[brackets + 1],
-        refine_tol,
+        _CUSP_TOL,
     )
     # Runs of zero nodes [first, last], kept where both neighbours exist.
     edges = np.flatnonzero(np.diff(np.concatenate([[0], sign == 0, [0]])))

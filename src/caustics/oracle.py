@@ -100,14 +100,12 @@ def rays_from_tilt(
     return RayFamily(bases=samples.points, directions=nu, source_thetas=samples.theta)
 
 
-def reflect_horizontal(
-    points: np.ndarray, source_thetas: Sequence[float] | None = None
-) -> RayFamily:
+def reflect_horizontal(points: np.ndarray, source_thetas: Sequence[float]) -> RayFamily:
     """Reflect rightward-travelling horizontal light off a polyline mirror.
 
     The vertex normal comes from the adjacent segment directions; the
-    incoming direction (1, 0) is reflected about it.  Without explicit
-    parameter values the rays are numbered 0, 1, 2, ...
+    incoming direction (1, 0) is reflected about it.  ``source_thetas``
+    holds each ray's parameter, one per vertex, strictly increasing.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -135,8 +133,6 @@ def reflect_horizontal(
     dot = normals @ incoming
     directions = incoming[None, :] - 2.0 * dot[:, None] * normals
     directions /= np.linalg.norm(directions, axis=1)[:, None]
-    if source_thetas is None:
-        source_thetas = np.arange(len(pts), dtype=float)
     return RayFamily(bases=pts, directions=directions, source_thetas=source_thetas)
 
 

@@ -535,8 +535,8 @@ profile drifting off the multiples of pi inside it."""
 
 _REPORT_WINDOW = AngleInterval(0.0, 4 * math.pi, 2049)
 """The window of the report's zeros and profile samples.  A zero counts
-within 1e-12 of it, the accuracy of the refined cusps, so that the
-cycloid's cusp at 4pi counts."""
+within 1e-12 of it, ``inclination._CUSP_TOL``, the accuracy of the refined
+cusps, so that the cycloid's cusp at 4pi counts."""
 
 
 def _collinearity_residual(points: np.ndarray) -> float:
@@ -564,22 +564,6 @@ class MirrorReport:
     q_has_pole: bool
     is_vertical: bool
     has_occlusion: bool
-
-    def as_mapping(self) -> dict[str, object]:
-        """Flat key=value view for reports and the command line."""
-        return {
-            "label": self.label,
-            "zeros": list(self.zeros),
-            "zero_deviations": list(self.zero_deviations),
-            "collinearity_residual": self.collinearity_residual,
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
-            "rho_spread": self.rho_spread,
-            "q_growth": self.q_growth,
-            "q_has_pole": self.q_has_pole,
-            "is_vertical": self.is_vertical,
-            "has_occlusion": self.has_occlusion,
-        }
 
 
 def mirror_report(solution: PantographSolution) -> MirrorReport:

@@ -224,7 +224,7 @@ def cell_integrals(fn, lo, hi, budget, tol, ends=None):
 def panel_integrals(
     fn: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
-    tol: float = 1e-10,
+    tol: float,
     *,
     ends: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:

@@ -225,7 +225,7 @@ def delay_roots(
     factor_a: float,
     alpha: float,
     phi0: float,
-    indices: Sequence[int] = (0, -1),
+    indices: Sequence[int],
 ) -> list[CharacteristicRoot]:
     """Exponential rates lambda with (lambda + tan phi0) e^(alpha lambda) = a / cos phi0.
 

@@ -109,8 +109,7 @@ def test_public_names_are_pinned():
     ]
 
 
-# Each submodule's __all__, sorted; ``errors`` defines none (its exceptions
-# are listed in the package's names above).
+# Each submodule's __all__, sorted.
 SUBMODULE_EXPORTS = {
     "caustic": [
         "AT_INFINITY",
@@ -135,7 +134,21 @@ SUBMODULE_EXPORTS = {
         "write_curve_csv",
         "write_table",
     ],
-    "errors": None,
+    "errors": [
+        "CausticAtInfinityError",
+        "CausticsError",
+        "CuspError",
+        "DegenerateCurveError",
+        "DegenerateSamplingError",
+        "DomainError",
+        "EvaluationError",
+        "FlatCausticError",
+        "JetDepthError",
+        "NumericError",
+        "PoleError",
+        "ResonanceError",
+        "ValidationError",
+    ],
     "inclination": [
         "AngleInterval",
         "CurveSamples",
@@ -207,3 +220,36 @@ def test_submodule_public_names_are_pinned():
         names = getattr(importlib.import_module(f"caustics.{name}"), "__all__", None)
         found[name] = None if names is None else sorted(names)
     assert found == SUBMODULE_EXPORTS
+
+
+# The modules whose ``__all__`` the package star-imports.
+MODEL_MODULES = ["caustic", "errors", "inclination", "oracle", "pantograph", "skew", "specfun"]
+
+
+def test_model_modules_export_disjoint_names():
+    # A name in two lists would let the later star import hide the earlier object.
+    owners = {}
+    for name in MODEL_MODULES:
+        for attr in importlib.import_module(f"caustics.{name}").__all__:
+            owners.setdefault(attr, []).append(name)
+    assert {attr: found for attr, found in owners.items() if len(found) > 1} == {}
+
+
+def test_package_binds_only_its_exports_and_submodules():
+    public = {name for name in vars(caustics) if not name.startswith("_")}
+    submodules = {
+        name for name in public
+        if getattr(caustics, name) is sys.modules.get(f"caustics.{name}")
+    }
+    assert public - submodules == set(caustics.__all__) - {"__version__"}
+    assert submodules <= set(SUBMODULES)
+
+
+def test_errors_exports_every_exception_class():
+    errors = importlib.import_module("caustics.errors")
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert sorted(defined) == SUBMODULE_EXPORTS["errors"]
+    assert all(issubclass(getattr(errors, name), errors.CausticsError) for name in defined)

@@ -15,6 +15,7 @@ from caustics.errors import (
     ValidationError,
 )
 from caustics.inclination import (
+    _CUSP_TOL,
     AngleInterval,
     InclinationCurve,
     circle,
@@ -24,6 +25,7 @@ from caustics.inclination import (
     log_spiral,
     polynomial_curve,
     reconstruct,
+    _refine_zeros,
 )
 from caustics.pantograph import (
     PantographSolution,
@@ -41,9 +43,9 @@ from caustics.skew import (
 
 def test_interval_validation():
     with pytest.raises(ValidationError):
-        AngleInterval(1.0, 1.0)
+        AngleInterval(1.0, 1.0, 257)
     with pytest.raises(ValidationError):
-        AngleInterval(2.0, 1.0)
+        AngleInterval(2.0, 1.0, 257)
     with pytest.raises(ValidationError):
         AngleInterval(0.0, 1.0, n_samples=1)
     iv = AngleInterval(0.0, 2.0, 5)
@@ -193,6 +195,27 @@ def test_reconstruct_rejects_interval_outside_domain():
     arc = dataclasses.replace(cycloid(), domain=(0.0, 10.0))
     with pytest.raises(DomainError, match=r"100\.0 leaves the curve domain \[0\.0, 10\.0\]"):
         reconstruct(arc, AngleInterval(0.0, 100.0, 17))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [AngleInterval(0.0, 1.0, 9), (1.0, 0.0), (math.nan, 1.0), (0.0, 0.0), (0.0,), "01"],
+    ids=["interval", "reversed", "nan", "empty", "one_end", "text"],
+)
+def test_bad_domain_is_validation_error_at_construction(domain):
+    with pytest.raises(ValidationError, match="domain"):
+        InclinationCurve(jet=cycloid().jet, domain=domain)
+
+
+def test_domains_in_use_build_as_float_pairs():
+    solution = PantographSolution(solve_series(1, n_max=30))
+    for curve in (cycloid(), parabola_mirror(1.0), solution_curve(solution),
+                  InclinationCurve(jet=cycloid().jet, domain=(0, np.float64(math.inf)))):
+        lo, hi = curve.domain
+        assert type(lo) is float and type(hi) is float and lo < hi
+    assert cycloid().domain == (-math.inf, math.inf)
+    assert parabola_mirror(1.0).domain == (0.0, math.pi)
+    assert solution_curve(solution).domain == (0.0, solution.max_theta)
 
 
 def test_reconstruct_accepts_explicit_grid():
@@ -377,10 +400,10 @@ HARD_ZEROS = {
 def test_hard_zeros_stay_within_the_bisection_budget(name):
     jet, grid, root = HARD_ZEROS[name]
     fn = lambda x: jet(x)[0]
-    tol = 1e-12
+    tol = _CUSP_TOL
     curve = InclinationCurve(jet=lambda t: jet(np.asarray(t, dtype=float)), label=name)
     counted, calls = _counted(curve)
-    (z,) = find_cusps(counted, grid, refine_tol=tol)
+    (z,) = find_cusps(counted, grid)
     width = grid[1] - grid[0]
     assert len(calls) - 1 <= math.ceil(math.log2(width / tol)) + 2
     if root is not None:
@@ -399,18 +422,15 @@ def test_puiseux_draw_refines_in_few_calls():
     assert len(calls) <= 6
 
 
-@pytest.mark.parametrize("refine_tol", [math.nan, math.inf, 0.0, -1.0])
-def test_bad_refine_tol_is_validation_error(refine_tol):
-    counted, calls = _counted(cycloid(1.0))
-    with pytest.raises(ValidationError, match="refine_tol"):
-        find_cusps(counted, AngleInterval(0.5, 7.0, 65), refine_tol=refine_tol)
-    assert calls == []
-
-
 def test_refine_tol_below_float_spacing_stops_at_adjacent_floats():
+    # find_cusps' own brackets, refined to a width no float spacing reaches.
     counted, calls = _counted(cycloid(1.0))
-    cusps = find_cusps(counted, AngleInterval(0.5, 7.0, 65), refine_tol=1e-300)
-    assert cusps == [math.pi, 2 * math.pi]
+    grid = AngleInterval(0.5, 7.0, 65).grid()
+    r = counted.jet(grid)[0]
+    i = np.flatnonzero(np.sign(r[:-1]) != np.sign(r[1:]))
+    fn = lambda t: counted.jet(t)[0]
+    cusps = _refine_zeros(fn, grid[i], grid[i + 1], r[i], r[i + 1], 1e-300)
+    assert cusps.tolist() == [math.pi, 2 * math.pi]
     # The budget at 1e-300 is about a thousand calls; adjacent ends stop first.
     assert len(calls) <= 24
 

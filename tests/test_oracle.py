@@ -77,10 +77,10 @@ def test_reflection_of_semicircle_doubles_angle():
 def test_reflection_rejects_degenerate_polylines():
     dup = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegenerateSamplingError):
-        reflect_horizontal(dup)
+        reflect_horizontal(dup, np.arange(3.0))
     reversal = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
     with pytest.raises(DegenerateSamplingError):
-        reflect_horizontal(reversal)
+        reflect_horizontal(reversal, np.arange(3.0))
 
 
 def test_envelope_of_tangent_lines_is_the_circle():

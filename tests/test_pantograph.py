@@ -1,5 +1,6 @@
 """Series mirrors, doubling continuation and the feasibility report."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from caustics import pantograph, specfun
+from caustics.cli import main
 from caustics.caustic import CUSP, OK, TiltField, caustic_curve
 from caustics.errors import (
     DegenerateCurveError,
@@ -344,10 +346,15 @@ def test_mirror_samples_match_generic_reconstruction(k, n_max, bound):
             assert np.max(np.abs(getattr(got, name) - ref)) <= bound * np.max(np.abs(ref))
 
 
-def test_report_mapping_round_trip(cycloid_report):
-    mapping = cycloid_report.as_mapping()
-    assert mapping["is_vertical"] is True
-    assert mapping["rho_spread"] == cycloid_report.rho_spread
+def test_report_mapping_round_trip(cycloid_report, capsys):
+    # The CLI prints each scalar field of the report, in declaration order.
+    assert main(["pantograph", "--m", "1", "--order", "30"]) == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    scalars = [f.name for f in dataclasses.fields(cycloid_report)
+               if f.name != "label" and not isinstance(getattr(cycloid_report, f.name), np.ndarray)]
+    assert list(lines) == ["m", "k", "a"] + scalars
+    assert cycloid_report.is_vertical is True and lines["is_vertical"] == "true"
+    assert lines["rho_spread"] == f"{cycloid_report.rho_spread:.12g}"
 
 
 def test_report_rejects_singular_profiles():

@@ -174,8 +174,8 @@ def test_node_jet_values_are_reused_by_k7():
 
     edges = np.linspace(0.0, 4.0, 9)
     plain, tried = [], []
-    without = panel_integrals(_counting(fn, plain), edges)
-    with_ends = panel_integrals(_counting(fn, tried), edges, ends=(fn(edges), jet(edges)))
+    without = panel_integrals(_counting(fn, plain), edges, 1e-10)
+    with_ends = panel_integrals(_counting(fn, tried), edges, 1e-10, ends=(fn(edges), jet(edges)))
     # Every cell of this coarse grid misses the node-jet rule, and K7 reads its three
     # values: the same values in the same order, so the same bits, at the same cost.
     assert np.array_equal(with_ends, without)
@@ -191,7 +191,7 @@ def test_node_jet_values_are_reused_by_k7():
 def test_bad_ends_raise_before_any_work(ends):
     calls = []
     with pytest.raises(ValidationError, match="ends"):
-        panel_integrals(_counting(lambda t: t[None], calls), np.linspace(0, 1, 9), ends=ends)
+        panel_integrals(_counting(lambda t: t[None], calls), np.linspace(0, 1, 9), 1e-10, ends=ends)
     assert calls == []
 
 
@@ -263,14 +263,14 @@ def test_log_spiral_closed_form_on_a_fine_grid():
 
 def test_cell_missed_by_k7_costs_fifteen_evaluations():
     sizes = []
-    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 1.0])
+    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 1.0], 1e-10)
     assert sizes == [7, 8]
     assert abs(piece[0, 0] - math.sin(1.0)) <= 1e-15
 
 
 def test_refined_panel_costs_fifteen_evaluations_in_one_call():
     sizes = []
-    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 4.0])
+    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 4.0], 1e-10)
     assert sizes == [7, 8, 2 * 15]
     assert abs(piece[0, 0] - math.sin(4.0)) <= 1e-15
 
@@ -322,20 +322,20 @@ def test_refinement_past_the_panel_cap_raises_before_evaluating(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
     sizes = []
     with pytest.raises(NumericError, match="more than 64 panels"):
-        panel_integrals(_counting(lambda t: np.sin(t)[None], sizes), [0.0, 1e6])
+        panel_integrals(_counting(lambda t: np.sin(t)[None], sizes), [0.0, 1e6], 1e-10)
     assert sizes[:2] == [7, 8]
     assert sizes[2:] == [15 * 2**k for k in range(1, 7)]
 
 
 def test_non_finite_integrand_is_evaluation_error():
     with pytest.raises(EvaluationError, match="not finite"):
-        panel_integrals(lambda t: np.where(t > 0.7, np.nan, t)[None], np.linspace(0, 1, 9))
+        panel_integrals(lambda t: np.where(t > 0.7, np.nan, t)[None], np.linspace(0, 1, 9), 1e-10)
 
 
 def test_integrand_sees_one_block_of_panels_at_most():
     sizes = []
     edges = np.linspace(0.0, 1.0, 3 * quadrature._BLOCK + 6)
-    pieces = panel_integrals(_counting(lambda t: np.stack([t, t * t]), sizes), edges)
+    pieces = panel_integrals(_counting(lambda t: np.stack([t, t * t]), sizes), edges, 1e-10)
     assert len(sizes) == 4
     assert max(sizes) <= 15 * quadrature._BLOCK
     exact = np.diff(np.stack([edges**2 / 2, edges**3 / 3]), axis=1)

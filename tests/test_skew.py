@@ -124,7 +124,7 @@ def test_delay_roots_residual_bound(rng):
 
 def test_delay_roots_branch_availability():
     with pytest.raises(ValidationError):
-        delay_roots(1.0, -0.5, 0.0)
+        delay_roots(1.0, -0.5, 0.0, (0, -1))
 
 
 def test_advance_problems_normalise_to_delay():
