@@ -1,0 +1,50 @@
+"""Argument checks shared by the public routines.  Each returns the value in the form its
+caller computes with, or raises ``ValidationError`` naming the argument."""
+from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
+
+from .errors import ValidationError
+
+
+def integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int: an int or numpy integer, never a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def real(name: str, value) -> float:
+    """``value`` as a float: a finite real number, never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def array(name: str, data, ndim: int, least: int = 0) -> np.ndarray:
+    """``data`` as a float ``(n,)`` (``ndim`` 1) or ``(n, 2)`` (``ndim`` 2) array, ``n >= least``;
+    with ``least`` 0, an empty sequence is an empty array of that form."""
+    form = "a 1-D array of numbers" if ndim == 1 else "an (n, 2) array: pairs of numbers"
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be {form}") from None
+    if least == 0 and arr.shape == (0,):
+        return arr.reshape((0, 2)[:ndim])
+    if arr.ndim != ndim or arr.shape[1:] != (2,) * (ndim - 1) or len(arr) < least:
+        length = f", at least {least}" if least else ""
+        raise ValidationError(f"{name} must be {form}{length}; got shape {arr.shape}")
+    return arr
+
+
+def increasing(name: str, data, least: int = 2) -> np.ndarray:
+    """``data`` as a float 1-D array of at least ``least`` finite, strictly increasing values."""
+    grid = array(name, data, 1, least)
+    if not (np.isfinite(grid).all() and np.all(grid[1:] > grid[:-1])):
+        raise ValidationError(f"{name} must be finite and strictly increasing")
+    return grid

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     DegenerateSamplingError,
     DomainError,
@@ -62,17 +63,12 @@ class AngleInterval:
     n_samples: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError("interval endpoints must be finite")
-        if not self.lo < self.hi:
+        if not _checks.real("lo", self.lo) < _checks.real("hi", self.hi):
             raise ValidationError(
                 f"need lo < hi, got [{self.lo}, {self.hi}]; the tangent angle "
                 "increases strictly along every curve"
             )
-        if not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool):
-            raise ValidationError(f"n_samples must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 2:
-            raise ValidationError("an interval carries at least 2 samples")
+        _checks.integer("n_samples", self.n_samples, least=2)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_samples)
@@ -191,13 +187,7 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
         lo, hi = _clip_interval(curve, interval.lo, interval.hi)
         thetas = np.linspace(lo, hi, interval.n_samples)
     else:
-        thetas = np.array(interval, dtype=float)
-        if thetas.ndim != 1 or thetas.size < 2:
-            raise ValidationError("need an AngleInterval or >= 2 increasing angles")
-        if not np.all(np.isfinite(thetas)):
-            raise ValidationError("sample angles must be finite")
-        if np.any(np.diff(thetas) <= 0):
-            raise ValidationError("sample angles must increase strictly")
+        thetas = np.array(_checks.increasing("interval", interval))
         lo, hi = _clip_interval(curve, float(thetas[0]), float(thetas[-1]))
         if lo > thetas[0] or hi < thetas[-1]:
             thetas = thetas[(thetas >= lo) & (thetas <= hi)]

@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _checks
 from .caustic import TiltField, caustic_curve
 from .errors import DegenerateSamplingError, ValidationError
 from .inclination import AngleInterval, InclinationCurve, reconstruct
@@ -65,17 +66,13 @@ class RayFamily:
     source_thetas: np.ndarray
 
     def __post_init__(self):
-        bases = np.asarray(self.bases, dtype=float)
-        directions = np.asarray(self.directions, dtype=float)
-        thetas = np.asarray(self.source_thetas, dtype=float)
-        if bases.ndim != 2 or bases.shape[1] != 2 or directions.shape != bases.shape:
-            raise ValidationError("ray bases and directions must be (n, 2) arrays of one shape")
+        bases = _checks.array("bases", self.bases, 2)
+        directions = _checks.array("directions", self.directions, 2)
+        thetas = _checks.increasing("source_thetas", self.source_thetas, least=0)
+        if not len(directions) == len(thetas) == len(bases):
+            raise ValidationError("one direction and one source angle per ray")
         if np.any(np.abs(np.hypot(directions[:, 0], directions[:, 1]) - 1.0) > 1e-12):
             raise ValidationError("ray directions must be unit vectors (to 1e-12)")
-        if thetas.shape != (len(bases),):
-            raise ValidationError("one source angle per ray")
-        if len(thetas) > 1 and not np.all(np.diff(thetas) > 0):
-            raise ValidationError("source angles must increase strictly")
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "source_thetas", thetas)
@@ -107,9 +104,7 @@ def reflect_horizontal(points: np.ndarray, source_thetas: Sequence[float]) -> Ra
     incoming direction (1, 0) is reflected about it.  ``source_thetas``
     holds each ray's parameter, one per vertex, strictly increasing.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValidationError("mirror polyline must be an (n, 2) array with n >= 2")
+    pts = _checks.array("points", points, 2, least=2)
     seg = np.diff(pts, axis=0)
     norms = np.linalg.norm(seg, axis=1)
     if np.any(norms == 0.0):
@@ -308,18 +303,6 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     return float(best.max())
 
 
-def _polyline(data, what: str = "a polyline", allow_empty: bool = False) -> np.ndarray:
-    try:
-        points = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an (n, 2) array of numbers") from None
-    if allow_empty and points.size == 0:
-        return points.reshape(0, 2)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValidationError(f"{what} must be an (n, 2) array, got shape {points.shape}")
-    return points
-
-
 def hausdorff_distance(
     first: np.ndarray,
     second: np.ndarray,
@@ -341,8 +324,9 @@ def hausdorff_distance(
     both polylines, and the exclusion centers if any, are ``(n, 2)`` arrays
     of numbers.
     """
-    first, second = _polyline(first), _polyline(second)
-    centers = _polyline(exclusions, "exclusions", allow_empty=True)
+    first = _checks.array("first polyline", first, 2)
+    second = _checks.array("second polyline", second, 2)
+    centers = _checks.array("exclusions", exclusions, 2)
 
     def prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = _mask_near(points, centers, exclusion_radius)
@@ -396,9 +380,7 @@ class Verticality(NamedTuple):
 
 def verticality_check(points: np.ndarray) -> Verticality:
     """A mirror is vertical iff y is strictly monotone along it."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValidationError("polyline must be an (n, 2) array with n >= 2")
+    pts = _checks.array("points", points, 2, least=2)
     dy = np.diff(pts[:, 1])
     broken = np.flatnonzero((dy == 0.0) | (np.sign(dy) != np.sign(dy[0])))
     if broken.size:
@@ -429,9 +411,7 @@ def occlusion_check(points: np.ndarray) -> Occlusion:
     the candidate (segment, vertex) pairs only, in bounded chunks.
     Segments with a NaN end cross nothing.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValidationError("polyline must be an (n, 2) array with n >= 2")
+    pts = _checks.array("points", points, 2, least=2)
     n = len(pts)
     x, y = pts[:, 0], pts[:, 1]
     x0, y0 = x[:-1], y[:-1]

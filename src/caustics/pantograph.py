@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     DegenerateCurveError,
     JetDepthError,
@@ -92,9 +93,7 @@ def similarity_factor(k: int) -> Fraction:
 
 
 def _check_k(k) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    k = int(k)
+    k = _checks.integer("k", k)
     if k == -4:
         raise ValidationError(
             "k = -4 collapses the scale factor to 0; that member is the "
@@ -206,10 +205,7 @@ def solve_series(
     and ``ResonanceError`` for k = -3 without one.
     """
     k = _check_k(k)
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool):
-        raise ValidationError(f"n_max must be an integer, got {n_max!r}")
-    if n_max <= k:
-        raise ValidationError(f"n_max must exceed k, got n_max={n_max}, k={k}")
+    n_max = _checks.integer("n_max", n_max, least=k + 1)
     lead = _finite_rational("the leading coefficient a_k", leading)
     if lead == 0:
         raise ValidationError("the leading coefficient a_k must be nonzero")
@@ -226,11 +222,11 @@ def solve_series(
         seeds = (lead, lead)
     else:
         seeds = (lead, _finite_rational("the secondary coefficient a_{-2}", secondary))
-    ordered = [seeds[j % 2] * u for j, u in enumerate(_unit_series(k, int(n_max)))]
+    ordered = [seeds[j % 2] * u for j, u in enumerate(_unit_series(k, n_max))]
     return PantographSeries(
         k=k,
         factor_a=float(similarity_factor(k)),
-        n_max=int(n_max),
+        n_max=n_max,
         coefficients=np.array([float(c) for c in ordered]),
         exact=tuple(ordered) if exact else None,
     )

@@ -1,7 +1,7 @@
 """Quadrature over cells with a global error budget: a node-jet rule, then G3/K7/P15.
 
-Where the caller knows the integrand ``f`` and its derivative ``f'`` at both ends of each
-cell, ``panel_integrals`` and ``cell_integrals`` take them as ``ends`` and first try an
+The caller gives the integrand ``f`` and its derivative ``f'`` at both ends of each cell
+as ``ends``, and ``panel_integrals`` and ``cell_integrals`` first try an
 endpoint-corrected Hermite rule (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd
 ed., 1984).  It reads f at three inner nodes of the cell, K7's ``-b``, ``0`` and ``b`` with
 ``b = 0.434...``, so that, on ``[-1, 1]``,
@@ -23,8 +23,8 @@ rule, its 7-point Kronrod extension and Patterson's 15-point extension of that (
 Patterson, *The optimum addition of points to quadrature formulae*, Math. Comp. 22, 1968),
 exact to degrees 5, 11 and 23.  Each rule is judged against the one inside it with
 QUADPACK's ``qk`` estimate ``resasc min(1, (200 |fine - coarse| / resasc)^1.5)`` (Piessens et
-al., *QUADPACK*, 1983).  The caller's cells get K7 (without ``ends``, or where the node-jet
-rule misses); the cells K7 misses get the 8 Patterson nodes on top and are judged by P15.
+al., *QUADPACK*, 1983).  The caller's cells get K7 where the node-jet rule misses; the
+cells K7 misses get the 8 Patterson nodes on top and are judged by P15.
 Cells that P15 misses are halved, and every refined panel gets all 15 nodes in one integrand
 call, a block of panels per call.  A panel is accepted when its estimate is within its width
 share of ``tol`` or its rounding floor ``50 eps int |f|``; refinement ends once the error
@@ -34,11 +34,11 @@ raised; so it is when a level leaves more than ``_MAX_PANELS`` panels open.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
+from . import _checks
 from .errors import EvaluationError, NumericError, ValidationError
 
 __all__ = ["panel_integrals"]
@@ -180,15 +180,15 @@ def _level(fn, lo, hi, budget, rungs, ends):
     return est, err, passes
 
 
-def cell_integrals(fn, lo, hi, budget, tol, ends=None):
+def cell_integrals(fn, lo, hi, budget, tol, ends):
     """Integrals over the cells ``[lo, hi]``, ``(n_components, n_cells)``.
 
-    ``budget`` is each cell's share of the absolute budget ``tol``.  ``ends``, if given,
-    holds ``(f_a, f'_a, f_b, f'_b)``, the integrand and its derivative at the cell ends,
-    each ``(n_components, n_cells)``; then every cell first tries the node-jet rule.
+    ``budget`` is each cell's share of the absolute budget ``tol``.  ``ends`` holds
+    ``(f_a, f'_a, f_b, f'_b)``, the integrand and its derivative at the cell ends, each
+    ``(n_components, n_cells)``; every cell first tries the node-jet rule.
     """
     owner = np.arange(lo.size)
-    rungs = _RUNGS if ends is not None else _RUNGS[1:]
+    rungs = _RUNGS
     result, spent, lost, n_lost = None, 0.0, 0.0, 0
     for level in range(_MAX_LEVELS):
         est, err, ok = _level(fn, lo, hi, budget, rungs, ends)
@@ -226,33 +226,26 @@ def panel_integrals(
     edges: np.ndarray,
     tol: float,
     *,
-    ends: tuple[np.ndarray, np.ndarray] | None = None,
+    ends: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Integrate a vector-valued integrand over each cell of a partition.
 
     ``fn`` is vectorised and returns shape ``(n_components, n_points)``;
     ``edges`` are finite, strictly increasing cell boundaries (at least two);
     ``tol`` is a finite positive absolute budget, for each component over the
-    whole partition.  ``ends``, if given, holds the integrand and its
-    derivative at the edges, each ``(n_components, n_edges)``, and every cell
-    first tries the node-jet rule.  Returns shape ``(n_components, n_panels)``.
+    whole partition.  ``ends`` holds the integrand and its derivative at the
+    edges, each ``(n_components, n_edges)``, and every cell first tries the
+    node-jet rule.  Returns shape ``(n_components, n_panels)``.
     Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and
     ``NumericError`` when panels at rounding width hold more than ``tol`` of
     estimated error or refinement leaves more than ``_MAX_PANELS`` panels open.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not _checks.real("tol", tol) > 0:
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValidationError("need a 1-D array of at least 2 edges")
-    # NaN fails every comparison, and finite ends bound the increasing interior.
-    if not (np.all(edges[1:] > edges[:-1]) and math.isfinite(edges[0])
-            and math.isfinite(edges[-1])):
-        raise ValidationError("edges must be finite and strictly increasing")
+    edges = _checks.increasing("edges", edges)
     lo, hi = edges[:-1], edges[1:]
-    if ends is not None:
-        f, df = (np.asarray(e, dtype=float) for e in ends)
-        if f.ndim != 2 or f.shape != df.shape or f.shape[1] != edges.size:
-            raise ValidationError("ends must be two (n_components, n_edges) arrays")
-        ends = (f[:, :-1], df[:, :-1], f[:, 1:], df[:, 1:])
+    f, df = (np.asarray(e, dtype=float) for e in ends)
+    if f.ndim != 2 or f.shape != df.shape or f.shape[1] != edges.size:
+        raise ValidationError("ends must be two (n_components, n_edges) arrays")
+    ends = (f[:, :-1], df[:, :-1], f[:, 1:], df[:, 1:])
     return cell_integrals(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol, ends)

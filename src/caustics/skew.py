@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     DegenerateCurveError,
     NumericError,
@@ -62,7 +63,7 @@ _CASES = ("point_by_point", "inverse_position", "delay")
 
 
 def _check_phi0(phi0: float) -> float:
-    phi0 = float(phi0)
+    phi0 = _checks.real("phi0", phi0)
     if not abs(phi0) < math.pi / 2:
         raise ValidationError(f"tilt phi0 must satisfy |phi0| < pi/2, got {phi0}")
     return phi0
@@ -99,16 +100,12 @@ class SkewFamilySpec:
             object.__setattr__(self, "factor_a", factor_a)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "phi0", phi0)
-        try:
-            pairs = tuple((float(a), float(b)) for a, b in self.coefficients)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"coefficients must be (A, B) pairs of numbers, got {self.coefficients!r}"
-            ) from None
-        if not pairs:
+        pairs = _checks.array("coefficients", self.coefficients, 2)
+        if not len(pairs):
             raise ValidationError("coefficients must hold at least one (A, B) pair")
-        object.__setattr__(self, "coefficients", pairs)
-        object.__setattr__(self, "root_indices", tuple(int(i) for i in self.root_indices))
+        object.__setattr__(self, "coefficients", tuple(map(tuple, pairs.tolist())))
+        object.__setattr__(self, "root_indices",
+                           tuple(_checks.integer("root_indices", i) for i in self.root_indices))
 
 
 def point_by_point_curve(amplitude: float, factor_a: float, phi0: float) -> InclinationCurve:
@@ -172,11 +169,14 @@ def inverse_position_curve(
 
 
 def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0: float) -> float:
-    """The angle-reversal shift consistent with given oscillatory amplitudes.
+    """The angle-reversal shift consistent with given inverse-position amplitudes.
 
-    For the trigonometric inverse-position family the shift alpha is not
-    free: matching coefficients of cos and sin determines it from A, B, a
-    and phi0.  Defined for a^2 > sin(phi0)^2 (oscillatory members).
+    The shift alpha is not free: matching coefficients determines it from A,
+    B, a and phi0.  Trigonometric members (a^2 > sin(phi0)^2) have one;
+    hyperbolic members have one where the matched cosh(w alpha) is
+    positive; on the circle involutes (a = +-sin(phi0)), a = sin(phi0) with
+    B = 0 takes any (0 is returned), and a = -sin(phi0) with B != 0 one.
+    Any other member raises ``ValidationError``.
     """
     phi0 = _check_phi0(phi0)
     A, B = float(amplitude_a), float(amplitude_b)
@@ -184,20 +184,32 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
         raise DegenerateCurveError("both amplitudes vanish")
     s, c = math.sin(phi0), math.cos(phi0)
     omega_sq = (factor_a - s) * (factor_a + s) / (c * c)
-    if omega_sq <= 0.0:
-        raise ValidationError(
-            "implied_alpha is defined for the oscillatory family (a^2 > sin^2 phi0)"
-        )
-    w = math.sqrt(omega_sq)
-    p = (B * w * c + A * s) / factor_a
-    m = (-A * w * c + B * s) / factor_a
-    denom = A * A + B * B
-    cos_wa = (A * p - B * m) / denom
-    sin_wa = (B * p + A * m) / denom
-    mismatch = abs(cos_wa**2 + sin_wa**2 - 1.0)
-    if mismatch > 1e-9:
-        raise NumericError(f"no consistent shift: |cos^2+sin^2 - 1| = {mismatch:.3e}")
-    return math.atan2(sin_wa, cos_wa) / w
+    w = math.sqrt(abs(omega_sq))
+    if omega_sq > 0.0:
+        p = (B * w * c + A * s) / factor_a
+        m = (-A * w * c + B * s) / factor_a
+        denom = A * A + B * B
+        cos_wa = (A * p - B * m) / denom
+        sin_wa = (B * p + A * m) / denom
+        mismatch = abs(cos_wa**2 + sin_wa**2 - 1.0)
+        if mismatch > 1e-9:
+            raise NumericError(f"no consistent shift: |cos^2+sin^2 - 1| = {mismatch:.3e}")
+        return math.atan2(sin_wa, cos_wa) / w
+    if omega_sq < 0.0 and factor_a != 0.0 and A * A != B * B:
+        # cosh(w alpha) and sinh(w alpha) solve A C + B S = p, B C + A S = m.
+        p = (B * w * c + A * s) / factor_a
+        m = -(A * w * c + B * s) / factor_a
+        denom = A * A - B * B
+        if (A * p - B * m) / denom > 0.0:
+            return math.asinh((A * m - B * p) / denom) / w
+    if omega_sq == 0.0 and factor_a == s and B == 0.0:
+        return 0.0
+    if omega_sq == 0.0 and factor_a == -s and s * B != 0.0:
+        return -(c * B + 2 * s * A) / (s * B)
+    raise ValidationError(
+        f"no real shift alpha for the inverse-position member A={A:g}, B={B:g}, "
+        f"a={factor_a:g}, phi0={phi0:g}"
+    )
 
 
 def to_delay_form(factor_a: float, alpha: float, phi0: float) -> tuple[float, float, float]:
@@ -243,14 +255,15 @@ def delay_roots(
     rhs = alpha * factor_a * math.exp(alpha * tphi) / math.cos(phi0)
     roots: list[CharacteristicRoot] = []
     for k in indices:
-        w = lambert_w(int(k), rhs)
+        k = _checks.integer("indices", k)
+        w = lambert_w(k, rhs)
         lam = complex(w) / alpha - tphi
         resid = abs((lam + tphi) * cmath.exp(alpha * lam) - factor_a / math.cos(phi0))
         if resid > 1e-10:
             raise NumericError(
                 f"characteristic residual {resid:.3e} on branch {k} exceeds 1e-10"
             )
-        roots.append(CharacteristicRoot(branch=int(k), value=lam))
+        roots.append(CharacteristicRoot(branch=k, value=lam))
     return roots
 
 

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _checks
 from .errors import NumericError, PoleError, ValidationError
 
 __all__ = [
@@ -91,8 +92,7 @@ def lambert_w(k: int, z: complex | float):
     NumericError
         If the iteration cannot meet the residual tolerance.
     """
-    if not isinstance(k, (int, np.integer)):
-        raise ValidationError(f"branch index must be an integer, got {k!r}")
+    k = _checks.integer("k", k)
     z_was_real = not isinstance(z, complex)
     zc = complex(z)
     if zc == 0:
@@ -102,7 +102,7 @@ def lambert_w(k: int, z: complex | float):
     if zc.imag == 0.0 and abs(zc.real - _BRANCH_POINT) < 4e-17 and k in (0, -1):
         return -1.0 if z_was_real else complex(-1.0)
 
-    w = _initial_guess(int(k), zc)
+    w = _initial_guess(k, zc)
     best_w, best_res = w, math.inf
     for _ in range(_MAX_HALLEY_STEPS):
         e = cmath.exp(w)
@@ -201,11 +201,10 @@ def tan_coeffs(n_max: int) -> TanCoefficients:
     series, then rounded once to float.  ``tan_coeffs(2).values`` is
     ``[1, 1/3, 2/15]``.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValidationError(f"n_max must be a non-negative integer, got {n_max!r}")
-    exact = _tan_exact(int(n_max))
+    n_max = _checks.integer("n_max", n_max, least=0)
+    exact = _tan_exact(n_max)
     values = np.array([float(c) for c in exact])
-    return TanCoefficients(n_max=int(n_max), exact=exact, values=values)
+    return TanCoefficients(n_max=n_max, exact=exact, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,8 @@ def zeta_even(n: int) -> float:
     resolution at 1, so the correctly rounded closed-form value is 1.0
     and no Bernoulli number is expanded.
     """
-    if not isinstance(n, (int, np.integer)) or n <= 0 or n % 2 != 0:
+    n = _checks.integer("n", n, least=1)
+    if n % 2:
         raise ValidationError(f"zeta_even expects a positive even integer, got {n!r}")
     if n >= 54:
         return 1.0

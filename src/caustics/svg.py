@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _digits
+from . import _checks, _digits
 from .errors import ValidationError
 
 __all__ = ["GROUP_ORDER", "write_scene"]
@@ -45,7 +45,7 @@ _PATH_LEAD, _CIRCLE_LEAD = '\n<path d="M', '\n<circle cx="'
 """Text before a group's first coordinate; each circle's x needs it too."""
 
 
-def _as_group(data) -> tuple[np.ndarray, np.ndarray] | None:
+def _as_group(name: str, data) -> tuple[np.ndarray, np.ndarray] | None:
     """One group's polylines as stacked ``(m, 2)`` points and each polyline's length.
 
     ``data`` is one ``(n, 2)`` array, an ``(n, k, 2)`` array of ``n``
@@ -54,19 +54,15 @@ def _as_group(data) -> tuple[np.ndarray, np.ndarray] | None:
     """
     if data is None:
         return None
-    try:
-        if isinstance(data, np.ndarray) and data.ndim == 3:
-            polys = [data.reshape(-1, data.shape[2]).astype(float, copy=False)]
-            lengths = np.full(len(data), data.shape[1])
-        else:
-            if isinstance(data, np.ndarray) and data.ndim == 2:
-                data = [data]
-            polys = [np.asarray(poly, dtype=float) for poly in data]
-            lengths = np.array([arr.size // 2 for arr in polys], dtype=int)
-    except (TypeError, ValueError):
-        raise ValidationError("every polyline must be an (n, 2) array of numbers") from None
-    if any(arr.ndim != 2 or arr.shape[1] != 2 for arr in polys):
-        raise ValidationError("every polyline must be an (n, 2) array")
+    if isinstance(data, np.ndarray) and data.ndim == 3:
+        n, k, width = data.shape
+        polys = [_checks.array(name, data.reshape(n * k, width), 2)]
+        lengths = np.full(n, k)
+    else:
+        if isinstance(data, np.ndarray) and data.ndim == 2:
+            data = [data]
+        polys = [_checks.array(name, poly, 2) for poly in data]
+        lengths = np.array([len(arr) for arr in polys], dtype=int)
     if len(lengths) == 0:
         return None
     return (polys[0] if len(polys) == 1 else np.concatenate(polys, axis=0)), lengths
@@ -107,15 +103,9 @@ def write_scene(
     is ``SIZE`` and each margin ``MARGIN_FRACTION`` of the data's larger
     extent, which must be finite.
     """
-    if cusps is not None and len(cusps):
-        try:
-            cusps = np.asarray(cusps, dtype=float).reshape(1, -1, 2)
-        except (TypeError, ValueError):
-            raise ValidationError("cusps must be an (n, 2) array of numbers") from None
-    else:
-        cusps = None
+    cusps = _checks.array("cusps", cusps, 2)[None] if cusps is not None and len(cusps) else None
     given = dict(mirror=mirror, caustic=caustic, rays=rays, cusps=cusps, cuspline=cuspline)
-    groups = {name: _as_group(given[name]) for name in GROUP_ORDER}
+    groups = {name: _as_group(name, given[name]) for name in GROUP_ORDER}
     groups = {name: group for name, group in groups.items() if group is not None}
     if not groups:
         raise ValidationError("nothing to draw")

@@ -1,0 +1,88 @@
+"""Argument checks at the public boundary: bad input raises ``ValidationError``, not a raw
+numpy or Python error, and numpy scalars pass wherever Python numbers do."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from caustics.errors import ValidationError
+from caustics.inclination import AngleInterval, circle, reconstruct
+from caustics.oracle import RayFamily, occlusion_check, reflect_horizontal, verticality_check
+from caustics.pantograph import solve_series
+from caustics.quadrature import panel_integrals
+from caustics.skew import SkewFamilySpec, delay_roots, point_by_point_curve
+from caustics.specfun import lambert_w, tan_coeffs, zeta_even
+
+RAGGED = [[0.0], [1.0, 2.0]]
+RAGGED_POINTS = [[0, 0], [1]]
+
+
+def _line(t):
+    return np.asarray(t)[None]
+
+
+UNIT_ENDS = (_line([0.0, 1.0]), np.ones((1, 2)))  # t and its derivative at the edges 0, 1
+
+
+BAD_CALLS = {
+    "tan_coeffs_bool": lambda: tan_coeffs(True),
+    "lambert_w_bool_branch": lambda: lambert_w(True, 1.0),
+    "spec_fractional_root_index": lambda: SkewFamilySpec(
+        "delay", 0.3, 0.9, alpha=1.0, root_indices=(1.7,)),
+    "delay_roots_fractional_branch": lambda: delay_roots(0.9, 1.0, 0.3, [1.5]),
+    "panel_integrals_bool_tol": lambda: panel_integrals(_line, [0.0, 1.0], True, ends=UNIT_ENDS),
+    "point_by_point_text_phi0": lambda: point_by_point_curve(1.0, 1.0, "x"),
+    "interval_text_lo": lambda: AngleInterval("a", 1.0, 5),
+    "reconstruct_ragged": lambda: reconstruct(circle(), RAGGED),
+    "panel_integrals_ragged": lambda: panel_integrals(_line, RAGGED, 1e-10, ends=UNIT_ENDS),
+    "ray_family_ragged": lambda: RayFamily(RAGGED_POINTS, [[0.0, 1.0], [0.0, 1.0]], [0.0, 1.0]),
+    "reflect_horizontal_ragged": lambda: reflect_horizontal(RAGGED_POINTS, [0.0, 1.0]),
+    "verticality_check_ragged": lambda: verticality_check(RAGGED_POINTS),
+    "occlusion_check_ragged": lambda: occlusion_check(RAGGED_POINTS),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_argument_is_validation_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call()
+
+
+def _same_roots(got, want):
+    return [(r.branch, type(r.branch), r.value) for r in got] == [
+        (r.branch, type(r.branch), r.value) for r in want]
+
+
+NUMPY_SCALARS = {
+    "interval_samples": lambda: np.array_equal(
+        AngleInterval(np.float64(0.0), np.float64(1.0), np.int64(9)).grid(),
+        AngleInterval(0.0, 1.0, 9).grid()),
+    "tan_coeffs_order": lambda: np.array_equal(tan_coeffs(np.int64(5)).values,
+                                               tan_coeffs(5).values),
+    "zeta_even_order": lambda: zeta_even(np.int64(6)) == zeta_even(6),
+    "lambert_w_branch": lambda: lambert_w(np.int64(-1), -0.2) == lambert_w(-1, -0.2),
+    "delay_roots_branches": lambda: _same_roots(
+        delay_roots(0.9, 1.0, np.float64(0.3), [np.int64(0), np.int64(-1)]),
+        delay_roots(0.9, 1.0, 0.3, [0, -1])),
+    "spec_root_indices": lambda: SkewFamilySpec(
+        "delay", np.float64(0.3), 0.9, alpha=1.0, root_indices=(np.int64(1),),
+    ).root_indices == (1,),
+    "solve_series_orders": lambda: np.array_equal(
+        solve_series(np.int64(1), np.int64(12)).coefficients, solve_series(1, 12).coefficients),
+    "point_by_point_phi0": lambda: np.array_equal(
+        point_by_point_curve(1.0, 1.0, np.float64(0.3)).jet(np.linspace(-1, 1, 5)),
+        point_by_point_curve(1.0, 1.0, 0.3).jet(np.linspace(-1, 1, 5))),
+    "panel_integrals_tol": lambda: np.array_equal(
+        panel_integrals(_line, [0.0, 1.0], np.float64(1e-10), ends=UNIT_ENDS),
+        panel_integrals(_line, [0.0, 1.0], 1e-10, ends=UNIT_ENDS)),
+}
+
+
+@pytest.mark.parametrize("call", NUMPY_SCALARS.values(), ids=NUMPY_SCALARS.keys())
+def test_numpy_scalars_compute_what_python_numbers_do(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call()

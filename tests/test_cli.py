@@ -170,6 +170,24 @@ def test_skew_delay_with_a_long_shift(capsys):
     assert residual <= 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ("--phi0", "0.3", "--a", "0.1", "--coefficients", "1:0.5"),
+    ("--phi0", "0.3", "--a", "0.29552020666133955"),
+], ids=["hyperbolic", "circle"])
+def test_skew_inverse_position_off_the_oscillatory_family(capsys, argv):
+    code, out, err = run_cli(capsys, "skew", "--case", "inverse_position", *argv)
+    assert code == 0, err
+    residual = float(out.split("residual=")[1].splitlines()[0])
+    assert residual < 1e-12
+
+
+def test_skew_inverse_position_without_a_real_shift_exits_2(capsys):
+    code, out, err = run_cli(capsys, "skew", "--case", "inverse_position", "--phi0", "0.5",
+                             "--a=-0.2", "--coefficients", "1:-0.3")
+    assert code == 2 and out == ""
+    assert "no real shift" in err
+
+
 def test_skew_delay_normalises_advance(capsys):
     code, out, _ = run_cli(
         capsys,

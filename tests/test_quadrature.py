@@ -173,14 +173,17 @@ def test_node_jet_values_are_reused_by_k7():
         return np.stack([-3 * np.sin(3 * t), np.exp(t)])
 
     edges = np.linspace(0.0, 4.0, 9)
+    lo, hi = edges[:-1], edges[1:]
     plain, tried = [], []
-    without = panel_integrals(_counting(fn, plain), edges, 1e-10)
+    # The rungs K7 and P15 alone, as on a cell the node-jet rule misses.
+    ladder = quadrature._climb(_counting(fn, plain), lo, hi, 1e-10 * (hi - lo) / 4.0,
+                               quadrature._RUNGS[1:], None)
     with_ends = panel_integrals(_counting(fn, tried), edges, 1e-10, ends=(fn(edges), jet(edges)))
     # Every cell of this coarse grid misses the node-jet rule, and K7 reads its three
     # values: the same values in the same order, so the same bits, at the same cost.
-    assert np.array_equal(with_ends, without)
-    assert tried[:2] == [3 * 8, 4 * 8] and plain[0] == 7 * 8
-    assert sum(tried) == sum(plain)
+    assert ladder[2].all()
+    assert np.array_equal(with_ends, ladder[0])
+    assert tried == [3 * 8, 4 * 8, 8 * 8] and plain == [7 * 8, 8 * 8]
 
 
 @pytest.mark.parametrize("ends", [
@@ -261,17 +264,26 @@ def test_log_spiral_closed_form_on_a_fine_grid():
     assert np.max(np.abs(samples.arclength - (np.exp(t) - 1))) <= 1e-10
 
 
+def _cos_ends(edges):
+    """cos and its derivative at ``edges``, as ``panel_integrals``' ``ends``."""
+    edges = np.asarray(edges, dtype=float)
+    return np.cos(edges)[None], -np.sin(edges)[None]
+
+
 def test_cell_missed_by_k7_costs_fifteen_evaluations():
     sizes = []
-    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 1.0], 1e-10)
-    assert sizes == [7, 8]
+    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 1.0], 1e-10,
+                            ends=_cos_ends([0.0, 1.0]))
+    # The node-jet rule's three inner nodes, K7's other four, then Patterson's eight.
+    assert sizes == [3, 4, 8]
     assert abs(piece[0, 0] - math.sin(1.0)) <= 1e-15
 
 
 def test_refined_panel_costs_fifteen_evaluations_in_one_call():
     sizes = []
-    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 4.0], 1e-10)
-    assert sizes == [7, 8, 2 * 15]
+    piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 4.0], 1e-10,
+                            ends=_cos_ends([0.0, 4.0]))
+    assert sizes == [3, 4, 8, 2 * 15]
     assert abs(piece[0, 0] - math.sin(4.0)) <= 1e-15
 
 
@@ -291,10 +303,11 @@ def test_refined_panel_costs_fifteen_evaluations_in_one_call():
         "decreasing", "repeated", "infinite_edge", "nan_edge"])
 def test_bad_arguments_raise_before_any_work(edges, tol):
     calls = []
+    ends = (np.atleast_1d(edges)[None], np.ones_like(np.atleast_1d(edges))[None])
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError):
-            panel_integrals(_counting(lambda t: t[None], calls), edges, tol)
+            panel_integrals(_counting(lambda t: t[None], calls), edges, tol, ends=ends)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,15 +316,22 @@ def test_bad_arguments_raise_before_any_work(edges, tol):
 
 
 def test_singular_integrand_reports_failure():
+    edges = np.array([0.0, 1.0])
+    ends = (np.abs(edges - 0.3)[None] ** -0.9,
+            (-0.9 * np.sign(edges - 0.3) * np.abs(edges - 0.3) ** -1.9)[None])
     with pytest.raises(NumericError, match="rounding width"):
-        panel_integrals(lambda t: np.abs(t - 0.3)[None] ** -0.9, [0.0, 1.0], tol=1e-10)
+        panel_integrals(lambda t: np.abs(t - 0.3)[None] ** -0.9, edges, tol=1e-10, ends=ends)
 
 
 def test_step_in_integrand_stops_on_global_budget():
     step, calls = 1.234567, []
     edges = np.linspace(0.0, 4.0, 257)
-    fn = _counting(lambda t: (np.cos(t) + 1e-9 * (t > step))[None], calls)
-    pieces = panel_integrals(fn, edges, tol=1e-10)[0]
+
+    def fn(t):
+        return (np.cos(t) + 1e-9 * (t > step))[None]
+
+    ends = (fn(edges), -np.sin(edges)[None])
+    pieces = panel_integrals(_counting(fn, calls), edges, tol=1e-10, ends=ends)[0]
     exact = np.sin(edges[1:]) + 1e-9 * np.clip(edges[1:] - step, 0.0, None)
     assert len(calls) <= 12
     assert np.max(np.abs(np.cumsum(pieces) - exact)) <= 1e-10
@@ -322,21 +342,26 @@ def test_refinement_past_the_panel_cap_raises_before_evaluating(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
     sizes = []
     with pytest.raises(NumericError, match="more than 64 panels"):
-        panel_integrals(_counting(lambda t: np.sin(t)[None], sizes), [0.0, 1e6], 1e-10)
-    assert sizes[:2] == [7, 8]
-    assert sizes[2:] == [15 * 2**k for k in range(1, 7)]
+        panel_integrals(_counting(lambda t: np.sin(t)[None], sizes), [0.0, 1e6], 1e-10,
+                        ends=(np.sin([[0.0, 1e6]]), np.cos([[0.0, 1e6]])))
+    assert sizes[:3] == [3, 4, 8]
+    assert sizes[3:] == [15 * 2**k for k in range(1, 7)]
 
 
 def test_non_finite_integrand_is_evaluation_error():
+    edges = np.linspace(0, 1, 9)
+    ends = (np.where(edges > 0.7, np.nan, edges)[None], np.where(edges > 0.7, np.nan, 1.0)[None])
     with pytest.raises(EvaluationError, match="not finite"):
-        panel_integrals(lambda t: np.where(t > 0.7, np.nan, t)[None], np.linspace(0, 1, 9), 1e-10)
+        panel_integrals(lambda t: np.where(t > 0.7, np.nan, t)[None], edges, 1e-10, ends=ends)
 
 
 def test_integrand_sees_one_block_of_panels_at_most():
     sizes = []
     edges = np.linspace(0.0, 1.0, 3 * quadrature._BLOCK + 6)
-    pieces = panel_integrals(_counting(lambda t: np.stack([t, t * t]), sizes), edges, 1e-10)
-    assert len(sizes) == 4
-    assert max(sizes) <= 15 * quadrature._BLOCK
+    ends = (np.stack([edges, edges * edges]), np.stack([np.ones_like(edges), 2 * edges]))
+    pieces = panel_integrals(_counting(lambda t: np.stack([t, t * t]), sizes), edges, 1e-10,
+                             ends=ends)
+    # The node-jet rule is exact on a quadratic: three inner nodes a cell, a block a call.
+    assert sizes == [3 * quadrature._BLOCK] * 3 + [3 * 5]
     exact = np.diff(np.stack([edges**2 / 2, edges**3 / 3]), axis=1)
     assert np.max(np.abs(pieces - exact)) <= 1e-15

@@ -94,9 +94,30 @@ def test_implied_alpha_frozen_value():
     assert abs(implied_alpha(1.0, 0.5, 1.2, 0.3) - (-0.324190211899301)) < 1e-12
 
 
-def test_implied_alpha_requires_oscillation():
-    with pytest.raises(ValidationError):
-        implied_alpha(1.0, 0.5, 0.1, 0.6)  # a^2 < sin^2 phi0: hyperbolic
+@pytest.mark.parametrize("A, B, a, phi0, want", [
+    (1.0, 0.5, 0.1, 0.3, -9.775015),  # hyperbolic: a^2 < sin^2 phi0
+    (1.0, 0.0, math.sin(0.3), 0.3, 0.0),  # a = sin phi0, B = 0: a circle, any shift
+    (1.0, 0.5, -math.sin(0.3), 0.3, None),  # a = -sin phi0: one shift
+], ids=["hyperbolic", "circle", "involute"])
+def test_implied_alpha_off_the_oscillatory_family(A, B, a, phi0, want):
+    alpha = implied_alpha(A, B, a, phi0)
+    if want is not None:
+        assert abs(alpha - want) < 1e-6
+    curve = inverse_position_curve(A, B, a, phi0)
+    window = AngleInterval(-2.0, 2.0, 257)
+    assert skew_equation_residual(curve, phi0, a, "inverse_position", window, alpha=alpha) < 1e-12
+
+
+@pytest.mark.parametrize("A, B, a, phi0", [
+    (1.0, -0.3, -0.2, 0.5),  # hyperbolic with cosh(w alpha) = -1.43
+    (1.0, 1.0, 0.1, 0.6),  # hyperbolic with A^2 = B^2: a pure exponential
+    (1.0, 0.5, 0.0, 0.6),  # hyperbolic with a = 0
+    (1.0, 0.5, math.sin(0.6), 0.6),  # a = sin phi0 with B != 0
+    (1.0, 0.0, -math.sin(0.6), 0.6),  # a = -sin phi0 with B = 0
+], ids=["negative_cosh", "equal_amplitudes", "zero_factor", "involute_plus", "circle_minus"])
+def test_implied_alpha_rejects_members_without_a_real_shift(A, B, a, phi0):
+    with pytest.raises(ValidationError, match="no real shift"):
+        implied_alpha(A, B, a, phi0)
 
 
 def test_delay_roots_frozen_values():
