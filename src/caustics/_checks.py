@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -24,6 +25,14 @@ def real(name: str, value) -> float:
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
         raise ValidationError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def path(name: str, value) -> str | os.PathLike:
+    """``value`` unchanged if it is a ``str`` or ``os.PathLike``; an int or bool would open a
+    file descriptor."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValidationError(f"{name} must be a str or os.PathLike path, got {value!r}")
+    return value
 
 
 def array(name: str, data, ndim: int, least: int = 0) -> np.ndarray:

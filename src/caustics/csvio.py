@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _digits
+from . import _checks, _digits
 from .errors import ValidationError
 
 __all__ = [
@@ -45,6 +45,7 @@ def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[S
     and cells within ``2**-45`` of a rounding tie are formatted by ``%``
     one at a time.
     """
+    path = _checks.path("path", path)
     width = len(header)
     if width == 0:
         raise ValidationError("header must name at least one column")

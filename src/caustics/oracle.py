@@ -193,8 +193,9 @@ def _mask_near(points: np.ndarray, centers: np.ndarray, radius: float) -> np.nda
 _PAIR_CHUNK = 1 << 18
 """Point-segment pairs evaluated in one array pass; bounds the working memory."""
 
-_BLOCK = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-_CORNERS = np.array([(0, 0), (1, 0), (0, 1), (1, 1)])
+_REACH = 4
+"""A point's upper bound is its distance to the ``2 * _REACH + 1`` segments at
+its proportional place along the other chain."""
 
 
 def _pair_distance(p, a, v, vv) -> np.ndarray:
@@ -223,17 +224,16 @@ def _nearest(points, a, v, vv) -> np.ndarray:
 
 
 def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
-    """Largest distance from a point to its nearest segment, by a uniform-grid bucket.
+    """Largest distance from a point to its nearest segment, by bound and settle.
 
-    Segments are registered in the grid cells their bounding boxes touch;
-    the cell side ``h`` is twice the median nonzero segment length, so
-    repeated points do not shrink the cells.  A point's minimum over the
-    segments of its 3 x 3 cell block is exact when it is at most ``h``
-    (less a rounding margin): every other short segment lies outside the
-    block, at least ``h`` away.  Segments spanning more than
-    2 x 2 cells are checked against every point, and points the block
-    leaves uncertified against every segment.  All pairs use one distance
-    formula, so the result equals the all-pairs minimum bit for bit.
+    Bound: each point's distance to the few segments at its proportional
+    place along the other chain is an upper bound on its minimum.  Settle:
+    points go largest bound first, each against every segment, 8 in the
+    first round and twice as many in each round after, until the next bound
+    is at or below the largest settled minimum; no point left can exceed it.
+    Every pair goes through one distance formula, so the result equals the
+    all-pairs maximum bit for bit, whether or not the chains follow one
+    parameter; when they do, a round or two settles it.
     """
     if len(points) == 0:
         return 0.0
@@ -242,65 +242,23 @@ def _directed_distance(points: np.ndarray, segments: np.ndarray) -> float:
     a = segments[:, 0]
     v = segments[:, 1] - a
     vv = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
-    # Column by column: numpy reduces an (n, 2) array along axis 0 about 10x slower.
-    xs, ys = segments[..., 0], segments[..., 1]
-    origin = np.array([xs.min(), ys.min()])
-    # Any positive side gives the same answer; at least 2**-20 of the extent
-    # keeps the cell keys inside int64.
-    span = float(max(xs.max() - origin[0], ys.max() - origin[1]))
-    lengths = np.sqrt(vv[vv > 0.0])
-    typical = float(np.median(lengths)) if len(lengths) else 0.0
-    h = max(2.0 * typical, span / 2.0**20) or 1.0
     vv[vv == 0.0] = 1.0
-
-    def cell(xy):
-        return np.floor((xy - origin) / h)
-
-    first = cell(np.minimum(segments[:, 0], segments[:, 1])).astype(np.int64)
-    extent = cell(np.maximum(segments[:, 0], segments[:, 1])).astype(np.int64) - first
-    short = np.all(extent <= 1, axis=1)
-    shorts = np.flatnonzero(short)
-    first, extent = first[shorts], extent[shorts]
-    size = np.max(first + extent, axis=0, initial=-1) + 1  # cells a side holding a segment
-    # Block cells of the (clipped) points run from -3 to size + 2 on each axis.
-    stride = int(size[1]) + 6
-
-    def key(c):
-        return (c[..., 0] + 3) * stride + (c[..., 1] + 3)
-
-    registered = np.all(_CORNERS[None] <= extent[:, None, :], axis=2)
-    reg_keys = key(first[:, None, :] + _CORNERS[None])[registered]
-    order = np.argsort(reg_keys, kind="stable")
-    reg_keys = reg_keys[order]
-    reg_segs = np.repeat(shorts, registered.sum(axis=1))[order]
-
-    # Points outside the grid are clipped to a cell two away from it, whose block holds nothing.
-    home = np.clip(cell(points), -2, size + 1).astype(np.int64)
-    query = key(home[:, None, :] + _BLOCK[None])
-    start = np.searchsorted(reg_keys, query, side="left")
-    count = np.searchsorted(reg_keys, query, side="right") - start
-    per_point = count.sum(axis=1)
-    through = np.cumsum(per_point)
-    best = np.full(len(points), math.inf)
-    lo = 0
-    while lo < len(points):
-        # Expand the (point, cell) ranges of a run of points holding <= _PAIR_CHUNK pairs.
-        base = through[lo] - per_point[lo]
-        hi = max(lo + 1, int(np.searchsorted(through, base + _PAIR_CHUNK, side="right")))
-        s, c = start[lo:hi].ravel(), count[lo:hi].ravel()
-        pos = np.repeat(s - (np.cumsum(c) - c), c) + np.arange(c.sum())
-        owner = np.repeat(np.arange(lo, hi), per_point[lo:hi])
-        seg = reg_segs[pos]
-        np.minimum.at(best, owner, _pair_distance(points[owner], a[seg], v[seg], vv[seg]))
-        lo = hi
-
-    longs = np.flatnonzero(~short)
-    best = np.minimum(best, _nearest(points, a[longs], v[longs], vv[longs]))
-    # Cell indices and distances carry rounding of order eps * |coordinates|.
-    scale = max(float(np.abs(segments).max()), float(np.abs(points).max())) + h
-    uncertified = np.flatnonzero(best > h - 64.0 * np.finfo(float).eps * scale)
-    best[uncertified] = _nearest(points[uncertified], a, v, vv)
-    return float(best.max())
+    n, m = len(points), len(segments)
+    place = np.arange(n) * (m - 1) // max(n - 1, 1)
+    reach = np.arange(-_REACH, _REACH + 1)
+    bound = np.empty(n)
+    step = max(1, _PAIR_CHUNK // len(reach))
+    for lo in range(0, n, step):
+        seg = np.clip(place[lo : lo + step, None] + reach, 0, m - 1)
+        p = points[lo : lo + step, None, :]
+        bound[lo : lo + step] = _pair_distance(p, a[seg], v[seg], vv[seg]).min(axis=1)
+    order = np.argsort(-bound, kind="stable")
+    worst, lo, size = -math.inf, 0, 8
+    while lo < n and bound[order[lo]] > worst:
+        chosen = order[lo : lo + size]
+        worst = max(worst, float(_nearest(points[chosen], a, v, vv).max()))
+        lo, size = lo + size, 2 * size
+    return worst
 
 
 def hausdorff_distance(
@@ -316,11 +274,13 @@ def hausdorff_distance(
     consecutive-ray intersection is ill conditioned) are left out of the
     comparison, as are the segments touching them.
 
-    Each directed distance buckets the other polyline's segments in a
-    uniform grid and evaluates a point only against the segments near it;
-    points the grid cannot certify fall back to all segments.  The value
-    equals the brute-force maximum over points of the minimum over all
-    point-segment pairs, to the last bit.  Raises ``ValidationError`` unless
+    Each directed distance bounds every point's minimum by the segments at
+    its proportional place along the other polyline, then settles points
+    against all segments, largest bound first, until no bound left can
+    exceed the largest settled minimum.  The value equals the brute-force
+    maximum over points of the minimum over all point-segment pairs, to
+    the last bit.  It costs near-linear time when the two polylines follow
+    one parameter, and all pairs when they do not.  Raises ``ValidationError`` unless
     both polylines, and the exclusion centers if any, are ``(n, 2)`` arrays
     of numbers.
     """

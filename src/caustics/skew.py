@@ -218,11 +218,12 @@ def to_delay_form(factor_a: float, alpha: float, phi0: float) -> tuple[float, fl
     Reversing the angle maps solutions of the advance equation to
     solutions of the delay equation with flipped signs of a, alpha, phi0.
     """
+    factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
     if alpha > 0:
-        return float(factor_a), float(alpha), float(phi0)
+        return factor_a, alpha, float(phi0)
     if alpha == 0.0:
         raise ValidationError("alpha = 0 is not a delay problem")
-    return -float(factor_a), -float(alpha), -float(phi0)
+    return -factor_a, -alpha, -float(phi0)
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,7 @@ def delay_roots(
     verified against the characteristic equation to 1e-10.
     """
     phi0 = _check_phi0(phi0)
+    factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
     if alpha <= 0.0:
         raise ValidationError(
             "delay_roots needs alpha > 0; use to_delay_form to normalise an advance problem"
@@ -259,7 +261,7 @@ def delay_roots(
         w = lambert_w(k, rhs)
         lam = complex(w) / alpha - tphi
         resid = abs((lam + tphi) * cmath.exp(alpha * lam) - factor_a / math.cos(phi0))
-        if resid > 1e-10:
+        if not resid <= 1e-10:
             raise NumericError(
                 f"characteristic residual {resid:.3e} on branch {k} exceeds 1e-10"
             )

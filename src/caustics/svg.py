@@ -103,6 +103,7 @@ def write_scene(
     is ``SIZE`` and each margin ``MARGIN_FRACTION`` of the data's larger
     extent, which must be finite.
     """
+    path = _checks.path("path", path)
     cusps = _checks.array("cusps", cusps, 2)[None] if cusps is not None and len(cusps) else None
     given = dict(mirror=mirror, caustic=caustic, rays=rays, cusps=cusps, cuspline=cuspline)
     groups = {name: _as_group(name, given[name]) for name in GROUP_ORDER}

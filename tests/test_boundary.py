@@ -1,11 +1,14 @@
 """Argument checks at the public boundary: bad input raises ``ValidationError``, not a raw
 numpy or Python error, and numpy scalars pass wherever Python numbers do."""
 
+import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from caustics.csvio import write_table
 from caustics.errors import ValidationError
 from caustics.inclination import AngleInterval, circle, reconstruct
 from caustics.oracle import RayFamily, occlusion_check, reflect_horizontal, verticality_check
@@ -13,6 +16,7 @@ from caustics.pantograph import solve_series
 from caustics.quadrature import panel_integrals
 from caustics.skew import SkewFamilySpec, delay_roots, point_by_point_curve
 from caustics.specfun import lambert_w, tan_coeffs, zeta_even
+from caustics.svg import write_scene
 
 RAGGED = [[0.0], [1.0, 2.0]]
 RAGGED_POINTS = [[0, 0], [1]]
@@ -36,6 +40,13 @@ BAD_CALLS = {
     "interval_text_lo": lambda: AngleInterval("a", 1.0, 5),
     "reconstruct_ragged": lambda: reconstruct(circle(), RAGGED),
     "panel_integrals_ragged": lambda: panel_integrals(_line, RAGGED, 1e-10, ends=UNIT_ENDS),
+    "panel_integrals_ragged_ends": lambda: panel_integrals(
+        _line, [0.0, 1.0], 1e-10, ends=(RAGGED, [[1.0, 1.0]])),
+    "spec_nan_alpha": lambda: SkewFamilySpec("delay", 0.3, 0.9, alpha=math.nan),
+    "spec_inf_alpha": lambda: SkewFamilySpec("delay", 0.3, 0.9, alpha=math.inf),
+    "spec_nan_factor": lambda: SkewFamilySpec("delay", 0.3, math.nan, alpha=1.0),
+    "delay_roots_nan_factor": lambda: delay_roots(math.nan, 1.0, 0.3, [0]),
+    "delay_roots_nan_alpha": lambda: delay_roots(0.9, math.nan, 0.3, [0]),
     "ray_family_ragged": lambda: RayFamily(RAGGED_POINTS, [[0.0, 1.0], [0.0, 1.0]], [0.0, 1.0]),
     "reflect_horizontal_ragged": lambda: reflect_horizontal(RAGGED_POINTS, [0.0, 1.0]),
     "verticality_check_ragged": lambda: verticality_check(RAGGED_POINTS),
@@ -49,6 +60,26 @@ def test_bad_argument_is_validation_error(call):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
             call()
+
+
+PATH_WRITERS = {
+    "write_table": lambda path: write_table(path, ("x",), [[1.0]]),
+    "write_scene": lambda path: write_scene(path, mirror=[[[0.0, 0.0], [1.0, 1.0]]]),
+}
+
+
+@pytest.mark.parametrize("path", [True, 1, None], ids=["bool", "int", "none"])
+@pytest.mark.parametrize("write", PATH_WRITERS.values(), ids=PATH_WRITERS.keys())
+def test_writer_path_must_be_str_or_pathlike(write, path):
+    # open() takes an int or bool as a file descriptor, writes to it and closes it:
+    # keep a duplicate of stdout to put back whatever the writer does.
+    saved = os.dup(1)
+    try:
+        with pytest.raises(ValidationError, match="path"):
+            write(path)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def _same_roots(got, want):

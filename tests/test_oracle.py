@@ -193,6 +193,7 @@ def _hausdorff_cases(rng):
         "lone_points": (lone, base, ()),
         "coarse_against_fine": (base[::37], _wiggle(rng, 3000), ()),
         "identical": (base, base.copy(), ()),
+        "reversed": (base, base[::-1].copy(), ()),
     }
 
 
@@ -207,6 +208,7 @@ def _hausdorff_cases(rng):
         "lone_points",
         "coarse_against_fine",
         "identical",
+        "reversed",
     ],
 )
 def test_hausdorff_equals_brute_force(case, rng, monkeypatch):
@@ -238,22 +240,21 @@ def test_hausdorff_in_small_chunks(chunk, rng, monkeypatch):
     assert hausdorff_distance(first, second) == want
 
 
-def test_repeated_points_keep_segments_out_of_the_long_pass(rng, monkeypatch):
-    """Zero-length segments do not shrink the grid cells (which would make
-    ordinary segments "long", checked against every point)."""
-    points, polyline, _ = _hausdorff_cases(rng)["zero_length_segments"]
-    segments = oracle._split_segments(polyline)
-    handed = []
+def test_aligned_chains_settle_one_round(monkeypatch):
+    """On an envelope and its closed form, the proportional-place bounds
+    leave one round of 8 points to check against every segment."""
+    curve, tilt = cycloid(1.0), TiltField.reflection()
+    window = AngleInterval(0.2, math.pi - 0.2, 4097)
+    rows = []
     nearest = oracle._nearest
 
     def counted(p, a, v, vv):
-        handed.append(len(a))
+        rows.append(len(p))
         return nearest(p, a, v, vv)
 
     monkeypatch.setattr(oracle, "_nearest", counted)
-    oracle._directed_distance(points, segments)
-    # The first call is the long pass: long segments against every point.
-    assert handed[0] <= 0.05 * len(segments), f"{handed[0]} of {len(segments)} segments"
+    envelope_gap(curve, tilt, window)
+    assert rows == [8, 8]
 
 
 def _envelope_gap_steps(curve, tilt, window):
