@@ -37,7 +37,7 @@ os.makedirs(OUT, exist_ok=True)
 for k, name in ((0, "cycloid"), (1, "m = 2"), (2, "m = 3")):
     solution = PantographSolution(solve_series(k, n_max=30))
     report = mirror_report(solution)
-    residual = mirror_equation_residual(solution)
+    residual = mirror_equation_residual(solution, AngleInterval(0.01, 2 * math.pi, 257))
     print(f"--- {name}: a = {similarity_factor(k)}")
     print(f"    equation residual {residual:.2e}")
     print(f"    profile zeros near {', '.join(f'{z:.6f}' for z in report.zeros[:3])}")

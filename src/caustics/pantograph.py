@@ -9,7 +9,8 @@ whose analytic solutions come in one family per integer k: the auxiliary
 profile Q = R / sin(theta) is a power series starting at theta^k, the
 scale factor is forced to a = (k+4) / 2^(k+3), and the remaining
 coefficients follow from a tangent-weighted recursion.  The series
-converges on |theta| < pi/2 only; values beyond are produced by the
+converges on |theta| < pi (Q has a pole at pi) but serves [0, pi/2 - guard]
+only, where its order-n tail is about 2^-n; values beyond are produced by the
 doubling identity R(2u) = (3 cos(u) R(u) + sin(u) R'(u)) / (4a), applied
 to Taylor jets in h of R(u + h) so that each doubling can pay for the
 derivative it consumes.  Every step on a jet is a constant table, built
@@ -76,7 +77,7 @@ __all__ = [
 ]
 
 BASE_GUARD = 1e-3
-"""Stay this far inside the series' convergence half-width pi/2."""
+"""Stay this far inside pi/2, half the series' radius pi, where its order-n tail is about 2^-n."""
 
 JET_ORDER = 12
 """Doubling depths up to JET_ORDER - 1: one Taylor order per doubling plus
@@ -292,51 +293,64 @@ def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
 
 
 def _trig_table(rows: int) -> np.ndarray:
-    """Rows T_c[j], T_s[j] at 2j, 2j + 1 of the lower-triangular Toeplitz
-    matrices of the Taylor coefficients of cos h and sin h, for jets of
-    ``rows`` rows.  The product of a jet X with the jet of sin(u + h) =
-    sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X)."""
+    """Row i: column i of the lower-triangular Toeplitz matrices T_c and T_s of
+    the Taylor coefficients of cos h and sin h, for jets of ``rows`` rows, with
+    T_c[j, i] at 2j and T_s[j, i] at 2j + 1.  The product of a jet X with the
+    jet of sin(u + h) = sin u cos h + cos u sin h is sin u (T_c X) + cos u (T_s X)."""
     inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, rows))))
     m = np.arange(rows)
     signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
-    lag = m[:, None] - m[None, :]
+    lag = m[None, :] - m[:, None]
     below = lag >= 0
     lag = np.where(below, lag, 0)
-    table = np.empty((2 * rows, rows))
-    table[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
-    table[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
+    table = np.empty((rows, 2 * rows))
+    table[:, 0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
+    table[:, 1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
     return table
 
 
 _TRIG = _trig_table(JET_ORDER + 1)
-"""The trig table of every series; jets of L rows read its leading 2L rows."""
+"""The trig table of every series; jets of L rows read its leading L x 2L block."""
 
 
 def _doubling_table(series: PantographSeries, rows: int) -> np.ndarray:
-    """Rows B[j], A[j] at 2j, 2j + 1 of the fixed (L-1) x L matrices that double
-    a jet H of R(u + h) of L = ``rows`` rows: the jet of R(2u + 2h) / 2^j is
-    sin u (B H) + cos u (A H), with A = W (3 T_c + T_s D), B = W (T_c D - 3 T_s),
+    """Row i: column i of the (L-1) x L matrices B, A (B[j, i] at 2j, A[j, i] at 2j + 1)
+    that double a jet H of R(u + h) of L = ``rows`` rows: the jet of R(2u + 2h) / 2^j
+    is sin u (B H) + cos u (A H), with A = W (3 T_c + T_s D), B = W (T_c D - 3 T_s),
     D the derivative of a jet and W = diag(2^-j / (4a))."""
     length = rows - 1
-    tc, ts = _TRIG[0 : 2 * length : 2, :length], _TRIG[1 : 2 * length : 2, :length]
-    scale = np.arange(1.0, rows)
-    out = np.zeros((2 * length, rows))
-    out[0::2, :-1] = -3.0 * ts
-    out[0::2, 1:] += tc * scale
-    out[1::2, :-1] = 3.0 * tc
-    out[1::2, 1:] += ts * scale
+    tc, ts = _TRIG[:length, 0 : 2 * length : 2], _TRIG[:length, 1 : 2 * length : 2]
+    scale = np.arange(1.0, rows)[:, None]
+    out = np.zeros((rows, 2 * length))
+    out[:-1, 0::2] = -3.0 * ts
+    out[1:, 0::2] += tc * scale
+    out[:-1, 1::2] = 3.0 * tc
+    out[1:, 1::2] += ts * scale
     weight = (1.0 / (4.0 * series.factor_a)) / 2.0 ** np.arange(length)
-    return out * np.repeat(weight, 2)[:, None]
+    return out * np.repeat(weight, 2)
 
 
-def _jet_product(table: np.ndarray, jet: np.ndarray, u: np.ndarray, reach, offset: int):
-    """sin u (table[0::2] jet) + cos u (table[1::2] jet), row j for the leading
-    ``reach[j]`` angles; column i of either half enters its rows >= i - offset
-    only.  Each product is accumulated column by column in elementwise numpy."""
-    acc = table[:, :1] * jet[0]
-    for i in range(1, jet.shape[0]):
-        top, n = 2 * (i - offset), reach[i]
-        acc[top:, :n] += table[top:, i : i + 1] * jet[i, :n]
+_BROADCAST_CELLS = 4096
+"""Accumulator cells (rows x angles) up to which one broadcast beats the column loop."""
+
+_ENTERS = (np.arange(2 * JET_ORDER + 2) >= 2 * np.arange(JET_ORDER + 1)[:, None])[..., None]
+"""``_ENTERS[i, 2 offset + q]``: whether product column i enters row q, q >= 2 (i - offset)."""
+
+
+def _jet_product(table: np.ndarray, jet: np.ndarray, u: np.ndarray, offset: int, reach=None):
+    """sin u (B jet) + cos u (A jet); row i of ``table`` holds column i of B and A interleaved
+    and enters the rows >= i - offset.  Each output adds its terms in column order: in one
+    broadcast and one reduction from -0 (never numpy's inner axis) for a small product,
+    column by column over the leading ``reach[i]`` angles (all by default) for a large one."""
+    cols, width = table.shape
+    if width * u.size <= _BROADCAST_CELLS:
+        enters = _ENTERS[:cols, 2 * offset : 2 * offset + width]
+        acc = np.add.reduce(table[:, :, None] * jet[:, None, :], 0, where=enters, initial=-0.0)
+    else:
+        acc = table[0, :, None] * jet[0]
+        for i in range(1, jet.shape[0]):
+            top, n = 2 * (i - offset), u.size if reach is None else reach[i]
+            acc[top:, :n] += table[i, top:, None] * jet[i, :n]
     out = np.sin(u) * acc[0::2]
     out += np.cos(u) * acc[1::2]
     return out
@@ -346,13 +360,7 @@ def _r_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     """Taylor coefficients of R(u + h) = Q(u + h) sin(u + h), row j for the
     leading ``reach[j]`` angles."""
     rows = len(reach)
-    return _jet_product(_TRIG[: 2 * rows], _q_taylor(series, u, reach), u, reach, 0)
-
-
-def _double(series: PantographSeries, head: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One doubling: from the jet of R(u + h), rows 0..L, the jet of R at 2u, rows 0..L-1."""
-    rows = head.shape[0]
-    return _jet_product(series._doubling[: 2 * rows - 2], head, u, [u.size] * rows, 1)
+    return _jet_product(_TRIG[:rows, : 2 * rows], _q_taylor(series, u, reach), u, 0, reach)
 
 
 @dataclass(frozen=True)
@@ -369,15 +377,41 @@ class PantographSolution:
 
 
 _BLOCK_ANGLES = 4096
-"""Angles per continuation pass: bounds its (jet rows, angles) tables."""
+"""Angles per climb: bounds its (jet rows, angles) tables."""
 
 
 def _depth(solution: PantographSolution, theta: np.ndarray) -> np.ndarray:
     """Halvings that bring each angle into the series window [0, pi/2 - guard]."""
     limit = math.pi / 2 - solution.guard
     depth = np.ceil(np.log2(np.maximum(theta / limit, 1.0))).astype(int)
-    depth += theta / 2.0**depth > limit  # the rounded ratio can land one depth short
+    depth += np.ldexp(theta, -depth) > limit  # the rounded ratio can land one depth short
     return depth
+
+
+def _climb_chains(series: PantographSeries, u: np.ndarray, depth: np.ndarray, levels: int):
+    """(R, R') up each doubling chain u, 2u, ..., 2^depth u of the base angles ``u``,
+    sorted by ``depth``, deepest first, as (2, levels, u.size) ``states``: states[:, s]
+    holds every angle once doubled at each level above s, so angle i is at chain level j
+    in states[:, depth[i] - j, i] if ``levels`` allow, and at its depth in states[:, 0].
+    Blocks of ``_BLOCK_ANGLES`` form R's order j for their leading angles of depth
+    >= j - 1, then double from their deepest level down to 1, each level on their
+    leading angles of depth >= that level."""
+    states = np.empty((2, levels, u.size))
+    for start in range(0, u.size, _BLOCK_ANGLES):
+        block = slice(start, start + _BLOCK_ANGLES)
+        d, v = depth[block], u[block].copy()
+        top = int(d[0])
+        # reach[j]: the leading angles of depth >= j - 1, which use Taylor order j.
+        reach = np.searchsorted(-d, 1 - np.arange(top + 2), side="right").tolist()
+        taylor = _r_taylor(series, v, reach)
+        states[:, top:, block] = taylor[:2, None]
+        for level in range(top, 0, -1):
+            n, table = reach[level + 1], series._doubling[: level + 2, : 2 * level + 2]
+            taylor[: level + 1, :n] = _jet_product(table, taylor[: level + 2, :n], v[:n], 1)
+            v[:n] *= 2.0
+            if level <= levels:
+                states[:, level - 1, block] = taylor[:2]
+    return states
 
 
 def continue_R(solution: PantographSolution, theta):
@@ -388,15 +422,9 @@ def continue_R(solution: PantographSolution, theta):
     ``JetDepthError`` past ``max_theta``.  An angle of depth d is halved d
     times into the series window, where R gets a Taylor jet of d + 2
     coefficients in h; each doubling of u + h consumes one.  The angles are
-    sorted by depth, deepest first, and taken in blocks of
-    ``_BLOCK_ANGLES``.  Each block makes one pass: one Horner pass for the
-    Q jet, then R = sin u (T_c Q) + cos u (T_s Q), where order j is formed
-    only for the leading angles of depth at least j - 1, then one doubling
-    step per level, F = sin u (B H) + cos u (A H), from the block's deepest
-    level down to 1, on the leading angles of depth at least that level.
-    Both products go through ``_jet_product``, never a BLAS product.  Each
-    angle goes through the same operations in the same order as it would
-    alone, so a batch returns exactly what separate calls return.
+    climbed deepest first by ``_climb_chains``, whose doubling at level L takes
+    those of depth >= L, so all end together.  A batch returns exactly what
+    separate calls return.
     """
     arr = np.asarray(theta, dtype=float)
     flat = arr.ravel()
@@ -415,21 +443,9 @@ def continue_R(solution: PantographSolution, theta):
         )
     # Depths stay below JET_ORDER, so int16 keys take numpy's radix sort.
     order = np.argsort(-depth.astype(np.int16), kind="stable")
-    r = np.empty_like(flat)
-    rp = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK_ANGLES):
-        rows = order[start : start + _BLOCK_ANGLES]
-        d = depth[rows]
-        top = int(d[0])
-        # reach[j]: the leading angles of depth >= j - 1, which use Taylor order j.
-        reach = np.searchsorted(-d, 1 - np.arange(top + 2), side="right")
-        u = flat[rows] / 2.0**d
-        taylor = _r_taylor(solution.series, u, reach)
-        for level in range(top, 0, -1):
-            n = reach[level + 1]
-            taylor[: level + 1, :n] = _double(solution.series, taylor[: level + 2, :n], u[:n])
-            u[:n] *= 2.0
-        r[rows], rp[rows] = taylor[0], taylor[1]
+    d = depth[order]
+    r, rp = np.empty_like(flat), np.empty_like(flat)
+    r[order], rp[order] = _climb_chains(solution.series, np.ldexp(flat[order], -d), d, 1)[:, 0]
     if arr.ndim == 0:
         return float(r[0]), float(rp[0])
     return r.reshape(arr.shape), rp.reshape(arr.shape)
@@ -459,21 +475,23 @@ def _mirror_samples(solution: PantographSolution, grid) -> CurveSamples:
     s(2u) = (x(u) + sin(u) R(u) / 2) / a.  Each angle is halved into the
     series window by ``continue_R``'s depth rule; the distinct base angles,
     with 0, get one quadrature, and the law climbs their chains u, 2u, ...
-    with R from one ``continue_R`` call.  ``grid`` increases strictly within
-    [0, max_theta]; its first node is put at the origin.
+    with R from one ``_climb_chains`` of each chain.  ``grid`` increases strictly
+    within [0, max_theta]; its first node is put at the origin.
     """
     theta = np.asarray(grid, dtype=float)
     depth = _depth(solution, theta)
-    base = theta / 2.0**depth
+    base = np.ldexp(theta, -depth)
     nodes = np.union1d([0.0], base)
     at = np.searchsorted(nodes, base)
     # Row j holds the chain angles nodes 2^j, live up to each base's deepest angle.
     reach = np.zeros(nodes.size, dtype=int)
     np.maximum.at(reach, at, depth)
+    order = np.argsort(-reach, kind="stable")
+    states = _climb_chains(solution.series, nodes[order], reach[order], depth.max() + 1)
+    slot = reach - np.arange(depth.max() + 1)[:, None]
+    r, rp = np.where(slot >= 0, states[:, slot.clip(0), np.argsort(order)], 0.0)
     chain = nodes * 2.0 ** np.arange(depth.max() + 1)[:, None]
-    live = np.arange(chain.shape[0])[:, None] <= reach
-    r, rp, x, y, s = (np.zeros_like(chain) for _ in range(5))
-    r[live], rp[live] = continue_R(solution, chain[live])
+    x, y, s = (np.zeros_like(chain) for _ in range(3))
     x[0], y[0], s[0] = _integrate(lambda t: continue_R(solution, t), nodes, r[0], rp[0])
     a = solution.series.factor_a
     for j, t in enumerate(chain[:-1]):
@@ -509,11 +527,8 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
     return a * pts + (1.0 - a) * origin
 
 
-def mirror_equation_residual(
-    solution: PantographSolution, interval: AngleInterval | None = None
-) -> float:
-    """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R."""
-    interval = interval or AngleInterval(0.01, 2 * math.pi, 257)
+def mirror_equation_residual(solution: PantographSolution, interval: AngleInterval) -> float:
+    """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``."""
     if interval.lo < 0.0:
         raise ValidationError("the continued solution lives on theta >= 0")
     t = interval.grid()
@@ -663,9 +678,9 @@ def parabola_mirror(focal_scale: float) -> InclinationCurve:
     (-A/(2 sin^2 theta0), -A cot theta0) it traces the parabola
     y^2 + 2 A x = -A^2, whose focus (-A, 0) is its caustic.
     """
-    if focal_scale == 0.0:
+    A = _checks.real("focal_scale", focal_scale)
+    if A == 0.0:
         raise DegenerateCurveError("A = 0 collapses the parabola to a point")
-    A = float(focal_scale)
 
     def jet(t):
         t = np.asarray(t, dtype=float)

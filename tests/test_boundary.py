@@ -12,7 +12,7 @@ from caustics.csvio import write_table
 from caustics.errors import ValidationError
 from caustics.inclination import AngleInterval, circle, reconstruct
 from caustics.oracle import RayFamily, occlusion_check, reflect_horizontal, verticality_check
-from caustics.pantograph import solve_series
+from caustics.pantograph import parabola_mirror, solve_series
 from caustics.quadrature import panel_integrals
 from caustics.skew import SkewFamilySpec, delay_roots, point_by_point_curve
 from caustics.specfun import lambert_w, tan_coeffs, zeta_even
@@ -51,6 +51,9 @@ BAD_CALLS = {
     "reflect_horizontal_ragged": lambda: reflect_horizontal(RAGGED_POINTS, [0.0, 1.0]),
     "verticality_check_ragged": lambda: verticality_check(RAGGED_POINTS),
     "occlusion_check_ragged": lambda: occlusion_check(RAGGED_POINTS),
+    "parabola_mirror_nan_scale": lambda: parabola_mirror(math.nan),
+    "parabola_mirror_inf_scale": lambda: parabola_mirror(math.inf),
+    "parabola_mirror_bool_scale": lambda: parabola_mirror(True),
 }
 
 

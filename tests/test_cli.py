@@ -560,20 +560,20 @@ def test_pantograph_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("m", ["1", "2", "3"])
 @pytest.mark.parametrize("order", ["30", "60"])
 def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, monkeypatch, m, order):
-    # Doublings are counted per angle by continue_R's depth rule.  With the
+    # Every continuation, from continue_R or from the report's chains, climbs
+    # through _climb_chains, which doubles each angle to its depth.  With the
     # report integrating only the series window a command makes about
-    # 11 500; a return to quadrature of the continued R over [0, 11.5pi]
-    # makes 41 000-49 000.
+    # 11 500 doublings; a return to quadrature of the continued R over
+    # [0, 11.5pi] makes 41 000-49 000.
     calls, doublings = [], []
-    continue_R = pantograph.continue_R
+    climb = pantograph._climb_chains
 
-    def counted(solution, theta):
+    def counted(series, u, depth, levels):
         calls.append(1)
-        angles = np.atleast_1d(np.asarray(theta, dtype=float))
-        doublings.append(int(pantograph._depth(solution, angles).sum()))
-        return continue_R(solution, theta)
+        doublings.append(int(depth.sum()))
+        return climb(series, u, depth, levels)
 
-    monkeypatch.setattr(pantograph, "continue_R", counted)
+    monkeypatch.setattr(pantograph, "_climb_chains", counted)
     code, _, err = run_cli(
         capsys, "pantograph", "--m", m, "--order", order, "--samples", "257",
         "--out-svg", str(tmp_path / "mirror.svg"),

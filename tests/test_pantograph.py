@@ -227,8 +227,9 @@ def test_doubling_identity_links_caustic_to_overlay(m2_solution):
 
 
 def test_equation_residuals(m2_solution, m3_solution, cycloid_solution):
+    interval = AngleInterval(0.01, 2 * math.pi, 257)
     for sol in (cycloid_solution, m2_solution, m3_solution):
-        assert mirror_equation_residual(sol) < 1e-8
+        assert mirror_equation_residual(sol, interval) < 1e-8
 
 
 @pytest.mark.parametrize("n_max, bound", [(30, 1e-9), (60, 1e-13)])
@@ -314,6 +315,34 @@ def _report_grid(solution):
     far = 2 * (4 * math.pi) + 4 * math.pi
     cusps = find_cusps(solution_curve(solution), AngleInterval(0.0, far, 513))
     return np.union1d(np.linspace(0.0, 4 * math.pi, 2049), [0.0, *cusps])
+
+
+def test_mirror_samples_climb_each_chain_once(monkeypatch):
+    # Past the quadrature of the series window, the report's positions take R
+    # from one base jet per distinct base angle, 0 included: 1 163 for the
+    # 2 060 grid angles of k = 1, whose chains hold 4 281 angles.
+    solution = PantographSolution(solve_series(1, n_max=30))
+    grid = _report_grid(solution)
+    bases = np.union1d([0.0], grid / 2.0 ** pantograph._depth(solution, grid))
+    jets, inside = [], []
+    r_taylor, integrate = pantograph._r_taylor, pantograph._integrate
+
+    def counted(series, u, reach):
+        if not inside:
+            jets.append(u.size)
+        return r_taylor(series, u, reach)
+
+    def quadrature(*args):
+        inside.append(True)
+        try:
+            return integrate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pantograph, "_r_taylor", counted)
+    monkeypatch.setattr(pantograph, "_integrate", quadrature)
+    _mirror_samples(solution, grid)
+    assert sum(jets) == bases.size
 
 
 @pytest.mark.parametrize("n_max, bound", [(30, 1e-9), (60, 1e-12)])
@@ -572,9 +601,9 @@ def test_shorter_tables_are_leading_blocks_of_the_built_once_ones(k, secondary):
     series = solve_series(k, secondary=secondary)
     coeffs, lowest, stride = series._horner
     for rows in range(1, JET_ORDER + 2):
-        assert np.array_equal(pantograph._trig_table(rows), pantograph._TRIG[: 2 * rows, :rows])
+        assert np.array_equal(pantograph._trig_table(rows), pantograph._TRIG[:rows, : 2 * rows])
         doubling = pantograph._doubling_table(series, rows)
-        assert np.array_equal(doubling, series._doubling[: 2 * rows - 2, :rows])
+        assert np.array_equal(doubling, series._doubling[:rows, : 2 * rows - 2])
         short_coeffs, short_lowest, short_stride = pantograph._q_horner_table(series, rows)
         assert np.array_equal(short_coeffs, coeffs[:, :rows])
         assert np.array_equal(short_lowest, lowest[:rows])
@@ -597,9 +626,59 @@ def test_residuals_equal_separate_continuations(m2_solution):
 
 
 # The continuation as it was first batched: one pass per doubling depth,
-# every angle of the pass at full reach.  It shares the library's Q jet,
-# product and doubling step, so the block pass (sorting, blocks and the
-# reach of each row) must reproduce it bit for bit.
+# every angle of the pass at full reach, and frozen copies of the tables and
+# the jet product it used, which adds each column of a table, zero entries
+# included, into every angle's rows, one column at a time.  Only the Q jet
+# comes from the library, so the climb's tables, products, schedule, sorting
+# and blocks must reproduce it bit for bit.
+
+
+def _column_trig_table(rows):
+    inverse = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1.0, rows))))
+    m = np.arange(rows)
+    signed = inverse * np.array([1.0, 1.0, -1.0, -1.0])[m % 4]
+    lag = m[:, None] - m[None, :]
+    below = lag >= 0
+    lag = np.where(below, lag, 0)
+    table = np.empty((2 * rows, rows))
+    table[0::2] = np.where(below & (lag % 2 == 0), signed[lag], 0.0)
+    table[1::2] = np.where(below & (lag % 2 == 1), signed[lag], 0.0)
+    return table
+
+
+def _column_doubling_table(series, rows):
+    length = rows - 1
+    trig = _column_trig_table(rows)
+    tc, ts = trig[0 : 2 * length : 2, :length], trig[1 : 2 * length : 2, :length]
+    scale = np.arange(1.0, rows)
+    out = np.zeros((2 * length, rows))
+    out[0::2, :-1] = -3.0 * ts
+    out[0::2, 1:] += tc * scale
+    out[1::2, :-1] = 3.0 * tc
+    out[1::2, 1:] += ts * scale
+    weight = (1.0 / (4.0 * series.factor_a)) / 2.0 ** np.arange(length)
+    return out * np.repeat(weight, 2)[:, None]
+
+
+def _column_product(table, jet, u, reach, offset):
+    acc = table[:, :1] * jet[0]
+    for i in range(1, jet.shape[0]):
+        top, n = 2 * (i - offset), reach[i]
+        acc[top:, :n] += table[top:, i : i + 1] * jet[i, :n]
+    out = np.sin(u) * acc[0::2]
+    out += np.cos(u) * acc[1::2]
+    return out
+
+
+def _column_r_taylor(series, u, reach):
+    rows = len(reach)
+    q = pantograph._q_taylor(series, u, reach)
+    return _column_product(_column_trig_table(rows), q, u, reach, 0)
+
+
+def _column_double(series, head, u):
+    rows = head.shape[0]
+    return _column_product(_column_doubling_table(series, rows), head, u, [u.size] * rows, 1)
 
 
 def _continue_by_depth(solution, theta):
@@ -612,9 +691,9 @@ def _continue_by_depth(solution, theta):
     for d in np.unique(depth):
         rows = depth == d
         u = flat[rows] / 2.0**d
-        taylor = pantograph._r_taylor(solution.series, u, [u.size] * (d + 2))
+        taylor = _column_r_taylor(solution.series, u, [u.size] * (d + 2))
         for _ in range(d):
-            taylor = pantograph._double(solution.series, taylor, u)
+            taylor = _column_double(solution.series, taylor, u)
             u = 2.0 * u
         r[rows], rp[rows] = taylor[0], taylor[1]
     return r, rp
@@ -651,3 +730,16 @@ def test_block_pass_matches_per_depth_reference(k, secondary, order):
             want_r, want_rp = _continue_by_depth(solution, batch)
             assert np.array_equal(r, want_r), batch.size
             assert np.array_equal(rp, want_rp), batch.size
+
+
+def test_batches_keep_the_sign_of_exact_zeros():
+    # With a negative leading coefficient R(0) is -0.0.  Narrow batches take
+    # a broadcast product, wide ones the column loop; both add exactly the
+    # reference's terms, so the sign survives at every width.
+    for k in (0, 1):
+        solution = PantographSolution(solve_series(k, leading=-2.5))
+        for batch in (np.array([0.0]), np.concatenate([[0.0], np.linspace(0.1, 30.0, 4999)])):
+            r, rp = continue_R(solution, batch)
+            want_r, want_rp = _continue_by_depth(solution, batch)
+            assert np.array_equal(r.view(np.int64), want_r.view(np.int64)), k
+            assert np.array_equal(rp.view(np.int64), want_rp.view(np.int64)), k
