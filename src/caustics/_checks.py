@@ -2,6 +2,7 @@
 caller computes with, or raises ``ValidationError`` naming the argument."""
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import os
@@ -27,6 +28,13 @@ def real(name: str, value) -> float:
     return float(value)
 
 
+def number(name: str, value) -> complex:
+    """``value`` as a complex: a finite real or complex number, never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Complex) and cmath.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite real or complex number, got {value!r}")
+    return complex(value)
+
+
 def path(name: str, value) -> str | os.PathLike:
     """``value`` unchanged if it is a ``str`` or ``os.PathLike``; an int or bool would open a
     file descriptor."""
@@ -35,14 +43,19 @@ def path(name: str, value) -> str | os.PathLike:
     return value
 
 
+def floats(name: str, data, form: str = "a number or an array of numbers") -> np.ndarray:
+    """``data`` as a float array of any shape; ``form`` names what it must be."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be {form}") from None
+
+
 def array(name: str, data, ndim: int, least: int = 0) -> np.ndarray:
     """``data`` as a float ``(n,)`` (``ndim`` 1) or ``(n, 2)`` (``ndim`` 2) array, ``n >= least``;
     with ``least`` 0, an empty sequence is an empty array of that form."""
     form = "a 1-D array of numbers" if ndim == 1 else "an (n, 2) array: pairs of numbers"
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be {form}") from None
+    arr = floats(name, data, form)
     if least == 0 and arr.shape == (0,):
         return arr.reshape((0, 2)[:ndim])
     if arr.ndim != ndim or arr.shape[1:] != (2,) * (ndim - 1) or len(arr) < least:

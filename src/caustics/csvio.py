@@ -6,8 +6,9 @@ data always produces byte-identical files.
 
 The text comes from the digit kernel in ``caustics._digits`` (its
 ``GENERAL`` layout), run on blocks of about 8 192 cells that are written to
-the file one at a time.  It is exact: cells it cannot certify are formatted
-by ``%`` itself, so the output equals the ``%`` operator's byte for byte.
+the file one at a time.  It spells zeros of either sign itself, and it is
+exact: cells it cannot certify are formatted by ``%`` itself, so the output
+equals the ``%`` operator's byte for byte.
 """
 from __future__ import annotations
 
@@ -41,9 +42,9 @@ def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[S
     written as ``"%.17g" % float(value)``, which prints integers up to
     2**53 in magnitude verbatim.  The digit kernel formats blocks of
     about 8 192 cells, and each block is written as soon as it is
-    formatted.  NaN, +-inf, +-0, magnitudes outside ``(1e-280, 1e280)``
-    and cells within ``2**-45`` of a rounding tie are formatted by ``%``
-    one at a time.
+    formatted.  Zeros are spelled ``0`` and ``-0`` by the kernel; NaN,
+    +-inf, other magnitudes outside ``(1e-280, 1e280)`` and cells within
+    ``2**-45`` of a rounding tie are formatted by ``%`` one at a time.
     """
     path = _checks.path("path", path)
     width = len(header)

@@ -443,7 +443,7 @@ def frenet_residual(samples: CurveSamples) -> float:
 
 def circle(radius: float = 1.0) -> InclinationCurve:
     """Constant turning radius."""
-    if radius == 0.0:
+    if _checks.real("radius", radius) == 0.0:
         raise ValidationError("circle needs a nonzero radius")
 
     def jet(t):
@@ -455,7 +455,7 @@ def circle(radius: float = 1.0) -> InclinationCurve:
 
 def cycloid(amplitude: float = 1.0) -> InclinationCurve:
     """R = A sin(theta): the rolling-point curve, cusps at multiples of pi."""
-    if amplitude == 0.0:
+    if _checks.real("amplitude", amplitude) == 0.0:
         raise ValidationError("cycloid needs a nonzero amplitude")
     return InclinationCurve(
         jet=lambda t: (amplitude * np.sin(t), amplitude * np.cos(t)),
@@ -465,7 +465,8 @@ def cycloid(amplitude: float = 1.0) -> InclinationCurve:
 
 def log_spiral(amplitude: float = 1.0, growth: float = 1.0) -> InclinationCurve:
     """R = A * exp(b * theta): the equiangular spiral."""
-    if amplitude == 0.0:
+    growth = _checks.real("growth", growth)
+    if _checks.real("amplitude", amplitude) == 0.0:
         raise ValidationError("log_spiral needs a nonzero amplitude")
 
     def jet(t):

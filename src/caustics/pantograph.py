@@ -426,7 +426,7 @@ def continue_R(solution: PantographSolution, theta):
     those of depth >= L, so all end together.  A batch returns exactly what
     separate calls return.
     """
-    arr = np.asarray(theta, dtype=float)
+    arr = _checks.floats("theta", theta)
     flat = arr.ravel()
     bad = flat[~np.isfinite(flat) | (flat < 0.0)]
     if bad.size:

@@ -254,7 +254,11 @@ def delay_roots(
             "delay_roots needs alpha > 0; use to_delay_form to normalise an advance problem"
         )
     tphi = math.tan(phi0)
-    rhs = alpha * factor_a * math.exp(alpha * tphi) / math.cos(phi0)
+    try:
+        rhs = alpha * factor_a * math.exp(alpha * tphi) / math.cos(phi0)
+    except OverflowError:
+        rhs = math.inf
+    rhs = _checks.real("the Lambert argument alpha a e^(alpha tan phi0) / cos phi0", rhs)
     roots: list[CharacteristicRoot] = []
     for k in indices:
         k = _checks.integer("indices", k)

@@ -68,9 +68,9 @@ def lambert_w(k: int, z: complex | float):
     """Branch ``k`` of the Lambert W function.
 
     Solves ``w * exp(w) = z`` by at most ``_MAX_HALLEY_STEPS`` Halley steps
-    from a branch-aware initial guess.  Accepts any complex ``z``; real
-    arguments that lie on the real range of the requested branch come back
-    as plain floats.
+    from a branch-aware initial guess.  Accepts any finite complex ``z``;
+    real arguments that lie on the real range of the requested branch come
+    back as plain floats.
 
     Parameters
     ----------
@@ -87,6 +87,8 @@ def lambert_w(k: int, z: complex | float):
 
     Raises
     ------
+    ValidationError
+        For a ``k`` that is not an integer, or a ``z`` that is not finite.
     PoleError
         For ``z == 0`` on any branch other than the principal one.
     NumericError
@@ -94,7 +96,7 @@ def lambert_w(k: int, z: complex | float):
     """
     k = _checks.integer("k", k)
     z_was_real = not isinstance(z, complex)
-    zc = complex(z)
+    zc = _checks.number("z", z)
     if zc == 0:
         if k == 0:
             return 0.0 if z_was_real else 0.0j

@@ -10,9 +10,9 @@ import pytest
 
 from caustics.csvio import write_table
 from caustics.errors import ValidationError
-from caustics.inclination import AngleInterval, circle, reconstruct
+from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, reconstruct
 from caustics.oracle import RayFamily, occlusion_check, reflect_horizontal, verticality_check
-from caustics.pantograph import parabola_mirror, solve_series
+from caustics.pantograph import PantographSolution, continue_R, parabola_mirror, solve_series
 from caustics.quadrature import panel_integrals
 from caustics.skew import SkewFamilySpec, delay_roots, point_by_point_curve
 from caustics.specfun import lambert_w, tan_coeffs, zeta_even
@@ -54,6 +54,13 @@ BAD_CALLS = {
     "parabola_mirror_nan_scale": lambda: parabola_mirror(math.nan),
     "parabola_mirror_inf_scale": lambda: parabola_mirror(math.inf),
     "parabola_mirror_bool_scale": lambda: parabola_mirror(True),
+    "circle_nan_radius": lambda: circle(math.nan),
+    "cycloid_inf_amplitude": lambda: cycloid(math.inf),
+    "log_spiral_nan_growth": lambda: log_spiral(1.0, math.nan),
+    "lambert_w_inf": lambda: lambert_w(0, math.inf),
+    "lambert_w_nan": lambda: lambert_w(0, math.nan),
+    "delay_roots_overflowing_argument": lambda: delay_roots(0.9, 1e308, 0.3, (0,)),
+    "continue_R_ragged": lambda: continue_R(PantographSolution(solve_series(0, 12)), [[1, 2], [3]]),
 }
 
 

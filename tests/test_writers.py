@@ -167,6 +167,14 @@ NEAR_TIES = [
 ]
 
 
+def test_csv_normal_draws_and_zeros_are_certified(tmp_path, rng):
+    values = rng.normal(size=100_000) * 10.0 ** rng.integers(-8, 9, 100_000)
+    values[:2] = 0.0, -0.0
+    _assert_matches_reference(tmp_path, values.reshape(-1, 5))
+    # The kernel spells every one of them itself; ``%`` is only its fallback.
+    assert _digits._fill_general(values, np.empty((len(values), 32), np.uint8)).all()
+
+
 def test_csv_near_ties_match_reference(tmp_path):
     for x in NEAR_TIES:
         scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
@@ -253,8 +261,7 @@ def test_fixed_uniform_draws_match_format(rng):
     values = rng.uniform(0.0, 704.0, 100_000)
     _assert_fixed_matches_format(values)
     # The kernel spells every one of them itself; ``%`` is only its fallback.
-    rows, shown = np.empty((len(values), 8), np.uint8), np.empty((len(values), 8), bool)
-    assert _digits._fill_fixed(values, rows, shown).all()
+    assert _digits._fill_fixed(values, np.empty((len(values), 8), np.uint8)).all()
 
 
 # ---------------------------------------------------------------------------
