@@ -51,6 +51,14 @@ def floats(name: str, data, form: str = "a number or an array of numbers") -> np
         raise ValidationError(f"{name} must be {form}") from None
 
 
+def finite(name: str, data) -> np.ndarray:
+    """``data`` as a float array of any shape whose entries are all finite."""
+    arr = floats(name, data)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    return arr
+
+
 def array(name: str, data, ndim: int, least: int = 0) -> np.ndarray:
     """``data`` as a float ``(n,)`` (``ndim`` 1) or ``(n, 2)`` (``ndim`` 2) array, ``n >= least``;
     with ``least`` 0, an empty sequence is an empty array of that form."""

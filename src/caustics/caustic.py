@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _checks
 from .errors import (
     CausticAtInfinityError,
     CuspError,
@@ -181,29 +182,27 @@ def coframe(theta, radius, phi, phi_prime):
 
     ``nu = sin(phi) T + cos(phi) N`` with ``T = (cos theta, sin theta)`` and
     ``N`` the tangent turned counterclockwise; ``chi = (1 - phi') / R``.
-    All arguments broadcast; ``nu`` gains a trailing axis of length 2.  No
-    node is rejected: chi is infinite (or NaN) where R vanishes and near
-    zero where the tilt is flat.
+    All arguments are finite and broadcast; ``nu`` gains a trailing axis
+    of length 2.  No node is rejected: chi is infinite (or NaN) where R
+    vanishes and near zero where the tilt is flat.
     """
+    theta, phi = _checks.finite("theta", theta), _checks.finite("phi", phi)
     ct, st = np.cos(theta), np.sin(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     nu = np.stack([sp * ct - cp * st, sp * st + cp * ct], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        chi = (1.0 - np.asarray(phi_prime, dtype=float)) / np.asarray(radius, dtype=float)
+        chi = (1.0 - _checks.finite("phi_prime", phi_prime)) / _checks.finite("radius", radius)
     return nu, chi
 
 
 def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
     """Turning radius of the caustic from local curve and tilt data.
 
-    All arguments broadcast.  Requires the tilt derivative to stay away
-    from 1 (otherwise the caustic flattens and the radius diverges).
+    All arguments are finite and broadcast.  The tilt derivative must stay
+    away from 1 (otherwise the caustic flattens and the radius diverges).
     """
-    r = np.asarray(r, dtype=float)
-    r_prime = np.asarray(r_prime, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    p1 = np.asarray(phi_prime, dtype=float)
-    p2 = np.asarray(phi_second, dtype=float)
+    r, r_prime, phi, p1, p2 = (_checks.finite(name, value) for name, value in zip(
+        ("r", "r_prime", "phi", "phi_prime", "phi_second"), (r, r_prime, phi, phi_prime, phi_second)))
     if np.any(np.abs(1.0 - p1) < FLAT_TILT_GUARD):
         raise FlatCausticError("tilt derivative too close to 1; caustic flattens")
     one = 1.0 - p1

@@ -10,7 +10,8 @@ verify      run the brute-force agreement and residual suites
 
 All numeric angle inputs accept pi literals (``pi/4``, ``2pi``, ``-3pi/2``).
 Outputs are deterministic: the same invocation produces byte-identical
-files.  Exit status: 0 success, 2 validation error, 3 numeric error.
+files.  Exit status: 0 success, 2 validation error, 3 numeric error, 141 stdout closed
+before all output was written.
 """
 from __future__ import annotations
 
@@ -18,11 +19,13 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import re
 import sys
 
 import numpy as np
 
+from . import verify
 from .caustic import TiltField, caustic_curve
 from .csvio import write_caustic_csv, write_coefficient_csv, write_curve_csv
 from .errors import CausticsError, NumericError, ValidationError
@@ -34,34 +37,19 @@ from .inclination import (
     circle,
     cycloid,
     find_cusps,
-    frenet_residual,
     log_spiral,
     polynomial_curve,
     reconstruct,
 )
-from .oracle import (
-    envelope_gap,
-    envelope_numeric,
-    rays_from_tilt,
-    reflect_horizontal,
-)
 from .pantograph import (
     PantographSolution,
-    mirror_equation_residual,
     mirror_report,
     parabola_mirror,
     similarity_factor,
     solution_curve,
     solve_series,
 )
-from .skew import (
-    SkewFamilySpec,
-    build_family,
-    implied_alpha,
-    puiseux_curve,
-    skew_equation_residual,
-)
-from .specfun import lambert_w, tan_coeffs, zeta_even
+from .skew import SkewFamilySpec, build_family, puiseux_curve, skew_equation_residual
 from .svg import write_scene
 
 __all__ = ["parse_angle", "parse_interval", "main"]
@@ -273,12 +261,7 @@ def _run_skew(args: argparse.Namespace) -> None:
         coefficients=coefficients,
     )
     curve = build_family(family)
-    if case == "inverse_position":
-        alpha = implied_alpha(coefficients[0][0], coefficients[0][1], factor, phi0)
-    elif case == "delay":
-        alpha = family.alpha
-    else:
-        alpha = 0.0
+    alpha = family.equation_alpha()
     window = _window(args, -math.pi, math.pi)
     residual = skew_equation_residual(
         curve, family.phi0, family.factor_a, case, window, alpha=alpha
@@ -349,131 +332,21 @@ def _run_pantograph(args: argparse.Namespace) -> None:
         write_scene(args.out_svg, **groups)
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _check_circle_focus(n: int) -> tuple[str, float, float]:
-    curve = circle(1.0)
-    window = AngleInterval(0.05, math.pi - 0.05, n)
-    family = rays_from_tilt(curve, TiltField.evolute(), window)
-    envelope = envelope_numeric(family)
-    # Normal rays of a circle meet one radius away from any of their bases.
-    center = family.bases[0] + family.directions[0]
-    scatter = float(np.nanmax(np.linalg.norm(envelope.points - center, axis=1)))
-    return ("circle_normals_focus_scatter", scatter, 1e-8)
-
-
-def _check_reflection_directions(n: int) -> tuple[str, float, float]:
-    curve = circle(1.0)
-    window = AngleInterval(0.01, math.pi - 0.01, n)
-    samples = reconstruct(curve, window)
-    thetas = samples.theta
-    family = reflect_horizontal(samples.points, source_thetas=thetas)
-    want = np.stack([np.cos(2 * thetas), np.sin(2 * thetas)], axis=1)
-    got = family.directions
-    interior = slice(1, -1)
-    err = float(np.max(np.linalg.norm(got[interior] - want[interior], axis=1)))
-    return ("reflection_matches_tilt_field", err, 1e-6)
-
-
-def _check_step_halving(n: int) -> tuple[str, float, float]:
-    curve, tilt = circle(1.0), TiltField.reflection()
-    coarse = envelope_gap(curve, tilt, AngleInterval(0.2, 1.2, n // 2)).distance
-    fine = envelope_gap(curve, tilt, AngleInterval(0.2, 1.2, n)).distance
-    return ("step_halving_ratio", fine / coarse, 0.5)
-
-
-def _check_residual_suite() -> list[tuple[str, float, float]]:
-    rows = []
-    window = AngleInterval(0.01, 2 * math.pi, 257)
-    for k, label in ((0, "cycloid"), (1, "m2")):
-        residual = mirror_equation_residual(PantographSolution(solve_series(k)), window)
-        rows.append((f"pantograph_residual_{label}", residual, 1e-8))
-    pair = ((1.0, 0.5),)
-    skew_checks = (
-        (
-            "skew_point_residual",
-            SkewFamilySpec(case="point_by_point", phi0=0.3, factor_a=1.2),
-            0.0,
-        ),
-        (
-            "skew_inverse_residual",
-            SkewFamilySpec(case="inverse_position", phi0=0.3, factor_a=1.2, coefficients=pair),
-            implied_alpha(1.0, 0.5, 1.2, 0.3),
-        ),
-        (
-            "skew_delay_residual",
-            SkewFamilySpec(
-                case="delay", phi0=0.0, factor_a=1.0, alpha=math.pi / 2,
-                root_indices=(1,), coefficients=pair,
-            ),
-            math.pi / 2,
-        ),
-    )
-    for name, family, alpha in skew_checks:
-        residual = skew_equation_residual(
-            build_family(family), family.phi0, family.factor_a, family.case,
-            AngleInterval(-2, 2, 201), alpha=alpha,
-        )
-        rows.append((name, residual, 1e-9))
-    window = AngleInterval(0.3, math.pi - 0.3, 257)
-    rows.append(
-        ("frenet_circle_residual", frenet_residual(reconstruct(circle(1.0), window)), 1e-3)
-    )
-    return rows
-
-
-def _check_specfun_suite(seed: int, n: int) -> list[tuple[str, float, float]]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        radius = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-        angle = rng.uniform(-math.pi, math.pi)
-        z = radius * complex(math.cos(angle), math.sin(angle))
-        k = int(rng.integers(-3, 4))
-        w = lambert_w(k, z)
-        w = complex(w)
-        resid = abs(w * np.exp(w) - z) / max(abs(z), 1.0)
-        worst = max(worst, resid)
-    rows = [("lambert_residual_sweep", worst, 1e-12)]
-    t = 1.0
-    tail = abs(float(tan_coeffs(30).eval(t)) - math.tan(t))
-    rows.append(("tan_series_at_1", tail, 1e-10))
-    rows.append(("zeta_2", abs(zeta_even(2) - math.pi**2 / 6.0), 1e-15))
-    rows.append(("zeta_10", abs(zeta_even(10) - math.pi**10 / 93555.0), 1e-12))
-    return rows
-
-
 def _run_verify(args: argparse.Namespace) -> None:
     suite = args.suite
     if not suite:
         raise ValidationError("empty suite; pick one of oracle, residuals, specfun, all")
-    known = ("oracle", "residuals", "specfun", "all")
-    if suite not in known:
-        raise ValidationError(f"unknown suite {suite!r}; pick one of {known}")
+    if suite not in verify.SUITES:
+        raise ValidationError(f"unknown suite {suite!r}; pick one of {verify.SUITES}")
     if args.seed < 0:
         raise ValidationError(f"seed must be non-negative, got {args.seed}")
-    n = args.samples
-    bound = _parse_number(args.tolerance, "tolerance")
-    checks: list[tuple[str, float, float]] = []
-    if suite in ("oracle", "all"):
-        checks.append(_check_circle_focus(n))
-        window = AngleInterval(0.01, math.pi - 0.01, n)
-        gap = envelope_gap(circle(1.0), TiltField.reflection(), window).distance
-        checks.append(("semicircle_reflection_hausdorff", gap, bound))
-        checks.append(_check_reflection_directions(max(n, 4001)))
-        checks.append(_check_step_halving(max(n // 2, 500)))
-    if suite in ("residuals", "all"):
-        checks.extend(_check_residual_suite())
-    if suite in ("specfun", "all"):
-        checks.extend(_check_specfun_suite(args.seed, max(50, n // 10)))
-    failures = 0
+    tolerance = _parse_number(args.tolerance, "tolerance")
+    checks = verify.run(suite, args.samples, args.seed, tolerance)
     width = max(len(name) for name, _, _ in checks)
     for name, value, limit in checks:
-        ok = value <= limit
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  value={value:.3e}  bound={limit:.1e}")
+        verdict = "PASS" if value <= limit else "FAIL"
+        print(f"{verdict}  {name:<{width}}  value={value:.3e}  bound={limit:.1e}")
+    failures = sum(not value <= limit for _, value, limit in checks)
     print(f"checks={len(checks)} failures={failures}")
     if failures:
         raise NumericError(f"{failures} verification check(s) failed")
@@ -544,18 +417,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.run(args)
+        for fmt, path in (("csv", args.out_csv), ("svg", args.out_svg)):
+            if path:
+                print(f"wrote_{fmt}={path}")
+        sys.stdout.flush()
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CausticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for fmt, path in (("csv", args.out_csv), ("svg", args.out_svg)):
-        if path:
-            print(f"wrote_{fmt}={path}")
+    except BrokenPipeError:
+        # The reader closed stdout: what is still buffered goes to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

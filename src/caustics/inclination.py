@@ -478,9 +478,9 @@ def log_spiral(amplitude: float = 1.0, growth: float = 1.0) -> InclinationCurve:
 
 def polynomial_curve(coefficients: Sequence[float]) -> InclinationCurve:
     """R given by a polynomial in theta (ascending coefficients)."""
-    coeffs = np.asarray(list(coefficients), dtype=float)
-    if coeffs.size == 0 or not np.any(coeffs):
-        raise ValidationError("polynomial_curve needs at least one nonzero coefficient")
+    coeffs = _checks.finite("coefficients", list(coefficients))
+    if coeffs.ndim != 1 or not np.any(coeffs):
+        raise ValidationError("polynomial_curve needs a flat list with a nonzero coefficient")
     poly = np.polynomial.Polynomial(coeffs)
     dpoly = poly.deriv()
     return InclinationCurve(

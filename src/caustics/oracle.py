@@ -148,7 +148,7 @@ class EnvelopePolyline:
 def envelope_numeric(family: RayFamily) -> EnvelopePolyline:
     """Estimate the envelope of a ray family by intersecting neighbours.
 
-    First-order accurate in the angular step.  Parallel consecutive rays
+    Second-order accurate in the angular step.  Parallel consecutive rays
     (cross product below ``PARALLEL_THRESHOLD``) produce a flagged NaN gap
     instead of a point; a family of all-parallel rays therefore yields an
     empty (all-NaN) envelope, the caustic at infinity.

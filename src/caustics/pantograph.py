@@ -529,6 +529,8 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
 
 def mirror_equation_residual(solution: PantographSolution, interval: AngleInterval) -> float:
     """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``."""
+    if not isinstance(interval, AngleInterval):
+        raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     if interval.lo < 0.0:
         raise ValidationError("the continued solution lives on theta >= 0")
     t = interval.grid()

@@ -107,6 +107,13 @@ class SkewFamilySpec:
         object.__setattr__(self, "root_indices",
                            tuple(_checks.integer("root_indices", i) for i in self.root_indices))
 
+    def equation_alpha(self) -> float:
+        """The shift alpha of this family's functional equation: implied by the amplitudes for
+        ``inverse_position``, the delay itself for ``delay``, 0 for ``point_by_point``."""
+        if self.case == "inverse_position":
+            return implied_alpha(*self.coefficients[0], self.factor_a, self.phi0)
+        return self.alpha if self.case == "delay" else 0.0
+
 
 def point_by_point_curve(amplitude: float, factor_a: float, phi0: float) -> InclinationCurve:
     """The family whose caustic reproduces the curve at equal angles.
@@ -334,8 +341,11 @@ def skew_equation_residual(
 ) -> float:
     """Sup-norm defect of the constant-tilt similarity equation on a grid."""
     phi0 = _check_phi0(phi0)
+    factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
     if case not in _CASES:
         raise ValidationError(f"case must be one of {_CASES}, got {case!r}")
+    if not isinstance(interval, AngleInterval):
+        raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     thetas = interval.grid()
     if case == "point_by_point":
         arg = thetas
@@ -356,6 +366,7 @@ def skew_equation_residual(
 
 def puiseux_curve(c: float, gamma: float) -> InclinationCurve:
     """R = exp(c theta) sin(gamma theta): cusps every pi/gamma."""
+    c, gamma = _checks.real("c", c), _checks.real("gamma", gamma)
     if gamma <= 0.0:
         raise ValidationError("gamma must be positive")
 

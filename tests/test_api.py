@@ -210,6 +210,7 @@ SUBMODULE_EXPORTS = {
     ],
     "specfun": ["TanCoefficients", "lambert_w", "tan_coeffs", "zeta_even"],
     "svg": ["GROUP_ORDER", "write_scene"],
+    "verify": ["SUITES", "TABLE", "run"],
 }
 
 

@@ -8,13 +8,17 @@ import warnings
 import numpy as np
 import pytest
 
+from caustics.caustic import caustic_radius, coframe
 from caustics.csvio import write_table
 from caustics.errors import ValidationError
-from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, reconstruct
+from caustics.inclination import (
+    AngleInterval, circle, cycloid, log_spiral, polynomial_curve, reconstruct)
 from caustics.oracle import RayFamily, occlusion_check, reflect_horizontal, verticality_check
-from caustics.pantograph import PantographSolution, continue_R, parabola_mirror, solve_series
+from caustics.pantograph import (
+    PantographSolution, continue_R, mirror_equation_residual, parabola_mirror, solve_series)
 from caustics.quadrature import panel_integrals
-from caustics.skew import SkewFamilySpec, delay_roots, point_by_point_curve
+from caustics.skew import (
+    SkewFamilySpec, delay_roots, point_by_point_curve, puiseux_curve, skew_equation_residual)
 from caustics.specfun import lambert_w, tan_coeffs, zeta_even
 from caustics.svg import write_scene
 
@@ -27,6 +31,10 @@ def _line(t):
 
 
 UNIT_ENDS = (_line([0.0, 1.0]), np.ones((1, 2)))  # t and its derivative at the edges 0, 1
+
+
+def _skew_residual(case="delay", factor_a=1.2, alpha=1.0, interval=AngleInterval(0, 1, 5)):
+    return skew_equation_residual(log_spiral(1, 0.5), 0.3, factor_a, case, interval, alpha=alpha)
 
 
 BAD_CALLS = {
@@ -61,6 +69,19 @@ BAD_CALLS = {
     "lambert_w_nan": lambda: lambert_w(0, math.nan),
     "delay_roots_overflowing_argument": lambda: delay_roots(0.9, 1e308, 0.3, (0,)),
     "continue_R_ragged": lambda: continue_R(PantographSolution(solve_series(0, 12)), [[1, 2], [3]]),
+    "skew_residual_delay_inf_alpha": lambda: _skew_residual(alpha=math.inf),
+    "skew_residual_inverse_inf_alpha": lambda: _skew_residual("inverse_position", alpha=math.inf),
+    "skew_residual_nan_factor": lambda: _skew_residual(factor_a=math.nan),
+    "skew_residual_list_interval": lambda: _skew_residual(interval=[0.0, 1.0]),
+    "mirror_residual_list_interval": lambda: mirror_equation_residual(
+        PantographSolution(solve_series(0, 12)), [0.0, 1.0]),
+    "polynomial_curve_nan": lambda: polynomial_curve([1.0, math.nan]),
+    "polynomial_curve_ragged": lambda: polynomial_curve(RAGGED),
+    "puiseux_curve_nan_c": lambda: puiseux_curve(math.nan, 3),
+    "puiseux_curve_nan_gamma": lambda: puiseux_curve(0.2, math.nan),
+    "puiseux_curve_inf_gamma": lambda: puiseux_curve(0.2, math.inf),
+    "coframe_inf_theta": lambda: coframe([math.inf], [1], [0], [0]),
+    "caustic_radius_inf_r_prime": lambda: caustic_radius(1.0, math.inf, 0.3, 0.0, 0.0),
 }
 
 
