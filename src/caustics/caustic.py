@@ -260,6 +260,8 @@ def similarity_residual(
     absolute difference.  Raises ``DomainError`` if a shifted argument
     leaves the curve's domain.
     """
+    if not isinstance(interval, AngleInterval):
+        raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     thetas = interval.grid()
     r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
     phi, p1, p2 = tilt(thetas)

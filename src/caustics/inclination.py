@@ -478,7 +478,7 @@ def log_spiral(amplitude: float = 1.0, growth: float = 1.0) -> InclinationCurve:
 
 def polynomial_curve(coefficients: Sequence[float]) -> InclinationCurve:
     """R given by a polynomial in theta (ascending coefficients)."""
-    coeffs = _checks.finite("coefficients", list(coefficients))
+    coeffs = _checks.finite("coefficients", coefficients)
     if coeffs.ndim != 1 or not np.any(coeffs):
         raise ValidationError("polynomial_curve needs a flat list with a nonzero coefficient")
     poly = np.polynomial.Polynomial(coeffs)

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from caustics.caustic import caustic_radius, coframe
+from caustics.caustic import (
+    SimilaritySpec, TiltField, caustic_radius, coframe, similarity_residual)
 from caustics.csvio import write_table
 from caustics.errors import ValidationError
 from caustics.inclination import (
@@ -77,6 +78,11 @@ BAD_CALLS = {
         PantographSolution(solve_series(0, 12)), [0.0, 1.0]),
     "polynomial_curve_nan": lambda: polynomial_curve([1.0, math.nan]),
     "polynomial_curve_ragged": lambda: polynomial_curve(RAGGED),
+    "polynomial_curve_text": lambda: polynomial_curve("12"),
+    "polynomial_curve_float": lambda: polynomial_curve(1.0),
+    "polynomial_curve_none": lambda: polynomial_curve(None),
+    "similarity_residual_list_interval": lambda: similarity_residual(
+        circle(1.0), TiltField.evolute(), SimilaritySpec(1.0, 0.0), [0, 1]),
     "puiseux_curve_nan_c": lambda: puiseux_curve(math.nan, 3),
     "puiseux_curve_nan_gamma": lambda: puiseux_curve(0.2, math.nan),
     "puiseux_curve_inf_gamma": lambda: puiseux_curve(0.2, math.inf),
