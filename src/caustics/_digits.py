@@ -51,7 +51,7 @@ working memory is set by the block, not by the table.
 """
 from __future__ import annotations
 
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -271,7 +271,6 @@ def write_cells(
     layout: Layout,
     codes: np.ndarray,
     seps: np.ndarray,
-    breaks: Sequence[tuple[int, bytes]] = (),
 ) -> None:
     """Write each cell of the ``(n, w)`` table ``values``, row by row, to ``fh``.
 
@@ -279,10 +278,8 @@ def write_cells(
     ``layout`` (``GENERAL`` or ``FIXED``), and followed by separator
     number ``code`` of ``seps``, a table from ``separators``; ``codes`` is
     an ``(n, w)`` integer array, or one row of ``w`` codes that every row
-    shares.  ``breaks`` lists ``(row, text)`` pairs in order of ``row``,
-    ``0 <= row <= n``: ``text`` is written before that row of ``values``,
-    or after the last.  Blocks of about ``BLOCK_CELLS`` cells are
-    formatted and written one at a time.
+    shares.  Blocks of about ``BLOCK_CELLS`` cells are formatted and
+    written one at a time.
     """
     n, width = values.shape
     spec, field, fill = layout
@@ -294,8 +291,6 @@ def write_cells(
     buf = bytearray(block * width * size)
     rows_buf = np.frombuffer(buf, np.uint8).reshape(-1, size)
     slots = rows_buf[:, field:].view(seps.dtype)[:, 0]
-    breaks = iter(breaks)
-    row, insert = next(breaks, (n + 1, b""))
     for start in range(0, n, block):
         x = values[start : start + block].ravel()
         count = len(x)
@@ -317,18 +312,4 @@ def write_cells(
                 rows = wider
             rows[slow, :wide] = spelled.view(np.uint8).reshape(-1, wide)
             rows[slow, wide:field] = 0
-        chunk = (text if rows.size == len(text) else text[: rows.size]).translate(None, b"\0")
-        cut, stop = 0, start + count // width
-        if row < stop:
-            # Where each row's text ends, to cut the block at its breaks.
-            ends = np.cumsum(np.count_nonzero(rows.reshape(stop - start, -1), axis=1))
-            while row < stop:
-                end = int(ends[row - start - 1]) if row > start else 0
-                fh.write(chunk[cut:end])
-                fh.write(insert)
-                cut = end
-                row, insert = next(breaks, (n + 1, b""))
-        fh.write(chunk[cut:])
-    while row <= n:
-        fh.write(insert)
-        row, insert = next(breaks, (n + 1, b""))
+        fh.write((text if rows.size == len(text) else text[: rows.size]).translate(None, b"\0"))

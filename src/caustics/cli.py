@@ -10,8 +10,9 @@ verify      run the brute-force agreement and residual suites
 
 All numeric angle inputs accept pi literals (``pi/4``, ``2pi``, ``-3pi/2``).
 Outputs are deterministic: the same invocation produces byte-identical
-files.  Exit status: 0 success, 2 validation error, 3 numeric error, 141 stdout closed
-before all output was written.
+files.  Exit status: 0 success, 2 validation error (argparse's rejections
+too, as one ``error:`` line), 3 numeric error, 141 stdout closed before all
+output was written.
 """
 from __future__ import annotations
 
@@ -333,15 +334,9 @@ def _run_pantograph(args: argparse.Namespace) -> None:
 
 
 def _run_verify(args: argparse.Namespace) -> None:
-    suite = args.suite
-    if not suite:
-        raise ValidationError("empty suite; pick one of oracle, residuals, specfun, all")
-    if suite not in verify.SUITES:
-        raise ValidationError(f"unknown suite {suite!r}; pick one of {verify.SUITES}")
     if args.seed < 0:
         raise ValidationError(f"seed must be non-negative, got {args.seed}")
-    tolerance = _parse_number(args.tolerance, "tolerance")
-    checks = verify.run(suite, args.samples, args.seed, tolerance)
+    checks = verify.run(args.suite, args.samples, args.seed)
     width = max(len(name) for name, _, _ in checks)
     for name, value, limit in checks:
         verdict = "PASS" if value <= limit else "FAIL"
@@ -352,10 +347,17 @@ def _run_verify(args: argparse.Namespace) -> None:
         raise NumericError(f"{failures} verification check(s) failed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise ``ValidationError`` instead of exiting."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``caustics`` argument parser, built once per process and shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="caustics",
         description="Plane curves, tilted caustics, self-similar families and mirrors.",
     )
@@ -408,10 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pant.set_defaults(run=_run_pantograph)
 
     p_verify = sub.add_parser("verify", help="run the agreement and residual suites")
-    p_verify.add_argument("--suite", default="", help="oracle | residuals | specfun | all")
+    p_verify.add_argument("--suite", required=True, choices=verify.SUITES)
     p_verify.add_argument("--samples", type=int, default=2000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tolerance", default="1e-3", help="oracle Hausdorff bound")
     p_verify.set_defaults(run=_run_verify, out_csv=None, out_svg=None)
     return parser
 

@@ -73,11 +73,11 @@ def _check_phi0(phi0: float) -> float:
 class SkewFamilySpec:
     """A constant-tilt similarity problem.
 
-    ``coefficients`` holds one ``(A, B)`` pair per root (delay case) or a
-    single pair (the other cases; B is the second amplitude where one is
-    meaningful).  Advance problems (``alpha < 0``) are normalised on
-    construction by reversing the angle, which flips the signs of alpha,
-    phi0 and the factor.
+    ``coefficients`` holds one ``(A, B)`` pair per root (delay case).  The
+    other cases take ``alpha = 0``, ``root_indices = (0,)`` and a single
+    pair, with ``B = 0`` for ``point_by_point``, whose one amplitude is A.
+    Advance problems (``alpha < 0``) are normalised on construction by
+    reversing the angle, which flips the signs of alpha, phi0 and the factor.
     """
 
     case: str
@@ -106,6 +106,14 @@ class SkewFamilySpec:
         object.__setattr__(self, "coefficients", tuple(map(tuple, pairs.tolist())))
         object.__setattr__(self, "root_indices",
                            tuple(_checks.integer("root_indices", i) for i in self.root_indices))
+        if self.case != "delay" and (
+            self.alpha != 0.0 or self.root_indices != (0,) or len(self.coefficients) != 1
+            or self.case == "point_by_point" and self.coefficients[0][1] != 0.0
+        ):
+            raise ValidationError(
+                f"the {self.case} case takes alpha = 0, root_indices (0,) and one (A, B) pair"
+                + (" with B = 0" if self.case == "point_by_point" else "")
+            )
 
     def equation_alpha(self) -> float:
         """The shift alpha of this family's functional equation: implied by the amplitudes for

@@ -4,8 +4,8 @@ Scenes are stroke-only, drawn y-up at uniform scale, and always emit
 their groups in the fixed order mirror, caustic, rays, cusps, cuspline
 so that regenerated files diff cleanly.  Coordinates are printed as
 ``"%.3f"`` by the fixed-point layout of the digit kernel in
-``caustics._digits``, which spells every path command, coordinate and
-separator of a scene as byte rows and writes them a block at a time.
+``caustics._digits``, one call per group between the tags written here;
+it spells each coordinate and the path or circle text after it as a byte row.
 """
 from __future__ import annotations
 
@@ -34,15 +34,16 @@ _STYLE = {
     "cusps": 'stroke="#000000" stroke-width="0.750" fill="none"',
     "cuspline": 'stroke="#2ca02c" stroke-width="0.750" stroke-dasharray="6.000 4.000" fill="none"',
 }
-_SEPARATORS = _digits.separators(
-    b" ", b"L", b"M", b'"/>\n<path d="M', b'"/>', b'" cy="', b'" r="3.840"/>'
+_PATH_SEPARATORS = _digits.separators(b" ", b"L", b"M", b'"/>\n<path d="M', b'"/>')
+"""Text after a path coordinate: after x; after y when a line runs to the
+next point, or the pen moves there (a NaN row lifted it); after a
+polyline's last y, then after the group's."""
+_SPACE, _LINE, _MOVE, _NEXT_PATH, _END_PATH = range(5)
+_CIRCLE_SEPARATORS = _digits.separators(
+    b'" cy="', b'" r="3.840"/>\n<circle cx="', b'" r="3.840"/>'
 )
-"""Text after a coordinate.  In a path: after x; after y when a line runs
-to the next point, or the pen moves there (a NaN row lifted it); after a
-polyline's last y, then after the group's.  In a circle: after x, after y."""
-_SPACE, _LINE, _MOVE, _NEXT_PATH, _END_PATH, _CY, _END_CIRCLE = range(7)
-_PATH_LEAD, _CIRCLE_LEAD = '\n<path d="M', '\n<circle cx="'
-"""Text before a group's first coordinate; each circle's x needs it too."""
+"""Text after a circle's x, after each y but the group's last, and after that one."""
+_CY, _NEXT_CIRCLE, _END_CIRCLE = range(3)
 
 
 def _as_group(name: str, data) -> tuple[np.ndarray, np.ndarray] | None:
@@ -140,29 +141,28 @@ def write_scene(
     xy[:, 1] += margin
     xy[:, 1] *= scale
 
-    # Each group's separator codes, and the text written before a row of xy:
-    # group tags, and the lead of each circle.
-    codes = np.empty(xy.shape, np.int8)
-    breaks = []
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}">\n'
-    )
-    at = 0
-    for name, (_, lengths) in groups.items():
-        count = counts[name]
-        lead = _CIRCLE_LEAD if name == "cusps" else _PATH_LEAD
-        head += f'<g id="{name}" {_STYLE[name]}>' + (lead if count else "")
-        breaks.append((at, head.encode("ascii")))
-        part = codes[at : at + count]
-        if count and name == "cusps":
-            part[:] = (_CY, _END_CIRCLE)
-            breaks.extend((row, lead.encode("ascii")) for row in range(at + 1, at + count))
-        elif count:
-            _path_codes(finite[name], lengths, part)
-        at += count
-        head = "\n</g>\n"
-    breaks.append((at, (head + "</svg>\n").encode("ascii")))
     with open(path, "wb") as fh:
-        _digits.write_cells(fh, xy, _digits.FIXED, codes, _SEPARATORS, breaks)
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+            f'width="{width}" height="{height}">\n'.encode("ascii")
+        )
+        at = 0
+        for name, (_, lengths) in groups.items():
+            count = counts[name]
+            fh.write(f'<g id="{name}" {_STYLE[name]}>'.encode("ascii"))
+            if count:
+                codes = np.empty((count, 2), np.int8)
+                if name == "cusps":
+                    codes[:] = (_CY, _NEXT_CIRCLE)
+                    codes[-1, 1] = _END_CIRCLE
+                    fh.write(b'\n<circle cx="')
+                    seps = _CIRCLE_SEPARATORS
+                else:
+                    _path_codes(finite[name], lengths, codes)
+                    fh.write(b'\n<path d="M')
+                    seps = _PATH_SEPARATORS
+                _digits.write_cells(fh, xy[at : at + count], _digits.FIXED, codes, seps)
+            fh.write(b"\n</g>\n")
+            at += count
+        fh.write(b"</svg>\n")

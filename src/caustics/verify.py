@@ -1,9 +1,9 @@
 """The checks of ``caustics verify``: one table of ``(suite, name, check, bound)`` rows.
 
 ``check(n, seed)`` measures a row at ``n`` samples and a random ``seed``.  ``bound`` is a number,
-or ``bound(n, tolerance)`` where it grows with ``n`` or is the caller's oracle ``tolerance``.
-Each bound is at most 100x the row's worst value over seeds 0-9 at 2 000 samples, and a row
-that reads exactly 0 is held to 4 ulps of its reference.  The library is called through its
+or ``bound(n)`` where it grows with ``n``.  The Hausdorff row is held to a fixed 1e-3; every other
+bound is at most 100x the row's worst value over seeds 0-9 at 2 000 samples, and a row that
+reads exactly 0 is held to 4 ulps of its reference.  The library is called through its
 modules (``oracle.envelope_gap``), so that whatever wraps a module's functions sees these calls.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ _REFLECTION_LEAST = 4001  # reflection_matches_tilt_field runs at max(n, 4001) s
 
 def _rounding(size):
     """10 roundings a sample at ``size(n)`` samples: the oracle rows grow as about 0.3 eps n."""
-    return lambda n, tolerance: 10 * np.finfo(float).eps * size(n)
+    return lambda n: 10 * np.finfo(float).eps * size(n)
 
 
 def _circle_focus(n, seed):
@@ -94,7 +94,7 @@ def _zeta(order, reference):
 TABLE = (
     ("oracle", "circle_normals_focus_scatter", _circle_focus, _rounding(lambda n: n)),
     ("oracle", "semicircle_reflection_hausdorff",
-     lambda n, seed: _reflection_gap(0.01, math.pi - 0.01, n), lambda n, tolerance: tolerance),
+     lambda n, seed: _reflection_gap(0.01, math.pi - 0.01, n), 1e-3),
     ("oracle", "reflection_matches_tilt_field", _reflection_directions,
      _rounding(lambda n: max(n, _REFLECTION_LEAST))),
     ("oracle", "step_halving_ratio", _step_halving, 0.5),
@@ -115,8 +115,8 @@ TABLE = (
 )
 
 
-def run(suite: str, n: int, seed: int, tolerance: float) -> list[tuple[str, float, float]]:
+def run(suite: str, n: int, seed: int) -> list[tuple[str, float, float]]:
     """``(name, value, bound)`` of each row of ``suite`` (every row for ``"all"``), in table
     order; a row passes where ``value <= bound``."""
-    return [(name, check(n, seed), bound(n, tolerance) if callable(bound) else bound)
+    return [(name, check(n, seed), bound(n) if callable(bound) else bound)
             for row_suite, name, check, bound in TABLE if suite in (row_suite, "all")]

@@ -54,6 +54,16 @@ BAD_CALLS = {
     "spec_nan_alpha": lambda: SkewFamilySpec("delay", 0.3, 0.9, alpha=math.nan),
     "spec_inf_alpha": lambda: SkewFamilySpec("delay", 0.3, 0.9, alpha=math.inf),
     "spec_nan_factor": lambda: SkewFamilySpec("delay", 0.3, math.nan, alpha=1.0),
+    "spec_point_alpha": lambda: SkewFamilySpec("point_by_point", 0.3, 1.2, alpha=2.0),
+    "spec_point_branches": lambda: SkewFamilySpec(
+        "point_by_point", 0.3, 1.2, root_indices=(3, 4), coefficients=((1.0, 0.0), (2.0, 0.0))),
+    "spec_point_second_amplitude": lambda: SkewFamilySpec(
+        "point_by_point", 0.3, 1.2, coefficients=((1.0, 5.0),)),
+    "spec_inverse_alpha": lambda: SkewFamilySpec("inverse_position", 0.3, 1.2, alpha=5.0),
+    "spec_inverse_branch": lambda: SkewFamilySpec(
+        "inverse_position", 0.3, 1.2, root_indices=(1,)),
+    "spec_inverse_two_pairs": lambda: SkewFamilySpec(
+        "inverse_position", 0.3, 1.2, coefficients=((1.0, 0.5), (1.0, 0.5))),
     "delay_roots_nan_factor": lambda: delay_roots(math.nan, 1.0, 0.3, [0]),
     "delay_roots_nan_alpha": lambda: delay_roots(0.9, math.nan, 0.3, [0]),
     "ray_family_ragged": lambda: RayFamily(RAGGED_POINTS, [[0.0, 1.0], [0.0, 1.0]], [0.0, 1.0]),

@@ -181,6 +181,17 @@ def test_skew_inverse_position_off_the_oscillatory_family(capsys, argv):
     assert residual < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ("--case", "inverse_position", "--alpha", "5"),
+    ("--case", "point_by_point", "--branches", "3,4", "--coefficients", "1:0,2:0"),
+    ("--case", "point_by_point", "--coefficients", "1:5"),
+], ids=["inverse_alpha", "point_two_branches", "point_second_amplitude"])
+def test_skew_fields_the_case_does_not_use_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "skew", *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: the ")
+
+
 def test_skew_inverse_position_without_a_real_shift_exits_2(capsys):
     code, out, err = run_cli(capsys, "skew", "--case", "inverse_position", "--phi0", "0.5",
                              "--a=-0.2", "--coefficients", "1:-0.3")
@@ -352,6 +363,25 @@ def test_verify_requires_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("verify",),
+        ("verify", "--suite", "nope"),
+        ("curve", "--samples", "x"),
+        ("pantograph", "--order", "2.5"),
+        ("curve", "--bogus"),
+    ],
+    ids=["no_subcommand", "no_suite", "unknown_suite", "text_samples", "fractional_order",
+         "unknown_option"],
+)
+def test_argparse_rejections_return_2_through_main(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_negative_seed_is_validation_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "specfun", "--seed", "-1")
     assert code == 2
@@ -374,12 +404,14 @@ def test_non_finite_tilt_is_validation_error(capsys, phi):
 
 
 def test_verify_impossible_tolerance_fails_numerically(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "oracle", "--samples", "400",
-        "--tolerance", "1e-30",
-    )
+    # Three rays cannot trace a semicircle's caustic to the Hausdorff row's 1e-3.
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--samples", "3")
     assert code == 3
-    assert "FAIL" in out
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines if line.startswith("FAIL")] == [
+        ["FAIL", "semicircle_reflection_hausdorff"]]
+    assert lines[-1] == "checks=4 failures=1"
+    assert err == "error: 1 verification check(s) failed\n"
 
 
 def test_unknown_curve_is_validation_error(capsys):
@@ -440,7 +472,7 @@ def test_series_curve_reads_secondary_coefficient(capsys):
         ("curve", "--curve", "series:order=x"),
         ("pantograph", "--m", "-2", "--secondary", "abc"),
         ("skew", "--a", "abc"),
-        ("verify", "--suite", "specfun", "--tolerance", "abc"),
+        ("skew", "--coefficients", "1:abc"),
         ("curve", "--interval="),
     ],
 )
@@ -461,10 +493,10 @@ def test_bad_numeric_text_is_validation_error(capsys, argv):
     ],
 )
 def test_bad_integer_text_exits_2(capsys, argv):
-    with pytest.raises(SystemExit) as exited:
-        main(list(argv))
-    assert exited.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: argument --")
+    assert err.rstrip().endswith(f"invalid int value: {argv[-1]!r}")
 
 
 def test_version_matches_pyproject():
@@ -583,14 +615,8 @@ def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, mon
     assert sum(doublings) <= 14_000
 
 
-def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_reused_parser_matches_fresh_processes(capsys):
     argvs = [("curve",), ("curve", "--samples", "x"), ("verify", "--suite", "specfun")]
     for argv in argvs:
-        try:
-            code = main(list(argv))
-        except SystemExit as exited:
-            code = exited.code
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == run_cli_process(*argv)
+        assert run_cli(capsys, *argv) == run_cli_process(*argv)
     assert cli.build_parser() is cli.build_parser()

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from caustics import verify
 from caustics.cli import main
+from caustics.errors import ValidationError
 from caustics.skew import SkewFamilySpec, implied_alpha
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,8 +46,8 @@ def test_verify_all_rows_are_pinned(capsys):
 
 def test_every_bound_sits_within_100x_of_its_value():
     # At the CLI defaults (2 000 samples, seed 0), so a regression of 100x fails.
-    # The Hausdorff row's bound is the caller's --tolerance.
-    rows = verify.run("all", 2000, 0, 1e-3)
+    # The Hausdorff row's bound is the constant 1e-3, not a measured one.
+    rows = verify.run("all", 2000, 0)
     assert {name for name, value, _ in rows if value == 0} == set(ZERO_REFERENCES)
     for name, value, bound in rows:
         if name == "semicircle_reflection_hausdorff":
@@ -58,12 +61,14 @@ def test_every_bound_sits_within_100x_of_its_value():
 def test_oracle_bounds_grow_with_the_sample_count():
     bounds = {name: bound for _, name, _, bound in verify.TABLE}
     for name in ("circle_normals_focus_scatter", "reflection_matches_tilt_field"):
-        assert bounds[name](8002, 1e-3) == 2 * bounds[name](4001, 1e-3)
+        assert bounds[name](8002) == 2 * bounds[name](4001)
 
 
 def test_equation_alpha_follows_the_case():
     pair = ((1.0, 0.5),)
-    assert SkewFamilySpec("point_by_point", 0.3, 1.2, alpha=2.0).equation_alpha() == 0.0
+    assert SkewFamilySpec("point_by_point", 0.3, 1.2).equation_alpha() == 0.0
+    with pytest.raises(ValidationError, match="alpha = 0"):
+        SkewFamilySpec("point_by_point", 0.3, 1.2, alpha=2.0)
     assert SkewFamilySpec("inverse_position", 0.3, 1.2, coefficients=pair).equation_alpha() == (
         implied_alpha(1.0, 0.5, 1.2, 0.3))
     # An advance problem is stored in delay form: alpha = -2 becomes 2.

@@ -376,8 +376,14 @@ def test_svg_matches_per_point_reference(tmp_path, rng, rays_as):
         dict(caustic=[np.full((3, 2), np.nan), np.array([[0.0, 0.0], [0.0, 1e-12]])]),
         dict(rays=np.zeros((0, 2, 2)), cusps=np.array([[1.0, 1.0]])),
         dict(mirror=[np.empty((0, 2)), np.array([[2.0, 1.0], [4.0, 1.0]])], cusps=[]),
+        dict(mirror=np.array([[0.0, 0.0], [1.0, 2.0]]), cusps=np.array([[0.5, 0.25]])),
+        dict(mirror=np.full((4, 2), np.nan),
+             cusps=np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])),
+        dict(mirror=np.array([[0.0, 0.0], [1.0, 2.0]]), caustic=[np.full((3, 2), np.nan)],
+             rays=np.array([[[0.0, 1.0], [1.0, 0.0]]])),
     ],
-    ids=["one_array", "all_nan_polyline", "no_rays", "empty_polyline"],
+    ids=["one_array", "all_nan_polyline", "no_rays", "empty_polyline", "one_cusp",
+         "only_cusps_finite", "all_nan_group_between"],
 )
 def test_svg_edge_cases_match_reference(tmp_path, groups):
     got, want = tmp_path / "got.svg", tmp_path / "want.svg"

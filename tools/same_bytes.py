@@ -99,7 +99,7 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
                        " --interval 0.01:pi --out-csv neph.csv --out-svg neph.svg", False),
     ("readme_skew", "skew --case delay --phi0 0.3 --a 0.9 --alpha 0.8 --branches 0,-1"
                     " --coefficients 1:0,0.5:0.2", False),
-    ("readme_verify", "verify --suite all --samples 2000 --seed 0 --tolerance 1e-3", False),
+    ("readme_verify", "verify --suite all --samples 2000 --seed 0", False),
     *((f"demo_{script[:2]}", script, False) for script in FIGURES),
 ]]
 
