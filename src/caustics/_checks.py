@@ -43,11 +43,19 @@ def path(name: str, value) -> str | os.PathLike:
     return value
 
 
+def items(name: str, data) -> list:
+    """The items of ``data`` as a list; ``data`` must be iterable."""
+    try:
+        return list(data)
+    except TypeError:
+        raise ValidationError(f"{name} must be an iterable, got {data!r}") from None
+
+
 def floats(name: str, data, form: str = "a number or an array of numbers") -> np.ndarray:
     """``data`` as a float array of any shape; ``form`` names what it must be."""
     try:
         return np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be {form}") from None
 
 

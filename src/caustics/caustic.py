@@ -173,6 +173,9 @@ class SimilaritySpec:
     sign: int = 1
 
     def __post_init__(self):
+        for name in ("factor_a", "shift_beta"):
+            object.__setattr__(self, name, _checks.real(name, getattr(self, name)))
+        object.__setattr__(self, "sign", _checks.integer("sign", self.sign))
         if self.sign not in (-1, 1):
             raise ValidationError("similarity sign must be +1 or -1")
 

@@ -50,16 +50,13 @@ def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[S
     width = len(header)
     if width == 0:
         raise ValidationError("header must name at least one column")
-    try:
-        table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
-    except ValueError:
-        raise ValidationError(f"rows must form an (n, {width}) table of numbers") from None
-    if len(table) == 0:
+    form = f"an (n, {width}) table of numbers"
+    rows = rows if isinstance(rows, np.ndarray) else _checks.items("rows", rows)
+    table = _checks.floats("rows", rows, form)
+    if table.shape == (0,):
         table = table.reshape(0, width)
     if table.ndim != 2 or table.shape[1] != width:
-        raise ValidationError(
-            f"row width {table.shape[-1]} does not match header width {width}"
-        )
+        raise ValidationError(f"rows must be {form}; got shape {table.shape}")
     codes = np.zeros(width, np.int8)
     codes[-1] = 1  # the newline
     with open(path, "wb") as fh:
@@ -91,4 +88,4 @@ def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
 
 def write_coefficient_csv(path: str | os.PathLike, pairs: Iterable[tuple[int, float]]) -> None:
     """Emit an indexed coefficient list under the header ``n,a_n``."""
-    write_table(path, ("n", "a_n"), [(int(n), float(v)) for n, v in pairs])
+    write_table(path, ("n", "a_n"), pairs)

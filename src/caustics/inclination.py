@@ -63,12 +63,14 @@ class AngleInterval:
     n_samples: int
 
     def __post_init__(self):
-        if not _checks.real("lo", self.lo) < _checks.real("hi", self.hi):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, _checks.real(name, getattr(self, name)))
+        object.__setattr__(self, "n_samples", _checks.integer("n_samples", self.n_samples, least=2))
+        if not self.lo < self.hi:
             raise ValidationError(
                 f"need lo < hi, got [{self.lo}, {self.hi}]; the tangent angle "
                 "increases strictly along every curve"
             )
-        _checks.integer("n_samples", self.n_samples, least=2)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n_samples)
@@ -423,6 +425,8 @@ def frenet_residual(samples: CurveSamples) -> float:
     with ``normal / R`` at the interior samples.  Needs at least three
     samples with pairwise distinct arclengths.
     """
+    if not isinstance(samples, CurveSamples):
+        raise ValidationError(f"samples must be a CurveSamples record, got {samples!r}")
     if len(samples) < 3:
         raise DegenerateSamplingError("frenet_residual needs at least 3 samples")
     t, n = samples.frame

@@ -181,15 +181,6 @@ def _split_segments(points: np.ndarray) -> np.ndarray:
     return np.stack([points[:-1][keep], points[1:][keep]], axis=1)
 
 
-def _mask_near(points: np.ndarray, centers: np.ndarray, radius: float) -> np.ndarray:
-    """True for points farther than ``radius`` from every center."""
-    if centers.size == 0:
-        return np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
-    d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-    far = np.all(d > radius, axis=1)
-    return far & np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
-
-
 _PAIR_CHUNK = 1 << 18
 """Point-segment pairs evaluated in one array pass; bounds the working memory."""
 
@@ -265,12 +256,11 @@ def hausdorff_distance(
     first: np.ndarray,
     second: np.ndarray,
     exclusions: np.ndarray | Sequence = (),
-    exclusion_radius: float = CUSP_EXCLUSION_RADIUS,
 ) -> float:
     """Symmetric Hausdorff distance between two polylines, computed exactly.
 
     NaN rows split a polyline into disconnected runs.  Points within
-    ``exclusion_radius`` of any exclusion center (typically cusps, where
+    ``CUSP_EXCLUSION_RADIUS`` of any exclusion center (typically cusps, where
     consecutive-ray intersection is ill conditioned) are left out of the
     comparison, as are the segments touching them.
 
@@ -289,9 +279,9 @@ def hausdorff_distance(
     centers = _checks.array("exclusions", exclusions, 2)
 
     def prepare(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        keep = _mask_near(points, centers, exclusion_radius)
-        masked = np.where(keep[:, None], points, np.nan)
-        return points[keep], _split_segments(masked)
+        d = np.linalg.norm(points[:, None, :] - centers, axis=2)
+        keep = np.all(d > CUSP_EXCLUSION_RADIUS, axis=1) & np.isfinite(points).all(axis=1)
+        return points[keep], _split_segments(np.where(keep[:, None], points, np.nan))
 
     pts1, segs1 = prepare(first)
     pts2, segs2 = prepare(second)
@@ -316,8 +306,10 @@ def envelope_gap(
     The closed form is sampled at the envelope's own (midpoint) parameters
     so the two polylines cover the same arc.  Disks around the cusps, the
     midpoints of closed-form nodes where the caustic radius changes sign,
-    are left out.
+    are left out.  ``window`` must be an ``AngleInterval``.
     """
+    if not isinstance(window, AngleInterval):
+        raise ValidationError(f"window must be an AngleInterval, got {window!r}")
     envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
     # Keeping the window's first node in the grid starts the reconstruction
     # at the same origin as the ray family's; starting it on the midpoint

@@ -171,13 +171,6 @@ def _unit_series(k: int, n_max: int) -> list[Fraction]:
         return u[: n_max - k + 1]
 
 
-def _finite_rational(name: str, value) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a finite number, got {value!r}") from None
-
-
 def solve_series(
     k: int,
     n_max: int = 30,
@@ -198,16 +191,16 @@ def solve_series(
     alone.  That unit basis is computed once per k and extended on demand;
     the process keeps one row per order per k requested, up to the highest
     ``n_max`` asked for.  A call within the rows already held costs
-    O(n_max) rational multiplications.  Everything is carried in exact
-    rationals; pass ``exact=True`` to keep them on the result.
+    O(n_max) rational multiplications.  Each seed is read as a float, and all
+    after it is exact rational; pass ``exact=True`` to keep those on the result.
 
     Raises ``ValidationError`` for a bad k, an n_max that is not an integer
-    above k, a zero or non-finite seed, or a ``secondary`` outside k = -3,
-    and ``ResonanceError`` for k = -3 without one.
+    above k, a seed that is zero or not a finite real number, or a ``secondary``
+    outside k = -3, and ``ResonanceError`` for k = -3 without one.
     """
     k = _check_k(k)
     n_max = _checks.integer("n_max", n_max, least=k + 1)
-    lead = _finite_rational("the leading coefficient a_k", leading)
+    lead = Fraction(_checks.real("the leading coefficient a_k", leading))
     if lead == 0:
         raise ValidationError("the leading coefficient a_k must be nonzero")
     if secondary is not None and k != -3:
@@ -219,10 +212,8 @@ def solve_series(
         )
     # Orders of the parity of k scale with a_k; the others are 0, except
     # for k = -3, where they scale with a_{-2}.
-    if secondary is None:
-        seeds = (lead, lead)
-    else:
-        seeds = (lead, _finite_rational("the secondary coefficient a_{-2}", secondary))
+    seeds = (lead, lead if secondary is None else
+             Fraction(_checks.real("the secondary coefficient a_{-2}", secondary)))
     ordered = [seeds[j % 2] * u for j, u in enumerate(_unit_series(k, n_max))]
     return PantographSeries(
         k=k,

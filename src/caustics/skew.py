@@ -90,22 +90,19 @@ class SkewFamilySpec:
     def __post_init__(self):
         if self.case not in _CASES:
             raise ValidationError(f"case must be one of {_CASES}, got {self.case!r}")
-        _check_phi0(self.phi0)
+        numbers = (_checks.real("factor_a", self.factor_a), _checks.real("alpha", self.alpha),
+                   _check_phi0(self.phi0))
         if self.case == "delay":
-            if self.alpha == 0.0:
-                raise ValidationError(
-                    "delay case needs alpha != 0; alpha = 0 is the point_by_point case"
-                )
-            factor_a, alpha, phi0 = to_delay_form(self.factor_a, self.alpha, self.phi0)
-            object.__setattr__(self, "factor_a", factor_a)
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "phi0", phi0)
+            numbers = to_delay_form(*numbers)
+        for name, value in zip(("factor_a", "alpha", "phi0"), numbers):
+            object.__setattr__(self, name, value)
         pairs = _checks.array("coefficients", self.coefficients, 2)
-        if not len(pairs):
-            raise ValidationError("coefficients must hold at least one (A, B) pair")
+        if not (len(pairs) and np.isfinite(pairs).all()):
+            raise ValidationError("coefficients must hold at least one (A, B) pair, all finite")
         object.__setattr__(self, "coefficients", tuple(map(tuple, pairs.tolist())))
+        indices = _checks.items("root_indices", self.root_indices)
         object.__setattr__(self, "root_indices",
-                           tuple(_checks.integer("root_indices", i) for i in self.root_indices))
+                           tuple(_checks.integer("root_indices", i) for i in indices))
         if self.case != "delay" and (
             self.alpha != 0.0 or self.root_indices != (0,) or len(self.coefficients) != 1
             or self.case == "point_by_point" and self.coefficients[0][1] != 0.0
@@ -129,6 +126,7 @@ def point_by_point_curve(amplitude: float, factor_a: float, phi0: float) -> Incl
     R = A exp(b theta) with b = (a - sin phi0)/cos phi0.  The circle is
     the degenerate member at a = sin(phi0) exactly.
     """
+    amplitude, factor_a = _checks.real("amplitude", amplitude), _checks.real("factor_a", factor_a)
     phi0 = _check_phi0(phi0)
     if amplitude == 0.0:
         raise DegenerateCurveError("zero amplitude collapses the curve to a point")
@@ -137,6 +135,16 @@ def point_by_point_curve(amplitude: float, factor_a: float, phi0: float) -> Incl
         log_spiral(amplitude, b),
         label=f"skew_point(A={amplitude:g}, a={factor_a:g}, phi0={phi0:g})",
     )
+
+
+def _inverse_member(amplitude_a, amplitude_b, factor_a, phi0) -> tuple[float, ...]:
+    """Checked A, B, a, sin phi0, cos phi0 and omega^2 of an inverse-position member."""
+    A, B = _checks.real("amplitude_a", amplitude_a), _checks.real("amplitude_b", amplitude_b)
+    factor_a, phi0 = _checks.real("factor_a", factor_a), _check_phi0(phi0)
+    if A == 0.0 and B == 0.0:
+        raise DegenerateCurveError("both amplitudes vanish; the curve is a point")
+    s, c = math.sin(phi0), math.cos(phi0)
+    return A, B, factor_a, s, c, (factor_a - s) * (factor_a + s) / (c * c)
 
 
 def inverse_position_curve(
@@ -152,12 +160,7 @@ def inverse_position_curve(
     trigonometric, linear (circle involute, exactly at a = +-sin phi0) or
     hyperbolic amplitudes.
     """
-    phi0 = _check_phi0(phi0)
-    if amplitude_a == 0.0 and amplitude_b == 0.0:
-        raise DegenerateCurveError("both amplitudes vanish; the curve is a point")
-    s, c = math.sin(phi0), math.cos(phi0)
-    omega_sq = (factor_a - s) * (factor_a + s) / (c * c)
-    A, B = float(amplitude_a), float(amplitude_b)
+    A, B, _, _, _, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
     if omega_sq > 0.0:
         w = math.sqrt(omega_sq)
 
@@ -193,12 +196,7 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
     B = 0 takes any (0 is returned), and a = -sin(phi0) with B != 0 one.
     Any other member raises ``ValidationError``.
     """
-    phi0 = _check_phi0(phi0)
-    A, B = float(amplitude_a), float(amplitude_b)
-    if A == 0.0 and B == 0.0:
-        raise DegenerateCurveError("both amplitudes vanish")
-    s, c = math.sin(phi0), math.cos(phi0)
-    omega_sq = (factor_a - s) * (factor_a + s) / (c * c)
+    A, B, factor_a, s, c, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
     w = math.sqrt(abs(omega_sq))
     if omega_sq > 0.0:
         p = (B * w * c + A * s) / factor_a
@@ -223,7 +221,7 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
         return -(c * B + 2 * s * A) / (s * B)
     raise ValidationError(
         f"no real shift alpha for the inverse-position member A={A:g}, B={B:g}, "
-        f"a={factor_a:g}, phi0={phi0:g}"
+        f"a={factor_a:g}, sin(phi0)={s:g}"
     )
 
 
@@ -234,11 +232,12 @@ def to_delay_form(factor_a: float, alpha: float, phi0: float) -> tuple[float, fl
     solutions of the delay equation with flipped signs of a, alpha, phi0.
     """
     factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
+    phi0 = _check_phi0(phi0)
     if alpha > 0:
-        return factor_a, alpha, float(phi0)
+        return factor_a, alpha, phi0
     if alpha == 0.0:
-        raise ValidationError("alpha = 0 is not a delay problem")
-    return -factor_a, -alpha, -float(phi0)
+        raise ValidationError("alpha = 0 is not a delay problem but the point_by_point case")
+    return -factor_a, -alpha, -phi0
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ def delay_roots(
         rhs = math.inf
     rhs = _checks.real("the Lambert argument alpha a e^(alpha tan phi0) / cos phi0", rhs)
     roots: list[CharacteristicRoot] = []
-    for k in indices:
+    for k in _checks.items("indices", indices):
         k = _checks.integer("indices", k)
         w = lambert_w(k, rhs)
         lam = complex(w) / alpha - tphi
@@ -435,6 +434,7 @@ def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> Puis
     The doubly degenerate c = 0, gamma = 1 case has no centre; there the
     ratios compare successive cusp-to-cusp chords instead.
     """
+    c, gamma = _checks.real("c", c), _checks.real("gamma", gamma)
     curve = puiseux_curve(c, gamma)
     cusps = find_cusps(curve, interval)
     if len(cusps) < 3:
@@ -458,8 +458,8 @@ def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> Puis
     ratios = dists[1:] / dists[:-1]
     deviation = float(np.max(np.abs(ratios - expected))) if ratios.size else math.nan
     return PuiseuxReport(
-        c=float(c),
-        gamma=float(gamma),
+        c=c,
+        gamma=gamma,
         cusp_thetas=tuple(float(t) for t in cusps),
         cusp_points=pts,
         center=center,

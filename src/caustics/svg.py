@@ -62,7 +62,7 @@ def _as_group(name: str, data) -> tuple[np.ndarray, np.ndarray] | None:
     else:
         if isinstance(data, np.ndarray) and data.ndim == 2:
             data = [data]
-        polys = [_checks.array(name, poly, 2) for poly in data]
+        polys = [_checks.array(name, poly, 2) for poly in _checks.items(name, data)]
         lengths = np.array([len(arr) for arr in polys], dtype=int)
     if len(lengths) == 0:
         return None

@@ -79,8 +79,7 @@ def test_criterion_02_envelope_matches_closed_form():
         # by the exclusion disk at the same spots.
         inner = env.points[1:-1]
         reference = _nephroid(env.parameters[1:-1])
-        return hausdorff_distance(inner, reference, exclusions=cusp,
-                                  exclusion_radius=1e-2)
+        return hausdorff_distance(inner, reference, exclusions=cusp)
 
     coarse = envelope_error(2000)
     fine = envelope_error(4000)

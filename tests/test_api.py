@@ -35,7 +35,7 @@ def test_package_exports_are_the_submodules_objects():
 
 def test_public_names_are_pinned():
     # Adding or removing a public name is a deliberate edit of this list,
-    # announced under "Public API changes" in the README.
+    # recorded in CHANGES.md and reflected in the README's "Public API" paragraph.
     assert sorted(caustics.__all__) == [
         "AngleInterval",
         "Caustic",

@@ -10,16 +10,19 @@ import pytest
 
 from caustics.caustic import (
     SimilaritySpec, TiltField, caustic_radius, coframe, similarity_residual)
-from caustics.csvio import write_table
+from caustics.csvio import write_coefficient_csv, write_table
 from caustics.errors import ValidationError
 from caustics.inclination import (
-    AngleInterval, circle, cycloid, log_spiral, polynomial_curve, reconstruct)
-from caustics.oracle import RayFamily, occlusion_check, reflect_horizontal, verticality_check
+    AngleInterval, circle, cycloid, frenet_residual, log_spiral, polynomial_curve, reconstruct)
+from caustics.oracle import (
+    RayFamily, envelope_gap, occlusion_check, reflect_horizontal, verticality_check)
 from caustics.pantograph import (
     PantographSolution, continue_R, mirror_equation_residual, parabola_mirror, solve_series)
 from caustics.quadrature import panel_integrals
 from caustics.skew import (
-    SkewFamilySpec, delay_roots, point_by_point_curve, puiseux_curve, skew_equation_residual)
+    SkewFamilySpec, build_family, delay_roots, implied_alpha, inverse_position_curve,
+    point_by_point_curve, puiseux_curve, puiseux_diagnostics, skew_equation_residual,
+    to_delay_form)
 from caustics.specfun import lambert_w, tan_coeffs, zeta_even
 from caustics.svg import write_scene
 
@@ -32,6 +35,10 @@ def _line(t):
 
 
 UNIT_ENDS = (_line([0.0, 1.0]), np.ones((1, 2)))  # t and its derivative at the edges 0, 1
+
+
+def _delay_spec(*pairs, branches=(0,)):
+    return SkewFamilySpec("delay", 0.0, 1.0, 1.0, branches, pairs)
 
 
 def _skew_residual(case="delay", factor_a=1.2, alpha=1.0, interval=AngleInterval(0, 1, 5)):
@@ -98,6 +105,30 @@ BAD_CALLS = {
     "puiseux_curve_inf_gamma": lambda: puiseux_curve(0.2, math.inf),
     "coframe_inf_theta": lambda: coframe([math.inf], [1], [0], [0]),
     "caustic_radius_inf_r_prime": lambda: caustic_radius(1.0, math.inf, 0.3, 0.0, 0.0),
+    "inverse_position_none_amplitude": lambda: inverse_position_curve(None, 0, 1.2, 0.3),
+    "implied_alpha_none_amplitude": lambda: implied_alpha(None, 0, 1.2, 0.3),
+    "inverse_position_text_amplitude": lambda: inverse_position_curve("1", 0, 1.2, 0.3),
+    "inverse_position_bool_amplitude": lambda: inverse_position_curve(True, 0, 1.2, 0.3),
+    "inverse_position_nan_factor": lambda: inverse_position_curve(1, 0, math.nan, 0.3),
+    "point_by_point_text_factor": lambda: point_by_point_curve(1, "1.2", 0.3),
+    "to_delay_form_text_phi0": lambda: to_delay_form(1.2, 1.0, "x"),
+    "to_delay_form_nan_phi0": lambda: to_delay_form(1.2, 1.0, math.nan),
+    "solve_series_text_leading": lambda: solve_series(1, 12, leading="3/4"),
+    "solve_series_bool_leading": lambda: solve_series(1, 12, leading=True),
+    "delay_family_inf_amplitude": lambda: build_family(_delay_spec((math.inf, 0.0))),
+    "delay_family_nan_amplitude": lambda: build_family(_delay_spec((math.nan, 0.0))),
+    "spec_int_root_indices": lambda: _delay_spec((1.0, 0.0), branches=5),
+    "delay_roots_int_indices": lambda: delay_roots(1.2, 1.0, 0.3, 5),
+    "write_table_int_rows": lambda: write_table(os.devnull, ("x",), 5),
+    "write_table_none_rows": lambda: write_table(os.devnull, ("x",), None),
+    "write_coefficient_text_value": lambda: write_coefficient_csv(os.devnull, [(1, "a")]),
+    "write_coefficient_huge_index": lambda: write_coefficient_csv(os.devnull, [(10**400, 1.0)]),
+    "write_scene_int_group": lambda: write_scene(os.devnull, mirror=5),
+    "envelope_gap_list_window": lambda: envelope_gap(
+        circle(1.0), TiltField.reflection(), [0.0, 0.5, 1.0]),
+    "frenet_residual_list": lambda: frenet_residual([1, 2, 3]),
+    "similarity_spec_bool_sign": lambda: SimilaritySpec(1.0, 0.0, sign=True),
+    "similarity_spec_nan_factor": lambda: SimilaritySpec(math.nan, 0.0),
 }
 
 
@@ -134,6 +165,23 @@ def _same_roots(got, want):
         (r.branch, type(r.branch), r.value) for r in want]
 
 
+ANGLES = np.linspace(-1, 1, 5)
+INVERSE_MEMBERS = [  # (A, B, a, phi0): trigonometric, then hyperbolic
+    (1.0, 0.5, 1.25, 0.25), (1.0, 0.5, 0.125, 0.25)]
+
+
+def _same_series(leading, value):
+    got, want = (solve_series(1, 12, leading=x, exact=True) for x in (leading, value))
+    return got.exact == want.exact and np.array_equal(got.coefficients, want.coefficients)
+
+
+def _same_puiseux(c, gamma):
+    window = AngleInterval(0.1, 4.0, 33)
+    got, want = puiseux_diagnostics(c, gamma, window), puiseux_diagnostics(0.25, 3.0, window)
+    return (got.ratios, got.expected_ratio, got.max_ratio_deviation) == (
+        want.ratios, want.expected_ratio, want.max_ratio_deviation)
+
+
 NUMPY_SCALARS = {
     "interval_samples": lambda: np.array_equal(
         AngleInterval(np.float64(0.0), np.float64(1.0), np.int64(9)).grid(),
@@ -156,6 +204,21 @@ NUMPY_SCALARS = {
     "panel_integrals_tol": lambda: np.array_equal(
         panel_integrals(_line, [0.0, 1.0], np.float64(1e-10), ends=UNIT_ENDS),
         panel_integrals(_line, [0.0, 1.0], 1e-10, ends=UNIT_ENDS)),
+    "interval_float32_ends": lambda: np.array_equal(
+        AngleInterval(np.float32(0.25), np.float32(1.0), 10).grid(),
+        AngleInterval(0.25, 1.0, 10).grid()),
+    "solve_series_float64_leading": lambda: _same_series(np.float64(0.5), 0.5),
+    "solve_series_float32_leading": lambda: _same_series(np.float32(0.5), 0.5),
+    # Every value below is exact in float32, so each pair of calls gets equal numbers.
+    "point_by_point_float32": lambda: np.array_equal(
+        point_by_point_curve(np.float32(1.5), np.float32(1.25), np.float32(0.25)).jet(ANGLES),
+        point_by_point_curve(1.5, 1.25, 0.25).jet(ANGLES)),
+    "inverse_position_float32": lambda: all(np.array_equal(
+        inverse_position_curve(*map(np.float32, args)).jet(ANGLES),
+        inverse_position_curve(*args).jet(ANGLES)) for args in INVERSE_MEMBERS),
+    "implied_alpha_float32": lambda: all(
+        implied_alpha(*map(np.float32, args)) == implied_alpha(*args) for args in INVERSE_MEMBERS),
+    "puiseux_diagnostics_float32": lambda: _same_puiseux(np.float32(0.25), np.float32(3.0)),
 }
 
 

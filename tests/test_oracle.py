@@ -118,12 +118,17 @@ def test_hausdorff_of_offset_segments():
 def test_hausdorff_with_gaps_and_exclusions():
     first = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, np.nan], [0.0, 1.0], [1.0, 1.0]])
     second = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert abs(hausdorff_distance(first, second) - 1.0) < 1e-12
-    # excising the offset branch leaves two identical segments
-    d = hausdorff_distance(first, second, exclusions=np.array([[0.5, 1.0]]), exclusion_radius=0.6)
-    assert d < 1e-12
-    with pytest.raises(ValidationError):
-        hausdorff_distance(first, second, exclusions=np.array([[0.5, 0.5]]), exclusion_radius=10.0)
+    assert hausdorff_distance(first, second) == 1.0
+    # Centres within the 1e-2 disk of the offset branch's two points excise it, and the
+    # segment between them, leaving two identical segments.
+    inside = np.array([[0.0, 1.0 + 0.9e-2], [1.0 - 0.9e-2, 1.0]])
+    assert hausdorff_distance(first, second, exclusions=inside) == 0.0
+    # Just outside the disk they excise nothing.
+    outside = np.array([[0.0, 1.0 + 1.1e-2], [1.0 - 1.1e-2, 1.0]])
+    assert hausdorff_distance(first, second, exclusions=outside) == 1.0
+    # Centres on every point excise both polylines.
+    with pytest.raises(ValidationError, match="entirely excluded"):
+        hausdorff_distance(first, second, exclusions=first[[0, 1, 3, 4]])
 
 
 @pytest.mark.parametrize(
@@ -213,9 +218,9 @@ def _hausdorff_cases(rng):
 )
 def test_hausdorff_equals_brute_force(case, rng, monkeypatch):
     first, second, exclusions = _hausdorff_cases(rng)[case]
-    got = hausdorff_distance(first, second, exclusions=exclusions, exclusion_radius=0.05)
+    got = hausdorff_distance(first, second, exclusions=exclusions)
     monkeypatch.setattr(oracle, "_directed_distance", _brute_directed_distance)
-    want = hausdorff_distance(first, second, exclusions=exclusions, exclusion_radius=0.05)
+    want = hausdorff_distance(first, second, exclusions=exclusions)
     assert got == want
     if case == "identical":
         # Zero but for the end of the run, where a + (b - a) need not round to b.

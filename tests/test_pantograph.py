@@ -164,9 +164,12 @@ def test_concurrent_callers_extend_the_basis_once(monkeypatch):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(k=1, leading=math.nan), "the leading coefficient a_k must be a finite number"),
-        (dict(k=1, leading=math.inf), "the leading coefficient a_k must be a finite number"),
-        (dict(k=-3, secondary=math.nan), "the secondary coefficient a_{-2} must be a finite"),
+        (dict(k=1, leading=math.nan),
+         "the leading coefficient a_k must be a finite real number, got nan"),
+        (dict(k=1, leading=math.inf),
+         "the leading coefficient a_k must be a finite real number, got inf"),
+        (dict(k=-3, secondary=math.nan),
+         "the secondary coefficient a_{-2} must be a finite real number, got nan"),
         (dict(k=1, n_max="30"), "n_max must be an integer, got '30'"),
         (dict(k=1, n_max=30.5), "n_max must be an integer, got 30.5"),
         (dict(k=1, n_max=True), "n_max must be an integer, got True"),
