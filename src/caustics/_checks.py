@@ -23,14 +23,24 @@ def integer(name: str, value, least: int | None = None) -> int:
 
 def real(name: str, value) -> float:
     """``value`` as a float: a finite real number, never a bool."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValidationError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
 
 def number(name: str, value) -> complex:
     """``value`` as a complex: a finite real or complex number, never a bool."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Complex) and cmath.isfinite(value)):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Complex)
+              and cmath.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValidationError(f"{name} must be a finite real or complex number, got {value!r}")
     return complex(value)
 
@@ -52,11 +62,18 @@ def items(name: str, data) -> list:
 
 
 def floats(name: str, data, form: str = "a number or an array of numbers") -> np.ndarray:
-    """``data`` as a float array of any shape; ``form`` names what it must be."""
+    """``data`` as a float array of any shape; ``form`` names what it must be.  Text and
+    complex numbers are not reals: ``str``, ``bytes`` and arrays or sequences that hold
+    them raise."""
     try:
-        return np.asarray(data, dtype=float)
+        arr = np.asarray(data)
+        if arr.dtype.kind in "fiub":
+            return arr.astype(float, copy=False)
+        if arr.dtype == object and not any(isinstance(item, (str, bytes)) for item in arr.flat):
+            return arr.astype(float)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be {form}") from None
+        pass
+    raise ValidationError(f"{name} must be {form}")
 
 
 def finite(name: str, data) -> np.ndarray:

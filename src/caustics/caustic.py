@@ -85,7 +85,8 @@ class TiltField:
 
     @staticmethod
     def skew(phi0: float) -> "TiltField":
-        """Rays at a constant angle phi0 to the normal."""
+        """Rays at a constant angle phi0 to the normal; ``phi0`` must be a finite real number."""
+        phi0 = _checks.real("phi0", phi0)
         return TiltField(lambda t: (phi0, 0.0, 0.0))
 
     @staticmethod

@@ -122,35 +122,32 @@ def _build_curve(text: str) -> InclinationCurve:
     def num(key: str, default: float) -> float:
         return parse_angle(kv.pop(key)) if key in kv else default
 
-    try:
-        if name == "circle":
-            curve = circle(num("radius", 1.0))
-        elif name == "cycloid":
-            curve = cycloid(num("amplitude", 1.0))
-        elif name == "log_spiral":
-            curve = log_spiral(num("amplitude", 1.0), num("growth", 1.0))
-        elif name == "parabola":
-            curve = parabola_mirror(num("scale", 1.0))
-        elif name == "puiseux":
-            curve = puiseux_curve(num("c", 0.2), num("gamma", 3.0))
-        elif name == "poly":
-            coeffs = [parse_angle(c) for c in kv.pop("coefficients", "1").split("+")]
-            curve = polynomial_curve(coeffs)
-        elif name == "series":
-            k = _parse_number(kv.pop("k", "1"), "k", int)
-            order = _parse_number(kv.pop("order", "30"), "order", int)
-            secondary = kv.pop("secondary", None)
-            if secondary is not None:
-                secondary = _parse_number(secondary, "secondary")
-            solution = PantographSolution(solve_series(k, n_max=order, secondary=secondary))
-            curve = solution_curve(solution)
-        else:
-            raise ValidationError(
-                f"unknown curve {name!r}; choose circle, cycloid, log_spiral, "
-                "parabola, puiseux, poly or series"
-            )
-    except KeyError as exc:
-        raise ValidationError(f"curve {name!r} is missing parameter {exc}") from None
+    if name == "circle":
+        curve = circle(num("radius", 1.0))
+    elif name == "cycloid":
+        curve = cycloid(num("amplitude", 1.0))
+    elif name == "log_spiral":
+        curve = log_spiral(num("amplitude", 1.0), num("growth", 1.0))
+    elif name == "parabola":
+        curve = parabola_mirror(num("scale", 1.0))
+    elif name == "puiseux":
+        curve = puiseux_curve(num("c", 0.2), num("gamma", 3.0))
+    elif name == "poly":
+        coeffs = [parse_angle(c) for c in kv.pop("coefficients", "1").split("+")]
+        curve = polynomial_curve(coeffs)
+    elif name == "series":
+        k = _parse_number(kv.pop("k", "1"), "k", int)
+        order = _parse_number(kv.pop("order", "30"), "order", int)
+        secondary = kv.pop("secondary", None)
+        if secondary is not None:
+            secondary = _parse_number(secondary, "secondary")
+        solution = PantographSolution(solve_series(k, n_max=order, secondary=secondary))
+        curve = solution_curve(solution)
+    else:
+        raise ValidationError(
+            f"unknown curve {name!r}; choose circle, cycloid, log_spiral, "
+            "parabola, puiseux, poly or series"
+        )
     if kv:
         raise ValidationError(f"curve {name!r} got unknown parameters {sorted(kv)}")
     return curve

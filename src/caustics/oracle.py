@@ -4,10 +4,10 @@ Everything here works on concrete rays and polylines, independently of
 the closed forms elsewhere in the package: families of rays are built
 either from a curve plus a tilt field or by physically reflecting
 horizontal light off a polyline mirror, envelopes are extracted by
-intersecting nearby rays, and mirror feasibility (verticality, self
-occlusion) is decided by direct monotonicity and ray-casting checks.
-The module exists to disagree with the analytic machinery whenever the
-analytic machinery is wrong.
+intersecting nearby rays and compared with a closed form point by point,
+and mirror feasibility (verticality, self occlusion) is decided by direct
+monotonicity and ray-casting checks.  The module exists to disagree with
+the analytic machinery whenever the analytic machinery is wrong.
 """
 from __future__ import annotations
 
@@ -43,12 +43,11 @@ PARALLEL_THRESHOLD = 1e-12
 """Consecutive rays whose direction cross product is below this are parallel."""
 
 CUSP_EXCLUSION_RADIUS = 1e-2
-"""Disk radius carved out around cusps before envelope comparisons.
+"""Radius of the disks that ``hausdorff_distance`` leaves out around its exclusion centres.
 
-Near a cusp the envelope point is the intersection of nearly coincident
-rays; the intersection error scales like (ray direction error)/(angle
-between the rays), so no fixed ray budget survives arbitrarily close to
-the cusp.  Excluding a fixed small disk keeps the comparison conditioned.
+``envelope_gap`` leaves out nothing: within two nodes of a caustic cusp the
+envelope's node error is 3-6x below its largest (circle and cycloid under
+reflection, cycloid evolute, 251-4 001 rays).
 """
 
 
@@ -260,8 +259,7 @@ def hausdorff_distance(
     """Symmetric Hausdorff distance between two polylines, computed exactly.
 
     NaN rows split a polyline into disconnected runs.  Points within
-    ``CUSP_EXCLUSION_RADIUS`` of any exclusion center (typically cusps, where
-    consecutive-ray intersection is ill conditioned) are left out of the
+    ``CUSP_EXCLUSION_RADIUS`` of any exclusion center are left out of the
     comparison, as are the segments touching them.
 
     Each directed distance bounds every point's minimum by the segments at
@@ -295,18 +293,17 @@ class EnvelopeGap(NamedTuple):
 
     distance: float
     envelope: EnvelopePolyline
-    cusps: np.ndarray
 
 
 def envelope_gap(
     curve: InclinationCurve, tilt: TiltField, window: AngleInterval
 ) -> EnvelopeGap:
-    """Hausdorff distance between a caustic's closed form and its rays' envelope.
+    """Largest node-by-node distance between a caustic's closed form and its rays' envelope.
 
-    The closed form is sampled at the envelope's own (midpoint) parameters
-    so the two polylines cover the same arc.  Disks around the cusps, the
-    midpoints of closed-form nodes where the caustic radius changes sign,
-    are left out.  ``window`` must be an ``AngleInterval``.
+    The closed form is sampled at the envelope's own (midpoint) parameters, so envelope
+    point i pairs with closed-form point i; pairs with a NaN point (a parallel-ray gap in
+    ``envelope.gap_indices``, or a flagged node) are left out.  Raises ``ValidationError``
+    unless ``window`` is an ``AngleInterval``, or if no pair is finite.
     """
     if not isinstance(window, AngleInterval):
         raise ValidationError(f"window must be an AngleInterval, got {window!r}")
@@ -316,11 +313,12 @@ def envelope_gap(
     # grid instead would translate the whole caustic by half a step.
     grid = np.concatenate(([window.lo], envelope.parameters))
     closed = caustic_curve(curve, tilt, grid)[1:]
-    radii, points = closed.caustic_radius, closed.points
-    flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
-    cusps = 0.5 * (points[flips] + points[flips + 1])
-    distance = hausdorff_distance(envelope.points, points, exclusions=cusps)
-    return EnvelopeGap(distance, envelope, cusps)
+    dx, dy = (envelope.points - closed.points).T
+    errors = np.sqrt(dx * dx + dy * dy)
+    errors = errors[np.isfinite(errors)]
+    if errors.size == 0:
+        raise ValidationError("no pair of envelope and closed-form points is finite")
+    return EnvelopeGap(float(errors.max()), envelope)
 
 
 class Verticality(NamedTuple):

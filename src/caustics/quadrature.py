@@ -244,12 +244,12 @@ def panel_integrals(
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     edges = _checks.increasing("edges", edges)
     lo, hi = edges[:-1], edges[1:]
-    form = "ends must be two (n_components, n_edges) arrays"
+    form = "two (n_components, n_edges) arrays"
     try:
-        f, df = (np.asarray(e, dtype=float) for e in ends)
+        f, df = (_checks.floats("ends", e, form) for e in ends)
     except (TypeError, ValueError):
-        raise ValidationError(form) from None
+        raise ValidationError(f"ends must be {form}") from None
     if f.ndim != 2 or f.shape != df.shape or f.shape[1] != edges.size:
-        raise ValidationError(form)
+        raise ValidationError(f"ends must be {form}")
     ends = (f[:, :-1], df[:, :-1], f[:, 1:], df[:, 1:])
     return cell_integrals(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol, ends)

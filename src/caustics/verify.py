@@ -1,7 +1,8 @@
 """The checks of ``caustics verify``: one table of ``(suite, name, check, bound)`` rows.
 
 ``check(n, seed)`` measures a row at ``n`` samples and a random ``seed``.  ``bound`` is a number,
-or ``bound(n)`` where it grows with ``n``.  The Hausdorff row is held to a fixed 1e-3; every other
+or ``bound(n)`` where it grows with ``n``.  ``semicircle_reflection_hausdorff``, the node-by-node
+``envelope_gap`` of a reflecting semicircle, keeps its name and is held to a fixed 1e-3; every other
 bound is at most 100x the row's worst value over seeds 0-9 at 2 000 samples, and a row that
 reads exactly 0 is held to 4 ulps of its reference.  The library is called through its
 modules (``oracle.envelope_gap``), so that whatever wraps a module's functions sees these calls.

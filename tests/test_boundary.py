@@ -15,7 +15,8 @@ from caustics.errors import ValidationError
 from caustics.inclination import (
     AngleInterval, circle, cycloid, frenet_residual, log_spiral, polynomial_curve, reconstruct)
 from caustics.oracle import (
-    RayFamily, envelope_gap, occlusion_check, reflect_horizontal, verticality_check)
+    RayFamily, envelope_gap, hausdorff_distance, occlusion_check, reflect_horizontal,
+    verticality_check)
 from caustics.pantograph import (
     PantographSolution, continue_R, mirror_equation_residual, parabola_mirror, solve_series)
 from caustics.quadrature import panel_integrals
@@ -28,6 +29,7 @@ from caustics.svg import write_scene
 
 RAGGED = [[0.0], [1.0, 2.0]]
 RAGGED_POINTS = [[0, 0], [1]]
+TEXT_POINTS = [["0", "0"], ["1", "0"]]
 
 
 def _line(t):
@@ -129,6 +131,22 @@ BAD_CALLS = {
     "frenet_residual_list": lambda: frenet_residual([1, 2, 3]),
     "similarity_spec_bool_sign": lambda: SimilaritySpec(1.0, 0.0, sign=True),
     "similarity_spec_nan_factor": lambda: SimilaritySpec(math.nan, 0.0),
+    "polynomial_curve_text_list": lambda: polynomial_curve(["1", "2"]),
+    "reconstruct_text_grid": lambda: reconstruct(circle(), ["0", "0.5", "1"]),
+    "continue_R_text_theta": lambda: continue_R(PantographSolution(solve_series(0, 12)), "1.0"),
+    "continue_R_bytes_theta": lambda: continue_R(PantographSolution(solve_series(0, 12)), b"1.0"),
+    "write_table_text_rows": lambda: write_table(os.devnull, ("a",), [["1"], ["2"]]),
+    "panel_integrals_text_ends": lambda: panel_integrals(
+        _line, [0.0, 1.0], 1e-10, ends=([["0", "1"]], [["1", "1"]])),
+    "ray_family_text_bases": lambda: RayFamily(TEXT_POINTS, [[0.0, 1.0], [0.0, 1.0]], [0.0, 1.0]),
+    "hausdorff_text_points": lambda: hausdorff_distance(TEXT_POINTS, [[0, 0], [1, 1]]),
+    "hausdorff_text_array": lambda: hausdorff_distance(np.array(TEXT_POINTS), [[0, 0], [1, 1]]),
+    "hausdorff_object_array_text": lambda: hausdorff_distance(
+        np.array([[0, "0"], [1, 0]], dtype=object), [[0, 0], [1, 1]]),
+    "skew_tilt_text_phi0": lambda: TiltField.skew("x"),
+    "solve_series_huge_leading": lambda: solve_series(1, 12, leading=10**400),
+    "lambert_w_huge_z": lambda: lambert_w(0, 10**400),
+    "polynomial_curve_complex_array": lambda: polynomial_curve(np.array([1 + 1j, 2])),
 }
 
 

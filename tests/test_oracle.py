@@ -248,8 +248,8 @@ def test_hausdorff_in_small_chunks(chunk, rng, monkeypatch):
 def test_aligned_chains_settle_one_round(monkeypatch):
     """On an envelope and its closed form, the proportional-place bounds
     leave one round of 8 points to check against every segment."""
-    curve, tilt = cycloid(1.0), TiltField.reflection()
-    window = AngleInterval(0.2, math.pi - 0.2, 4097)
+    envelope, closed = _closed_at_midpoints(
+        cycloid(1.0), TiltField.reflection(), AngleInterval(0.2, math.pi - 0.2, 4097))
     rows = []
     nearest = oracle._nearest
 
@@ -258,20 +258,28 @@ def test_aligned_chains_settle_one_round(monkeypatch):
         return nearest(p, a, v, vv)
 
     monkeypatch.setattr(oracle, "_nearest", counted)
-    envelope_gap(curve, tilt, window)
+    hausdorff_distance(envelope.points, closed.points, exclusions=_cusp_centres(closed))
     assert rows == [8, 8]
 
 
-def _envelope_gap_steps(curve, tilt, window):
-    """Reference: rays, envelope, closed form at the envelope's midpoints
-    anchored at ``window.lo``, cusps at radius sign flips, Hausdorff."""
+def _closed_at_midpoints(curve, tilt, window):
+    """Reference: rays, their envelope, and the closed form at the envelope's
+    midpoints, its reconstruction anchored at ``window.lo``."""
     envelope = envelope_numeric(rays_from_tilt(curve, tilt, window))
     grid = np.concatenate(([window.lo], envelope.parameters))
-    closed = caustic_curve(curve, tilt, grid)[1:]
+    return envelope, caustic_curve(curve, tilt, grid)[1:]
+
+
+def _cusp_centres(closed):
+    """Midpoints of consecutive closed-form nodes whose caustic radius changes sign."""
     radii, points = closed.caustic_radius, closed.points
     flips = np.flatnonzero(np.sign(radii[:-1]) != np.sign(radii[1:]))
-    cusps = 0.5 * (points[flips] + points[flips + 1])
-    return hausdorff_distance(envelope.points, points, exclusions=cusps), envelope, cusps
+    return 0.5 * (points[flips] + points[flips + 1])
+
+
+def _node_errors(envelope, closed):
+    """Distance between envelope point i and closed-form point i, for every i."""
+    return np.sqrt(np.sum((envelope.points - closed.points) ** 2, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -285,13 +293,52 @@ def _envelope_gap_steps(curve, tilt, window):
 )
 def test_envelope_gap_matches_reference(curve, tilt, window, n_cusps):
     gap = envelope_gap(curve, tilt, window)
-    distance, envelope, cusps = _envelope_gap_steps(curve, tilt, window)
-    assert gap.distance == distance
+    envelope, closed = _closed_at_midpoints(curve, tilt, window)
+    assert gap.distance == np.nanmax(_node_errors(envelope, closed))
     assert np.array_equal(gap.envelope.points, envelope.points, equal_nan=True)
     assert np.array_equal(gap.envelope.parameters, envelope.parameters)
-    assert np.array_equal(gap.cusps, cusps)
-    assert len(gap.cusps) == n_cusps
+    cusps = _cusp_centres(closed)
+    assert len(cusps) == n_cusps
+    # The nearest-point search with disks around the cusps reads the same value, bit for bit.
+    assert gap.distance == hausdorff_distance(envelope.points, closed.points, exclusions=cusps)
     assert gap.distance < 1e-3
+
+
+def test_envelope_gap_sees_a_sliding_closed_form(monkeypatch):
+    """A closed form sampled at slightly wrong parameters stays near the envelope
+    as a set, so a nearest-point search misses the slide; corresponding points do not."""
+    lo, hi = 0.2, 1.2
+
+    def slid(curve, tilt, grid):
+        return caustic_curve(curve, tilt, grid + 1e-3 * np.sin(math.pi * (grid - lo) / (hi - lo)))
+
+    monkeypatch.setattr(oracle, "caustic_curve", slid)
+    gap = envelope_gap(circle(1.0), TiltField.reflection(), AngleInterval(lo, hi, 1001))
+    assert gap.distance > 1e-4
+
+
+@pytest.mark.parametrize("n", [251, 1001, 4001])
+def test_envelope_gap_holds_through_a_cusp(n, monkeypatch):
+    """The cycloid's reflection caustic has a cusp at pi/2, inside the window.  The node
+    error next to it stays below the error elsewhere, and no node there is left out:
+    moving the closed-form node at the cusp by 1e-3 shows in the gap."""
+    curve, tilt = cycloid(1.0), TiltField.reflection()
+    window = AngleInterval(0.3, 2.8, n)
+    distance, envelope = envelope_gap(curve, tilt, window)
+    _, closed = _closed_at_midpoints(curve, tilt, window)
+    assert len(_cusp_centres(closed)) == 1
+    errors = _node_errors(envelope, closed)
+    cusp = int(np.argmin(np.abs(envelope.parameters - math.pi / 2)))
+    assert distance < 2 / n
+    assert errors[cusp - 2 : cusp + 3].max() < distance
+
+    def nudged(curve, tilt, grid):
+        closed = caustic_curve(curve, tilt, grid)
+        closed.x[np.argmin(np.abs(grid - math.pi / 2))] += 1e-3
+        return closed
+
+    monkeypatch.setattr(oracle, "caustic_curve", nudged)
+    assert envelope_gap(curve, tilt, window).distance > 0.9e-3
 
 
 def test_hausdorff_memory_is_not_quadratic():

@@ -43,7 +43,7 @@ FIGURES = {  # demo script -> the figures it writes to out/, 7 in all
 # (name, argv, capped).  A name is the row's directory; an argv that is a demo script runs
 # that demo, any other runs `python -m caustics` with it.
 ROWS = [(name, command.split(), capped) for name, command, capped in [
-    # The largest oracle Hausdorff check the CLI runs.
+    # The largest oracle envelope comparison the CLI runs.
     ("verify_oracle_4001", "verify --suite oracle --samples 4001", False),
     # Deep mirror doublings, and the deepest continuation (doubling depth 11).
     ("pantograph_m3_deep", "pantograph --m 3 --order 60 --interval 0:6pi --samples 513"
