@@ -14,8 +14,9 @@ only, where its order-n tail is about 2^-n; values beyond are produced by the
 doubling identity R(2u) = (3 cos(u) R(u) + sin(u) R'(u)) / (4a), applied
 to Taylor jets in h of R(u + h) so that each doubling can pay for the
 derivative it consumes.  Every step on a jet is a constant table, built
-once for jets of ``JET_ORDER + 1`` rows.  The jet of Q is one Horner pass
-over a per-series table of the weighted coefficients a_n C(n, j).  Since
+once for jets of ``JET_ORDER + 1`` rows.  The jet of Q is one table of the
+powers of u^2 summed against a per-series table of the weighted
+coefficients a_n C(n, j), within Horner's a-priori error bound.  Since
 sin(u + h) = sin u cos h + cos u sin h, a product with a trig jet is
 sin u (T_c X) + cos u (T_s X), with T_c and T_s the fixed Toeplitz
 matrices of the Taylor coefficients of cos h and sin h; one doubling is
@@ -112,7 +113,7 @@ class PantographSeries:
     ``coefficients[j]`` is a_{k+j}.  Coefficients of parity opposite to k
     vanish, except that the resonant family k = -3 carries a free a_{-2}
     seeding the opposite parity.  ``exact`` optionally retains the rational
-    coefficients the floats were rounded from.  The continuation's Horner
+    coefficients the floats were rounded from.  The continuation's Q-row
     and doubling tables are built on first use and kept on the instance.
     """
 
@@ -135,8 +136,8 @@ class PantographSeries:
         return self.k + np.arange(len(self.coefficients))
 
     @cached_property
-    def _horner(self):
-        return _q_horner_table(self, JET_ORDER + 1)
+    def _q_table(self):
+        return _q_table(self, JET_ORDER + 1)
 
     @cached_property
     def _doubling(self) -> np.ndarray:
@@ -158,14 +159,12 @@ def _unit_series(k: int, n_max: int) -> list[Fraction]:
             a = similarity_factor(k)
             tau = tan_coeffs(max(1, (n_max - k) // 2 + 1)).exact
             for n in range(k + len(u), n_max + 1):
+                # 2^(n+3) a - n - 4 = (k+4)(2^m - 1) - m with m = n - k >= 1: positive for
+                # every k >= -3 except at k = -3, m = 1, where a_{-2} is free.
                 den = Fraction(2) ** (n + 3) * a - n - 4
-                if den == 0 and k == -3 and n == -2:
+                if den == 0:
                     u.append(Fraction(1))
                     continue
-                if den == 0:
-                    raise NumericError(f"unexpected zero denominator at n = {n} for k = {k}")
-                if den < 0:
-                    raise NumericError(f"denominator lost positivity at n = {n} for k = {k}")
                 terms = range(1, (n - k) // 2 + 1)
                 u.append(sum(tau[i] * (n - 2 * i) * u[n - 2 * i - k] for i in terms) / den)
         return u[: n_max - k + 1]
@@ -224,63 +223,68 @@ def solve_series(
     )
 
 
-def _q_horner_table(series: PantographSeries, rows: int):
-    """Horner data of the Taylor rows Q^(j)(u)/j! = sum_n a_n C(n, j) u^(n-j), j < rows.
+def _q_table(series: PantographSeries, rows: int):
+    """Power-basis data of the Taylor rows Q^(j)(u)/j! = sum_n a_n C(n, j) u^(n-j), j < rows.
 
-    Row j is u^p[j] times a polynomial in v = u^stride, whose coefficients
-    form column j of ``coeffs`` (one row per power of v, lowest first, 0
-    past the row's top term).  p[j] is the row's lowest live exponent,
-    negative for k <= -1, and stride is 2 when all live coefficients share
-    one parity (every k except the resonant k = -3).
+    Row j is u^p[j] (d_0 + d_1 v + d_2 v^2 + ...) in v = u^stride.  Column j
+    of ``table`` holds d_1, d_2, ... (0 past the row's top term) and then d_0
+    where p[j] = 0; where p[j] != 0, ``lead[j]`` holds d_0 instead.  p[j] is
+    the row's lowest live exponent, negative for k <= -1, and stride is 2
+    when all live coefficients share one parity (every k except the resonant
+    k = -3).  The weights a_n C(n, j) are products taken left to right,
+    a_n (n/1) ((n-1)/2) ... ((n-j+1)/j).
     """
     c = np.asarray(series.coefficients, dtype=float)
     e = series.powers().astype(float)
     odd = series.powers()[c != 0.0] % 2
     stride = 2 if odd.min() == odd.max() else 1
-    lowest = np.zeros(rows)
-    columns = []
-    for j in range(rows):
-        live = np.flatnonzero(c)
-        if live.size:
-            lowest[j] = series.k + live[0] - j
-        columns.append(c[live[0] : live[-1] + 1 : stride] if live.size else c[:0])
-        c = c * (e / (j + 1))
-        e = e - 1.0
-    coeffs = np.zeros((max(col.size for col in columns), rows))
-    for j, col in enumerate(columns):
-        coeffs[: col.size, j] = col
-    return coeffs, lowest, stride
+    j = np.arange(rows)
+    weights = np.cumprod(np.vstack([c, (e - j[:-1, None]) / j[1:, None]]), axis=0)
+    live = weights != 0.0
+    has = live.any(axis=1)
+    first = live.argmax(axis=1)
+    span = np.where(has, c.size - 1 - live[:, ::-1].argmax(axis=1) - first, 0)
+    at = first[:, None] + stride * np.arange(span.max() // stride + 1)
+    coeffs = np.where(at < c.size, weights[j[:, None], at.clip(max=c.size - 1)], 0.0).T
+    lowest = np.where(has, series.k + first - j, 0).astype(float)
+    lead = np.where(lowest != 0.0, coeffs[0], 0.0)
+    # C order: summing over t, the einsum then never meets t contiguous in both operands,
+    # where numpy would sum in SIMD lanes, in an order that depends on the batch width.
+    table = np.ascontiguousarray(np.vstack([coeffs[1:], coeffs[0] - lead]))
+    return table, lead, lowest, stride
 
 
 def _q_taylor(series: PantographSeries, u: np.ndarray, reach) -> np.ndarray:
     """Taylor coefficients Q^(j)(u) / j! of Q(u + h): row j, one column per u.
 
-    One Horner pass in v = u^stride serves every row at once, one
-    coefficient per row at each step; row j is then scaled by u^p[j]
-    (see ``_q_horner_table``).  Row j is filled for the leading
-    ``reach[j]`` angles and left 0 past them; ``reach`` does not increase
-    and has at most ``JET_ORDER + 1`` entries.
+    Every row is its column of ``_q_table`` summed against one table of the
+    powers v^1, v^2, ..., v^0 of v = u^stride, in one unoptimised ``einsum``
+    (no BLAS: an angle's sums do not depend on its batch), then scaled by
+    u^p[j], and then its lead term d_0 u^p is added, which keeps near the pole
+    the accuracy of a term-by-term sum.  v^(m+1..2m) = v^(1..m) v^m, so v^t
+    carries at most 2t - 1 roundings and each row keeps Horner's a-priori
+    bound (Higham, ch. 5).  Row j is formed for the leading ``reach[j]``
+    angles and left a partial sum past them; ``reach`` does not increase.
     """
-    rows = len(reach)
-    coeffs, lowest, stride = series._horner
-    coeffs = coeffs[:, :rows]
-    v = u if stride == 1 else u * u
-    # Horner for the terms above each row's lowest one.  The lowest term is
-    # added after the scaling, as d_0 u^p, which keeps near the pole the
-    # accuracy of a term-by-term sum.
-    tail = np.zeros((rows, u.size))
-    for step in coeffs[:0:-1]:
-        tail += step[:, None]
-        tail *= v
+    table, lead, lowest, stride = series._q_table
+    powers = np.empty((len(table), u.size))
+    powers[-1] = 1.0
+    head = powers[:-1]
+    head[:1] = u if stride == 1 else u * u
+    m = 1
+    while m < len(head):
+        np.multiply(head[: len(head[m : 2 * m])], head[m - 1], out=head[m : 2 * m])
+        m *= 2
+    rows = np.einsum("tj,tn->jn", table[:, : len(reach)], powers, optimize=False)
     # u^p on each row's reach only, so that no row overflows where no angle
     # needs it.  A power of a contiguous slice by a scalar rounds the same
     # for every batch; numpy's broadcast or masked powers need not.
-    scale = np.zeros_like(tail)
-    for j, p in enumerate(lowest[:rows]):
-        scale[j, : reach[j]] = u[: reach[j]] ** p
-    tail *= scale
-    tail += coeffs[0, :, None] * scale
-    return tail
+    for row, d0, p, n in zip(rows, lead, lowest, reach):
+        if p:
+            scale = u[:n] ** p
+            row[:n] *= scale
+            row[:n] += d0 * scale
+    return rows
 
 
 def _trig_table(rows: int) -> np.ndarray:
@@ -321,29 +325,26 @@ def _doubling_table(series: PantographSeries, rows: int) -> np.ndarray:
     return out * np.repeat(weight, 2)
 
 
-_BROADCAST_CELLS = 4096
-"""Accumulator cells (rows x angles) up to which one broadcast beats the column loop."""
-
-_ENTERS = (np.arange(2 * JET_ORDER + 2) >= 2 * np.arange(JET_ORDER + 1)[:, None])[..., None]
-"""``_ENTERS[i, 2 offset + q]``: whether product column i enters row q, q >= 2 (i - offset)."""
-
-
 def _jet_product(table: np.ndarray, jet: np.ndarray, u: np.ndarray, offset: int, reach=None):
-    """sin u (B jet) + cos u (A jet); row i of ``table`` holds column i of B and A interleaved
-    and enters the rows >= i - offset.  Each output adds its terms in column order: in one
-    broadcast and one reduction from -0 (never numpy's inner axis) for a small product,
-    column by column over the leading ``reach[i]`` angles (all by default) for a large one."""
-    cols, width = table.shape
-    if width * u.size <= _BROADCAST_CELLS:
-        enters = _ENTERS[:cols, 2 * offset : 2 * offset + width]
-        acc = np.add.reduce(table[:, :, None] * jet[:, None, :], 0, where=enters, initial=-0.0)
-    else:
-        acc = table[0, :, None] * jet[0]
-        for i in range(1, jet.shape[0]):
-            top, n = 2 * (i - offset), u.size if reach is None else reach[i]
-            acc[top:, :n] += table[i, top:, None] * jet[i, :n]
-    out = np.sin(u) * acc[0::2]
-    out += np.cos(u) * acc[1::2]
+    """sin u (B jet) + cos u (A jet); row i of ``table`` holds column i of B and A interleaved,
+    enters the rows >= i - offset and serves the leading ``reach[i]`` angles (all by default).
+    Each output adds its terms in column order, in one unoptimised ``einsum`` from +0 over
+    every column and angle; in the outputs served, the terms it adds beyond the column
+    order's are exact zeros, which can change only the sign of a zero.  So the angles with a
+    zero output are done again column by column."""
+    sin, cos = np.sin(u), np.cos(u)
+    acc = np.einsum("iq,in->qn", table, jet, optimize=False)
+    out = sin * acc[0::2] + cos * acc[1::2]
+    if out.all():
+        return out
+    redo = np.flatnonzero(~out.all(axis=0))
+    jet = jet[:, redo]
+    reach = [redo.size] * len(jet) if reach is None else np.searchsorted(redo, reach).tolist()
+    acc = table[0, :, None] * jet[0]
+    for i in range(1, len(jet)):
+        top, n = 2 * (i - offset), reach[i]
+        acc[top:, :n] += table[i, top:, None] * jet[i, :n]
+    out[:, redo] = sin[redo] * acc[0::2] + cos[redo] * acc[1::2]
     return out
 
 
@@ -372,11 +373,11 @@ _BLOCK_ANGLES = 4096
 
 
 def _depth(solution: PantographSolution, theta: np.ndarray) -> np.ndarray:
-    """Halvings that bring each angle into the series window [0, pi/2 - guard]."""
-    limit = math.pi / 2 - solution.guard
-    depth = np.ceil(np.log2(np.maximum(theta / limit, 1.0))).astype(int)
-    depth += np.ldexp(theta, -depth) > limit  # the rounded ratio can land one depth short
-    return depth
+    """Halvings that bring each angle into the series window [0, pi/2 - guard]: the least
+    d >= 0 with theta 2^-d <= pi/2 - guard, read exactly off the two binary exponents."""
+    mantissa, exponent = math.frexp(math.pi / 2 - solution.guard)
+    m, e = np.frexp(theta)
+    return np.maximum(e - exponent + (m > mantissa), 0, dtype=np.int16)
 
 
 def _climb_chains(series: PantographSeries, u: np.ndarray, depth: np.ndarray, levels: int):
@@ -419,21 +420,22 @@ def continue_R(solution: PantographSolution, theta):
     """
     arr = _checks.floats("theta", theta)
     flat = arr.ravel()
-    bad = flat[~np.isfinite(flat) | (flat < 0.0)]
-    if bad.size:
+    lo, hi = flat.min(initial=math.inf), flat.max(initial=0.0)  # NaN if any angle is
+    if not (lo >= 0.0 and hi < math.inf):
+        bad = flat[~np.isfinite(flat) | (flat < 0.0)]
         raise ValidationError(f"continuation is defined for finite theta >= 0, got {bad[0]:g}")
     k = solution.series.k
-    if k <= -1 and np.any(flat == 0.0):
+    if k <= -1 and lo == 0.0:
         raise PoleError(f"the k = {k} family has a pole of Q = R / sin(theta) at theta = 0")
     depth = _depth(solution, flat)
-    if depth.size and depth.max() >= JET_ORDER:
+    if hi > solution.max_theta:
         worst = int(np.argmax(depth))
         raise JetDepthError(
             f"theta = {flat[worst]:g} needs doubling depth {depth[worst]}; the "
             f"continuation ends at max_theta = {solution.max_theta:g}"
         )
-    # Depths stay below JET_ORDER, so int16 keys take numpy's radix sort.
-    order = np.argsort(-depth.astype(np.int16), kind="stable")
+    # Depths stay below JET_ORDER, and int16 keys take numpy's radix sort.
+    order = np.argsort(-depth, kind="stable")
     d = depth[order]
     r, rp = np.empty_like(flat), np.empty_like(flat)
     r[order], rp[order] = _climb_chains(solution.series, np.ldexp(flat[order], -d), d, 1)[:, 0]
@@ -475,7 +477,7 @@ def _mirror_samples(solution: PantographSolution, grid) -> CurveSamples:
     nodes = np.union1d([0.0], base)
     at = np.searchsorted(nodes, base)
     # Row j holds the chain angles nodes 2^j, live up to each base's deepest angle.
-    reach = np.zeros(nodes.size, dtype=int)
+    reach = np.zeros(nodes.size, dtype=depth.dtype)  # one dtype keeps ufunc.at on its fast path
     np.maximum.at(reach, at, depth)
     order = np.argsort(-reach, kind="stable")
     states = _climb_chains(solution.series, nodes[order], reach[order], depth.max() + 1)
@@ -522,9 +524,7 @@ def mirror_equation_residual(solution: PantographSolution, interval: AngleInterv
     """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``."""
     if not isinstance(interval, AngleInterval):
         raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
-    if interval.lo < 0.0:
-        raise ValidationError("the continued solution lives on theta >= 0")
-    t = interval.grid()
+    t = interval.grid()  # continue_R rejects a negative angle
     r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
     r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
     a = solution.series.factor_a

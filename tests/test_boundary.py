@@ -18,7 +18,8 @@ from caustics.oracle import (
     RayFamily, envelope_gap, hausdorff_distance, occlusion_check, reflect_horizontal,
     verticality_check)
 from caustics.pantograph import (
-    PantographSolution, continue_R, mirror_equation_residual, parabola_mirror, solve_series)
+    PantographSeries, PantographSolution, continue_R, mirror_equation_residual, parabola_mirror,
+    solve_series)
 from caustics.quadrature import panel_integrals
 from caustics.skew import (
     SkewFamilySpec, build_family, delay_roots, implied_alpha, inverse_position_curve,
@@ -95,6 +96,11 @@ BAD_CALLS = {
     "skew_residual_list_interval": lambda: _skew_residual(interval=[0.0, 1.0]),
     "mirror_residual_list_interval": lambda: mirror_equation_residual(
         PantographSolution(solve_series(0, 12)), [0.0, 1.0]),
+    "mirror_residual_negative_lo": lambda: mirror_equation_residual(
+        PantographSolution(solve_series(0, 12)), AngleInterval(-0.5, 1.0, 5)),
+    "pantograph_series_order_at_k": lambda: PantographSeries(1, 0.3125, 1, np.ones(1)),
+    "pantograph_series_coefficient_count": lambda: PantographSeries(1, 0.3125, 3, np.ones(2)),
+    "solve_series_zero_leading": lambda: solve_series(1, leading=0.0),
     "polynomial_curve_nan": lambda: polynomial_curve([1.0, math.nan]),
     "polynomial_curve_ragged": lambda: polynomial_curve(RAGGED),
     "polynomial_curve_text": lambda: polynomial_curve("12"),

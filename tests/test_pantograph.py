@@ -20,6 +20,7 @@ from caustics.errors import (
     DegenerateCurveError,
     DomainError,
     JetDepthError,
+    NumericError,
     PoleError,
     ResonanceError,
     ValidationError,
@@ -132,6 +133,18 @@ def test_solve_series_matches_reference_recursion(monkeypatch, orders):
                     assert got.exact == want, (k, n_max, leading, secondary)
                     floats = np.array([float(c) for c in want])
                     assert got.coefficients.tobytes() == floats.tobytes()
+
+
+def test_recursion_denominators_vanish_only_at_the_resonance():
+    # With m = n - k, 2^(n+3) a - n - 4 = (k+4)(2^m - 1) - m: at least 2^m - 1 - m >= 0 for
+    # k >= -3, and 0 only for k = -3, m = 1, so the recursion divides by a positive number.
+    for k in range(-3, 61):
+        a = similarity_factor(k)
+        for m in range(1, 201):
+            n = k + m
+            den = Fraction(2) ** (n + 3) * a - n - 4
+            assert den == (k + 4) * (2**m - 1) - m
+            assert den > 0 or (k, m, den) == (-3, 1, 0), (k, n)
 
 
 def test_concurrent_callers_extend_the_basis_once(monkeypatch):
@@ -395,6 +408,14 @@ def test_report_rejects_singular_profiles():
         mirror_report(sol)
 
 
+def test_report_needs_eight_sign_changes():
+    # A profile that is not a solution: a huge scale factor shrinks each doubling by 1/(4a),
+    # so R underflows to 0 past the window and changes sign nowhere on [0, 12pi].
+    series = pantograph.PantographSeries(k=0, factor_a=1e200, n_max=1, coefficients=np.ones(2))
+    with pytest.raises(NumericError, match="^only 0 sign changes below 37.7; the cusp chain"):
+        mirror_report(PantographSolution(series))
+
+
 def test_solution_curve_bounds(cycloid_solution):
     curve = solution_curve(cycloid_solution)
     reach = cycloid_solution.max_theta
@@ -570,6 +591,27 @@ def test_continuation_near_the_pole_is_accurate_to_its_condition(k, secondary):
 FAMILIES = [(-3, 0.5), (-2, None), (-1, None), (0, None), (1, None), (2, None), (3, None)]
 
 
+@pytest.mark.parametrize("order", [30, 120])
+@pytest.mark.parametrize("k, secondary", FAMILIES)
+def test_q_rows_of_a_sub_batch_are_those_of_the_full_batch(k, secondary, order):
+    series = solve_series(k, n_max=order, secondary=secondary)
+    rng = np.random.default_rng(100 * (k + 3) + order)
+    limit = math.pi / 2 - BASE_GUARD
+    # The series window, with angles within 1e-3 of the pole at 0 (or 0 itself for k >= 0).
+    near = np.geomspace(1e-6, 1e-3, 64) if k <= -1 else np.zeros(4)
+    u = rng.permutation(np.concatenate([near, rng.uniform(0.0, limit, 8192 - near.size)]))
+    u[-1] = limit
+    rows = JET_ORDER + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = pantograph._q_taylor(series, u, [u.size] * rows).view(np.int64)
+        for width in (1, 7, 4095, 4097):
+            for start in (0, 2000, u.size - width):
+                part = slice(start, start + width)
+                got = pantograph._q_taylor(series, u[part], [width] * rows).view(np.int64)
+                assert np.array_equal(got, full[:, part]), (width, start)
+
+
 @pytest.mark.parametrize("k, secondary", FAMILIES)
 def test_every_depth_continues_to_finite_values(k, secondary):
     solution = PantographSolution(solve_series(k, secondary=secondary))
@@ -602,13 +644,14 @@ def test_shorter_tables_are_leading_blocks_of_the_built_once_ones(k, secondary):
     # Jets of L rows slice the tables built once for JET_ORDER + 1 rows; a
     # table built for L rows must be exactly that slice.
     series = solve_series(k, secondary=secondary)
-    coeffs, lowest, stride = series._horner
+    table, lead, lowest, stride = series._q_table
     for rows in range(1, JET_ORDER + 2):
         assert np.array_equal(pantograph._trig_table(rows), pantograph._TRIG[:rows, : 2 * rows])
         doubling = pantograph._doubling_table(series, rows)
         assert np.array_equal(doubling, series._doubling[:rows, : 2 * rows - 2])
-        short_coeffs, short_lowest, short_stride = pantograph._q_horner_table(series, rows)
-        assert np.array_equal(short_coeffs, coeffs[:, :rows])
+        short_table, short_lead, short_lowest, short_stride = pantograph._q_table(series, rows)
+        assert np.array_equal(short_table, table[:, :rows])
+        assert np.array_equal(short_lead, lead[:rows])
         assert np.array_equal(short_lowest, lowest[:rows])
         assert short_stride == stride
 

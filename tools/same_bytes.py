@@ -52,6 +52,13 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
                         " --out-csv series-deep.csv --out-svg series-deep.svg", False),
     ("series_order_60", "curve --curve series:k=1,order=60 --interval 0:4pi --samples 257"
                         " --out-csv series.csv --out-svg series.svg", False),
+    # The pole side: k < 0 continued from near the pole at 0, and the resonant k = -3 member.
+    ("series_pole_k-2", "curve --curve series:k=-2,order=60 --interval 0.05:4pi --samples 257"
+                        " --out-csv s.csv", False),
+    ("series_resonant", "curve --curve series:k=-3,secondary=0.5 --interval 0.5:2pi"
+                        " --samples 129 --out-csv r.csv", False),
+    ("pantograph_m-1", "pantograph --m -1 --order 60 --interval 0.05:2pi --samples 257"
+                       " --out-csv m.csv --out-svg m.svg", False),
     # The mirror report lines and files, then every m and order pair.
     ("pantograph_m2", "pantograph --m 2 --out-csv mirror.csv --out-svg mirror.svg", False),
     *((f"pantograph_m{m}_order{order}",
