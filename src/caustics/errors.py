@@ -52,15 +52,18 @@ class DegenerateCurveError(CausticsError, ValueError):
 
 
 class CuspError(CausticsError, ArithmeticError):
-    """The turning radius vanishes where a curvature frame is required."""
+    """The turning radius vanishes where a curvature frame is required.  Never raised:
+    ``caustic_curve`` flags the node ``CUSP``, and this name heads its error text."""
 
 
 class FlatCausticError(CausticsError, ArithmeticError):
-    """The tilt derivative is too close to 1: the focusing map degenerates."""
+    """The tilt derivative is too close to 1: the focusing map degenerates.  Raised by
+    ``caustic_radius`` and ``similarity_residual``; ``caustic_curve`` flags the node instead."""
 
 
 class CausticAtInfinityError(CausticsError, ArithmeticError):
-    """The focusing density vanishes and the caustic point escapes to infinity."""
+    """The focusing density vanishes and the caustic point escapes to infinity.  Never
+    raised: ``caustic_curve`` flags the node ``AT_INFINITY``; this name heads its error text."""
 
 
 class PoleError(CausticsError, ValueError):

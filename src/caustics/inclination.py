@@ -19,7 +19,6 @@ that rule's estimate misses go on to adaptive nested quadrature
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -104,13 +103,10 @@ class InclinationCurve:
     poles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        try:
-            lo, hi = self.domain
-        except (TypeError, ValueError):
-            lo = hi = None
-        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and lo < hi):
+        ends = _checks.floats("domain", self.domain, "two numbers lo < hi")
+        if not (ends.shape == (2,) and ends[0] < ends[1]):
             raise ValidationError(f"domain must be two numbers lo < hi, got {self.domain!r}")
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
+        object.__setattr__(self, "domain", tuple(ends.tolist()))
 
 
 class ColumnRecord:
@@ -278,10 +274,10 @@ def _integrand(jet):
 def _ends(theta, r, rp):
     """``R (cos, sin, 1)`` and its derivative at ``theta``, each ``(3, n)``."""
     c, s = np.cos(theta), np.sin(theta)
-    f, df = np.empty((3, theta.size)), np.empty((3, theta.size))
+    f, df = jets = np.empty((2, 3, theta.size))
     f[0], f[1], f[2] = r * c, r * s, r
     df[0], df[1], df[2] = rp * c - r * s, rp * s + r * c, rp
-    return f, df
+    return jets
 
 
 def _integrate(jet, thetas: np.ndarray, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
@@ -306,7 +302,7 @@ def _cell_integrals(jet, lo, hi, lo_jet, hi_jet) -> np.ndarray:
     total = h.sum()
     budget = RECONSTRUCT_TOL * h / total if total > 0 else np.zeros_like(h)
     return cell_integrals(_integrand(jet), lo, hi, budget, RECONSTRUCT_TOL,
-                          _ends(lo, *lo_jet) + _ends(hi, *hi_jet))
+                          (*_ends(lo, *lo_jet), *_ends(hi, *hi_jet)))
 
 
 def _two_best(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

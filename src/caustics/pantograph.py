@@ -112,7 +112,8 @@ class PantographSeries:
 
     ``coefficients[j]`` is a_{k+j}.  Coefficients of parity opposite to k
     vanish, except that the resonant family k = -3 carries a free a_{-2}
-    seeding the opposite parity.  ``exact`` optionally retains the rational
+    seeding the opposite parity; at least one is nonzero, or construction raises
+    ``DegenerateCurveError``.  ``exact`` optionally retains the rational
     coefficients the floats were rounded from.  The continuation's Q-row
     and doubling tables are built on first use and kept on the instance.
     """
@@ -131,6 +132,8 @@ class PantographSeries:
                 f"expected {self.n_max - self.k + 1} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+        if not np.any(self.coefficients):
+            raise DegenerateCurveError("every coefficient vanishes; the profile is a point")
 
     def powers(self) -> np.ndarray:
         return self.k + np.arange(len(self.coefficients))

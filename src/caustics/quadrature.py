@@ -30,7 +30,8 @@ call, a block of panels per call.  A panel is accepted when its estimate is with
 share of ``tol`` or its rounding floor ``50 eps int |f|``; refinement ends once the error
 accepted so far plus the estimates still open fit in ``tol``.  Panels that reach rounding
 width unconverged are kept, but if their errors sum to more than ``tol``, ``NumericError`` is
-raised; so it is when a level leaves more than ``_MAX_PANELS`` panels open.
+raised; so it is when a level leaves more than ``_MAX_PANELS`` panels open, or when the
+error still misses ``tol`` after ``_MAX_LEVELS`` levels (a jump that every bisection keeps inside).
 """
 from __future__ import annotations
 
@@ -238,18 +239,16 @@ def panel_integrals(
     node-jet rule.  Returns shape ``(n_components, n_panels)``.
     Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and
     ``NumericError`` when panels at rounding width hold more than ``tol`` of
-    estimated error or refinement leaves more than ``_MAX_PANELS`` panels open.
+    estimated error, refinement leaves more than ``_MAX_PANELS`` panels open, or
+    ``_MAX_LEVELS`` levels end unconverged.
     """
     if not _checks.real("tol", tol) > 0:
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
     edges = _checks.increasing("edges", edges)
     lo, hi = edges[:-1], edges[1:]
     form = "two (n_components, n_edges) arrays"
-    try:
-        f, df = (_checks.floats("ends", e, form) for e in ends)
-    except (TypeError, ValueError):
-        raise ValidationError(f"ends must be {form}") from None
-    if f.ndim != 2 or f.shape != df.shape or f.shape[1] != edges.size:
+    pair = _checks.floats("ends", ends, form)
+    if pair.ndim != 3 or len(pair) != 2 or pair.shape[2] != edges.size:
         raise ValidationError(f"ends must be {form}")
-    ends = (f[:, :-1], df[:, :-1], f[:, 1:], df[:, 1:])
+    ends = (*pair[..., :-1], *pair[..., 1:])  # f and f' at the cells' lower ends, then upper
     return cell_integrals(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol, ends)

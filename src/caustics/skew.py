@@ -196,29 +196,32 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
     B = 0 takes any (0 is returned), and a = -sin(phi0) with B != 0 one.
     Any other member raises ``ValidationError``.
     """
-    A, B, factor_a, s, c, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
+    A, B, factor_a, s, c, _ = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
+    # (A, B) and (a, sin phi0), each scaled by 2^-k to put its larger entry in [1/2, 1): alpha
+    # has degree 0 in (A, B) and -1 in (a, sin phi0), so no product over- or underflows, and
+    # ordinary inputs keep every bit.
+    e, f = (math.frexp(max(map(abs, pair)))[1] for pair in ((A, B), (factor_a, s)))
+    x, y, u, v = math.ldexp(A, -e), math.ldexp(B, -e), math.ldexp(factor_a, -f), math.ldexp(s, -f)
+    omega_sq = (u - v) * (u + v) / (c * c)
     w = math.sqrt(abs(omega_sq))
     if omega_sq > 0.0:
-        p = (B * w * c + A * s) / factor_a
-        m = (-A * w * c + B * s) / factor_a
-        denom = A * A + B * B
-        cos_wa = (A * p - B * m) / denom
-        sin_wa = (B * p + A * m) / denom
-        mismatch = abs(cos_wa**2 + sin_wa**2 - 1.0)
-        if mismatch > 1e-9:
-            raise NumericError(f"no consistent shift: |cos^2+sin^2 - 1| = {mismatch:.3e}")
-        return math.atan2(sin_wa, cos_wa) / w
-    if omega_sq < 0.0 and factor_a != 0.0 and A * A != B * B:
+        p = (y * w * c + x * v) / u
+        m = (-x * w * c + y * v) / u
+        denom = x * x + y * y
+        cos_wa = (x * p - y * m) / denom
+        sin_wa = (y * p + x * m) / denom
+        return math.ldexp(math.atan2(sin_wa, cos_wa) / w, -f)
+    if omega_sq < 0.0 and u != 0.0 and x * x != y * y:
         # cosh(w alpha) and sinh(w alpha) solve A C + B S = p, B C + A S = m.
-        p = (B * w * c + A * s) / factor_a
-        m = -(A * w * c + B * s) / factor_a
-        denom = A * A - B * B
-        if (A * p - B * m) / denom > 0.0:
-            return math.asinh((A * m - B * p) / denom) / w
+        p = (y * w * c + x * v) / u
+        m = -(x * w * c + y * v) / u
+        denom = x * x - y * y
+        if (x * p - y * m) / denom > 0.0:
+            return math.ldexp(math.asinh((x * m - y * p) / denom) / w, -f)
     if omega_sq == 0.0 and factor_a == s and B == 0.0:
         return 0.0
-    if omega_sq == 0.0 and factor_a == -s and s * B != 0.0:
-        return -(c * B + 2 * s * A) / (s * B)
+    if omega_sq == 0.0 and factor_a == -s and s * y != 0.0:
+        return -(c * y + 2 * s * x) / (s * y)
     raise ValidationError(
         f"no real shift alpha for the inverse-position member A={A:g}, B={B:g}, "
         f"a={factor_a:g}, sin(phi0)={s:g}"
@@ -393,8 +396,6 @@ def _puiseux_antiderivative(c: float, gamma: float, theta: np.ndarray) -> np.nda
     """
     wp, wm = gamma + 1.0, gamma - 1.0
     dp, dm = c * c + wp * wp, c * c + wm * wm
-    if dm == 0.0:
-        raise ValidationError("c = 0, gamma = 1 has no spiral centre (cusps on a line)")
     t = np.asarray(theta, dtype=float)
     e = np.exp(c * t)
     fx = 0.5 * e * (
@@ -410,7 +411,7 @@ def _puiseux_antiderivative(c: float, gamma: float, theta: np.ndarray) -> np.nda
 
 @dataclass(frozen=True, eq=False)
 class PuiseuxReport:
-    """Cusp geometry of a cuspidal spiral; ``center`` is None for c = 0, gamma = 1."""
+    """Cusp geometry of a cuspidal spiral; ``center`` is None for gamma = 1 and c^2 = 0."""
 
     c: float
     gamma: float
@@ -446,7 +447,8 @@ def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> Puis
     pts = samples.points[np.searchsorted(samples.theta, cusps)]
 
     expected = math.exp(c * math.pi / gamma)
-    degenerate = c == 0.0 and gamma == 1.0
+    # Exactly where the antiderivative's c^2 + (gamma - 1)^2 is 0: gamma = 1, c^2 rounds to 0.
+    degenerate = gamma == 1.0 and c * c == 0.0
     if degenerate:
         center = None
         dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)

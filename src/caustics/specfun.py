@@ -173,10 +173,8 @@ class TanCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.exact[0] != 1:
-            raise NumericError("tangent series must start with coefficient 1")
-        if any(c <= 0 for c in self.exact):
-            raise NumericError("tangent coefficients must be positive")
+        if self.exact[0] != 1 or any(c <= 0 for c in self.exact):
+            raise NumericError("tangent coefficients must be positive, starting with 1")
 
     def eval(self, t):
         """Evaluate the truncated series at ``t`` (scalar or array).

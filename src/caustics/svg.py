@@ -109,8 +109,6 @@ def write_scene(
     given = dict(mirror=mirror, caustic=caustic, rays=rays, cusps=cusps, cuspline=cuspline)
     groups = {name: _as_group(name, given[name]) for name in GROUP_ORDER}
     groups = {name: group for name, group in groups.items() if group is not None}
-    if not groups:
-        raise ValidationError("nothing to draw")
     finite = {
         name: np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
         for name, (points, _) in groups.items()

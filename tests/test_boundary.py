@@ -1,9 +1,12 @@
 """Argument checks at the public boundary: bad input raises ``ValidationError``, not a raw
-numpy or Python error, and numpy scalars pass wherever Python numbers do."""
+numpy or Python error; degenerate input raises its own class of the taxonomy; and numpy
+scalars pass wherever Python numbers do."""
 
 import math
 import os
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +14,12 @@ import pytest
 from caustics.caustic import (
     SimilaritySpec, TiltField, caustic_radius, coframe, similarity_residual)
 from caustics.csvio import write_coefficient_csv, write_table
-from caustics.errors import ValidationError
+from caustics.errors import (
+    DegenerateCurveError, DegenerateSamplingError, DomainError, FlatCausticError, NumericError,
+    PoleError, ValidationError)
 from caustics.inclination import (
-    AngleInterval, circle, cycloid, frenet_residual, log_spiral, polynomial_curve, reconstruct)
+    AngleInterval, InclinationCurve, circle, cycloid, frenet_residual, log_spiral,
+    polynomial_curve, reconstruct)
 from caustics.oracle import (
     RayFamily, envelope_gap, hausdorff_distance, occlusion_check, reflect_horizontal,
     verticality_check)
@@ -22,10 +28,10 @@ from caustics.pantograph import (
     solve_series)
 from caustics.quadrature import panel_integrals
 from caustics.skew import (
-    SkewFamilySpec, build_family, delay_roots, implied_alpha, inverse_position_curve,
-    point_by_point_curve, puiseux_curve, puiseux_diagnostics, skew_equation_residual,
-    to_delay_form)
-from caustics.specfun import lambert_w, tan_coeffs, zeta_even
+    SkewFamilySpec, build_family, delay_curve, delay_roots, implied_alpha,
+    inverse_position_curve, point_by_point_curve, puiseux_curve, puiseux_diagnostics,
+    skew_equation_residual, to_delay_form)
+from caustics.specfun import TanCoefficients, lambert_w, tan_coeffs, zeta_even
 from caustics.svg import write_scene
 
 RAGGED = [[0.0], [1.0, 2.0]]
@@ -153,15 +159,103 @@ BAD_CALLS = {
     "solve_series_huge_leading": lambda: solve_series(1, 12, leading=10**400),
     "lambert_w_huge_z": lambda: lambert_w(0, 10**400),
     "polynomial_curve_complex_array": lambda: polynomial_curve(np.array([1 + 1j, 2])),
+    "inclination_curve_huge_domain_end": lambda: InclinationCurve(_line, domain=(0, 10**400)),
+    "write_table_empty_header": lambda: write_table(os.devnull, (), [[1.0]]),
+    "circle_zero_radius": lambda: circle(0),
+    "envelope_gap_no_finite_pair": lambda: envelope_gap(  # phi' = 1: every node flat
+        cycloid(1), TiltField(lambda t: (t, 1.0, 0.0)), AngleInterval(0.5, 1, 9)),
+    "delay_curve_point_spec": lambda: delay_curve(SkewFamilySpec("point_by_point", 0.3, 1.2), []),
+    "skew_residual_unknown_case": lambda: _skew_residual(case="delayed"),
+    "puiseux_curve_zero_gamma": lambda: puiseux_curve(0.2, 0),
+    "write_scene_no_finite_point": lambda: write_scene(os.devnull, mirror=[np.full((3, 2), np.nan)]),
+}
+
+# The message of each row that is the only test of its `raise`.
+MESSAGES = {
+    "write_table_empty_header": "header must name at least one column",
+    "circle_zero_radius": "circle needs a nonzero radius",
+    "envelope_gap_no_finite_pair": "no pair of envelope and closed-form points is finite",
+    "delay_curve_point_spec": "spec is a 'point_by_point' problem, not delay",
+    "skew_residual_unknown_case": "case must be one of ('point_by_point', 'inverse_position', "
+                                  "'delay'), got 'delayed'",
+    "puiseux_curve_zero_gamma": "gamma must be positive",
+    "write_scene_no_finite_point": "no finite points to draw",
 }
 
 
-@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
-def test_bad_argument_is_validation_error(call):
+@pytest.mark.parametrize("call, message", [(call, MESSAGES.get(name))
+                                           for name, call in BAD_CALLS.items()],
+                         ids=BAD_CALLS.keys())
+def test_bad_argument_is_validation_error(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=message and f"^{re.escape(message)}$"):
             call()
+
+
+def _step(t):
+    return np.asarray(t >= 0.0, dtype=float)[None]
+
+
+# Degenerate input the library refuses: the call, the class it raises and its message.
+DEGENERATE_CALLS = {
+    "caustic_radius_flat_tilt": (
+        lambda: caustic_radius(1, 0, 0, 1, 0),
+        FlatCausticError, "tilt derivative too close to 1; caustic flattens"),
+    "reconstruct_interval_collapses_at_pole": (
+        lambda: reconstruct(parabola_mirror(1), AngleInterval(0, 1e-6, 5)),
+        DomainError, "collapsed after pole clipping"),
+    "reconstruct_grid_clipped_below_two_nodes": (
+        lambda: reconstruct(parabola_mirror(1), [0, 5e-7, 2e-6]),
+        DomainError, "fewer than 2 samples remain after pole clipping"),
+    "frenet_residual_coincident_arclengths": (  # R is odd, so s(-1) = s(1)
+        lambda: frenet_residual(reconstruct(cycloid(1), [-1, 0, 1])),
+        DegenerateSamplingError, "coincident arclengths; sampling is degenerate"),
+    "frenet_residual_interior_cusp": (
+        lambda: frenet_residual(reconstruct(cycloid(1), [-1, 0, 0.5])),
+        DegenerateSamplingError, "R vanishes at an interior sample (cusp)"),
+    # The step sits at a third of [-64, 128] and of every panel bisection makes around it, in
+    # view of P15's nodes; after 47 halvings a panel is still wider than the 1e-12 that makes
+    # it stuck, and its error, a share of its width, still exceeds tol.
+    "quadrature_levels_exhausted": (
+        lambda: panel_integrals(_step, [-64.0, 128.0], 1e-13,
+                                ends=([[0.0, 1.0]], [[0.0, 0.0]])),
+        NumericError, "quadrature did not converge after 48 refinement levels"),
+    "point_by_point_zero_amplitude": (
+        lambda: point_by_point_curve(0, 1.2, 0.3),
+        DegenerateCurveError, "zero amplitude collapses the curve to a point"),
+    "inverse_position_zero_amplitudes": (
+        lambda: inverse_position_curve(0, 0, 1.2, 0.3),
+        DegenerateCurveError, "both amplitudes vanish; the curve is a point"),
+    "pantograph_series_all_zero": (
+        lambda: PantographSeries(0, 0.5, 1, np.zeros(2)),
+        DegenerateCurveError, "every coefficient vanishes; the profile is a point"),
+    "delay_roots_residual_above_1e-10": (
+        lambda: delay_roots(1e5, 1.0, 0.0, [0]),
+        NumericError, "characteristic residual 1.019e-10 on branch 0 exceeds 1e-10"),
+    "lambert_w_pole_off_the_principal_branch": (
+        lambda: lambert_w(1, 0),
+        PoleError, "z=0 is a logarithmic pole of branch 1"),
+    "lambert_w_no_convergence": (
+        lambda: lambert_w(0, 1e308),
+        NumericError, "lambert_w did not converge: branch 0, z=(1e+308+0j), residual "),
+    "tan_coefficients_first_not_one": (
+        lambda: TanCoefficients(0, (Fraction(2),), np.array([2.0])),
+        NumericError, "tangent coefficients must be positive, starting with 1"),
+    "tan_coefficients_not_positive": (
+        lambda: TanCoefficients(1, (Fraction(1), Fraction(0)), np.array([1.0, 0.0])),
+        NumericError, "tangent coefficients must be positive, starting with 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", DEGENERATE_CALLS.values(),
+                         ids=DEGENERATE_CALLS.keys())
+def test_degenerate_input_raises_its_class_and_says_why(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(message)) as caught:
+            call()
+    assert type(caught.value) is error
 
 
 PATH_WRITERS = {

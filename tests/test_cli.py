@@ -426,6 +426,18 @@ def test_bad_angle_literal_is_validation_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("curve", "--interval", "0:pi/0"), "division by zero in angle 'pi/0'"),
+    (("curve", "--curve", "series:k=-3,secondary=inf"), "secondary must be finite, got 'inf'"),
+    (("curve", "--curve", "circle:radius"), "expected key=value, got 'radius'"),
+    (("curve", "--curve", "circle:colour=red"), "curve 'circle' got unknown parameters ['colour']"),
+    (("caustic", "--tilt", "sideways"),
+     "unknown tilt 'sideways'; use evolute, reflection or skew:<phi>"),
+], ids=["zero_divisor", "infinite_secondary", "key_without_value", "unknown_key", "unknown_tilt"])
+def test_bad_curve_and_tilt_text_exits_2_and_says_why(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("svg", [False, True], ids=["no_svg", "svg"])
 def test_pantograph_bad_window_exits_2_before_any_report(tmp_path, capsys, svg):
     argv = ["pantograph", "--m", "2", "--interval", "foo"]

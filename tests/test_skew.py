@@ -108,6 +108,50 @@ def test_implied_alpha_off_the_oscillatory_family(A, B, a, phi0, want):
     assert skew_equation_residual(curve, phi0, a, "inverse_position", window, alpha=alpha) < 1e-12
 
 
+def test_implied_alpha_is_free_of_the_amplitudes_scale():
+    want = implied_alpha(1.0, 0.0, 1.2, 0.3)
+    assert implied_alpha(1e200, 0.0, 1.2, 0.3) == want
+    assert implied_alpha(1e-200, 0.0, 1.2, 0.3) == want
+
+
+def test_implied_alpha_near_the_involutes_at_every_amplitude_scale(rng):
+    # a within a factor 1 +- 1e-12 .. 2 of +-sin phi0: trigonometric and hyperbolic members
+    # near the circle involutes.  (A, B) scaled by 2^k, |A|, |B| from about 1e-300 to 1e300,
+    # gives the very same shift, and the shift satisfies the equation to rounding: it puts
+    # cos(w alpha) and sin(w alpha) on the unit circle.
+    window = AngleInterval(-1.0, 1.0, 33)
+    shifts = 0
+    for _ in range(300):
+        phi0 = rng.uniform(-1.4, 1.4)
+        sign, side = rng.choice([-1.0, 1.0], size=2)
+        a = sign * math.sin(phi0) * (1.0 + side * 10.0 ** rng.uniform(-12, 0))
+        A, B = rng.normal(size=2)
+        k = int(rng.integers(-996, 997))
+        try:
+            alpha = implied_alpha(A, B, a, phi0)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="no real shift"):
+                implied_alpha(math.ldexp(A, k), math.ldexp(B, k), a, phi0)
+            continue
+        shifts += 1
+        assert implied_alpha(math.ldexp(A, k), math.ldexp(B, k), a, phi0) == alpha
+        curve = inverse_position_curve(A, B, a, phi0)
+        r, rp = curve.jet(window.grid())
+        scale = max(np.abs(r).max(), np.abs(rp).max(),
+                    np.abs(a * curve.jet(alpha - window.grid())[0]).max())
+        res = skew_equation_residual(curve, phi0, a, "inverse_position", window, alpha=alpha)
+        assert res <= 1e-12 * scale
+    assert shifts > 200
+
+
+@pytest.mark.parametrize("a, phi0", [(1e-160, 1e-200), (3e-250, -1e-290)])
+def test_implied_alpha_is_of_degree_minus_one_in_a_and_a_tiny_tilt(a, phi0):
+    # sin phi0 = phi0 and cos phi0 = 1 at these tilts and at the same tilts scaled by 2^k.
+    k = -math.frexp(a)[1]
+    want = implied_alpha(1.0, 0.5, math.ldexp(a, k), math.ldexp(phi0, k))
+    assert implied_alpha(1.0, 0.5, a, phi0) == math.ldexp(want, k)
+
+
 @pytest.mark.parametrize("A, B, a, phi0", [
     (1.0, -0.3, -0.2, 0.5),  # hyperbolic with cosh(w alpha) = -1.43
     (1.0, 1.0, 0.1, 0.6),  # hyperbolic with A^2 = B^2: a pure exponential
@@ -242,6 +286,14 @@ def test_puiseux_degenerate_cycloid_chords():
     assert report.cusp_points.shape == (len(report.cusp_thetas), 2)
     assert abs(report.expected_ratio - 1.0) < 1e-15
     assert report.max_ratio_deviation < 1e-9
+
+
+@pytest.mark.parametrize("c", [1e-170, -1e-170])
+def test_puiseux_takes_the_chord_path_where_c_squared_underflows(c):
+    window = AngleInterval(-0.1, 4 * math.pi + 0.1, 1025)
+    report, chords = puiseux_diagnostics(c, 1.0, window), puiseux_diagnostics(0.0, 1.0, window)
+    assert report.center is None
+    assert report.distances == chords.distances
 
 
 def test_puiseux_needs_three_cusps():
