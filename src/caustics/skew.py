@@ -137,14 +137,18 @@ def point_by_point_curve(amplitude: float, factor_a: float, phi0: float) -> Incl
     )
 
 
-def _inverse_member(amplitude_a, amplitude_b, factor_a, phi0) -> tuple[float, ...]:
-    """Checked A, B, a, sin phi0, cos phi0 and omega^2 of an inverse-position member."""
+def _inverse_member(amplitude_a, amplitude_b, factor_a, phi0) -> tuple:
+    """Checked A, B, a, sin phi0 and cos phi0 of an inverse-position member, then a and
+    sin phi0 scaled by 2^-f to put the larger in [1/2, 1), f, and omega^2 scaled by 4^-f: so
+    omega^2 neither over- nor underflows, and ordinary inputs keep every bit of omega."""
     A, B = _checks.real("amplitude_a", amplitude_a), _checks.real("amplitude_b", amplitude_b)
     factor_a, phi0 = _checks.real("factor_a", factor_a), _check_phi0(phi0)
     if A == 0.0 and B == 0.0:
         raise DegenerateCurveError("both amplitudes vanish; the curve is a point")
     s, c = math.sin(phi0), math.cos(phi0)
-    return A, B, factor_a, s, c, (factor_a - s) * (factor_a + s) / (c * c)
+    f = math.frexp(max(abs(factor_a), abs(s)))[1]
+    u, v = math.ldexp(factor_a, -f), math.ldexp(s, -f)
+    return A, B, factor_a, s, c, u, v, f, (u - v) * (u + v) / (c * c)
 
 
 def inverse_position_curve(
@@ -160,10 +164,9 @@ def inverse_position_curve(
     trigonometric, linear (circle involute, exactly at a = +-sin phi0) or
     hyperbolic amplitudes.
     """
-    A, B, _, _, _, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
+    A, B, *_, f, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
+    w = math.ldexp(math.sqrt(abs(omega_sq)), f)
     if omega_sq > 0.0:
-        w = math.sqrt(omega_sq)
-
         def jet(t):
             wt = w * np.asarray(t, dtype=float)
             c, s = np.cos(wt), np.sin(wt)
@@ -176,7 +179,6 @@ def inverse_position_curve(
             return A + B * t, np.full_like(t, B)
 
         return InclinationCurve(jet, label=f"circle_involute(A={A:g}, B={B:g})")
-    w = math.sqrt(-omega_sq)
 
     def jet(t):
         wt = w * np.asarray(t, dtype=float)
@@ -196,14 +198,12 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
     B = 0 takes any (0 is returned), and a = -sin(phi0) with B != 0 one.
     Any other member raises ``ValidationError``.
     """
-    A, B, factor_a, s, c, _ = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
-    # (A, B) and (a, sin phi0), each scaled by 2^-k to put its larger entry in [1/2, 1): alpha
-    # has degree 0 in (A, B) and -1 in (a, sin phi0), so no product over- or underflows, and
-    # ordinary inputs keep every bit.
-    e, f = (math.frexp(max(map(abs, pair)))[1] for pair in ((A, B), (factor_a, s)))
-    x, y, u, v = math.ldexp(A, -e), math.ldexp(B, -e), math.ldexp(factor_a, -f), math.ldexp(s, -f)
-    omega_sq = (u - v) * (u + v) / (c * c)
-    w = math.sqrt(abs(omega_sq))
+    A, B, factor_a, s, c, u, v, f, omega_sq = _inverse_member(
+        amplitude_a, amplitude_b, factor_a, phi0)
+    # (A, B) scaled like (a, sin phi0): alpha has degree 0 in (A, B) and -1 in (a, sin phi0),
+    # so no product over- or underflows, and ordinary inputs keep every bit.
+    e = math.frexp(max(abs(A), abs(B)))[1]
+    x, y, w = math.ldexp(A, -e), math.ldexp(B, -e), math.sqrt(abs(omega_sq))
     if omega_sq > 0.0:
         p = (y * w * c + x * v) / u
         m = (-x * w * c + y * v) / u

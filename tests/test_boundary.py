@@ -197,7 +197,8 @@ def _step(t):
     return np.asarray(t >= 0.0, dtype=float)[None]
 
 
-# Degenerate input the library refuses: the call, the class it raises and its message.
+# Degenerate input the library refuses: the call, the class it raises and its message (text
+# to find in the message, or a pattern to search it for).
 DEGENERATE_CALLS = {
     "caustic_radius_flat_tilt": (
         lambda: caustic_radius(1, 0, 0, 1, 0),
@@ -230,9 +231,12 @@ DEGENERATE_CALLS = {
     "pantograph_series_all_zero": (
         lambda: PantographSeries(0, 0.5, 1, np.zeros(2)),
         DegenerateCurveError, "every coefficient vanishes; the profile is a point"),
+    # A correctly rounded root (residual about 1e-10, 1e-15 relative) trips the absolute bound,
+    # by a margin that rounding decides: the row matches only the message's fixed parts, and
+    # must change when the bound becomes relative to |a / cos phi0|.
     "delay_roots_residual_above_1e-10": (
         lambda: delay_roots(1e5, 1.0, 0.0, [0]),
-        NumericError, "characteristic residual 1.019e-10 on branch 0 exceeds 1e-10"),
+        NumericError, re.compile(r"characteristic residual \S+ on branch 0 exceeds 1e-10$")),
     "lambert_w_pole_off_the_principal_branch": (
         lambda: lambert_w(1, 0),
         PoleError, "z=0 is a logarithmic pole of branch 1"),
@@ -253,7 +257,8 @@ DEGENERATE_CALLS = {
 def test_degenerate_input_raises_its_class_and_says_why(call, error, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error, match=re.escape(message)) as caught:
+        with pytest.raises(error, match=message if isinstance(message, re.Pattern)
+                           else re.escape(message)) as caught:
             call()
     assert type(caught.value) is error
 

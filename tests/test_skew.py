@@ -114,6 +114,19 @@ def test_implied_alpha_is_free_of_the_amplitudes_scale():
     assert implied_alpha(1e-200, 0.0, 1.2, 0.3) == want
 
 
+@pytest.mark.parametrize("a, phi0, label", [
+    (1e200, 0.3, "skew_inverse("), (1e-160, 1e-200, "skew_inverse("),
+    (1e-200, 1e-300, "skew_inverse("), (1e-200, 1e-160, "skew_inverse_hyp("),
+])
+def test_inverse_position_omega_where_omega_squared_leaves_the_normal_range(a, phi0, label):
+    # omega^2 = (a^2 - sin^2 phi0) / cos^2 phi0 over- or underflows here, omega does not.  With
+    # A = 0, B = 1, R'(0) = omega, which is max(a, sin phi0) / cos phi0 to rounding.
+    curve = inverse_position_curve(0.0, 1.0, a, phi0)
+    assert curve.label.startswith(label)
+    omega = curve.jet(np.zeros(1))[1][0]
+    assert math.isclose(omega, max(a, math.sin(phi0)) / math.cos(phi0), rel_tol=4e-16)
+
+
 def test_implied_alpha_near_the_involutes_at_every_amplitude_scale(rng):
     # a within a factor 1 +- 1e-12 .. 2 of +-sin phi0: trigonometric and hyperbolic members
     # near the circle involutes.  (A, B) scaled by 2^k, |A|, |B| from about 1e-300 to 1e300,

@@ -2,6 +2,7 @@
 
     python tools/raise_sites.py            # the whole tier-1 suite
     python tools/raise_sites.py -- ARGS    # pytest with ARGS instead of the tests directory
+                                           # (CI passes its tier-1 flags this way)
 
 The script parses every module of ``src/caustics/`` for its ``raise`` statements, then runs
 pytest in this process under ``sys.settrace`` and ``threading.settrace`` and records each line
