@@ -8,8 +8,8 @@ focusing density ``chi = (1 - phi') / R``, its tangent angle is
 ``theta + pi/2 - phi``, and its own turning radius follows from the
 curve's jet (R, R') and the tilt's jet (phi, phi', phi'').  A
 ``TiltField`` is that one map ``theta -> (phi, phi', phi'')``;
-``caustic_curve`` evaluates it once and hands its arrays to the kernels
-``coframe`` and ``caustic_radius``.
+``caustic_curve`` evaluates it once, and ``coframe`` and ``caustic_radius``
+check their arguments before they share its formulas.
 
 Three stock tilts cover the classical constructions: ``evolute`` (phi = 0,
 normal rays), ``skew`` (constant phi), and ``reflection``
@@ -100,14 +100,13 @@ class TiltField:
         Raises ``EvaluationError`` at the first angle where one is not finite.
         """
         theta = np.asarray(theta, dtype=float)
-        phi, p1, p2 = (
-            np.broadcast_to(np.asarray(part, dtype=float), theta.shape)
-            for part in self.jet(theta)
-        )
-        finite = np.isfinite(phi) & np.isfinite(p1) & np.isfinite(p2)
-        if not finite.all():
+        phi, p1, p2 = self.jet(theta)
+        jet = np.empty((3, *theta.shape))
+        jet[0], jet[1], jet[2] = phi, p1, p2
+        if not np.isfinite(jet).all():
+            finite = np.isfinite(jet).all(axis=0)
             raise EvaluationError(f"tilt is not finite at theta = {theta[~finite][0]}")
-        return phi, p1, p2
+        return jet[0, ...], jet[1, ...], jet[2, ...]
 
 
 @dataclass(frozen=True)
@@ -181,6 +180,18 @@ class SimilaritySpec:
             raise ValidationError("similarity sign must be +1 or -1")
 
 
+def _coframe(ct, st, sp, cp, radius, phi_prime):
+    """``nu``'s two components and ``chi`` from cos and sin of theta and phi; no checks."""
+    return sp * ct - cp * st, sp * st + cp * ct, (1.0 - phi_prime) / radius
+
+
+def _radius(r, r_prime, sp, cp, p1, p2):
+    """The caustic's turning radius from sin and cos of phi; no checks."""
+    one = 1.0 - p1
+    out = ((1.0 - 2.0 * p1) * sp + (p2 / one) * cp) * r
+    return (out + cp * r_prime) / (one * one)
+
+
 def coframe(theta, radius, phi, phi_prime):
     """Ray direction ``nu`` and focusing density ``chi`` of the tilted coframe.
 
@@ -191,12 +202,11 @@ def coframe(theta, radius, phi, phi_prime):
     vanishes and near zero where the tilt is flat.
     """
     theta, phi = _checks.finite("theta", theta), _checks.finite("phi", phi)
-    ct, st = np.cos(theta), np.sin(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    nu = np.stack([sp * ct - cp * st, sp * st + cp * ct], axis=-1)
+    phi_prime, radius = _checks.finite("phi_prime", phi_prime), _checks.finite("radius", radius)
     with np.errstate(divide="ignore", invalid="ignore"):
-        chi = (1.0 - _checks.finite("phi_prime", phi_prime)) / _checks.finite("radius", radius)
-    return nu, chi
+        nu_x, nu_y, chi = _coframe(
+            np.cos(theta), np.sin(theta), np.sin(phi), np.cos(phi), radius, phi_prime)
+    return np.stack([nu_x, nu_y], axis=-1), chi
 
 
 def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
@@ -209,10 +219,31 @@ def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
         ("r", "r_prime", "phi", "phi_prime", "phi_second"), (r, r_prime, phi, phi_prime, phi_second)))
     if np.any(np.abs(1.0 - p1) < FLAT_TILT_GUARD):
         raise FlatCausticError("tilt derivative too close to 1; caustic flattens")
-    one = 1.0 - p1
-    out = ((1.0 - 2.0 * p1) * np.sin(phi) + (p2 / one) * np.cos(phi)) * r
-    out = (out + np.cos(phi) * r_prime) / (one * one)
+    out = _radius(r, r_prime, np.sin(phi), np.cos(phi), p1, p2)
     return out if out.shape else float(out)
+
+
+def _caustic_columns(source: CurveSamples, phi, p1, p2):
+    """``Caustic``'s columns up to ``flag``, in one pass over checked arrays.
+
+    A node's flag is the first of CUSP (R = 0), FLAT_TILT and AT_INFINITY (chi = 0) that holds;
+    flagged nodes turn NaN at the end.  Off a flat node |chi| >= 1e-8 / 1.8e308 > 0 for any
+    finite R, so no input flags AT_INFINITY here; its branch stays for the public constant."""
+    theta, r = source.theta, source.radius
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sp, cp = np.sin(phi), np.cos(phi)
+        nu_x, nu_y, chi = _coframe(np.cos(theta), np.sin(theta), sp, cp, r, p1)
+        stretch = cp / chi
+        columns = np.array([theta + math.pi / 2 - phi, source.x + stretch * nu_x,
+                            source.y + stretch * nu_y,
+                            _radius(r, source.radius_prime, sp, cp, p1, p2), np.abs(stretch)])
+    cusp, flat, at_infinity = r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0
+    bad = cusp | flat | at_infinity
+    flag = np.zeros(theta.shape, dtype=int)
+    if bad.any():
+        flag[at_infinity], flag[flat], flag[cusp] = AT_INFINITY, FLAT_TILT, CUSP  # the last wins
+        columns[:, bad] = math.nan
+    return (*columns, flag)
 
 
 def caustic_curve(
@@ -227,28 +258,7 @@ def caustic_curve(
     are not dropped: they are flagged and carry NaN in every float column.
     """
     source = reconstruct(curve, interval)
-    theta, r = source.theta, source.radius
-    phi, p1, p2 = tilt(theta)
-    nu, chi = coframe(theta, r, phi, p1)
-    flag = np.select(
-        [r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0],
-        [CUSP, FLAT_TILT, AT_INFINITY],
-        OK,
-    )
-    ok = flag == OK
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stretch = np.where(ok, np.cos(phi) / chi, math.nan)
-    radius1 = np.full(len(theta), math.nan)
-    radius1[ok] = caustic_radius(r[ok], source.radius_prime[ok], phi[ok], p1[ok], p2[ok])
-    return Caustic(
-        caustic_theta=np.where(ok, theta + math.pi / 2 - phi, math.nan),
-        x=source.x + stretch * nu[:, 0],
-        y=source.y + stretch * nu[:, 1],
-        caustic_radius=radius1,
-        ray_length=np.abs(stretch),
-        flag=flag,
-        source=source,
-    )
+    return Caustic(*_caustic_columns(source, *tilt(source.theta)), source=source)
 
 
 def similarity_residual(

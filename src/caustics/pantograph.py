@@ -485,7 +485,10 @@ def _mirror_samples(solution: PantographSolution, grid) -> CurveSamples:
     order = np.argsort(-reach, kind="stable")
     states = _climb_chains(solution.series, nodes[order], reach[order], depth.max() + 1)
     slot = reach - np.arange(depth.max() + 1)[:, None]
-    r, rp = np.where(slot >= 0, states[:, slot.clip(0), np.argsort(order)], 0.0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    flat = np.maximum(slot, 0) * order.size + inverse  # into the states' (level, angle) plane
+    r, rp = np.where(slot >= 0, states.reshape(2, -1).take(flat, axis=1), 0.0)
     chain = nodes * 2.0 ** np.arange(depth.max() + 1)[:, None]
     x, y, s = (np.zeros_like(chain) for _ in range(3))
     x[0], y[0], s[0] = _integrate(lambda t: continue_R(solution, t), nodes, r[0], rp[0])

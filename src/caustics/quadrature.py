@@ -32,6 +32,10 @@ accepted so far plus the estimates still open fit in ``tol``.  Panels that reach
 width unconverged are kept, but if their errors sum to more than ``tol``, ``NumericError`` is
 raised; so it is when a level leaves more than ``_MAX_PANELS`` panels open, or when the
 error still misses ``tol`` after ``_MAX_LEVELS`` levels (a jump that every bisection keeps inside).
+A jump between a cell's end and the rules' outermost nodes (P15's, 0.003 h from the end) is
+invisible to every rule, and the cell is integrated as if it were absent: the node-jet rule may
+reject the cell on its end values, but G3, K7 and P15 read only inner nodes and agree.  A unit
+step at 0.3 on edges ``[0, 1024]`` returns 1024, not 1023.7; on ``[0, 1]`` it returns 0.7.
 """
 from __future__ import annotations
 
@@ -240,7 +244,8 @@ def panel_integrals(
     Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and
     ``NumericError`` when panels at rounding width hold more than ``tol`` of
     estimated error, refinement leaves more than ``_MAX_PANELS`` panels open, or
-    ``_MAX_LEVELS`` levels end unconverged.
+    ``_MAX_LEVELS`` levels end unconverged.  A jump between a cell's end and
+    its outermost node is integrated as if absent (see the module docstring).
     """
     if not _checks.real("tol", tol) > 0:
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")

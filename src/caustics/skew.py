@@ -262,7 +262,8 @@ def delay_roots(
     One root per requested Lambert branch:
     ``lambda_k = W_k(rhs)/alpha - tan(phi0)`` with
     ``rhs = alpha a e^(alpha tan phi0)/cos(phi0)``.  Each returned root is
-    verified against the characteristic equation to 1e-10.
+    verified against the characteristic equation to ``1e-10 max(1, |a / cos phi0|)``:
+    absolute while |a / cos phi0| <= 1, relative beyond.
     """
     phi0 = _check_phi0(phi0)
     factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
@@ -276,16 +277,16 @@ def delay_roots(
     except OverflowError:
         rhs = math.inf
     rhs = _checks.real("the Lambert argument alpha a e^(alpha tan phi0) / cos phi0", rhs)
+    bound = 1e-10 * max(1.0, abs(factor_a / math.cos(phi0)))
     roots: list[CharacteristicRoot] = []
     for k in _checks.items("indices", indices):
         k = _checks.integer("indices", k)
         w = lambert_w(k, rhs)
         lam = complex(w) / alpha - tphi
         resid = abs((lam + tphi) * cmath.exp(alpha * lam) - factor_a / math.cos(phi0))
-        if not resid <= 1e-10:
-            raise NumericError(
-                f"characteristic residual {resid:.3e} on branch {k} exceeds 1e-10"
-            )
+        if not resid <= bound:
+            raise NumericError(f"characteristic residual {resid:.3e} on branch {k} exceeds "
+                               f"1e-10 max(1, |a / cos phi0|) = {bound:.3e}")
         roots.append(CharacteristicRoot(branch=k, value=lam))
     return roots
 

@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from caustics.caustic import (
+    AT_INFINITY,
+    CUSP,
     FLAT_TILT,
+    FLAT_TILT_GUARD,
     OK,
     Caustic,
     SimilaritySpec,
@@ -23,7 +27,7 @@ from caustics.errors import (
     ValidationError,
 )
 from caustics.csvio import write_caustic_csv
-from caustics.inclination import AngleInterval, circle, cycloid, log_spiral
+from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, polynomial_curve
 from caustics.oracle import envelope_gap, rays_from_tilt
 from caustics.skew import SkewFamilySpec, build_family, implied_alpha
 
@@ -153,6 +157,42 @@ def test_flat_tilt_is_an_error():
     caus = caustic_curve(circle(), flat, AngleInterval(0.0, 1.0, 9))
     assert caus.flag[3] == FLAT_TILT
     assert list(caus)[3].error.startswith("FlatCausticError: ")
+
+
+def test_caustic_curve_columns_are_the_public_kernels_on_ok_nodes(rng):
+    # R = t^3 - t/4 vanishes exactly at the nodes -0.5, 0 and 0.5.  Five nodes, 0 among them,
+    # get a flat tilt with phi'' = +-1e300 (one with phi' = 1 exactly), so the formulas
+    # overflow and divide by zero there; warnings are errors.
+    grid = np.linspace(-1.0, 1.0, 33)
+    phi, p1, p2 = rng.uniform(-1.2, 1.2, 33), rng.uniform(-2.0, 0.9, 33), rng.normal(size=33)
+    flat = np.array([3, 11, 16, 20, 29])
+    p1[flat] = 1.0 + rng.uniform(-0.9, 0.9, 5) * FLAT_TILT_GUARD
+    p1[flat[1]] = 1.0
+    p2[flat] = 1e300 * rng.choice([-1.0, 1.0], 5)
+    tilt = TiltField(lambda t: (phi, p1, p2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        caus = caustic_curve(polynomial_curve([0.0, -0.25, 0.0, 1.0]), tilt, grid)
+        src = caus.source
+        nu, chi = coframe(src.theta, src.radius, phi, p1)
+        want = np.select([src.radius == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0],
+                         [CUSP, FLAT_TILT, AT_INFINITY], OK)
+        ok = want == OK
+        radius1 = caustic_radius(src.radius[ok], src.radius_prime[ok], phi[ok], p1[ok], p2[ok])
+    assert np.array_equal(src.theta, grid)
+    assert caus.flag.dtype == want.dtype and np.array_equal(caus.flag, want)
+    assert np.flatnonzero(want == CUSP).tolist() == [8, 16, 24]
+    assert np.flatnonzero(want == FLAT_TILT).tolist() == [3, 11, 20, 29]
+    stretch = np.cos(phi[ok]) / chi[ok]
+    for got, value in [
+        (caus.caustic_theta, src.theta[ok] + math.pi / 2 - phi[ok]),
+        (caus.x, src.x[ok] + stretch * nu[ok, 0]),
+        (caus.y, src.y[ok] + stretch * nu[ok, 1]),
+        (caus.caustic_radius, radius1),
+        (caus.ray_length, np.abs(stretch)),
+    ]:
+        assert (got[ok] == value).all()
+        assert np.isnan(got[~ok]).all()
 
 
 def test_scalar_valued_tilt_broadcasts():

@@ -200,6 +200,14 @@ def test_delay_roots_residual_bound(rng):
             assert abs(lhs - a / math.cos(phi0)) < 1e-10
 
 
+def test_delay_roots_residual_bound_is_relative_past_one():
+    # |a / cos phi0| = 1e5: the correctly rounded root's residual, about 1e-10, is 1e-15 of it.
+    (root,) = delay_roots(1e5, 1.0, 0.0, [0])
+    lam = root.value
+    assert abs(lam * cmath.exp(lam) - 1e5) <= 1e-10 * 1e5
+    assert abs(lam.real - 9.284571428622108) < 1e-12 and lam.imag == 0.0
+
+
 def test_delay_roots_branch_availability():
     with pytest.raises(ValidationError):
         delay_roots(1.0, -0.5, 0.0, (0, -1))

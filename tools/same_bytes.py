@@ -98,6 +98,10 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
      False),
     ("circle_evolute_65537", "caustic --curve circle --tilt evolute --samples 65537"
                              " --out-csv evolute.csv --out-svg evolute.svg", False),
+    # A caustic at the skew families' grid size with a flagged row: theta = 0 is a node, a
+    # cusp of the cycloid, and its stdout reads flagged=1.
+    ("cycloid_reflection_33", "caustic --curve cycloid --tilt reflection --interval=-1:1"
+                              " --samples 33 --out-csv c.csv --out-svg c.svg", False),
     # README's "Command line" examples; its pantograph one is pantograph_m2_order30.
     ("readme_curve", "curve --curve log_spiral:amplitude=1,growth=0.15 --interval 0:4pi"
                      " --samples 257 --out-csv spiral.csv --out-svg spiral.svg", False),
