@@ -334,11 +334,14 @@ def _run_verify(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise ValidationError(f"seed must be non-negative, got {args.seed}")
     checks = verify.run(args.suite, args.samples, args.seed)
-    width = max(len(name) for name, _, _ in checks)
-    for name, value, limit in checks:
+    width = max(len(name) for name, *_ in checks)
+    for name, value, limit, draw in checks:
         verdict = "PASS" if value <= limit else "FAIL"
-        print(f"{verdict}  {name:<{width}}  value={value:.3e}  bound={limit:.1e}")
-    failures = sum(not value <= limit for _, value, limit in checks)
+        line = f"{verdict}  {name:<{width}}  value={value:.3e}  bound={limit:.1e}"
+        if verdict == "FAIL" and draw is not None:
+            line += f"  draw={draw[0]} params={draw[1]!r}"
+        print(line)
+    failures = sum(not value <= limit for _, value, limit, _ in checks)
     print(f"checks={len(checks)} failures={failures}")
     if failures:
         raise NumericError(f"{failures} verification check(s) failed")

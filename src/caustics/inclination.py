@@ -485,5 +485,5 @@ def polynomial_curve(coefficients: Sequence[float]) -> InclinationCurve:
     dpoly = poly.deriv()
     return InclinationCurve(
         jet=lambda t: (poly(np.asarray(t, dtype=float)), dpoly(np.asarray(t, dtype=float))),
-        label="series(" + ",".join(f"{c:g}" for c in coeffs) + ")",
+        label="poly(" + ",".join(f"{c:g}" for c in coeffs) + ")",
     )

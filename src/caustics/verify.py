@@ -1,14 +1,18 @@
 """The checks of ``caustics verify``: one table of ``(suite, name, check, bound)`` rows.
 
 ``check(n, seed)`` measures a row at ``n`` samples and a random ``seed``.  ``bound`` is a number,
-or ``bound(n)`` where it grows with ``n``.  ``semicircle_reflection_hausdorff``, the node-by-node
-``envelope_gap`` of a reflecting semicircle, keeps its name and is held to a fixed 1e-3; every other
-bound is at most 100x the row's worst value over seeds 0-9 at 2 000 samples, and a row that
-reads exactly 0 is held to 4 ulps of its reference.  The library is called through its
-modules (``oracle.envelope_gap``), so that whatever wraps a module's functions sees these calls.
+or ``bound(n)`` where it grows with ``n``.  A sweep row (``_sweep``) draws its parameters from
+the seed, and its check returns ``(value, draw)`` with the draw that set the value; an order
+row (``_order``) is the ratio of a measure at two step sizes.
+``semicircle_reflection_hausdorff``, the node-by-node ``envelope_gap`` of a reflecting
+semicircle, keeps its name and is held to a fixed 1e-3; every other bound is at most 100x the
+row's worst value over seeds 0-9 at 2 000 samples, and a row that reads exactly 0 is held to
+4 ulps of its reference.  The library is called through its modules (``oracle.envelope_gap``),
+so that whatever wraps a module's functions sees these calls.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,6 +32,30 @@ _REFLECTION_LEAST = 4001  # reflection_matches_tilt_field runs at max(n, 4001) s
 def _rounding(size):
     """10 roundings a sample at ``size(n)`` samples: the oracle rows grow as about 0.3 eps n."""
     return lambda n: 10 * np.finfo(float).eps * size(n)
+
+
+def _sweep(draw, measure, count):
+    """A row whose value is the worst ``measure(params, n)`` over ``count(n)`` draws.
+
+    ``draw(rng)`` sees only the seeded generator and returns the parameters of one draw, or
+    ``None`` where an input rule rejects them, so a rejection never reads a measurement.  The
+    check returns ``(value, (index, params))``: the worst value and the draw that set it, the
+    first such draw on a tie and the first NaN if one is measured.
+    """
+    def check(n, seed):
+        rng = np.random.default_rng(seed)
+        drawn = [(index, params) for index in range(count(n))
+                 if (params := draw(rng)) is not None]
+        values = [measure(params, n) for _, params in drawn]
+        worst = int(np.argmax(values))
+        return values[worst], drawn[worst]
+    return check
+
+
+def _order(measure, size):
+    """A row whose value is ``measure(m) / measure(m // 2)`` at ``m = size(n)``: about
+    ``2^-p`` for an error of order ``p`` in the step."""
+    return lambda n, seed: measure(size(n)) / measure(size(n) // 2)
 
 
 def _circle_focus(n, seed):
@@ -53,11 +81,6 @@ def _reflection_directions(n, seed):
     return float(np.max(np.linalg.norm(family.directions[1:-1] - want[1:-1], axis=1)))
 
 
-def _step_halving(n, seed):
-    n = max(n // 2, 500)
-    return _reflection_gap(0.2, 1.2, n) / _reflection_gap(0.2, 1.2, n // 2)
-
-
 def _mirror(k):
     window = AngleInterval(0.01, 2 * math.pi, 257)
     return lambda n, seed: pantograph.mirror_equation_residual(
@@ -75,16 +98,16 @@ def _frenet(n, seed):
     return inclination.frenet_residual(inclination.reconstruct(inclination.circle(1.0), window))
 
 
-def _lambert_sweep(n, seed):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(max(50, n // 10)):
-        radius = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
-        angle = rng.uniform(-math.pi, math.pi)
-        z = radius * complex(math.cos(angle), math.sin(angle))
-        w = complex(specfun.lambert_w(int(rng.integers(-3, 4)), z))
-        worst = max(worst, abs(w * np.exp(w) - z) / max(abs(z), 1.0))
-    return worst
+def _lambert_draw(rng):
+    radius = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+    angle = rng.uniform(-math.pi, math.pi)
+    return int(rng.integers(-3, 4)), radius * complex(math.cos(angle), math.sin(angle))
+
+
+def _lambert_residual(params, n):
+    branch, z = params
+    w = complex(specfun.lambert_w(branch, z))
+    return abs(w * np.exp(w) - z) / max(abs(z), 1.0)
 
 
 def _zeta(order, reference):
@@ -98,7 +121,8 @@ TABLE = (
      lambda n, seed: _reflection_gap(0.01, math.pi - 0.01, n), 1e-3),
     ("oracle", "reflection_matches_tilt_field", _reflection_directions,
      _rounding(lambda n: max(n, _REFLECTION_LEAST))),
-    ("oracle", "step_halving_ratio", _step_halving, 0.5),
+    ("oracle", "step_halving_ratio",
+     _order(functools.partial(_reflection_gap, 0.2, 1.2), lambda n: max(n // 2, 500)), 0.5),
     ("residuals", "pantograph_residual_cycloid", _mirror(0), 2e-14),
     ("residuals", "pantograph_residual_m2", _mirror(1), 1e-8),
     ("residuals", "skew_point_residual",
@@ -108,7 +132,8 @@ TABLE = (
     ("residuals", "skew_delay_residual",
      _skew(SkewFamilySpec("delay", 0.0, 1.0, math.pi / 2, (1,), ((1.0, 0.5),))), 1e-12),
     ("residuals", "frenet_circle_residual", _frenet, 1e-3),
-    ("specfun", "lambert_residual_sweep", _lambert_sweep, 1e-13),
+    ("specfun", "lambert_residual_sweep",
+     _sweep(_lambert_draw, _lambert_residual, lambda n: max(50, n // 10)), 1e-13),
     ("specfun", "tan_series_at_1",
      lambda n, seed: abs(float(specfun.tan_coeffs(30).eval(1.0)) - math.tan(1.0)), 5e-11),
     _zeta(2, math.pi**2 / 6.0),
@@ -116,8 +141,14 @@ TABLE = (
 )
 
 
-def run(suite: str, n: int, seed: int) -> list[tuple[str, float, float]]:
-    """``(name, value, bound)`` of each row of ``suite`` (every row for ``"all"``), in table
-    order; a row passes where ``value <= bound``."""
-    return [(name, check(n, seed), bound(n) if callable(bound) else bound)
-            for row_suite, name, check, bound in TABLE if suite in (row_suite, "all")]
+def run(suite: str, n: int, seed: int) -> list[tuple[str, float, float, tuple | None]]:
+    """``(name, value, bound, draw)`` of each row of ``suite`` (every row for ``"all"``), in
+    table order; a row passes where ``value <= bound``.  ``draw`` is a sweep row's worst draw,
+    ``(index, params)``, and ``None`` for any other row."""
+    rows = []
+    for row_suite, name, check, bound in TABLE:
+        if suite in (row_suite, "all"):
+            result = check(n, seed)
+            value, draw = result if isinstance(result, tuple) else (result, None)
+            rows.append((name, value, bound(n) if callable(bound) else bound, draw))
+    return rows

@@ -14,10 +14,18 @@ import pytest
 import caustics
 from caustics import caustic, cli, pantograph, specfun
 from caustics.cli import main, parse_angle, parse_interval
-from caustics.csvio import write_table
+from caustics.caustic import TiltField, caustic_curve
+from caustics.csvio import write_curve_csv, write_table
 from caustics.errors import ValidationError
-from caustics.inclination import AngleInterval, find_cusps, reconstruct
-from caustics.pantograph import PantographSolution, mirror_report, solve_series
+from caustics.inclination import AngleInterval, find_cusps, polynomial_curve, reconstruct
+from caustics.pantograph import (
+    PantographSolution,
+    mirror_report,
+    parabola_mirror,
+    solution_curve,
+    solve_series,
+)
+from caustics.skew import SkewFamilySpec, build_family
 from caustics.svg import write_scene
 
 
@@ -91,6 +99,22 @@ def test_curve_csv_round_trip(tmp_path, capsys, read_csv):
     assert path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("text, curve, label", [
+    ("parabola:scale=2", lambda: parabola_mirror(2.0), "parabola(A=2)"),
+    ("poly:coefficients=1+pi/4+0.5", lambda: polynomial_curve([1.0, math.pi / 4, 0.5]),
+     "poly(1,0.785398,0.5)"),
+], ids=["parabola", "poly"])
+def test_parabola_and_poly_curves_write_their_reconstruction(tmp_path, capsys, text, curve,
+                                                              label):
+    path, want = tmp_path / "c.csv", tmp_path / "want.csv"
+    code, out, err = run_cli(capsys, "curve", "--curve", text, "--interval", "0.5:2.5",
+                             "--samples", "33", "--out-csv", str(path))
+    assert code == 0, err
+    assert out.splitlines()[:2] == [f"curve={label}", "samples=33"]
+    write_curve_csv(want, reconstruct(curve(), AngleInterval(0.5, 2.5, 33)))
+    assert path.read_bytes() == want.read_bytes()
+
+
 def test_curve_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -158,6 +182,21 @@ def test_skew_run_reports_residual(capsys):
     assert code == 0
     residual = float(out.split("residual=")[1].splitlines()[0])
     assert residual < 1e-9
+
+
+def test_skew_writes_its_mirror_table_and_scene(tmp_path, capsys):
+    csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+    code, _, err = run_cli(capsys, "skew", "--phi0", "0.3", "--samples", "17",
+                           "--out-csv", str(csv), "--out-svg", str(svg))
+    assert code == 0, err
+    curve = build_family(SkewFamilySpec("point_by_point", 0.3, 1.2))
+    window = AngleInterval(-math.pi, math.pi, 17)
+    caus = caustic_curve(curve, TiltField.skew(0.3), window)
+    write_curve_csv(tmp_path / "want.csv", reconstruct(curve, window))
+    write_scene(tmp_path / "want.svg", mirror=[caus.source.points], caustic=[caus.points])
+    assert csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert svg.read_bytes() == (tmp_path / "want.svg").read_bytes()
+    assert re.findall(r'<g id="(\w+)"', svg.read_text()) == ["mirror", "caustic"]
 
 
 def test_skew_delay_with_a_long_shift(capsys):
@@ -253,6 +292,19 @@ def _distance_to_polyline(points, line):
     a, d = line[:-1], np.diff(line, axis=0)
     u = np.clip(((points[:, None] - a) * d).sum(-1) / np.maximum((d * d).sum(-1), 1e-300), 0, 1)
     return np.min(np.linalg.norm(a + u[..., None] * d - points[:, None], axis=-1), axis=1)
+
+
+def test_pantograph_without_a_report_draws_only_the_mirror(tmp_path, capsys):
+    # m = -1 (k = -2) has no mirror report, so its scene is the reconstructed mirror alone.
+    path, want = tmp_path / "m.svg", tmp_path / "want.svg"
+    code, out, err = run_cli(capsys, "pantograph", "--m", "-1", "--order", "12",
+                             "--interval", "0.05:2pi", "--samples", "17", "--out-svg", str(path))
+    assert code == 0, err
+    assert out.splitlines() == ["m=-1", "k=-2", "a=1", f"wrote_svg={path}"]
+    curve = solution_curve(PantographSolution(solve_series(-2, n_max=12)))
+    write_scene(want, mirror=[reconstruct(curve, AngleInterval(0.05, 2 * math.pi, 17)).points])
+    assert path.read_bytes() == want.read_bytes()
+    assert re.findall(r'<g id="(\w+)"', path.read_text()) == ["mirror"]
 
 
 @pytest.mark.parametrize(

@@ -337,6 +337,27 @@ def test_step_in_integrand_stops_on_global_budget():
     assert np.max(np.abs(np.cumsum(pieces) - exact)) <= 1e-10
 
 
+def test_panels_at_their_rounding_floor_end_refinement_above_tol(monkeypatch):
+    # Every open panel passes its share of tol or its rounding floor 50 eps int |f| by level
+    # 29, while the error summed stays above tol = 1e-10: the floor rule returns the result.
+    levels = []
+
+    def counted(fn, lo, *args):
+        levels.append(lo.size)
+        return level(fn, lo, *args)
+
+    level = quadrature._level
+    monkeypatch.setattr(quadrature, "_level", counted)
+    edges = np.linspace(0.0, 1.0, 5)
+    f = 1e6 * (1 + np.abs(edges - 0.3) ** 1.5)
+    df = 1.5e6 * np.sign(edges - 0.3) * np.abs(edges - 0.3) ** 0.5
+    got = panel_integrals(lambda t: 1e6 * (1 + np.abs(t - 0.3) ** 1.5)[None], edges, 1e-10,
+                          ends=(f[None], df[None]))[0]
+    want = 1e6 * np.diff(edges + np.sign(edges - 0.3) * np.abs(edges - 0.3) ** 2.5 / 2.5)
+    assert len(levels) == 30
+    assert np.abs(got - want).sum() <= 1e-10 + 50 * np.finfo(float).eps * want.sum()
+
+
 def test_refinement_past_the_panel_cap_raises_before_evaluating(monkeypatch):
     # sin over a million radians misses the budget at every width the cap allows.
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)

@@ -45,6 +45,8 @@ FIGURES = {  # demo script -> the figures it writes to out/, 7 in all
 ROWS = [(name, command.split(), capped) for name, command, capped in [
     # The largest oracle envelope comparison the CLI runs.
     ("verify_oracle_4001", "verify --suite oracle --samples 4001", False),
+    # Every row past seed 0, the Lambert sweep at 400 draws.
+    ("verify_all_4001_seed9", "verify --suite all --samples 4001 --seed 9", False),
     # Deep mirror doublings, and the deepest continuation (doubling depth 11).
     ("pantograph_m3_deep", "pantograph --m 3 --order 60 --interval 0:6pi --samples 513"
                            " --out-svg deep.svg", False),
