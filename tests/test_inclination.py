@@ -351,7 +351,27 @@ def _counted(curve):
     return dataclasses.replace(curve, jet=counted), calls
 
 
-@pytest.mark.parametrize("k, n_max", [(0, 30), (0, 60), (1, 30), (1, 60), (2, 30), (2, 60)])
+# The k = 1 mirror's cusps on [0, 12 pi], as float.hex, at n_max 30 and 60.
+MIRROR_K1_CUSPS = {
+    30: ("0x1.c036cebd20d32p+1 0x1.b4aee5ece9790p+2 0x1.36ae332e32354p+3 0x1.abc5c7fc58482p+3 "
+         "0x1.ffa3e0603d6b8p+3 0x1.3467bce550b0ep+4 0x1.63ee603603a6ep+4 0x1.a4ba79ce87edap+4 "
+         "0x1.ca2c2ca6cc3d8p+4 0x1.fd63810c1f7bcp+4 0x1.16209040fea1cp+5"),
+    60: ("0x1.c036cebd20d34p+1 0x1.b4aee5ece9790p+2 0x1.36ae332e31548p+3 0x1.abc5c7fc5857ep+3 "
+         "0x1.ffa3e0603d582p+3 0x1.3467bce5500a2p+4 0x1.63ee6035fed5ap+4 0x1.a4ba79ce87edap+4 "
+         "0x1.ca2c2ca6cc3d6p+4 0x1.fd63810c1f790p+4 0x1.16209040fe9e8p+5"),
+}
+
+
+# Per (k, n_max), the size of each radius call in that search: the grid, then three points per
+# live bracket.
+MIRROR_CALL_SIZES = {
+    (0, 30): [513, 33, 24, 24], (0, 60): [513, 33, 24, 24],
+    (1, 30): [513, 33, 33, 33, 24], (1, 60): [513, 33, 33, 33, 24],
+    (2, 30): [513, 33, 33, 33, 27], (2, 60): [513, 33, 33, 33, 27],
+}
+
+
+@pytest.mark.parametrize("k, n_max", MIRROR_CALL_SIZES)
 def test_cusp_refinement_takes_few_radius_calls(k, n_max):
     curve = solution_curve(PantographSolution(solve_series(k, n_max=n_max)))
     counted, calls = _counted(curve)
@@ -359,6 +379,9 @@ def test_cusp_refinement_takes_few_radius_calls(k, n_max):
     assert len(cusps) == 11
     # One grid pass, then at most five secant steps that a squeeze pair closes.
     assert len(calls) <= 6
+    assert calls == MIRROR_CALL_SIZES[k, n_max]
+    if k == 1:
+        assert " ".join(c.hex() for c in cusps) == MIRROR_K1_CUSPS[n_max]
 
 
 def _pole(x):
@@ -412,6 +435,20 @@ def test_hard_zeros_stay_within_the_bisection_budget(name):
         assert np.sign(fn(np.array(z - 0.51 * tol))) != np.sign(fn(np.array(z + 0.51 * tol)))
 
 
+# The families-style puiseux draw's 33 cusps on [-8 pi, 8 pi], as float.hex.
+PUISEUX_DRAW_CUSPS = (
+    "-0x1.8e2476a3e6ec8p+4 -0x1.75422f39a87e2p+4 -0x1.5c5fe7cf6a0fap+4 -0x1.437da0652b992p+4 "
+    "-0x1.2a9b58faed2aap+4 -0x1.11b91190aec40p+4 -0x1.f1ad944ce0aaep+3 -0x1.bfe9057863cdap+3 "
+    "-0x1.8e2476a3e6efep+3 -0x1.5c5fe7cf6a114p+3 -0x1.2a9b58faed358p+3 -0x1.f1ad944ce0b10p+2 "
+    "-0x1.8e2476a3e6f74p+2 -0x1.2a9b58faed3dcp+2 -0x1.8e2476a3e7082p+1 -0x1.8e2476a3e7282p+0 "
+    "0x0.0p+0 0x1.8e2476a3e7282p+0 0x1.8e2476a3e6c92p+1 0x1.2a9b58faed1eep+2 "
+    "0x1.8e2476a3e6d9ap+2 0x1.f1ad944ce095ap+2 0x1.2a9b58faed2a0p+3 0x1.5c5fe7cf6a04cp+3 "
+    "0x1.8e2476a3e6e1cp+3 0x1.bfe9057863beap+3 0x1.f1ad944ce09b6p+3 0x1.11b91190aebc2p+4 "
+    "0x1.2a9b58faed2aap+4 0x1.437da0652b9fap+4 0x1.5c5fe7cf6a0fap+4 0x1.75422f39a8764p+4 "
+    "0x1.8e2476a3e6e4ep+4"
+)
+
+
 def test_puiseux_draw_refines_in_few_calls():
     # A families-style draw: 33 brackets, all refined in four secant steps.
     counted, calls = _counted(puiseux_curve(-0.184, 2.02))
@@ -420,6 +457,8 @@ def test_puiseux_draw_refines_in_few_calls():
     placement = np.array(cusps) - np.round(np.array(cusps) * 2.02 / math.pi) * math.pi / 2.02
     assert np.max(np.abs(placement)) <= 1e-12
     assert len(calls) <= 6
+    assert calls == [257, 96, 96, 96, 96]
+    assert " ".join(c.hex() for c in cusps) == PUISEUX_DRAW_CUSPS
 
 
 def test_refine_tol_below_float_spacing_stops_at_adjacent_floats():

@@ -1,6 +1,7 @@
 """Series mirrors, doubling continuation and the feasibility report."""
 
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -97,8 +98,9 @@ def test_resonant_order_needs_secondary():
         solve_series(1, n_max=8, secondary=0.25)
 
 
+@functools.cache
 def _reference_series(k, n_max, leading, secondary):
-    """The coefficient recursion run from scratch for one seed pair."""
+    """The coefficient recursion run from scratch for one seed pair (cached: a tuple)."""
     a = similarity_factor(k)
     tau = tan_coeffs(max(1, (n_max - k) // 2 + 1)).exact
     coeffs = {k: Fraction(leading)}
@@ -133,6 +135,12 @@ def test_solve_series_matches_reference_recursion(monkeypatch, orders):
                     assert got.exact == want, (k, n_max, leading, secondary)
                     floats = np.array([float(c) for c in want])
                     assert got.coefficients.tobytes() == floats.tobytes()
+    # Extend the warm basis from order 41 to 120 in one call.
+    for k in (-2, 1, 3):
+        got = solve_series(k, 120, exact=True)
+        want = _reference_series(k, 120, 1, None)
+        assert got.exact == want, k
+        assert got.coefficients.tobytes() == np.array([float(c) for c in want]).tobytes()
 
 
 def test_recursion_denominators_vanish_only_at_the_resonance():

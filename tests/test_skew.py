@@ -244,6 +244,41 @@ def test_delay_curve_oscillatory_branch():
     assert res < 1e-9
 
 
+def _broadcast_delay_jet(spec, roots):
+    """The delay jet with the roots on the last axis, summed by ``np.sum(axis=-1)``."""
+    xi = np.array([rt.value.real for rt in roots])
+    eta = np.array([rt.value.imag for rt in roots])
+    amp_a, amp_b = np.array(spec.coefficients).T
+    ca, cb = amp_a * xi + amp_b * eta, amp_b * xi - amp_a * eta
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        grow, c, s = np.exp(xi * t), np.cos(eta * t), np.sin(eta * t)
+        return (np.sum(grow * (amp_a * c + amp_b * s), axis=-1),
+                np.sum(grow * (ca * c + cb * s), axis=-1))
+
+    return jet
+
+
+@pytest.mark.parametrize("n_roots", [1, 2, 5, 8, 9, 12, 20])
+def test_delay_jet_matches_the_broadcast_sum_bit_for_bit(n_roots):
+    # Branches 0, 1, -1, 2, -2, ...; the window's ends overflow and underflow exp, so the sums
+    # also meet inf, nan and signed zeros.
+    indices = tuple((i + 1) // 2 * (-1) ** (i + 1) for i in range(n_roots))
+    rng = np.random.default_rng(n_roots)
+    spec = SkewFamilySpec("delay", phi0=0.3, factor_a=0.9, alpha=0.8, root_indices=indices,
+                          coefficients=tuple(map(tuple, rng.uniform(-1, 1, (n_roots, 2)))))
+    roots = delay_roots(0.9, 0.8, 0.3, indices)
+    got, want = delay_curve(spec, roots).jet, _broadcast_delay_jet(spec, roots)
+    t1 = np.concatenate([np.linspace(-30, 30, 3000), [-800.0, 800.0, 0.0, -0.0]])
+    for t in (0.7, np.float64(-2.5), t1, t1.reshape(4, 751), t1[:768].reshape(2, 3, 128)):
+        with np.errstate(all="ignore"):
+            pairs = list(zip(got(t), want(t)))
+        for g, w in pairs:
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
 def test_delay_curve_validation():
     spec = SkewFamilySpec("delay", phi0=0.0, factor_a=1.0, alpha=1.0)
     roots = delay_roots(1.0, 1.0, 0.0, indices=(0, -1))
