@@ -305,10 +305,9 @@ def _cell_integrals(jet, lo, hi, lo_jet, hi_jet) -> np.ndarray:
                           (*_ends(lo, *lo_jet), *_ends(hi, *hi_jet)))
 
 
-def _two_best(x: np.ndarray, fx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the two columns of ``x`` with the smallest ``|fx|``, earlier columns on ties."""
-    order = np.argsort(np.abs(fx), axis=1, kind="stable")[:, :2]
-    return np.take_along_axis(x, order, axis=1), np.take_along_axis(fx, order, axis=1)
+def _first(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Whether ``|fx|`` sorts no later than ``|fy|``: smaller or equal, or ``fy`` NaN."""
+    return (np.abs(fx) <= np.abs(fy)) | np.isnan(fy)
 
 
 def _refine_zeros(
@@ -329,41 +328,50 @@ def _refine_zeros(
     ``ceil(log2(w0 / tol)) + 2`` calls, at its midpoint, or sooner once its
     ends are adjacent floats.
     """
-    lo, hi = lo.copy(), hi.copy()
-    slo = np.sign(flo)
-    # Secant iterates, the one with the smaller |fn| first.
-    its, fits = _two_best(np.column_stack([lo, hi]), np.column_stack([flo, fhi]))
+    out = 0.5 * (lo + hi)
+    # Per live bracket: ends a < b, the sign of fn at a, secant iterates q and p (smaller |fn|
+    # first, NaN last, the earlier on ties), fn at them, the budget and the index in out.
+    lo_first = _first(flo, fhi)
+    a, b, slo, idx = lo, hi, np.sign(flo), np.arange(lo.size)
+    q, p = np.where(lo_first, lo, hi), np.where(lo_first, hi, lo)
+    fq, fp = np.where(lo_first, flo, fhi), np.where(lo_first, fhi, flo)
     h = 0.45 * tol
+    squeeze = np.array([-h, 0.0, h])
     budget = np.ceil(np.log2(hi - lo) - np.log2(tol)).astype(int) + 2
     for k in range(budget.max(initial=0)):
         # A bracket whose ends are adjacent floats cannot shrink further.
-        live = np.flatnonzero((hi - lo > tol) & (np.nextafter(lo, hi) < hi))
-        if live.size == 0:
-            break
-        a, b = lo[live], hi[live]
+        live = (b - a > tol) & (np.nextafter(a, b) < b)
+        if not live.all():
+            out[idx] = 0.5 * (a + b)
+            a, b, slo, q, p, fq, fp, budget, idx = (
+                v[live] for v in (a, b, slo, q, p, fq, fp, budget, idx))
+            if idx.size == 0:
+                break
         w = b - a
-        (q, p), (fq, fp) = its[live].T, fits[live].T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = q - fq * (q - p) / (fq - fp)
-        secant = np.isfinite(t) & (w <= np.ldexp(tol, budget[live] - k - 1))
-        t = np.clip(t[secant], a[secant] + 1.01 * h, b[secant] - 1.01 * h)
-        pts = np.column_stack([a + 0.25 * w, 0.5 * (a + b), b - 0.25 * w])
-        pts[secant] = t[:, None] + np.array([-h, 0.0, h])
+        secant = np.isfinite(t) & (w <= np.ldexp(tol, budget - (k + 1)))
+        t = np.minimum(np.maximum(t, a + 1.01 * h), b - 1.01 * h)
+        nodes = np.column_stack([a, a + 0.25 * w, 0.5 * (a + b), b - 0.25 * w])
+        pts = nodes[:, 1:]
+        pts[secant] = t[secant, None] + squeeze
         f = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
-        # The first node, from lo, whose sign differs from lo's; hi always does.
-        nodes = np.column_stack([a, pts, b])
+        # The new bracket ends at the first point whose sign differs from a's (at b if none
+        # does) and starts at the node before it, or at that point if fn is 0 there.
         s = np.sign(f)
-        j = np.argmax(np.column_stack([s != slo[live, None], np.ones(live.size, bool)]), axis=1)
-        rows = np.arange(live.size)
-        new_lo, new_hi = nodes[rows, j], nodes[rows, j + 1]
-        # A zero of fn collapses the bracket onto that node.
-        hit = (j < 3) & (s[rows, np.minimum(j, 2)] == 0.0)
-        new_lo[hit] = new_hi[hit]
-        lo[live], hi[live] = new_lo, new_hi
-        its[live], fits[live] = _two_best(
-            np.column_stack([pts[:, 1], its[live]]), np.column_stack([f[:, 1], fits[live]])
-        )
-    return 0.5 * (lo + hi)
+        differs = s != slo[:, None]
+        starts = np.where(s == 0.0, pts, nodes[:, :3])
+        a = pts[:, 2]
+        for i in (2, 1, 0):
+            a = np.where(differs[:, i], starts[:, i], a)
+            b = np.where(differs[:, i], pts[:, i], b)
+        # The midpoint m joins the two iterates; the best two of the three go on.
+        m, fm = pts[:, 1], f[:, 1]
+        m_first, m_second = _first(fm, fq), _first(fm, fp)
+        q, p = np.where(m_first, m, q), np.where(m_first, q, np.where(m_second, m, p))
+        fq, fp = np.where(m_first, fm, fq), np.where(m_first, fq, np.where(m_second, fm, fp))
+    out[idx] = 0.5 * (a + b)
+    return out
 
 
 def find_cusps(

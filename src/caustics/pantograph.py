@@ -155,21 +155,25 @@ _UNIT_SERIES_LOCK = threading.Lock()
 
 def _unit_series(k: int, n_max: int) -> list[Fraction]:
     """u_k..u_{n_max}: the recursion seeded by a_k = 1 and, for k = -3, also
-    by a_{-2} = 1.  The cached rows are extended from the last order held."""
+    by a_{-2} = 1.  The cached rows are extended from the last order held, each
+    order's terms summed as integers over their denominators' lcm: one ``Fraction``."""
     with _UNIT_SERIES_LOCK:
         u = _UNIT_SERIES.setdefault(k, [Fraction(1)])
         if len(u) <= n_max - k:
-            a = similarity_factor(k)
             tau = tan_coeffs(max(1, (n_max - k) // 2 + 1)).exact
-            for n in range(k + len(u), n_max + 1):
+            for m in range(len(u), n_max - k + 1):
                 # 2^(n+3) a - n - 4 = (k+4)(2^m - 1) - m with m = n - k >= 1: positive for
                 # every k >= -3 except at k = -3, m = 1, where a_{-2} is free.
-                den = Fraction(2) ** (n + 3) * a - n - 4
+                den = (k + 4) * (2**m - 1) - m
                 if den == 0:
                     u.append(Fraction(1))
                     continue
-                terms = range(1, (n - k) // 2 + 1)
-                u.append(sum(tau[i] * (n - 2 * i) * u[n - 2 * i - k] for i in terms) / den)
+                # tau_i (n - 2i) u_{n-2i} as (numerator, denominator), i = 1..m/2.
+                terms = [(tau[i].numerator * (k + m - 2 * i) * u[m - 2 * i].numerator,
+                          tau[i].denominator * u[m - 2 * i].denominator)
+                         for i in range(1, m // 2 + 1)]
+                lcm = math.lcm(*(q for _, q in terms))
+                u.append(Fraction(sum(p * (lcm // q) for p, q in terms), lcm * den))
         return u[: n_max - k + 1]
 
 
@@ -190,8 +194,9 @@ def solve_series(
     there).  The recursion links a_n only to orders of its own parity and
     is linear in its seeds a_k = ``leading`` and a_{-2} = ``secondary``, so
     each a_n is its seed times one exact rational u_n that depends on k
-    alone.  That unit basis is computed once per k and extended on demand;
-    the process keeps one row per order per k requested, up to the highest
+    alone.  That unit basis is computed once per k and extended on demand, an
+    order's terms summed over their lcm denominator into one ``Fraction``; the
+    process keeps one row per order per k requested, up to the highest
     ``n_max`` asked for.  A call within the rows already held costs
     O(n_max) rational multiplications.  Each seed is read as a float, and all
     after it is exact rational; pass ``exact=True`` to keep those on the result.

@@ -30,6 +30,7 @@ import numpy as np
 from . import _checks
 from .errors import (
     DegenerateCurveError,
+    EvaluationError,
     NumericError,
     ValidationError,
 )
@@ -297,7 +298,9 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
     Each root contributes ``exp(xi theta) (A cos(eta theta) + B sin(eta
     theta))`` with its ``(A, B)`` pair from the spec.  Real roots use only
     A.  The coefficient list must match the root list position by
-    position, and at least one coefficient must be nonzero.
+    position, and at least one coefficient must be nonzero.  The jet puts
+    the roots on axis 0, so each ufunc runs along the angles, and adds their
+    terms in the grouping ``np.sum`` gives a last axis, bit for bit.
     """
     if spec.case != "delay":
         raise ValidationError(f"spec is a {spec.case!r} problem, not delay")
@@ -307,22 +310,24 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
         )
     if all(a == 0.0 and b == 0.0 for a, b in spec.coefficients):
         raise DegenerateCurveError("all coefficients vanish; the curve is a point")
-    xi = np.array([rt.value.real for rt in roots])
-    eta = np.array([rt.value.imag for rt in roots])
-    amp_a = np.array([ab[0] for ab in spec.coefficients])
-    amp_b = np.array([ab[1] for ab in spec.coefficients])
+    lam = np.array([rt.value for rt in roots], dtype=complex)[:, None]
+    xi, eta = lam.real, lam.imag
+    amp_a, amp_b = np.array(spec.coefficients).T[:, :, None]
 
-    # R' = sum exp(xi t) (ca cos(eta t) + cb sin(eta t)).
-    ca = amp_a * xi + amp_b * eta
-    cb = amp_b * xi - amp_a * eta
+    # R' = sum exp(xi t) (ca cos(eta t) + cb sin(eta t)).  Per root, the cos and the sin
+    # coefficients of R and R' on axis 1: (A, ca) and (B, cb).
+    on_cos = np.stack([amp_a, amp_a * xi + amp_b * eta], axis=1)
+    on_sin = np.stack([amp_b, amp_b * xi - amp_a * eta], axis=1)
 
     def jet(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        grow, c, s = np.exp(xi * t), np.cos(eta * t), np.sin(eta * t)
-        return (
-            np.sum(grow * (amp_a * c + amp_b * s), axis=-1),
-            np.sum(grow * (ca * c + cb * s), axis=-1),
-        )
+        t = np.asarray(t, dtype=float)
+        row = t.reshape(1, -1)
+        phase = (eta * row)[:, None]
+        terms = np.exp(xi * row)[:, None] * (on_cos * np.cos(phase) + on_sin * np.sin(phase))
+        # np.sum adds a contiguous last axis in turn from +0.0 below 8 terms, pairwise from 8.
+        total = (np.add.reduce(terms) if len(terms) < 8
+                 else np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1))
+        return tuple(total.reshape(2, *t.shape))
 
     labels = ",".join(str(rt.branch) for rt in roots)
     return InclinationCurve(
@@ -350,7 +355,8 @@ def skew_equation_residual(
     interval: AngleInterval,
     alpha: float = 0.0,
 ) -> float:
-    """Sup-norm defect of the constant-tilt similarity equation on a grid."""
+    """Sup-norm defect of the constant-tilt similarity equation on a grid; raises
+    ``EvaluationError`` at the first angle where R, R' or the shifted R is not finite."""
     phi0 = _check_phi0(phi0)
     factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
     if case not in _CASES:
@@ -365,10 +371,16 @@ def skew_equation_residual(
     else:
         arg = thetas - alpha
     _check_domain(curve, arg, "shifted argument")
-    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+    # A jet that overflows is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+        shifted = np.asarray(curve.jet(arg)[0], dtype=float)
+    finite = np.isfinite(r) & np.isfinite(rp) & np.isfinite(shifted)
+    if not finite.all():
+        raise EvaluationError(
+            f"R, R' or the shifted R is not finite at theta = {thetas[~finite][0]}")
     lhs = math.cos(phi0) * rp + math.sin(phi0) * r
-    rhs = factor_a * np.asarray(curve.jet(arg)[0], dtype=float)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(lhs - factor_a * shifted)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from caustics.caustic import (
     SimilaritySpec, TiltField, caustic_radius, coframe, similarity_residual)
 from caustics.csvio import write_coefficient_csv, write_table
 from caustics.errors import (
-    DegenerateCurveError, DegenerateSamplingError, DomainError, FlatCausticError, NumericError,
-    PoleError, ValidationError)
+    DegenerateCurveError, DegenerateSamplingError, DomainError, EvaluationError, FlatCausticError,
+    NumericError, PoleError, ValidationError)
 from caustics.inclination import (
     AngleInterval, InclinationCurve, circle, cycloid, frenet_residual, log_spiral,
     polynomial_curve, reconstruct)
@@ -232,6 +232,11 @@ DEGENERATE_CALLS = {
     "point_by_point_zero_amplitude": (
         lambda: point_by_point_curve(0, 1.2, 0.3),
         DegenerateCurveError, "zero amplitude collapses the curve to a point"),
+    # R grows as e^(1.16 theta): it overflows at theta = 800, the grid's last node.
+    "skew_equation_residual_overflowing_jet": (
+        lambda: skew_equation_residual(point_by_point_curve(1.0, 1.4, 0.3), 0.3, 1.4,
+                                       "point_by_point", AngleInterval(-800, 800, 9)),
+        EvaluationError, "R, R' or the shifted R is not finite at theta = 800.0"),
     "inverse_position_zero_amplitudes": (
         lambda: inverse_position_curve(0, 0, 1.2, 0.3),
         DegenerateCurveError, "both amplitudes vanish; the curve is a point"),

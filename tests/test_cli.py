@@ -519,6 +519,20 @@ def test_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
     assert err.startswith("error: R is not finite at theta = ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--case", "point_by_point", "--a", "1.4", "--interval=-800:800"),
+    ("--case", "delay", "--alpha", "1", "--branches", "0,1", "--coefficients", "1:0,1:0.5",
+     "--interval=-900:900"),
+], ids=["point_by_point", "delay"])
+def test_skew_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "skew", *argv, "--samples", "9")
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(r"error: R, R' or the shifted R is not finite at theta = \S+\n", err), err
+
+
 def test_series_curve_reads_secondary_coefficient(capsys):
     code, out, err = run_cli(
         capsys, "curve", "--curve", "series:k=-3,secondary=0.5",

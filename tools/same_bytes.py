@@ -66,6 +66,8 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     *((f"pantograph_m{m}_order{order}",
        f"pantograph --m {m} --order {order} --out-csv coeffs.csv --out-svg mirror.svg", False)
       for m in (1, 2, 3) for order in (30, 60)),
+    # A cold exact series to order 120.
+    ("pantograph_m4_order120", "pantograph --m 4 --order 120 --out-csv coeffs.csv", False),
     # Windows past 4pi.
     ("cycloid_wide", "curve --curve cycloid --interval 0:100 --samples 4097"
                      " --out-csv cycloid-wide.csv --out-svg cycloid-wide.svg", False),
@@ -78,6 +80,10 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     ("skew_delay", "skew --case delay --alpha 1 --out-csv skew.csv", False),
     ("skew_delay_long", "skew --case delay --phi0 0.3 --a 0.9 --alpha 30"
                         " --out-csv delay-long.csv", False),
+    # A two-root delay jet through all three quadrature rungs.
+    ("skew_delay_two_roots", "skew --case delay --phi0 0.3 --a 0.9 --alpha 0.8 --branches 0,2"
+                             " --coefficients 1:0.2,0.8:-0.3 --interval=-2:2 --samples 33"
+                             " --out-csv skew.csv", False),
     ("skew_inverse_hyperbolic", "skew --case inverse_position --phi0 0.3 --a 0.1"
                                 " --coefficients 1:0.5 --out-csv inverse-hyp.csv", False),
     ("skew_inverse_circle", "skew --case inverse_position --phi0 0.3 --a 0.29552020666133955"
@@ -104,6 +110,9 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     # cusp of the cycloid, and its stdout reads flagged=1.
     ("cycloid_reflection_33", "caustic --curve cycloid --tilt reflection --interval=-1:1"
                               " --samples 33 --out-csv c.csv --out-svg c.svg", False),
+    # The cusp refinement of a cusp chain, and the cusps drawn from it.
+    ("puiseux_cusps", "curve --curve puiseux:c=0.15,gamma=3 --interval=-8pi:8pi --samples 129"
+                      " --out-csv p.csv --out-svg p.svg", False),
     # README's "Command line" examples; its pantograph one is pantograph_m2_order30.
     ("readme_curve", "curve --curve log_spiral:amplitude=1,growth=0.15 --interval 0:4pi"
                      " --samples 257 --out-csv spiral.csv --out-svg spiral.svg", False),
