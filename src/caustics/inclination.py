@@ -9,17 +9,17 @@ through a cusp) and the arclength, defined by ``ds = R dtheta``, may
 decrease.
 
 The module provides the curve type, reconstruction to a column record of
-vertex samples under a global error budget, cusp location, and a discrete
-check of the frame equations.  Reconstruction evaluates the jet ``(R, R')``
-at the nodes and hands the integrand and its derivative there to the
-quadrature, whose node-jet rule adds three inner nodes per cell; cells where
-that rule's estimate misses go on to adaptive nested quadrature
-(G3/K7/Patterson-15), which reuses the three.
+vertex samples, cusp location, and a discrete check of the frame equations.
+Reconstruction takes the stock exponential sums in closed form.  For other
+curves it hands the integrand and its derivative at the nodes to the
+quadrature under a global error budget, whose node-jet rule adds three inner
+nodes per cell; cells where that rule's estimate misses go on to adaptive
+nested quadrature (G3/K7/Patterson-15), which reuses the three.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,6 +101,8 @@ class InclinationCurve:
     domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
     poles: tuple[float, ...] = ()
+    # (jet, mu, coef) from _exp_sum_curve: closed-form positions while the jet is this jet.
+    _exp_sum: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ends = _checks.floats("domain", self.domain, "two numbers lo < hi")
@@ -209,24 +211,22 @@ def reconstruct(
 ) -> CurveSamples:
     """Integrate the inclination data into vertex samples.
 
-    The position increment over each grid cell is
-    ``integral of R * (cos, sin)`` and the arclength increment is
-    ``integral of R``.  The jet ``(R, R')`` is evaluated once at the nodes,
-    for the ``radius`` and ``radius_prime`` columns, and gives the integrand
-    ``R (cos, sin, 1)`` and its derivative there.  With these, every cell
-    first tries ``quadrature``'s node-jet rule, which reads R at three inner
-    nodes: it takes the degree-7 rule when its distance from a degree-5 one
-    fits the cell's width share of ``RECONSTRUCT_TOL`` (or its rounding
-    floor) in every column, as every cell of a dense grid does.  A cell that
-    misses, as on coarse grids, goes to the adaptive G3/K7/P15 rules with
-    the same share, its three inner values serving as three of K7's nodes:
-    K7, then P15 where K7 misses, then P15 on halved panels.  So a cell
-    costs three evaluations of the jet on the first path, and seven or more
-    on the second.  ``RECONSTRUCT_TOL`` is an absolute error budget for each
-    column summed over the whole grid, so it covers every cumulative sample
-    too.  R fixes the curve up to translation: the first sample sits at the
-    origin, and callers that want another placement translate the
-    ``points``.
+    The position increment over each grid cell is ``integral of R * (cos, sin)``
+    and the arclength increment is ``integral of R``.  The jet ``(R, R')`` is
+    evaluated once at the nodes, for the ``radius`` and ``radius_prime`` columns.
+    The stock exponential sums (``circle``, ``cycloid``, ``log_spiral``, and
+    ``point_by_point_curve``, ``puiseux_curve``, ``delay_curve`` and the
+    trigonometric ``inverse_position_curve`` of ``caustics.skew``) take x, y and
+    arclength in closed form, each term within a few roundings of its size.
+    Every other curve takes the quadrature, and so does a stock curve given
+    another jet: ``InclinationCurve(curve.jet)`` forces it.  There every cell
+    first tries ``quadrature``'s node-jet rule, three evaluations of the jet,
+    then the adaptive G3/K7/P15 rules where it misses; each cell is held to its
+    width share of ``RECONSTRUCT_TOL`` or its rounding floor ``50 eps int |R|``.
+    ``RECONSTRUCT_TOL`` is an absolute error budget for each column over the
+    whole grid, so it covers every cumulative sample, up to the rounding of the
+    sum.  R fixes the curve up to translation: the first sample sits at the
+    origin, and callers that want another placement translate the ``points``.
 
     Parameters
     ----------
@@ -242,21 +242,30 @@ def reconstruct(
     ValidationError
         If the angles are not finite and strictly increasing.
     EvaluationError
-        If R or R' is not finite at a node, or R inside a cell.
+        If R or R' is not finite at a node, R inside a cell, or a position.
     NumericError
-        If panels at rounding width miss the budget by more than
-        ``RECONSTRUCT_TOL``.
+        If the quadrature overflows, or panels at rounding width miss the
+        budget by more than ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
-    # A jet that overflows at a node is reported below, not warned about.
+    exp_sum = curve._exp_sum
+    # A jet or a position that overflows is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
-    for name, values in (("R", r), ("R'", rp)):
-        if not np.isfinite(values).all():
-            bad = thetas[~np.isfinite(values)][0]
-            raise EvaluationError(f"{name} is not finite at theta = {bad}")
-    x, y, s = _integrate(curve.jet, thetas, r, rp)
+        _check_finite("R", r, thetas)
+        _check_finite("R'", rp, thetas)
+        x, y, s = xys = (_exp_sum_integrals(*exp_sum[1:], thetas)
+                         if exp_sum and exp_sum[0] is curve.jet
+                         else _integrate(curve.jet, thetas, r, rp))
+    _check_finite("x, y or the arclength", xys, thetas)
     return CurveSamples(theta=thetas, x=x, y=y, radius=r, radius_prime=rp, arclength=s)
+
+
+def _check_finite(name: str, rows: np.ndarray, thetas: np.ndarray) -> None:
+    """Raise ``EvaluationError`` naming the first of ``thetas`` where a row is not finite."""
+    finite = np.isfinite(rows).reshape(-1, thetas.size).all(axis=0)
+    if not finite.all():
+        raise EvaluationError(f"{name} is not finite at theta = {thetas[~finite][0]}")
 
 
 def _integrand(jet):
@@ -290,6 +299,40 @@ def _integrate(jet, thetas: np.ndarray, r: np.ndarray, rp: np.ndarray) -> np.nda
     out = np.zeros((3, thetas.size))
     np.cumsum(cells, axis=1, out=out[:, 1:])
     return out
+
+
+def _exp_sum_curve(jet, label, rates, amplitudes) -> InclinationCurve:
+    """The curve of ``jet``, ``R = Re sum_j c_j e^(lambda_j theta)`` for the complex ``rates``
+    lambda_j and ``amplitudes`` c_j, carrying the rates mu and coefficients k of terms
+    ``k e^(mu theta)``.  The first two thirds sum to ``R e^(i theta)``: ``lambda + i`` with
+    ``c / 2``, ``conj(lambda) + i`` with ``conj(c) / 2``, halved apart so that no term overflows
+    where R is finite.  The real parts of the last third, ``lambda`` with ``c``, sum to R."""
+    lam, c = np.asarray(rates, dtype=complex), np.asarray(amplitudes, dtype=complex)
+    return InclinationCurve(jet, label=label, _exp_sum=(
+        jet, np.concatenate([lam + 1j, lam.conj() + 1j, lam]),
+        np.concatenate([0.5 * c, 0.5 * c.conj(), c])))
+
+
+def _exp_sum_integrals(mu, coef, thetas):
+    """Rows x, y and arclength of the curve with the terms ``mu, coef``, from 0 at the first of
+    the increasing ``thetas``.  A term integrates to ``k h`` at ``mu = 0``, with
+    ``h = theta - theta_0``; to ``k e^(mu theta_0) expm1(mu h) / mu``, expm1 split into real
+    parts, where ``|mu|`` spans at most 1; and to the difference of ``k e^(mu theta) / mu``
+    beyond: so each keeps a few roundings of its size at and near the resonance ``mu = 0``."""
+    h = thetas - thetas[0]
+    span = np.abs(mu) * h[-1]
+    terms = np.outer(coef, h)
+    far, near = span > 1.0, (span <= 1.0) & (span > 0.0)
+    if far.any():
+        prim = coef[far, None] * np.exp(mu[far, None] * thetas) / mu[far, None]
+        terms[far] = prim - prim[:, :1]
+    if near.any():
+        m = mu[near, None]
+        a, b = m.real * h, m.imag * h
+        expm1 = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * np.exp(a) * np.sin(b)
+        terms[near] = coef[near, None] * np.exp(m * thetas[0]) * expm1 / m
+    pos = terms[:2 * mu.size // 3].sum(axis=0)
+    return np.stack([pos.real, pos.imag, terms[2 * mu.size // 3:].sum(axis=0).real])
 
 
 def _cell_integrals(jet, lo, hi, lo_jet, hi_jet) -> np.ndarray:
@@ -397,9 +440,7 @@ def find_cusps(
     thetas = _resolve_grid(curve, interval)
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.asarray(curve.jet(thetas)[0], dtype=float)
-    if not np.all(np.isfinite(r)):
-        bad = thetas[~np.isfinite(r)][0]
-        raise EvaluationError(f"R is not finite at theta = {bad}")
+    _check_finite("R", r, thetas)
 
     sign = np.sign(r)
     left, right = sign[:-1], sign[1:]
@@ -458,17 +499,15 @@ def circle(radius: float = 1.0) -> InclinationCurve:
         t = np.asarray(t, dtype=float)
         return np.full_like(t, radius), np.zeros_like(t)
 
-    return InclinationCurve(jet, label=f"circle(R={radius:g})")
+    return _exp_sum_curve(jet, f"circle(R={radius:g})", [0.0], [radius])
 
 
 def cycloid(amplitude: float = 1.0) -> InclinationCurve:
     """R = A sin(theta): the rolling-point curve, cusps at multiples of pi."""
     if _checks.real("amplitude", amplitude) == 0.0:
         raise ValidationError("cycloid needs a nonzero amplitude")
-    return InclinationCurve(
-        jet=lambda t: (amplitude * np.sin(t), amplitude * np.cos(t)),
-        label=f"cycloid(A={amplitude:g})",
-    )
+    return _exp_sum_curve(lambda t: (amplitude * np.sin(t), amplitude * np.cos(t)),
+                          f"cycloid(A={amplitude:g})", [1j], [-1j * amplitude])
 
 
 def log_spiral(amplitude: float = 1.0, growth: float = 1.0) -> InclinationCurve:
@@ -481,7 +520,8 @@ def log_spiral(amplitude: float = 1.0, growth: float = 1.0) -> InclinationCurve:
         grow = np.exp(growth * np.asarray(t, dtype=float))
         return amplitude * grow, amplitude * growth * grow
 
-    return InclinationCurve(jet, label=f"log_spiral(A={amplitude:g}, b={growth:g})")
+    return _exp_sum_curve(jet, f"log_spiral(A={amplitude:g}, b={growth:g})",
+                          [growth], [amplitude])
 
 
 def polynomial_curve(coefficients: Sequence[float]) -> InclinationCurve:

@@ -196,7 +196,12 @@ def cell_integrals(fn, lo, hi, budget, tol, ends):
     rungs = _RUNGS
     result, spent, lost, n_lost = None, 0.0, 0.0, 0
     for level in range(_MAX_LEVELS):
-        est, err, ok = _level(fn, lo, hi, budget, rungs, ends)
+        # An integrand or a rule that overflows is reported, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            est, err, ok = _level(fn, lo, hi, budget, rungs, ends)
+        finite = np.isfinite(est).all(axis=0) & np.isfinite(err)
+        if not finite.all():
+            raise NumericError(f"the integral overflows in the panel at theta = {lo[~finite][0]}")
         if level == 0 and ok.all():
             return est
         if result is None:

@@ -38,9 +38,10 @@ from .inclination import (
     AngleInterval,
     InclinationCurve,
     _check_domain,
+    _exp_sum_curve,
+    _exp_sum_integrals,
     find_cusps,
     log_spiral,
-    reconstruct,
 )
 from .specfun import lambert_w
 
@@ -173,7 +174,8 @@ def inverse_position_curve(
             c, s = np.cos(wt), np.sin(wt)
             return A * c + B * s, -A * w * s + B * w * c
 
-        return InclinationCurve(jet, label=f"skew_inverse(A={A:g}, B={B:g}, omega={w:g})")
+        return _exp_sum_curve(jet, f"skew_inverse(A={A:g}, B={B:g}, omega={w:g})",
+                              [1j * w], [complex(A, -B)])
     if omega_sq == 0.0:
         def jet(t):
             t = np.asarray(t, dtype=float)
@@ -330,10 +332,9 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
         return tuple(total.reshape(2, *t.shape))
 
     labels = ",".join(str(rt.branch) for rt in roots)
-    return InclinationCurve(
-        jet=jet,
-        label=f"skew_delay(branches={labels}, a={spec.factor_a:g}, alpha={spec.alpha:g})",
-    )
+    return _exp_sum_curve(
+        jet, f"skew_delay(branches={labels}, a={spec.factor_a:g}, alpha={spec.alpha:g})",
+        lam[:, 0], amp_a[:, 0] - 1j * amp_b[:, 0])
 
 
 def build_family(spec: SkewFamilySpec) -> InclinationCurve:
@@ -398,28 +399,7 @@ def puiseux_curve(c: float, gamma: float) -> InclinationCurve:
         grow, s = np.exp(c * t), np.sin(gamma * t)
         return grow * s, grow * (c * s + gamma * np.cos(gamma * t))
 
-    return InclinationCurve(jet, label=f"puiseux(c={c:g}, gamma={gamma:g})")
-
-
-def _puiseux_antiderivative(c: float, gamma: float, theta: np.ndarray) -> np.ndarray:
-    """Closed-form antiderivative of R (cos, sin) for the cuspidal spiral.
-
-    Chosen so that it tends to 0 as the spiral winds into its limit point;
-    the reconstruction then satisfies r(theta) = center + F(theta).
-    """
-    wp, wm = gamma + 1.0, gamma - 1.0
-    dp, dm = c * c + wp * wp, c * c + wm * wm
-    t = np.asarray(theta, dtype=float)
-    e = np.exp(c * t)
-    fx = 0.5 * e * (
-        (c * np.sin(wp * t) - wp * np.cos(wp * t)) / dp
-        + (c * np.sin(wm * t) - wm * np.cos(wm * t)) / dm
-    )
-    fy = 0.5 * e * (
-        (c * np.cos(wm * t) + wm * np.sin(wm * t)) / dm
-        - (c * np.cos(wp * t) + wp * np.sin(wp * t)) / dp
-    )
-    return np.stack([fx, fy], axis=-1)
+    return _exp_sum_curve(jet, f"puiseux(c={c:g}, gamma={gamma:g})", [complex(c, gamma)], [-1j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,8 +420,8 @@ class PuiseuxReport:
 def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> PuiseuxReport:
     """Locate the cusps of R = exp(c theta) sin(gamma theta) and measure them.
 
-    Cusp angles come from sign changes of R; positions from quadrature
-    reconstruction on a grid that contains the cusp angles exactly.  For a
+    Cusp angles come from sign changes of R; their positions, with the curve
+    starting at the interval's first angle, and the centre from its closed form.  For a
     genuine spiral the distances of successive cusps from the centre form
     a geometric progression with ratio exp(c pi / gamma); the report
     carries the measured ratios and their worst deviation from that value.
@@ -455,20 +435,22 @@ def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> Puis
         raise ValidationError(
             f"interval holds only {len(cusps)} cusps; need at least 3 for ratios"
         )
-    grid = np.union1d(interval.grid(), np.asarray(cusps))
-    samples = reconstruct(curve, grid)
-    pts = samples.points[np.searchsorted(samples.theta, cusps)]
+    _, mu, coef = curve._exp_sum
+    nodes = np.concatenate([[interval.lo], cusps])
+    pts = _exp_sum_integrals(mu, coef, nodes)[:2, 1:].T
 
     expected = math.exp(c * math.pi / gamma)
-    # Exactly where the antiderivative's c^2 + (gamma - 1)^2 is 0: gamma = 1, c^2 rounds to 0.
+    # Exactly where the rate c + i (1 - gamma) of R e^(i theta) has c^2 + (gamma - 1)^2 = 0 in
+    # floats: gamma = 1, c^2 rounds to 0.
     degenerate = gamma == 1.0 and c * c == 0.0
     if degenerate:
         center = None
         dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     else:
-        # The reconstruction starts at the origin, so r = center + F puts
-        # the centre at -F(theta0).
-        center = -_puiseux_antiderivative(c, gamma, samples.theta[:1])[0]
+        # The primitive F = sum k e^(mu theta) / mu of R e^(i theta) vanishes where the spiral
+        # winds in, so the positions F - F(theta0) wind in to the centre -F(theta0).
+        start = -np.sum(coef[:2] * np.exp(mu[:2] * interval.lo) / mu[:2])
+        center = np.array([start.real, start.imag])
         dists = np.linalg.norm(pts - center, axis=1)
     ratios = dists[1:] / dists[:-1]
     deviation = float(np.max(np.abs(ratios - expected))) if ratios.size else math.nan

@@ -5,7 +5,8 @@ or ``bound(n)`` where it grows with ``n``.  A sweep row (``_sweep``) draws its p
 the seed, and its check returns ``(value, draw)`` with the draw that set the value; an order
 row (``_order``) is the ratio of a measure at two step sizes.
 ``semicircle_reflection_hausdorff``, the node-by-node ``envelope_gap`` of a reflecting
-semicircle, keeps its name and is held to a fixed 1e-3; every other bound is at most 100x the
+semicircle, keeps its name and is held to a fixed 1e-3; ``reconstruct_exact_gap``, a ratio to
+the error ``reconstruct``'s quadrature states, is held to 1; every other bound is at most 100x the
 row's worst value over seeds 0-9 at 2 000 samples, and a row that reads exactly 0 is held to
 4 ulps of its reference.  The library is called through its modules (``oracle.envelope_gap``),
 so that whatever wraps a module's functions sees these calls.
@@ -98,6 +99,48 @@ def _frenet(n, seed):
     return inclination.frenet_residual(inclination.reconstruct(inclination.circle(1.0), window))
 
 
+_EXACT_CURVES = {  # the stock curves reconstruct takes in closed form, by kind
+    "circle": inclination.circle, "cycloid": inclination.cycloid,
+    "log_spiral": inclination.log_spiral, "point_by_point": skew.point_by_point_curve,
+    "puiseux": skew.puiseux_curve, "inverse_position": skew.inverse_position_curve,
+    "delay": lambda *spec: skew.build_family(SkewFamilySpec("delay", *spec)),
+}
+
+
+def _exact_draw(rng):
+    """A closed-form curve's kind, arguments and grid ``(lo, hi, n)``; ``None`` where the bound
+    ``sum_j |c_j| e^(Re(lambda_j) theta)`` on |R|, half the terms' ``sum |k| e^(Re(mu) theta)``,
+    passes 1e3 at an end of the window."""
+    a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
+    u, v, w = rng.uniform(-1.0, 1.0, 3).tolist()
+    roots = tuple((rng.permutation(5)[:rng.integers(1, 3)] - 2).tolist())
+    pairs = ((a, u), (1.0, v))[:len(roots)]
+    kind, args = [  # |a| >= 1 > |sin phi0|: trigonometric inverse-position members
+        ("circle", (a,)), ("cycloid", (a,)), ("log_spiral", (a, 0.5 * u)),
+        ("point_by_point", (a, 1.5 * u, 1.2 * v)), ("puiseux", (0.3 * u, 2.25 + 1.75 * v)),
+        ("inverse_position", (a, 2.0 * u, math.copysign(1.0 + abs(v), v), 1.2 * w)),
+        ("delay", (0.5 * u, 0.9 + 0.6 * v, 1.15 + 0.85 * w, roots, pairs)),
+    ][rng.integers(7)]
+    lo = rng.uniform(-2 * math.pi, 2 * math.pi)
+    grid = (lo, lo + rng.uniform(0.5, 4 * math.pi), int(rng.choice([9, 33, 129, 257])))
+    _, mu, coef = _EXACT_CURVES[kind](*args)._exp_sum
+    size = np.abs(coef) @ np.exp(np.outer(mu.real, grid[:2]))
+    return (kind, args, grid) if size.max() <= 2e3 else None
+
+
+def _exact_gap(params, n):
+    """The largest gap between ``reconstruct``'s closed form and its quadrature path
+    (``inclination._integrate``) in x, y or arclength, over ``RECONSTRUCT_TOL + 50 eps int |R|``
+    with ``int |R|`` taken as the quadrature's ``sum |delta s|``, which is at most that."""
+    kind, args, grid = params
+    curve, thetas = _EXACT_CURVES[kind](*args), np.linspace(*grid)
+    closed = inclination.reconstruct(curve, thetas)
+    numeric = inclination._integrate(curve.jet, thetas, closed.radius, closed.radius_prime)
+    gap = np.max(np.abs(numeric - np.stack([closed.x, closed.y, closed.arclength])))
+    floor = 50 * np.finfo(float).eps * np.abs(np.diff(numeric[2])).sum()
+    return float(gap / (inclination.RECONSTRUCT_TOL + floor))
+
+
 def _lambert_draw(rng):
     radius = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
     angle = rng.uniform(-math.pi, math.pi)
@@ -132,6 +175,7 @@ TABLE = (
     ("residuals", "skew_delay_residual",
      _skew(SkewFamilySpec("delay", 0.0, 1.0, math.pi / 2, (1,), ((1.0, 0.5),))), 1e-12),
     ("residuals", "frenet_circle_residual", _frenet, 1e-3),
+    ("residuals", "reconstruct_exact_gap", _sweep(_exact_draw, _exact_gap, lambda n: 40), 1.0),
     ("specfun", "lambert_residual_sweep",
      _sweep(_lambert_draw, _lambert_residual, lambda n: max(50, n // 10)), 1e-13),
     ("specfun", "tan_series_at_1",

@@ -229,6 +229,14 @@ DEGENERATE_CALLS = {
         lambda: panel_integrals(_step, [-64.0, 128.0], 1e-13,
                                 ends=([[0.0, 1.0]], [[0.0, 0.0]])),
         NumericError, "quadrature did not converge after 48 refinement levels"),
+    # R = 1e308 is finite, but the node-jet rule's f(a) + f(b) is not: the quadrature says so.
+    "reconstruct_quadrature_overflows": (
+        lambda: reconstruct(polynomial_curve([1e308]), AngleInterval(0, 1, 9)),
+        NumericError, "the integral overflows in the panel at theta = 0.0"),
+    # The closed form's arclength, 1e308 theta, passes the float limit at theta = 1.875.
+    "reconstruct_closed_form_overflows": (
+        lambda: reconstruct(circle(1e308), AngleInterval(0, 3, 9)),
+        EvaluationError, "x, y or the arclength is not finite at theta = 1.875"),
     "point_by_point_zero_amplitude": (
         lambda: point_by_point_curve(0, 1.2, 0.3),
         DegenerateCurveError, "zero amplitude collapses the curve to a point"),

@@ -533,6 +533,33 @@ def test_skew_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
     assert re.fullmatch(r"error: R, R' or the shifted R is not finite at theta = \S+\n", err), err
 
 
+@pytest.mark.parametrize("argv", [
+    ("curve", "--curve", "circle:radius=1e308", "--interval", "0:1"),
+    ("skew", "--case", "point_by_point", "--phi0", "0.3", "--a", "1.2",
+     "--coefficients", "1e308:0", "--interval=-1:0.05"),
+], ids=["circle", "point_by_point"])
+def test_radius_near_the_float_limit_takes_the_closed_form(tmp_path, capsys, argv, read_csv):
+    # R is finite at every node, and so are the closed-form positions, which the quadrature's
+    # node-jet rule could not form.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--samples", "9",
+                                 "--out-csv", str(tmp_path / "t.csv"))
+    assert (code, err) == (0, "")
+    _, table = read_csv(tmp_path / "t.csv")
+    assert table.shape == (9, 5) and np.isfinite(table).all()
+    assert np.max(np.abs(table[:, 3])) > 1e307
+
+
+def test_radius_near_the_float_limit_without_a_closed_form_exits_3(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "curve", "--curve", "poly:coefficients=1e308",
+                                 "--interval", "0:1", "--samples", "9")
+    assert (code, out) == (3, "")
+    assert err == "error: the integral overflows in the panel at theta = 0.0\n"
+
+
 def test_series_curve_reads_secondary_coefficient(capsys):
     code, out, err = run_cli(
         capsys, "curve", "--curve", "series:k=-3,secondary=0.5",
@@ -632,8 +659,11 @@ def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv, 
 
 def test_too_wide_a_window_fails_cleanly_under_memory_cap():
     # One cell of a million radians: refinement reaches the panel cap, not the address cap.
+    # A constant polynomial has no closed form in reconstruct, so its positions take the
+    # quadrature; the stock circle and cycloid would not.
     code, _, err = run_cli_process(
-        "curve", "--curve", "cycloid", "--interval", "0:1e6", "--samples", "2", cap=True
+        "curve", "--curve", "poly:coefficients=1", "--interval", "0:1e6", "--samples", "2",
+        cap=True,
     )
     assert "Traceback" not in err
     assert code == 3 and err.startswith("error:") and "panels" in err, err

@@ -30,6 +30,7 @@ ALL_ROWS = [
     "skew_inverse_residual",
     "skew_delay_residual",
     "frenet_circle_residual",
+    "reconstruct_exact_gap",
     "lambert_residual_sweep",
     "tan_series_at_1",
     "zeta_2",
@@ -45,18 +46,22 @@ def test_verify_all_rows_are_pinned(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     assert [line.split()[:2] for line in lines[:-1]] == [["PASS", name] for name in ALL_ROWS]
-    assert lines[-1] == "checks=14 failures=0"
+    assert lines[-1] == "checks=15 failures=0"
 
 
 def test_every_bound_sits_within_100x_of_its_value():
     # At the CLI defaults (2 000 samples, seed 0), so a regression of 100x fails.
-    # The Hausdorff row's bound is the constant 1e-3, not a measured one.
+    # The Hausdorff row's bound is the constant 1e-3, not a measured one, and the exact-gap
+    # row's is 1, the error bound reconstruct's quadrature states.
     rows = verify.run("all", 2000, 0)
     assert {name for name, value, _, _ in rows if value == 0} == set(ZERO_REFERENCES)
-    assert {name for name, _, _, draw in rows if draw is not None} == {"lambert_residual_sweep"}
+    assert {name for name, _, _, draw in rows if draw is not None} == {
+        "lambert_residual_sweep", "reconstruct_exact_gap"}
     for name, value, bound, _ in rows:
         if name == "semicircle_reflection_hausdorff":
             assert value <= bound == 1e-3
+        elif name == "reconstruct_exact_gap":
+            assert value <= bound == 1.0
         elif value == 0:
             assert bound <= 4 * math.ulp(ZERO_REFERENCES[name]), name
         else:
@@ -83,7 +88,7 @@ def test_a_failing_sweep_prints_a_draw_that_reruns_to_its_value(capsys, monkeypa
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
     fails = [line for line in lines if not line.startswith("PASS  ")]
-    assert fails[1:] == ["checks=14 failures=1"]
+    assert fails[1:] == ["checks=15 failures=1"]
     printed = re.fullmatch(r"FAIL  lambert_residual_sweep +value=(\S+)  bound=1\.0e-13  "
                            r"draw=(\d+) params=(.+)", fails[0])
     index, params = int(printed[2]), ast.literal_eval(printed[3])
