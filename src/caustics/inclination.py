@@ -212,21 +212,19 @@ def reconstruct(
     """Integrate the inclination data into vertex samples.
 
     The position increment over each grid cell is ``integral of R * (cos, sin)``
-    and the arclength increment is ``integral of R``.  The jet ``(R, R')`` is
+    and the arclength increment is ``integral of R``; the jet ``(R, R')`` is
     evaluated once at the nodes, for the ``radius`` and ``radius_prime`` columns.
     The stock exponential sums (``circle``, ``cycloid``, ``log_spiral``, and
     ``point_by_point_curve``, ``puiseux_curve``, ``delay_curve`` and the
     trigonometric ``inverse_position_curve`` of ``caustics.skew``) take x, y and
-    arclength in closed form, each term within a few roundings of its size.
-    Every other curve takes the quadrature, and so does a stock curve given
-    another jet: ``InclinationCurve(curve.jet)`` forces it.  There every cell
-    first tries ``quadrature``'s node-jet rule, three evaluations of the jet,
-    then the adaptive G3/K7/P15 rules where it misses; each cell is held to its
-    width share of ``RECONSTRUCT_TOL`` or its rounding floor ``50 eps int |R|``.
-    ``RECONSTRUCT_TOL`` is an absolute error budget for each column over the
-    whole grid, so it covers every cumulative sample, up to the rounding of the
-    sum.  R fixes the curve up to translation: the first sample sits at the
-    origin, and callers that want another placement translate the ``points``.
+    arclength in closed form, each term within a few roundings of its size.  Other
+    curves, and a stock curve given another jet (``InclinationCurve(curve.jet)``
+    forces it), take ``quadrature``'s node-jet rule, three jet evaluations per cell,
+    then its adaptive G3/K7/P15 rules where that misses: each cell is held to its
+    width share of ``RECONSTRUCT_TOL``, an absolute budget per column over the
+    whole grid, or to its rounding floor ``50 eps int |R|``, plus the rounding of
+    the cumulative sum.  R fixes the curve up to translation: the first sample
+    sits at the origin.
 
     Parameters
     ----------
@@ -254,7 +252,7 @@ def reconstruct(
         r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
         _check_finite("R", r, thetas)
         _check_finite("R'", rp, thetas)
-        x, y, s = xys = (_exp_sum_integrals(*exp_sum[1:], thetas)
+        x, y, s = xys = (_exp_sum_integrals(curve, thetas)
                          if exp_sum and exp_sum[0] is curve.jet
                          else _integrate(curve.jet, thetas, r, rp))
     _check_finite("x, y or the arclength", xys, thetas)
@@ -303,22 +301,22 @@ def _integrate(jet, thetas: np.ndarray, r: np.ndarray, rp: np.ndarray) -> np.nda
 
 def _exp_sum_curve(jet, label, rates, amplitudes) -> InclinationCurve:
     """The curve of ``jet``, ``R = Re sum_j c_j e^(lambda_j theta)`` for the complex ``rates``
-    lambda_j and ``amplitudes`` c_j, carrying the rates mu and coefficients k of terms
-    ``k e^(mu theta)``.  The first two thirds sum to ``R e^(i theta)``: ``lambda + i`` with
-    ``c / 2``, ``conj(lambda) + i`` with ``conj(c) / 2``, halved apart so that no term overflows
-    where R is finite.  The real parts of the last third, ``lambda`` with ``c``, sum to R."""
+    lambda_j and ``amplitudes`` c_j, with the rates and coefficients of terms ``k e^(mu theta)``:
+    ``(lambda + i, c / 2)`` and ``(conj(lambda) + i, conj(c) / 2)`` sum to ``R e^(i theta)``,
+    halved apart so none overflows where R is finite, and the real parts of ``(lambda, c)`` to R."""
     lam, c = np.asarray(rates, dtype=complex), np.asarray(amplitudes, dtype=complex)
     return InclinationCurve(jet, label=label, _exp_sum=(
         jet, np.concatenate([lam + 1j, lam.conj() + 1j, lam]),
         np.concatenate([0.5 * c, 0.5 * c.conj(), c])))
 
 
-def _exp_sum_integrals(mu, coef, thetas):
-    """Rows x, y and arclength of the curve with the terms ``mu, coef``, from 0 at the first of
+def _exp_sum_integrals(curve, thetas):
+    """Rows x, y and arclength of an ``_exp_sum_curve`` in closed form, from 0 at the first of
     the increasing ``thetas``.  A term integrates to ``k h`` at ``mu = 0``, with
-    ``h = theta - theta_0``; to ``k e^(mu theta_0) expm1(mu h) / mu``, expm1 split into real
-    parts, where ``|mu|`` spans at most 1; and to the difference of ``k e^(mu theta) / mu``
-    beyond: so each keeps a few roundings of its size at and near the resonance ``mu = 0``."""
+    ``h = theta - theta_0``; to ``k e^(mu theta_0) expm1(mu h) / mu`` (numpy's complex expm1
+    splits into real parts) where ``|mu|`` spans at most 1; and to the difference of
+    ``k e^(mu theta) / mu`` beyond: so each keeps a few roundings of its size near ``mu = 0``."""
+    _, mu, coef = curve._exp_sum
     h = thetas - thetas[0]
     span = np.abs(mu) * h[-1]
     terms = np.outer(coef, h)
@@ -328,11 +326,17 @@ def _exp_sum_integrals(mu, coef, thetas):
         terms[far] = prim - prim[:, :1]
     if near.any():
         m = mu[near, None]
-        a, b = m.real * h, m.imag * h
-        expm1 = np.expm1(a) * np.cos(b) - 2.0 * np.sin(0.5 * b) ** 2 + 1j * np.exp(a) * np.sin(b)
-        terms[near] = coef[near, None] * np.exp(m * thetas[0]) * expm1 / m
+        terms[near] = coef[near, None] * np.exp(m * thetas[0]) * np.expm1(m * h) / m
     pos = terms[:2 * mu.size // 3].sum(axis=0)
     return np.stack([pos.real, pos.imag, terms[2 * mu.size // 3:].sum(axis=0).real])
+
+
+def _exp_sum_primitive(curve, theta: float) -> complex:
+    """``sum k e^(mu theta) / mu`` over the terms of ``R e^(i theta)`` of an ``_exp_sum_curve``
+    whose rates there are nonzero: a primitive of ``R e^(i theta)``, as ``x + iy``."""
+    _, mu, coef = curve._exp_sum
+    pos = slice(2 * mu.size // 3)
+    return complex(np.sum(coef[pos] * np.exp(mu[pos] * theta) / mu[pos]))
 
 
 def _cell_integrals(jet, lo, hi, lo_jet, hi_jet) -> np.ndarray:

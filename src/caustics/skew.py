@@ -30,7 +30,6 @@ import numpy as np
 from . import _checks
 from .errors import (
     DegenerateCurveError,
-    EvaluationError,
     NumericError,
     ValidationError,
 )
@@ -38,8 +37,10 @@ from .inclination import (
     AngleInterval,
     InclinationCurve,
     _check_domain,
+    _check_finite,
     _exp_sum_curve,
     _exp_sum_integrals,
+    _exp_sum_primitive,
     find_cusps,
     log_spiral,
 )
@@ -376,10 +377,7 @@ def skew_equation_residual(
     with np.errstate(over="ignore", invalid="ignore"):
         r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
         shifted = np.asarray(curve.jet(arg)[0], dtype=float)
-    finite = np.isfinite(r) & np.isfinite(rp) & np.isfinite(shifted)
-    if not finite.all():
-        raise EvaluationError(
-            f"R, R' or the shifted R is not finite at theta = {thetas[~finite][0]}")
+    _check_finite("R, R' or the shifted R", np.stack([r, rp, shifted]), thetas)
     lhs = math.cos(phi0) * rp + math.sin(phi0) * r
     return float(np.max(np.abs(lhs - factor_a * shifted)))
 
@@ -435,9 +433,7 @@ def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> Puis
         raise ValidationError(
             f"interval holds only {len(cusps)} cusps; need at least 3 for ratios"
         )
-    _, mu, coef = curve._exp_sum
-    nodes = np.concatenate([[interval.lo], cusps])
-    pts = _exp_sum_integrals(mu, coef, nodes)[:2, 1:].T
+    pts = _exp_sum_integrals(curve, np.concatenate([[interval.lo], cusps]))[:2, 1:].T
 
     expected = math.exp(c * math.pi / gamma)
     # Exactly where the rate c + i (1 - gamma) of R e^(i theta) has c^2 + (gamma - 1)^2 = 0 in
@@ -447,9 +443,9 @@ def puiseux_diagnostics(c: float, gamma: float, interval: AngleInterval) -> Puis
         center = None
         dists = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     else:
-        # The primitive F = sum k e^(mu theta) / mu of R e^(i theta) vanishes where the spiral
-        # winds in, so the positions F - F(theta0) wind in to the centre -F(theta0).
-        start = -np.sum(coef[:2] * np.exp(mu[:2] * interval.lo) / mu[:2])
+        # The primitive F of R e^(i theta) vanishes where the spiral winds in, so the
+        # positions F - F(theta0) wind in to the centre -F(theta0).
+        start = -_exp_sum_primitive(curve, interval.lo)
         center = np.array([start.real, start.imag])
         dists = np.linalg.norm(pts - center, axis=1)
     ratios = dists[1:] / dists[:-1]

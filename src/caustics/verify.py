@@ -99,41 +99,26 @@ def _frenet(n, seed):
     return inclination.frenet_residual(inclination.reconstruct(inclination.circle(1.0), window))
 
 
-_EXACT_CURVES = {  # the stock curves reconstruct takes in closed form, by kind
-    "circle": inclination.circle, "cycloid": inclination.cycloid,
-    "log_spiral": inclination.log_spiral, "point_by_point": skew.point_by_point_curve,
-    "puiseux": skew.puiseux_curve, "inverse_position": skew.inverse_position_curve,
-    "delay": lambda *spec: skew.build_family(SkewFamilySpec("delay", *spec)),
-}
+_EXACT_CURVES = (  # stock curves that reconstruct takes in closed form, |R| < 600 on the draws
+    (inclination.circle, 1.5), (inclination.cycloid, -0.8), (inclination.log_spiral, 1.0, 0.3),
+    (skew.puiseux_curve, 0.2, 2.5), (skew.build_family, SkewFamilySpec("point_by_point", 0.3, 0.5)),
+    (skew.build_family, SkewFamilySpec("inverse_position", 0.3, 1.2, coefficients=((1.0, 0.5),))),
+    (skew.build_family, SkewFamilySpec("delay", 0.3, 0.9, 1.6, (-1, 1), ((1.0, 0.2), (0.8, -0.3)))),
+)
 
 
 def _exact_draw(rng):
-    """A closed-form curve's kind, arguments and grid ``(lo, hi, n)``; ``None`` where the bound
-    ``sum_j |c_j| e^(Re(lambda_j) theta)`` on |R|, half the terms' ``sum |k| e^(Re(mu) theta)``,
-    passes 1e3 at an end of the window."""
-    a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
-    u, v, w = rng.uniform(-1.0, 1.0, 3).tolist()
-    roots = tuple((rng.permutation(5)[:rng.integers(1, 3)] - 2).tolist())
-    pairs = ((a, u), (1.0, v))[:len(roots)]
-    kind, args = [  # |a| >= 1 > |sin phi0|: trigonometric inverse-position members
-        ("circle", (a,)), ("cycloid", (a,)), ("log_spiral", (a, 0.5 * u)),
-        ("point_by_point", (a, 1.5 * u, 1.2 * v)), ("puiseux", (0.3 * u, 2.25 + 1.75 * v)),
-        ("inverse_position", (a, 2.0 * u, math.copysign(1.0 + abs(v), v), 1.2 * w)),
-        ("delay", (0.5 * u, 0.9 + 0.6 * v, 1.15 + 0.85 * w, roots, pairs)),
-    ][rng.integers(7)]
-    lo = rng.uniform(-2 * math.pi, 2 * math.pi)
-    grid = (lo, lo + rng.uniform(0.5, 4 * math.pi), int(rng.choice([9, 33, 129, 257])))
-    _, mu, coef = _EXACT_CURVES[kind](*args)._exp_sum
-    size = np.abs(coef) @ np.exp(np.outer(mu.real, grid[:2]))
-    return (kind, args, grid) if size.max() <= 2e3 else None
+    """An index into ``_EXACT_CURVES`` and a window ``(lo, width, size)`` in [-2 pi, 6 pi]."""
+    return (int(rng.integers(len(_EXACT_CURVES))), rng.uniform(-2 * math.pi, 2 * math.pi),
+            rng.uniform(0.5, 4 * math.pi), int(rng.choice([9, 33, 129, 257])))
 
 
 def _exact_gap(params, n):
     """The largest gap between ``reconstruct``'s closed form and its quadrature path
     (``inclination._integrate``) in x, y or arclength, over ``RECONSTRUCT_TOL + 50 eps int |R|``
     with ``int |R|`` taken as the quadrature's ``sum |delta s|``, which is at most that."""
-    kind, args, grid = params
-    curve, thetas = _EXACT_CURVES[kind](*args), np.linspace(*grid)
+    (make, *args), (lo, width, size) = _EXACT_CURVES[params[0]], params[1:]
+    curve, thetas = make(*args), np.linspace(lo, lo + width, size)
     closed = inclination.reconstruct(curve, thetas)
     numeric = inclination._integrate(curve.jet, thetas, closed.radius, closed.radius_prime)
     gap = np.max(np.abs(numeric - np.stack([closed.x, closed.y, closed.arclength])))
@@ -175,7 +160,8 @@ TABLE = (
     ("residuals", "skew_delay_residual",
      _skew(SkewFamilySpec("delay", 0.0, 1.0, math.pi / 2, (1,), ((1.0, 0.5),))), 1e-12),
     ("residuals", "frenet_circle_residual", _frenet, 1e-3),
-    ("residuals", "reconstruct_exact_gap", _sweep(_exact_draw, _exact_gap, lambda n: 40), 1.0),
+    ("residuals", "reconstruct_exact_gap",
+     _sweep(_exact_draw, _exact_gap, lambda n: max(5, n // 100)), 1.0),
     ("specfun", "lambert_residual_sweep",
      _sweep(_lambert_draw, _lambert_residual, lambda n: max(50, n // 10)), 1e-13),
     ("specfun", "tan_series_at_1",

@@ -632,6 +632,11 @@ def run_cli_process(*argv, cap=False):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# R = e^theta to 1e-10 of its size on [0, 12]: its Taylor polynomial to degree 40, which
+# reconstruct integrates by quadrature, where the stock log spiral takes its closed form.
+_EXP_POLY = "poly:coefficients=" + "+".join(repr(1 / math.factorial(k)) for k in range(41))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -639,16 +644,19 @@ def run_cli_process(*argv, cap=False):
         ("curve", "--curve", "log_spiral", "--interval", "0:12", "--samples", "65537"),
         ("curve", "--curve", "parabola"),
         ("pantograph", "--m", "-2", "--secondary", "0.25", "--out-svg", "m.svg"),
+        ("curve", "--curve", _EXP_POLY, "--interval", "0:12", "--samples", "1025"),
+        ("curve", "--curve", _EXP_POLY, "--interval", "0:12", "--samples", "65537"),
     ],
 )
 def test_steep_profiles_finish_or_fail_cleanly_under_memory_cap(tmp_path, argv, read_csv):
     argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
-    if argv[2] == "log_spiral":
+    spiral = argv[2] in ("log_spiral", _EXP_POLY)
+    if spiral:
         argv += ["--out-csv", str(tmp_path / "spiral.csv")]
     code, _, err = run_cli_process(*argv, cap=True)
     assert "Traceback" not in err
     assert code == 0 or (code == 3 and err.startswith("error:")), err
-    if argv[2] == "log_spiral":
+    if spiral:
         _, rows = read_csv(tmp_path / "spiral.csv")
         t, x, y = np.asarray(rows)[:, :3].T
         want_x = np.exp(t) * (np.cos(t) + np.sin(t)) / 2 - 0.5

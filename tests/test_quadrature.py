@@ -200,7 +200,7 @@ def test_bad_ends_raise_before_any_work(ends):
 
 def test_reconstruct_peak_memory_on_a_dense_grid():
     t = np.linspace(-2 * np.pi, 2 * np.pi, 65537)
-    curve = cycloid()
+    curve = InclinationCurve(cycloid().jet)  # the jet alone: no closed form, so the quadrature
     tracemalloc.start()
     try:
         reconstruct(curve, t)
@@ -255,13 +255,25 @@ def test_narrow_bump_meets_the_budget_or_raises(divisor, offset, amplitude):
         assert np.max(np.abs(got - want)) <= inclination.RECONSTRUCT_TOL
 
 
-def test_log_spiral_closed_form_on_a_fine_grid():
+def _log_spiral_on_a_fine_grid(curve):
+    """Reconstruct ``curve``, the unit log spiral, on 65 536 cells of [0, 2 pi] and compare it
+    with its closed form: the budget covers every cumulative sample."""
     t = np.linspace(0.0, 2 * np.pi, 65537)
-    samples = reconstruct(log_spiral(1.0, 1.0), t)
+    samples = reconstruct(curve, t)
     ex = np.exp(t) / 2
     assert np.max(np.abs(samples.x - (ex * (np.cos(t) + np.sin(t)) - 0.5))) <= 1e-10
     assert np.max(np.abs(samples.y - (ex * (np.sin(t) - np.cos(t)) + 0.5))) <= 1e-10
     assert np.max(np.abs(samples.arclength - (np.exp(t) - 1))) <= 1e-10
+
+
+def test_log_spiral_closed_form_on_a_fine_grid():
+    # The jet alone has no closed form, so this is the quadrature's cumulative budget.
+    _log_spiral_on_a_fine_grid(InclinationCurve(log_spiral(1.0, 1.0).jet))
+
+
+def test_stock_log_spiral_takes_its_closed_form_on_a_fine_grid(monkeypatch):
+    monkeypatch.setattr(inclination, "panel_integrals", None)
+    _log_spiral_on_a_fine_grid(log_spiral(1.0, 1.0))
 
 
 def _cos_ends(edges):
