@@ -6,8 +6,10 @@ fixed, up to placement, by three quadratures:
     x(t) = integral R cos(theta),  y(t) = integral R sin(theta),
     s(t) = integral R.
 
-This script reconstructs three classical profiles, checks each against
-its closed form, and draws them into one SVG.
+This script reconstructs three classical profiles by quadrature, checks
+each against its closed form, and draws them into one SVG.  The stock
+curves carry their closed form, which ``reconstruct`` would take; a curve
+built from the jet alone takes the quadrature.
 """
 
 import math
@@ -15,7 +17,14 @@ import os
 
 import numpy as np
 
-from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, reconstruct
+from caustics.inclination import (
+    AngleInterval,
+    InclinationCurve,
+    circle,
+    cycloid,
+    log_spiral,
+    reconstruct,
+)
 from caustics.svg import write_scene
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -25,7 +34,7 @@ os.makedirs(OUT, exist_ok=True)
 # A unit circle: R identically 1, starting at the origin
 # heading along +x.  The reconstruction must give x = sin, y = 1 - cos.
 window = AngleInterval(0.0, 2.0 * math.pi, 257)
-ring = reconstruct(circle(1.0), window)
+ring = reconstruct(InclinationCurve(circle(1.0).jet), window)
 t = ring.theta
 pts = ring.points
 err = np.max(np.hypot(pts[:, 0] - np.sin(t), pts[:, 1] - (1.0 - np.cos(t))))
@@ -33,7 +42,7 @@ print(f"circle     max position error {err:.2e}   arclength {ring.arclength[-1]:
 
 # One cycloid arch: R = sin(theta) on [0, pi] traces half of
 # (sin^2(t)/2, t/2 - sin(2t)/4) and has total arc length exactly 2.
-arch = reconstruct(cycloid(1.0), AngleInterval(0.0, math.pi, 257))
+arch = reconstruct(InclinationCurve(cycloid(1.0).jet), AngleInterval(0.0, math.pi, 257))
 t = arch.theta
 pts_arch = arch.points
 closed = np.column_stack([np.sin(t) ** 2 / 2.0, t / 2.0 - np.sin(2.0 * t) / 4.0])
@@ -42,7 +51,8 @@ print(f"cycloid    max position error {err:.2e}   arclength {arch.arclength[-1]:
 
 # A logarithmic spiral: R = e^theta winds outward with its arc length
 # growing like e^theta - 1.
-coil = reconstruct(log_spiral(1.0, 1.0), AngleInterval(0.0, 2.0 * math.pi, 257))
+coil = reconstruct(InclinationCurve(log_spiral(1.0, 1.0).jet),
+                   AngleInterval(0.0, 2.0 * math.pi, 257))
 print(f"log spiral arclength {coil.arclength[-1]:.6f} "
       f"(closed form {math.expm1(2.0 * math.pi):.6f})")
 

@@ -246,12 +246,11 @@ def panel_integrals(
     whole partition.  ``ends`` holds the integrand and its derivative at the
     edges, each ``(n_components, n_edges)``, and every cell first tries the
     node-jet rule.  Returns shape ``(n_components, n_panels)``.
-    Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and
-    ``NumericError`` when a panel's estimate or error overflows, panels at
-    rounding width hold more than ``tol`` of estimated error, refinement leaves
-    more than ``_MAX_PANELS`` panels open, or ``_MAX_LEVELS`` levels end
-    unconverged.  A jump between a cell's end and its outermost node is
-    integrated as if absent (see the module docstring).
+    Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and ``NumericError``
+    when a panel's estimate or error overflows, panels at rounding width hold more than
+    ``tol`` of estimated error, refinement leaves more than ``_MAX_PANELS`` panels open, or
+    ``_MAX_LEVELS`` levels end unconverged.  A jump between a cell's end and its outermost
+    node is integrated as if absent (see the module docstring).
     """
     if not _checks.real("tol", tol) > 0:
         raise ValidationError(f"tol must be finite and positive, got {tol!r}")
