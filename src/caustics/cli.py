@@ -32,9 +32,8 @@ from .csvio import write_caustic_csv, write_coefficient_csv, write_curve_csv
 from .errors import CausticsError, NumericError, ValidationError
 from .inclination import (
     AngleInterval,
-    CurveSamples,
     InclinationCurve,
-    _cell_integrals,
+    _points_at,
     circle,
     cycloid,
     find_cusps,
@@ -171,24 +170,6 @@ def _window(args: argparse.Namespace, lo: float, hi: float) -> AngleInterval:
     return AngleInterval(lo, hi, args.samples)
 
 
-def _cusp_positions(
-    curve: InclinationCurve, interval: AngleInterval, samples: CurveSamples
-) -> np.ndarray:
-    """Curve points at the cusps inside the window.
-
-    Each cusp is placed from its left grid neighbour in ``samples`` by one
-    more cell of ``reconstruct``'s quadrature, all cusps in one call.
-    """
-    cusps = np.asarray(find_cusps(curve, interval))
-    if cusps.size == 0:
-        return np.empty((0, 2))
-    left = np.searchsorted(samples.theta, cusps, side="right") - 1
-    ends = tuple(np.asarray(v, dtype=float) for v in curve.jet(cusps))
-    offsets = _cell_integrals(curve.jet, samples.theta[left], cusps,
-                              (samples.radius[left], samples.radius_prime[left]), ends)
-    return samples.points[left] + offsets[:2].T
-
-
 def _run_curve(args: argparse.Namespace) -> None:
     curve = _build_curve(args.curve)
     default = _default_window(curve)
@@ -197,7 +178,7 @@ def _run_curve(args: argparse.Namespace) -> None:
     if args.out_csv:
         write_curve_csv(args.out_csv, samples)
     if args.out_svg:
-        cusps = _cusp_positions(curve, interval, samples)
+        cusps = _points_at(curve, samples, find_cusps(curve, interval))
         write_scene(args.out_svg, mirror=[samples.points], cusps=cusps)
     print(f"curve={curve.label or 'custom'}")
     print(f"samples={len(samples)}")

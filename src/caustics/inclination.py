@@ -186,6 +186,8 @@ def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
     if isinstance(interval, AngleInterval):
         lo, hi = _clip_interval(curve, interval.lo, interval.hi)
         thetas = np.linspace(lo, hi, interval.n_samples)
+        if not (thetas[1:] > thetas[:-1]).all():
+            raise ValidationError(f"{interval.n_samples} angles on [{lo}, {hi}] do not increase")
     else:
         thetas = np.array(_checks.increasing("interval", interval))
         lo, hi = _clip_interval(curve, float(thetas[0]), float(thetas[-1]))
@@ -223,8 +225,9 @@ def reconstruct(
     then its adaptive G3/K7/P15 rules where that misses: each cell is held to its
     width share of ``RECONSTRUCT_TOL``, an absolute budget per column over the
     whole grid, or to its rounding floor ``50 eps int |R|``, plus the rounding of
-    the cumulative sum.  R fixes the curve up to translation: the first sample
-    sits at the origin.
+    the cumulative sum and of the abscissas, about ``h eps |theta| |f'|`` in a cell
+    of width h for the integrand f.  R fixes the curve up to translation: the first
+    sample sits at the origin.
 
     Parameters
     ----------
@@ -246,14 +249,12 @@ def reconstruct(
         budget by more than ``RECONSTRUCT_TOL``.
     """
     thetas = _resolve_grid(curve, interval)
-    exp_sum = curve._exp_sum
     # A jet or a position that overflows is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
         _check_finite("R", r, thetas)
         _check_finite("R'", rp, thetas)
-        x, y, s = xys = (_exp_sum_integrals(curve, thetas)
-                         if exp_sum and exp_sum[0] is curve.jet
+        x, y, s = xys = (_exp_sum_integrals(curve, thetas) if _closed_form(curve)
                          else _integrate(curve.jet, thetas, r, rp))
     _check_finite("x, y or the arclength", xys, thetas)
     return CurveSamples(theta=thetas, x=x, y=y, radius=r, radius_prime=rp, arclength=s)
@@ -339,17 +340,27 @@ def _exp_sum_primitive(curve, theta: float) -> complex:
     return complex(np.sum(coef[pos] * np.exp(mu[pos] * theta) / mu[pos]))
 
 
-def _cell_integrals(jet, lo, hi, lo_jet, hi_jet) -> np.ndarray:
-    """Integrals of ``R (cos, sin, 1)`` over the cells ``[lo, hi]``, shape ``(3, n)``.
+def _closed_form(curve: InclinationCurve) -> bool:
+    """Whether ``curve`` is a stock exponential sum that still carries its own jet."""
+    return curve._exp_sum is not None and curve._exp_sum[0] is curve.jet
 
-    ``lo_jet`` and ``hi_jet`` are ``jet`` at the cell ends, as float arrays.
-    The cells share ``RECONSTRUCT_TOL`` by width, as a grid's cells do.
-    """
-    h = hi - lo
-    total = h.sum()
-    budget = RECONSTRUCT_TOL * h / total if total > 0 else np.zeros_like(h)
-    return cell_integrals(_integrand(jet), lo, hi, budget, RECONSTRUCT_TOL,
-                          (*_ends(lo, *lo_jet), *_ends(hi, *hi_jet)))
+
+def _points_at(curve: InclinationCurve, samples: CurveSamples, thetas) -> np.ndarray:
+    """Positions ``(n, 2)`` at the increasing ``thetas`` inside ``samples``, a reconstruction
+    of ``curve``, by ``reconstruct``'s own path: the closed form, measured from the first node,
+    or one quadrature cell from each angle's left node, the cells sharing ``RECONSTRUCT_TOL``
+    by width as a grid's cells do."""
+    thetas = np.asarray(thetas, dtype=float)
+    if _closed_form(curve):
+        return _exp_sum_integrals(curve, np.concatenate([samples.theta[:1], thetas]))[:2, 1:].T
+    left = np.searchsorted(samples.theta, thetas, side="right") - 1
+    lo = samples.theta[left]
+    h = thetas - lo
+    budget = RECONSTRUCT_TOL * h / max(h.sum(), math.ulp(0.0))  # 0 where every h is 0
+    cells = cell_integrals(_integrand(curve.jet), lo, thetas, budget, RECONSTRUCT_TOL,
+                           (*_ends(lo, samples.radius[left], samples.radius_prime[left]),
+                            *_ends(thetas, *curve.jet(thetas))))
+    return samples.points[left] + cells[:2].T
 
 
 def _first(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

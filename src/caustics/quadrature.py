@@ -72,6 +72,9 @@ _FLOOR = 50 * np.finfo(float).eps  # rounding floor per unit of int |f|
 _MAX_LEVELS = 48
 _MAX_PANELS = 1 << 20  # open panels a refinement level may leave: bounds the work
 _BLOCK = 4096  # panels per integrand call: bounds the size of every temporary
+# A level whose estimates or errors overflow, though ``_values`` found every value finite, is
+# judged again on the values scaled by this exact power of two, then scaled back.
+_DOWN = 2.0**-8
 
 # The nodes in the order they are evaluated: the three the node-jet rule reads (K7's -b, 0
 # and b), the other four of K7, then Patterson's eight.  The weights follow that order.
@@ -199,6 +202,10 @@ def cell_integrals(fn, lo, hi, budget, tol, ends):
         # An integrand or a rule that overflows is reported, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             est, err, ok = _level(fn, lo, hi, budget, rungs, ends)
+            if not (np.isfinite(est).all() and np.isfinite(err).all()):
+                est, err, ok = _level(lambda t: np.asarray(fn(t)) * _DOWN, lo, hi,
+                                      budget * _DOWN, rungs, ends and [e * _DOWN for e in ends])
+                est, err = est / _DOWN, err / _DOWN
         finite = np.isfinite(est).all(axis=0) & np.isfinite(err)
         if not finite.all():
             raise NumericError(f"the integral overflows in the panel at theta = {lo[~finite][0]}")
@@ -247,9 +254,9 @@ def panel_integrals(
     edges, each ``(n_components, n_edges)``, and every cell first tries the
     node-jet rule.  Returns shape ``(n_components, n_panels)``.
     Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and ``NumericError``
-    when a panel's estimate or error overflows, panels at rounding width hold more than
-    ``tol`` of estimated error, refinement leaves more than ``_MAX_PANELS`` panels open, or
-    ``_MAX_LEVELS`` levels end unconverged.  A jump between a cell's end and its outermost
+    when a panel's estimate or error overflows even on values scaled down, panels at rounding
+    width hold more than ``tol`` of estimated error, refinement leaves more than
+    ``_MAX_PANELS`` panels open, or ``_MAX_LEVELS`` levels end unconverged.  A jump between a cell's end and its outermost
     node is integrated as if absent (see the module docstring).
     """
     if not _checks.real("tol", tol) > 0:

@@ -170,6 +170,8 @@ BAD_CALLS = {
     "skew_residual_unknown_case": lambda: _skew_residual(case="delayed"),
     "puiseux_curve_zero_gamma": lambda: puiseux_curve(0.2, 0),
     "write_scene_no_finite_point": lambda: write_scene(os.devnull, mirror=[np.full((3, 2), np.nan)]),
+    # 1 + 4.5e-16 rounds to 1 + 2 ulp: 9 angles on it cannot all differ.
+    "reconstruct_grid_too_narrow": lambda: reconstruct(circle(), AngleInterval(1, 1 + 4.5e-16, 9)),
 }
 
 # The message of each row that is the only test of its `raise`.
@@ -182,6 +184,7 @@ MESSAGES = {
                                   "'delay'), got 'delayed'",
     "puiseux_curve_zero_gamma": "gamma must be positive",
     "write_scene_no_finite_point": "no finite points to draw",
+    "reconstruct_grid_too_narrow": "9 angles on [1.0, 1.0000000000000004] do not increase",
 }
 
 
@@ -229,9 +232,10 @@ DEGENERATE_CALLS = {
         lambda: panel_integrals(_step, [-64.0, 128.0], 1e-13,
                                 ends=([[0.0, 1.0]], [[0.0, 0.0]])),
         NumericError, "quadrature did not converge after 48 refinement levels"),
-    # R = 1e308 is finite, but the node-jet rule's f(a) + f(b) is not: the quadrature says so.
+    # R = 1e308 is finite, but its integral over the one cell [0, 4], the arclength 4e308, is
+    # not: the quadrature says so.
     "reconstruct_quadrature_overflows": (
-        lambda: reconstruct(polynomial_curve([1e308]), AngleInterval(0, 1, 9)),
+        lambda: reconstruct(polynomial_curve([1e308]), AngleInterval(0, 4, 2)),
         NumericError, "the integral overflows in the panel at theta = 0.0"),
     # The closed form's arclength, 1e308 theta, passes the float limit at theta = 1.875.
     "reconstruct_closed_form_overflows": (

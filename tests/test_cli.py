@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import caustics
-from caustics import caustic, cli, pantograph, specfun
+from caustics import caustic, cli, inclination, pantograph, quadrature, specfun
 from caustics.cli import main, parse_angle, parse_interval
 from caustics.caustic import TiltField, caustic_curve
 from caustics.csvio import write_curve_csv, write_table
 from caustics.errors import ValidationError
-from caustics.inclination import AngleInterval, find_cusps, polynomial_curve, reconstruct
+from caustics.inclination import (
+    AngleInterval, _points_at, find_cusps, polynomial_curve, reconstruct)
 from caustics.pantograph import (
     PantographSolution,
     mirror_report,
@@ -142,7 +143,7 @@ def test_curve_cusps_match_refined_grid(tmp_path, capsys, name):
     curve = cli._build_curve(name)
     interval = cli._default_window(curve)
     want = _cusps_on_refined_grid(curve, interval)
-    got = cli._cusp_positions(curve, interval, reconstruct(curve, interval))
+    got = _points_at(curve, reconstruct(curve, interval), find_cusps(curve, interval))
     assert len(want) > 0
     assert np.max(np.abs(got - want)) <= 1e-12
     path, ref = tmp_path / "c.svg", tmp_path / "ref.svg"
@@ -150,6 +151,37 @@ def test_curve_cusps_match_refined_grid(tmp_path, capsys, name):
     assert code == 0, err
     write_scene(ref, mirror=[reconstruct(curve, interval).points], cusps=want)
     assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("curve, cusps, cells", [
+    ("cycloid", 31, []),
+    ("poly:coefficients=0.5+-1+0.2", 2, [2]),
+], ids=["closed_form", "quadrature"])
+def test_curve_cusps_take_the_curves_own_position_path(tmp_path, capsys, monkeypatch, curve,
+                                                       cusps, cells):
+    calls = []
+
+    def counted(fn, lo, *args):
+        calls.append(lo.size)
+        return quadrature.cell_integrals(fn, lo, *args)
+
+    monkeypatch.setattr(inclination, "cell_integrals", counted)
+    code, _, err = run_cli(capsys, "curve", "--curve", curve, "--interval", "0:100",
+                           "--samples", "257", "--out-svg", str(tmp_path / "c.svg"))
+    assert (code, err) == (0, "")
+    assert calls == cells
+    assert (tmp_path / "c.svg").read_text().count("<circle") == cusps
+
+
+@pytest.mark.parametrize("command", ["curve", "caustic"])
+def test_grid_too_narrow_for_its_samples_exits_2(tmp_path, capsys, command):
+    csv, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    code, out, err = run_cli(capsys, command, "--curve", "circle", "--interval",
+                             "1:1.00000000000000045", "--samples", "9", "--out-csv", str(csv),
+                             "--out-svg", str(svg))
+    assert (code, out) == (2, "")
+    assert err == "error: 9 angles on [1.0, 1.0000000000000004] do not increase\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_caustic_run_flags_cusps(tmp_path, capsys, read_csv):
@@ -552,12 +584,31 @@ def test_radius_near_the_float_limit_takes_the_closed_form(tmp_path, capsys, arg
 
 
 def test_radius_near_the_float_limit_without_a_closed_form_exits_3(capsys):
+    # R = 1e308 over the one cell [0, 4]: the arclength 4e308 passes the float limit.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "curve", "--curve", "poly:coefficients=1e308",
-                                 "--interval", "0:1", "--samples", "9")
+                                 "--interval", "0:4", "--samples", "2")
     assert (code, out) == (3, "")
     assert err == "error: the integral overflows in the panel at theta = 0.0\n"
+
+
+@pytest.mark.parametrize("radius", ["9e307", "1e308"])
+def test_radius_near_the_float_limit_without_a_closed_form_integrates(tmp_path, capsys, radius,
+                                                                      read_csv):
+    # Each cell's integral is finite though the node-jet rule's sums of its values are not:
+    # the quadrature judges them again scaled down, and agrees with the circle's closed form.
+    paths = {}
+    for curve in (f"poly:coefficients={radius}", f"circle:radius={radius}"):
+        paths[curve] = tmp_path / f"{curve.partition(':')[0]}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "curve", "--curve", curve, "--interval", "0:1",
+                                   "--samples", "9", "--out-csv", str(paths[curve]))
+        assert (code, err) == (0, "")
+    (_, poly), (_, closed) = (read_csv(path) for path in paths.values())
+    assert np.isfinite(poly).all()
+    assert np.max(np.abs(poly - closed)) <= 1e-15 * float(radius)
 
 
 def test_series_curve_reads_secondary_coefficient(capsys):

@@ -12,11 +12,15 @@ from caustics.inclination import (
     AngleInterval,
     _exp_sum_curve,
     _exp_sum_integrals,
+    _points_at,
     circle,
     cycloid,
+    find_cusps,
     log_spiral,
+    polynomial_curve,
     reconstruct,
 )
+from caustics.pantograph import PantographSolution, solution_curve, solve_series
 from caustics.skew import (
     SkewFamilySpec,
     build_family,
@@ -135,3 +139,74 @@ def test_closed_form_agrees_with_the_quadrature_on_a_seeded_sweep(seed):
     assert drawn == set(range(len(verify._EXACT_CURVES)))
     made = [make(*args) for make, *args in verify._EXACT_CURVES]
     assert all(curve._exp_sum[0] is curve.jet for curve in made)
+
+
+def _counted_cells(monkeypatch):
+    calls = []
+
+    def counted(fn, lo, *args):
+        calls.append(lo.size)
+        return quadrature.cell_integrals(fn, lo, *args)
+
+    monkeypatch.setattr(inclination, "cell_integrals", counted)
+    return calls
+
+
+def _between_nodes(grid):
+    """Extra angles off the nodes: one in every third cell of ``grid``."""
+    return (grid[:-1] + 0.37 * np.diff(grid))[::3]
+
+
+@pytest.mark.parametrize("name", ["cycloid", "puiseux", "delay"])
+def test_points_at_in_closed_form_match_a_refined_grid(monkeypatch, name):
+    calls = _counted_cells(monkeypatch)
+    curve, interval = CLOSED_FORMS[name](), AngleInterval(-4.0, 9.0, 65)
+    thetas = np.union1d(find_cusps(curve, interval), _between_nodes(interval.grid()))
+    got = _points_at(curve, reconstruct(curve, interval), thetas)
+    refined = reconstruct(curve, np.union1d(interval.grid(), thetas))
+    want = refined.points[np.searchsorted(refined.theta, thetas)]
+    assert calls == []
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _cells_from_left_nodes(curve, samples, thetas):
+    """Reference: one quadrature cell from each angle's left node, the cells sharing
+    RECONSTRUCT_TOL by width."""
+    left = np.searchsorted(samples.theta, thetas, side="right") - 1
+    lo = samples.theta[left]
+    h = thetas - lo
+    total = h.sum()
+    budget = inclination.RECONSTRUCT_TOL * h / total if total > 0 else np.zeros_like(h)
+    ends = tuple(np.asarray(v, dtype=float) for v in curve.jet(thetas))
+    cells = quadrature.cell_integrals(
+        inclination._integrand(curve.jet), lo, thetas, budget, inclination.RECONSTRUCT_TOL,
+        (*inclination._ends(lo, samples.radius[left], samples.radius_prime[left]),
+         *inclination._ends(thetas, *ends)))
+    return samples.points[left] + cells[:2].T
+
+
+QUADRATURE_CURVES = {
+    "poly": (lambda: polynomial_curve([0.5, -1.0, 0.2]), AngleInterval(0.0, 100.0, 257)),
+    "series": (lambda: solution_curve(PantographSolution(solve_series(1))),
+               AngleInterval(0.2, 12.0, 129)),
+}
+
+
+@pytest.mark.parametrize("make, interval", QUADRATURE_CURVES.values(),
+                         ids=QUADRATURE_CURVES.keys())
+def test_points_at_by_quadrature_add_one_cell_to_each_left_node(monkeypatch, make, interval):
+    curve = make()
+    samples = reconstruct(curve, interval)
+    thetas = np.union1d(find_cusps(curve, interval), _between_nodes(interval.grid()))
+    want = _cells_from_left_nodes(curve, samples, thetas)
+    calls = _counted_cells(monkeypatch)
+    assert np.array_equal(_points_at(curve, samples, thetas), want)
+    assert calls == [thetas.size]
+
+
+@pytest.mark.parametrize("make", [lambda: cycloid(1.0), lambda: polynomial_curve([1.0, 0.5])],
+                         ids=["closed_form", "quadrature"])
+def test_points_at_no_angle_is_an_empty_array(make):
+    curve = make()
+    samples = reconstruct(curve, AngleInterval(0.0, 3.0, 9))
+    assert _points_at(curve, samples, []).shape == (0, 2)

@@ -234,6 +234,21 @@ def test_non_finite_grid_is_validation_error():
             call()
 
 
+@pytest.mark.parametrize("make", [circle, lambda: polynomial_curve([1])],
+                         ids=["closed_form", "quadrature"])
+def test_grid_too_narrow_for_its_samples_is_one_validation_error(make):
+    # 1 + 4.5e-16 rounds to 1 + 2 ulp, so 9 equispaced angles on it repeat; both position
+    # paths refuse them before either runs.
+    interval = AngleInterval(1, 1 + 4.5e-16, 9)
+    messages = set()
+    for call in (lambda: reconstruct(make(), interval), lambda: find_cusps(make(), interval),
+                 lambda: caustic_curve(make(), TiltField.reflection(), interval)):
+        with pytest.raises(ValidationError) as caught:
+            call()
+        messages.add(str(caught.value))
+    assert messages == {"9 angles on [1.0, 1.0000000000000004] do not increase"}
+
+
 # One curve from each construction site, with a window of interior angles.
 JET_SITES = {
     "circle": (lambda: circle(1.5), (-3.0, 3.0)),

@@ -57,6 +57,20 @@ def test_a_file_on_one_side_is_reported(tmp_path):
     assert len(verdicts) == 5
 
 
+def test_csv_cells_that_are_17g_of_their_float_pass(tmp_path):
+    root = _tree(tmp_path, {"row/t.csv": b"x,y\n0,-1.5\n0.10000000000000001,nan\n",
+                            "row/stdout": b"1.50\n", "other/empty.csv": b"x\n"})
+    assert same_bytes.bad_cells(root) == []
+
+
+@pytest.mark.parametrize("cell", [b"1.50", b"0.1", b"1e+300x", b"", b"+1"])
+def test_a_csv_cell_not_17g_of_its_float_fails_its_row(tmp_path, cell):
+    rows = b"theta,x\n0,1\n2,%s\n3,4\n" % cell
+    root = _tree(tmp_path, {"row/out/t.csv": rows, "other/t.csv": b"x\n1\n"})
+    assert same_bytes.bad_cells(root) == [
+        ("row", f"row/out/t.csv line 3: cell {cell.decode()!r} is not %.17g")]
+
+
 @pytest.mark.parametrize("argv", [argv for _, argv in CLI_ROWS], ids=[n for n, _ in CLI_ROWS])
 def test_cli_row_parses(argv):
     build_parser().parse_args(argv)

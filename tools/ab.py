@@ -18,16 +18,16 @@ reads incorrect.  Needs git and nothing outside the standard library.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from same_bytes import extract
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("families", "mirror", "caustic")
@@ -101,18 +101,16 @@ def main(args: list[str]) -> int:
     first, last = opts.seeds
     if last != first and last - first + 1 != opts.pairs:
         parser.error(f"--seeds {first}-{last} is not {opts.pairs} seeds")
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", opts.ref], capture_output=True)
-    if archive.returncode:
-        print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
-        return 2
     record = {"ref": opts.ref, "seconds": opts.seconds, "seeds": [first, first + opts.pairs - 1],
               "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
               "workloads": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         work = Path(scratch)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(work / "ref", filter="data")
+        error = extract(opts.ref, work / "ref")
+        if error:
+            print(error, file=sys.stderr)
+            return 2
         sides = {"a": _side(work, "a", ROOT / "src"), "b": _side(work, "b", work / "ref" / "src")}
         for workload in workloads:
             pairs = []

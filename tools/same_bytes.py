@@ -14,8 +14,9 @@ The script compares each row's stdout and every file it wrote, byte for byte, be
 passes.  It prints one line per file, ``identical``, ``differs at byte N`` (the offset of the
 first differing byte, from 0) or ``only in a`` / ``only in b`` (a is this tree), then a
 summary line.  It exits 1 if a file differs or a row fails: a row fails when it exits non-zero
-or does not write a file it names, in either tree, so the exit codes of two passing trees
-agree.  Needs git for REF and nothing outside the standard library.
+or does not write a file it names, in either tree (so the exit codes of two passing trees
+agree), or when a CSV it writes in the first pass holds a cell below the header that is not
+``"%.17g"`` of its float.  Needs git for REF and nothing outside the standard library.
 """
 from __future__ import annotations
 
@@ -165,6 +166,38 @@ def _run_pass(tree: Path, work: Path, side: str) -> list[tuple[str, str]]:
     return failures
 
 
+def _is_17g(cell: bytes) -> bool:
+    try:
+        return cell == b"%.17g" % float(cell)
+    except ValueError:
+        return False
+
+
+def bad_cells(root: Path) -> list[tuple[str, str]]:
+    """``(row, message)`` for each CSV under ``root/row`` with a cell below its header that is
+    not ``"%.17g"`` of its float, naming the file, the first such cell and its line (from 1)."""
+    failures = []
+    for path in sorted(root.rglob("*.csv")):
+        lines = path.read_bytes().splitlines()[1:]
+        bad = next(((number, cell) for number, line in enumerate(lines, start=2)
+                    for cell in line.split(b",") if not _is_17g(cell)), None)
+        if bad:
+            where = path.relative_to(root)
+            failures.append((where.parts[0], f"{where.as_posix()} line {bad[0]}: cell "
+                                             f"{bad[1].decode(errors='replace')!r} is not %.17g"))
+    return failures
+
+
+def extract(ref: str, dest: Path) -> str | None:
+    """Extract a ``git archive`` of ``ref`` into ``dest``; git's error if it fails, else None."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref], capture_output=True)
+    if archive.returncode:
+        return archive.stderr.decode(errors="replace").strip()
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return None
+
+
 def _first_difference(x: bytes, y: bytes) -> int:
     """The length of the longest common prefix of ``x`` and ``y``, by bisection."""
     lo, hi = 0, min(len(x), len(y))
@@ -201,17 +234,13 @@ def main(args: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as scratch:
         work = Path(scratch)
-        other = ROOT
-        if args:
-            archive = subprocess.run(["git", "-C", str(ROOT), "archive", args[0]],
-                                     capture_output=True)
-            if archive.returncode:
-                print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
-                return 2
-            other = work / "ref"
-            with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-                tar.extractall(other, filter="data")
-        failures = _run_pass(ROOT, work, "a") + _run_pass(other, work, "b")
+        other = work / "ref" if args else ROOT
+        error = extract(args[0], other) if args else None
+        if error:
+            print(error, file=sys.stderr)
+            return 2
+        failures = _run_pass(ROOT, work, "a")
+        failures += bad_cells(work / "a") + _run_pass(other, work, "b")
         verdicts = compare(work / "a", work / "b")
     for path, verdict in verdicts:
         print(f"{path}: {verdict}")
