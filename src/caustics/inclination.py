@@ -101,8 +101,9 @@ class InclinationCurve:
     domain: tuple[float, float] = (-math.inf, math.inf)
     label: str = ""
     poles: tuple[float, ...] = ()
-    # (jet, mu, coef) from _exp_sum_curve: closed-form positions while the jet is this jet.
-    _exp_sum: tuple | None = field(default=None, repr=False, compare=False)
+    # (jet, rows, *data): while the jet is this jet, rows(curve, thetas) gives R, R' and the rows
+    # x, y and arclength, from 0 at the first angle, for reconstruct (see _closed_form).
+    _exact: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ends = _checks.floats("domain", self.domain, "two numbers lo < hi")
@@ -185,7 +186,8 @@ def _clip_interval(curve: InclinationCurve, lo: float, hi: float) -> tuple[float
 def _resolve_grid(curve: InclinationCurve, interval) -> np.ndarray:
     if isinstance(interval, AngleInterval):
         lo, hi = _clip_interval(curve, interval.lo, interval.hi)
-        thetas = np.linspace(lo, hi, interval.n_samples)
+        with np.errstate(over="ignore", invalid="ignore"):  # a width past the float limit
+            thetas = np.linspace(lo, hi, interval.n_samples)  # gives NaN nodes, refused here
         if not (thetas[1:] > thetas[:-1]).all():
             raise ValidationError(f"{interval.n_samples} angles on [{lo}, {hi}] do not increase")
     else:
@@ -219,15 +221,18 @@ def reconstruct(
     The stock exponential sums (``circle``, ``cycloid``, ``log_spiral``, and
     ``point_by_point_curve``, ``puiseux_curve``, ``delay_curve`` and the
     trigonometric ``inverse_position_curve`` of ``caustics.skew``) take x, y and
-    arclength in closed form, each term within a few roundings of its size.  Other
-    curves, and a stock curve given another jet (``InclinationCurve(curve.jet)``
-    forces it), take ``quadrature``'s node-jet rule, three jet evaluations per cell,
-    then its adaptive G3/K7/P15 rules where that misses: each cell is held to its
-    width share of ``RECONSTRUCT_TOL``, an absolute budget per column over the
-    whole grid, or to its rounding floor ``50 eps int |R|``, plus the rounding of
-    the cumulative sum and of the abscissas, about ``h eps |theta| |f'|`` in a cell
-    of width h for the integrand f.  R fixes the curve up to translation: the first
-    sample sits at the origin.
+    arclength in closed form, each term within a few roundings of its size.  A
+    ``pantograph.solution_curve`` with k >= 0 takes the doubling law: one quadrature
+    of the series window [0, w], then one step and one seam constant per doubling,
+    within that quadrature's error grown by 1/a a step and about 32 (d + 1) eps
+    max|x, y, s| of rounding at depth d.  Other curves, and these given another jet
+    (``InclinationCurve(curve.jet)`` forces it), take ``quadrature``'s node-jet
+    rule, three jet evaluations per cell, then its adaptive G3/K7/P15 rules where
+    that misses: each cell is held to its width share of ``RECONSTRUCT_TOL``, an
+    absolute budget per column over the whole grid, or to its rounding floor
+    ``50 eps int |R|``, plus the rounding of the cumulative sum and of the
+    abscissas, about ``h eps |theta| |f'|`` in a cell of width h for the integrand
+    f.  R fixes the curve up to translation: the first sample sits at the origin.
 
     Parameters
     ----------
@@ -251,11 +256,12 @@ def reconstruct(
     thetas = _resolve_grid(curve, interval)
     # A jet or a position that overflows is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+        exact = _closed_form(curve)
+        r, rp, xys = curve._exact[1](curve, thetas) if exact else (*curve.jet(thetas), None)
+        r, rp = np.asarray(r, dtype=float), np.asarray(rp, dtype=float)
         _check_finite("R", r, thetas)
         _check_finite("R'", rp, thetas)
-        x, y, s = xys = (_exp_sum_integrals(curve, thetas) if _closed_form(curve)
-                         else _integrate(curve.jet, thetas, r, rp))
+        x, y, s = xys = xys if exact else _integrate(curve.jet, thetas, r, rp)
     _check_finite("x, y or the arclength", xys, thetas)
     return CurveSamples(theta=thetas, x=x, y=y, radius=r, radius_prime=rp, arclength=s)
 
@@ -306,8 +312,9 @@ def _exp_sum_curve(jet, label, rates, amplitudes) -> InclinationCurve:
     ``(lambda + i, c / 2)`` and ``(conj(lambda) + i, conj(c) / 2)`` sum to ``R e^(i theta)``,
     halved apart so none overflows where R is finite, and the real parts of ``(lambda, c)`` to R."""
     lam, c = np.asarray(rates, dtype=complex), np.asarray(amplitudes, dtype=complex)
-    return InclinationCurve(jet, label=label, _exp_sum=(
-        jet, np.concatenate([lam + 1j, lam.conj() + 1j, lam]),
+    return InclinationCurve(jet, label=label, _exact=(
+        jet, lambda curve, t: (*curve.jet(t), _exp_sum_integrals(curve, t)),
+        np.concatenate([lam + 1j, lam.conj() + 1j, lam]),
         np.concatenate([0.5 * c, 0.5 * c.conj(), c])))
 
 
@@ -317,7 +324,7 @@ def _exp_sum_integrals(curve, thetas):
     ``h = theta - theta_0``; to ``k e^(mu theta_0) expm1(mu h) / mu`` (numpy's complex expm1
     splits into real parts) where ``|mu|`` spans at most 1; and to the difference of
     ``k e^(mu theta) / mu`` beyond: so each keeps a few roundings of its size near ``mu = 0``."""
-    _, mu, coef = curve._exp_sum
+    *_, mu, coef = curve._exact
     h = thetas - thetas[0]
     span = np.abs(mu) * h[-1]
     terms = np.outer(coef, h)
@@ -335,24 +342,25 @@ def _exp_sum_integrals(curve, thetas):
 def _exp_sum_primitive(curve, theta: float) -> complex:
     """``sum k e^(mu theta) / mu`` over the terms of ``R e^(i theta)`` of an ``_exp_sum_curve``
     whose rates there are nonzero: a primitive of ``R e^(i theta)``, as ``x + iy``."""
-    _, mu, coef = curve._exp_sum
+    *_, mu, coef = curve._exact
     pos = slice(2 * mu.size // 3)
     return complex(np.sum(coef[pos] * np.exp(mu[pos] * theta) / mu[pos]))
 
 
 def _closed_form(curve: InclinationCurve) -> bool:
-    """Whether ``curve`` is a stock exponential sum that still carries its own jet."""
-    return curve._exp_sum is not None and curve._exp_sum[0] is curve.jet
+    """Whether ``curve`` carries exact positions, a stock exponential sum or a continued
+    pantograph solution with k >= 0, and still its own jet."""
+    return curve._exact is not None and curve._exact[0] is curve.jet
 
 
 def _points_at(curve: InclinationCurve, samples: CurveSamples, thetas) -> np.ndarray:
     """Positions ``(n, 2)`` at the increasing ``thetas`` inside ``samples``, a reconstruction
-    of ``curve``, by ``reconstruct``'s own path: the closed form, measured from the first node,
+    of ``curve``, by ``reconstruct``'s own path: its exact rows, measured from the first node,
     or one quadrature cell from each angle's left node, the cells sharing ``RECONSTRUCT_TOL``
     by width as a grid's cells do."""
     thetas = np.asarray(thetas, dtype=float)
     if _closed_form(curve):
-        return _exp_sum_integrals(curve, np.concatenate([samples.theta[:1], thetas]))[:2, 1:].T
+        return curve._exact[1](curve, np.concatenate([samples.theta[:1], thetas]))[2][:2, 1:].T
     left = np.searchsorted(samples.theta, thetas, side="right") - 1
     lo = samples.theta[left]
     h = thetas - lo

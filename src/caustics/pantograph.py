@@ -22,10 +22,14 @@ sin u (T_c X) + cos u (T_s X), with T_c and T_s the fixed Toeplitz
 matrices of the Taylor coefficients of cos h and sin h; one doubling is
 sin u (B H) + cos u (A H), with A and B fixed per family.
 
-Positions past the window need no quadrature either: integrated against
-e^(i theta) from r(0) = 0, the equation gives the doubling law r(2u) =
-(r(u) + sin(u) R(u) e^(2iu) / 2) / a (the caustic a r(2u) read the other
-way), by which ``mirror_report`` climbs from positions on the window.
+Positions past the window need no quadrature of the continued R either.  On the band
+(2^(j-1) w, 2^j w], w = pi/2 - guard, R(t) is D[R](t/2), D[R](v) = (3 cos v R + sin v R') / (4a),
+and (r(v) + sin v R(v) e^(2iv) / 2) / a and (x(v) + sin v R(v) / 2) / a have the derivatives
+2 D[R](v) e^(2iv) and 2 D[R](v); so r(2v) and s(2v) are these plus one constant per band, which
+keeps x, y and s continuous at the seam 2^(j-1) w, where the truncated series leaves R a jump.
+From one quadrature of the series window, this doubling law gives ``reconstruct`` the
+integral of the continued R within that quadrature's error, grown by 1/a a doubling, and
+about 32 (d + 1) eps max|x, y, s| of rounding at depth d; k < 0 keeps the quadrature.
 
 The cycloid is the member k = 0 (Q constant); k = -4 degenerates to the
 parabola, which gets its own closed form here because its caustic is a
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -52,7 +56,6 @@ from .errors import (
 )
 from .inclination import (
     AngleInterval,
-    CurveSamples,
     InclinationCurve,
     _integrate,
     find_cusps,
@@ -458,55 +461,64 @@ def solution_curve(solution: PantographSolution) -> InclinationCurve:
     The curve's jet is ``continue_R`` itself, so one continuation gives R and
     R' at the same angles, and its domain is all of ``[0, max_theta]``.
     Families with k <= -1 have a pole of Q at theta = 0, declared so that
-    reconstruction keeps its guard band away from it.
+    reconstruction keeps its guard band away from it.  For k >= 0, ``reconstruct``
+    takes the doubling law; ``InclinationCurve(curve.jet)`` takes the quadrature.
     """
     k = solution.series.k
+    jet = lambda t: continue_R(solution, t)  # noqa: E731 (the law holds this very jet)
     return InclinationCurve(
-        jet=lambda t: continue_R(solution, t),
+        jet=jet,
         domain=(0.0, solution.max_theta),
         label=f"pantograph(k={k}, a={solution.series.factor_a:g})",
         poles=(0.0,) if k <= -1 else (),
+        _exact=None if k <= -1 else (jet, _doubling_law, solution),
     )
 
 
-def _mirror_samples(solution: PantographSolution, grid) -> CurveSamples:
-    """``reconstruct(solution_curve(solution), grid)`` for k >= 0, by the doubling law.
-
-    From r(0) = s(0) = 0: r(2u) = (r(u) + sin(u) R(u) e^(2iu) / 2) / a and
-    s(2u) = (x(u) + sin(u) R(u) / 2) / a.  Each angle is halved into the
-    series window by ``continue_R``'s depth rule; the distinct base angles,
-    with 0, get one quadrature, and the law climbs their chains u, 2u, ...
-    with R from one ``_climb_chains`` of each chain.  ``grid`` increases strictly
-    within [0, max_theta]; its first node is put at the origin.
+def _doubling_law(curve: InclinationCurve, theta: np.ndarray):
+    """R, R' and the rows x, y and arclength of a ``solution_curve`` with k >= 0 at ``theta``
+    in [0, max_theta], the positions from 0 at the first, by the doubling law (module docstring).
+    Each angle is halved d times into the series window [0, w]; the distinct base angles get
+    one quadrature and climb their chains u, ..., 2^d u, with R and R' from one
+    ``_climb_chains``.  Level j's constants put the chain of w / 2 at level j onto that of w
+    at level j - 1: the seam 2^(j-1) w from the right and from the left.  With no doubling
+    this is the quadrature of the grid itself.
     """
-    theta = np.asarray(grid, dtype=float)
+    solution, n = curve._exact[2], theta.size
+    w = math.pi / 2 - solution.guard
     depth = _depth(solution, theta)
-    base = np.ldexp(theta, -depth)
-    nodes = np.union1d([0.0], base)
+    top = int(depth.max())
+    base = np.concatenate([np.ldexp(theta, -depth), [0.5 * w, w] if top else []])
+    depth = np.concatenate([depth, np.array([top, top - 1] if top else [], depth.dtype)])
+    nodes = np.sort(base)  # np.unique would import numpy.ma on its first call
+    nodes = nodes[np.append(True, nodes[1:] > nodes[:-1])]
     at = np.searchsorted(nodes, base)
     # Row j holds the chain angles nodes 2^j, live up to each base's deepest angle.
     reach = np.zeros(nodes.size, dtype=depth.dtype)  # one dtype keeps ufunc.at on its fast path
     np.maximum.at(reach, at, depth)
     order = np.argsort(-reach, kind="stable")
-    states = _climb_chains(solution.series, nodes[order], reach[order], depth.max() + 1)
-    slot = reach - np.arange(depth.max() + 1)[:, None]
+    states = _climb_chains(solution.series, nodes[order], reach[order], top + 1)
+    slot = reach - np.arange(top + 1)[:, None]
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     flat = np.maximum(slot, 0) * order.size + inverse  # into the states' (level, angle) plane
     r, rp = np.where(slot >= 0, states.reshape(2, -1).take(flat, axis=1), 0.0)
-    chain = nodes * 2.0 ** np.arange(depth.max() + 1)[:, None]
-    x, y, s = (np.zeros_like(chain) for _ in range(3))
-    x[0], y[0], s[0] = _integrate(lambda t: continue_R(solution, t), nodes, r[0], rp[0])
+    xys = np.zeros((3, top + 1, nodes.size))
+    if nodes.size > 1:  # the quadrature needs finite ends; otherwise every position is NaN
+        finite = np.isfinite(r[0]).all() and np.isfinite(rp[0]).all()
+        xys[:, 0] = _integrate(curve.jet, nodes, r[0], rp[0]) if finite else np.nan
+    x, y, s = xys
     a = solution.series.factor_a
-    for j, t in enumerate(chain[:-1]):
+    # Level j + 1 from level j, then matched at its seam: the chain of w at j, w / 2's at j + 1.
+    for j, t in enumerate(nodes * 2.0 ** np.arange(top)[:, None]):
         half = 0.5 * np.sin(t) * r[j]
         s[j + 1] = (x[j] + half) / a
         x[j + 1] = (x[j] + half * np.cos(2.0 * t)) / a
         y[j + 1] = (y[j] + half * np.sin(2.0 * t)) / a
-    x, y, s, r, rp = (v[depth, at] for v in (x, y, s, r, rp))
-    return CurveSamples(
-        theta=theta, x=x - x[0], y=y - y[0], radius=r, radius_prime=rp, arclength=s - s[0]
-    )
+        xys[:, j + 1] += (xys[:, j, at[n + 1]] - xys[:, j + 1, at[n]])[:, None]
+    depth, at = depth[:n], at[:n]
+    xys = xys[:, depth, at]
+    return r[depth, at], rp[depth, at], xys - xys[:, :1]
 
 
 def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> np.ndarray:
@@ -523,7 +535,7 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
     if thetas.size == 0:
         return np.empty((0, 2))
     a = solution.series.factor_a
-    curve = solution_curve(solution)
+    curve = replace(solution_curve(solution), _exact=None)  # the quadrature, not the law
     grid = np.union1d(np.array([0.0]), 2.0 * thetas)
     samples = reconstruct(curve, grid)
     pts = samples.points[np.searchsorted(samples.theta, 2.0 * thetas)]
@@ -592,9 +604,7 @@ def mirror_report(solution: PantographSolution) -> MirrorReport:
     R(theta)| on a window avoiding the singular angles, (d) the growth of
     |Q| = |R / sin| toward pi as a pole indicator, and (e) verticality /
     occlusion flags for the profile at 2049 angles of ``[0, 4pi]``.  The
-    positions come from the doubling law on the series window
-    (``_mirror_samples``); at order 30 they differ from quadrature of the
-    continued R by the truncated series' own defect, about 3e-10 of max |r|.
+    positions come from one ``reconstruct``, by the doubling law.
     """
     series = solution.series
     if series.k < 0:
@@ -621,7 +631,7 @@ def mirror_report(solution: PantographSolution) -> MirrorReport:
 
     base_grid = _REPORT_WINDOW.grid()
     grid = np.union1d(base_grid, [0.0, *all_zeros])
-    samples = _mirror_samples(solution, grid)
+    samples = reconstruct(curve, grid)
     thetas, pts = samples.theta, samples.points
 
     # Every angle below is a node of the union grid, which k >= 0 never clips.

@@ -1,13 +1,23 @@
 """Shared fixtures: the continued mirror profiles are expensive, build once;
-CSV tables written by the library are read back cell by cell."""
+CSV tables written by the library are read back cell by cell; positions of a
+continued mirror are held to the doubling law's accuracy gate."""
 
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from caustics.pantograph import PantographSolution, mirror_report, solve_series
+from caustics import inclination, pantograph
+from caustics.pantograph import (
+    BASE_GUARD,
+    JET_ORDER,
+    PantographSolution,
+    continue_R,
+    mirror_report,
+    solve_series,
+)
 
 
 def pytest_configure(config):
@@ -70,3 +80,30 @@ def read_csv():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+SEAMS = (math.pi / 2 - BASE_GUARD) * 2.0 ** np.arange(JET_ORDER)
+"""The doubling seams 2^j (pi/2 - guard), where the truncated series leaves R a jump."""
+
+
+def _law_gap(solution, theta, xys):
+    """The largest gap between rows ``xys`` (x, y, arclength from 0 at the first of the increasing
+    ``theta``) of ``solution_curve(solution)`` and the quadrature of the continued R
+    (``inclination._integrate``) with its cells split at each seam inside, over the doubling
+    law's accuracy gate ``RECONSTRUCT_TOL + 32 (d + 1) eps max|x, y, s|``, d the deepest
+    doubling level.  A split cell ends one float past its seam, so no cell holds a jump but
+    those one float wide."""
+    seams = SEAMS[(SEAMS > theta[0]) & (SEAMS < theta[-1])]
+    grid = np.union1d(theta, np.concatenate([seams, np.nextafter(seams, np.inf)]))
+    r, rp = continue_R(solution, grid)
+    ref = inclination._integrate(lambda t: continue_R(solution, t), grid, r, rp)
+    got = np.stack(xys)
+    depth = int(pantograph._depth(solution, theta).max())
+    gate = inclination.RECONSTRUCT_TOL + 32 * (depth + 1) * np.finfo(float).eps * np.max(
+        np.abs(got))
+    return float(np.max(np.abs(got - ref[:, np.searchsorted(grid, theta)])) / gate)
+
+
+@pytest.fixture
+def law_gap():
+    return _law_gap

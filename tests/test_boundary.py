@@ -26,7 +26,7 @@ from caustics.oracle import (
     verticality_check)
 from caustics.pantograph import (
     PantographSeries, PantographSolution, continue_R, mirror_equation_residual, parabola_mirror,
-    solve_series)
+    solution_curve, solve_series)
 from caustics import skew
 from caustics.quadrature import panel_integrals
 from caustics.skew import (
@@ -172,6 +172,9 @@ BAD_CALLS = {
     "write_scene_no_finite_point": lambda: write_scene(os.devnull, mirror=[np.full((3, 2), np.nan)]),
     # 1 + 4.5e-16 rounds to 1 + 2 ulp: 9 angles on it cannot all differ.
     "reconstruct_grid_too_narrow": lambda: reconstruct(circle(), AngleInterval(1, 1 + 4.5e-16, 9)),
+    # The width 2e308 overflows: the linspace's nodes are not finite.
+    "reconstruct_grid_past_the_float_limit": lambda: reconstruct(
+        circle(), AngleInterval(-1e308, 1e308, 5)),
 }
 
 # The message of each row that is the only test of its `raise`.
@@ -185,6 +188,7 @@ MESSAGES = {
     "puiseux_curve_zero_gamma": "gamma must be positive",
     "write_scene_no_finite_point": "no finite points to draw",
     "reconstruct_grid_too_narrow": "9 angles on [1.0, 1.0000000000000004] do not increase",
+    "reconstruct_grid_past_the_float_limit": "5 angles on [-1e+308, 1e+308] do not increase",
 }
 
 
@@ -200,6 +204,10 @@ def test_bad_argument_is_validation_error(call, message):
 
 def _step(t):
     return np.asarray(t >= 0.0, dtype=float)[None]
+
+
+def _huge_mirror():
+    return solution_curve(PantographSolution(solve_series(2, 30, leading=1e308)))
 
 
 def _perturbed_delay_roots():
@@ -241,6 +249,14 @@ DEGENERATE_CALLS = {
     "reconstruct_closed_form_overflows": (
         lambda: reconstruct(circle(1e308), AngleInterval(0, 3, 9)),
         EvaluationError, "x, y or the arclength is not finite at theta = 1.875"),
+    # A mirror whose R overflows in the series window: the doubling law leaves its quadrature
+    # to the check of R at the nodes, as the quadrature path does.
+    "reconstruct_mirror_radius_overflows": (
+        lambda: reconstruct(_huge_mirror(), AngleInterval(0, 1, 9)),
+        EvaluationError, "R is not finite at theta = 0.0"),
+    "reconstruct_mirror_radius_overflows_quadrature": (
+        lambda: reconstruct(InclinationCurve(_huge_mirror().jet), AngleInterval(0, 1, 9)),
+        EvaluationError, "R is not finite at theta = 0.0"),
     "point_by_point_zero_amplitude": (
         lambda: point_by_point_curve(0, 1.2, 0.3),
         DegenerateCurveError, "zero amplitude collapses the curve to a point"),

@@ -372,9 +372,10 @@ def test_series_caustic_continues_each_node_once(capsys, monkeypatch):
         "--interval", "0.1:3", "--samples", "257",
     )
     assert code == 0, err
-    # R and R' at the 257 nodes, then the node-jet rule's three inner nodes in
-    # every cell, then K7's four others in the one cell that misses the rule.
-    assert calls == [257, 3 * 256, 4]
+    # The doubling law climbs R and R' at the 257 nodes itself; continue_R serves only its
+    # quadrature of the series window: the node-jet rule's three inner nodes in each of the
+    # 258 cells between the 257 base angles and the seam's w / 2 and w, w = pi/2 - guard.
+    assert calls == [3 * 258]
 
 
 @pytest.mark.parametrize(
@@ -549,6 +550,50 @@ def test_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: R is not finite at theta = ")
+
+
+def test_window_past_the_float_limit_exits_2_under_warnings_as_errors(tmp_path, capsys):
+    # The width 2e308 overflows in the linspace; its non-finite nodes do not increase.
+    path = tmp_path / "c.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "curve", "--curve", "circle", "--interval=-1e308:1e308",
+                                 "--samples", "5", "--out-csv", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 5 angles on [-1e+308, 1e+308] do not increase\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("curve, interval", [("series:k=1", "0.5:2600"), ("series:k=3", "1:1000")])
+def test_series_curves_across_many_seams_exit_0(tmp_path, capsys, read_csv, law_gap, curve,
+                                                interval):
+    # A quadrature of the continued R bisects each cell holding a seam, where the truncated
+    # series leaves R a jump, down to rounding width, and misses its budget there; the
+    # doubling law integrates the series window only.
+    path = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "curve", "--curve", curve, "--interval", interval,
+                               "--samples", "9", "--out-csv", str(path))
+    assert code == 0, err
+    theta, x, y, _, s = read_csv(path)[1].T
+    solution = PantographSolution(solve_series(int(curve.split("=")[1])))
+    assert law_gap(solution, theta, (x, y, s)) <= 1.0
+
+
+@pytest.mark.parametrize("curve", ["series:k=-2", "series:k=-3,secondary=0.5"])
+def test_series_curves_with_a_pole_take_the_quadrature(capsys, monkeypatch, curve):
+    calls = []
+
+    def counted(fn, edges, *args, **kwargs):
+        calls.append(np.size(edges))
+        return quadrature.panel_integrals(fn, edges, *args, **kwargs)
+
+    monkeypatch.setattr(inclination, "panel_integrals", counted)
+    code, _, err = run_cli(capsys, "curve", "--curve", curve, "--interval", "0.5:2pi",
+                           "--samples", "129")
+    assert code == 0, err
+    assert calls == [129]
 
 
 @pytest.mark.parametrize("argv", [
@@ -729,41 +774,45 @@ def test_too_wide_a_window_fails_cleanly_under_memory_cap():
 
 
 def test_pantograph_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
-    # The report takes its positions from the doubling law; only the figure
-    # reconstructs, so that the drawn caustic is the reflection caustic of
-    # the drawn mirror, on the same samples.
-    sizes, doubled = [], []
-    mirror_samples = pantograph._mirror_samples
+    # The report reconstructs its grid once and the figure its window once, so that the
+    # drawn caustic is the reflection caustic of the drawn mirror, on the same samples; both
+    # take the doubling law.
+    sizes, laws = [], []
+    law = pantograph._doubling_law
 
     def counted(*args, **kwargs):
         samples = reconstruct(*args, **kwargs)
         sizes.append(len(samples))
         return samples
 
-    def counted_doubling(solution, grid):
-        doubled.append(len(grid))
-        return mirror_samples(solution, grid)
+    def counted_law(curve, theta):
+        laws.append(theta.size)
+        return law(curve, theta)
 
     for module in (cli, caustic, pantograph):
         monkeypatch.setattr(module, "reconstruct", counted)
-    monkeypatch.setattr(pantograph, "_mirror_samples", counted_doubling)
+    monkeypatch.setattr(pantograph, "_doubling_law", counted_law)
     code, _, err = run_cli(
         capsys, "pantograph", "--m", "2", "--samples", "513",
         "--out-svg", str(tmp_path / "mirror.svg"),
     )
     assert code == 0, err
-    assert sizes == [513]
-    assert doubled == [2060]
+    assert sizes == [2060, 513]
+    assert laws == [2060, 513]
+
+
+# (calls, doublings) of _climb_chains in `pantograph --m M --order N --samples 257 --out-svg`.
+MIRROR_CLIMBS = {("1", "30"): (9, 5889), ("1", "60"): (9, 5889), ("2", "30"): (10, 6060),
+                 ("2", "60"): (10, 6060), ("3", "30"): (10, 6069), ("3", "60"): (10, 6069)}
 
 
 @pytest.mark.parametrize("m", ["1", "2", "3"])
 @pytest.mark.parametrize("order", ["30", "60"])
 def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, monkeypatch, m, order):
-    # Every continuation, from continue_R or from the report's chains, climbs
-    # through _climb_chains, which doubles each angle to its depth.  With the
-    # report integrating only the series window a command makes about
-    # 11 500 doublings; a return to quadrature of the continued R over
-    # [0, 11.5pi] makes 41 000-49 000.
+    # Every continuation, from continue_R or from the doubling law, climbs through
+    # _climb_chains, which doubles each angle to its depth.  The report and the figure
+    # integrate only the series window, so no cell holds a seam; a return to quadrature of
+    # the continued R makes 6 900-7 130 doublings in 9-12 calls, and bisects each seam's cell.
     calls, doublings = [], []
     climb = pantograph._climb_chains
 
@@ -778,8 +827,7 @@ def test_mirror_quadrature_does_not_chase_truncation_jumps(tmp_path, capsys, mon
         "--out-svg", str(tmp_path / "mirror.svg"),
     )
     assert code == 0, err
-    assert len(calls) <= 80
-    assert sum(doublings) <= 14_000
+    assert (len(calls), sum(doublings)) == MIRROR_CLIMBS[m, order]
 
 
 def test_reused_parser_matches_fresh_processes(capsys):

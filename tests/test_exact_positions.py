@@ -1,4 +1,5 @@
-"""Closed-form positions of the exponential-sum curves, against mpmath and the quadrature."""
+"""Exact positions, the exponential sums' closed form and the pantograph mirrors' doubling law,
+against mpmath and the quadrature."""
 
 import dataclasses
 import math
@@ -10,6 +11,7 @@ import pytest
 from caustics import inclination, quadrature, verify
 from caustics.inclination import (
     AngleInterval,
+    InclinationCurve,
     _exp_sum_curve,
     _exp_sum_integrals,
     _points_at,
@@ -127,6 +129,28 @@ def test_closed_form_follows_the_jet(monkeypatch, make):
     assert gap <= inclination.RECONSTRUCT_TOL
 
 
+def test_doubling_law_follows_the_jet(monkeypatch):
+    # A mirror's curve integrates the series window only: the 33 nodes of [0.2, 2.8] halve to
+    # 17 base angles of depth 0 and 16 of depth 1, which with the seam's w / 2 and w make 35.
+    calls = _logged_quadrature(monkeypatch)
+    window = AngleInterval(0.2, 2.8, 33)
+    curve = solution_curve(PantographSolution(solve_series(1)))
+    law = reconstruct(curve, window)
+    relabelled = reconstruct(dataclasses.replace(curve, label="renamed"), window)
+    assert calls == [35, 35]
+    # Its jet alone, or another jet, takes the quadrature over the whole window.
+    numeric = reconstruct(InclinationCurve(curve.jet), window)
+    replaced = reconstruct(dataclasses.replace(curve, jet=lambda t: curve.jet(t)), window)
+    assert calls == [35, 35, 33, 33]
+    for name in ("x", "y", "radius", "radius_prime", "arclength"):
+        assert np.array_equal(getattr(relabelled, name), getattr(law, name))
+        assert np.array_equal(getattr(replaced, name), getattr(numeric, name))
+    assert np.array_equal(numeric.radius, law.radius)
+    gap = np.max(np.abs(np.stack([numeric.x - law.x, numeric.y - law.y,
+                                  numeric.arclength - law.arclength])))
+    assert gap <= inclination.RECONSTRUCT_TOL
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_agrees_with_the_quadrature_on_a_seeded_sweep(seed):
     # The worst draw's gap between the two paths, over its stated bound
@@ -138,7 +162,7 @@ def test_closed_form_agrees_with_the_quadrature_on_a_seeded_sweep(seed):
     drawn = {verify._exact_draw(rng)[0] for _ in range(count)}
     assert drawn == set(range(len(verify._EXACT_CURVES)))
     made = [make(*args) for make, *args in verify._EXACT_CURVES]
-    assert all(curve._exp_sum[0] is curve.jet for curve in made)
+    assert all(curve._exact[0] is curve.jet for curve in made)
 
 
 def _counted_cells(monkeypatch):
@@ -169,6 +193,21 @@ def test_points_at_in_closed_form_match_a_refined_grid(monkeypatch, name):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_points_at_on_a_series_curve_take_the_doubling_law(monkeypatch):
+    # The cusps and off-node angles of a k = 1 mirror down to depth 3, placed without a
+    # quadrature cell, as a reconstruction of the grid refined by them places them.
+    calls = _counted_cells(monkeypatch)
+    curve = solution_curve(PantographSolution(solve_series(1)))
+    interval = AngleInterval(0.2, 12.0, 129)
+    thetas = np.union1d(find_cusps(curve, interval), _between_nodes(interval.grid()))
+    got = _points_at(curve, reconstruct(curve, interval), thetas)
+    refined = reconstruct(curve, np.union1d(interval.grid(), thetas))
+    want = refined.points[np.searchsorted(refined.theta, thetas)]
+    assert calls == []
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert _points_at(curve, reconstruct(curve, interval), []).shape == (0, 2)
+
+
 def _cells_from_left_nodes(curve, samples, thetas):
     """Reference: one quadrature cell from each angle's left node, the cells sharing
     RECONSTRUCT_TOL by width."""
@@ -187,7 +226,8 @@ def _cells_from_left_nodes(curve, samples, thetas):
 
 QUADRATURE_CURVES = {
     "poly": (lambda: polynomial_curve([0.5, -1.0, 0.2]), AngleInterval(0.0, 100.0, 257)),
-    "series": (lambda: solution_curve(PantographSolution(solve_series(1))),
+    # A mirror's own curve takes the doubling law; its jet alone takes the quadrature.
+    "series": (lambda: InclinationCurve(solution_curve(PantographSolution(solve_series(1))).jet),
                AngleInterval(0.2, 12.0, 129)),
 }
 

@@ -26,12 +26,11 @@ from caustics.errors import (
     ResonanceError,
     ValidationError,
 )
-from caustics.inclination import AngleInterval, find_cusps, reconstruct
+from caustics.inclination import AngleInterval, InclinationCurve, find_cusps, reconstruct
 from caustics.pantograph import (
     BASE_GUARD,
     JET_ORDER,
     PantographSolution,
-    _mirror_samples,
     continue_R,
     mirror_equation_residual,
     mirror_report,
@@ -258,9 +257,18 @@ def test_equation_residuals(m2_solution, m3_solution, cycloid_solution):
 
 @pytest.mark.parametrize("n_max, bound", [(30, 1e-9), (60, 1e-13)])
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_reflection_caustic_is_the_homothety(k, n_max, bound):
-    # The figure's caustic comes from the mirror's own R and R'; the paper's
-    # homothety a r(2 theta) + (1 - a) r(0) is reconstructed independently.
+def test_reflection_caustic_is_the_homothety(monkeypatch, k, n_max, bound):
+    # The figure's caustic comes from the mirror's own R and R', at positions from the
+    # doubling law; the paper's homothety a r(2 theta) + (1 - a) r(0) is reconstructed
+    # independently, by the quadrature, so the law is never compared with itself.
+    laws = []
+    law = pantograph._doubling_law
+
+    def counted(curve, theta):
+        laws.append(theta.size)
+        return law(curve, theta)
+
+    monkeypatch.setattr(pantograph, "_doubling_law", counted)
     solution = PantographSolution(solve_series(k, n_max=n_max))
     curve = solution_curve(solution)
     windows = (AngleInterval(0.0, 2 * math.pi, 513).grid(), np.linspace(0.05, 3 * math.pi, 200))
@@ -271,6 +279,7 @@ def test_reflection_caustic_is_the_homothety(k, n_max, bound):
         want = overlay_caustic_points(solution, caus.source.theta[1:])
         scale = np.max(np.linalg.norm(caus.source.points, axis=1))
         assert np.max(np.abs(caus.points[1:] - want)) < bound * scale
+    assert laws == [513, 201]
 
 
 def test_overlay_points_match_closed_form(cycloid_solution):
@@ -307,7 +316,7 @@ def test_m3_collinearity_exceeds_cycloid(m3_report, cycloid_report, m2_report):
 
 
 @pytest.mark.parametrize("name", ["cycloid", "m2", "m3"])
-def test_report_point_sets_are_arrays(name, request):
+def test_report_point_sets_are_arrays(name, request, law_gap):
     solution = request.getfixturevalue(f"{name}_solution")
     report = request.getfixturevalue(f"{name}_report")
     mirror, caustic, line = (
@@ -321,16 +330,13 @@ def test_report_point_sets_are_arrays(name, request):
     assert len(mirror) == len(report.zeros) and len(line) == 5
     a = solution.series.factor_a
     assert np.array_equal(caustic, a * mirror + (1 - a) * line[0])
-    # The report's positions come from the doubling law, once, on its grid.
+    # The report's positions come from reconstruct, once, on its grid, by the doubling law,
+    # within its accuracy gate of the quadrature split at the seams.
     grid = _report_grid(solution)
-    samples = _mirror_samples(solution, grid)
+    samples = reconstruct(solution_curve(solution), grid)
     at_zeros = samples.points[np.searchsorted(samples.theta, report.zeros)]
     assert np.array_equal(mirror, at_zeros)
-    # Every position the report reads agrees with the generic reconstruction
-    # within the order-30 series' own defect.
-    ref = reconstruct(solution_curve(solution), grid)
-    scale = np.max(np.linalg.norm(ref.points, axis=1))
-    assert np.max(np.linalg.norm(samples.points - ref.points, axis=1)) <= 1e-9 * scale
+    assert law_gap(solution, grid, (samples.x, samples.y, samples.arclength)) <= 1.0
 
 
 def _report_grid(solution):
@@ -342,14 +348,18 @@ def _report_grid(solution):
 
 
 def test_mirror_samples_climb_each_chain_once(monkeypatch):
-    # Past the quadrature of the series window, the report's positions take R
-    # from one base jet per distinct base angle, 0 included: 1 163 for the
-    # 2 060 grid angles of k = 1, whose chains hold 4 281 angles.
+    # Past the quadrature of the series window, the law takes R from one base jet per
+    # distinct base angle, the seams' w / 2 and w included: 1 165 for the 2 060 grid
+    # angles of the k = 1 report, down to depth 5, whose chains hold 4 292 angles.  The
+    # quadrature asks continue_R for its inner nodes only.
     solution = PantographSolution(solve_series(1, n_max=30))
     grid = _report_grid(solution)
-    bases = np.union1d([0.0], grid / 2.0 ** pantograph._depth(solution, grid))
-    jets, inside = [], []
-    r_taylor, integrate = pantograph._r_taylor, pantograph._integrate
+    depth = pantograph._depth(solution, grid)
+    w = math.pi / 2 - BASE_GUARD
+    bases = np.union1d(grid / 2.0 ** depth, [0.5 * w, w])
+    jets, inside, continued = [], [], []
+    r_taylor, integrate, continue_r = (
+        pantograph._r_taylor, pantograph._integrate, pantograph.continue_R)
 
     def counted(series, u, reach):
         if not inside:
@@ -363,21 +373,28 @@ def test_mirror_samples_climb_each_chain_once(monkeypatch):
         finally:
             inside.pop()
 
+    def counted_continuation(solution, theta):
+        continued.append(np.size(theta))
+        return continue_r(solution, theta)
+
     monkeypatch.setattr(pantograph, "_r_taylor", counted)
     monkeypatch.setattr(pantograph, "_integrate", quadrature)
-    _mirror_samples(solution, grid)
-    assert sum(jets) == bases.size
+    monkeypatch.setattr(pantograph, "continue_R", counted_continuation)
+    samples = reconstruct(solution_curve(solution), grid)
+    assert jets == [bases.size] == [1165]
+    assert continued == [3 * (bases.size - 1)]
+    assert len(samples) == grid.size == 2060
+    assert int(depth.max()) == 5
 
 
-@pytest.mark.parametrize("n_max, bound", [(30, 1e-9), (60, 1e-12)])
+@pytest.mark.parametrize("n_max", [30, 60], ids=["30-1e-09", "60-1e-12"])  # ids kept stable
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_mirror_samples_match_generic_reconstruction(k, n_max, bound):
-    # The doubling law against quadrature of the continued R, on the
-    # report's grid, on a grid whose first node (put at the origin by both)
-    # is above 0, and on the depth seams (pi/2 - guard) 2^j and their
-    # neighbouring floats, where the base angle jumps from the top of the
-    # series window to half of it.  At order 30 the gap is the truncated
-    # series' own defect in the pantograph equation.
+def test_mirror_samples_match_generic_reconstruction(k, n_max, law_gap):
+    # The doubling law against quadrature of the continued R split at the seams, on the
+    # report's grid, on a grid whose first node (put at the origin by both) is above 0, and
+    # on the depth seams (pi/2 - guard) 2^j and their neighbouring floats, where the base
+    # angle jumps from the top of the series window to half of it.  R and R' are
+    # continue_R's own, bit for bit.
     solution = PantographSolution(solve_series(k, n_max=n_max))
     seams = (math.pi / 2 - BASE_GUARD) * 2.0 ** np.arange(6)
     grids = (
@@ -390,13 +407,49 @@ def test_mirror_samples_match_generic_reconstruction(k, n_max, bound):
     )
     curve = solution_curve(solution)
     for grid in grids:
-        got, want = _mirror_samples(solution, grid), reconstruct(curve, grid)
-        assert np.array_equal(got.theta, want.theta)
-        assert np.array_equal(got.radius, want.radius)
-        assert np.array_equal(got.radius_prime, want.radius_prime)
-        for name in ("x", "y", "arclength"):
-            ref = getattr(want, name)
-            assert np.max(np.abs(getattr(got, name) - ref)) <= bound * np.max(np.abs(ref))
+        got = reconstruct(curve, grid)
+        r, rp = continue_R(solution, grid)
+        assert np.array_equal(got.theta, grid)
+        assert np.array_equal(got.radius, r) and np.array_equal(got.radius_prime, rp)
+        assert law_gap(solution, grid, (got.x, got.y, got.arclength)) <= 1.0
+
+
+def _law_draw(rng):
+    """A family k in 0..3, an order 30, 60 or 120, and a grid reaching doubling depth 0-11
+    from 0 or from above it, with every seam inside and its neighbouring floats."""
+    k, order, top = int(rng.integers(0, 4)), int(rng.choice([30, 60, 120])), int(rng.integers(12))
+    hi = (math.pi / 2 - BASE_GUARD) * 2.0 ** (top - rng.uniform(0.0, 1.0))
+    lo = 0.0 if rng.uniform() < 0.5 else hi * rng.uniform(0.0, 0.5)
+    seams = (math.pi / 2 - BASE_GUARD) * 2.0 ** np.arange(top)
+    seams = seams[(seams > lo) & (seams < hi)]
+    grid = np.union1d(np.linspace(lo, hi, int(rng.integers(9, 258))),
+                      np.concatenate([seams, np.nextafter(seams, 0.0), np.nextafter(seams, hi)]))
+    return k, order, grid
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_doubling_law_meets_its_accuracy_gate_on_a_seeded_sweep(seed, law_gap):
+    rng = np.random.default_rng(seed)
+    depths = set()
+    for _ in range(12):
+        k, order, grid = _law_draw(rng)
+        solution = PantographSolution(solve_series(k, n_max=order))
+        got = reconstruct(solution_curve(solution), grid)
+        r, rp = continue_R(solution, grid)
+        assert np.array_equal(got.radius, r) and np.array_equal(got.radius_prime, rp)
+        assert law_gap(solution, grid, (got.x, got.y, got.arclength)) <= 1.0, (k, order, grid)
+        depths.add(int(pantograph._depth(solution, grid).max()))
+    assert len(depths) >= 6
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_doubling_law_without_doublings_is_the_quadrature(k):
+    # Every angle in the series window: the law is the quadrature of the grid, bit for bit.
+    curve = solution_curve(PantographSolution(solve_series(k, n_max=60)))
+    for interval in (AngleInterval(0.0, 1.5, 33), AngleInterval(0.2, math.pi / 2 - BASE_GUARD, 9)):
+        got, want = reconstruct(curve, interval), reconstruct(InclinationCurve(curve.jet), interval)
+        for name in ("x", "y", "radius", "radius_prime", "arclength"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_report_mapping_round_trip(cycloid_report, capsys):

@@ -55,6 +55,9 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
                         " --out-csv series-deep.csv --out-svg series-deep.svg", False),
     ("series_order_60", "curve --curve series:k=1,order=60 --interval 0:4pi --samples 257"
                         " --out-csv series.csv --out-svg series.svg", False),
+    # The mirror workload's costliest series curve when it took the quadrature.
+    ("series_k2", "curve --curve series:k=2 --interval 0:4pi --samples 257 --out-csv series.csv",
+     False),
     # The pole side: k < 0 continued from near the pole at 0, and the resonant k = -3 member.
     ("series_pole_k-2", "curve --curve series:k=-2,order=60 --interval 0.05:4pi --samples 257"
                         " --out-csv s.csv", False),
