@@ -1,7 +1,7 @@
 """Decimal text of float arrays for the CSV and SVG writers, spelled by numpy.
 
-``write_cells`` writes each cell of a float table followed by one of a few
-separators, in one of two layouts:
+``write_cells`` writes each cell of a float table, given as its columns,
+followed by one of a few separators, in one of two layouts:
 
 ``GENERAL`` prints ``"%.17g" % x`` (17 significant digits, enough to
 round-trip IEEE doubles exactly; the CSV cells).  For a finite cell with
@@ -46,8 +46,9 @@ near-ties and the rare cell whose ``log10`` lands on the wrong side of a
 power of ten; for ``FIXED`` negatives (-0.0 too), ``x >= 1e4``, fractions
 of exactly one half and values that round up to 1e4 -- is formatted by the
 ``%`` operator itself, so the text equals ``%``'s byte for byte.  Blocks of
-about ``BLOCK_CELLS`` cells are formatted and written one at a time, so the
-working memory is set by the block, not by the table.
+about ``BLOCK_CELLS`` cells are gathered from the columns into one reused
+buffer, formatted and written one at a time, so the working memory is set by
+the block, not by the table, and no copy of the table is made.
 """
 from __future__ import annotations
 
@@ -195,11 +196,14 @@ def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _fill_general(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     exact, sig, i = _significands(x)
-    # The 17 digits in 4-digit groups: a spare, the lead digit, then four groups.
+    # The 17 digits in 4-digit groups (a spare, the lead digit, then four), by floor_divide.
     groups = np.empty((6, len(x)), np.int64)
-    np.divmod(sig, 10**8, out=(groups[0], groups[1]))
-    np.divmod(groups[:2], 10**4, out=(groups[2::2], groups[3::2]))
-    np.divmod(groups[2], 10**4, out=(groups[1], groups[2]))
+    np.floor_divide(sig, 10**8, out=groups[0])
+    np.subtract(sig, groups[0] * 10**8, out=groups[1])
+    np.floor_divide(groups[:2], 10**4, out=groups[2::2])
+    np.subtract(groups[:2], groups[2::2] * 10**4, out=groups[3::2])
+    np.floor_divide(groups[2], 10**4, out=groups[1])
+    groups[2] -= groups[1] * 10**4
     # Three words of digits from byte 7, the lead digit last in the first; the
     # spare group, clipped into the table, fills the bytes before it.
     at7 = _QUAD_LO.take(groups[::2], mode="clip")
@@ -267,37 +271,42 @@ def separators(*texts: bytes) -> np.ndarray:
 
 def write_cells(
     fh: BinaryIO,
-    values: np.ndarray,
+    columns,
     layout: Layout,
     codes: np.ndarray,
     seps: np.ndarray,
 ) -> None:
-    """Write each cell of the ``(n, w)`` table ``values``, row by row, to ``fh``.
+    """Write the table of the ``w`` equal-length ``columns``, row by row, to ``fh``.
 
-    Every cell is printed as ``spec % cell``, with the format ``spec`` of
-    ``layout`` (``GENERAL`` or ``FIXED``), and followed by separator
-    number ``code`` of ``seps``, a table from ``separators``; ``codes`` is
-    an ``(n, w)`` integer array, or one row of ``w`` codes that every row
-    shares.  Blocks of about ``BLOCK_CELLS`` cells are formatted and
-    written one at a time.
+    ``columns`` is a sequence of 1-D arrays, or a ``(w, n)`` array such as
+    ``table.T``.  Every cell is printed as ``spec % cell``, with the format
+    ``spec`` of ``layout`` (``GENERAL`` or ``FIXED``), and followed by
+    separator number ``code`` of ``seps``, a table from ``separators``;
+    ``codes`` is an ``(n, w)`` integer array, or one row of ``w`` codes that
+    every row shares.  Each block of about ``BLOCK_CELLS`` cells is gathered
+    into one reused buffer, formatted and written.
     """
-    n, width = values.shape
+    width, n = len(columns), len(columns[0])
     spec, field, fill = layout
     block = max(1, min(BLOCK_CELLS // width, n))
     line = seps.take(codes) if codes.ndim == 1 else None
-    # Rows reused by every block, as fresh ones would cost a page fault a
-    # page; numpy fills them and their bytearray drops the NULs.
+    # Cells and rows reused by every block, as fresh ones would cost a page
+    # fault a page; numpy fills them and their bytearray drops the NULs.
+    cells = np.empty((block, width))
     size = field + seps.itemsize
     buf = bytearray(block * width * size)
     rows_buf = np.frombuffer(buf, np.uint8).reshape(-1, size)
     slots = rows_buf[:, field:].view(seps.dtype)[:, 0]
     for start in range(0, n, block):
-        x = values[start : start + block].ravel()
+        stop = min(start + block, n)
+        for k, column in enumerate(columns):
+            cells[: stop - start, k] = column[start:stop]
+        x = cells[: stop - start].ravel()
         count = len(x)
         rows = rows_buf[:count]
         slow = (~fill(x, rows)).nonzero()[0]
         if line is None:
-            seps.take(codes[start : start + block].ravel(), out=slots[:count])
+            seps.take(codes[start:stop].ravel(), out=slots[:count])
         else:
             slots[:count].reshape(-1, width)[:] = line
         text = buf

@@ -230,13 +230,18 @@ def _caustic_columns(source: CurveSamples, phi, p1, p2):
     flagged nodes turn NaN at the end.  Off a flat node |chi| >= 1e-8 / 1.8e308 > 0 for any
     finite R, so no input flags AT_INFINITY here; its branch stays for the public constant."""
     theta, r = source.theta, source.radius
+    # One table, filled in place; cos and sin of theta wait in the rows of x and y.
+    columns = np.empty((5, theta.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sp, cp = np.sin(phi), np.cos(phi)
-        nu_x, nu_y, chi = _coframe(np.cos(theta), np.sin(theta), sp, cp, r, p1)
-        stretch = cp / chi
-        columns = np.array([theta + math.pi / 2 - phi, source.x + stretch * nu_x,
-                            source.y + stretch * nu_y,
-                            _radius(r, source.radius_prime, sp, cp, p1, p2), np.abs(stretch)])
+        np.subtract(np.add(theta, math.pi / 2, out=columns[0]), phi, out=columns[0])
+        columns[3] = _radius(r, source.radius_prime, sp, cp, p1, p2)
+        nu_x, nu_y, chi = _coframe(np.cos(theta, out=columns[1]), np.sin(theta, out=columns[2]),
+                                   sp, cp, r, p1)
+        stretch = np.divide(cp, chi, out=columns[4])
+        np.add(source.x, np.multiply(stretch, nu_x, out=columns[1]), out=columns[1])
+        np.add(source.y, np.multiply(stretch, nu_y, out=columns[2]), out=columns[2])
+        np.abs(stretch, out=stretch)
     cusp, flat, at_infinity = r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0
     bad = cusp | flat | at_infinity
     flag = np.zeros(theta.shape, dtype=int)

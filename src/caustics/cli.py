@@ -43,6 +43,7 @@ from .inclination import (
 )
 from .pantograph import (
     PantographSolution,
+    _union,
     mirror_report,
     parabola_mirror,
     similarity_factor,
@@ -299,7 +300,7 @@ def _run_pantograph(args: argparse.Namespace) -> None:
             # the mirror and its reflection caustic are integrated from there.
             # theta = 0 is a cusp of the caustic (R = 0): a NaN row, not drawn.
             thetas = window.grid()
-            caus = caustic_curve(curve, TiltField.reflection(), np.union1d([0.0], thetas))
+            caus = caustic_curve(curve, TiltField.reflection(), _union([0.0], thetas))
             nodes = np.searchsorted(caus.source.theta, thetas)
             cpts = caus.points[nodes]
             groups = {

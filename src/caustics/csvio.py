@@ -6,9 +6,11 @@ data always produces byte-identical files.
 
 The text comes from the digit kernel in ``caustics._digits`` (its
 ``GENERAL`` layout), run on blocks of about 8 192 cells that are written to
-the file one at a time.  It spells zeros of either sign itself, and it is
-exact: cells it cannot certify are formatted by ``%`` itself, so the output
-equals the ``%`` operator's byte for byte.
+the file one at a time.  The kernel reads a table as its columns, so a
+record's writer hands it the record's own columns and copies no table.  It
+spells zeros of either sign itself, and it is exact: cells it cannot certify
+are formatted by ``%`` itself, so the output equals the ``%`` operator's byte
+for byte.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[S
     +-inf, other magnitudes outside ``(1e-280, 1e280)`` and cells within
     ``2**-45`` of a rounding tie are formatted by ``%`` one at a time.
     """
-    path = _checks.path("path", path)
     width = len(header)
     if width == 0:
         raise ValidationError("header must name at least one column")
@@ -57,17 +58,22 @@ def write_table(path: str | os.PathLike, header: Sequence[str], rows: Iterable[S
         table = table.reshape(0, width)
     if table.ndim != 2 or table.shape[1] != width:
         raise ValidationError(f"rows must be {form}; got shape {table.shape}")
-    codes = np.zeros(width, np.int8)
+    _write_columns(path, header, table.T)
+
+
+def _write_columns(path: str | os.PathLike, header: Sequence[str], columns) -> None:
+    """Write the header, then the table of the float ``columns``, one per header name."""
+    codes = np.zeros(len(header), np.int8)
     codes[-1] = 1  # the newline
-    with open(path, "wb") as fh:
+    with open(_checks.path("path", path), "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        _digits.write_cells(fh, table, _digits.GENERAL, codes, _SEPARATORS)
+        _digits.write_cells(fh, columns, _digits.GENERAL, codes, _SEPARATORS)
 
 
 def write_curve_csv(path: str | os.PathLike, samples) -> None:
     """Emit a ``CurveSamples`` record as ``theta,x,y,R,s`` rows."""
     columns = (samples.theta, samples.x, samples.y, samples.radius, samples.arclength)
-    write_table(path, CURVE_HEADER, np.column_stack(columns))
+    _write_columns(path, CURVE_HEADER, columns)
 
 
 def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
@@ -75,15 +81,9 @@ def write_caustic_csv(path: str | os.PathLike, caustic) -> None:
 
     Flagged nodes keep their source angle and read NaN in every other column.
     """
-    columns = (
-        caustic.source.theta,
-        caustic.caustic_theta,
-        caustic.x,
-        caustic.y,
-        caustic.caustic_radius,
-        caustic.ray_length,
-    )
-    write_table(path, CAUSTIC_HEADER, np.column_stack(columns))
+    columns = (caustic.source.theta, caustic.caustic_theta, caustic.x, caustic.y,
+               caustic.caustic_radius, caustic.ray_length)
+    _write_columns(path, CAUSTIC_HEADER, columns)
 
 
 def write_coefficient_csv(path: str | os.PathLike, pairs: Iterable[tuple[int, float]]) -> None:

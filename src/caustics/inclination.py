@@ -320,23 +320,39 @@ def _exp_sum_curve(jet, label, rates, amplitudes) -> InclinationCurve:
 
 def _exp_sum_integrals(curve, thetas):
     """Rows x, y and arclength of an ``_exp_sum_curve`` in closed form, from 0 at the first of
-    the increasing ``thetas``.  A term integrates to ``k h`` at ``mu = 0``, with
-    ``h = theta - theta_0``; to ``k e^(mu theta_0) expm1(mu h) / mu`` (numpy's complex expm1
-    splits into real parts) where ``|mu|`` spans at most 1; and to the difference of
-    ``k e^(mu theta) / mu`` beyond: so each keeps a few roundings of its size near ``mu = 0``."""
+    the increasing ``thetas``: the terms' rows summed in place, in ``np.sum``'s order."""
     *_, mu, coef = curve._exact
+    terms, m = _exp_sum_terms(mu, coef, thetas), 2 * mu.size // 3
+    for total, rest in ((terms[0], terms[1:m]), (terms[m], terms[m + 1:])):
+        for row in rest:
+            total += row
+    out = np.empty((3, thetas.size))
+    out[0], out[1], out[2] = terms[0].real, terms[0].imag, terms[m].real
+    return out
+
+
+def _exp_sum_terms(mu, coef, thetas):
+    """Each term ``k e^(mu theta)`` integrated from the first of the increasing ``thetas``, as
+    a row.  A term integrates to ``k h`` at ``mu = 0``, with ``h = theta - theta_0``; to
+    ``k e^(mu theta_0) expm1(mu h) / mu`` (numpy's complex expm1 splits into real parts) where
+    ``|mu|`` spans at most 1; and to the difference of ``k e^(mu theta) / mu`` beyond: so each
+    keeps a few roundings of its size near ``mu = 0``."""
     h = thetas - thetas[0]
     span = np.abs(mu) * h[-1]
     terms = np.outer(coef, h)
-    far, near = span > 1.0, (span <= 1.0) & (span > 0.0)
-    if far.any():
-        prim = coef[far, None] * np.exp(mu[far, None] * thetas) / mu[far, None]
-        terms[far] = prim - prim[:, :1]
-    if near.any():
-        m = mu[near, None]
-        terms[near] = coef[near, None] * np.exp(m * thetas[0]) * np.expm1(m * h) / m
-    pos = terms[:2 * mu.size // 3].sum(axis=0)
-    return np.stack([pos.real, pos.imag, terms[2 * mu.size // 3:].sum(axis=0).real])
+    far, near = np.flatnonzero(span > 1.0), np.flatnonzero((span <= 1.0) & (span > 0.0))
+    buf = np.empty((max(far.size, near.size), h.size), complex)  # freed on return
+    if far.size:
+        prim = buf[:far.size]
+        np.exp(np.multiply(mu[far, None], thetas, out=prim), out=prim)
+        np.divide(np.multiply(coef[far, None], prim, out=prim), mu[far, None], out=prim)
+        terms[far] = np.subtract(prim, prim[:, :1].copy(), out=prim)
+    if near.size:
+        m, rows = mu[near, None], buf[:near.size]
+        np.expm1(np.multiply(m, h, out=rows), out=rows)
+        np.multiply(coef[near, None] * np.exp(m * thetas[0]), rows, out=rows)
+        terms[near] = np.divide(rows, m, out=rows)
+    return terms
 
 
 def _exp_sum_primitive(curve, theta: float) -> complex:

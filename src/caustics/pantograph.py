@@ -391,6 +391,12 @@ def _depth(solution: PantographSolution, theta: np.ndarray) -> np.ndarray:
     return np.maximum(e - exponent + (m > mantissa), 0, dtype=np.int16)
 
 
+def _union(*parts) -> np.ndarray:
+    """``np.union1d`` of the finite ``parts``, without its first call's import of numpy.ma."""
+    nodes = np.sort(np.concatenate(parts, axis=None))
+    return nodes[np.append(True, nodes[1:] > nodes[:-1])]
+
+
 def _climb_chains(series: PantographSeries, u: np.ndarray, depth: np.ndarray, levels: int):
     """(R, R') up each doubling chain u, 2u, ..., 2^depth u of the base angles ``u``,
     sorted by ``depth``, deepest first, as (2, levels, u.size) ``states``: states[:, s]
@@ -490,8 +496,7 @@ def _doubling_law(curve: InclinationCurve, theta: np.ndarray):
     top = int(depth.max())
     base = np.concatenate([np.ldexp(theta, -depth), [0.5 * w, w] if top else []])
     depth = np.concatenate([depth, np.array([top, top - 1] if top else [], depth.dtype)])
-    nodes = np.sort(base)  # np.unique would import numpy.ma on its first call
-    nodes = nodes[np.append(True, nodes[1:] > nodes[:-1])]
+    nodes = _union(base)
     at = np.searchsorted(nodes, base)
     # Row j holds the chain angles nodes 2^j, live up to each base's deepest angle.
     reach = np.zeros(nodes.size, dtype=depth.dtype)  # one dtype keeps ufunc.at on its fast path
@@ -536,7 +541,7 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
         return np.empty((0, 2))
     a = solution.series.factor_a
     curve = replace(solution_curve(solution), _exact=None)  # the quadrature, not the law
-    grid = np.union1d(np.array([0.0]), 2.0 * thetas)
+    grid = _union([0.0], 2.0 * thetas)
     samples = reconstruct(curve, grid)
     pts = samples.points[np.searchsorted(samples.theta, 2.0 * thetas)]
     origin = samples.points[np.searchsorted(samples.theta, 0.0)]
@@ -630,7 +635,7 @@ def mirror_report(solution: PantographSolution) -> MirrorReport:
     chain = [all_zeros[i] for i in (0, 1, 3, 7)]
 
     base_grid = _REPORT_WINDOW.grid()
-    grid = np.union1d(base_grid, [0.0, *all_zeros])
+    grid = _union(base_grid, [0.0, *all_zeros])
     samples = reconstruct(curve, grid)
     thetas, pts = samples.theta, samples.points
 

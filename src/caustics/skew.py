@@ -208,28 +208,29 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
     # so no product over- or underflows, and ordinary inputs keep every bit.
     e = math.frexp(max(abs(A), abs(B)))[1]
     x, y, w = math.ldexp(A, -e), math.ldexp(B, -e), math.sqrt(abs(omega_sq))
-    if omega_sq > 0.0:
-        p = (y * w * c + x * v) / u
-        m = (-x * w * c + y * v) / u
-        denom = x * x + y * y
-        cos_wa = (x * p - y * m) / denom
-        sin_wa = (y * p + x * m) / denom
-        return math.ldexp(math.atan2(sin_wa, cos_wa) / w, -f)
-    if omega_sq < 0.0 and u != 0.0 and x * x != y * y:
-        # cosh(w alpha) and sinh(w alpha) solve A C + B S = p, B C + A S = m.
-        p = (y * w * c + x * v) / u
-        m = -(x * w * c + y * v) / u
-        denom = x * x - y * y
-        if (x * p - y * m) / denom > 0.0:
-            return math.ldexp(math.asinh((x * m - y * p) / denom) / w, -f)
+    member = f"the inverse-position member A={A:g}, B={B:g}, a={factor_a:g}, sin(phi0)={s:g}"
+    try:  # the unscaled alpha overflows where a and sin(phi0) are far below 1
+        if omega_sq > 0.0:
+            p = (y * w * c + x * v) / u
+            m = (-x * w * c + y * v) / u
+            denom = x * x + y * y
+            cos_wa = (x * p - y * m) / denom
+            sin_wa = (y * p + x * m) / denom
+            return math.ldexp(math.atan2(sin_wa, cos_wa) / w, -f)
+        if omega_sq < 0.0 and u != 0.0 and x * x != y * y:
+            # cosh(w alpha) and sinh(w alpha) solve A C + B S = p, B C + A S = m.
+            p = (y * w * c + x * v) / u
+            m = -(x * w * c + y * v) / u
+            denom = x * x - y * y
+            if (x * p - y * m) / denom > 0.0:
+                return math.ldexp(math.asinh((x * m - y * p) / denom) / w, -f)
+    except OverflowError:
+        raise ValidationError(f"the shift alpha of {member} exceeds the float range") from None
     if omega_sq == 0.0 and factor_a == s and B == 0.0:
         return 0.0
     if omega_sq == 0.0 and factor_a == -s and s * y != 0.0:
         return -(c * y + 2 * s * x) / (s * y)
-    raise ValidationError(
-        f"no real shift alpha for the inverse-position member A={A:g}, B={B:g}, "
-        f"a={factor_a:g}, sin(phi0)={s:g}"
-    )
+    raise ValidationError(f"no real shift alpha for {member}")
 
 
 def to_delay_form(factor_a: float, alpha: float, phi0: float) -> tuple[float, float, float]:
@@ -287,7 +288,10 @@ def delay_roots(
         k = _checks.integer("indices", k)
         w = lambert_w(k, rhs)
         lam = complex(w) / alpha - tphi
-        resid = abs((lam + tphi) * cmath.exp(alpha * lam) - factor_a / math.cos(phi0))
+        try:
+            resid = abs((lam + tphi) * cmath.exp(alpha * lam) - factor_a / math.cos(phi0))
+        except OverflowError:  # e^(alpha lambda) passes the float limit
+            resid = math.inf
         if not resid <= bound:
             raise NumericError(f"characteristic residual {resid:.3e} on branch {k} exceeds "
                                f"1e-10 max(1, |a / cos phi0|) = {bound:.3e}")

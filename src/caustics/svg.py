@@ -160,7 +160,7 @@ def write_scene(
                     _path_codes(finite[name], lengths, codes)
                     fh.write(b'\n<path d="M')
                     seps = _PATH_SEPARATORS
-                _digits.write_cells(fh, xy[at : at + count], _digits.FIXED, codes, seps)
+                _digits.write_cells(fh, xy[at : at + count].T, _digits.FIXED, codes, seps)
             fh.write(b"\n</g>\n")
             at += count
         fh.write(b"</svg>\n")

@@ -277,6 +277,17 @@ DEGENERATE_CALLS = {
         _perturbed_delay_roots, NumericError, re.compile(
             r"characteristic residual \S+ on branch 0 exceeds "
             r"1e-10 max\(1, \|a / cos phi0\|\) = 1\.000e-05$")),
+    # e^(alpha lambda) passes the float limit: the Lambert argument underflowed to 0, so
+    # lambda = -tan(phi0) and alpha lambda = 1.6e16.
+    "delay_roots_residual_overflows": (
+        lambda: delay_roots(1e-300, 1e16, -1.0, [0]),
+        NumericError, "characteristic residual inf on branch 0 exceeds "
+                      "1e-10 max(1, |a / cos phi0|) = 1.000e-10"),
+    # omega = a / cos(phi0) = 5e-324, so alpha, an angle over omega, is past the float limit.
+    "implied_alpha_past_the_float_limit": (
+        lambda: implied_alpha(1e5, 1e300, 5e-324, 0.0),
+        ValidationError, "the shift alpha of the inverse-position member A=100000, B=1e+300, "
+                         "a=4.94066e-324, sin(phi0)=0 exceeds the float range"),
     "lambert_w_pole_off_the_principal_branch": (
         lambda: lambert_w(1, 0),
         PoleError, "z=0 is a logarithmic pole of branch 1"),

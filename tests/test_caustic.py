@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,8 @@ from caustics.errors import (
     ValidationError,
 )
 from caustics.csvio import write_caustic_csv
-from caustics.inclination import AngleInterval, circle, cycloid, log_spiral, polynomial_curve
+from caustics.inclination import (
+    AngleInterval, circle, cycloid, log_spiral, polynomial_curve, reconstruct)
 from caustics.oracle import envelope_gap, rays_from_tilt
 from caustics.skew import SkewFamilySpec, build_family, implied_alpha
 
@@ -339,3 +341,21 @@ def test_similarity_argument_domain_check():
             SimilaritySpec(0.5, 0.0),
             AngleInterval(0.0, math.pi, 65),
         )
+
+
+@pytest.mark.parametrize("stage, mib", [
+    (lambda curve, grid: reconstruct(curve, grid), 8.0),
+    (lambda curve, grid: caustic_curve(curve, TiltField.reflection(), grid), 11.0),
+], ids=["reconstruct", "caustic_curve"])
+def test_dense_reflected_cycloid_peak_memory(stage, mib):
+    # 65 537 nodes: a float column is 0.5 MiB.  The record holds six columns, the caustic five
+    # more; the closed form's complex terms take 3 MiB while they are summed.
+    curve, grid = cycloid(1.3), AngleInterval(-2 * math.pi, 2 * math.pi, 65_537)
+    stage(curve, grid)
+    tracemalloc.start()
+    try:
+        stage(curve, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20

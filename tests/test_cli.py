@@ -610,6 +610,39 @@ def test_skew_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
     assert re.fullmatch(r"error: R, R' or the shifted R is not finite at theta = \S+\n", err), err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("--case", "inverse_position", "--phi0", "0", "--a", "5e-324", "--interval=-0:pi/2",
+      "--samples", "2", "--coefficients", "1e5:1e300"), 2,
+     "the shift alpha of the inverse-position member A=100000, B=1e+300, a=4.94066e-324, "
+     "sin(phi0)=0 exceeds the float range"),
+    (("--case", "delay", "--phi0", "-1", "--a", "1e-300", "--interval=1e200:2pi", "--samples",
+      "33", "--alpha", "1e16", "--branches", "0", "--coefficients", "2:1e-300"), 3,
+     "characteristic residual inf on branch 0 exceeds 1e-10 max(1, |a / cos phi0|) = 1.000e-10"),
+], ids=["inverse_position_shift", "delay_residual"])
+def test_skew_shift_or_residual_past_the_float_limit_exits_with_one_error_line(
+        capsys, argv, code, message):
+    # math.ldexp and cmath.exp raise OverflowError there, which main does not catch.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "skew", *argv) == (code, "", f"error: {message}\n")
+
+
+def test_pantograph_process_never_imports_numpy_ma(tmp_path):
+    # np.union1d and np.unique import numpy.ma on their first call, about 9 ms a process.
+    script = ("import sys; from caustics.cli import main; "
+              "code = main(['pantograph', '--m', '2', '--out-svg', sys.argv[1]]); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(caustics.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script,
+                           str(tmp_path / "m.svg")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "m.svg").is_file()
+
+
 @pytest.mark.parametrize("argv", [
     ("curve", "--curve", "circle:radius=1e308", "--interval", "0:1"),
     ("skew", "--case", "point_by_point", "--phi0", "0.3", "--a", "1.2",

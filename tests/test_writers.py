@@ -9,8 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caustics import _digits
-from caustics.csvio import write_coefficient_csv, write_table
+from caustics import _digits, csvio
+from caustics.caustic import Caustic, TiltField, caustic_curve
+from caustics.csvio import (
+    CAUSTIC_HEADER, CURVE_HEADER, write_caustic_csv, write_coefficient_csv, write_curve_csv,
+    write_table)
+from caustics.inclination import AngleInterval, CurveSamples, cycloid
 from caustics.errors import ValidationError
 from caustics.svg import GROUP_ORDER, _STYLE, write_scene
 
@@ -195,6 +199,56 @@ def test_csv_block_boundaries_match_reference(tmp_path, rng, width):
         _assert_matches_reference(tmp_path, table[:n])
 
 
+def _write_record(path, columns):
+    """Write ``columns`` through the writer of their width: a record's, or the column path."""
+    if len(columns) == 2:
+        csvio._write_columns(path, ("a", "b"), columns)
+        return ("a", "b")
+    theta, *rest = columns
+    source = CurveSamples(theta, *rest[:3], np.full(theta.size, 7.0), rest[-1])
+    if len(columns) == 5:
+        write_curve_csv(path, source)
+        return CURVE_HEADER
+    write_caustic_csv(path, Caustic(*rest, np.zeros(theta.size, int), source=source))
+    return CAUSTIC_HEADER
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+@pytest.mark.parametrize("width", [2, 5, 6])
+def test_record_writers_match_write_table_on_the_stacked_table(tmp_path, rng, width, blocks):
+    # One block, a block and one row, or four blocks and seven rows.
+    n = {1: 1, 2: 1, 5: 4}[blocks] * (_digits.BLOCK_CELLS // width) + {1: 0, 2: 1, 5: 7}[blocks]
+    columns = [rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n) for _ in range(width)]
+    columns[-1] = np.repeat(columns[-1], 3)[::3]  # a strided column
+    for k, column in enumerate(columns):
+        column[k % 4 :: 11] = (0.0, -0.0, math.inf, -math.inf)[k % 4]
+        column[1::7] *= -1.0
+        if k:
+            column[3::13] = math.nan  # flagged rows: NaN past the first column
+    assert not columns[-1].flags.c_contiguous
+    header = _write_record(tmp_path / "record.csv", columns)
+    table = np.column_stack(columns)
+    write_table(tmp_path / "table.csv", header, table)
+    got = (tmp_path / "record.csv").read_bytes()
+    assert got == (tmp_path / "table.csv").read_bytes()
+    assert got == _reference_csv(header, table.tolist())
+
+
+def test_caustic_writer_copies_no_table(tmp_path):
+    # The 65 537-node reflected cycloid: its six columns stacked would take 3 MiB.
+    caus = caustic_curve(cycloid(1.3), TiltField.reflection(),
+                         AngleInterval(-2 * math.pi, 2 * math.pi, 65_537))
+    write_caustic_csv(tmp_path / "warm.csv", caus)
+    tracemalloc.start()
+    try:
+        write_caustic_csv(tmp_path / "c.csv", caus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
 def test_csv_writer_raises_no_numpy_warnings(tmp_path, rng):
     values = np.concatenate([SPECIAL, [1e-300, -1e300, 1e-320, -np.inf], rng.normal(size=60)])
     with warnings.catch_warnings():
@@ -220,7 +274,7 @@ def test_csv_writer_peak_memory_is_bounded(tmp_path, rng):
 def _fixed_text(values) -> bytes:
     """``values`` one to a line, through the kernel's fixed-point layout."""
     buf = io.BytesIO()
-    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    column = np.asarray(values, dtype=float).reshape(1, -1)
     _digits.write_cells(buf, column, _digits.FIXED, np.zeros(1, np.int8), _digits.separators(b"\n"))
     return buf.getvalue()
 

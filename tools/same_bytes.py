@@ -114,6 +114,10 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     # cusp of the cycloid, and its stdout reads flagged=1.
     ("cycloid_reflection_33", "caustic --curve cycloid --tilt reflection --interval=-1:1"
                               " --samples 33 --out-csv c.csv --out-svg c.svg", False),
+    # The caustic workload's fourth stock curve: a multi-block table with a flagged row (a
+    # cusp at theta = 0, stdout flagged=1).
+    ("puiseux_skew_32769", "caustic --curve puiseux:c=0.2,gamma=3 --tilt skew:-0.7"
+                           " --interval=-5:5 --samples 32769 --out-csv p.csv", False),
     # The cusp refinement of a cusp chain, and the cusps drawn from it.
     ("puiseux_cusps", "curve --curve puiseux:c=0.15,gamma=3 --interval=-8pi:8pi --samples 129"
                       " --out-csv p.csv --out-svg p.svg", False),
