@@ -220,10 +220,10 @@ def reconstruct(
     evaluated once at the nodes, for the ``radius`` and ``radius_prime`` columns.
     The stock exponential sums (``circle``, ``cycloid``, ``log_spiral``, and
     ``point_by_point_curve``, ``puiseux_curve``, ``delay_curve`` and the
-    trigonometric ``inverse_position_curve`` of ``caustics.skew``) take x, y and
+    trigonometric and hyperbolic ``inverse_position_curve`` of ``caustics.skew``) take x, y and
     arclength in closed form, each term within a few roundings of its size.  A
-    ``pantograph.solution_curve`` with k >= 0 takes the doubling law: one quadrature
-    of the series window [0, w], then one step and one seam constant per doubling,
+    ``pantograph.solution_curve`` takes the doubling law: one quadrature of the series
+    window [0, w], then one step and one seam constant per doubling,
     within that quadrature's error grown by 1/a a step and about 32 (d + 1) eps
     max|x, y, s| of rounding at depth d.  Other curves, and these given another jet
     (``InclinationCurve(curve.jet)`` forces it), take ``quadrature``'s node-jet
@@ -365,7 +365,7 @@ def _exp_sum_primitive(curve, theta: float) -> complex:
 
 def _closed_form(curve: InclinationCurve) -> bool:
     """Whether ``curve`` carries exact positions, a stock exponential sum or a continued
-    pantograph solution with k >= 0, and still its own jet."""
+    pantograph solution, and still its own jet."""
     return curve._exact is not None and curve._exact[0] is curve.jet
 
 

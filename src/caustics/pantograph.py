@@ -29,7 +29,7 @@ and (r(v) + sin v R(v) e^(2iv) / 2) / a and (x(v) + sin v R(v) / 2) / a have the
 keeps x, y and s continuous at the seam 2^(j-1) w, where the truncated series leaves R a jump.
 From one quadrature of the series window, this doubling law gives ``reconstruct`` the
 integral of the continued R within that quadrature's error, grown by 1/a a doubling, and
-about 32 (d + 1) eps max|x, y, s| of rounding at depth d; k < 0 keeps the quadrature.
+about 32 (d + 1) eps max|x, y, s| of rounding at depth d.
 
 The cycloid is the member k = 0 (Q constant); k = -4 degenerates to the
 parabola, which gets its own closed form here because its caustic is a
@@ -467,8 +467,8 @@ def solution_curve(solution: PantographSolution) -> InclinationCurve:
     The curve's jet is ``continue_R`` itself, so one continuation gives R and
     R' at the same angles, and its domain is all of ``[0, max_theta]``.
     Families with k <= -1 have a pole of Q at theta = 0, declared so that
-    reconstruction keeps its guard band away from it.  For k >= 0, ``reconstruct``
-    takes the doubling law; ``InclinationCurve(curve.jet)`` takes the quadrature.
+    reconstruction keeps its guard band away from it.  ``reconstruct`` takes the
+    doubling law; ``InclinationCurve(curve.jet)`` takes the quadrature.
     """
     k = solution.series.k
     jet = lambda t: continue_R(solution, t)  # noqa: E731 (the law holds this very jet)
@@ -477,12 +477,12 @@ def solution_curve(solution: PantographSolution) -> InclinationCurve:
         domain=(0.0, solution.max_theta),
         label=f"pantograph(k={k}, a={solution.series.factor_a:g})",
         poles=(0.0,) if k <= -1 else (),
-        _exact=None if k <= -1 else (jet, _doubling_law, solution),
+        _exact=(jet, _doubling_law, solution),
     )
 
 
 def _doubling_law(curve: InclinationCurve, theta: np.ndarray):
-    """R, R' and the rows x, y and arclength of a ``solution_curve`` with k >= 0 at ``theta``
+    """R, R' and the rows x, y and arclength of a ``solution_curve`` at ``theta``
     in [0, max_theta], the positions from 0 at the first, by the doubling law (module docstring).
     Each angle is halved d times into the series window [0, w]; the distinct base angles get
     one quadrature and climb their chains u, ..., 2^d u, with R and R' from one

@@ -167,8 +167,12 @@ def inverse_position_curve(
     trigonometric, linear (circle involute, exactly at a = +-sin phi0) or
     hyperbolic amplitudes.
     """
-    A, B, *_, f, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
-    w = math.ldexp(math.sqrt(abs(omega_sq)), f)
+    A, B, factor_a, s, *_, f, omega_sq = _inverse_member(amplitude_a, amplitude_b, factor_a, phi0)
+    try:
+        w = math.ldexp(math.sqrt(abs(omega_sq)), f)
+    except OverflowError:
+        raise ValidationError(f"omega of the inverse-position member A={A:g}, B={B:g}, "
+                              f"a={factor_a:g}, sin(phi0)={s:g} exceeds the float range") from None
     if omega_sq > 0.0:
         def jet(t):
             wt = w * np.asarray(t, dtype=float)
@@ -189,7 +193,8 @@ def inverse_position_curve(
         c, s = np.cosh(wt), np.sinh(wt)
         return A * c + B * s, A * w * s + B * w * c
 
-    return InclinationCurve(jet, label=f"skew_inverse_hyp(A={A:g}, B={B:g}, omega={w:g})")
+    return _exp_sum_curve(jet, f"skew_inverse_hyp(A={A:g}, B={B:g}, omega={w:g})",
+                          [w, -w], [0.5 * A + 0.5 * B, 0.5 * A - 0.5 * B])
 
 
 def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0: float) -> float:
@@ -229,7 +234,10 @@ def implied_alpha(amplitude_a: float, amplitude_b: float, factor_a: float, phi0:
     if omega_sq == 0.0 and factor_a == s and B == 0.0:
         return 0.0
     if omega_sq == 0.0 and factor_a == -s and s * y != 0.0:
-        return -(c * y + 2 * s * x) / (s * y)
+        alpha = -(c * y + 2 * s * x) / (s * y)  # a float division past the limit gives inf
+        if math.isfinite(alpha):
+            return alpha
+        raise ValidationError(f"the shift alpha of {member} exceeds the float range")
     raise ValidationError(f"no real shift alpha for {member}")
 
 
@@ -323,8 +331,9 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
 
     # R' = sum exp(xi t) (ca cos(eta t) + cb sin(eta t)).  Per root, the cos and the sin
     # coefficients of R and R' on axis 1: (A, ca) and (B, cb).
-    on_cos = np.stack([amp_a, amp_a * xi + amp_b * eta], axis=1)
-    on_sin = np.stack([amp_b, amp_b * xi - amp_a * eta], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an R that is not finite is reported
+        on_cos = np.stack([amp_a, amp_a * xi + amp_b * eta], axis=1)
+        on_sin = np.stack([amp_b, amp_b * xi - amp_a * eta], axis=1)
 
     def jet(t):
         t = np.asarray(t, dtype=float)

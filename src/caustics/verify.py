@@ -103,6 +103,7 @@ _EXACT_CURVES = (  # stock curves that reconstruct takes in closed form, |R| < 6
     (inclination.circle, 1.5), (inclination.cycloid, -0.8), (inclination.log_spiral, 1.0, 0.3),
     (skew.puiseux_curve, 0.2, 2.5), (skew.build_family, SkewFamilySpec("point_by_point", 0.3, 0.5)),
     (skew.build_family, SkewFamilySpec("inverse_position", 0.3, 1.2, coefficients=((1.0, 0.5),))),
+    (skew.inverse_position_curve, 1.0, 0.5, 0.1, 0.3),
     (skew.build_family, SkewFamilySpec("delay", 0.3, 0.9, 1.6, (-1, 1), ((1.0, 0.2), (0.8, -0.3)))),
 )
 

@@ -288,6 +288,16 @@ DEGENERATE_CALLS = {
         lambda: implied_alpha(1e5, 1e300, 5e-324, 0.0),
         ValidationError, "the shift alpha of the inverse-position member A=100000, B=1e+300, "
                          "a=4.94066e-324, sin(phi0)=0 exceeds the float range"),
+    # The circle involute a = -sin(phi0): alpha = -(c B + 2 s A) / (s B) over s = 5e-324.
+    "implied_alpha_involute_past_the_float_limit": (
+        lambda: implied_alpha(1, 1.5, -5e-324, 5e-324),
+        ValidationError, "the shift alpha of the inverse-position member A=1, B=1.5, "
+                         "a=-4.94066e-324, sin(phi0)=4.94066e-324 exceeds the float range"),
+    # omega = sqrt(a^2 - sin(phi0)^2) / cos(phi0) = 1.94e308.
+    "inverse_position_omega_past_the_float_limit": (
+        lambda: inverse_position_curve(1e-300, 0.5, 1.7e308, 0.5),
+        ValidationError, "omega of the inverse-position member A=1e-300, B=0.5, a=1.7e+308, "
+                         "sin(phi0)=0.479426 exceeds the float range"),
     "lambert_w_pole_off_the_principal_branch": (
         lambda: lambert_w(1, 0),
         PoleError, "z=0 is a logarithmic pole of branch 1"),

@@ -582,7 +582,9 @@ def test_series_curves_across_many_seams_exit_0(tmp_path, capsys, read_csv, law_
 
 
 @pytest.mark.parametrize("curve", ["series:k=-2", "series:k=-3,secondary=0.5"])
-def test_series_curves_with_a_pole_take_the_quadrature(capsys, monkeypatch, curve):
+def test_series_curves_with_a_pole_take_the_doubling_law(capsys, monkeypatch, curve):
+    # One quadrature of the series window: the 129 nodes of [0.5, 2pi] halved into it, with
+    # the seam's w / 2 and w, make 131 distinct base angles.
     calls = []
 
     def counted(fn, edges, *args, **kwargs):
@@ -593,7 +595,7 @@ def test_series_curves_with_a_pole_take_the_quadrature(capsys, monkeypatch, curv
     code, _, err = run_cli(capsys, "curve", "--curve", curve, "--interval", "0.5:2pi",
                            "--samples", "129")
     assert code == 0, err
-    assert calls == [129]
+    assert calls == [131]
 
 
 @pytest.mark.parametrize("argv", [
@@ -622,6 +624,23 @@ def test_skew_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
 def test_skew_shift_or_residual_past_the_float_limit_exits_with_one_error_line(
         capsys, argv, code, message):
     # math.ldexp and cmath.exp raise OverflowError there, which main does not catch.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "skew", *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--case", "inverse_position", "--phi0", "0.5", "--a", "1.7e308", "--coefficients",
+      "1e-300:0.5", "--interval=-0:1.2", "--samples", "3"), 2,
+     "omega of the inverse-position member A=1e-300, B=0.5, a=1.7e+308, sin(phi0)=0.479426 "
+     "exceeds the float range"),
+    (("--case", "delay", "--phi0", "0.5", "--a", "1e-20", "--alpha", "pi/2", "--branches", "-1",
+      "--coefficients", "5e-324:1.7e308", "--interval=-3:0.3", "--samples", "3"), 3,
+     "R, R' or the shifted R is not finite at theta = -3.0"),
+], ids=["inverse_position_omega", "delay_coefficients"])
+def test_skew_member_past_the_float_limit_exits_with_one_error_line(capsys, argv, code, message):
+    # omega passes the float limit in math.ldexp; B xi and B eta of the delay's coefficients
+    # overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(capsys, "skew", *argv) == (code, "", f"error: {message}\n")

@@ -92,6 +92,7 @@ CLOSED_FORMS = {
     "point_by_point": lambda: point_by_point_curve(1.0, 1.2, 0.3),
     "puiseux": lambda: puiseux_curve(0.1, 1.5),
     "inverse_position": lambda: inverse_position_curve(1.0, 0.5, 1.2, 0.3),
+    "inverse_hyperbolic": lambda: inverse_position_curve(1.0, 0.5, 0.1, 0.3),
     "delay": lambda: build_family(SkewFamilySpec("delay", 0.3, 0.9, 0.8, (0, 2),
                                                  ((1.0, 0.2), (0.8, -0.3)))),
 }
@@ -130,25 +131,28 @@ def test_closed_form_follows_the_jet(monkeypatch, make):
 
 
 def test_doubling_law_follows_the_jet(monkeypatch):
-    # A mirror's curve integrates the series window only: the 33 nodes of [0.2, 2.8] halve to
-    # 17 base angles of depth 0 and 16 of depth 1, which with the seam's w / 2 and w make 35.
-    calls = _logged_quadrature(monkeypatch)
+    # A mirror's curve integrates the series window only, for every k, a pole of Q at 0 or
+    # not: the 33 nodes of [0.2, 2.8] halve to 17 base angles of depth 0 and 16 of depth 1,
+    # which with the seam's w / 2 and w make 35.
     window = AngleInterval(0.2, 2.8, 33)
-    curve = solution_curve(PantographSolution(solve_series(1)))
-    law = reconstruct(curve, window)
-    relabelled = reconstruct(dataclasses.replace(curve, label="renamed"), window)
-    assert calls == [35, 35]
-    # Its jet alone, or another jet, takes the quadrature over the whole window.
-    numeric = reconstruct(InclinationCurve(curve.jet), window)
-    replaced = reconstruct(dataclasses.replace(curve, jet=lambda t: curve.jet(t)), window)
-    assert calls == [35, 35, 33, 33]
-    for name in ("x", "y", "radius", "radius_prime", "arclength"):
-        assert np.array_equal(getattr(relabelled, name), getattr(law, name))
-        assert np.array_equal(getattr(replaced, name), getattr(numeric, name))
-    assert np.array_equal(numeric.radius, law.radius)
-    gap = np.max(np.abs(np.stack([numeric.x - law.x, numeric.y - law.y,
-                                  numeric.arclength - law.arclength])))
-    assert gap <= inclination.RECONSTRUCT_TOL
+    for k in range(-3, 4):
+        calls = _logged_quadrature(monkeypatch)
+        curve = solution_curve(PantographSolution(
+            solve_series(k, secondary=0.5 if k == -3 else None)))
+        law = reconstruct(curve, window)
+        relabelled = reconstruct(dataclasses.replace(curve, label="renamed"), window)
+        assert calls == [35, 35], k
+        # Its jet alone, or another jet, takes the quadrature over the whole window.
+        numeric = reconstruct(InclinationCurve(curve.jet), window)
+        replaced = reconstruct(dataclasses.replace(curve, jet=lambda t: curve.jet(t)), window)
+        assert calls == [35, 35, 33, 33], k
+        for name in ("x", "y", "radius", "radius_prime", "arclength"):
+            assert np.array_equal(getattr(relabelled, name), getattr(law, name))
+            assert np.array_equal(getattr(replaced, name), getattr(numeric, name))
+        assert np.array_equal(numeric.radius, law.radius)
+        gap = np.max(np.abs(np.stack([numeric.x - law.x, numeric.y - law.y,
+                                      numeric.arclength - law.arclength])))
+        assert gap <= inclination.RECONSTRUCT_TOL, k
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -26,7 +26,13 @@ from caustics.errors import (
     ResonanceError,
     ValidationError,
 )
-from caustics.inclination import AngleInterval, InclinationCurve, find_cusps, reconstruct
+from caustics.inclination import (
+    POLE_GUARD,
+    AngleInterval,
+    InclinationCurve,
+    find_cusps,
+    reconstruct,
+)
 from caustics.pantograph import (
     BASE_GUARD,
     JET_ORDER,
@@ -415,16 +421,20 @@ def test_mirror_samples_match_generic_reconstruction(k, n_max, law_gap):
 
 
 def _law_draw(rng):
-    """A family k in 0..3, an order 30, 60 or 120, and a grid reaching doubling depth 0-11
-    from 0 or from above it, with every seam inside and its neighbouring floats."""
-    k, order, top = int(rng.integers(0, 4)), int(rng.choice([30, 60, 120])), int(rng.integers(12))
+    """A family k in -3..3, with a secondary coefficient in [-2, 2] for k = -3, an order 30, 60
+    or 120, and a grid reaching doubling depth 0-11 from 0 or from above it, with every seam
+    inside and its neighbouring floats.  Where k < 0, Q has its pole at 0, and a grid that
+    would start below 2 POLE_GUARD starts there."""
+    k, order, top = int(rng.integers(-3, 4)), int(rng.choice([30, 60, 120])), int(rng.integers(12))
+    secondary = rng.uniform(-2.0, 2.0) if k == -3 else None
     hi = (math.pi / 2 - BASE_GUARD) * 2.0 ** (top - rng.uniform(0.0, 1.0))
     lo = 0.0 if rng.uniform() < 0.5 else hi * rng.uniform(0.0, 0.5)
+    lo = max(lo, 2 * POLE_GUARD) if k < 0 else lo
     seams = (math.pi / 2 - BASE_GUARD) * 2.0 ** np.arange(top)
     seams = seams[(seams > lo) & (seams < hi)]
     grid = np.union1d(np.linspace(lo, hi, int(rng.integers(9, 258))),
                       np.concatenate([seams, np.nextafter(seams, 0.0), np.nextafter(seams, hi)]))
-    return k, order, grid
+    return k, secondary, order, grid
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -432,8 +442,8 @@ def test_doubling_law_meets_its_accuracy_gate_on_a_seeded_sweep(seed, law_gap):
     rng = np.random.default_rng(seed)
     depths = set()
     for _ in range(12):
-        k, order, grid = _law_draw(rng)
-        solution = PantographSolution(solve_series(k, n_max=order))
+        k, secondary, order, grid = _law_draw(rng)
+        solution = PantographSolution(solve_series(k, n_max=order, secondary=secondary))
         got = reconstruct(solution_curve(solution), grid)
         r, rp = continue_R(solution, grid)
         assert np.array_equal(got.radius, r) and np.array_equal(got.radius_prime, rp)
@@ -442,12 +452,15 @@ def test_doubling_law_meets_its_accuracy_gate_on_a_seeded_sweep(seed, law_gap):
     assert len(depths) >= 6
 
 
-@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("k", [-3, -1, 0, 1, 3])
 def test_doubling_law_without_doublings_is_the_quadrature(k):
     # Every angle in the series window: the law is the quadrature of the grid, bit for bit.
-    curve = solution_curve(PantographSolution(solve_series(k, n_max=60)))
+    # Where k < 0 both clip the pole at 0 by POLE_GUARD.
+    curve = solution_curve(PantographSolution(
+        solve_series(k, n_max=60, secondary=0.5 if k == -3 else None)))
+    reference = InclinationCurve(curve.jet, poles=curve.poles)
     for interval in (AngleInterval(0.0, 1.5, 33), AngleInterval(0.2, math.pi / 2 - BASE_GUARD, 9)):
-        got, want = reconstruct(curve, interval), reconstruct(InclinationCurve(curve.jet), interval)
+        got, want = reconstruct(curve, interval), reconstruct(reference, interval)
         for name in ("x", "y", "radius", "radius_prime", "arclength"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 

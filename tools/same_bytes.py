@@ -63,6 +63,9 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
                         " --out-csv s.csv", False),
     ("series_resonant", "curve --curve series:k=-3,secondary=0.5 --interval 0.5:2pi"
                         " --samples 129 --out-csv r.csv", False),
+    # The doubling law from near the pole down to depth 6.
+    ("series_resonant_deep", "curve --curve series:k=-3,secondary=0.5 --interval 1:100"
+                             " --samples 257 --out-csv r.csv", False),
     ("pantograph_m-1", "pantograph --m -1 --order 60 --interval 0.05:2pi --samples 257"
                        " --out-csv m.csv --out-svg m.svg", False),
     # The mirror report lines and files, then every m and order pair.
