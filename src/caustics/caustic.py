@@ -72,8 +72,8 @@ _FLAG_ERRORS = {
 class TiltField:
     """A tilt angle phi(theta) as one jet: ``jet(theta) -> (phi, phi', phi'')``.
 
-    ``jet`` is vectorised over a float array of angles; a part may be a
-    plain number, which is broadcast to theta's shape.
+    ``jet`` is vectorised over a float array of angles; a part may be a plain
+    number, broadcast to theta's shape (``caustic_curve`` reads three as scalars).
     """
 
     jet: Callable[[np.ndarray], tuple]
@@ -99,12 +99,17 @@ class TiltField:
 
         Raises ``EvaluationError`` at the first angle where one is not finite.
         """
-        theta = np.asarray(theta, dtype=float)
+        return self._parts(np.asarray(theta, dtype=float), broadcast=True)
+
+    def _parts(self, theta, broadcast=False):
+        """``__call__`` at the float array ``theta``, but three 0-d parts where every part of
+        the jet is a plain number and not ``broadcast``: a constant tilt read as scalars."""
         phi, p1, p2 = self.jet(theta)
-        jet = np.empty((3, *theta.shape))
+        plain = not broadcast and np.ndim(phi) == np.ndim(p1) == np.ndim(p2) == 0
+        jet = np.empty((3,) if plain else (3, *theta.shape))
         jet[0], jet[1], jet[2] = phi, p1, p2
         if not np.isfinite(jet).all():
-            finite = np.isfinite(jet).all(axis=0)
+            finite = np.broadcast_to(np.isfinite(jet).all(axis=0), theta.shape)
             raise EvaluationError(f"tilt is not finite at theta = {theta[~finite][0]}")
         return jet[0, ...], jet[1, ...], jet[2, ...]
 
@@ -224,7 +229,8 @@ def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
 
 
 def _caustic_columns(source: CurveSamples, phi, p1, p2):
-    """``Caustic``'s columns up to ``flag``, in one pass over checked arrays.
+    """``Caustic``'s columns up to ``flag``, in one pass over checked arrays (a tilt part may be
+    0-d, one ``sin`` and ``cos`` of a constant phi).
 
     A node's flag is the first of CUSP (R = 0), FLAT_TILT and AT_INFINITY (chi = 0) that holds;
     flagged nodes turn NaN at the end.  Off a flat node |chi| >= 1e-8 / 1.8e308 > 0 for any
@@ -263,7 +269,7 @@ def caustic_curve(
     are not dropped: they are flagged and carry NaN in every float column.
     """
     source = reconstruct(curve, interval)
-    return Caustic(*_caustic_columns(source, *tilt(source.theta)), source=source)
+    return Caustic(*_caustic_columns(source, *tilt._parts(source.theta)), source=source)
 
 
 def similarity_residual(

@@ -310,7 +310,9 @@ def _exp_sum_curve(jet, label, rates, amplitudes) -> InclinationCurve:
     """The curve of ``jet``, ``R = Re sum_j c_j e^(lambda_j theta)`` for the complex ``rates``
     lambda_j and ``amplitudes`` c_j, with the rates and coefficients of terms ``k e^(mu theta)``:
     ``(lambda + i, c / 2)`` and ``(conj(lambda) + i, conj(c) / 2)`` sum to ``R e^(i theta)``,
-    halved apart so none overflows where R is finite, and the real parts of ``(lambda, c)`` to R."""
+    halved apart so none overflows where R is finite, and the real parts of ``(lambda, c)`` to R.
+    ``_exp_sum_terms`` forms the three exponentials of a rate from its one row ``e^(lambda
+    theta)`` and ``e^(i theta)``, each term within a few roundings of its size."""
     lam, c = np.asarray(rates, dtype=complex), np.asarray(amplitudes, dtype=complex)
     return InclinationCurve(jet, label=label, _exact=(
         jet, lambda curve, t: (*curve.jet(t), _exp_sum_integrals(curve, t)),
@@ -333,25 +335,34 @@ def _exp_sum_integrals(curve, thetas):
 
 def _exp_sum_terms(mu, coef, thetas):
     """Each term ``k e^(mu theta)`` integrated from the first of the increasing ``thetas``, as
-    a row.  A term integrates to ``k h`` at ``mu = 0``, with ``h = theta - theta_0``; to
-    ``k e^(mu theta_0) expm1(mu h) / mu`` (numpy's complex expm1 splits into real parts) where
-    ``|mu|`` spans at most 1; and to the difference of ``k e^(mu theta) / mu`` beyond: so each
-    keeps a few roundings of its size near ``mu = 0``."""
-    h = thetas - thetas[0]
-    span = np.abs(mu) * h[-1]
-    terms = np.outer(coef, h)
-    far, near = np.flatnonzero(span > 1.0), np.flatnonzero((span <= 1.0) & (span > 0.0))
-    buf = np.empty((max(far.size, near.size), h.size), complex)  # freed on return
-    if far.size:
-        prim = buf[:far.size]
-        np.exp(np.multiply(mu[far, None], thetas, out=prim), out=prim)
-        np.divide(np.multiply(coef[far, None], prim, out=prim), mu[far, None], out=prim)
-        terms[far] = np.subtract(prim, prim[:, :1].copy(), out=prim)
-    if near.size:
-        m, rows = mu[near, None], buf[:near.size]
-        np.expm1(np.multiply(m, h, out=rows), out=rows)
-        np.multiply(coef[near, None] * np.exp(m * thetas[0]), rows, out=rows)
-        terms[near] = np.divide(rows, m, out=rows)
+    a row written in place.  A term integrates to ``k h`` at ``mu = 0``, with ``h = theta -
+    theta_0``; to ``k e^(mu theta_0) expm1(mu h) / mu`` (numpy's complex expm1 splits into real
+    parts) where ``|mu|`` spans at most 1; and to the difference of ``k e^(mu theta) / mu``
+    beyond.  There ``e^(mu theta)`` is a product of rows taken once a grid, ``e^(i theta) = cos
+    theta + i sin theta`` and one ``E = np.exp(lambda theta)`` per distinct rate lambda of R but
+    0 and i (``e^(i theta)`` itself at i): ``E e^(i theta)`` at ``mu = lambda + i``, ``conj(E)
+    e^(i theta)`` at ``conj(lambda) + i`` and E at lambda.  Each term so keeps within a few
+    roundings of its size, near ``mu = 0`` too."""
+    h, n, turn = thetas - thetas[0], mu.size // 3, np.empty(thetas.size, complex)
+    np.cos(thetas, out=turn.real), np.sin(thetas, out=turn.imag)
+    span, terms = np.abs(mu) * h[-1], np.empty((mu.size, h.size), complex)
+    powers = {0j: 1.0, 1j: turn}  # e^(lambda theta) by rate
+    for j, (m, k, row, lam) in enumerate(zip(mu, coef, terms, np.tile(mu[2 * n:], 3))):
+        if span[j] > 1.0:
+            if lam not in powers:
+                powers[lam] = np.exp((lam.real if lam.imag == 0.0 else lam) * thetas)
+            e = powers[lam]
+            if j < 2 * n:
+                e = np.multiply(np.conjugate(e, out=row) if j >= n else e, turn, out=row)
+            np.multiply(e, k, out=row)
+            row *= 1.0 / m
+            row -= row[0]
+        elif span[j] > 0.0:
+            np.expm1(np.multiply(m, h, out=row), out=row)
+            row *= k * np.exp(m * thetas[0])
+            row /= m
+        else:
+            np.multiply(k, h, out=row)
     return terms
 
 

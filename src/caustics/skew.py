@@ -313,7 +313,8 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
     Each root contributes ``exp(xi theta) (A cos(eta theta) + B sin(eta
     theta))`` with its ``(A, B)`` pair from the spec.  Real roots use only
     A.  The coefficient list must match the root list position by
-    position, and at least one coefficient must be nonzero.  The jet puts
+    position, and at least one coefficient must be nonzero; a coefficient
+    of R' past the float range raises ``ValidationError``.  The jet puts
     the roots on axis 0, so each ufunc runs along the angles, and adds their
     terms in the grouping ``np.sum`` gives a last axis, bit for bit.
     """
@@ -331,9 +332,13 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
 
     # R' = sum exp(xi t) (ca cos(eta t) + cb sin(eta t)).  Per root, the cos and the sin
     # coefficients of R and R' on axis 1: (A, ca) and (B, cb).
-    with np.errstate(over="ignore", invalid="ignore"):  # an R that is not finite is reported
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range raises
         on_cos = np.stack([amp_a, amp_a * xi + amp_b * eta], axis=1)
         on_sin = np.stack([amp_b, amp_b * xi - amp_a * eta], axis=1)
+    label = (f"skew_delay(branches={','.join(str(rt.branch) for rt in roots)}, "
+             f"a={spec.factor_a:g}, alpha={spec.alpha:g})")
+    if not (np.isfinite(on_cos).all() and np.isfinite(on_sin).all()):
+        raise ValidationError(f"a coefficient of R' of {label} exceeds the float range")
 
     def jet(t):
         t = np.asarray(t, dtype=float)
@@ -345,10 +350,7 @@ def delay_curve(spec: SkewFamilySpec, roots: Sequence[CharacteristicRoot]) -> In
                  else np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1))
         return tuple(total.reshape(2, *t.shape))
 
-    labels = ",".join(str(rt.branch) for rt in roots)
-    return _exp_sum_curve(
-        jet, f"skew_delay(branches={labels}, a={spec.factor_a:g}, alpha={spec.alpha:g})",
-        lam[:, 0], amp_a[:, 0] - 1j * amp_b[:, 0])
+    return _exp_sum_curve(jet, label, lam[:, 0], amp_a[:, 0] - 1j * amp_b[:, 0])
 
 
 def build_family(spec: SkewFamilySpec) -> InclinationCurve:

@@ -298,6 +298,12 @@ DEGENERATE_CALLS = {
         lambda: inverse_position_curve(1e-300, 0.5, 1.7e308, 0.5),
         ValidationError, "omega of the inverse-position member A=1e-300, B=0.5, a=1.7e+308, "
                          "sin(phi0)=0.479426 exceeds the float range"),
+    # B xi of the delay member's R' coefficients is 1.7e308 times -31.4.
+    "delay_coefficient_past_the_float_limit": (
+        lambda: build_family(SkewFamilySpec("delay", 0.5, 1e-20, math.pi / 2, (-1,),
+                                            ((5e-324, 1.7e308),))),
+        ValidationError, "a coefficient of R' of skew_delay(branches=-1, a=1e-20, "
+                         "alpha=1.5708) exceeds the float range"),
     "lambert_w_pole_off_the_principal_branch": (
         lambda: lambert_w(1, 0),
         PoleError, "z=0 is a logarithmic pole of branch 1"),

@@ -236,6 +236,45 @@ def test_caustic_curve_evaluates_the_tilt_jet_once():
     np.testing.assert_array_equal(got.caustic_radius, want.caustic_radius)
 
 
+def _array_twin(tilt):
+    """The tilt with every part of its jet broadcast to a full array of the angles' shape."""
+    return TiltField(lambda t: tuple(np.broadcast_to(part, t.shape).copy()
+                                     for part in tilt.jet(t)))
+
+
+SCALAR_TILTS = {
+    "evolute": TiltField.evolute(),
+    "skew": TiltField.skew(0.4),
+    "flat": TiltField(lambda t: (0.3, 1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("tilt", SCALAR_TILTS.values(), ids=SCALAR_TILTS.keys())
+def test_scalar_tilt_gives_the_record_of_its_array_twin(tilt):
+    # [0, pi] starts on the cycloid's cusp; the flat tilt flags all the other nodes.
+    for curve, interval in ((log_spiral(1.0, 0.2), AngleInterval(-3.0, 3.0, 33)),
+                            (cycloid(1.0), AngleInterval(0.0, math.pi, 65))):
+        got = caustic_curve(curve, tilt, interval)
+        want = caustic_curve(curve, _array_twin(tilt), interval)
+        for name in ("caustic_theta", "x", "y", "caustic_radius", "ray_length", "flag"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert got.flag[0] == CUSP
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", range(3))
+def test_non_finite_scalar_tilt_raises_as_its_array_twin(bad, part):
+    parts = [0.2, 0.0, 0.0]
+    parts[part] = bad
+    tilt, interval = TiltField(lambda t: tuple(parts)), AngleInterval(0.5, 1.0, 5)
+    messages = []
+    for field in (tilt, _array_twin(tilt)):
+        with pytest.raises(EvaluationError) as caught:
+            caustic_curve(circle(1.0), field, interval)
+        messages.append(str(caught.value))
+    assert messages == ["tilt is not finite at theta = 0.5"] * 2
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_tilt_is_an_error(bad):
     with pytest.raises(ValidationError, match="phi0"):

@@ -635,11 +635,12 @@ def test_skew_shift_or_residual_past_the_float_limit_exits_with_one_error_line(
      "omega of the inverse-position member A=1e-300, B=0.5, a=1.7e+308, sin(phi0)=0.479426 "
      "exceeds the float range"),
     (("--case", "delay", "--phi0", "0.5", "--a", "1e-20", "--alpha", "pi/2", "--branches", "-1",
-      "--coefficients", "5e-324:1.7e308", "--interval=-3:0.3", "--samples", "3"), 3,
-     "R, R' or the shifted R is not finite at theta = -3.0"),
+      "--coefficients", "5e-324:1.7e308", "--interval=-3:0.3", "--samples", "3"), 2,
+     "a coefficient of R' of skew_delay(branches=-1, a=1e-20, alpha=1.5708) exceeds the float "
+     "range"),
 ], ids=["inverse_position_omega", "delay_coefficients"])
 def test_skew_member_past_the_float_limit_exits_with_one_error_line(capsys, argv, code, message):
-    # omega passes the float limit in math.ldexp; B xi and B eta of the delay's coefficients
+    # omega passes the float limit in math.ldexp; B xi and B eta of the delay's R' coefficients
     # overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")

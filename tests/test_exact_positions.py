@@ -98,6 +98,60 @@ CLOSED_FORMS = {
 }
 
 
+@pytest.mark.parametrize("make", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+def test_kernel_matches_mpmath_on_a_dense_wide_grid(make):
+    # 65 537 nodes over [-30, 30], read at 64 seeded nodes under the resonance test's bound.
+    curve, thetas = make(), np.linspace(-30.0, 30.0, 65537)
+    *_, mu, coef = curve._exact
+    nodes = np.sort(np.random.default_rng(47).choice(np.arange(1, thetas.size), 64, False))
+    got = _exp_sum_integrals(curve, thetas)[:, nodes]
+    n = mu.size // 3
+    want = _mp_integrals(mu[2 * n:], coef[2 * n:], thetas[np.r_[0, nodes]])[:, 1:]
+    positions = np.hypot(got[0] - want[0], got[1] - want[1])
+    assert np.max(positions) <= 1e-13 * np.max(np.hypot(want[0], want[1]))
+    assert np.max(np.abs(got[2] - want[2])) <= 1e-13 * np.max(np.abs(want[2]))
+
+
+class _RowCounter:
+    """numpy, but each row of ``size`` angles that exp, expm1, cos or sin fills is counted."""
+
+    def __init__(self, size):
+        self.size, self.rows = size, {"exp": 0, "expm1": 0, "cos": 0, "sin": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.rows:
+            return fn
+
+        def counted(x, *args, **kwargs):
+            self.rows[name] += np.size(x) // self.size
+            return fn(x, *args, **kwargs)
+
+        return counted
+
+
+KERNEL_CASES = dict(CLOSED_FORMS, **{
+    f"near_{name}": lambda case=case: _exp_sum_curve(None, "", *case(1e-9))
+    for name, case in RESONANCES.items()})
+
+
+@pytest.mark.parametrize("make", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def test_kernel_takes_one_exponential_row_per_rate(monkeypatch, make):
+    # One e^(i theta) row (a cos and a sin row) and at most one np.exp row per distinct rate
+    # of R other than 0 and i, however many of its three terms take it; each near-resonance
+    # term takes an expm1 row.
+    curve, thetas = make(), np.linspace(-2 * math.pi, 2 * math.pi, 65)
+    mu, counter = curve._exact[-2], _RowCounter(thetas.size)
+    monkeypatch.setattr(inclination, "np", counter)
+    _exp_sum_integrals(curve, thetas)
+    monkeypatch.undo()
+    span = np.abs(mu) * (thetas[-1] - thetas[0])
+    rates = {complex(lam) for lam in mu[2 * mu.size // 3:]} - {0j, 1j}
+    assert counter.rows["cos"] == counter.rows["sin"] == 1
+    assert counter.rows["exp"] <= len(rates)
+    assert counter.rows["expm1"] == np.count_nonzero((span <= 1.0) & (span > 0.0))
+
+
 def _logged_quadrature(monkeypatch):
     calls = []
 

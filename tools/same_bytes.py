@@ -121,6 +121,9 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     # cusp at theta = 0, stdout flagged=1).
     ("puiseux_skew_32769", "caustic --curve puiseux:c=0.2,gamma=3 --tilt skew:-0.7"
                            " --interval=-5:5 --samples 32769 --out-csv p.csv", False),
+    # A complex rate at the dense size under a constant tilt, which is read as scalars.
+    ("puiseux_evolute_65537", "caustic --curve puiseux:c=-0.1,gamma=2.5 --tilt evolute"
+                              " --interval=-6:6 --samples 65537 --out-csv p.csv", False),
     # The cusp refinement of a cusp chain, and the cusps drawn from it.
     ("puiseux_cusps", "curve --curve puiseux:c=0.15,gamma=3 --interval=-8pi:8pi --samples 129"
                       " --out-csv p.csv --out-svg p.svg", False),
