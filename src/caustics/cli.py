@@ -34,6 +34,7 @@ from .inclination import (
     AngleInterval,
     InclinationCurve,
     _points_at,
+    _resolve_grid,
     circle,
     cycloid,
     find_cusps,
@@ -272,6 +273,9 @@ def _run_pantograph(args: argparse.Namespace) -> None:
         secondary = _parse_number(secondary, "secondary")
     series = solve_series(k, n_max=args.order, secondary=secondary)
     solution = PantographSolution(series)
+    curve = solution_curve(solution)
+    # The figure's grid passes the gate of `curve` and `caustic` before any line is printed.
+    thetas = _resolve_grid(curve, window) if args.out_svg else None
     print(f"m={args.m}")
     print(f"k={k}")
     print(f"a={factor}")
@@ -292,14 +296,12 @@ def _run_pantograph(args: argparse.Namespace) -> None:
     if args.out_csv:
         write_coefficient_csv(args.out_csv, zip(series.powers(), series.coefficients))
     if args.out_svg:
-        curve = solution_curve(solution)
         if report is None:
-            groups = {"mirror": [reconstruct(curve, window).points]}
+            groups = {"mirror": [reconstruct(curve, thetas).points]}
         else:
             # The report puts the mirror's theta = 0 point at the origin, so
             # the mirror and its reflection caustic are integrated from there.
             # theta = 0 is a cusp of the caustic (R = 0): a NaN row, not drawn.
-            thetas = window.grid()
             caus = caustic_curve(curve, TiltField.reflection(), _union([0.0], thetas))
             nodes = np.searchsorted(caus.source.theta, thetas)
             cpts = caus.points[nodes]

@@ -14,7 +14,7 @@ Reconstruction takes the stock exponential sums in closed form.  For other
 curves it hands the integrand and its derivative at the nodes to the
 quadrature under a global error budget, whose node-jet rule adds three inner
 nodes per cell; cells where that rule's estimate misses go on to adaptive
-nested quadrature (G3/K7/Patterson-15), which reuses the three.
+Patterson-15 quadrature judged against Kronrod-7, which reuses the three.
 """
 from __future__ import annotations
 
@@ -227,7 +227,7 @@ def reconstruct(
     within that quadrature's error grown by 1/a a step and about 32 (d + 1) eps
     max|x, y, s| of rounding at depth d.  Other curves, and these given another jet
     (``InclinationCurve(curve.jet)`` forces it), take ``quadrature``'s node-jet
-    rule, three jet evaluations per cell, then its adaptive G3/K7/P15 rules where
+    rule, three jet evaluations per cell, then its adaptive P15-against-K7 rule where
     that misses: each cell is held to its width share of ``RECONSTRUCT_TOL``, an
     absolute budget per column over the whole grid, or to its rounding floor
     ``50 eps int |R|``, plus the rounding of the cumulative sum and of the
@@ -421,7 +421,7 @@ def _refine_zeros(
     ``ceil(log2(w0 / tol)) + 2`` calls, at its midpoint, or sooner once its
     ends are adjacent floats.
     """
-    out = 0.5 * (lo + hi)
+    out = 0.5 * lo + 0.5 * hi  # halves summed: lo + hi may pass the float range
     # Per live bracket: ends a < b, the sign of fn at a, secant iterates q and p (smaller |fn|
     # first, NaN last, the earlier on ties), fn at them, the budget and the index in out.
     lo_first = _first(flo, fhi)
@@ -435,7 +435,7 @@ def _refine_zeros(
         # A bracket whose ends are adjacent floats cannot shrink further.
         live = (b - a > tol) & (np.nextafter(a, b) < b)
         if not live.all():
-            out[idx] = 0.5 * (a + b)
+            out[idx] = 0.5 * a + 0.5 * b
             a, b, slo, q, p, fq, fp, budget, idx = (
                 v[live] for v in (a, b, slo, q, p, fq, fp, budget, idx))
             if idx.size == 0:
@@ -443,9 +443,10 @@ def _refine_zeros(
         w = b - a
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = q - fq * (q - p) / (fq - fp)
-        secant = np.isfinite(t) & (w <= np.ldexp(tol, budget - (k + 1)))
+            # A bound past the float range keeps the bracket on schedule.
+            secant = np.isfinite(t) & (w <= np.ldexp(tol, budget - (k + 1)))
         t = np.minimum(np.maximum(t, a + 1.01 * h), b - 1.01 * h)
-        nodes = np.column_stack([a, a + 0.25 * w, 0.5 * (a + b), b - 0.25 * w])
+        nodes = np.column_stack([a, a + 0.25 * w, 0.5 * a + 0.5 * b, b - 0.25 * w])
         pts = nodes[:, 1:]
         pts[secant] = t[secant, None] + squeeze
         f = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
@@ -463,7 +464,7 @@ def _refine_zeros(
         m_first, m_second = _first(fm, fq), _first(fm, fp)
         q, p = np.where(m_first, m, q), np.where(m_first, q, np.where(m_second, m, p))
         fq, fp = np.where(m_first, fm, fq), np.where(m_first, fq, np.where(m_second, fm, fp))
-    out[idx] = 0.5 * (a + b)
+    out[idx] = 0.5 * a + 0.5 * b
     return out
 
 

@@ -1,4 +1,4 @@
-"""Quadrature over cells with a global error budget: a node-jet rule, then G3/K7/P15.
+"""Quadrature over cells with a global error budget: a node-jet rule, then P15 against K7.
 
 The caller gives the integrand ``f`` and its derivative ``f'`` at both ends of each cell
 as ``ends``, and ``panel_integrals`` and ``cell_integrals`` first try an
@@ -11,30 +11,27 @@ ed., 1984).  It reads f at three inner nodes of the cell, K7's ``-b``, ``0`` and
 is exact to degree 7, and judges it by ``|I7 - I5|``, where
 ``I5 = (7 f(-1) + 16 f(0) + 7 f(1)) / 15 + (f'(-1) - f'(1)) / 15`` is exact to degree 5: the
 error of the lesser rule.  On a dense grid that lies far below a cell's share of the budget,
-and the cell costs three evaluations where K7 costs seven.  The inner nodes leave no point of
-the cell further than 0.14 h from a sample, so a Gaussian bump of width h/20 shows at some
+and the cell costs three evaluations where P15 costs fifteen.  The inner nodes leave no point
+of the cell further than 0.14 h from a sample, so a Gaussian bump of width h/20 shows at some
 sample with at least 3e-4 of its height; with the midpoint as the only inner node, one at a
 quarter of the cell would show with 1e-11 of it, and pass unseen.
-A cell the rule misses keeps its three values as three of K7's seven nodes, so it costs what
-K7 alone costs.
 
-One embedded family of rules, G3 in K7 in P15, serves every other panel: the 3-point Gauss
-rule, its 7-point Kronrod extension and Patterson's 15-point extension of that (T. N. L.
-Patterson, *The optimum addition of points to quadrature formulae*, Math. Comp. 22, 1968),
-exact to degrees 5, 11 and 23.  Each rule is judged against the one inside it with
-QUADPACK's ``qk`` estimate ``resasc min(1, (200 |fine - coarse| / resasc)^1.5)`` (Piessens et
-al., *QUADPACK*, 1983).  The caller's cells get K7 where the node-jet rule misses; the
-cells K7 misses get the 8 Patterson nodes on top and are judged by P15.
-Cells that P15 misses are halved, and every refined panel gets all 15 nodes in one integrand
-call, a block of panels per call.  A panel is accepted when its estimate is within its width
-share of ``tol`` or its rounding floor ``50 eps int |f|``; refinement ends once the error
-accepted so far plus the estimates still open fit in ``tol``.  Panels that reach rounding
-width unconverged are kept, but if their errors sum to more than ``tol``, ``NumericError`` is
-raised; so it is when a level leaves more than ``_MAX_PANELS`` panels open, or when the
-error still misses ``tol`` after ``_MAX_LEVELS`` levels (a jump that every bisection keeps inside).
-A jump between a cell's end and the rules' outermost nodes (P15's, 0.003 h from the end) is
-invisible to every rule, and the cell is integrated as if it were absent: the node-jet rule may
-reject the cell on its end values, but G3, K7 and P15 read only inner nodes and agree.  A unit
+Every other panel takes Patterson's 15-point rule P15 (T. N. L. Patterson, *The optimum
+addition of points to quadrature formulae*, Math. Comp. 22, 1968), exact to degree 23, judged
+against the 7-point Kronrod rule K7 inside it, exact to degree 11, by QUADPACK's ``qk``
+estimate ``resasc min(1, (200 |fine - coarse| / resasc)^1.5)`` (Piessens et al., *QUADPACK*,
+1983).  A cell the node-jet rule misses keeps its three values as three of P15's nodes and
+gets the other twelve in one integrand call.  Cells that P15 misses are halved, and every
+refined panel gets all 15 nodes in one integrand call, a block of panels per call.  A panel
+is accepted when its estimate is within its width share of ``tol`` or its rounding floor
+``50 eps int |f|``; refinement ends once the error accepted so far plus the estimates still
+open fit in ``tol``.  Panels that reach rounding width unconverged are kept, but if their
+errors sum to more than ``tol``, ``NumericError`` is raised; so it is when a level leaves more
+than ``_MAX_PANELS`` panels open, or when the error still misses ``tol`` after ``_MAX_LEVELS``
+levels (a jump that every bisection keeps inside).
+A jump between a cell's end and P15's outermost nodes (0.003 h from the end) is invisible to
+both panel rules, and the cell is integrated as if it were absent: the node-jet rule may
+reject the cell on its end values, but P15 and K7 read only inner nodes and agree.  A unit
 step at 0.3 on edges ``[0, 1024]`` returns 1024, not 1023.7; on ``[0, 1]`` it returns 0.7.
 """
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .errors import EvaluationError, NumericError, ValidationError
 
 __all__ = ["panel_integrals"]
 
-# Nodes on [-1, 1]: the 7 K7 nodes (the G3 nodes at 1, 3 and 5), then the 8 that P15 adds.
+# Nodes on [-1, 1]: the 7 K7 nodes, then the 8 that P15 adds.
 _NODES = np.array([
     -0.96049126870802028342, -0.77459666924148337704, -0.43424374934680255800, 0.0,
     0.43424374934680255800, 0.77459666924148337704, 0.96049126870802028342,
@@ -56,7 +53,6 @@ _NODES = np.array([
     -0.22338668642896688163, 0.22338668642896688163, 0.62110294673722640294,
     0.88845923287225699889, 0.99383196321275502221,
 ])
-_G3 = np.array([0.0, 5 / 9, 0.0, 8 / 9, 0.0, 5 / 9, 0.0])
 _K7 = np.array([0.10465622602646726519, 0.26848808986833344073, 0.40139741477596222291,
                 0.45091653865847414235, 0.40139741477596222291, 0.26848808986833344073,
                 0.10465622602646726519])
@@ -87,13 +83,8 @@ _J7_END, _J7_SLOPE = 0.2570536936264498708955, 0.01971852941668646249363
 _J7 = np.array([0.6136615079674200399448, 0.2585695968122601783195, 0.6136615079674200399448])
 _J75_END, _J75_SLOPE = _J7_END - 7 / 15, _J7_SLOPE - 1 / 15
 _J75 = _J7 - [0.0, 16 / 15, 0.0]
-# Rungs: how many of the ordered nodes a rung reads, and its fine and coarse weights (None
-# for the node-jet rule).
-_RUNGS = (
-    (3, None),
-    (7, (_K7[_ORDER[:7]], _G3[_ORDER[:7]])),
-    (15, (_P15[_ORDER], _K7_IN_P15[_ORDER])),
-)
+# P15's and K7's weights in that order.
+_P15_X, _K7_X = _P15[_ORDER], _K7_IN_P15[_ORDER]
 
 
 def _values(fn, lo, hi, nodes):
@@ -118,16 +109,16 @@ def _passes(err, share, floor):
     return ok.all(axis=0)
 
 
-def _judge(vals, half, share, fine, coarse):
-    """Integrals by ``fine``, ``qk`` errors against ``coarse``, and passes."""
-    est = fine @ vals
+def _judge(vals, half, share):
+    """P15's integrals, ``qk`` errors against K7, and passes, from values at ``_X``."""
+    est = _P15_X @ vals
     dev = vals - 0.5 * est[:, None]
-    asc = (fine @ np.abs(dev, out=dev)) * half
-    err = np.abs(est - coarse @ vals) * half
+    asc = (_P15_X @ np.abs(dev, out=dev)) * half
+    err = np.abs(est - _K7_X @ vals) * half
     spread = asc > 0
     ratio = np.divide(200 * err, asc, out=np.zeros_like(err), where=spread)
     err = np.where(spread, asc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
-    ok = _passes(err, share, lambda: _FLOOR * (fine @ np.abs(vals, out=dev)) * half)
+    ok = _passes(err, share, lambda: _FLOOR * (_P15_X @ np.abs(vals, out=dev)) * half)
     return est * half, err, ok
 
 
@@ -143,44 +134,34 @@ def _jet_judge(vals, half, share, fa, da, fb, db):
     return est * half, err, _passes(err, share, floor)
 
 
-def _climb(fn, lo, hi, share, rungs, ends):
+def _climb(fn, lo, hi, share, ends):
     """Integrals ``(n_components, n_panels)``, errors and passes of one block of panels.
 
-    The first of ``rungs`` is formed on every panel; each later one on the panels that
-    all before it missed, from the values those panels hold and the nodes it adds.
+    With ``ends`` every panel tries the node-jet rule, and the panels it misses keep its
+    three values and get P15's other twelve nodes; without, every panel gets P15.
     """
     half = 0.5 * (hi - lo)
-    (n, rule), *later = rungs
-    vals = _values(fn, lo, hi, _X[:n])
-    if rule is None:
-        est, err, ok = _jet_judge(vals, half, share, *ends)
-    else:
-        est, err, ok = _judge(vals, half, share, *rule)
+    if ends is None:
+        est, err, ok = _judge(_values(fn, lo, hi, _X), half, share)
+        return est, err.max(axis=0), ok
+    vals = _values(fn, lo, hi, _X[:3])
+    est, err, ok = _jet_judge(vals, half, share, *ends)
     err = err.max(axis=0)
-    open_ = slice(None)  # the panels the last rung judged: all, or their indices
-    for n, rule in later:
-        if ok.all():
-            break
-        if ok.any():
-            open_ = np.flatnonzero(~ok) if isinstance(open_, slice) else open_[~ok]
-            vals = vals[:, :, ~ok]
-        more = _values(fn, lo[open_], hi[open_], _X[vals.shape[1]:n])
-        vals = np.concatenate([vals, more], axis=1)
-        e, r, ok = _judge(vals, half[open_], share[open_], *rule)
-        est[:, open_], err[open_] = e, r.max(axis=0)
-    passes = np.ones(lo.size, dtype=bool)
-    passes[open_] = ok
-    return est, err, passes
+    if not ok.all():
+        miss = np.flatnonzero(~ok)
+        vals = np.concatenate([vals[:, :, miss], _values(fn, lo[miss], hi[miss], _X[3:])], axis=1)
+        e, r, ok[miss] = _judge(vals, half[miss], share[miss])
+        est[:, miss], err[miss] = e, r.max(axis=0)
+    return est, err, ok
 
 
-def _level(fn, lo, hi, budget, rungs, ends):
+def _level(fn, lo, hi, budget, ends):
     """``_climb`` over all panels a block at a time."""
     if lo.size <= _BLOCK:
-        return _climb(fn, lo, hi, budget, rungs, ends)
+        return _climb(fn, lo, hi, budget, ends)
     for s in range(0, lo.size, _BLOCK):
         blk = slice(s, s + _BLOCK)
-        part = _climb(fn, lo[blk], hi[blk], budget[blk], rungs,
-                      ends and [e[:, blk] for e in ends])
+        part = _climb(fn, lo[blk], hi[blk], budget[blk], ends and [e[:, blk] for e in ends])
         if s == 0:
             est = np.empty((part[0].shape[0], lo.size))
             err, passes = np.empty(lo.size), np.empty(lo.size, dtype=bool)
@@ -196,15 +177,14 @@ def cell_integrals(fn, lo, hi, budget, tol, ends):
     ``(n_components, n_cells)``; every cell first tries the node-jet rule.
     """
     owner = np.arange(lo.size)
-    rungs = _RUNGS
     result, spent, lost, n_lost = None, 0.0, 0.0, 0
     for level in range(_MAX_LEVELS):
         # An integrand or a rule that overflows is reported, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
-            est, err, ok = _level(fn, lo, hi, budget, rungs, ends)
+            est, err, ok = _level(fn, lo, hi, budget, ends)
             if not (np.isfinite(est).all() and np.isfinite(err).all()):
                 est, err, ok = _level(lambda t: np.asarray(fn(t)) * _DOWN, lo, hi,
-                                      budget * _DOWN, rungs, ends and [e * _DOWN for e in ends])
+                                      budget * _DOWN, ends and [e * _DOWN for e in ends])
                 est, err = est / _DOWN, err / _DOWN
         finite = np.isfinite(est).all(axis=0) & np.isfinite(err)
         if not finite.all():
@@ -234,7 +214,7 @@ def cell_integrals(fn, lo, hi, budget, tol, ends):
                                f"{level + 1} refinement levels; narrow the interval")
         owner = np.tile(owner[~done], 2)
         budget = np.tile(budget[~done] / 2, 2)
-        rungs, ends = _RUNGS[2:], None  # refined panels get all 15 nodes at once
+        ends = None  # refined panels get all 15 nodes at once
     raise NumericError(f"quadrature did not converge after {_MAX_LEVELS} refinement levels")
 
 

@@ -388,13 +388,14 @@ def skew_equation_residual(
     else:
         arg = thetas - alpha
     _check_domain(curve, arg, "shifted argument")
-    # A jet that overflows is reported below, not warned about.
+    # A jet or a residual that overflows is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
         shifted = np.asarray(curve.jet(arg)[0], dtype=float)
+        residual = math.cos(phi0) * rp + math.sin(phi0) * r - factor_a * shifted
     _check_finite("R, R' or the shifted R", np.stack([r, rp, shifted]), thetas)
-    lhs = math.cos(phi0) * rp + math.sin(phi0) * r
-    return float(np.max(np.abs(lhs - factor_a * shifted)))
+    _check_finite("the residual", residual, thetas)
+    return float(np.max(np.abs(residual)))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,15 @@ DEGENERATE_CALLS = {
         lambda: skew_equation_residual(point_by_point_curve(1.0, 1.4, 0.3), 0.3, 1.4,
                                        "point_by_point", AngleInterval(-800, 800, 9)),
         EvaluationError, "R, R' or the shifted R is not finite at theta = 800.0"),
+    # The inverse-position member A=1e300, B=1.7e308, a=1 at phi0 = 5e-324 is finite at
+    # theta = -1.7e308, but cos(phi0) R' + sin(phi0) R - a R(alpha - theta) passes the float
+    # limit there.
+    "skew_equation_residual_past_the_float_limit": (
+        lambda: skew_equation_residual(
+            inverse_position_curve(1e300, 1.7e308, 1.0, 5e-324), 5e-324, 1.0,
+            "inverse_position", AngleInterval(-1.7e308, -1, 3),
+            alpha=implied_alpha(1e300, 1.7e308, 1.0, 5e-324)),
+        EvaluationError, "the residual is not finite at theta = -1.7e+308"),
     "inverse_position_zero_amplitudes": (
         lambda: inverse_position_curve(0, 0, 1.2, 0.3),
         DegenerateCurveError, "both amplitudes vanish; the curve is a point"),

@@ -184,6 +184,34 @@ def test_grid_too_narrow_for_its_samples_exits_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_pantograph_grid_too_narrow_for_its_samples_exits_2(tmp_path, capsys):
+    # The figure's grid passes the gate of `curve` and `caustic`, not a merge of repeated angles.
+    code, out, err = run_cli(capsys, "pantograph", "--m", "1", "--interval",
+                             "1:1.0000000000000002", "--samples", "3",
+                             "--out-csv", str(tmp_path / "d.csv"),
+                             "--out-svg", str(tmp_path / "d.svg"))
+    assert (code, out) == (2, "")
+    assert err == "error: 3 angles on [1.0, 1.0000000000000002] do not increase\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cusp_bracket_wider_than_half_the_float_range_exits_0_under_warnings_as_errors(
+        tmp_path, capsys):
+    # R = 1e-300 sin(theta) changes sign once between the two nodes -1.7e308 and -1: the
+    # bracket's schedule bound and the sum of two of its ends pass the float range.
+    svg = tmp_path / "o.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "curve", "--curve", "cycloid:amplitude=1e-300",
+                                 "--samples", "2", "--interval=-1.7e308:-1", "--out-svg", str(svg))
+    assert (code, err) == (0, "")
+    assert out == ("curve=cycloid(A=1e-300)\nsamples=2\narclength=2.6323375022e-301\n"
+                   f"wrote_svg={svg}\n")
+    (cusp,) = find_cusps(inclination.cycloid(1e-300), AngleInterval(-1.7e308, -1.0, 2))
+    assert -1.7e308 < cusp < -1.0
+    assert svg.read_text().count("<circle") == 1
+
+
 def test_caustic_run_flags_cusps(tmp_path, capsys, read_csv):
     path = tmp_path / "caustic.csv"
     code, out, _ = run_cli(

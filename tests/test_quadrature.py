@@ -1,4 +1,4 @@
-"""The node-jet rule and the nested G3/K7/P15 panel rule, their error budget, argument
+"""The node-jet rule and Patterson's P15 judged against K7, their error budget, argument
 checks and failures."""
 
 import dataclasses
@@ -27,8 +27,7 @@ def _monomial_errors(weights, degrees):
 
 
 def test_kronrod_and_gauss_degrees_of_exactness():
-    for weights, degree, miss in [(quadrature._G3, 5, 1e-2), (quadrature._K7, 11, 1e-4),
-                                  (quadrature._P15, 23, 1e-9)]:
+    for weights, degree, miss in [(quadrature._K7, 11, 1e-4), (quadrature._P15, 23, 1e-9)]:
         assert np.all(_monomial_errors(weights, range(degree + 1)) <= 1e-15)
         assert _monomial_errors(weights, [degree + 1])[0] > miss
     assert np.array_equal(quadrature._K7_IN_P15, np.concatenate([quadrature._K7, np.zeros(8)]))
@@ -71,10 +70,8 @@ def test_tables_equal_mpmath_derivation():
         g3 = sorted(_mp_roots(legendre3))
         k7 = sorted(g3 + _mp_roots(stieltjes4))
         p15 = k7 + sorted(_mp_roots(patterson8))
-        g3_weights = iter(_mp_weights(g3))
         expect = {
             "_NODES": p15,
-            "_G3": [next(g3_weights) if x in g3 else 0 for x in k7],
             "_K7": _mp_weights(k7),
             "_P15": _mp_weights(p15),
         }
@@ -129,20 +126,17 @@ def test_dense_grid_costs_three_evaluations_per_cell(monkeypatch):
     assert np.max(np.abs(samples.arclength - (np.cos(t[0]) - np.cos(t)))) <= 1e-10
 
 
-@pytest.mark.parametrize("n, k7, p15, evaluations", [(33, True, 256, 513),
-                                                     (65, True, 512, 1025),
-                                                     (129, True, None, 1025),
-                                                     (257, False, None, 1025)])
-def test_coarse_grid_costs_at_most_what_k7_alone_cost(monkeypatch, n, k7, p15, evaluations):
+@pytest.mark.parametrize("n, evaluations", [(33, 513), (65, 1025), (129, 2049), (257, 1025)])
+def test_coarse_grid_costs_what_p15_alone_costs(monkeypatch, n, evaluations):
     sizes, quad = [], _logged_quadrature(monkeypatch)
     reconstruct(_counted_cycloid(sizes), np.linspace(-2 * np.pi, 2 * np.pi, n))
-    # Cells that miss the node-jet rule keep its three inner nodes as three of K7's seven;
-    # on the coarsest grids K7 misses too, and P15 adds its 8 nodes in every cell.
-    calls = [3 * (n - 1)] + ([4 * (n - 1)] if k7 else []) + ([p15] if p15 else [])
+    # Cells that miss the node-jet rule keep its three inner nodes as three of P15's fifteen
+    # and get the other twelve in one call; every cell of the three coarsest grids misses.
+    calls = [3 * (n - 1)] + ([12 * (n - 1)] if n < 257 else [])
     assert sizes == [n] + calls
     assert quad == [(n, calls)]
-    # K7 alone made 513, 1025 and 1025 evaluations on the first three grids, nodes
-    # included, and 2049 on the last, where every cell now takes I7.
+    # P15 alone makes 513, 1025 and 2049 evaluations on the first three grids, nodes
+    # included, and 4097 on the last, where every cell takes I7 instead.
     assert sum(sizes) == evaluations
 
 
@@ -165,7 +159,7 @@ def test_node_jet_rule_degrees_of_exactness():
         assert passes[0] == (d <= 5)
 
 
-def test_node_jet_values_are_reused_by_k7():
+def test_node_jet_values_are_reused_by_p15():
     def fn(t):
         return np.stack([np.cos(3 * t), np.exp(t)])
 
@@ -175,15 +169,14 @@ def test_node_jet_values_are_reused_by_k7():
     edges = np.linspace(0.0, 4.0, 9)
     lo, hi = edges[:-1], edges[1:]
     plain, tried = [], []
-    # The rungs K7 and P15 alone, as on a cell the node-jet rule misses.
-    ladder = quadrature._climb(_counting(fn, plain), lo, hi, 1e-10 * (hi - lo) / 4.0,
-                               quadrature._RUNGS[1:], None)
+    # P15 alone, as on a refined panel.
+    alone = quadrature._climb(_counting(fn, plain), lo, hi, 1e-10 * (hi - lo) / 4.0, None)
     with_ends = panel_integrals(_counting(fn, tried), edges, 1e-10, ends=(fn(edges), jet(edges)))
-    # Every cell of this coarse grid misses the node-jet rule, and K7 reads its three
+    # Every cell of this coarse grid misses the node-jet rule, and P15 reads its three
     # values: the same values in the same order, so the same bits, at the same cost.
-    assert ladder[2].all()
-    assert np.array_equal(with_ends, ladder[0])
-    assert tried == [3 * 8, 4 * 8, 8 * 8] and plain == [7 * 8, 8 * 8]
+    assert alone[2].all()
+    assert np.array_equal(with_ends, alone[0])
+    assert tried == [3 * 8, 12 * 8] and plain == [15 * 8]
 
 
 @pytest.mark.parametrize("ends", [
@@ -286,8 +279,9 @@ def test_cell_missed_by_k7_costs_fifteen_evaluations():
     sizes = []
     piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 1.0], 1e-10,
                             ends=_cos_ends([0.0, 1.0]))
-    # The node-jet rule's three inner nodes, K7's other four, then Patterson's eight.
-    assert sizes == [3, 4, 8]
+    # The node-jet rule misses this cell, and P15, judged against K7, takes it: the three
+    # inner nodes, then P15's other twelve.
+    assert sizes == [3, 12]
     assert abs(piece[0, 0] - math.sin(1.0)) <= 1e-15
 
 
@@ -295,7 +289,7 @@ def test_refined_panel_costs_fifteen_evaluations_in_one_call():
     sizes = []
     piece = panel_integrals(_counting(lambda t: np.cos(t)[None], sizes), [0.0, 4.0], 1e-10,
                             ends=_cos_ends([0.0, 4.0]))
-    assert sizes == [3, 4, 8, 2 * 15]
+    assert sizes == [3, 12, 2 * 15]
     assert abs(piece[0, 0] - math.sin(4.0)) <= 1e-15
 
 
@@ -377,8 +371,8 @@ def test_refinement_past_the_panel_cap_raises_before_evaluating(monkeypatch):
     with pytest.raises(NumericError, match="more than 64 panels"):
         panel_integrals(_counting(lambda t: np.sin(t)[None], sizes), [0.0, 1e6], 1e-10,
                         ends=(np.sin([[0.0, 1e6]]), np.cos([[0.0, 1e6]])))
-    assert sizes[:3] == [3, 4, 8]
-    assert sizes[3:] == [15 * 2**k for k in range(1, 7)]
+    assert sizes[:2] == [3, 12]
+    assert sizes[2:] == [15 * 2**k for k in range(1, 7)]
 
 
 def test_non_finite_integrand_is_evaluation_error():

@@ -87,7 +87,7 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     ("skew_delay", "skew --case delay --alpha 1 --out-csv skew.csv", False),
     ("skew_delay_long", "skew --case delay --phi0 0.3 --a 0.9 --alpha 30"
                         " --out-csv delay-long.csv", False),
-    # A two-root delay jet through all three quadrature rungs.
+    # A two-root delay member.
     ("skew_delay_two_roots", "skew --case delay --phi0 0.3 --a 0.9 --alpha 0.8 --branches 0,2"
                              " --coefficients 1:0.2,0.8:-0.3 --interval=-2:2 --samples 33"
                              " --out-csv skew.csv", False),
@@ -127,6 +127,10 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     # The cusp refinement of a cusp chain, and the cusps drawn from it.
     ("puiseux_cusps", "curve --curve puiseux:c=0.15,gamma=3 --interval=-8pi:8pi --samples 129"
                       " --out-csv p.csv --out-svg p.svg", False),
+    # A cubic poly, outside the closed forms: its cells leave the node-jet rule for P15, and
+    # its two cusp markers take the quadrature cells of _points_at.
+    ("poly_cubic_257", "curve --curve poly:coefficients=0.5+-1+0.2+0.01 --interval 0:30"
+                       " --samples 257 --out-csv p.csv --out-svg p.svg", False),
     # README's "Command line" examples; its pantograph one is pantograph_m2_order30.
     ("readme_curve", "curve --curve log_spiral:amplitude=1,growth=0.15 --interval 0:4pi"
                      " --samples 257 --out-csv spiral.csv --out-svg spiral.svg", False),
