@@ -33,7 +33,6 @@ from .errors import CausticsError, NumericError, ValidationError
 from .inclination import (
     AngleInterval,
     InclinationCurve,
-    _points_at,
     _resolve_grid,
     circle,
     cycloid,
@@ -180,8 +179,9 @@ def _run_curve(args: argparse.Namespace) -> None:
     if args.out_csv:
         write_curve_csv(args.out_csv, samples)
     if args.out_svg:
-        cusps = _points_at(curve, samples, find_cusps(curve, interval))
-        write_scene(args.out_svg, mirror=[samples.points], cusps=cusps)
+        cusps = find_cusps(curve, interval)
+        marks = reconstruct(curve, [samples.theta[0], *cusps]).points[1:] if cusps else None
+        write_scene(args.out_svg, mirror=[samples.points], cusps=marks)
     print(f"curve={curve.label or 'custom'}")
     print(f"samples={len(samples)}")
     print(f"arclength={samples.arclength[-1] - samples.arclength[0]:.12g}")

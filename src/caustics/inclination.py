@@ -31,7 +31,7 @@ from .errors import (
     EvaluationError,
     ValidationError,
 )
-from .quadrature import cell_integrals, panel_integrals
+from .quadrature import panel_integrals
 
 __all__ = [
     "AngleInterval",
@@ -378,24 +378,6 @@ def _closed_form(curve: InclinationCurve) -> bool:
     """Whether ``curve`` carries exact positions, a stock exponential sum or a continued
     pantograph solution, and still its own jet."""
     return curve._exact is not None and curve._exact[0] is curve.jet
-
-
-def _points_at(curve: InclinationCurve, samples: CurveSamples, thetas) -> np.ndarray:
-    """Positions ``(n, 2)`` at the increasing ``thetas`` inside ``samples``, a reconstruction
-    of ``curve``, by ``reconstruct``'s own path: its exact rows, measured from the first node,
-    or one quadrature cell from each angle's left node, the cells sharing ``RECONSTRUCT_TOL``
-    by width as a grid's cells do."""
-    thetas = np.asarray(thetas, dtype=float)
-    if _closed_form(curve):
-        return curve._exact[1](curve, np.concatenate([samples.theta[:1], thetas]))[2][:2, 1:].T
-    left = np.searchsorted(samples.theta, thetas, side="right") - 1
-    lo = samples.theta[left]
-    h = thetas - lo
-    budget = RECONSTRUCT_TOL * h / max(h.sum(), math.ulp(0.0))  # 0 where every h is 0
-    cells = cell_integrals(_integrand(curve.jet), lo, thetas, budget, RECONSTRUCT_TOL,
-                           (*_ends(lo, samples.radius[left], samples.radius_prime[left]),
-                            *_ends(thetas, *curve.jet(thetas))))
-    return samples.points[left] + cells[:2].T
 
 
 def _first(fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

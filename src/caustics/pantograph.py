@@ -57,6 +57,7 @@ from .errors import (
 from .inclination import (
     AngleInterval,
     InclinationCurve,
+    _check_finite,
     _integrate,
     find_cusps,
     reconstruct,
@@ -116,7 +117,8 @@ class PantographSeries:
     ``coefficients[j]`` is a_{k+j}.  Coefficients of parity opposite to k
     vanish, except that the resonant family k = -3 carries a free a_{-2}
     seeding the opposite parity; at least one is nonzero, or construction raises
-    ``DegenerateCurveError``.  ``exact`` optionally retains the rational
+    ``DegenerateCurveError``.  ``k`` is a family's (k >= -3) and ``factor_a`` finite and
+    nonzero, or it raises ``ValidationError``.  ``exact`` optionally retains the rational
     coefficients the floats were rounded from.  The continuation's Q-row
     and doubling tables are built on first use and kept on the instance.
     """
@@ -128,6 +130,9 @@ class PantographSeries:
     exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        _check_k(self.k)
+        if _checks.real("factor_a", self.factor_a) == 0.0:
+            raise ValidationError("factor_a must be nonzero: the doubling divides by 4a")
         if self.n_max <= self.k:
             raise ValidationError("truncation order must exceed the lowest power k")
         if len(self.coefficients) != self.n_max - self.k + 1:
@@ -549,14 +554,20 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
 
 
 def mirror_equation_residual(solution: PantographSolution, interval: AngleInterval) -> float:
-    """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``."""
+    """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``; raises
+    ``EvaluationError`` at the first angle where R, R', R(2 theta) or the defect is not finite."""
     if not isinstance(interval, AngleInterval):
         raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     t = interval.grid()  # continue_R rejects a negative angle
-    r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
-    r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
     a = solution.series.factor_a
-    return float(np.max(np.abs(np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r)))
+    # A continuation or a defect that overflows is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
+        r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
+        residual = np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r
+    _check_finite("R, R' or R(2 theta)", np.stack([r, rp, r2]), t)
+    _check_finite("the residual", residual, t)
+    return float(np.max(np.abs(residual)))
 
 
 _CUSP_CHAIN_SPAN = 8 * math.pi
@@ -609,7 +620,8 @@ def mirror_report(solution: PantographSolution) -> MirrorReport:
     R(theta)| on a window avoiding the singular angles, (d) the growth of
     |Q| = |R / sin| toward pi as a pole indicator, and (e) verticality /
     occlusion flags for the profile at 2049 angles of ``[0, 4pi]``.  The
-    positions come from one ``reconstruct``, by the doubling law.
+    positions come from one ``reconstruct``, by the doubling law.  Raises
+    ``NumericError`` where R is zero or subnormal at an angle of (c) or (d).
     """
     series = solution.series
     if series.k < 0:
@@ -650,7 +662,12 @@ def mirror_report(solution: PantographSolution) -> MirrorReport:
     rho_lo, rho_hi = 0.3, math.pi - 0.3
     rt = np.linspace(rho_lo, rho_hi, 101)
     qt = np.linspace(math.pi - 0.5, math.pi - 0.02, 25)
-    r, _ = continue_R(solution, np.concatenate([rt + math.pi, rt, qt]))
+    probes = np.concatenate([rt + math.pi, rt, qt])
+    r, _ = continue_R(solution, probes)
+    small = np.abs(r) < np.finfo(float).tiny  # zero or subnormal
+    if small.any():
+        raise NumericError(f"R is zero or subnormal at theta = {float(probes[small].min())!r}, "
+                           "an angle the arc ratios or the pole probe divide by")
     r_num, r_den, rq = np.split(r, [rt.size, 2 * rt.size])
     rho = np.abs(r_num / r_den)
     rho_min, rho_max = float(np.min(rho)), float(np.max(rho))

@@ -1,10 +1,10 @@
 """Quadrature over cells with a global error budget: a node-jet rule, then P15 against K7.
 
 The caller gives the integrand ``f`` and its derivative ``f'`` at both ends of each cell
-as ``ends``, and ``panel_integrals`` and ``cell_integrals`` first try an
-endpoint-corrected Hermite rule (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd
-ed., 1984).  It reads f at three inner nodes of the cell, K7's ``-b``, ``0`` and ``b`` with
-``b = 0.434...``, so that, on ``[-1, 1]``,
+as ``ends``, and ``panel_integrals``, the one entry, first tries an endpoint-corrected Hermite
+rule (Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984).  It reads f at
+three inner nodes of the cell, K7's ``-b``, ``0`` and ``b`` with ``b = 0.434...``, so that, on
+``[-1, 1]``,
 
     I7 = w_e (f(-1) + f(1)) + w_s (f'(-1) - f'(1)) + w_b (f(-b) + f(b)) + w_0 f(0)
 
@@ -169,13 +169,37 @@ def _level(fn, lo, hi, budget, ends):
     return est, err, passes
 
 
-def cell_integrals(fn, lo, hi, budget, tol, ends):
-    """Integrals over the cells ``[lo, hi]``, ``(n_components, n_cells)``.
+def panel_integrals(
+    fn: Callable[[np.ndarray], np.ndarray],
+    edges: np.ndarray,
+    tol: float,
+    *,
+    ends: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Integrate a vector-valued integrand over each cell of a partition.
 
-    ``budget`` is each cell's share of the absolute budget ``tol``.  ``ends`` holds
-    ``(f_a, f'_a, f_b, f'_b)``, the integrand and its derivative at the cell ends, each
-    ``(n_components, n_cells)``; every cell first tries the node-jet rule.
+    ``fn`` is vectorised and returns shape ``(n_components, n_points)``;
+    ``edges`` are finite, strictly increasing cell boundaries (at least two);
+    ``tol`` is a finite positive absolute budget, for each component over the
+    whole partition.  ``ends`` holds the integrand and its derivative at the
+    edges, each ``(n_components, n_edges)``, and every cell first tries the
+    node-jet rule.  Returns shape ``(n_components, n_panels)``.
+    Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and ``NumericError``
+    when a panel's estimate or error overflows even on values scaled down, panels at rounding
+    width hold more than ``tol`` of estimated error, refinement leaves more than
+    ``_MAX_PANELS`` panels open, or ``_MAX_LEVELS`` levels end unconverged.  A jump between a
+    cell's end and its outermost node is integrated as if absent (see the module docstring).
     """
+    if not _checks.real("tol", tol) > 0:
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+    edges = _checks.increasing("edges", edges)
+    lo, hi = edges[:-1], edges[1:]
+    form = "two (n_components, n_edges) arrays"
+    pair = _checks.floats("ends", ends, form)
+    if pair.ndim != 3 or len(pair) != 2 or pair.shape[2] != edges.size:
+        raise ValidationError(f"ends must be {form}")
+    ends = (*pair[..., :-1], *pair[..., 1:])  # f and f' at the cells' lower ends, then upper
+    budget = tol * (hi - lo) / float(edges[-1] - edges[0])  # each cell's width share of tol
     owner = np.arange(lo.size)
     result, spent, lost, n_lost = None, 0.0, 0.0, 0
     for level in range(_MAX_LEVELS):
@@ -216,36 +240,3 @@ def cell_integrals(fn, lo, hi, budget, tol, ends):
         budget = np.tile(budget[~done] / 2, 2)
         ends = None  # refined panels get all 15 nodes at once
     raise NumericError(f"quadrature did not converge after {_MAX_LEVELS} refinement levels")
-
-
-def panel_integrals(
-    fn: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    tol: float,
-    *,
-    ends: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Integrate a vector-valued integrand over each cell of a partition.
-
-    ``fn`` is vectorised and returns shape ``(n_components, n_points)``;
-    ``edges`` are finite, strictly increasing cell boundaries (at least two);
-    ``tol`` is a finite positive absolute budget, for each component over the
-    whole partition.  ``ends`` holds the integrand and its derivative at the
-    edges, each ``(n_components, n_edges)``, and every cell first tries the
-    node-jet rule.  Returns shape ``(n_components, n_panels)``.
-    Raises ``ValidationError`` for bad ``edges``, ``tol`` or ``ends``, and ``NumericError``
-    when a panel's estimate or error overflows even on values scaled down, panels at rounding
-    width hold more than ``tol`` of estimated error, refinement leaves more than
-    ``_MAX_PANELS`` panels open, or ``_MAX_LEVELS`` levels end unconverged.  A jump between a cell's end and its outermost
-    node is integrated as if absent (see the module docstring).
-    """
-    if not _checks.real("tol", tol) > 0:
-        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
-    edges = _checks.increasing("edges", edges)
-    lo, hi = edges[:-1], edges[1:]
-    form = "two (n_components, n_edges) arrays"
-    pair = _checks.floats("ends", ends, form)
-    if pair.ndim != 3 or len(pair) != 2 or pair.shape[2] != edges.size:
-        raise ValidationError(f"ends must be {form}")
-    ends = (*pair[..., :-1], *pair[..., 1:])  # f and f' at the cells' lower ends, then upper
-    return cell_integrals(fn, lo, hi, tol * (hi - lo) / float(edges[-1] - edges[0]), tol, ends)

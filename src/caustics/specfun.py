@@ -64,6 +64,29 @@ def _initial_guess(k: int, z: complex) -> complex:
     return L1 - cmath.log(L1)
 
 
+def _halley_scaled(k: int, z: complex) -> tuple[complex, float]:
+    """Halley's iteration for ``w e^w = z`` on branch ``k``, on the terms times ``e^(-w)``:
+    ``w - z e^(-w)`` takes the same steps and stays finite where ``w e^w - z``, its size or
+    Halley's denominator pass the float range.  Returns the best iterate and its residual
+    ``|w e^w - z|``, taken as ``|z|`` times the ratio of ``|w - z e^(-w)|`` to ``|z e^(-w)|``."""
+    w = best_w = _initial_guess(k, z)
+    best_res, last = math.inf, False
+    for _ in range(_MAX_HALLEY_STEPS):
+        ze = z * cmath.exp(-w)
+        f = w - ze
+        res = abs(f) / abs(ze) * abs(z)
+        if res < best_res:
+            best_w, best_res = w, res
+        wp1 = w + 1.0
+        denom = wp1 - (w + 2.0) * f / (2.0 * wp1)
+        if last or abs(f) <= 1e-15 * (abs(ze) + abs(w)) or denom == 0:
+            break
+        dw = f / denom
+        w = w - dw
+        last = abs(dw) <= 2e-16 * (2.0 + abs(w))  # one more pass takes its residual
+    return best_w, best_res
+
+
 def lambert_w(k: int, z: complex | float):
     """Branch ``k`` of the Lambert W function.
 
@@ -126,7 +149,10 @@ def lambert_w(k: int, z: complex | float):
             if res < best_res:
                 best_w, best_res = w, res
             break
-    if best_res > 1e-13 * max(abs(zc), 1e-300):
+    bound = 1e-13 * max(abs(zc), 1e-300)
+    if best_res > bound:  # near the float limit, where w e^w - z or its step may overflow
+        best_w, best_res = _halley_scaled(k, zc)
+    if best_res > bound:
         raise NumericError(
             f"lambert_w did not converge: branch {k}, z={zc}, "
             f"residual {best_res:.3e}"

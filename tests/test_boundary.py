@@ -25,9 +25,9 @@ from caustics.oracle import (
     RayFamily, envelope_gap, hausdorff_distance, occlusion_check, reflect_horizontal,
     verticality_check)
 from caustics.pantograph import (
-    PantographSeries, PantographSolution, continue_R, mirror_equation_residual, parabola_mirror,
-    solution_curve, solve_series)
-from caustics import skew
+    PantographSeries, PantographSolution, continue_R, mirror_equation_residual, mirror_report,
+    parabola_mirror, solution_curve, solve_series)
+from caustics import skew, specfun
 from caustics.quadrature import panel_integrals
 from caustics.skew import (
     SkewFamilySpec, build_family, delay_curve, delay_roots, implied_alpha,
@@ -108,6 +108,10 @@ BAD_CALLS = {
         PantographSolution(solve_series(0, 12)), AngleInterval(-0.5, 1.0, 5)),
     "pantograph_series_order_at_k": lambda: PantographSeries(1, 0.3125, 1, np.ones(1)),
     "pantograph_series_coefficient_count": lambda: PantographSeries(1, 0.3125, 3, np.ones(2)),
+    "pantograph_series_zero_factor": lambda: PantographSeries(1, 0.0, 3, np.ones(3)),
+    "pantograph_series_inf_factor": lambda: PantographSeries(1, math.inf, 3, np.ones(3)),
+    "pantograph_series_k_at_the_parabola": lambda: PantographSeries(-4, 0.0, 1, np.ones(6)),
+    "pantograph_series_k_below_the_parabola": lambda: PantographSeries(-5, 0.5, -3, np.ones(3)),
     "solve_series_zero_leading": lambda: solve_series(1, leading=0.0),
     "polynomial_curve_nan": lambda: polynomial_curve([1.0, math.nan]),
     "polynomial_curve_ragged": lambda: polynomial_curve(RAGGED),
@@ -180,6 +184,7 @@ BAD_CALLS = {
 # The message of each row that is the only test of its `raise`.
 MESSAGES = {
     "write_table_empty_header": "header must name at least one column",
+    "pantograph_series_zero_factor": "factor_a must be nonzero: the doubling divides by 4a",
     "circle_zero_radius": "circle needs a nonzero radius",
     "envelope_gap_no_finite_pair": "no pair of envelope and closed-form points is finite",
     "delay_curve_point_spec": "spec is a 'point_by_point' problem, not delay",
@@ -213,6 +218,11 @@ def _huge_mirror():
 def _perturbed_delay_roots():
     with mock.patch.object(skew, "lambert_w", lambda k, z: lambert_w(k, z) * (1.0 + 1e-9)):
         return delay_roots(1e5, 1.0, 0.0, [0])
+
+
+def _lambert_w_in_one_step():
+    with mock.patch.object(specfun, "_MAX_HALLEY_STEPS", 1):
+        return lambert_w(0, 1e5)
 
 
 # Degenerate input the library refuses: the call, the class it raises and its message (text
@@ -280,6 +290,16 @@ DEGENERATE_CALLS = {
     "pantograph_series_all_zero": (
         lambda: PantographSeries(0, 0.5, 1, np.zeros(2)),
         DegenerateCurveError, "every coefficient vanishes; the profile is a point"),
+    # R(0.3) = 5e-324 (0.3)^2 underflows to 0: the arc ratio would divide by it.
+    "mirror_report_underflowing_profile": (
+        lambda: mirror_report(PantographSolution(solve_series(1, 30, leading=5e-324))),
+        NumericError, "R is zero or subnormal at theta = 0.3, an angle the arc ratios or the "
+                      "pole probe divide by"),
+    # R(2 theta) of the k = 1 mirror led by 1e308 passes the float limit in its doubling.
+    "mirror_equation_residual_overflows": (
+        lambda: mirror_equation_residual(PantographSolution(solve_series(1, 30, leading=1e308)),
+                                         AngleInterval(0.01, 6, 33)),
+        EvaluationError, "R, R' or R(2 theta) is not finite at theta = 0.9459375000000001"),
     # lambert_w's root moved by 1e-9 of itself leaves a residual near 1e-3, a hundred times the
     # bound 1e-10 |a / cos phi0| = 1e-5; the residual's digits are rounding's, the bound's are not.
     "delay_roots_residual_above_1e-10": (
@@ -316,9 +336,11 @@ DEGENERATE_CALLS = {
     "lambert_w_pole_off_the_principal_branch": (
         lambda: lambert_w(1, 0),
         PoleError, "z=0 is a logarithmic pole of branch 1"),
+    # One Halley step from the asymptotic guess, plain or scaled by e^(-w), leaves W_0(1e5) a
+    # residual of about 2e4.
     "lambert_w_no_convergence": (
-        lambda: lambert_w(0, 1e308),
-        NumericError, "lambert_w did not converge: branch 0, z=(1e+308+0j), residual "),
+        _lambert_w_in_one_step,
+        NumericError, "lambert_w did not converge: branch 0, z=(100000+0j), residual "),
     "tan_coefficients_first_not_one": (
         lambda: TanCoefficients(0, (Fraction(2),), np.array([2.0])),
         NumericError, "tangent coefficients must be positive, starting with 1"),

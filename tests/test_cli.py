@@ -17,8 +17,7 @@ from caustics.cli import main, parse_angle, parse_interval
 from caustics.caustic import TiltField, caustic_curve
 from caustics.csvio import write_curve_csv, write_table
 from caustics.errors import ValidationError
-from caustics.inclination import (
-    AngleInterval, _points_at, find_cusps, polynomial_curve, reconstruct)
+from caustics.inclination import AngleInterval, find_cusps, polynomial_curve, reconstruct
 from caustics.pantograph import (
     PantographSolution,
     mirror_report,
@@ -116,7 +115,9 @@ def test_parabola_and_poly_curves_write_their_reconstruction(tmp_path, capsys, t
     assert path.read_bytes() == want.read_bytes()
 
 
-def test_curve_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
+def test_curve_svg_reconstructs_the_grid_once(tmp_path, capsys, monkeypatch):
+    # The figure draws the grid's own samples; its cusp markers take a second reconstruction
+    # over the first node and the cusps only.
     calls = []
 
     def counted(*args, **kwargs):
@@ -128,7 +129,10 @@ def test_curve_svg_reconstructs_once(tmp_path, capsys, monkeypatch):
         capsys, "curve", "--curve", "cycloid", "--out-svg", str(tmp_path / "c.svg")
     )
     assert code == 0, err
-    assert len(calls) == 1
+    curve = cli._build_curve("cycloid")
+    grid = cli._default_window(curve)
+    cusps = find_cusps(curve, grid)
+    assert [args[1] for args in calls] == [grid, [grid.lo, *cusps]]
 
 
 def _cusps_on_refined_grid(curve, interval):
@@ -143,7 +147,8 @@ def test_curve_cusps_match_refined_grid(tmp_path, capsys, name):
     curve = cli._build_curve(name)
     interval = cli._default_window(curve)
     want = _cusps_on_refined_grid(curve, interval)
-    got = _points_at(curve, reconstruct(curve, interval), find_cusps(curve, interval))
+    first = reconstruct(curve, interval).theta[0]
+    got = reconstruct(curve, [first, *find_cusps(curve, interval)]).points[1:]
     assert len(want) > 0
     assert np.max(np.abs(got - want)) <= 1e-12
     path, ref = tmp_path / "c.svg", tmp_path / "ref.svg"
@@ -153,23 +158,24 @@ def test_curve_cusps_match_refined_grid(tmp_path, capsys, name):
     assert path.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("curve, cusps, cells", [
+@pytest.mark.parametrize("curve, cusps, edges", [
     ("cycloid", 31, []),
-    ("poly:coefficients=0.5+-1+0.2", 2, [2]),
+    ("poly:coefficients=0.5+-1+0.2", 2, [257, 3]),
 ], ids=["closed_form", "quadrature"])
 def test_curve_cusps_take_the_curves_own_position_path(tmp_path, capsys, monkeypatch, curve,
-                                                       cusps, cells):
+                                                       cusps, edges):
+    # A quadrature curve integrates its grid, then its first node and its cusps.
     calls = []
 
-    def counted(fn, lo, *args):
-        calls.append(lo.size)
-        return quadrature.cell_integrals(fn, lo, *args)
+    def counted(fn, nodes, *args, **kwargs):
+        calls.append(len(nodes))
+        return quadrature.panel_integrals(fn, nodes, *args, **kwargs)
 
-    monkeypatch.setattr(inclination, "cell_integrals", counted)
+    monkeypatch.setattr(inclination, "panel_integrals", counted)
     code, _, err = run_cli(capsys, "curve", "--curve", curve, "--interval", "0:100",
                            "--samples", "257", "--out-svg", str(tmp_path / "c.svg"))
     assert (code, err) == (0, "")
-    assert calls == cells
+    assert calls == edges
     assert (tmp_path / "c.svg").read_text().count("<circle") == cusps
 
 
@@ -638,6 +644,17 @@ def test_skew_overflowing_jet_exits_3_under_warnings_as_errors(capsys, argv):
     assert code == 3
     assert out == ""
     assert re.fullmatch(r"error: R, R' or the shifted R is not finite at theta = \S+\n", err), err
+
+
+def test_skew_delay_with_a_factor_near_the_float_limit(capsys):
+    # W_0(1e308) = 702.64...: Halley's step on w e^w - z overflows there, and is taken on
+    # w - z e^(-w) instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "skew", "--case", "delay", "--phi0", "0", "--a", "1e308",
+                                 "--alpha", "1", "--samples", "3", "--interval=0:0.001")
+    assert (code, err) == (0, "")
+    assert "branches=0\ncoefficients=1:0\n" in out
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -8,13 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from caustics import inclination, quadrature, verify
+from caustics import cli, inclination, quadrature, verify
 from caustics.inclination import (
     AngleInterval,
     InclinationCurve,
     _exp_sum_curve,
     _exp_sum_integrals,
-    _points_at,
     circle,
     cycloid,
     find_cusps,
@@ -223,14 +222,15 @@ def test_closed_form_agrees_with_the_quadrature_on_a_seeded_sweep(seed):
     assert all(curve._exact[0] is curve.jet for curve in made)
 
 
-def _counted_cells(monkeypatch):
+def _counted_edges(monkeypatch):
+    """The number of edges of every quadrature call ``reconstruct`` makes, in order."""
     calls = []
 
-    def counted(fn, lo, *args):
-        calls.append(lo.size)
-        return quadrature.cell_integrals(fn, lo, *args)
+    def counted(fn, edges, *args, **kwargs):
+        calls.append(len(edges))
+        return quadrature.panel_integrals(fn, edges, *args, **kwargs)
 
-    monkeypatch.setattr(inclination, "cell_integrals", counted)
+    monkeypatch.setattr(inclination, "panel_integrals", counted)
     return calls
 
 
@@ -239,12 +239,19 @@ def _between_nodes(grid):
     return (grid[:-1] + 0.37 * np.diff(grid))[::3]
 
 
+def _points_at(curve, interval, thetas):
+    """Positions at the increasing ``thetas`` by the cusp markers' rule: ``reconstruct`` on
+    the first node of ``interval`` and the angles."""
+    first = reconstruct(curve, interval).theta[0]
+    return reconstruct(curve, [first, *thetas]).points[1:]
+
+
 @pytest.mark.parametrize("name", ["cycloid", "puiseux", "delay"])
 def test_points_at_in_closed_form_match_a_refined_grid(monkeypatch, name):
-    calls = _counted_cells(monkeypatch)
+    calls = _counted_edges(monkeypatch)
     curve, interval = CLOSED_FORMS[name](), AngleInterval(-4.0, 9.0, 65)
     thetas = np.union1d(find_cusps(curve, interval), _between_nodes(interval.grid()))
-    got = _points_at(curve, reconstruct(curve, interval), thetas)
+    got = _points_at(curve, interval, thetas)
     refined = reconstruct(curve, np.union1d(interval.grid(), thetas))
     want = refined.points[np.searchsorted(refined.theta, thetas)]
     assert calls == []
@@ -252,34 +259,32 @@ def test_points_at_in_closed_form_match_a_refined_grid(monkeypatch, name):
 
 
 def test_points_at_on_a_series_curve_take_the_doubling_law(monkeypatch):
-    # The cusps and off-node angles of a k = 1 mirror down to depth 3, placed without a
-    # quadrature cell, as a reconstruction of the grid refined by them places them.
-    calls = _counted_cells(monkeypatch)
+    # The cusps and off-node angles of a k = 1 mirror down to depth 3, placed as a
+    # reconstruction of the grid refined by them places them.  Each reconstruction runs one
+    # quadrature, over its angles halved into the series window and the two seams: 129 + 2 for
+    # the grid, 1 + 46 + 2 for the first node and the 46 angles, 175 + 2 for the refined grid.
+    calls = _counted_edges(monkeypatch)
     curve = solution_curve(PantographSolution(solve_series(1)))
     interval = AngleInterval(0.2, 12.0, 129)
     thetas = np.union1d(find_cusps(curve, interval), _between_nodes(interval.grid()))
-    got = _points_at(curve, reconstruct(curve, interval), thetas)
+    got = _points_at(curve, interval, thetas)
     refined = reconstruct(curve, np.union1d(interval.grid(), thetas))
     want = refined.points[np.searchsorted(refined.theta, thetas)]
-    assert calls == []
+    assert calls == [131, 49, 177]
     assert np.max(np.abs(got - want)) <= 1e-12
-    assert _points_at(curve, reconstruct(curve, interval), []).shape == (0, 2)
 
 
-def _cells_from_left_nodes(curve, samples, thetas):
-    """Reference: one quadrature cell from each angle's left node, the cells sharing
-    RECONSTRUCT_TOL by width."""
-    left = np.searchsorted(samples.theta, thetas, side="right") - 1
-    lo = samples.theta[left]
-    h = thetas - lo
-    total = h.sum()
-    budget = inclination.RECONSTRUCT_TOL * h / total if total > 0 else np.zeros_like(h)
-    ends = tuple(np.asarray(v, dtype=float) for v in curve.jet(thetas))
-    cells = quadrature.cell_integrals(
-        inclination._integrand(curve.jet), lo, thetas, budget, inclination.RECONSTRUCT_TOL,
-        (*inclination._ends(lo, samples.radius[left], samples.radius_prime[left]),
-         *inclination._ends(thetas, *ends)))
-    return samples.points[left] + cells[:2].T
+def _cli_markers(monkeypatch, curve, interval):
+    """The cusp markers ``caustics curve --out-svg`` draws for ``curve`` on ``interval``, as
+    handed to ``write_scene`` (None for no marker), and the quadrature calls' edge counts."""
+    drawn = []
+    monkeypatch.setattr(cli, "_build_curve", lambda text: curve)
+    monkeypatch.setattr(cli, "write_scene", lambda path, **groups: drawn.append(groups["cusps"]))
+    calls = _counted_edges(monkeypatch)
+    code = cli.main(["curve", "--curve", "stand-in", "--interval", f"{interval.lo}:{interval.hi}",
+                     "--samples", str(interval.n_samples), "--out-svg", "unwritten.svg"])
+    assert code == 0
+    return drawn[0], calls
 
 
 QUADRATURE_CURVES = {
@@ -292,19 +297,23 @@ QUADRATURE_CURVES = {
 
 @pytest.mark.parametrize("make, interval", QUADRATURE_CURVES.values(),
                          ids=QUADRATURE_CURVES.keys())
-def test_points_at_by_quadrature_add_one_cell_to_each_left_node(monkeypatch, make, interval):
+def test_points_at_by_quadrature_integrate_from_the_first_node(monkeypatch, make, interval):
+    # The markers take one quadrature over the first node and the cusps, under the budget of
+    # a grid, after the grid's own.
     curve = make()
-    samples = reconstruct(curve, interval)
-    thetas = np.union1d(find_cusps(curve, interval), _between_nodes(interval.grid()))
-    want = _cells_from_left_nodes(curve, samples, thetas)
-    calls = _counted_cells(monkeypatch)
-    assert np.array_equal(_points_at(curve, samples, thetas), want)
-    assert calls == [thetas.size]
+    cusps = find_cusps(curve, interval)
+    want = reconstruct(curve, [interval.lo, *cusps]).points[1:]
+    markers, calls = _cli_markers(monkeypatch, curve, interval)
+    assert len(cusps) > 0
+    assert np.array_equal(markers, want)
+    assert calls == [interval.n_samples, len(cusps) + 1]
 
 
-@pytest.mark.parametrize("make", [lambda: cycloid(1.0), lambda: polynomial_curve([1.0, 0.5])],
+@pytest.mark.parametrize("make, edges", [(lambda: cycloid(1.0), []),
+                                         (lambda: polynomial_curve([1.0, 0.5]), [9])],
                          ids=["closed_form", "quadrature"])
-def test_points_at_no_angle_is_an_empty_array(make):
-    curve = make()
-    samples = reconstruct(curve, AngleInterval(0.0, 3.0, 9))
-    assert _points_at(curve, samples, []).shape == (0, 2)
+def test_cli_draws_no_marker_without_a_cusp(monkeypatch, make, edges):
+    # Only the grid is integrated: no reconstruction runs for markers.
+    markers, calls = _cli_markers(monkeypatch, make(), AngleInterval(0.0, 3.0, 9))
+    assert markers is None
+    assert calls == edges

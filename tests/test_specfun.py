@@ -61,6 +61,19 @@ def test_matches_mpmath_near_branch_point():
             assert abs(ours - ref) < 1e-10
 
 
+@pytest.mark.parametrize("size", [3e307, 1e308, 1.7e308])
+def test_near_the_float_limit_matches_mpmath(size):
+    # Past about 2.76e307 on branch 0, w e^w - z and Halley's denominator overflow; the
+    # iteration takes them times e^(-w) there.
+    with mpmath.workdps(40):
+        for z in (size, -size, complex(0, size), complex(0, -size)):
+            for k in (-2, -1, 0, 1, 2):
+                ours = mpmath.mpc(lambert_w(k, z))
+                ref = mpmath.lambertw(z, k)
+                assert abs(ours * mpmath.exp(ours) - z) <= 1e-13 * abs(z)
+                assert abs(ours - ref) <= 1e-15 * abs(ref)
+
+
 def test_conjugate_branch_pairing(rng):
     for _ in range(20):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))

@@ -128,9 +128,12 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     ("puiseux_cusps", "curve --curve puiseux:c=0.15,gamma=3 --interval=-8pi:8pi --samples 129"
                       " --out-csv p.csv --out-svg p.svg", False),
     # A cubic poly, outside the closed forms: its cells leave the node-jet rule for P15, and
-    # its two cusp markers take the quadrature cells of _points_at.
+    # its two cusp markers take one quadrature from the first node over the cusps.
     ("poly_cubic_257", "curve --curve poly:coefficients=0.5+-1+0.2+0.01 --interval 0:30"
                        " --samples 257 --out-csv p.csv --out-svg p.svg", False),
+    # A quadrature curve's cusp markers on wide cells: cusps at 1000 and 2000.
+    ("poly_cusps_wide", "curve --curve poly:coefficients=2e6+-3000+1 --interval 0:3000"
+                        " --samples 16385 --out-svg q.svg", False),
     # README's "Command line" examples; its pantograph one is pantograph_m2_order30.
     ("readme_curve", "curve --curve log_spiral:amplitude=1,growth=0.15 --interval 0:4pi"
                      " --samples 257 --out-csv spiral.csv --out-svg spiral.svg", False),
