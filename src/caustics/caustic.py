@@ -38,6 +38,7 @@ from .inclination import (
     CurveSamples,
     InclinationCurve,
     _check_domain,
+    _check_finite,
     reconstruct,
 )
 
@@ -214,6 +215,12 @@ def coframe(theta, radius, phi, phi_prime):
     return np.stack([nu_x, nu_y], axis=-1), chi
 
 
+def _check_flat(phi_prime) -> None:
+    """Raise ``FlatCausticError`` where the tilt derivative is within the guard of 1."""
+    if np.any(np.abs(1.0 - phi_prime) < FLAT_TILT_GUARD):
+        raise FlatCausticError("tilt derivative too close to 1; caustic flattens")
+
+
 def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
     """Turning radius of the caustic from local curve and tilt data.
 
@@ -222,8 +229,7 @@ def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
     """
     r, r_prime, phi, p1, p2 = (_checks.finite(name, value) for name, value in zip(
         ("r", "r_prime", "phi", "phi_prime", "phi_second"), (r, r_prime, phi, phi_prime, phi_second)))
-    if np.any(np.abs(1.0 - p1) < FLAT_TILT_GUARD):
-        raise FlatCausticError("tilt derivative too close to 1; caustic flattens")
+    _check_flat(p1)
     out = _radius(r, r_prime, np.sin(phi), np.cos(phi), p1, p2)
     return out if out.shape else float(out)
 
@@ -282,16 +288,22 @@ def similarity_residual(
 
     Compares the caustic radius at theta with
     ``a * R(sign * (theta + pi/2 - phi - beta))`` and returns the largest
-    absolute difference.  Raises ``DomainError`` if a shifted argument
-    leaves the curve's domain.
+    absolute difference.  Raises ``FlatCausticError`` where the tilt is flat,
+    ``DomainError`` if a shifted argument leaves the curve's domain, and
+    ``EvaluationError`` at the first angle where a value is not finite.
     """
     if not isinstance(interval, AngleInterval):
         raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     thetas = interval.grid()
-    r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
-    phi, p1, p2 = tilt(thetas)
-    lhs = caustic_radius(r, rp, phi, p1, p2)
-    arg = spec.sign * (thetas + math.pi / 2 - phi - spec.shift_beta)
-    _check_domain(curve, arg, "similarity argument")
-    rhs = spec.factor_a * np.asarray(curve.jet(arg)[0], dtype=float)
-    return float(np.max(np.abs(lhs - rhs)))
+    # A jet or a residual that overflows is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
+        phi, p1, p2 = tilt(thetas)
+        _check_flat(p1)
+        arg = spec.sign * (thetas + math.pi / 2 - phi - spec.shift_beta)
+        _check_domain(curve, arg, "similarity argument")
+        shifted = np.asarray(curve.jet(arg)[0], dtype=float)
+        residual = _radius(r, rp, np.sin(phi), np.cos(phi), p1, p2) - spec.factor_a * shifted
+    _check_finite("R, R' or the shifted R", np.broadcast_arrays(r, rp, shifted), thetas)
+    _check_finite("the residual", residual, thetas)
+    return float(np.max(np.abs(residual)))

@@ -403,17 +403,19 @@ def _union(*parts) -> np.ndarray:
 
 
 def _climb_chains(series: PantographSeries, u: np.ndarray, depth: np.ndarray, levels: int):
-    """(R, R') up each doubling chain u, 2u, ..., 2^depth u of the base angles ``u``,
-    sorted by ``depth``, deepest first, as (2, levels, u.size) ``states``: states[:, s]
-    holds every angle once doubled at each level above s, so angle i is at chain level j
-    in states[:, depth[i] - j, i] if ``levels`` allow, and at its depth in states[:, 0].
-    Blocks of ``_BLOCK_ANGLES`` form R's order j for their leading angles of depth
-    >= j - 1, then double from their deepest level down to 1, each level on their
-    leading angles of depth >= that level."""
+    """(R, R') up each doubling chain u, 2u, ..., 2^depth u of the base angles ``u``, as
+    (2, levels, u.size) ``states``: states[:, s] holds every angle once doubled at each level
+    above s, so angle i is at chain level j in states[:, depth[i] - j, i] if ``levels`` allow,
+    and at its depth in states[:, 0].  The angles climb deepest first, in blocks of
+    ``_BLOCK_ANGLES``: a block forms R's order j for its leading angles of depth >= j - 1, then
+    doubles from its deepest level down to 1, each level on its leading angles of depth >= that
+    level, so all end together."""
+    # Depths stay below JET_ORDER, and int16 keys take numpy's radix sort.
+    order = np.argsort(-depth, kind="stable")
     states = np.empty((2, levels, u.size))
     for start in range(0, u.size, _BLOCK_ANGLES):
-        block = slice(start, start + _BLOCK_ANGLES)
-        d, v = depth[block], u[block].copy()
+        block = order[start : start + _BLOCK_ANGLES]
+        d, v = depth[block], u[block]
         top = int(d[0])
         # reach[j]: the leading angles of depth >= j - 1, which use Taylor order j.
         reach = np.searchsorted(-d, 1 - np.arange(top + 2), side="right").tolist()
@@ -432,8 +434,9 @@ def continue_R(solution: PantographSolution, theta):
     """R and R' anywhere on [0, max_theta], by jet doubling past pi/2.
 
     Accepts scalars or arrays; returns a pair (R, R') of matching shape.
-    Raises ``PoleError`` at theta = 0 for the families k <= -1, and
-    ``JetDepthError`` past ``max_theta``.  An angle of depth d is halved d
+    Raises ``PoleError`` at theta = 0 for the families k <= -1,
+    ``JetDepthError`` past ``max_theta``, and ``EvaluationError`` at the first
+    angle where R or R' is not finite.  An angle of depth d is halved d
     times into the series window, where R gets a Taylor jet of d + 2
     coefficients in h; each doubling of u + h consumes one.  The angles are
     climbed deepest first by ``_climb_chains``, whose doubling at level L takes
@@ -456,11 +459,12 @@ def continue_R(solution: PantographSolution, theta):
             f"theta = {flat[worst]:g} needs doubling depth {depth[worst]}; the "
             f"continuation ends at max_theta = {solution.max_theta:g}"
         )
-    # Depths stay below JET_ORDER, and int16 keys take numpy's radix sort.
-    order = np.argsort(-depth, kind="stable")
-    d = depth[order]
-    r, rp = np.empty_like(flat), np.empty_like(flat)
-    r[order], rp[order] = _climb_chains(solution.series, np.ldexp(flat[order], -d), d, 1)[:, 0]
+    # A climb that overflows is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rp = states = _climb_chains(solution.series, np.ldexp(flat, -depth), depth, 1)[:, 0]
+    if not np.isfinite(states).all():
+        _check_finite("R", r, flat)
+        _check_finite("R'", rp, flat)
     if arr.ndim == 0:
         return float(r[0]), float(rp[0])
     return r.reshape(arr.shape), rp.reshape(arr.shape)
@@ -506,13 +510,9 @@ def _doubling_law(curve: InclinationCurve, theta: np.ndarray):
     # Row j holds the chain angles nodes 2^j, live up to each base's deepest angle.
     reach = np.zeros(nodes.size, dtype=depth.dtype)  # one dtype keeps ufunc.at on its fast path
     np.maximum.at(reach, at, depth)
-    order = np.argsort(-reach, kind="stable")
-    states = _climb_chains(solution.series, nodes[order], reach[order], top + 1)
+    states = _climb_chains(solution.series, nodes, reach, top + 1)
     slot = reach - np.arange(top + 1)[:, None]
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    flat = np.maximum(slot, 0) * order.size + inverse  # into the states' (level, angle) plane
-    r, rp = np.where(slot >= 0, states.reshape(2, -1).take(flat, axis=1), 0.0)
+    r, rp = np.where(slot >= 0, np.take_along_axis(states, np.maximum(slot, 0)[None], 1), 0.0)
     xys = np.zeros((3, top + 1, nodes.size))
     if nodes.size > 1:  # the quadrature needs finite ends; otherwise every position is NaN
         finite = np.isfinite(r[0]).all() and np.isfinite(rp[0]).all()
@@ -555,17 +555,16 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
 
 def mirror_equation_residual(solution: PantographSolution, interval: AngleInterval) -> float:
     """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``; raises
-    ``EvaluationError`` at the first angle where R, R', R(2 theta) or the defect is not finite."""
+    ``EvaluationError`` at the first angle where the continuation or the defect is not finite."""
     if not isinstance(interval, AngleInterval):
         raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     t = interval.grid()  # continue_R rejects a negative angle
     a = solution.series.factor_a
-    # A continuation or a defect that overflows is reported below, not warned about.
+    r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
+    r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
+    # A defect that overflows is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
-        r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
         residual = np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r
-    _check_finite("R, R' or R(2 theta)", np.stack([r, rp, r2]), t)
     _check_finite("the residual", residual, t)
     return float(np.max(np.abs(residual)))
 

@@ -64,26 +64,38 @@ def _initial_guess(k: int, z: complex) -> complex:
     return L1 - cmath.log(L1)
 
 
-def _halley_scaled(k: int, z: complex) -> tuple[complex, float]:
-    """Halley's iteration for ``w e^w = z`` on branch ``k``, on the terms times ``e^(-w)``:
-    ``w - z e^(-w)`` takes the same steps and stays finite where ``w e^w - z``, its size or
-    Halley's denominator pass the float range.  Returns the best iterate and its residual
-    ``|w e^w - z|``, taken as ``|z|`` times the ratio of ``|w - z e^(-w)|`` to ``|z e^(-w)|``."""
+def _halley(k: int, z: complex, scaled: bool) -> tuple[complex, float]:
+    """Halley's iteration for ``w e^w = z`` on branch ``k``: the best iterate and its residual
+    ``|w e^w - z|``.  With ``scaled`` it steps on the terms times ``e^(-w)``, ``w - z e^(-w)``,
+    finite where ``w e^w - z``, its size or Halley's denominator pass the float range, and takes
+    the residual as ``|z| |w - z e^(-w)| / |z e^(-w)|``.  A step within rounding takes one more
+    pass for its residual; a step that leaves the floats ends the iteration."""
     w = best_w = _initial_guess(k, z)
     best_res, last = math.inf, False
     for _ in range(_MAX_HALLEY_STEPS):
-        ze = z * cmath.exp(-w)
-        f = w - ze
-        res = abs(f) / abs(ze) * abs(z)
+        if scaled:
+            e = z * cmath.exp(-w)
+            f = w - e
+            res = abs(f) / abs(e) * abs(z)
+            done = abs(f) <= 1e-15 * (abs(e) + abs(w))
+        else:
+            e = cmath.exp(w)
+            f = w * e - z
+            res = abs(f)
+            done = res <= 1e-15 * (abs(z) + abs(w * e)) + 5e-324
         if res < best_res:
             best_w, best_res = w, res
+        if last or done:
+            break
         wp1 = w + 1.0
-        denom = wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if last or abs(f) <= 1e-15 * (abs(ze) + abs(w)) or denom == 0:
+        denom = (wp1 if scaled else e * wp1) - (w + 2.0) * f / (2.0 * wp1)
+        if denom == 0:
             break
         dw = f / denom
         w = w - dw
-        last = abs(dw) <= 2e-16 * (2.0 + abs(w))  # one more pass takes its residual
+        if not cmath.isfinite(w):
+            break
+        last = abs(dw) <= 2e-16 * (2.0 + abs(w))
     return best_w, best_res
 
 
@@ -127,37 +139,12 @@ def lambert_w(k: int, z: complex | float):
     if zc.imag == 0.0 and abs(zc.real - _BRANCH_POINT) < 4e-17 and k in (0, -1):
         return -1.0 if z_was_real else complex(-1.0)
 
-    w = _initial_guess(k, zc)
-    best_w, best_res = w, math.inf
-    for _ in range(_MAX_HALLEY_STEPS):
-        e = cmath.exp(w)
-        f = w * e - zc
-        res = abs(f)
-        if res < best_res:
-            best_w, best_res = w, res
-        if res <= 1e-15 * (abs(zc) + abs(w * e)) + 5e-324:
-            break
-        wp1 = w + 1.0
-        denom = e * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        if denom == 0:
-            break
-        dw = f / denom
-        w = w - dw
-        if abs(dw) <= 2e-16 * (2.0 + abs(w)):
-            e = cmath.exp(w)
-            res = abs(w * e - zc)
-            if res < best_res:
-                best_w, best_res = w, res
-            break
+    w, res = _halley(k, zc, False)
     bound = 1e-13 * max(abs(zc), 1e-300)
-    if best_res > bound:  # near the float limit, where w e^w - z or its step may overflow
-        best_w, best_res = _halley_scaled(k, zc)
-    if best_res > bound:
-        raise NumericError(
-            f"lambert_w did not converge: branch {k}, z={zc}, "
-            f"residual {best_res:.3e}"
-        )
-    w = best_w
+    if res > bound:  # near the float limit, where w e^w - z or its step may overflow
+        w, res = _halley(k, zc, True)
+    if res > bound:
+        raise NumericError(f"lambert_w did not converge: branch {k}, z={zc}, residual {res:.3e}")
     if z_was_real and w.imag == 0.0:
         return w.real
     return w

@@ -295,11 +295,25 @@ DEGENERATE_CALLS = {
         lambda: mirror_report(PantographSolution(solve_series(1, 30, leading=5e-324))),
         NumericError, "R is zero or subnormal at theta = 0.3, an angle the arc ratios or the "
                       "pole probe divide by"),
-    # R(2 theta) of the k = 1 mirror led by 1e308 passes the float limit in its doubling.
+    # The k = 1 mirror led by 1e308 passes the float limit in its doubling; the continuation
+    # names the first angle of its batch [t, 2t] where R does.
     "mirror_equation_residual_overflows": (
         lambda: mirror_equation_residual(PantographSolution(solve_series(1, 30, leading=1e308)),
                                          AngleInterval(0.01, 6, 33)),
-        EvaluationError, "R, R' or R(2 theta) is not finite at theta = 0.9459375000000001"),
+        EvaluationError, "R is not finite at theta = 1.6946875000000001"),
+    "continue_R_overflows": (
+        lambda: continue_R(PantographSolution(solve_series(1, 30, leading=1e308)), [1.0, 3000.0]),
+        EvaluationError, "R is not finite at theta = 3000.0"),
+    # R = e^(800 theta) passes the float limit at theta = 1, its shifted value at every angle.
+    "similarity_residual_overflowing_jet": (
+        lambda: similarity_residual(log_spiral(1.0, 800.0), TiltField.evolute(),
+                                    SimilaritySpec(1.0, 0.0), AngleInterval(0, 1, 5)),
+        EvaluationError, "R, R' or the shifted R is not finite at theta = 0.0"),
+    # R and its shifted value near 1e303 are finite; 1e10 times the shifted value is not.
+    "similarity_residual_past_the_float_limit": (
+        lambda: similarity_residual(log_spiral(1e300, 1.0), TiltField.skew(0.3),
+                                    SimilaritySpec(1e10, -5.0), AngleInterval(0, 1, 5)),
+        EvaluationError, "the residual is not finite at theta = 0.0"),
     # lambert_w's root moved by 1e-9 of itself leaves a residual near 1e-3, a hundred times the
     # bound 1e-10 |a / cos phi0| = 1e-5; the residual's digits are rounding's, the bound's are not.
     "delay_roots_residual_above_1e-10": (

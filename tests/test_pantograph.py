@@ -853,9 +853,10 @@ def test_block_pass_matches_per_depth_reference(k, secondary, order):
 
 
 def test_batches_keep_the_sign_of_exact_zeros():
-    # With a negative leading coefficient R(0) is -0.0.  Narrow batches take
-    # a broadcast product, wide ones the column loop; both add exactly the
-    # reference's terms, so the sign survives at every width.
+    # With a negative leading coefficient R(0) is -0.0.  Every batch takes the
+    # einsum, and the angles with a zero output are done again by the column
+    # loop, which adds exactly the reference's terms, so the sign survives at
+    # every width.
     for k in (0, 1):
         solution = PantographSolution(solve_series(k, leading=-2.5))
         for batch in (np.array([0.0]), np.concatenate([[0.0], np.linspace(0.1, 30.0, 4999)])):

@@ -74,6 +74,70 @@ def test_near_the_float_limit_matches_mpmath(size):
                 assert abs(ours - ref) <= 1e-15 * abs(ref)
 
 
+_BRANCH = -0.36787944117144233  # float(-1/e)
+
+# lambert_w's bits at arguments of both Halley passes: ordinary draws, points near -1/e, tiny z
+# on branch -1, then the float limit, where the plain pass overflows and the scaled one ends.
+PINNED_BITS = [
+    (0, 1.0, "0x1.22609af8e9658p-1", None),
+    (-1, -0.1, "-0x1.c9e01e6bc1fbap+1", None),
+    (0, 2 + 1j, "0x1.c807be0894e66p-1", "0x1.c40bcf318c193p-3"),
+    (1, -3.5 + 0.7j, "-0x1.829841d503cf6p-1", "0x1.e3a5e45a45c50p+2"),
+    (-3, 0.05 - 12j, "-0x1.cd2d7f122c022p-2", "-0x1.2d24b8e061336p+4"),
+    (2, 17.3, "0x1.cb77c70f0e4c9p-2", "0x1.61289f934fbbdp+3"),
+    (0, -0.3678794401714423, "-0x1.fff655fd6b4f5p-1", None),
+    (-1, -0.36787941117144235, "-0x1.001a786f2eefbp+0", None),
+    (1, complex(_BRANCH, -1e-7), "-0x1.00222b291db1cp+0", "0x1.11719e88b1e99p-11"),
+    (-1, complex(_BRANCH, 1e-12), "-0x1.00001ba934354p+0", "-0x1.ba936335bcddfp-20"),
+    (-1, -1e-300, "-0x1.5ca950bbd0767p+9", None),
+    (-1, -5e-324, "-0x1.7786bf03829b6p+9", None),
+    (-2, 3e307, "0x1.5eb82f4044899p+9", "-0x1.918d2bfee03b3p+3"),
+    (-1, 3e307, "0x1.5eb8332d63892p+9", "-0x1.918d290158564p+2"),
+    (0, 3e307, "0x1.5eb8347c7b870p+9", None),
+    (1, 3e307, "0x1.5eb8332d63892p+9", "0x1.918d290158564p+2"),
+    (2, 3e307, "0x1.5eb82f4044899p+9", "0x1.918d2bfee03b3p+3"),
+    (-2, 1e308, "0x1.5f5212ef0c1ffp+9", "-0x1.918d6c1405d68p+3"),
+    (-1, 1e308, "0x1.5f5216d8bd604p+9", "-0x1.918d691a676e3p+2"),
+    (0, 1e308, "0x1.5f521826b0b14p+9", None),
+    (1, 1e308, "0x1.5f5216d8bd604p+9", "0x1.918d691a676e3p+2"),
+    (2, 1e308, "0x1.5f5212ef0c1ffp+9", "0x1.918d6c1405d68p+3"),
+    (-2, 1.7e308, "0x1.5f95e5ddd4e34p+9", "-0x1.918d884083a7bp+3"),
+    (-1, 1.7e308, "0x1.5f95e9c604b69p+9", "-0x1.918d85489c780p+2"),
+    (0, 1.7e308, "0x1.5f95eb1377837p+9", None),
+    (1, 1.7e308, "0x1.5f95e9c604b69p+9", "0x1.918d85489c780p+2"),
+    (2, 1.7e308, "0x1.5f95e5ddd4e34p+9", "0x1.918d884083a7bp+3"),
+    (-2, -1e308, "0x1.5f52153756c52p+9", "-0x1.2d2a0fc1d425bp+3"),
+    (-1, -1e308, "0x1.5f5217d3333a3p+9", "-0x1.918d685bf7220p+1"),
+    (0, -1e308, "0x1.5f5217d3333a3p+9", "0x1.918d685bf7220p+1"),
+    (1, -1e308, "0x1.5f52153756c52p+9", "0x1.2d2a0fc1d425bp+3"),
+    (2, -1e308, "0x1.5f520fffef3c3p+9", "0x1.f5f0c9e2de2abp+3"),
+    (-2, 1e308j, "0x1.5f5214280cf58p+9", "-0x1.5f5bbdc149062p+3"),
+    (-1, 1e308j, "0x1.5f52176ad6fe0p+9", "-0x1.2d2a0e807cc28p+2"),
+    (0, 1e308j, "0x1.5f521811d1495p+9", "0x1.918d682c5a83dp+0"),
+    (1, 1e308j, "0x1.5f52161ce77dep+9", "0x1.f5f0c41387b6ap+2"),
+    (2, 1e308j, "0x1.5f52118c56a67p+9", "0x1.c3bf1ac5ecac6p+3"),
+]
+
+
+@pytest.mark.parametrize("k, z, real, imag", PINNED_BITS)
+def test_pinned_bits_on_both_passes(k, z, real, imag):
+    w = lambert_w(k, z)
+    if imag is None:
+        assert type(w) is float and w.hex() == real
+    else:
+        assert type(w) is complex and (w.real.hex(), w.imag.hex()) == (real, imag)
+
+
+def test_a_step_that_leaves_the_floats_ends_the_plain_pass(monkeypatch):
+    # At 3e307 the plain pass's first step overflows Halley's denominator and turns NaN; the
+    # scaled pass then converges in a few steps instead of after 100 NaN iterates.
+    calls = []
+    exp = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda w: calls.append(w) or exp(w))
+    assert lambert_w(0, 3e307).hex() == "0x1.5eb8347c7b870p+9"
+    assert len(calls) <= 8
+
+
 def test_conjugate_branch_pairing(rng):
     for _ in range(20):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3))

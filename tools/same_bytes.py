@@ -91,6 +91,10 @@ ROWS = [(name, command.split(), capped) for name, command, capped in [
     ("skew_delay_two_roots", "skew --case delay --phi0 0.3 --a 0.9 --alpha 0.8 --branches 0,2"
                              " --coefficients 1:0.2,0.8:-0.3 --interval=-2:2 --samples 33"
                              " --out-csv skew.csv", False),
+    # A delay root near the float limit: lambert_w(0, 3e307)'s plain Halley pass overflows,
+    # and its scaled pass converges.
+    ("skew_delay_3e307", "skew --case delay --phi0 0 --a 3e307 --alpha 1 --samples 5"
+                         " --interval=0:0.001 --out-csv d.csv", False),
     ("skew_inverse_hyperbolic", "skew --case inverse_position --phi0 0.3 --a 0.1"
                                 " --coefficients 1:0.5 --out-csv inverse-hyp.csv", False),
     ("skew_inverse_circle", "skew --case inverse_position --phi0 0.3 --a 0.29552020666133955"
