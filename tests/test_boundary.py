@@ -309,7 +309,7 @@ DEGENERATE_CALLS = {
         lambda: similarity_residual(log_spiral(1.0, 800.0), TiltField.evolute(),
                                     SimilaritySpec(1.0, 0.0), AngleInterval(0, 1, 5)),
         EvaluationError, "R, R' or the shifted R is not finite at theta = 0.0"),
-    # R and its shifted value near 1e303 are finite; 1e10 times the shifted value is not.
+    # R near 1e300 and its shifted value near 1e303 are finite; 1e10 times the latter is not.
     "similarity_residual_past_the_float_limit": (
         lambda: similarity_residual(log_spiral(1e300, 1.0), TiltField.skew(0.3),
                                     SimilaritySpec(1e10, -5.0), AngleInterval(0, 1, 5)),
