@@ -25,13 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import _checks
-from .errors import (
-    CausticAtInfinityError,
-    CuspError,
-    EvaluationError,
-    FlatCausticError,
-    ValidationError,
-)
+from .errors import EvaluationError, FlatCausticError, ValidationError
 from .inclination import (
     AngleInterval,
     ColumnRecord,
@@ -63,10 +57,11 @@ OK, CUSP, FLAT_TILT, AT_INFINITY = 0, 1, 2, 3
 """Per-node ``Caustic.flag`` codes: a regular node, then the three failures."""
 
 _FLAG_ERRORS = {
-    CUSP: (CuspError, "R vanishes"),
-    FLAT_TILT: (FlatCausticError, f"the tilt derivative is within {FLAT_TILT_GUARD:g} of 1"),
-    AT_INFINITY: (CausticAtInfinityError, "the focusing density vanishes"),
+    CUSP: "R vanishes",
+    FLAT_TILT: f"the tilt derivative is within {FLAT_TILT_GUARD:g} of 1",
+    AT_INFINITY: "the caustic is not finite",
 }
+"""The error text of a flagged node's ``CausticSample``, before `` at theta = <t>``."""
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,10 @@ class Caustic(ColumnRecord):
     ``caustic_theta`` is the caustic's tangent angle, ``x, y`` its
     position, ``caustic_radius`` its turning radius and ``ray_length`` the
     distance from the source node along the ray.  ``flag`` holds ``OK``
-    or the failure code of the node (``CUSP``, ``FLAT_TILT``,
-    ``AT_INFINITY``); flagged nodes are NaN in every float column.
+    or the failure code of the node: ``CUSP`` (R = 0), ``FLAT_TILT`` (phi'
+    within ``FLAT_TILT_GUARD`` of 1) or ``AT_INFINITY`` (a column is not
+    finite, as where the focusing density underflows).  Flagged nodes are
+    NaN in every float column; unflagged nodes are finite in every one.
     ``source`` is the reconstructed curve the rays leave from.
     """
 
@@ -159,10 +156,7 @@ class Caustic(ColumnRecord):
             self.ray_length.tolist(),
             self.flag.tolist(),
         ):
-            error = None
-            if flag != OK:
-                kind, what = _FLAG_ERRORS[flag]
-                error = f"{kind.__name__}: {what} at theta = {t}"
+            error = None if flag == OK else f"{_FLAG_ERRORS[flag]} at theta = {t}"
             yield CausticSample(t, t1, r1, position, length, error)
 
 
@@ -238,9 +232,9 @@ def _caustic_columns(source: CurveSamples, phi, p1, p2):
     """``Caustic``'s columns up to ``flag``, in one pass over checked arrays (a tilt part may be
     0-d, one ``sin`` and ``cos`` of a constant phi).
 
-    A node's flag is the first of CUSP (R = 0), FLAT_TILT and AT_INFINITY (chi = 0) that holds;
-    flagged nodes turn NaN at the end.  Off a flat node |chi| >= 1e-8 / 1.8e308 > 0 for any
-    finite R, so no input flags AT_INFINITY here; its branch stays for the public constant."""
+    A node's flag is the first of CUSP (R = 0), FLAT_TILT and AT_INFINITY (a column is not
+    finite: the angle, point, radius or ray length left the floats) that holds; flagged nodes
+    turn NaN at the end, so every unflagged node is finite in every column."""
     theta, r = source.theta, source.radius
     # One table, filled in place; cos and sin of theta wait in the rows of x and y.
     columns = np.empty((5, theta.size))
@@ -254,7 +248,8 @@ def _caustic_columns(source: CurveSamples, phi, p1, p2):
         np.add(source.x, np.multiply(stretch, nu_x, out=columns[1]), out=columns[1])
         np.add(source.y, np.multiply(stretch, nu_y, out=columns[2]), out=columns[2])
         np.abs(stretch, out=stretch)
-    cusp, flat, at_infinity = r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD, chi == 0.0
+    cusp, flat = r == 0.0, np.abs(1.0 - p1) < FLAT_TILT_GUARD
+    at_infinity = ~np.isfinite(columns).all(axis=0)
     bad = cusp | flat | at_infinity
     flag = np.zeros(theta.shape, dtype=int)
     if bad.any():
@@ -271,8 +266,8 @@ def caustic_curve(
     """Caustic vertices over a whole interval.
 
     R and R' are the ``source`` columns, so the curve's jet runs once on
-    the nodes.  Nodes whose coframe degenerates (cusp, flat tilt, infinite caustic)
-    are not dropped: they are flagged and carry NaN in every float column.
+    the nodes.  Nodes whose coframe degenerates (cusp, flat tilt) or whose caustic
+    leaves the floats are not dropped: they are flagged and carry NaN in every float column.
     """
     source = reconstruct(curve, interval)
     return Caustic(*_caustic_columns(source, *tilt._parts(source.theta)), source=source)

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .caustic import TiltField, caustic_curve
+from .caustic import OK, TiltField, caustic_curve
 from .csvio import write_caustic_csv, write_coefficient_csv, write_curve_csv
 from .errors import CausticsError, NumericError, ValidationError
 from .inclination import (
@@ -203,8 +203,7 @@ def _run_caustic(args: argparse.Namespace) -> None:
         write_caustic_csv(args.out_csv, caus)
     if args.out_svg:
         mpts, cpts = caus.source.points, caus.points
-        drawn = np.isfinite(cpts[:, 0]) & np.isfinite(cpts[:, 1])  # flagged nodes are NaN
-        rays = np.stack([mpts[drawn], cpts[drawn]], axis=1)
+        rays = np.stack([mpts, cpts], axis=1)[caus.flag == OK]
         write_scene(args.out_svg, mirror=[mpts], caustic=[cpts], rays=rays)
     print(f"curve={curve.label or 'custom'}")
     print(f"tilt={args.tilt}")

@@ -3,7 +3,8 @@
 Geometry code fails in a handful of recognisable ways (a pole inside an
 integration interval, a flattening caustic, a non-finite radius, ...)
 and callers are expected to catch these precisely, so each failure mode
-gets its own class.  Everything derives from :class:`CausticsError`.
+gets its own class.  Everything derives from :class:`CausticsError`.  A
+failed node of ``caustic_curve`` raises nothing: its ``flag`` says why.
 """
 
 __all__ = [
@@ -14,9 +15,7 @@ __all__ = [
     "NumericError",
     "DegenerateSamplingError",
     "DegenerateCurveError",
-    "CuspError",
     "FlatCausticError",
-    "CausticAtInfinityError",
     "PoleError",
     "ResonanceError",
     "JetDepthError",
@@ -51,19 +50,9 @@ class DegenerateCurveError(CausticsError, ValueError):
     """All defining coefficients vanish; the curve collapses to a point."""
 
 
-class CuspError(CausticsError, ArithmeticError):
-    """The turning radius vanishes where a curvature frame is required.  Never raised:
-    ``caustic_curve`` flags the node ``CUSP``, and this name heads its error text."""
-
-
 class FlatCausticError(CausticsError, ArithmeticError):
     """The tilt derivative is too close to 1: the focusing map degenerates.  Raised by
     ``caustic_radius`` and ``similarity_residual``; ``caustic_curve`` flags the node instead."""
-
-
-class CausticAtInfinityError(CausticsError, ArithmeticError):
-    """The focusing density vanishes and the caustic point escapes to infinity.  Never
-    raised: ``caustic_curve`` flags the node ``AT_INFINITY``; this name heads its error text."""
 
 
 class PoleError(CausticsError, ValueError):

@@ -492,7 +492,7 @@ def find_cusps(
     inner = (first > 0) & (last < sign.size - 1)
     first, last = first[inner], last[inner]
     crossing = sign[first - 1] != sign[last + 1]
-    on_grid = 0.5 * (thetas[first[crossing]] + thetas[last[crossing]])
+    on_grid = 0.5 * thetas[first[crossing]] + 0.5 * thetas[last[crossing]]
     return np.sort(np.concatenate([refined, on_grid])).tolist()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import _checks
 from .caustic import TiltField, caustic_curve
 from .errors import DegenerateSamplingError, ValidationError
-from .inclination import AngleInterval, InclinationCurve, reconstruct
+from .inclination import AngleInterval, InclinationCurve, _check_finite, reconstruct
 
 __all__ = [
     "PARALLEL_THRESHOLD",
@@ -160,12 +160,12 @@ def envelope_numeric(family: RayFamily) -> EnvelopePolyline:
     d0, d1 = d[:-1], d[1:]
     cross = d0[:, 0] * d1[:, 1] - d0[:, 1] * d1[:, 0]
     delta = b1 - b0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (delta[:, 0] * d1[:, 1] - delta[:, 1] * d1[:, 0]) / cross
         pts = b0 + t[:, None] * d0
     parallel = np.abs(cross) < PARALLEL_THRESHOLD
     pts[parallel] = np.nan
-    mids = 0.5 * (family.source_thetas[:-1] + family.source_thetas[1:])
+    mids = 0.5 * family.source_thetas[:-1] + 0.5 * family.source_thetas[1:]
     return EnvelopePolyline(
         points=pts,
         parameters=mids,
@@ -303,7 +303,8 @@ def envelope_gap(
     The closed form is sampled at the envelope's own (midpoint) parameters, so envelope
     point i pairs with closed-form point i; pairs with a NaN point (a parallel-ray gap in
     ``envelope.gap_indices``, or a flagged node) are left out.  Raises ``ValidationError``
-    unless ``window`` is an ``AngleInterval``, or if no pair is finite.
+    unless ``window`` is an ``AngleInterval``, or if every pair is left out, and
+    ``EvaluationError`` at the first parameter whose distance is not finite.
     """
     if not isinstance(window, AngleInterval):
         raise ValidationError(f"window must be an AngleInterval, got {window!r}")
@@ -313,11 +314,15 @@ def envelope_gap(
     # grid instead would translate the whole caustic by half a step.
     grid = np.concatenate(([window.lo], envelope.parameters))
     closed = caustic_curve(curve, tilt, grid)[1:]
-    dx, dy = (envelope.points - closed.points).T
-    errors = np.sqrt(dx * dx + dy * dy)
-    errors = errors[np.isfinite(errors)]
-    if errors.size == 0:
+    kept = ~(np.isnan(envelope.points) | np.isnan(closed.points)).any(axis=1)
+    if not kept.any():
         raise ValidationError("no pair of envelope and closed-form points is finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = (envelope.points[kept] - closed.points[kept]).T
+        # The Hausdorff search's formula, bit for bit; hypot where its squares overflow.
+        errors = np.sqrt(dx * dx + dy * dy)
+        errors = np.where(np.isinf(errors), np.hypot(dx, dy), errors)
+    _check_finite("the distance to the closed form", errors, envelope.parameters[kept])
     return EnvelopeGap(float(errors.max()), envelope)
 
 

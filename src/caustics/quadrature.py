@@ -231,7 +231,8 @@ def panel_integrals(
         spent += err[done].sum()
         if done.all():
             return result
-        lo, hi, mid = lo[~done], hi[~done], 0.5 * (lo[~done] + hi[~done])
+        lo, hi = lo[~done], hi[~done]
+        mid = 0.5 * lo + 0.5 * hi  # halves summed: lo + hi may pass the float range
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         if lo.size > _MAX_PANELS:
             raise NumericError(f"quadrature needs more than {_MAX_PANELS} panels after "

@@ -37,7 +37,7 @@ _MAX_HALLEY_STEPS = 100
 def _initial_guess(k: int, z: complex) -> complex:
     """Starting point for Halley iteration on branch ``k`` at ``z``."""
     p2 = 2.0 * (math.e * z + 1.0)
-    if abs(p2) < 0.5:
+    if abs(p2.real) < 0.5 and abs(p2) < 0.5:  # the real part first: |p2| may pass the floats
         # Near -1/e two sheets meet.  Which pair depends on the side of the
         # real axis: {0, -1} on and above it, {0, +1} strictly below.
         p = cmath.sqrt(p2)

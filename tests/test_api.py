@@ -39,12 +39,10 @@ def test_public_names_are_pinned():
     assert sorted(caustics.__all__) == [
         "AngleInterval",
         "Caustic",
-        "CausticAtInfinityError",
         "CausticSample",
         "CausticsError",
         "CharacteristicRoot",
         "CurveSamples",
-        "CuspError",
         "DegenerateCurveError",
         "DegenerateSamplingError",
         "DomainError",
@@ -135,9 +133,7 @@ SUBMODULE_EXPORTS = {
         "write_table",
     ],
     "errors": [
-        "CausticAtInfinityError",
         "CausticsError",
-        "CuspError",
         "DegenerateCurveError",
         "DegenerateSamplingError",
         "DomainError",

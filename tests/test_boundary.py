@@ -255,6 +255,12 @@ DEGENERATE_CALLS = {
     "reconstruct_quadrature_overflows": (
         lambda: reconstruct(polynomial_curve([1e308]), AngleInterval(0, 4, 2)),
         NumericError, "the integral overflows in the panel at theta = 0.0"),
+    # The first two of five rays from a spiral led by 1e307 meet past the float limit: that
+    # envelope point is -inf, while the closed form's is finite.
+    "envelope_gap_past_the_float_limit": (
+        lambda: envelope_gap(log_spiral(1e307, -0.5), TiltField.reflection(),
+                             AngleInterval(-3, 3, 5)),
+        EvaluationError, "the distance to the closed form is not finite at theta = -2.25"),
     # The closed form's arclength, 1e308 theta, passes the float limit at theta = 1.875.
     "reconstruct_closed_form_overflows": (
         lambda: reconstruct(circle(1e308), AngleInterval(0, 3, 9)),

@@ -174,6 +174,14 @@ def test_overflowing_jet_is_an_error_under_warnings_as_errors():
                 fn(curve, AngleInterval(0.0, 1.0, 5))
 
 
+def test_zero_run_past_half_the_float_range_is_one_cusp_at_its_node():
+    # R = theta - 1.2e308 is zero at the middle node; the run's two ends sum past the floats.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cusps = find_cusps(polynomial_curve([-1.2e308, 1.0]), [1e308, 1.2e308, 1.4e308])
+    assert cusps == [1.2e308]
+
+
 def test_endpoint_zeros_are_not_cusps():
     assert find_cusps(cycloid(1.0), AngleInterval(0.0, math.pi, 65)) == []
 

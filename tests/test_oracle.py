@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,30 @@ def test_envelope_needs_three_rays_and_flags_parallels():
     assert np.all(np.isnan(envelope.points))
     with pytest.raises(ValidationError):
         envelope_numeric(RayFamily(bases[:2], directions[:2], source_thetas=np.arange(2.0)))
+
+
+def test_envelope_parameters_past_half_the_float_range_are_midpoints():
+    # Two consecutive source angles here sum past the float range.
+    thetas = np.linspace(1e308, 1.6e308, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        envelope = envelope_numeric(rays_from_tilt(circle(1.0), TiltField.evolute(), thetas))
+    np.testing.assert_allclose(envelope.parameters, [1.075e308, 1.225e308, 1.375e308, 1.525e308],
+                               rtol=1e-15)
+
+
+def test_envelope_gap_measures_pairs_whose_squares_overflow():
+    # Under circle(1e308) the kept pair is about 2.9e305 apart: dx * dx passes the floats.
+    curve, tilt, window = circle(1e308), TiltField.reflection(), AngleInterval(0.1, 1.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = envelope_gap(curve, tilt, window)
+        _, closed = _closed_at_midpoints(curve, tilt, window)
+    kept = ~np.isnan(closed.x)
+    assert kept.any()
+    dx, dy = (gap.envelope.points[kept] - closed.points[kept]).T
+    assert gap.distance == np.hypot(dx, dy).max()
+    assert 1e305 < gap.distance < 1e306
 
 
 def test_hausdorff_of_offset_segments():

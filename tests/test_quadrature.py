@@ -4,6 +4,7 @@ checks and failures."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -380,6 +381,23 @@ def test_non_finite_integrand_is_evaluation_error():
     ends = (np.where(edges > 0.7, np.nan, edges)[None], np.where(edges > 0.7, np.nan, 1.0)[None])
     with pytest.raises(EvaluationError, match="not finite"):
         panel_integrals(lambda t: np.where(t > 0.7, np.nan, t)[None], edges, 1e-10, ends=ends)
+
+
+def test_bisection_past_half_the_float_range_stays_finite():
+    # A bump 1e306 wide at 1.2e308 needs bisecting; each panel's lo + hi passes the float range.
+    def bump(t):
+        u = (t - 1.2e308) / 1e306
+        return (1e-300 / (1.0 + u * u))[None]
+
+    edges, nodes = np.array([1e308, 1.4e308]), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The bump's slope at the edges, about 1e-610, is 0.0 in floats.
+        got = panel_integrals(lambda t: nodes.append(t) or bump(t), edges, 1e-4,
+                              ends=(bump(edges), np.zeros((1, 2))))
+    assert len(nodes) > 1  # refined past the node-jet rule
+    assert all(((t > 1e308) & (t < 1.4e308)).all() for t in nodes)
+    assert abs(got[0, 0] - 2e6 * math.atan(20.0)) <= 1e-4
 
 
 def test_integrand_sees_one_block_of_panels_at_most():

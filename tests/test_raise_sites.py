@@ -1,5 +1,6 @@
-"""``tools/raise_sites.py`` without its traced pytest run: the scan for ``raise`` statements
-and the test of which of them ran, on a small synthetic module."""
+"""``tools/raise_sites.py`` without its traced pytest run: the scan for ``raise`` statements,
+the test of which of them ran and the error classes that none names, on small synthetic
+modules."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +37,31 @@ def test_a_raise_is_reached_when_any_of_its_lines_ran():
     assert raise_sites.unreached(spans, set()) == [3, 8, 13]
     assert raise_sites.unreached(spans, {4, 13}) == [8]
     assert raise_sites.unreached(spans, {1, 2, 3, 5, 6, 7, 8, 12, 13}) == []
+
+
+ERRORS = '''\
+__all__ = ["CausticsError", "NamedError", "QualifiedError", "IdleError"]
+'''
+
+RAISING = '''\
+from . import errors
+from .errors import IdleError, NamedError
+
+
+def f(x):
+    if x:
+        raise NamedError(f"not {x}")
+    raise errors.QualifiedError from None
+
+
+IDLE = IdleError  # a name outside a raise
+'''
+
+
+def test_an_error_class_is_raised_when_a_raise_names_it():
+    raised = raise_sites.raised_names(RAISING)
+    assert {"NamedError", "QualifiedError", "errors", "x"} <= raised
+    assert "IdleError" not in raised
+    assert raise_sites.unraised_classes(ERRORS, raised) == ["IdleError"]
+    # The base class needs no raise of its own.
+    assert raise_sites.unraised_classes(ERRORS, {"NamedError", "QualifiedError", "IdleError"}) == []

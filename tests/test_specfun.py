@@ -128,6 +128,17 @@ def test_pinned_bits_on_both_passes(k, z, real, imag):
         assert type(w) is complex and (w.real.hex(), w.imag.hex()) == (real, imag)
 
 
+def test_a_guess_whose_modulus_passes_the_floats_keeps_its_root():
+    # 2 (e z + 1) has finite parts here, about -1.66e308 and 1.45e308, but |2 (e z + 1)| does not.
+    z = complex(-3.0499301857955644e+307, 2.6605104749953895e+307)
+    ours = lambert_w(2, z)
+    assert ours == complex(701.7378785839834, 14.969325467166835)
+    with mpmath.workdps(40):
+        ref = mpmath.lambertw(z, 2)
+        assert abs(mpmath.mpc(ours) - ref) <= 1e-15 * abs(ref)
+        assert abs(mpmath.mpc(ours) * mpmath.exp(ours) - z) <= 1e-13 * abs(z)
+
+
 def test_a_step_that_leaves_the_floats_ends_the_plain_pass(monkeypatch):
     # At 3e307 the plain pass's first step overflows Halley's denominator and turns NaN; the
     # scaled pass then converges in a few steps instead of after 100 NaN iterates.
