@@ -98,16 +98,17 @@ class TiltField:
         return self._parts(np.asarray(theta, dtype=float), broadcast=True)
 
     def _parts(self, theta, broadcast=False):
-        """``__call__`` at the float array ``theta``, but three 0-d parts where every part of
-        the jet is a plain number and not ``broadcast``: a constant tilt read as scalars."""
+        """``__call__`` at the float array ``theta``, but three numpy scalars where every part
+        of the jet is a plain number and not ``broadcast``: a constant tilt read as scalars."""
         phi, p1, p2 = self.jet(theta)
-        plain = not broadcast and np.ndim(phi) == np.ndim(p1) == np.ndim(p2) == 0
+        # A float skips np.ndim, which costs microseconds on a number.
+        plain = not broadcast and all(isinstance(v, float) or not np.ndim(v) for v in (phi, p1, p2))
         jet = np.empty((3,) if plain else (3, *theta.shape))
         jet[0], jet[1], jet[2] = phi, p1, p2
         if not np.isfinite(jet).all():
             finite = np.broadcast_to(np.isfinite(jet).all(axis=0), theta.shape)
             raise EvaluationError(f"tilt is not finite at theta = {theta[~finite][0]}")
-        return jet[0, ...], jet[1, ...], jet[2, ...]
+        return jet[0], jet[1], jet[2]
 
 
 @dataclass(frozen=True)
@@ -211,20 +212,23 @@ def coframe(theta, radius, phi, phi_prime):
 
 def _check_flat(phi_prime) -> None:
     """Raise ``FlatCausticError`` where the tilt derivative is within the guard of 1."""
-    if np.any(np.abs(1.0 - phi_prime) < FLAT_TILT_GUARD):
+    if (np.abs(1.0 - phi_prime) < FLAT_TILT_GUARD).any():
         raise FlatCausticError("tilt derivative too close to 1; caustic flattens")
 
 
 def caustic_radius(r, r_prime, phi, phi_prime, phi_second):
     """Turning radius of the caustic from local curve and tilt data.
 
-    All arguments are finite and broadcast.  The tilt derivative must stay
-    away from 1 (otherwise the caustic flattens and the radius diverges).
+    All arguments are finite and broadcast.  The tilt derivative must stay away from 1 (else
+    the caustic flattens); a radius that leaves the floats raises ``EvaluationError``.
     """
     r, r_prime, phi, p1, p2 = (_checks.finite(name, value) for name, value in zip(
         ("r", "r_prime", "phi", "phi_prime", "phi_second"), (r, r_prime, phi, phi_prime, phi_second)))
     _check_flat(p1)
-    out = _radius(r, r_prime, np.sin(phi), np.cos(phi), p1, p2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _radius(r, r_prime, np.sin(phi), np.cos(phi), p1, p2)
+    if not np.isfinite(out).all():
+        raise EvaluationError("the caustic radius is not finite")
     return out if out.shape else float(out)
 
 
@@ -279,26 +283,27 @@ def similarity_residual(
     spec: SimilaritySpec,
     interval: AngleInterval,
 ) -> float:
-    """Sup-norm defect of the self-similarity law on a grid.
+    """Sup-norm defect of the self-similarity law on a grid; ``skew_equation_residual`` and
+    ``mirror_equation_residual`` are this law under a constant and a reflection tilt.
 
-    Compares the caustic radius at theta with
-    ``a * R(sign * (theta + pi/2 - phi - beta))`` and returns the largest
-    absolute difference.  Raises ``FlatCausticError`` where the tilt is flat,
-    ``DomainError`` if a shifted argument leaves the curve's domain, and
-    ``EvaluationError`` at the first angle where a value is not finite.
+    Compares the caustic radius at theta with ``a * R(sign * (theta + pi/2 - phi - beta))``
+    and returns the largest absolute difference.  The jet runs once, on the grid and these
+    arguments, before their domain is checked.  Raises ``FlatCausticError`` where the tilt is
+    flat, ``DomainError`` if an argument leaves the curve's domain, and ``EvaluationError`` at
+    the first angle where a value is not finite.
     """
     if not isinstance(interval, AngleInterval):
         raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
     thetas = interval.grid()
-    # A jet or a residual that overflows is reported below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
-        phi, p1, p2 = tilt(thetas)
+    # Overflow and division by zero are reported below or by the domain check, not warned about.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi, p1, p2 = tilt._parts(thetas)
         _check_flat(p1)
         arg = spec.sign * (thetas + math.pi / 2 - phi - spec.shift_beta)
+        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(np.concatenate([thetas, arg])))
         _check_domain(curve, arg, "similarity argument")
-        shifted = np.asarray(curve.jet(arg)[0], dtype=float)
+        r, rp, shifted = r[: thetas.size], rp[: thetas.size], r[thetas.size :]
         residual = _radius(r, rp, np.sin(phi), np.cos(phi), p1, p2) - spec.factor_a * shifted
-    _check_finite("R, R' or the shifted R", np.broadcast_arrays(r, rp, shifted), thetas)
+    _check_finite("R, R' or the shifted R", np.stack([r, rp, shifted]), thetas)
     _check_finite("the residual", residual, thetas)
     return float(np.max(np.abs(residual)))

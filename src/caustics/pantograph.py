@@ -46,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _checks
+from .caustic import SimilaritySpec, TiltField, similarity_residual
 from .errors import (
     DegenerateCurveError,
     JetDepthError,
@@ -554,19 +555,10 @@ def overlay_caustic_points(solution: PantographSolution, thetas: np.ndarray) -> 
 
 
 def mirror_equation_residual(solution: PantographSolution, interval: AngleInterval) -> float:
-    """Sup-norm defect of sin(theta) R' - 4a R(2 theta) + 3 cos(theta) R on ``interval``; raises
-    ``EvaluationError`` at the first angle where the continuation or the defect is not finite."""
-    if not isinstance(interval, AngleInterval):
-        raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
-    t = interval.grid()  # continue_R rejects a negative angle
-    a = solution.series.factor_a
-    r, rp = continue_R(solution, np.concatenate([t, 2.0 * t]))
-    r, r2, rp = r[: t.size], r[t.size :], rp[: t.size]
-    # A defect that overflows is reported below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r
-    _check_finite("the residual", residual, t)
-    return float(np.max(np.abs(residual)))
+    """Sup-norm defect of the pantograph equation sin R' - 4a R(2 theta) + 3 cos R on ``interval``:
+    4 times ``caustic.similarity_residual`` of the ``solution_curve`` under the reflection tilt."""
+    law, curve = SimilaritySpec(solution.series.factor_a, 0.0), solution_curve(solution)
+    return 4.0 * similarity_residual(curve, TiltField.reflection(), law, interval)
 
 
 _CUSP_CHAIN_SPAN = 8 * math.pi

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _checks
+from .caustic import SimilaritySpec, TiltField, similarity_residual
 from .errors import (
     DegenerateCurveError,
     NumericError,
@@ -36,8 +37,6 @@ from .errors import (
 from .inclination import (
     AngleInterval,
     InclinationCurve,
-    _check_domain,
-    _check_finite,
     _exp_sum_curve,
     _exp_sum_integrals,
     _exp_sum_primitive,
@@ -372,30 +371,16 @@ def skew_equation_residual(
     interval: AngleInterval,
     alpha: float = 0.0,
 ) -> float:
-    """Sup-norm defect of the constant-tilt similarity equation on a grid; raises
-    ``EvaluationError`` at the first angle where R, R' or the shifted R is not finite."""
+    """Sup-norm defect of ``cos(phi0) R' + sin(phi0) R = a R(arg)``, arg theta, alpha - theta or
+    theta - alpha by ``case``: ``caustic.similarity_residual`` under ``TiltField.skew(phi0)``
+    with beta = (0 or alpha) + pi/2 - phi0 and sign -1 for inverse_position."""
     phi0 = _check_phi0(phi0)
-    factor_a, alpha = _checks.real("factor_a", factor_a), _checks.real("alpha", alpha)
+    alpha = _checks.real("alpha", alpha)  # SimilaritySpec checks factor_a
     if case not in _CASES:
         raise ValidationError(f"case must be one of {_CASES}, got {case!r}")
-    if not isinstance(interval, AngleInterval):
-        raise ValidationError(f"interval must be an AngleInterval, got {interval!r}")
-    thetas = interval.grid()
-    if case == "point_by_point":
-        arg = thetas
-    elif case == "inverse_position":
-        arg = alpha - thetas
-    else:
-        arg = thetas - alpha
-    _check_domain(curve, arg, "shifted argument")
-    # A jet or a residual that overflows is reported below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, rp = (np.asarray(v, dtype=float) for v in curve.jet(thetas))
-        shifted = np.asarray(curve.jet(arg)[0], dtype=float)
-        residual = math.cos(phi0) * rp + math.sin(phi0) * r - factor_a * shifted
-    _check_finite("R, R' or the shifted R", np.stack([r, rp, shifted]), thetas)
-    _check_finite("the residual", residual, thetas)
-    return float(np.max(np.abs(residual)))
+    beta = (0.0 if case == "point_by_point" else alpha) + math.pi / 2 - phi0
+    law = SimilaritySpec(factor_a, beta, -1 if case == "inverse_position" else 1)
+    return similarity_residual(curve, TiltField.skew(phi0), law, interval)
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,9 @@ def lambert_w(k: int, z: complex | float):
     """Branch ``k`` of the Lambert W function.
 
     Solves ``w * exp(w) = z`` by at most ``_MAX_HALLEY_STEPS`` Halley steps
-    from a branch-aware initial guess.  Accepts any finite complex ``z``;
-    real arguments that lie on the real range of the requested branch come
-    back as plain floats.
+    from a branch-aware initial guess.  Accepts any finite complex ``z``
+    whose modulus is a float; real arguments that lie on the real range of
+    the requested branch come back as plain floats.
 
     Parameters
     ----------
@@ -127,7 +127,7 @@ def lambert_w(k: int, z: complex | float):
     PoleError
         For ``z == 0`` on any branch other than the principal one.
     NumericError
-        If the iteration cannot meet the residual tolerance.
+        If the iteration cannot meet the residual tolerance or ``|z|`` is no float.
     """
     k = _checks.integer("k", k)
     z_was_real = not isinstance(z, complex)
@@ -139,8 +139,11 @@ def lambert_w(k: int, z: complex | float):
     if zc.imag == 0.0 and abs(zc.real - _BRANCH_POINT) < 4e-17 and k in (0, -1):
         return -1.0 if z_was_real else complex(-1.0)
 
+    try:
+        bound = 1e-13 * max(abs(zc), 1e-300)
+    except OverflowError:  # the bound, like |z|, passes the float range
+        raise NumericError(f"lambert_w: |z| passes the float range, branch {k}, z={zc}") from None
     w, res = _halley(k, zc, False)
-    bound = 1e-13 * max(abs(zc), 1e-300)
     if res > bound:  # near the float limit, where w e^w - z or its step may overflow
         w, res = _halley(k, zc, True)
     if res > bound:

@@ -231,6 +231,10 @@ DEGENERATE_CALLS = {
     "caustic_radius_flat_tilt": (
         lambda: caustic_radius(1, 0, 0, 1, 0),
         FlatCausticError, "tilt derivative too close to 1; caustic flattens"),
+    # (1 - 2 phi') R / (1 - phi')^2 = -0.9998e308 / 1e-8 passes the float limit.
+    "caustic_radius_past_the_float_limit": (
+        lambda: caustic_radius(1e308, 1e308, 0.0, 0.9999, 0.0),
+        EvaluationError, "the caustic radius is not finite"),
     "reconstruct_interval_collapses_at_pole": (
         lambda: reconstruct(parabola_mirror(1), AngleInterval(0, 1e-6, 5)),
         DomainError, "collapsed after pole clipping"),
@@ -315,6 +319,12 @@ DEGENERATE_CALLS = {
         lambda: similarity_residual(log_spiral(1.0, 800.0), TiltField.evolute(),
                                     SimilaritySpec(1.0, 0.0), AngleInterval(0, 1, 5)),
         EvaluationError, "R, R' or the shifted R is not finite at theta = 0.0"),
+    # The argument theta - 1 is 0 at theta = 1, the parabola's pole: its jet divides by
+    # sin(0) = 0 there, which is reported, not warned about.
+    "similarity_residual_shifted_onto_a_pole": (
+        lambda: similarity_residual(parabola_mirror(1.0), TiltField.evolute(),
+                                    SimilaritySpec(1.0, math.pi / 2 + 1.0), AngleInterval(1, 2, 5)),
+        EvaluationError, "R, R' or the shifted R is not finite at theta = 1.0"),
     # R near 1e300 and its shifted value near 1e303 are finite; 1e10 times the latter is not.
     "similarity_residual_past_the_float_limit": (
         lambda: similarity_residual(log_spiral(1e300, 1.0), TiltField.skew(0.3),

@@ -16,7 +16,8 @@ import pytest
 
 from caustics import pantograph, specfun
 from caustics.cli import main
-from caustics.caustic import CUSP, OK, TiltField, caustic_curve
+from caustics.caustic import (
+    CUSP, OK, SimilaritySpec, TiltField, caustic_curve, caustic_radius, similarity_residual)
 from caustics.errors import (
     DegenerateCurveError,
     DomainError,
@@ -736,13 +737,32 @@ def test_overlay_of_no_angles_is_empty(cycloid_solution):
 
 
 def test_residuals_equal_separate_continuations(m2_solution):
+    # The law under the reflection tilt phi = pi/2 - theta, formed from separate continuations
+    # at theta and at its argument theta + pi/2 - phi, is a quarter of the mirror residual bit
+    # for bit; and 4 times it is the pantograph defect, sin R' - 4a R(2 theta) + 3 cos R, to
+    # rounding.
     interval = AngleInterval(0.01, 2 * math.pi, 257)
     t = interval.grid()
+    phi = math.pi / 2 - t
     r, rp = continue_R(m2_solution, t)
-    r2, _ = continue_R(m2_solution, 2.0 * t)
+    shifted, _ = continue_R(m2_solution, t + math.pi / 2 - phi)
     a = m2_solution.series.factor_a
-    want = np.max(np.abs(np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r))
-    assert mirror_equation_residual(m2_solution, interval) == want
+    law = caustic_radius(r, rp, phi, -1.0, 0.0) - a * shifted
+    assert mirror_equation_residual(m2_solution, interval) == 4.0 * np.max(np.abs(law))
+    r2, _ = continue_R(m2_solution, 2.0 * t)
+    defect = np.sin(t) * rp - 4.0 * a * r2 + 3.0 * np.cos(t) * r
+    scale = np.max(np.abs(rp) + 4.0 * abs(a) * np.abs(r2) + 3.0 * np.abs(r))
+    assert np.max(np.abs(4.0 * law - defect)) <= 16 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("name", ["cycloid_solution", "m2_solution", "m3_solution"],
+                         ids=["k0", "k1", "k2"])
+def test_mirror_residual_is_four_times_the_reflection_law(request, name):
+    solution = request.getfixturevalue(name)
+    interval = AngleInterval(0.01, 2 * math.pi, 257)
+    law = SimilaritySpec(solution.series.factor_a, 0.0)
+    want = similarity_residual(solution_curve(solution), TiltField.reflection(), law, interval)
+    assert mirror_equation_residual(solution, interval) == 4.0 * want
 
 
 # The continuation as it was first batched: one pass per doubling depth,

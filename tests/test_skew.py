@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from caustics.caustic import SimilaritySpec, TiltField, similarity_residual
 from caustics.errors import (
     DegenerateCurveError,
     ValidationError,
@@ -40,6 +41,39 @@ def test_point_by_point_satisfies_equation():
     curve = point_by_point_curve(1.3, 0.8, 0.4)
     res = skew_equation_residual(curve, 0.4, 0.8, "point_by_point", WINDOW)
     assert res < 1e-9
+
+
+@pytest.mark.parametrize("window", [AngleInterval(-1.0, 1.0, 201), AngleInterval(0.0, 2.0, 33)],
+                         ids=["centred", "positive"])
+@pytest.mark.parametrize(
+    "spec, alpha, sign",
+    [
+        (SkewFamilySpec("point_by_point", 0.3, 1.2), 0.0, 1),
+        (
+            SkewFamilySpec("inverse_position", 0.3, 1.2, coefficients=((1.0, 0.5),)),
+            implied_alpha(1.0, 0.5, 1.2, 0.3),
+            -1,
+        ),
+        (
+            SkewFamilySpec(
+                "delay", 0.3, 0.9, alpha=0.8, root_indices=(0, -1),
+                coefficients=((1.0, 0.0), (0.5, 0.2)),
+            ),
+            0.8,
+            1,
+        ),
+    ],
+    ids=["point_by_point", "inverse_position", "delay"],
+)
+def test_skew_residual_is_the_similarity_law_under_the_constant_tilt(spec, alpha, sign, window):
+    # The constant-tilt equation is the general law under TiltField.skew(phi0) with
+    # beta = alpha + pi/2 - phi0: one kernel forms both, so they agree bit for bit.
+    curve = build_family(spec)
+    law = SimilaritySpec(spec.factor_a, alpha + math.pi / 2 - spec.phi0, sign)
+    want = similarity_residual(curve, TiltField.skew(spec.phi0), law, window)
+    got = skew_equation_residual(curve, spec.phi0, spec.factor_a, spec.case, window, alpha=alpha)
+    assert got == want
+    assert want <= 1e-10
 
 
 def test_point_by_point_circle_degeneration_is_exact():

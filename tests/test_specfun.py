@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ import pytest
 import scipy.special
 
 from caustics import specfun
-from caustics.errors import ValidationError
+from caustics.errors import NumericError, ValidationError
 from caustics.specfun import (
     lambert_w,
     tan_coeffs,
@@ -137,6 +138,15 @@ def test_a_guess_whose_modulus_passes_the_floats_keeps_its_root():
         ref = mpmath.lambertw(z, 2)
         assert abs(mpmath.mpc(ours) - ref) <= 1e-15 * abs(ref)
         assert abs(mpmath.mpc(ours) * mpmath.exp(ours) - z) <= 1e-13 * abs(z)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1])
+def test_a_z_whose_modulus_passes_the_floats_is_refused(k):
+    # Both parts of z are floats, but |z| = 2.1e308 is not, nor is the residual bound 1e-13 |z|.
+    z = complex(1.5e308, 1.5e308)
+    with pytest.raises(NumericError, match=re.escape(
+            f"lambert_w: |z| passes the float range, branch {k}, z={z}")):
+        lambert_w(k, z)
 
 
 def test_a_step_that_leaves_the_floats_ends_the_plain_pass(monkeypatch):

@@ -9,11 +9,15 @@ its own tree's ``src/``, so only the library differs.  Pair i runs seed A + i of
 in each directory, each run a fresh ``perfbench/run.py`` process; this tree runs first in the
 even pairs and REF in the odd ones.
 
-Per workload it prints the median and quartiles of ``jobs_per_s`` on both sides, the pairs this
-tree won (higher ``jobs_per_s``), the medians of ``peak_rss_mb`` and ``setup_s``, and whether
-every run read ``correct: true`` with 0 failed.  The last line of stdout is one JSON record:
-REF, the seeds, the bytecode setting and every run's metrics.  It exits 1 if a run fails or
-reads incorrect.  Needs git and nothing outside the standard library.
+For each workload and each end-to-end metric of ``BENCHMARK.json`` (its ``name``, ``better``
+and ``bound``), it prints the median and quartiles on both sides, the pairs this tree won (ties
+count for neither) and one verdict: ``better`` (won at least nine pairs in ten, and the medians
+differ by more than REF's interquartile distance), ``unresolved`` (REF's interquartile distance
+exceeds the bound, a fraction of REF's median, and not every run here beats every run of REF),
+``worse`` (the median is worse than REF's by more than the bound) or ``no worse``.  Then it
+says whether every run read ``correct: true`` with 0 failed.  The last line of stdout is one
+JSON record: REF, the seeds, the bytecode setting and every run's metrics.  It exits 1 if a run
+fails or reads incorrect.  Needs git and nothing outside the standard library.
 """
 from __future__ import annotations
 
@@ -31,7 +35,11 @@ from same_bytes import extract
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("families", "mirror", "caustic")
-METRICS = ("jobs_per_s", "peak_rss_mb", "setup_s")
+
+
+def _end_to_end() -> list[dict]:
+    """The end-to-end metrics of ``BENCHMARK.json``: each a dict with name, better and bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def _seeds(text: str) -> tuple[int, int]:
@@ -60,7 +68,7 @@ def _run(side: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "failed": result["failed"],
-            **{name: result["metrics"][name]["value"] for name in METRICS}}
+            **{m["name"]: result["metrics"][m["name"]]["value"] for m in _end_to_end()}}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,22 +78,37 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _verdict(ours: list[float], ref: list[float], better: str, bound: float) -> tuple[int, str]:
+    """Pairs won and the verdict of one metric, from its values in pair order on each side."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (x - y) > 0.0 for x, y in zip(ours, ref))
+    q1, median, q3 = _quartiles(ref)
+    gain = sign * (statistics.median(ours) - median)
+    if won >= 0.9 * len(ours) and gain > q3 - q1:
+        return won, "better"
+    every_run_better = min(sign * x for x in ours) > max(sign * y for y in ref)
+    if q3 - q1 > bound * abs(median) and not every_run_better:
+        return won, "unresolved"
+    return won, "worse" if -gain > bound * abs(median) else "no worse"
+
+
 def summary(workload: str, pairs: list[dict]) -> tuple[list[str], bool]:
     """The report lines of one workload's pairs, and whether every run was correct."""
     runs = [run for pair in pairs for run in (pair["a"], pair["b"])]
     if any("error" in run for run in runs):
         return [f"{workload}: " + next(run["error"] for run in runs if "error" in run)], False
     lines = []
-    for side, label in (("a", "this tree"), ("b", "ref")):
-        q1, median, q3 = _quartiles([pair[side]["jobs_per_s"] for pair in pairs])
-        rss, setup = (statistics.median(pair[side][name] for pair in pairs)
-                      for name in ("peak_rss_mb", "setup_s"))
-        lines.append(f"{workload} {label:9}  jobs_per_s median {median:.2f} "
-                     f"(quartiles {q1:.2f}-{q3:.2f})  peak_rss_mb {rss:.2f}  setup_s {setup:.3f}")
-    won = sum(pair["a"]["jobs_per_s"] > pair["b"]["jobs_per_s"] for pair in pairs)
+    for metric in _end_to_end():
+        name = metric["name"]
+        ours, ref = ([pair[side][name] for pair in pairs] for side in ("a", "b"))
+        won, judged = _verdict(ours, ref, metric["better"], metric["bound"])
+        (a1, a, a3), (b1, b, b3) = _quartiles(ours), _quartiles(ref)
+        lines.append(f"{workload} {name}: this tree {a:.4g} (quartiles {a1:.4g}-{a3:.4g}), "
+                     f"ref {b:.4g} (quartiles {b1:.4g}-{b3:.4g}), won {won} of {len(pairs)}: "
+                     f"{judged} (bound {metric['bound']:.0%}, {metric['better']} is better)")
     correct = all(run["correct"] and run["failed"] == 0 for run in runs)
-    lines.append(f"{workload} this tree won {won} of {len(pairs)} pairs; "
-                 f"{'all runs correct, 0 failed' if correct else 'SOME RUNS INCORRECT OR FAILED'}")
+    lines.append(f"{workload}: " + ("all runs correct, 0 failed" if correct
+                                     else "SOME RUNS INCORRECT OR FAILED"))
     return lines, correct
 
 
